@@ -279,8 +279,8 @@ double final_loss_at_current_threads(int64_t B, int train_steps) {
 struct AmpRow {
   int64_t models;
   double amp_replay_iters_per_sec;
-  double allocs_per_iter;  // must stay 0: casts replay as thunks, the seed
-                           // and unscale are in-place
+  double allocs_per_iter;  // must stay 0: quantizing GEMMs replay as thunks,
+                           // the seed and unscale are in-place
   double nodes_per_iter;   // must stay 0: AMP replay is tape-free too
   double vs_fp32_replay;   // amp / fp32 replay throughput
 };

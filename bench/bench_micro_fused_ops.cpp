@@ -182,38 +182,6 @@ void BM_GemmForcedScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmForcedScalar)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
-// ---- dtype cast throughput --------------------------------------------------
-// The AMP hot loop: f32 -> half at GEMM entry, half -> f32 at packing.
-
-void BM_CastF32ToF16(benchmark::State& state) {
-  const int64_t n = 1 << 20;
-  Rng rng(6);
-  Tensor src = Tensor::randn({n}, rng);
-  std::vector<uint16_t> dst(static_cast<size_t>(n));
-  for (auto _ : state) {
-    vec::cast_f32_to_f16(src.data(), dst.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetLabel(vec::simd_name());
-  state.SetBytesProcessed(state.iterations() * n * 6);  // 4 in + 2 out
-}
-BENCHMARK(BM_CastF32ToF16);
-
-void BM_CastF16ToF32(benchmark::State& state) {
-  const int64_t n = 1 << 20;
-  Rng rng(6);
-  Tensor srcf = Tensor::randn({n}, rng);
-  std::vector<uint16_t> src(static_cast<size_t>(n));
-  vec::cast_f32_to_f16(srcf.data(), src.data(), n);
-  std::vector<float> dst(static_cast<size_t>(n));
-  for (auto _ : state) {
-    vec::cast_f16_to_f32(src.data(), dst.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(state.iterations() * n * 6);
-}
-BENCHMARK(BM_CastF16ToF32);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -1,7 +1,5 @@
 #include "autograd/autocast.h"
 
-#include "autograd/functions.h"
-
 namespace hfta::ag {
 
 namespace {
@@ -22,12 +20,6 @@ AutocastGuard::AutocastGuard(DType dtype)
 AutocastGuard::~AutocastGuard() {
   g_autocast_enabled = prev_enabled_;
   g_autocast_dtype = prev_dtype_;
-}
-
-Variable autocast_input(const Variable& v) {
-  if (!g_autocast_enabled || !v.defined()) return v;
-  if (v.value().dtype() == g_autocast_dtype) return v;
-  return cast(v, g_autocast_dtype);
 }
 
 }  // namespace hfta::ag

@@ -8,26 +8,23 @@
 // pooling ops run native on the (f32) activations that GEMMs produce, and
 // reductions/losses stay f32. Gradients are ALWAYS f32.
 //
-// How the rounding happens differs by family. The GEMM family passes the
-// dtype as a quantize policy into ops::matmul et al., which round operands
-// to the half format INSIDE the pack loop (vec::PackType::kF32Q*) — no cast
-// tensors, no cast nodes, bit-identical to casting to 16-bit storage first
-// because both are defined by the same f32 -> half -> f32 round trip. The
-// conv family still materializes casts as recorded ops (ag::cast), whose
-// backward is the identity into the original f32 tensor.
+// There is one formulation: each op captures the dtype BY VALUE as a
+// per-operand quantize policy, and the packed GEMM (directly, or behind
+// conv's im2col) rounds those operands to the half format INSIDE its pack
+// loop (vec::GemmArgs::a_type/b_type) — no cast tensors, no cast nodes, and
+// no half-precision storage anywhere. A backward quantizes only the saved
+// operand of each product; the incoming gradient stays f32.
 //
-// Both formulations are capture/replay-safe: the GEMM family's policy rides
-// by value in the op closures, and the conv family's casts replay as
-// ordinary thunks. TrainStep mixes the autocast state into its structural
-// fingerprint, so toggling precision recaptures instead of replaying a
-// stale-precision program.
+// The policy rides in the op closures, so captured step programs replay it
+// with no autocast state involved. TrainStep mixes the autocast state into
+// its structural fingerprint, so toggling precision recaptures instead of
+// replaying a stale-precision program.
 //
 // The policy flag is thread_local. Guards are used on the launching thread
 // (graph construction is single-threaded here); worker threads never build
 // graphs.
 #pragma once
 
-#include "autograd/variable.h"
 #include "tensor/dtype.h"
 
 namespace hfta::ag {
@@ -52,10 +49,5 @@ class AutocastGuard {
   bool prev_enabled_;
   DType prev_dtype_;
 };
-
-/// Applies the policy to one GEMM/conv-class operand: under an active guard,
-/// returns ag::cast(v, autocast_dtype()); otherwise (or when v is undefined
-/// or already that dtype) returns v unchanged.
-Variable autocast_input(const Variable& v);
 
 }  // namespace hfta::ag

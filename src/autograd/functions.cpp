@@ -47,18 +47,6 @@ Variable make_op(const char* name, Tensor out, const Fwd& fwd,
 
 Variable constant(Tensor value) { return Variable(std::move(value)); }
 
-// ---- dtype -----------------------------------------------------------------
-
-Variable cast(const Variable& a, DType dtype) {
-  if (a.value().dtype() == dtype) return a;
-  Tensor av = a.value();
-  auto fwd = [av, dtype] { return ops::cast(av, dtype); };
-  return make_op("cast", fwd(), fwd, {a},
-                 [](const Tensor& gy) -> std::vector<Tensor> {
-                   return {gy};
-                 });
-}
-
 // ---- binary ----------------------------------------------------------------
 
 Variable add(const Variable& a, const Variable& b) {
@@ -295,17 +283,14 @@ Variable gelu(const Variable& a) {
 
 // ---- matmul family -----------------------------------------------------------
 
-// The matmul family applies the autocast policy WITHOUT cast nodes: the
-// active dtype is captured by value as a per-operand quantize policy and the
-// packed GEMM quantizes those operands RNE during packing — bit-identical to
-// inserting ag::cast nodes (the kernels' quantize round-trip IS the cast
-// converters' composition) but with no cast tensors, no extra memory passes,
-// and two fewer graph nodes per GEMM. Biases stay f32, gradients stay f32
-// leaves, and the backward quantizes only the SAVED operand of each product
-// (the incoming gradient is f32, exactly as it was when the saved tensor
-// held the cast value). The policy rides inside the fwd/backward closures,
-// so a captured step program replays it with no autocast state involved.
-// The conv family (below) keeps the recorded-cast formulation.
+// The GEMM and conv families apply the autocast policy with no cast nodes:
+// the active dtype is captured by value as a per-operand quantize policy and
+// the packed GEMM (directly, or behind conv's im2col) rounds those operands
+// RNE during packing — no cast tensors, no extra memory passes. Biases stay
+// f32, gradients stay f32, and the backward quantizes only the SAVED operand
+// of each product; the incoming gradient is never quantized. The policy
+// rides inside the fwd/backward closures, so a captured step program
+// replays it with no autocast state involved.
 
 namespace {
 // The quantize policy for GEMM operands under the ambient autocast scope:
@@ -393,34 +378,40 @@ Variable linear(const Variable& x, const Variable& w,
 
 // ---- convolution ----------------------------------------------------------------
 
-Variable conv2d(const Variable& x_in, const Variable& w_in, const Variable& b,
+// Operand policies: forward (x:q, w:q); grad_input (gy:f32, w:q);
+// grad_weight (gy:f32, x:q). The transposed convs keep the same roles.
+
+Variable conv2d(const Variable& x, const Variable& w, const Variable& b,
                 const ops::ConvArgs& args) {
-  const Variable x = autocast_input(x_in), w = autocast_input(w_in);
+  const DType q = gemm_quantize_dtype();
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, args] { return ops::conv2d(xv, wv, bv, args); };
+  auto fwd = [xv, wv, bv, args, q] {
+    return ops::conv2d(xv, wv, bv, args, q, q);
+  };
   Tensor y = fwd();
   std::vector<Variable> inputs = {x, w};
   if (b.defined()) inputs.push_back(b);
   const bool has_bias = b.defined();
   return make_op(
       "conv2d", y, fwd, std::move(inputs),
-      [xv, wv, args, has_bias](const Tensor& gy) -> std::vector<Tensor> {
+      [xv, wv, args, has_bias, q](const Tensor& gy) -> std::vector<Tensor> {
         std::vector<Tensor> grads = {
-            ops::conv2d_grad_input(gy, wv, xv.shape(), args),
-            ops::conv2d_grad_weight(gy, xv, wv.shape(), args)};
+            ops::conv2d_grad_input(gy, wv, xv.shape(), args, DType::kF32, q),
+            ops::conv2d_grad_weight(gy, xv, wv.shape(), args, DType::kF32,
+                                    q)};
         if (has_bias) grads.push_back(ops::conv2d_grad_bias(gy));
         return grads;
       });
 }
 
-Variable conv1d(const Variable& x_in, const Variable& w_in, const Variable& b,
+Variable conv1d(const Variable& x, const Variable& w, const Variable& b,
                 int64_t stride, int64_t pad, int64_t groups) {
-  const Variable x = autocast_input(x_in), w = autocast_input(w_in);
+  const DType q = gemm_quantize_dtype();
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, stride, pad, groups] {
-    return ops::conv1d(xv, wv, bv, stride, pad, groups);
+  auto fwd = [xv, wv, bv, stride, pad, groups, q] {
+    return ops::conv1d(xv, wv, bv, stride, pad, groups, q);
   };
   Tensor y = fwd();
   std::vector<Variable> inputs = {x, w};
@@ -428,11 +419,13 @@ Variable conv1d(const Variable& x_in, const Variable& w_in, const Variable& b,
   const bool has_bias = b.defined();
   return make_op(
       "conv1d", y, fwd, std::move(inputs),
-      [xv, wv, stride, pad, groups,
-       has_bias](const Tensor& gy) -> std::vector<Tensor> {
+      [xv, wv, stride, pad, groups, has_bias,
+       q](const Tensor& gy) -> std::vector<Tensor> {
         std::vector<Tensor> grads = {
-            ops::conv1d_grad_input(gy, wv, xv.shape(), stride, pad, groups),
-            ops::conv1d_grad_weight(gy, xv, wv.shape(), stride, pad, groups)};
+            ops::conv1d_grad_input(gy, wv, xv.shape(), stride, pad, groups,
+                                   q),
+            ops::conv1d_grad_weight(gy, xv, wv.shape(), stride, pad, groups,
+                                    q)};
         if (has_bias) {
           // bias grad: sum gy over batch and length.
           grads.push_back(ops::sum(gy, {0, 2}, false));
@@ -441,14 +434,14 @@ Variable conv1d(const Variable& x_in, const Variable& w_in, const Variable& b,
       });
 }
 
-Variable conv_transpose2d(const Variable& x_in, const Variable& w_in,
+Variable conv_transpose2d(const Variable& x, const Variable& w,
                           const Variable& b,
                           const ops::ConvTransposeArgs& args) {
-  const Variable x = autocast_input(x_in), w = autocast_input(w_in);
+  const DType q = gemm_quantize_dtype();
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, args] {
-    return ops::conv_transpose2d(xv, wv, bv, args);
+  auto fwd = [xv, wv, bv, args, q] {
+    return ops::conv_transpose2d(xv, wv, bv, args, q);
   };
   Tensor y = fwd();
   std::vector<Variable> inputs = {x, w};
@@ -456,23 +449,23 @@ Variable conv_transpose2d(const Variable& x_in, const Variable& w_in,
   const bool has_bias = b.defined();
   return make_op(
       "conv_transpose2d", y, fwd, std::move(inputs),
-      [xv, wv, args, has_bias](const Tensor& gy) -> std::vector<Tensor> {
+      [xv, wv, args, has_bias, q](const Tensor& gy) -> std::vector<Tensor> {
         std::vector<Tensor> grads = {
-            ops::conv_transpose2d_grad_input(gy, wv, args),
-            ops::conv_transpose2d_grad_weight(gy, xv, wv.shape(), args)};
+            ops::conv_transpose2d_grad_input(gy, wv, args, q),
+            ops::conv_transpose2d_grad_weight(gy, xv, wv.shape(), args, q)};
         if (has_bias) grads.push_back(ops::conv2d_grad_bias(gy));
         return grads;
       });
 }
 
-Variable conv_transpose1d(const Variable& x_in, const Variable& w_in,
+Variable conv_transpose1d(const Variable& x, const Variable& w,
                           const Variable& b,
                           const ops::ConvTransposeArgs& args) {
-  const Variable x = autocast_input(x_in), w = autocast_input(w_in);
+  const DType q = gemm_quantize_dtype();
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, args] {
-    return ops::conv_transpose1d(xv, wv, bv, args);
+  auto fwd = [xv, wv, bv, args, q] {
+    return ops::conv_transpose1d(xv, wv, bv, args, q);
   };
   Tensor y = fwd();
   std::vector<Variable> inputs = {x, w};
@@ -480,10 +473,10 @@ Variable conv_transpose1d(const Variable& x_in, const Variable& w_in,
   const bool has_bias = b.defined();
   return make_op(
       "conv_transpose1d", y, fwd, std::move(inputs),
-      [xv, wv, args, has_bias](const Tensor& gy) -> std::vector<Tensor> {
+      [xv, wv, args, has_bias, q](const Tensor& gy) -> std::vector<Tensor> {
         std::vector<Tensor> grads = {
-            ops::conv_transpose1d_grad_input(gy, wv, args),
-            ops::conv_transpose1d_grad_weight(gy, xv, wv.shape(), args)};
+            ops::conv_transpose1d_grad_input(gy, wv, args, q),
+            ops::conv_transpose1d_grad_weight(gy, xv, wv.shape(), args, q)};
         if (has_bias) grads.push_back(ops::sum(gy, {0, 2}, false));
         return grads;
       });
@@ -842,13 +835,18 @@ Variable mse_loss(const Variable& x, const Tensor& target,
   return Variable();
 }
 
-Variable embedding(const Tensor& indices, const Variable& weight) {
+Variable embedding(const Tensor& indices, const Variable& weight,
+                   int64_t block_vocab) {
   Tensor wv = weight.value();
-  auto fwd = [indices, wv] { return ops::embedding(indices, wv); };
+  auto fwd = [indices, wv, block_vocab] {
+    return ops::embedding(indices, wv, block_vocab);
+  };
   const int64_t vocab = weight.size(0);
   return make_op("embedding", fwd(), fwd, {weight},
-                 [indices, vocab](const Tensor& gy) -> std::vector<Tensor> {
-                   return {ops::embedding_backward(gy, indices, vocab)};
+                 [indices, vocab,
+                  block_vocab](const Tensor& gy) -> std::vector<Tensor> {
+                   return {ops::embedding_backward(gy, indices, vocab,
+                                                   block_vocab)};
                  });
 }
 

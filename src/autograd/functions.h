@@ -15,14 +15,6 @@ namespace hfta::ag {
 /// Constant (no-grad) wrapper.
 Variable constant(Tensor value);
 
-// ---- dtype ---------------------------------------------------------------
-/// Converted copy at `dtype` (identity when it already matches). The
-/// backward is the straight-through identity: the incoming (f32) gradient
-/// passes to the source unchanged, so gradients stay f32 no matter how the
-/// forward was quantized. Recorded like any other op — step programs replay
-/// casts as thunks.
-Variable cast(const Variable& a, DType dtype);
-
 // ---- elementwise binary (broadcasting) -----------------------------------
 Variable add(const Variable& a, const Variable& b);
 Variable sub(const Variable& a, const Variable& b);
@@ -113,8 +105,12 @@ Variable mse_loss(const Variable& x, const Tensor& target,
                   Reduction reduction);
 
 // ---- embedding --------------------------------------------------------------------
-/// indices: integer-valued tensor (no grad); weight: [V, E].
-Variable embedding(const Tensor& indices, const Variable& weight);
+/// indices: integer-valued tensor (no grad); weight: [V, E]. block_vocab > 0
+/// looks up a stacked table of per-model blocks (see ops::embedding). The
+/// ids are read when the op runs, so a replayed step program sees whatever
+/// was staged into `indices`.
+Variable embedding(const Tensor& indices, const Variable& weight,
+                   int64_t block_vocab = 0);
 
 /// Elementwise multiply by a constant mask (dropout building block).
 Variable mul_mask(const Variable& x, const Tensor& mask);

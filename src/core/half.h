@@ -1,19 +1,30 @@
-// Scalar f32 <-> f16/bf16 bit converters (round-to-nearest-even).
+// Scalar f32 <-> f16/bf16 bit converters (round-to-nearest-even), and the
+// DType that names which of them an operand's quantize policy applies.
 //
-// These live in core/ (not tensor/dtype.cpp) because they are the REFERENCE
-// semantics for the vectorized cast kernels in core/vec_*.cpp: the scalar
-// SIMD-emulation path calls them per lane, and the AVX2/F16C path must match
-// them bit-for-bit on every input — including NaN payloads, where hardware
-// converters quiet signaling NaNs but these deliberately pass payloads
-// through (f16 -> f32) or canonicalize them (f32 -> f16). Keeping one copy
-// here means "matches the scalar converter" is true by construction for the
-// scalar lane path and testable exhaustively for the vector path.
+// These live in core/ (not tensor/dtype.cpp) because their round trip is the
+// REFERENCE semantics for the quantizing GEMM pack in core/vec_*.cpp: the
+// scalar SIMD-emulation path calls them per lane, and the AVX2/F16C path
+// must match them bit-for-bit on every input — including NaN payloads,
+// which these deliberately canonicalize on narrowing where hardware
+// converters keep them. Keeping one copy here means "matches the scalar
+// converter" is true by construction for the scalar lane path and testable
+// exhaustively for the vector path.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 
 namespace hfta {
+
+/// A quantize policy. Tensors always store f32; kF16/kBF16 ask a GEMM or
+/// conv kernel to round that operand RNE to the half format and widen it
+/// back inside its pack loop (vec::GemmArgs::a_type/b_type), kF32 packs it
+/// verbatim.
+enum class DType : uint8_t {
+  kF32 = 0,   // IEEE binary32: no rounding
+  kF16 = 1,   // IEEE binary16: 1 sign, 5 exponent, 10 mantissa
+  kBF16 = 2,  // bfloat16: 1 sign, 8 exponent, 7 mantissa (truncated f32)
+};
 
 inline uint32_t f32_bits(float f) {
   uint32_t x;

@@ -123,19 +123,6 @@ void col_sum(const float* src, float* dst, int64_t rows, int64_t cols,
   active()->col_sum(src, dst, rows, cols, accumulate);
 }
 
-void cast_f32_to_f16(const float* src, uint16_t* dst, int64_t n) {
-  active()->cast_f32_to_f16(src, dst, n);
-}
-void cast_f16_to_f32(const uint16_t* src, float* dst, int64_t n) {
-  active()->cast_f16_to_f32(src, dst, n);
-}
-void cast_f32_to_bf16(const float* src, uint16_t* dst, int64_t n) {
-  active()->cast_f32_to_bf16(src, dst, n);
-}
-void cast_bf16_to_f32(const uint16_t* src, float* dst, int64_t n) {
-  active()->cast_bf16_to_f32(src, dst, n);
-}
-
 // -- shared reference exp + strided-row fallbacks -----------------------------
 // Strided rows (softmax over a non-innermost dim) use this single compiled
 // copy on every backend: the same virtual-lane strip/tree algorithm, lane by

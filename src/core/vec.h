@@ -27,6 +27,8 @@
 
 #include <cstdint>
 
+#include "core/half.h"
+
 namespace hfta::vec {
 
 // -- virtual-machine constants (semantic: changing any of these changes
@@ -60,37 +62,26 @@ bool simd_available();
 
 // -- packed cache-blocked GEMM ------------------------------------------------
 
-/// Element type a GEMM operand is packed FROM. Half inputs are widened to
-/// f32 during packing (bit-identical to the scalar converters in
-/// core/half.h), which is what lets AMP matmuls skip the separate as_f32
-/// materialization pass entirely. The kF32Q* types quantize an f32 operand
-/// RNE to the half format and widen it back IN the pack loop — bit-identical
-/// to casting the tensor to 16-bit storage first and packing that (the
-/// round-trip through core/half.h is the definition both backends match), so
-/// autocast needs no materialized cast tensors at all.
-enum class PackType : uint8_t {
-  kF32 = 0,
-  kF16 = 1,
-  kBF16 = 2,
-  kF32QF16 = 3,
-  kF32QBF16 = 4,
-};
-
 /// C[m,n] = beta_term + alpha * A' @ B', where A' is a (logical, possibly
 /// transposed) m x k operand and B' is k x n. Accumulation semantics — the
 /// contract every backend implements identically: each C[i,j] is ONE
 /// k-ascending chain `acc = fma(alpha*a[i,p], b[p,j], acc)` seeded with
 /// beta_term (0 when beta == 0, C[i,j] when beta == 1, beta*C[i,j]
 /// otherwise). alpha is folded into the packed A panel (a single rounding,
-/// applied identically on every path).
+/// applied identically on every path). a_type/b_type are the operands'
+/// quantize policies: kF32 packs verbatim; kF16/kBF16 round each element
+/// RNE to the half format and widen it back IN the pack loop — the round
+/// trip through the scalar converters in core/half.h is the definition both
+/// backends match bit-for-bit — so autocast needs no cast tensors and no
+/// separate rounding pass.
 struct GemmArgs {
-  const void* a = nullptr;  // row-major [m,k], or [k,m] when trans_a
-  PackType a_type = PackType::kF32;
+  const float* a = nullptr;  // row-major [m,k], or [k,m] when trans_a
+  DType a_type = DType::kF32;
   bool trans_a = false;
-  const void* b = nullptr;  // row-major [k,n], or [n,k] when trans_b
-  PackType b_type = PackType::kF32;
+  const float* b = nullptr;  // row-major [k,n], or [n,k] when trans_b
+  DType b_type = DType::kF32;
   bool trans_b = false;
-  float* c = nullptr;  // row-major [m,n], always f32
+  float* c = nullptr;  // row-major [m,n]
   int64_t m = 0, n = 0, k = 0;
   float alpha = 1.f;
   float beta = 0.f;
@@ -202,16 +193,6 @@ float exp_approx(float x);
 void col_sum(const float* src, float* dst, int64_t rows, int64_t cols,
              bool accumulate);
 
-// -- batch dtype casts --------------------------------------------------------
-// Bit-identical to the scalar converters in core/half.h on EVERY input: the
-// F16C path canonicalizes NaNs to match the software converters (which drop
-// f16 payloads on narrowing and do not quiet on widening).
-
-void cast_f32_to_f16(const float* src, uint16_t* dst, int64_t n);
-void cast_f16_to_f32(const uint16_t* src, float* dst, int64_t n);
-void cast_f32_to_bf16(const float* src, uint16_t* dst, int64_t n);
-void cast_bf16_to_f32(const uint16_t* src, float* dst, int64_t n);
-
 // -- backend table (internal: implemented by vec_scalar.cpp / vec_avx2.cpp) ---
 
 struct VecOps {
@@ -226,10 +207,6 @@ struct VecOps {
   float (*row_max)(const float*, int64_t, int64_t);
   float (*row_sumexp)(const float*, int64_t, int64_t, float, float*);
   void (*col_sum)(const float*, float*, int64_t, int64_t, bool);
-  void (*cast_f32_to_f16)(const float*, uint16_t*, int64_t);
-  void (*cast_f16_to_f32)(const uint16_t*, float*, int64_t);
-  void (*cast_f32_to_bf16)(const float*, uint16_t*, int64_t);
-  void (*cast_bf16_to_f32)(const uint16_t*, float*, int64_t);
 };
 
 /// Always available.

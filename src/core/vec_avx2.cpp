@@ -8,11 +8,10 @@
 //
 // Value semantics match the scalar backend bit-for-bit: vfmadd/vsqrtps are
 // correctly rounded like std::fma/std::sqrt, vminps/vmaxps implement the
-// agreed (a<b)?a:b / (a>b)?a:b NaN rule, and the F16C converters are patched
-// on NaN lanes to reproduce the software converters in core/half.h exactly
-// (vcvtph2ps quiets signaling NaNs and vcvtps2ph keeps payload bits; the
-// scalar converters pass payloads through on widening and canonicalize to
-// sign|0x7e00 on narrowing).
+// agreed (a<b)?a:b / (a>b)?a:b NaN rule, and the F16C quantize round trip
+// is patched on NaN lanes to reproduce the software converters in
+// core/half.h exactly (vcvtps2ph keeps payload bits; the scalar converter
+// canonicalizes to sign|0x7e00 on narrowing).
 #include "core/vec.h"
 
 #if defined(__AVX2__) && defined(__FMA__) && defined(__F16C__)
@@ -92,34 +91,6 @@ struct Avx2Traits {
     return _mm_cvtss_f32(r);
   }
 
-  static V load_f16(const uint16_t* p) {
-    const __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    V f = _mm256_cvtph_ps(h);
-    // vcvtph2ps quiets signaling NaNs; the scalar converter passes the
-    // payload through untouched. Rebuild every NaN lane from the raw bits.
-    const __m256i hw = _mm256_cvtepu16_epi32(h);
-    const __m256i man = _mm256_and_si256(hw, _mm256_set1_epi32(0x3ff));
-    const __m256i expf = _mm256_and_si256(hw, _mm256_set1_epi32(0x7c00));
-    const __m256i isnan = _mm256_andnot_si256(
-        _mm256_cmpeq_epi32(man, _mm256_setzero_si256()),
-        _mm256_cmpeq_epi32(expf, _mm256_set1_epi32(0x7c00)));
-    if (_mm256_movemask_epi8(isnan) != 0) {
-      const __m256i sign = _mm256_slli_epi32(
-          _mm256_and_si256(hw, _mm256_set1_epi32(0x8000)), 16);
-      const __m256i bits = _mm256_or_si256(
-          _mm256_or_si256(sign, _mm256_set1_epi32(0x7f800000)),
-          _mm256_slli_epi32(man, 13));
-      f = _mm256_blendv_ps(f, _mm256_castsi256_ps(bits),
-                           _mm256_castsi256_ps(isnan));
-    }
-    return f;
-  }
-  static V load_bf16(const uint16_t* p) {
-    const __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    return _mm256_castsi256_ps(
-        _mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16));
-  }
-
   /// f16_bits_to_f32(f32_to_f16_bits(x)) per lane: vcvtps2ph(RNE) +
   /// vcvtph2ps for the numeric lanes; NaN lanes are rebuilt from the scalar
   /// composition (canonical sign|0x7e00 narrowed then widened to
@@ -182,77 +153,10 @@ struct Avx2Traits {
   }
 };
 
-void cast_f32_to_f16_avx2(const float* src, uint16_t* dst, int64_t n) {
-  int64_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256 v = _mm256_loadu_ps(src + i);
-    const __m128i h = _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT |
-                                             _MM_FROUND_NO_EXC);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), h);
-    // vcvtps2ph keeps truncated NaN payloads; the software converter
-    // canonicalizes to sign|0x7e00. NaNs are rare — patch lanes scalar.
-    const int nanmask =
-        _mm256_movemask_ps(_mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-    if (nanmask != 0) {
-      for (int l = 0; l < kLanes; ++l)
-        if (nanmask & (1 << l)) dst[i + l] = f32_to_f16_bits(src[i + l]);
-    }
-  }
-  for (; i < n; ++i) dst[i] = f32_to_f16_bits(src[i]);
-}
-
-void cast_f16_to_f32_avx2(const uint16_t* src, float* dst, int64_t n) {
-  int64_t i = 0;
-  for (; i + kLanes <= n; i += kLanes)
-    _mm256_storeu_ps(dst + i, Avx2Traits::load_f16(src + i));
-  for (; i < n; ++i) dst[i] = f16_bits_to_f32(src[i]);
-}
-
-void cast_f32_to_bf16_avx2(const float* src, uint16_t* dst, int64_t n) {
-  int64_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    // RNE carry trick, entirely in integer ops (identical to the scalar
-    // converter by construction).
-    const __m256i lsb = _mm256_and_si256(_mm256_srli_epi32(x, 16),
-                                         _mm256_set1_epi32(1));
-    __m256i rne = _mm256_add_epi32(
-        x, _mm256_add_epi32(_mm256_set1_epi32(0x7fff), lsb));
-    rne = _mm256_srli_epi32(rne, 16);
-    const __m256i nanv = _mm256_or_si256(_mm256_srli_epi32(x, 16),
-                                         _mm256_set1_epi32(0x40));
-    const __m256i absx = _mm256_and_si256(x, _mm256_set1_epi32(0x7fffffff));
-    const __m256i isnan =
-        _mm256_cmpgt_epi32(absx, _mm256_set1_epi32(0x7f800000));
-    const __m256i r = _mm256_blendv_epi8(rne, nanv, isnan);
-    // Narrow the 8 dwords (each <= 0xffff) to 8 words.
-    const __m256i packed = _mm256_packus_epi32(r, r);
-    const __m256i perm = _mm256_permute4x64_epi64(packed, 0x08);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm256_castsi256_si128(perm));
-  }
-  for (; i < n; ++i) dst[i] = f32_to_bf16_bits(src[i]);
-}
-
-void cast_bf16_to_f32_avx2(const uint16_t* src, float* dst, int64_t n) {
-  int64_t i = 0;
-  for (; i + kLanes <= n; i += kLanes)
-    _mm256_storeu_ps(dst + i, Avx2Traits::load_bf16(src + i));
-  for (; i < n; ++i) dst[i] = bf16_bits_to_f32(src[i]);
-}
-
 }  // namespace
 
 const VecOps* vec_avx2_ops_table() {
-  static const VecOps ops = [] {
-    VecOps o = detail::Kern<Avx2Traits>::table();
-    o.cast_f32_to_f16 = &cast_f32_to_f16_avx2;
-    o.cast_f16_to_f32 = &cast_f16_to_f32_avx2;
-    o.cast_f32_to_bf16 = &cast_f32_to_bf16_avx2;
-    o.cast_bf16_to_f32 = &cast_bf16_to_f32_avx2;
-    return o;
-  }();
+  static const VecOps ops = detail::Kern<Avx2Traits>::table();
   return &ops;
 }
 

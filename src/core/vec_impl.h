@@ -9,21 +9,19 @@
 //     vs vfmadd/vsqrtps) — IEEE pins the result bits.
 //   * min/max follow the x86 vminps/vmaxps selection rule ((a<b)?a:b /
 //     (a>b)?a:b, NaN in either operand selects b).
-//   * half widening matches the scalar converters in core/half.h bit-for-bit
-//     (the F16C path patches NaN lanes to do so).
+//   * the half quantize round trip matches the scalar converters in
+//     core/half.h bit-for-bit (the F16C path patches NaN lanes to do so).
 //
 // Traits interface (V = 8 x f32):
 //   zero set1 load store maskload maskstore lanemask select
 //   add sub mul div sqrt fma min max neg abs floor scale_pow2
-//   tree_add tree_max load_f16 load_bf16 quantize_f16 quantize_bf16
-//   any_nonfinite
+//   tree_add tree_max quantize_f16 quantize_bf16 any_nonfinite
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
 #include "core/check.h"
-#include "core/half.h"
 #include "core/parallel.h"
 #include "core/storage_pool.h"
 #include "core/vec.h"
@@ -61,33 +59,17 @@ struct Kern {
 
   // ==== packed cache-blocked GEMM ============================================
 
-  template <int PT>
-  static inline float widen(const void* p, int64_t idx) {
-    if constexpr (PT == 1)
-      return f16_bits_to_f32(static_cast<const uint16_t*>(p)[idx]);
-    else if constexpr (PT == 2)
-      return bf16_bits_to_f32(static_cast<const uint16_t*>(p)[idx]);
-    else if constexpr (PT == 3)
-      // Quantize-on-pack: RNE round trip through the half format. The same
-      // scalar composition defines the vectorized T::quantize_f16 below, so
-      // scalar pack tails and vector pack bodies agree bit-for-bit.
-      return f16_bits_to_f32(
-          f32_to_f16_bits(static_cast<const float*>(p)[idx]));
-    else if constexpr (PT == 4)
-      return bf16_bits_to_f32(
-          f32_to_bf16_bits(static_cast<const float*>(p)[idx]));
-    else
-      return static_cast<const float*>(p)[idx];
-  }
+  // PT is a DType value: 0 = verbatim f32, 1 = quantize through f16,
+  // 2 = quantize through bf16.
 
-  /// Vector-quantizes a contiguous f32 strip (PT 3 = f16 round trip, PT 4 =
-  /// bf16): the same per-lane composition widen<PT> defines, eight lanes at
-  /// a time. Dead tail lanes load 0.0, which quantizes to 0.0 — discarded
-  /// by the maskstore.
+  /// Vector-quantizes eight lanes (PT 1 = f16 round trip, PT 2 = bf16): the
+  /// per-lane composition f16_bits_to_f32(f32_to_f16_bits(x)) (resp. bf16)
+  /// of core/half.h, which both backends reproduce bit-for-bit. Dead tail
+  /// lanes load 0.0, which quantizes to 0.0 — discarded by the maskstore.
   template <int PT>
   static inline V quantize_v(V v) {
-    static_assert(PT == 3 || PT == 4);
-    if constexpr (PT == 3)
+    static_assert(PT == 1 || PT == 2);
+    if constexpr (PT == 1)
       return T::quantize_f16(v);
     else
       return T::quantize_bf16(v);
@@ -107,7 +89,7 @@ struct Kern {
   /// n). Runs on the launching thread (the panels are shared by every row
   /// block).
   template <int PT, bool TB>
-  static void pack_b(const void* b, int64_t n, int64_t k, int64_t k0,
+  static void pack_b(const float* b, int64_t n, int64_t k, int64_t k0,
                      int64_t kc, float* dst) {
     const int64_t nb = ceil_div(n, kNR);
     for (int64_t jp = 0; jp < nb; ++jp) {
@@ -117,40 +99,23 @@ struct Kern {
       if constexpr (!TB) {
         if (jn == kNR) {
           // Full panel of a row-major [k,n] operand: two vector copies (with
-          // in-flight widening for half sources) per k row.
+          // in-flight quantization under a quantize policy) per k row.
           for (int64_t p = 0; p < kc; ++p) {
-            const int64_t s = (k0 + p) * n + j0;
-            if constexpr (PT == 1) {
-              const uint16_t* bp = static_cast<const uint16_t*>(b) + s;
-              T::store(d + p * kNR, T::load_f16(bp));
-              T::store(d + p * kNR + kLanes, T::load_f16(bp + kLanes));
-            } else if constexpr (PT == 2) {
-              const uint16_t* bp = static_cast<const uint16_t*>(b) + s;
-              T::store(d + p * kNR, T::load_bf16(bp));
-              T::store(d + p * kNR + kLanes, T::load_bf16(bp + kLanes));
-            } else if constexpr (PT == 3) {
-              const float* bp = static_cast<const float*>(b) + s;
-              T::store(d + p * kNR, T::quantize_f16(T::load(bp)));
-              T::store(d + p * kNR + kLanes,
-                       T::quantize_f16(T::load(bp + kLanes)));
-            } else if constexpr (PT == 4) {
-              const float* bp = static_cast<const float*>(b) + s;
-              T::store(d + p * kNR, T::quantize_bf16(T::load(bp)));
-              T::store(d + p * kNR + kLanes,
-                       T::quantize_bf16(T::load(bp + kLanes)));
-            } else {
-              const float* bp = static_cast<const float*>(b) + s;
+            const float* bp = b + (k0 + p) * n + j0;
+            if constexpr (PT == 0) {
               T::store(d + p * kNR, T::load(bp));
               T::store(d + p * kNR + kLanes, T::load(bp + kLanes));
+            } else {
+              T::store(d + p * kNR, quantize_v<PT>(T::load(bp)));
+              T::store(d + p * kNR + kLanes,
+                       quantize_v<PT>(T::load(bp + kLanes)));
             }
           }
-        } else if constexpr (PT == 3 || PT == 4) {
-          // Partial panel of an f32 source: quantize vector strips straight
-          // from the contiguous row (lane-for-lane the same round trip as
-          // the scalar widen).
-          const float* bf = static_cast<const float*>(b);
+        } else if constexpr (PT != 0) {
+          // Partial panel under a quantize policy: quantize vector strips
+          // straight from the contiguous row.
           for (int64_t p = 0; p < kc; ++p) {
-            const float* bp = bf + (k0 + p) * n + j0;
+            const float* bp = b + (k0 + p) * n + j0;
             const int64_t j1 = std::min<int64_t>(jn, kLanes);
             T::maskstore(d + p * kNR, j1,
                          quantize_v<PT>(T::maskload(bp, j1)));
@@ -163,7 +128,7 @@ struct Kern {
         } else {
           for (int64_t p = 0; p < kc; ++p) {
             for (int64_t j = 0; j < jn; ++j)
-              d[p * kNR + j] = widen<PT>(b, (k0 + p) * n + j0 + j);
+              d[p * kNR + j] = b[(k0 + p) * n + j0 + j];
             for (int64_t j = jn; j < kNR; ++j) d[p * kNR + j] = 0.f;
           }
         }
@@ -171,20 +136,19 @@ struct Kern {
         // Transposed operand (row-major [n,k]): column j of the logical B is
         // contiguous in p, so the pack IS the transpose — no materialized
         // transpose-copy scratch anywhere.
-        if constexpr (PT == 3 || PT == 4) {
+        if constexpr (PT != 0) {
           // Quantize each contiguous source column into a stack strip with
           // vector round trips; the strided scatter below is then the same
           // loop the f32 path runs.
           alignas(64) float q[kKC];
-          const float* bf = static_cast<const float*>(b);
           for (int64_t j = 0; j < jn; ++j) {
-            quantize_strip<PT>(bf + (j0 + j) * k + k0, q, kc);
+            quantize_strip<PT>(b + (j0 + j) * k + k0, q, kc);
             for (int64_t p = 0; p < kc; ++p) d[p * kNR + j] = q[p];
           }
         } else {
           for (int64_t j = 0; j < jn; ++j)
             for (int64_t p = 0; p < kc; ++p)
-              d[p * kNR + j] = widen<PT>(b, (j0 + j) * k + k0 + p);
+              d[p * kNR + j] = b[(j0 + j) * k + k0 + p];
         }
         for (int64_t j = jn; j < kNR; ++j)
           for (int64_t p = 0; p < kc; ++p) d[p * kNR + j] = 0.f;
@@ -197,37 +161,35 @@ struct Kern {
   /// every path) and zero-padding past ir. Runs inside the row-block
   /// parallel body — each block writes only its own disjoint region.
   template <int PT, bool TA>
-  static void pack_a(const void* a, int64_t m, int64_t k, int64_t i0,
+  static void pack_a(const float* a, int64_t m, int64_t k, int64_t i0,
                      int64_t ir, int64_t k0, int64_t kc, float alpha,
                      float* d) {
-    if constexpr ((PT == 3 || PT == 4) && !TA) {
-      // f32 source with quantize-on-pack: each row's k-strip is contiguous,
-      // so quantize it with vector round trips into a stack strip first;
-      // the strided scatter below is then identical to the f32 path's.
+    if constexpr (PT != 0 && !TA) {
+      // Quantize-on-pack: each row's k-strip is contiguous, so quantize it
+      // with vector round trips into a stack strip first; the strided
+      // scatter below is then identical to the f32 path's.
       alignas(64) float q[kKC];
-      const float* af = static_cast<const float*>(a);
       for (int64_t r = 0; r < ir; ++r) {
-        quantize_strip<PT>(af + (i0 + r) * k + k0, q, kc);
+        quantize_strip<PT>(a + (i0 + r) * k + k0, q, kc);
         for (int64_t p = 0; p < kc; ++p) d[p * kMR + r] = alpha * q[p];
       }
-    } else if constexpr ((PT == 3 || PT == 4) && TA) {
-      // Transposed f32 source: the ir rows of one k-slice are contiguous,
-      // and ir <= kMR < kLanes, so one masked vector quantizes and scatters
+    } else if constexpr (PT != 0 && TA) {
+      // Transposed source: the ir rows of one k-slice are contiguous, and
+      // ir <= kMR < kLanes, so one masked vector quantizes and scatters
       // each slice (dead lanes load 0.0 and are never stored).
-      const float* af = static_cast<const float*>(a);
       const V av = T::set1(alpha);
       for (int64_t p = 0; p < kc; ++p) {
-        const V v = quantize_v<PT>(T::maskload(af + (k0 + p) * m + i0, ir));
+        const V v = quantize_v<PT>(T::maskload(a + (k0 + p) * m + i0, ir));
         T::maskstore(d + p * kMR, ir, T::mul(av, v));
       }
     } else if constexpr (!TA) {
       for (int64_t r = 0; r < ir; ++r)
         for (int64_t p = 0; p < kc; ++p)
-          d[p * kMR + r] = alpha * widen<PT>(a, (i0 + r) * k + k0 + p);
+          d[p * kMR + r] = alpha * a[(i0 + r) * k + k0 + p];
     } else {
       for (int64_t p = 0; p < kc; ++p)
         for (int64_t r = 0; r < ir; ++r)
-          d[p * kMR + r] = alpha * widen<PT>(a, (k0 + p) * m + i0 + r);
+          d[p * kMR + r] = alpha * a[(k0 + p) * m + i0 + r];
     }
     for (int64_t r = ir; r < kMR; ++r)
       for (int64_t p = 0; p < kc; ++p) d[p * kMR + r] = 0.f;
@@ -314,21 +276,13 @@ struct Kern {
   static void pack_b_dispatch(const GemmArgs& g, int64_t k0, int64_t kc,
                               float* pb) {
     switch (g.b_type) {
-      case PackType::kF16:
+      case DType::kF16:
         g.trans_b ? pack_b<1, true>(g.b, g.n, g.k, k0, kc, pb)
                   : pack_b<1, false>(g.b, g.n, g.k, k0, kc, pb);
         break;
-      case PackType::kBF16:
+      case DType::kBF16:
         g.trans_b ? pack_b<2, true>(g.b, g.n, g.k, k0, kc, pb)
                   : pack_b<2, false>(g.b, g.n, g.k, k0, kc, pb);
-        break;
-      case PackType::kF32QF16:
-        g.trans_b ? pack_b<3, true>(g.b, g.n, g.k, k0, kc, pb)
-                  : pack_b<3, false>(g.b, g.n, g.k, k0, kc, pb);
-        break;
-      case PackType::kF32QBF16:
-        g.trans_b ? pack_b<4, true>(g.b, g.n, g.k, k0, kc, pb)
-                  : pack_b<4, false>(g.b, g.n, g.k, k0, kc, pb);
         break;
       default:
         g.trans_b ? pack_b<0, true>(g.b, g.n, g.k, k0, kc, pb)
@@ -340,24 +294,14 @@ struct Kern {
   static void pack_a_dispatch(const GemmArgs& g, int64_t i0, int64_t ir,
                               int64_t k0, int64_t kc, float* pa) {
     switch (g.a_type) {
-      case PackType::kF16:
+      case DType::kF16:
         g.trans_a ? pack_a<1, true>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha, pa)
                   : pack_a<1, false>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha,
                                      pa);
         break;
-      case PackType::kBF16:
+      case DType::kBF16:
         g.trans_a ? pack_a<2, true>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha, pa)
                   : pack_a<2, false>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha,
-                                     pa);
-        break;
-      case PackType::kF32QF16:
-        g.trans_a ? pack_a<3, true>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha, pa)
-                  : pack_a<3, false>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha,
-                                     pa);
-        break;
-      case PackType::kF32QBF16:
-        g.trans_a ? pack_a<4, true>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha, pa)
-                  : pack_a<4, false>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha,
                                      pa);
         break;
       default:
@@ -688,8 +632,7 @@ struct Kern {
 
   static constexpr float kInf = __builtin_huge_valf();
 
-  /// Fills a VecOps table with this instantiation's kernels (casts are
-  /// per-backend and assigned by the caller).
+  /// A VecOps table of this instantiation's kernels.
   static VecOps table() {
     VecOps o{};
     o.gemm = &Kern::gemm;

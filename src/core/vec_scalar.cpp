@@ -146,17 +146,6 @@ struct ScalarTraits {
     return mx(mx(t0, t2), mx(t1, t3));
   }
 
-  static V load_f16(const uint16_t* p) {
-    V v;
-    for (int i = 0; i < kLanes; ++i) v.l[i] = f16_bits_to_f32(p[i]);
-    return v;
-  }
-  static V load_bf16(const uint16_t* p) {
-    V v;
-    for (int i = 0; i < kLanes; ++i) v.l[i] = bf16_bits_to_f32(p[i]);
-    return v;
-  }
-
   // Quantize-on-pack: RNE round trip through the half format, per lane —
   // the reference composition the AVX2 ops reproduce.
   static V quantize_f16(V a) {
@@ -203,30 +192,10 @@ struct ScalarTraits {
   }
 };
 
-void cast_f32_to_f16_scalar(const float* src, uint16_t* dst, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = f32_to_f16_bits(src[i]);
-}
-void cast_f16_to_f32_scalar(const uint16_t* src, float* dst, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = f16_bits_to_f32(src[i]);
-}
-void cast_f32_to_bf16_scalar(const float* src, uint16_t* dst, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = f32_to_bf16_bits(src[i]);
-}
-void cast_bf16_to_f32_scalar(const uint16_t* src, float* dst, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = bf16_bits_to_f32(src[i]);
-}
-
 }  // namespace
 
 const VecOps* vec_scalar_ops() {
-  static const VecOps ops = [] {
-    VecOps o = detail::Kern<ScalarTraits>::table();
-    o.cast_f32_to_f16 = &cast_f32_to_f16_scalar;
-    o.cast_f16_to_f32 = &cast_f16_to_f32_scalar;
-    o.cast_f32_to_bf16 = &cast_f32_to_bf16_scalar;
-    o.cast_bf16_to_f32 = &cast_bf16_to_f32_scalar;
-    return o;
-  }();
+  static const VecOps ops = detail::Kern<ScalarTraits>::table();
   return &ops;
 }
 

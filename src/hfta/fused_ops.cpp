@@ -418,17 +418,12 @@ ag::Variable FusedEmbedding::forward(const ag::Variable&) {
 }
 
 ag::Variable FusedEmbedding::lookup(const Tensor& indices) {
-  // Appendix B: offset model b's ids by b*V into the stacked table.
-  HFTA_CHECK(indices.size(0) == array_size_,
+  // Appendix B: model b's ids index block b (rows offset by b*V) of the
+  // stacked table. The recorded op applies the offset itself, so a replayed
+  // step reads the ids staged for that step.
+  HFTA_CHECK(indices.dim() >= 1 && indices.size(0) == array_size_,
              "FusedEmbedding: indices must be [B, ...]");
-  Tensor shifted = indices.clone();
-  const int64_t per_model = indices.numel() / array_size_;
-  float* p = shifted.data();
-  for (int64_t b = 0; b < array_size_; ++b) {
-    const float off = static_cast<float>(b * vocab);
-    for (int64_t i = 0; i < per_model; ++i) p[b * per_model + i] += off;
-  }
-  return ag::embedding(shifted, weight);
+  return ag::embedding(indices, weight, vocab);
 }
 
 std::vector<FusedParam> FusedEmbedding::fused_parameters() {

@@ -238,7 +238,8 @@ class FusedEmbedding : public FusedModule {
  public:
   FusedEmbedding(int64_t B, int64_t vocab, int64_t dim, Rng& rng);
   ag::Variable forward(const ag::Variable&) override;
-  /// indices: [B, ...] per-model integer ids -> [B, ..., E].
+  /// indices: [B, ...] per-model integer ids -> [B, ..., E]. Replay-safe:
+  /// the per-model table offset is applied inside the recorded op.
   ag::Variable lookup(const Tensor& indices);
   std::vector<FusedParam> fused_parameters() override;
 

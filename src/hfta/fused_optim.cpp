@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/parallel.h"
 #include "core/vec.h"
 
 namespace hfta::fused {
@@ -35,24 +34,6 @@ FusedOptimizer::FusedOptimizer(std::vector<FusedParam> params,
 
 void FusedOptimizer::zero_grad() {
   for (auto& p : params_) p.var.zero_grad();
-}
-
-void FusedOptimizer::step(double grad_scale) {
-  // Fallback for optimizers without a fused grad-scale path: unscale every
-  // gradient in place (the same single multiply the fused path folds into
-  // its update) and run the plain step. Chunks write disjoint elements, so
-  // the partition cannot change any bit.
-  const float gs = static_cast<float>(grad_scale);
-  for (auto& p : params_) {
-    if (!p.var.has_grad()) continue;
-    ag::Variable v = p.var;
-    float* pg = v.grad().data();
-    const int64_t n = v.grad().numel();
-    parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
-      vec::unary(vec::UnOp::kMulScalar, gs, 0.f, pg + lo, pg + lo, hi - lo);
-    });
-  }
-  step();
 }
 
 HyperVec FusedOptimizer::expand(HyperVec v) const {
@@ -270,7 +251,10 @@ FusedAdadelta::FusedAdadelta(std::vector<FusedParam> params,
   acc_delta_.resize(params_.size());
 }
 
-void FusedAdadelta::step() {
+void FusedAdadelta::step_impl(float grad_scale) {
+  // g = grad_scale * grad + wd * p, as in vec::sgd/vec::adam (grad_scale is
+  // skipped when 1).
+  const bool scaled = grad_scale != 1.f;
   for (size_t i = 0; i < params_.size(); ++i) {
     FusedParam& fp = params_[i];
     if (!fp.var.has_grad()) continue;
@@ -290,7 +274,7 @@ void FusedAdadelta::step() {
       const float lr = static_cast<float>(lr_[ub]);
       const float wd = static_cast<float>(weight_decay_[ub]);
       for (int64_t j = b * block; j < (b + 1) * block; ++j) {
-        const float g = pg[j] + wd * pp[j];
+        const float g = (scaled ? grad_scale * pg[j] : pg[j]) + wd * pp[j];
         sq[j] = rho * sq[j] + (1.f - rho) * g * g;
         const float delta = std::sqrt(ad[j] + eps) / std::sqrt(sq[j] + eps) * g;
         ad[j] = rho * ad[j] + (1.f - rho) * delta * delta;

@@ -26,14 +26,14 @@ class FusedOptimizer {
   FusedOptimizer(std::vector<FusedParam> params, int64_t array_size);
   virtual ~FusedOptimizer() = default;
 
-  virtual void step() = 0;
-  /// AMP step: applies grad_scale (1/S) to every gradient READ — the fused
-  /// per-element kernels fold the multiply into the update, so gradients
-  /// stay scaled in memory (zero_grad wipes them next iteration) and no
-  /// separate unscale pass runs. Bit-identical to unscaling in place first.
-  /// The base implementation IS unscale-in-place + step(), for optimizers
-  /// without a fused grad-scale path (Adadelta).
-  virtual void step(double grad_scale);
+  /// One update. An AMP step passes grad_scale = 1/S, applied to every
+  /// gradient READ — the fused per-element kernels fold the multiply into
+  /// the update, so gradients stay scaled in memory (zero_grad wipes them
+  /// next iteration) and no separate unscale pass runs. Bit-identical to
+  /// unscaling in place first; grad_scale == 1 skips the multiply.
+  void step(double grad_scale = 1.0) {
+    step_impl(static_cast<float>(grad_scale));
+  }
   void zero_grad();
 
   int64_t array_size() const { return array_size_; }
@@ -62,6 +62,7 @@ class FusedOptimizer {
                          const std::vector<int64_t>& keep);
 
  protected:
+  virtual void step_impl(float grad_scale) = 0;
   /// Shared repack_state_from validation: array/param-count alignment,
   /// per-model block sizes, pick ranges.
   void check_repack(const std::vector<const FusedOptimizer*>& sources,
@@ -97,16 +98,12 @@ class FusedSGD : public FusedOptimizer {
     HyperVec weight_decay = {0.0};
   };
   FusedSGD(std::vector<FusedParam> params, int64_t array_size, Options opt);
-  void step() override { step_impl(1.f); }
-  void step(double grad_scale) override {
-    step_impl(static_cast<float>(grad_scale));
-  }
   using FusedOptimizer::repack_state_from;
   void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
                          const std::vector<RepackPick>& picks) override;
 
  private:
-  void step_impl(float grad_scale);
+  void step_impl(float grad_scale) override;
   HyperVec momentum_, weight_decay_;
   std::vector<Tensor> momentum_buf_;
 };
@@ -122,16 +119,12 @@ class FusedAdam : public FusedOptimizer {
     HyperVec weight_decay = {0.0};
   };
   FusedAdam(std::vector<FusedParam> params, int64_t array_size, Options opt);
-  void step() override { step_impl(1.f); }
-  void step(double grad_scale) override {
-    step_impl(static_cast<float>(grad_scale));
-  }
   using FusedOptimizer::repack_state_from;
   void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
                          const std::vector<RepackPick>& picks) override;
 
  private:
-  void step_impl(float grad_scale);
+  void step_impl(float grad_scale) override;
   HyperVec beta1_, beta2_, eps_, weight_decay_;
   std::vector<Tensor> m_, v_;
   int64_t t_ = 0;
@@ -148,13 +141,12 @@ class FusedAdadelta : public FusedOptimizer {
   };
   FusedAdadelta(std::vector<FusedParam> params, int64_t array_size,
                 Options opt);
-  using FusedOptimizer::step;  // keep the grad_scale fallback visible
-  void step() override;
   using FusedOptimizer::repack_state_from;
   void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
                          const std::vector<RepackPick>& picks) override;
 
  private:
+  void step_impl(float grad_scale) override;
   HyperVec rho_, eps_, weight_decay_;
   std::vector<Tensor> square_avg_, acc_delta_;
 };

@@ -94,9 +94,9 @@ ag::Variable TrainStep::run_cached(Opt& opt, const LossFn& loss_fn) {
   ProgramSlot& slot = programs_[static_cast<const void*>(&opt)];
   uint64_t fp = fingerprint(opt);
   if (amp_) {
-    // Precision is structural: an AMP program's thunks include the recorded
-    // casts, so toggling AMP (or changing its dtype) must recapture, not
-    // replay a stale-precision graph.
+    // Precision is structural: an AMP program's GEMM/conv thunks carry the
+    // quantize policy by value, so toggling AMP (or changing its dtype) must
+    // recapture, not replay a stale-precision graph.
     fp = fnv_mix(fp, 0x9e3779b97f4a7c15ull);
     fp = fnv_mix(fp, static_cast<uint64_t>(amp_dtype_));
   }

@@ -91,7 +91,8 @@ class TrainStep {
   // stay powers of two, so scale/unscale are exact exponent shifts and
   // fused-vs-serial bit-exactness survives.
   //
-  // Capture/replay compatible: casts are recorded ops, the captured
+  // Capture/replay compatible: the quantize policy rides by value in the
+  // recorded GEMM/conv thunks, the captured
   // BackwardTape's seed SHARES the persistent seed tensor's storage (a
   // scale change is an in-place refresh, not a recapture), and the AMP
   // mode + dtype are mixed into each program's fingerprint so toggling

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/parallel.h"
 #include "core/vec.h"
 
 namespace hfta::nn {
@@ -16,22 +15,6 @@ namespace hfta::nn {
 
 void Optimizer::zero_grad() {
   for (auto& p : params_) p.zero_grad();
-}
-
-void Optimizer::step(double grad_scale) {
-  // Fallback for optimizers without a fused grad-scale path: unscale every
-  // gradient in place (the same single multiply the fused path folds into
-  // its update) and run the plain step.
-  const float gs = static_cast<float>(grad_scale);
-  for (auto& p : params_) {
-    if (!p.has_grad()) continue;
-    float* pg = p.grad().data();
-    const int64_t n = p.grad().numel();
-    parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
-      vec::unary(vec::UnOp::kMulScalar, gs, 0.f, pg + lo, pg + lo, hi - lo);
-    });
-  }
-  step();
 }
 
 SGD::SGD(std::vector<ag::Variable> params, Options opt)
@@ -96,13 +79,19 @@ Adadelta::Adadelta(std::vector<ag::Variable> params, Options opt)
   acc_delta_.resize(params_.size());
 }
 
-void Adadelta::step() {
+void Adadelta::step_impl(float grad_scale) {
+  // g = grad_scale * grad + wd * p, as in vec::sgd/vec::adam: grad_scale is
+  // skipped when 1 and weight decay when 0, so the fp32 expression is
+  // unchanged and the scaled one equals unscaling the buffer first.
+  const bool scaled = grad_scale != 1.f;
+  const bool decay = opt_.weight_decay != 0.0;
+  const float wd = static_cast<float>(opt_.weight_decay);
+  const float rho = static_cast<float>(opt_.rho);
+  const float eps = static_cast<float>(opt_.eps);
+  const float lr = static_cast<float>(opt_.lr);
   for (size_t i = 0; i < params_.size(); ++i) {
     ag::Variable& p = params_[i];
     if (!p.has_grad()) continue;
-    Tensor g = p.grad().clone();
-    if (opt_.weight_decay != 0.0)
-      g.add_(p.value(), static_cast<float>(opt_.weight_decay));
     if (!square_avg_[i].defined()) {
       square_avg_[i] = Tensor::zeros(p.shape());
       acc_delta_[i] = Tensor::zeros(p.shape());
@@ -110,14 +99,12 @@ void Adadelta::step() {
     float* sq = square_avg_[i].data();
     float* ad = acc_delta_[i].data();
     float* pp = p.mutable_value().data();
-    const float* pg = g.data();
-    const float rho = static_cast<float>(opt_.rho);
-    const float eps = static_cast<float>(opt_.eps);
-    const float lr = static_cast<float>(opt_.lr);
+    const float* pg = p.grad().data();
     for (int64_t j = 0; j < p.numel(); ++j) {
-      sq[j] = rho * sq[j] + (1.f - rho) * pg[j] * pg[j];
-      const float delta =
-          std::sqrt(ad[j] + eps) / std::sqrt(sq[j] + eps) * pg[j];
+      float g = scaled ? grad_scale * pg[j] : pg[j];
+      if (decay) g = g + wd * pp[j];
+      sq[j] = rho * sq[j] + (1.f - rho) * g * g;
+      const float delta = std::sqrt(ad[j] + eps) / std::sqrt(sq[j] + eps) * g;
       ad[j] = rho * ad[j] + (1.f - rho) * delta * delta;
       pp[j] -= lr * delta;
     }

@@ -15,13 +15,13 @@ class Optimizer {
       : params_(std::move(params)) {}
   virtual ~Optimizer() = default;
 
-  virtual void step() = 0;
-  /// AMP step: folds grad_scale (1/S) into every gradient read instead of
-  /// unscaling the buffers first — bit-identical (one f32 multiply either
-  /// way), but gradients stay scaled in memory. The base implementation
-  /// unscales in place and calls step(), for optimizers without a fused
-  /// grad-scale path (Adadelta).
-  virtual void step(double grad_scale);
+  /// One update. An AMP step passes grad_scale = 1/S, which every
+  /// optimizer folds into its gradient reads instead of unscaling the
+  /// buffers first — bit-identical (one f32 multiply either way), but
+  /// gradients stay scaled in memory. grad_scale == 1 skips the multiply.
+  void step(double grad_scale = 1.0) {
+    step_impl(static_cast<float>(grad_scale));
+  }
   void zero_grad();
 
   /// Scalar learning rate (schedulers call set_lr).
@@ -31,6 +31,7 @@ class Optimizer {
   const std::vector<ag::Variable>& params() const { return params_; }
 
  protected:
+  virtual void step_impl(float grad_scale) = 0;
   std::vector<ag::Variable> params_;
 };
 
@@ -42,15 +43,11 @@ class SGD : public Optimizer {
     double weight_decay = 0.0;
   };
   SGD(std::vector<ag::Variable> params, Options opt);
-  void step() override { step_impl(1.f); }
-  void step(double grad_scale) override {
-    step_impl(static_cast<float>(grad_scale));
-  }
   double lr() const override { return opt_.lr; }
   void set_lr(double lr) override { opt_.lr = lr; }
 
  private:
-  void step_impl(float grad_scale);
+  void step_impl(float grad_scale) override;
   Options opt_;
   std::vector<Tensor> momentum_buf_;
 };
@@ -65,15 +62,11 @@ class Adam : public Optimizer {
     double weight_decay = 0.0;
   };
   Adam(std::vector<ag::Variable> params, Options opt);
-  void step() override { step_impl(1.f); }
-  void step(double grad_scale) override {
-    step_impl(static_cast<float>(grad_scale));
-  }
   double lr() const override { return opt_.lr; }
   void set_lr(double lr) override { opt_.lr = lr; }
 
  private:
-  void step_impl(float grad_scale);
+  void step_impl(float grad_scale) override;
   Options opt_;
   std::vector<Tensor> m_, v_;
   int64_t t_ = 0;
@@ -88,12 +81,11 @@ class Adadelta : public Optimizer {
     double weight_decay = 0.0;
   };
   Adadelta(std::vector<ag::Variable> params, Options opt);
-  using Optimizer::step;  // keep the grad_scale fallback visible
-  void step() override;
   double lr() const override { return opt_.lr; }
   void set_lr(double lr) override { opt_.lr = lr; }
 
  private:
+  void step_impl(float grad_scale) override;
   Options opt_;
   std::vector<Tensor> square_avg_, acc_delta_;
 };

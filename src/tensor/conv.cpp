@@ -7,7 +7,6 @@
 #include "core/storage_pool.h"
 #include "core/vec.h"
 #include "tensor/matmul.h"
-#include "tensor/ops.h"
 
 namespace hfta::ops {
 
@@ -103,13 +102,12 @@ ConvDims check_conv(const Shape& x_shape, const Shape& w_shape,
 
 }  // namespace
 
-// The three 2-D entry points below widen half-precision operands to f32 on
-// the launching thread and accumulate in f32 (the AMP compute policy); the
-// 1-D and transposed variants all funnel through them. as_f32 is the
-// identity for f32 inputs.
-Tensor conv2d(const Tensor& x_in, const Tensor& w_in, const Tensor& b,
-              const ConvArgs& a) {
-  const Tensor x = as_f32(x_in), w = as_f32(w_in);
+// The three 2-D entry points below hand their quantize policies to the
+// im2col GEMMs, which round those operands during packing and accumulate in
+// f32 (the AMP compute policy); the 1-D and transposed variants all funnel
+// through them.
+Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
+              const ConvArgs& a, DType qx, DType qw) {
   const ConvDims d = check_conv(x.shape(), w.shape(), a);
   if (b.defined())
     HFTA_CHECK(b.numel() == d.Cout, "conv2d: bias numel ", b.numel(), " != ",
@@ -142,7 +140,7 @@ Tensor conv2d(const Tensor& x_in, const Tensor& w_in, const Tensor& b,
         float* yg = py + (n * d.Cout + g * d.Coutg) * spatial;
         // [Coutg, col_rows] @ [col_rows, spatial]
         gemm(pw + g * d.Coutg * col_rows, cols, yg, d.Coutg, spatial,
-             col_rows, false, false, 1.f, 0.f, gs);
+             col_rows, false, false, 1.f, 0.f, gs, qw, qx);
         if (pb) {
           for (int64_t c = 0; c < d.Coutg; ++c) {
             float* row = yg + c * spatial;
@@ -156,9 +154,9 @@ Tensor conv2d(const Tensor& x_in, const Tensor& w_in, const Tensor& b,
   return y;
 }
 
-Tensor conv2d_grad_input(const Tensor& gy_in, const Tensor& w_in,
-                         const Shape& x_shape, const ConvArgs& a) {
-  const Tensor gy = as_f32(gy_in), w = as_f32(w_in);
+Tensor conv2d_grad_input(const Tensor& gy, const Tensor& w,
+                         const Shape& x_shape, const ConvArgs& a, DType qgy,
+                         DType qw) {
   const ConvDims d = check_conv(x_shape, w.shape(), a);
   HFTA_CHECK(gy.size(0) == d.N && gy.size(1) == d.Cout && gy.size(2) == d.Ho &&
                  gy.size(3) == d.Wo,
@@ -187,7 +185,7 @@ Tensor conv2d_grad_input(const Tensor& gy_in, const Tensor& w_in,
         const float* gyg = pgy + (n * d.Cout + g * d.Coutg) * spatial;
         // cols = Wg^T [col_rows, Coutg] @ gy [Coutg, spatial]
         gemm(pw + g * d.Coutg * col_rows, gyg, cols, col_rows, spatial,
-             d.Coutg, true, false, 1.f, 0.f, gs);
+             d.Coutg, true, false, 1.f, 0.f, gs, qw, qgy);
         float* xg = pgx + (n * d.Cin + g * d.Cing) * d.H * d.W;
         col2im(cols, d.Cing, d.H, d.W, d.kh, d.kw, a.stride_h,
                a.stride_w, a.pad_h, a.pad_w, d.Ho, d.Wo, xg);
@@ -197,9 +195,9 @@ Tensor conv2d_grad_input(const Tensor& gy_in, const Tensor& w_in,
   return gx;
 }
 
-Tensor conv2d_grad_weight(const Tensor& gy_in, const Tensor& x_in,
-                          const Shape& w_shape, const ConvArgs& a) {
-  const Tensor gy = as_f32(gy_in), x = as_f32(x_in);
+Tensor conv2d_grad_weight(const Tensor& gy, const Tensor& x,
+                          const Shape& w_shape, const ConvArgs& a, DType qgy,
+                          DType qx) {
   const ConvDims d = check_conv(x.shape(), w_shape, a);
   Tensor gw(w_shape);
   const int64_t col_rows = d.Cing * d.kh * d.kw;
@@ -230,7 +228,7 @@ Tensor conv2d_grad_weight(const Tensor& gy_in, const Tensor& x_in,
         const float* gyg = pgy + (n * d.Cout + g * d.Coutg) * spatial;
         // gW += gy [Coutg, spatial] @ cols^T [spatial, col_rows]
         gemm(gyg, cols, gwg, d.Coutg, col_rows, spatial, false, true,
-             1.f, 1.f, gs);
+             1.f, 1.f, gs, qgy, qx);
       }
     }
   });
@@ -271,38 +269,38 @@ Shape as3d(const Shape& s) { return {s[0], s[1], s[3]}; }
 }  // namespace
 
 Tensor conv1d(const Tensor& x, const Tensor& w, const Tensor& b,
-              int64_t stride, int64_t pad, int64_t groups) {
+              int64_t stride, int64_t pad, int64_t groups, DType q) {
   HFTA_CHECK(x.dim() == 3 && w.dim() == 3, "conv1d: x [N,C,L], w [Co,Ci/g,k]");
   ConvArgs a{1, stride, 0, pad, groups};
   Tensor y = conv2d(x.reshape(as4d_x(x.shape())), w.reshape(as4d_w(w.shape())),
-                    b, a);
+                    b, a, q, q);
   return y.reshape(as3d(y.shape()));
 }
 
 Tensor conv1d_grad_input(const Tensor& gy, const Tensor& w,
                          const Shape& x_shape, int64_t stride, int64_t pad,
-                         int64_t groups) {
+                         int64_t groups, DType q) {
   ConvArgs a{1, stride, 0, pad, groups};
   Tensor gx = conv2d_grad_input(gy.reshape(as4d_x(gy.shape())),
                                 w.reshape(as4d_w(w.shape())),
-                                as4d_x(x_shape), a);
+                                as4d_x(x_shape), a, DType::kF32, q);
   return gx.reshape(as3d(gx.shape()));
 }
 
 Tensor conv1d_grad_weight(const Tensor& gy, const Tensor& x,
                           const Shape& w_shape, int64_t stride, int64_t pad,
-                          int64_t groups) {
+                          int64_t groups, DType q) {
   ConvArgs a{1, stride, 0, pad, groups};
   Tensor gw = conv2d_grad_weight(gy.reshape(as4d_x(gy.shape())),
                                  x.reshape(as4d_x(x.shape())),
-                                 as4d_w(w_shape), a);
+                                 as4d_w(w_shape), a, DType::kF32, q);
   return gw.reshape(w_shape);
 }
 
 // ---- conv_transpose2d (via conv/conv-grad duality) ---------------------------
 
 Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
-                        const ConvTransposeArgs& t) {
+                        const ConvTransposeArgs& t, DType q) {
   HFTA_CHECK(x.dim() == 4 && w.dim() == 4,
              "conv_transpose2d: x [N,Ci,H,W], w [Ci,Co/g,kh,kw]");
   HFTA_CHECK(t.out_pad < t.stride, "conv_transpose2d: out_pad must be < stride");
@@ -319,7 +317,7 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
   // convT(x, w) == conv_grad_input treating x as the conv's output gradient:
   // the underlying conv maps [N, Cout, Ho, Wo] -> [N, Cin, H, W].
   const ConvArgs a{t.stride, t.stride, t.pad, t.pad, t.groups};
-  Tensor y = conv2d_grad_input(x, w, {N, Cout, Ho, Wo}, a);
+  Tensor y = conv2d_grad_input(x, w, {N, Cout, Ho, Wo}, a, q, q);
   if (b.defined()) {
     HFTA_CHECK(b.numel() == Cout, "conv_transpose2d: bias mismatch");
     float* py = y.data();
@@ -335,26 +333,26 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
 }
 
 Tensor conv_transpose2d_grad_input(const Tensor& gy, const Tensor& w,
-                                   const ConvTransposeArgs& t) {
+                                   const ConvTransposeArgs& t, DType q) {
   // Adjoint of conv_grad_input is conv forward.
   const ConvArgs a{t.stride, t.stride, t.pad, t.pad, t.groups};
-  return conv2d(gy, w, Tensor(), a);
+  return conv2d(gy, w, Tensor(), a, DType::kF32, q);
 }
 
 Tensor conv_transpose2d_grad_weight(const Tensor& gy, const Tensor& x,
                                     const Shape& w_shape,
-                                    const ConvTransposeArgs& t) {
+                                    const ConvTransposeArgs& t, DType q) {
   // Roles swap: the convT input x plays the conv's grad_output, the convT
   // output gradient gy plays the conv's input.
   const ConvArgs a{t.stride, t.stride, t.pad, t.pad, t.groups};
-  return conv2d_grad_weight(x, gy, w_shape, a);
+  return conv2d_grad_weight(x, gy, w_shape, a, q, DType::kF32);
 }
 
 // The 1-D lowering keeps the dummy H axis at stride 1 / pad 0, so it goes
 // through the conv/conv-grad duality directly rather than through
 // conv_transpose2d (whose scalar stride/pad apply to both axes).
 Tensor conv_transpose1d(const Tensor& x, const Tensor& w, const Tensor& b,
-                        const ConvTransposeArgs& t) {
+                        const ConvTransposeArgs& t, DType q) {
   HFTA_CHECK(x.dim() == 3 && w.dim() == 3,
              "conv_transpose1d: x [N,Ci,L], w [Ci,Co/g,k]");
   HFTA_CHECK(t.out_pad < t.stride, "conv_transpose1d: out_pad must be < stride");
@@ -366,7 +364,7 @@ Tensor conv_transpose1d(const Tensor& x, const Tensor& w, const Tensor& b,
   const ConvArgs a{1, t.stride, 0, t.pad, t.groups};
   Tensor y = conv2d_grad_input(x.reshape(as4d_x(x.shape())),
                                w.reshape(as4d_w(w.shape())),
-                               {N, Cout, 1, Lo}, a);
+                               {N, Cout, 1, Lo}, a, q, q);
   y = y.reshape(as3d(y.shape()));
   if (b.defined()) {
     HFTA_CHECK(b.numel() == Cout, "conv_transpose1d: bias mismatch");
@@ -382,20 +380,20 @@ Tensor conv_transpose1d(const Tensor& x, const Tensor& w, const Tensor& b,
 }
 
 Tensor conv_transpose1d_grad_input(const Tensor& gy, const Tensor& w,
-                                   const ConvTransposeArgs& t) {
+                                   const ConvTransposeArgs& t, DType q) {
   const ConvArgs a{1, t.stride, 0, t.pad, t.groups};
   Tensor gx = conv2d(gy.reshape(as4d_x(gy.shape())),
-                     w.reshape(as4d_w(w.shape())), Tensor(), a);
+                     w.reshape(as4d_w(w.shape())), Tensor(), a, DType::kF32, q);
   return gx.reshape(as3d(gx.shape()));
 }
 
 Tensor conv_transpose1d_grad_weight(const Tensor& gy, const Tensor& x,
                                     const Shape& w_shape,
-                                    const ConvTransposeArgs& t) {
+                                    const ConvTransposeArgs& t, DType q) {
   const ConvArgs a{1, t.stride, 0, t.pad, t.groups};
   Tensor gw = conv2d_grad_weight(x.reshape(as4d_x(x.shape())),
                                  gy.reshape(as4d_x(gy.shape())),
-                                 as4d_w(w_shape), a);
+                                 as4d_w(w_shape), a, q, DType::kF32);
   return gw.reshape(w_shape);
 }
 

@@ -1,9 +1,5 @@
 #include "tensor/dtype.h"
 
-#include "core/check.h"
-#include "core/parallel.h"
-#include "core/vec.h"
-
 namespace hfta {
 
 const char* dtype_name(DType d) {
@@ -22,36 +18,6 @@ float quantize_to(float f, DType dt) {
     case DType::kBF16: return bf16_bits_to_f32(f32_to_bf16_bits(f));
   }
   return f;
-}
-
-// Each chunk converts its contiguous range through the vec cast kernels
-// (F16C when active, bit-identical scalar otherwise). Conversions are pure
-// per-element functions, so chunking cannot change any output bit.
-
-void convert_f32_to_half(const float* src, uint16_t* dst, int64_t n, DType dt) {
-  HFTA_CHECK(dt != DType::kF32, "convert_f32_to_half: target must be 16-bit");
-  if (dt == DType::kF16) {
-    parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
-      vec::cast_f32_to_f16(src + lo, dst + lo, hi - lo);
-    });
-  } else {
-    parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
-      vec::cast_f32_to_bf16(src + lo, dst + lo, hi - lo);
-    });
-  }
-}
-
-void convert_half_to_f32(const uint16_t* src, float* dst, int64_t n, DType dt) {
-  HFTA_CHECK(dt != DType::kF32, "convert_half_to_f32: source must be 16-bit");
-  if (dt == DType::kF16) {
-    parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
-      vec::cast_f16_to_f32(src + lo, dst + lo, hi - lo);
-    });
-  } else {
-    parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
-      vec::cast_bf16_to_f32(src + lo, dst + lo, hi - lo);
-    });
-  }
 }
 
 }  // namespace hfta

@@ -1,49 +1,21 @@
-// Element types and software conversion kernels.
+// Autocast precision policy helpers and the scalar quantize round trip.
 //
-// The repo targets CPUs without native fp16/bf16 arithmetic, so low-precision
-// tensors store raw 16-bit patterns (IEEE binary16 or bfloat16) and every
-// conversion is done in software with round-to-nearest-even — the same
-// rounding contract hardware converters implement. Arithmetic never runs ON
-// half-precision values: GEMM/conv kernels widen their inputs to fp32 at
-// entry and accumulate in fp32 (see ops::as_f32), which is exactly the
+// Tensors always store f32. A DType (core/half.h) names the precision an
+// operand is rounded to when an op runs under autocast: kF16/kBF16 ask the
+// GEMM and conv kernels to round that operand round-to-nearest-even to the
+// half format inside their pack loops and accumulate in f32 — the
 // "fp32-accumulate from low-precision inputs" policy AMP hardware uses.
-//
-// Conversions are deterministic pure functions of the input bits, so casting
-// inside a parallel_for over output elements preserves the repo's
-// bit-identical-at-any-thread-count invariant.
 #pragma once
-
-#include <cstdint>
 
 #include "core/half.h"
 
 namespace hfta {
 
-enum class DType : uint8_t {
-  kF32 = 0,   // IEEE binary32 — the only type kernels compute on
-  kF16 = 1,   // IEEE binary16: 1 sign, 5 exponent, 10 mantissa
-  kBF16 = 2,  // bfloat16: 1 sign, 8 exponent, 7 mantissa (truncated f32)
-};
-
 const char* dtype_name(DType d);
 
-/// Bytes per element.
-constexpr int64_t dtype_size(DType d) { return d == DType::kF32 ? 4 : 2; }
-
-// The scalar converters (f32_to_f16_bits etc.) live in core/half.h — they
-// are the reference semantics for the vectorized cast kernels in core/vec_*
-// and are re-exported here for existing callers.
-
-/// Scalar round-trip through `dt` (f32 for kF32): the value an f32 number
-/// becomes after being stored at that precision.
+/// Scalar round trip through `dt` (identity for kF32): the value an f32
+/// number takes when rounded to that precision — exactly what the kernels'
+/// quantize-on-pack produces for each element.
 float quantize_to(float f, DType dt);
-
-// -- batch converters ---------------------------------------------------------
-// Parallel over output elements (independent coordinates — deterministic at
-// any thread count), vectorized per chunk through core/vec. `dt` selects the
-// 16-bit format and must not be kF32.
-
-void convert_f32_to_half(const float* src, uint16_t* dst, int64_t n, DType dt);
-void convert_half_to_f32(const uint16_t* src, float* dst, int64_t n, DType dt);
 
 }  // namespace hfta

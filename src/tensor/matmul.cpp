@@ -17,62 +17,19 @@ namespace hfta::ops {
 // serial runs (integration_test) — previously that took two hand-matched
 // scalar kernels (gemm_nn / gemm_nt); now it is true by construction.
 //
-// Half-precision operands are packed DIRECTLY from their 16-bit storage
-// (widened in the pack loop, bit-identical to ops::as_f32 + pack), and an
-// f32 operand with a quantize policy (qa/qb) is quantized RNE to the half
-// format inside the pack loop (bit-identical to casting it to 16-bit
-// storage first): the AMP path runs with no cast tensors and no separate
-// widening pass at all, while still accumulating in f32.
-
-namespace {
-
-vec::PackType pack_type(DType d, DType q) {
-  switch (d) {
-    case DType::kF16: return vec::PackType::kF16;
-    case DType::kBF16: return vec::PackType::kBF16;
-    default:
-      // f32 storage: the policy decides whether the pack loop quantizes.
-      switch (q) {
-        case DType::kF16: return vec::PackType::kF32QF16;
-        case DType::kBF16: return vec::PackType::kF32QBF16;
-        default: return vec::PackType::kF32;
-      }
-  }
-}
-
-const void* raw_ptr(const Tensor& t) {
-  return t.dtype() == DType::kF32
-             ? static_cast<const void*>(t.data())
-             : static_cast<const void*>(t.data_u16());
-}
-
-void gemm_tensors(const Tensor& a, const Tensor& b, float* c, int64_t m,
-                  int64_t n, int64_t k, bool trans_a, bool trans_b, DType qa,
-                  DType qb, float* scratch = nullptr) {
-  vec::GemmArgs g;
-  g.a = raw_ptr(a);
-  g.a_type = pack_type(a.dtype(), qa);
-  g.trans_a = trans_a;
-  g.b = raw_ptr(b);
-  g.b_type = pack_type(b.dtype(), qb);
-  g.trans_b = trans_b;
-  g.c = c;
-  g.m = m;
-  g.n = n;
-  g.k = k;
-  g.scratch = scratch;
-  vec::gemm(g);
-}
-
-}  // namespace
+// An operand with a quantize policy (qa/qb) is rounded RNE to the half
+// format inside the pack loop: the AMP path runs with no cast tensors and
+// no separate rounding pass at all, while still accumulating in f32.
 
 void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
           int64_t k, bool trans_a, bool trans_b, float alpha, float beta,
-          float* scratch) {
+          float* scratch, DType qa, DType qb) {
   vec::GemmArgs g;
   g.a = a;
+  g.a_type = qa;
   g.trans_a = trans_a;
   g.b = b;
+  g.b_type = qb;
   g.trans_b = trans_b;
   g.c = c;
   g.m = m;
@@ -92,8 +49,8 @@ Tensor matmul(const Tensor& a, const Tensor& b, DType qa, DType qb) {
   HFTA_CHECK(a.dim() == 2 && b.dim() == 2 && a.size(1) == b.size(0),
              "matmul: ", shape_str(a.shape()), " @ ", shape_str(b.shape()));
   Tensor c = Tensor::empty({a.size(0), b.size(1)});
-  gemm_tensors(a, b, c.data(), a.size(0), b.size(1), a.size(1), false, false,
-               qa, qb);
+  gemm(a.data(), b.data(), c.data(), a.size(0), b.size(1), a.size(1), false,
+       false, 1.f, 0.f, nullptr, qa, qb);
   return c;
 }
 
@@ -101,8 +58,8 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b, DType qa, DType qb) {
   HFTA_CHECK(a.dim() == 2 && b.dim() == 2 && a.size(0) == b.size(0),
              "matmul_tn: ", shape_str(a.shape()), " @ ", shape_str(b.shape()));
   Tensor c = Tensor::empty({a.size(1), b.size(1)});
-  gemm_tensors(a, b, c.data(), a.size(1), b.size(1), a.size(0), true, false,
-               qa, qb);
+  gemm(a.data(), b.data(), c.data(), a.size(1), b.size(1), a.size(0), true,
+       false, 1.f, 0.f, nullptr, qa, qb);
   return c;
 }
 
@@ -110,8 +67,8 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b, DType qa, DType qb) {
   HFTA_CHECK(a.dim() == 2 && b.dim() == 2 && a.size(1) == b.size(1),
              "matmul_nt: ", shape_str(a.shape()), " @ ", shape_str(b.shape()));
   Tensor c = Tensor::empty({a.size(0), b.size(0)});
-  gemm_tensors(a, b, c.data(), a.size(0), b.size(0), a.size(1), false, true,
-               qa, qb);
+  gemm(a.data(), b.data(), c.data(), a.size(0), b.size(0), a.size(1), false,
+       true, 1.f, 0.f, nullptr, qa, qb);
   return c;
 }
 
@@ -127,8 +84,8 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, bool ta, bool tb, DType qa,
   const int64_t n = tb ? b.size(1) : b.size(2);
   HFTA_CHECK(ka == kb, "bmm: inner dim mismatch ", ka, " vs ", kb);
   Tensor c = Tensor::empty({B, m, n});
-  const int64_t a_bytes = a.size(1) * a.size(2) * dtype_size(a.dtype());
-  const int64_t b_bytes = b.size(1) * b.size(2) * dtype_size(b.dtype());
+  const int64_t a_size = a.size(1) * a.size(2);
+  const int64_t b_size = b.size(1) * b.size(2);
   // One packing-scratch slot per partition chunk, acquired HERE on the
   // launching thread (DESIGN §10): entries within a chunk run serially and
   // reuse their chunk's slot, so the slab size is a pure function of the
@@ -139,13 +96,13 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, bool ta, bool tb, DType qa,
   const int64_t slot = vec::gemm_scratch_floats(m, n, ka);
   PooledBuffer scratch(part.num_chunks() * slot);
   float* ps = scratch.data();
-  const char* pa = static_cast<const char*>(raw_ptr(a));
-  const char* pb = static_cast<const char*>(raw_ptr(b));
+  const float* pa = a.data();
+  const float* pb = b.data();
   float* pc = c.data();
   vec::GemmArgs g;
-  g.a_type = pack_type(a.dtype(), qa);
+  g.a_type = qa;
   g.trans_a = ta;
-  g.b_type = pack_type(b.dtype(), qb);
+  g.b_type = qb;
   g.trans_b = tb;
   g.m = m;
   g.n = n;
@@ -156,8 +113,8 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, bool ta, bool tb, DType qa,
     vec::GemmArgs gi = g;
     gi.scratch = ps + part.chunk_index(lo) * slot;
     for (int64_t i = lo; i < hi; ++i) {
-      gi.a = pa + i * a_bytes;
-      gi.b = pb + i * b_bytes;
+      gi.a = pa + i * a_size;
+      gi.b = pb + i * b_size;
       gi.c = pc + i * m * n;
       vec::gemm(gi);
     }

@@ -3,6 +3,7 @@
 // implementation.
 #pragma once
 
+#include "tensor/dtype.h"
 #include "tensor/tensor.h"
 
 namespace hfta::ops {
@@ -14,20 +15,20 @@ namespace hfta::ops {
 /// `scratch` is the packing workspace: callers inside a parallel body MUST
 /// pass a hoisted region of gemm_scratch_floats(m, n, k) floats (DESIGN §10);
 /// a nullptr means "top-level call" and the kernel acquires pool scratch on
-/// the launching thread itself.
+/// the launching thread itself. qa/qb are quantize policies, as below.
 void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
           int64_t k, bool trans_a, bool trans_b, float alpha = 1.f,
-          float beta = 0.f, float* scratch = nullptr);
+          float beta = 0.f, float* scratch = nullptr, DType qa = DType::kF32,
+          DType qb = DType::kF32);
 
 /// Packing-workspace size (in floats) a gemm of this shape needs.
 int64_t gemm_scratch_floats(int64_t m, int64_t n, int64_t k);
 
 // Every variant takes per-operand quantize policies qa/qb: kF16/kBF16 asks
-// the kernel to quantize that F32 operand RNE to the half format DURING
-// packing and widen it back — bit-identical to casting the tensor to 16-bit
-// storage first (autocast's definition) with no materialized cast tensor or
-// extra memory pass. kF32 (the default) packs verbatim; operands already
-// stored in a half dtype are widened as before and their policy is ignored.
+// the kernel to round that operand RNE to the half format DURING packing
+// and widen it back — the value quantize_to(x, q) gives each element
+// (autocast's definition), with no materialized copy or extra memory pass.
+// kF32 (the default) packs verbatim.
 
 /// [M,K] @ [K,N] -> [M,N].
 Tensor matmul(const Tensor& a, const Tensor& b, DType qa = DType::kF32,

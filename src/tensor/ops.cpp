@@ -560,7 +560,30 @@ Tensor softmax_backward(const Tensor& gy, const Tensor& y, int64_t dim) {
   return mul(y, sub(gy, dot));
 }
 
-Tensor embedding(const Tensor& indices, const Tensor& weight) {
+namespace {
+// Table row read by entry i of `indices`: its id, plus b * block_vocab for
+// model b's slice of a stacked table (per_model entries per model). A
+// stacked id is checked against its own block, so an out-of-range id throws
+// (as the per-model table would) instead of reaching model b+1's rows.
+inline int64_t embedding_row(const float* pi, int64_t i, int64_t per_model,
+                             int64_t block_vocab) {
+  const int64_t v = static_cast<int64_t>(pi[i]);
+  if (block_vocab == 0) return v;
+  HFTA_CHECK(v >= 0 && v < block_vocab, "embedding: index ", v,
+             " out of per-model vocab ", block_vocab);
+  return v + (i / per_model) * block_vocab;
+}
+
+int64_t embedding_per_model(const Tensor& indices, int64_t block_vocab) {
+  if (block_vocab == 0) return 1;
+  HFTA_CHECK(indices.dim() >= 1 && indices.size(0) > 0,
+             "embedding: stacked lookup needs [B, ...] indices");
+  return indices.numel() / indices.size(0);
+}
+}  // namespace
+
+Tensor embedding(const Tensor& indices, const Tensor& weight,
+                 int64_t block_vocab) {
   HFTA_CHECK(weight.dim() == 2, "embedding weight must be [V, E]");
   const int64_t V = weight.size(0);
   const int64_t E = weight.size(1);
@@ -571,8 +594,9 @@ Tensor embedding(const Tensor& indices, const Tensor& weight) {
   const float* pw = weight.data();
   float* po = out.data();
   const int64_t n = indices.numel();
+  const int64_t per_model = embedding_per_model(indices, block_vocab);
   for (int64_t i = 0; i < n; ++i) {
-    const int64_t v = static_cast<int64_t>(pi[i]);
+    const int64_t v = embedding_row(pi, i, per_model, block_vocab);
     HFTA_CHECK(v >= 0 && v < V, "embedding: index ", v, " out of vocab ", V);
     std::memcpy(po + i * E, pw + v * E, sizeof(float) * static_cast<size_t>(E));
   }
@@ -580,19 +604,24 @@ Tensor embedding(const Tensor& indices, const Tensor& weight) {
 }
 
 Tensor embedding_backward(const Tensor& grad_out, const Tensor& indices,
-                          int64_t vocab) {
+                          int64_t vocab, int64_t block_vocab) {
   const int64_t E = grad_out.size(-1);
   Tensor gw({vocab, E});
   const float* pg = grad_out.data();
   const float* pi = indices.data();
   float* pw = gw.data();
   const int64_t n = indices.numel();
+  const int64_t per_model = embedding_per_model(indices, block_vocab);
+  // Validate stacked ids here: parallel bodies must not throw.
+  if (block_vocab > 0)
+    for (int64_t i = 0; i < n; ++i)
+      embedding_row(pi, i, per_model, block_vocab);
   // Vocab-row-parallel scatter: each chunk owns rows [lo, hi) and scans the
   // whole index list, so no two chunks write the same row and every row's
   // adds happen in ascending i — the exact serial chain.
   parallel_for(Partition::rows(vocab), [&](int64_t lo, int64_t hi) {
     for (int64_t i = 0; i < n; ++i) {
-      const int64_t v = static_cast<int64_t>(pi[i]);
+      const int64_t v = embedding_row(pi, i, per_model, block_vocab);
       if (v < lo || v >= hi) continue;
       float* row = pw + v * E;
       vec::binary(vec::BinOp::kAdd, row, pg + i * E, row, E);

@@ -11,20 +11,6 @@
 
 namespace hfta::ops {
 
-// ---- dtype -----------------------------------------------------------------
-
-/// Converted copy at `dt` (RNE when narrowing; identity when dtype already
-/// matches). The autograd layer wraps this as ag::cast.
-inline Tensor cast(const Tensor& a, DType dt) { return a.to(dt); }
-
-/// Widens f16/bf16 to f32 (identity for f32 inputs). GEMM/conv kernels call
-/// this on every tensor operand at entry — that single choke point is what
-/// implements "fp32-accumulate from low-precision inputs" without teaching
-/// the inner loops about element types. The widened scratch comes from the
-/// pool (a pool hit when warm, not a heap allocation) and is acquired on the
-/// launching thread, before any parallel_for.
-inline Tensor as_f32(const Tensor& a) { return a.to(DType::kF32); }
-
 // ---- broadcasting ----------------------------------------------------------
 
 /// Broadcast result shape of a and b; throws on incompatibility.
@@ -104,12 +90,16 @@ Tensor softmax_backward(const Tensor& gy, const Tensor& y, int64_t dim);
 
 // ---- embedding -----------------------------------------------------------------
 
-/// indices: any shape, values must be integral in [0, V); weight: [V, E].
-/// Returns [*indices.shape, E].
-Tensor embedding(const Tensor& indices, const Tensor& weight);
-/// Scatter-add of grad_out into grad_weight [V, E].
+/// indices: any shape, values must be integral; weight: [V, E].
+/// Returns [*indices.shape, E]. With block_vocab > 0 the table stacks B
+/// per-model blocks of block_vocab rows (B = indices.size(0)): model b's ids
+/// read rows b * block_vocab + id. The offset is applied here, so the ids
+/// tensor itself is never rewritten. Every row read must lie in [0, V).
+Tensor embedding(const Tensor& indices, const Tensor& weight,
+                 int64_t block_vocab = 0);
+/// Scatter-add of grad_out into grad_weight [V, E] (block_vocab as above).
 Tensor embedding_backward(const Tensor& grad_out, const Tensor& indices,
-                          int64_t vocab);
+                          int64_t vocab, int64_t block_vocab = 0);
 
 // ---- comparisons / metrics -------------------------------------------------------
 

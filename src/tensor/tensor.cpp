@@ -33,17 +33,13 @@ Tensor::Tensor(Shape shape) : shape_(std::move(shape)) {
   storage_ = StoragePool::instance().acquire(numel_, /*zeroed=*/true);
 }
 
-Tensor Tensor::empty(Shape shape, DType dtype) {
+Tensor Tensor::empty(Shape shape) {
   Tensor t;
   t.shape_ = std::move(shape);
   for (int64_t d : t.shape_)
     HFTA_CHECK(d >= 0, "negative dim in ", shape_str(t.shape_));
   t.numel_ = shape_numel(t.shape_);
-  t.dtype_ = dtype;
-  // The pool hands out float-granular blocks; a half tensor views the same
-  // block byte-wise and rounds its size up to whole floats.
-  const int64_t floats = (t.numel_ * dtype_size(dtype) + 3) / 4;
-  t.storage_ = StoragePool::instance().acquire(floats, /*zeroed=*/false);
+  t.storage_ = StoragePool::instance().acquire(t.numel_, /*zeroed=*/false);
   return t;
 }
 
@@ -144,7 +140,6 @@ Tensor Tensor::reshape(Shape shape) const {
   t.storage_ = storage_;
   t.shape_ = std::move(shape);
   t.numel_ = numel_;
-  t.dtype_ = dtype_;
   return t;
 }
 
@@ -167,9 +162,9 @@ Tensor Tensor::squeeze(int64_t d) const {
 
 Tensor Tensor::clone() const {
   HFTA_CHECK(defined(), "clone of undefined tensor");
-  Tensor t = empty(shape_, dtype_);
+  Tensor t = empty(shape_);
   std::memcpy(t.storage_.data(), storage_.data(),
-              static_cast<size_t>(byte_size()));
+              sizeof(float) * static_cast<size_t>(numel_));
   return t;
 }
 
@@ -260,29 +255,8 @@ void Tensor::mul_(float s) {
 
 void Tensor::copy_(const Tensor& other) {
   HFTA_CHECK(numel_ == other.numel_, "copy_: numel mismatch");
-  HFTA_CHECK(dtype_ == other.dtype_, "copy_: dtype mismatch ",
-             dtype_name(dtype_), " vs ", dtype_name(other.dtype_));
   std::memcpy(storage_.data(), other.storage_.data(),
-              static_cast<size_t>(byte_size()));
-}
-
-Tensor Tensor::to(DType dtype) const {
-  HFTA_CHECK(defined(), "to() of undefined tensor");
-  if (dtype == dtype_) return *this;
-  if (dtype_ != DType::kF32 && dtype != DType::kF32) {
-    // f16 <-> bf16: widen exactly, then narrow with RNE.
-    return to(DType::kF32).to(dtype);
-  }
-  Tensor out = empty(shape_, dtype);
-  if (dtype_ == DType::kF32) {
-    convert_f32_to_half(storage_.data(),
-                        reinterpret_cast<uint16_t*>(out.storage_.data()),
-                        numel_, dtype);
-  } else {
-    convert_half_to_f32(reinterpret_cast<const uint16_t*>(storage_.data()),
-                        out.storage_.data(), numel_, dtype_);
-  }
-  return out;
+              sizeof(float) * static_cast<size_t>(numel_));
 }
 
 std::vector<float> Tensor::to_vector() const {

@@ -1,14 +1,12 @@
-// Dense N-d tensor with an element-type axis (f32 / f16 / bf16).
+// Dense N-d float32 tensor.
 //
 // Design: tensors are always contiguous row-major. Copying a Tensor is a
 // shallow copy (shared storage, like torch.Tensor); clone() deep-copies.
 // reshape() shares storage; transpose()/permute() materialize a contiguous
 // result (simplicity over view tricks — all kernels then run on contiguous
-// memory). Arithmetic runs on float32 only: f16/bf16 tensors are STORAGE
-// (raw 16-bit patterns viewed byte-wise over the same pooled float buffers),
-// widened to f32 at kernel entry (ops::as_f32) so every GEMM/conv
-// accumulates in fp32. data()/at()/fill_()/... assert f32; half tensors
-// expose data_u16() and convert via to(DType). Integer data (labels, token
+// memory). Every tensor stores f32: mixed precision is a quantize policy
+// the GEMM/conv kernels apply while packing their operands (see
+// autograd/autocast.h), not a storage type. Integer data (labels, token
 // ids, pooling indices) is stored in f32 tensors holding exact small
 // integers.
 #pragma once
@@ -21,7 +19,6 @@
 #include "core/check.h"
 #include "core/rng.h"
 #include "core/storage_pool.h"
-#include "tensor/dtype.h"
 
 namespace hfta {
 
@@ -46,9 +43,8 @@ class Tensor {
   /// UNINITIALIZED storage of the given shape: the caller must overwrite
   /// every element before reading any. This is the fast path for kernels
   /// and factories whose output is fully written (no zero-fill, and a
-  /// recycled pool buffer is handed over as-is). Half-precision tensors
-  /// round their byte size up to the pool's float granularity.
-  static Tensor empty(Shape shape, DType dtype = DType::kF32);
+  /// recycled pool buffer is handed over as-is).
+  static Tensor empty(Shape shape);
   static Tensor ones(Shape shape);
   static Tensor full(Shape shape, float value);
   /// Standard-normal entries drawn from `rng`.
@@ -67,35 +63,10 @@ class Tensor {
   /// Size along dim `d`; negative d counts from the end.
   int64_t size(int64_t d) const;
   int64_t numel() const { return numel_; }
-  DType dtype() const { return dtype_; }
-  /// Payload size in bytes (numel * element size, before the pool's
-  /// float-granularity rounding).
-  int64_t byte_size() const { return numel_ * dtype_size(dtype_); }
 
   // -- raw access -----------------------------------------------------------
-  // f32 view — the only one kernels compute through. Asserting here (rather
-  // than silently reinterpreting) is what lets every pre-dtype kernel stay
-  // correct unchanged: a half tensor reaching one is a loud bug, not a
-  // garbage result.
-  float* data() {
-    HFTA_CHECK(dtype_ == DType::kF32, "data(): tensor is ",
-               dtype_name(dtype_), "; widen with ops::as_f32 first");
-    return storage_.data();
-  }
-  const float* data() const {
-    HFTA_CHECK(dtype_ == DType::kF32, "data(): tensor is ",
-               dtype_name(dtype_), "; widen with ops::as_f32 first");
-    return storage_.data();
-  }
-  /// Raw 16-bit view of an f16/bf16 tensor.
-  uint16_t* data_u16() {
-    HFTA_CHECK(dtype_ != DType::kF32, "data_u16() on an f32 tensor");
-    return reinterpret_cast<uint16_t*>(storage_.data());
-  }
-  const uint16_t* data_u16() const {
-    HFTA_CHECK(dtype_ != DType::kF32, "data_u16() on an f32 tensor");
-    return reinterpret_cast<const uint16_t*>(storage_.data());
-  }
+  float* data() { return storage_.data(); }
+  const float* data() const { return storage_.data(); }
   /// Element accessor for tests / debugging (slow).
   float& at(std::initializer_list<int64_t> idx);
   float at(std::initializer_list<int64_t> idx) const;
@@ -117,9 +88,6 @@ class Tensor {
   Tensor permute(const std::vector<int64_t>& perm) const;
   /// Materialized copy of rows [start, end) along `d`.
   Tensor slice(int64_t d, int64_t start, int64_t end) const;
-  /// Converted copy at `dtype` (round-to-nearest-even when narrowing; exact
-  /// when widening). Returns *this unchanged when the dtype already matches.
-  Tensor to(DType dtype) const;
 
   // -- in-place helpers -------------------------------------------------------
   void fill_(float v);
@@ -128,8 +96,7 @@ class Tensor {
   void add_(const Tensor& other, float alpha = 1.f);
   /// this *= s.
   void mul_(float s);
-  /// Copies values from `other` (same numel and dtype) into this tensor's
-  /// storage.
+  /// Copies values from `other` (same numel) into this tensor's storage.
   void copy_(const Tensor& other);
 
   /// True when the two tensors share the same storage buffer.
@@ -147,7 +114,6 @@ class Tensor {
   StorageRef storage_;  // pool-recycled block with intrusive refcount
   Shape shape_;
   int64_t numel_ = 0;
-  DType dtype_ = DType::kF32;
 
   int64_t flat_index(std::initializer_list<int64_t> idx) const;
 };

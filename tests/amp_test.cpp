@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "autograd/autocast.h"
@@ -153,6 +156,15 @@ TEST(LossScaler, UnscaleFiniteScalesInPlaceAndDetectsInfNan) {
 
 // ---- autocast policy --------------------------------------------------------
 
+// f32 copy of `t` rounded elementwise to `dt` — the autocast definition of
+// an operand, as plain f32 data.
+Tensor quantized(const Tensor& t, DType dt) {
+  Tensor q = t.clone();
+  float* p = q.data();
+  for (int64_t i = 0; i < q.numel(); ++i) p[i] = quantize_to(p[i], dt);
+  return q;
+}
+
 TEST(Autocast, GemmClassQuantizesInputsButNotBias) {
   Rng rng(5);
   Tensor xt = Tensor::randn({4, 8}, rng);
@@ -170,17 +182,16 @@ TEST(Autocast, GemmClassQuantizesInputsButNotBias) {
   }
   EXPECT_FALSE(ag::autocast_enabled());
 
-  // Equal to the hand-built policy: quantize x and w to f16, widen, run the
-  // f32 kernel, add the UN-quantized bias.
-  Tensor ref = ops::linear_forward(ops::as_f32(xt.to(DType::kF16)),
-                                   ops::as_f32(wt.to(DType::kF16)), bt);
+  // Equal to the hand-built policy: round x and w to f16, run the f32
+  // kernel, add the UN-quantized bias.
+  Tensor ref = ops::linear_forward(quantized(xt, DType::kF16),
+                                   quantized(wt, DType::kF16), bt);
   expect_bits_equal(y.value().to_vector(), ref.to_vector(), "autocast linear");
 
-  // Gradients flow through the cast back to the ORIGINAL f32 leaves.
+  // Gradients reach the ORIGINAL f32 leaves.
   ag::sum_all(y).backward();
-  EXPECT_EQ(w.grad().dtype(), DType::kF32);
-  EXPECT_EQ(b.grad().dtype(), DType::kF32);
   EXPECT_EQ(w.grad().shape(), wt.shape());
+  EXPECT_EQ(b.grad().shape(), bt.shape());
 }
 
 TEST(Autocast, NestedF32GuardDisables) {
@@ -205,10 +216,99 @@ TEST(Autocast, NestedF32GuardDisables) {
   // And the bf16 result really is the quantized one (differs from plain
   // unless the data happened to be exactly representable — with random
   // normals it will not be, so just check it matches the policy).
-  Tensor ref = ops::linear_forward(ops::as_f32(xt.to(DType::kBF16)),
-                                   ops::as_f32(wt.to(DType::kBF16)), Tensor());
+  Tensor ref = ops::linear_forward(quantized(xt, DType::kBF16),
+                                   quantized(wt, DType::kBF16), Tensor());
   expect_bits_equal(amp_y.value().to_vector(), ref.to_vector(),
                     "bf16 linear");
+}
+
+// ---- conv family under autocast ---------------------------------------------
+
+void expect_same_bytes(const Tensor& a, const Tensor& b,
+                       const std::string& tag) {
+  ASSERT_EQ(a.shape(), b.shape()) << tag;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        sizeof(float) * static_cast<size_t>(a.numel())),
+            0)
+      << tag;
+}
+
+using ConvFn = std::function<ag::Variable(
+    const ag::Variable&, const ag::Variable&, const ag::Variable&)>;
+
+struct ConvRun {
+  Tensor y, gx, gw, gb;
+};
+
+// Runs `f` on fresh leaves (x, w, b) under AutocastGuard(dt) and
+// backpropagates loss = sum(y * r) for a fixed random r.
+ConvRun run_conv(const ConvFn& f, const Tensor& x, const Tensor& w,
+                 const Tensor& b, DType dt) {
+  ag::Variable xv(x.clone(), true), wv(w.clone(), true), bv(b.clone(), true);
+  ag::Variable y;
+  {
+    ag::AutocastGuard guard(dt);
+    y = f(xv, wv, bv);
+  }
+  Rng rng(99);
+  const Tensor r = Tensor::randn(y.shape(), rng);
+  ag::sum_all(ag::mul(y, ag::constant(r))).backward();
+  return {y.value(), xv.grad(), wv.grad(), bv.grad()};
+}
+
+TEST(Autocast, ConvFamilyEqualsF32OnQuantizedOperands) {
+  // Under autocast every conv op computes on x and w rounded to the half
+  // format (the bias stays f32), and its backward reads the SAVED operands
+  // at that precision while the incoming gradient stays f32. So y and the
+  // grads of x, w and b must equal, byte for byte, a plain f32 run whose x
+  // and w were rounded elementwise beforehand.
+  struct Case {
+    const char* name;
+    Shape x, w, b;
+    ConvFn f;
+  };
+  const Case cases[] = {
+      {"conv2d", {2, 4, 7, 7}, {6, 2, 3, 3}, {6},
+       [](const ag::Variable& x, const ag::Variable& w,
+          const ag::Variable& b) {
+         return ag::conv2d(x, w, b, ops::ConvArgs::make(2, 1, 2));
+       }},
+      {"conv1d", {2, 4, 9}, {6, 2, 3}, {6},
+       [](const ag::Variable& x, const ag::Variable& w,
+          const ag::Variable& b) { return ag::conv1d(x, w, b, 2, 1, 2); }},
+      {"conv_transpose2d", {2, 4, 5, 5}, {4, 2, 3, 3}, {4},
+       [](const ag::Variable& x, const ag::Variable& w,
+          const ag::Variable& b) {
+         return ag::conv_transpose2d(x, w, b, ops::ConvTransposeArgs{2, 1, 1, 2});
+       }},
+      {"conv_transpose1d", {2, 4, 6}, {4, 3, 3}, {3},
+       [](const ag::Variable& x, const ag::Variable& w,
+          const ag::Variable& b) {
+         return ag::conv_transpose1d(x, w, b, ops::ConvTransposeArgs{2, 1, 1, 1});
+       }},
+  };
+  for (DType dt : {DType::kF16, DType::kBF16}) {
+    for (const Case& c : cases) {
+      Rng rng(17);
+      const Tensor x = Tensor::randn(c.x, rng);
+      const Tensor w = Tensor::randn(c.w, rng);
+      const Tensor b = Tensor::randn(c.b, rng);
+      const ConvRun amp = run_conv(c.f, x, w, b, dt);
+      const ConvRun ref =
+          run_conv(c.f, quantized(x, dt), quantized(w, dt), b, DType::kF32);
+      const std::string tag = std::string(c.name) + " " + dtype_name(dt);
+      expect_same_bytes(amp.y, ref.y, tag + " y");
+      expect_same_bytes(amp.gx, ref.gx, tag + " x.grad");
+      expect_same_bytes(amp.gw, ref.gw, tag + " w.grad");
+      expect_same_bytes(amp.gb, ref.gb, tag + " b.grad");
+      // And the policy is not vacuous: the f32 run differs.
+      const ConvRun f32 = run_conv(c.f, x, w, b, DType::kF32);
+      EXPECT_NE(std::memcmp(amp.y.data(), f32.y.data(),
+                            sizeof(float) * static_cast<size_t>(f32.y.numel())),
+                0)
+          << tag;
+    }
+  }
 }
 
 // ---- scale exactness + fused-vs-serial under AMP ---------------------------
@@ -305,8 +405,8 @@ TEST(Amp, ReplayMatchesEagerAndIsZeroAllocTapeFree) {
   expect_bits_equal(eager.losses, replay.losses, "losses");
   expect_bits_equal(eager.weights, replay.weights, "weights");
   // 1 warmup + 1 capture, the rest replayed tape-free with zero heap
-  // allocations once warm — including the cast thunks and the seed-scaled
-  // backward.
+  // allocations once warm — including the quantizing GEMM thunks and the
+  // seed-scaled backward.
   EXPECT_EQ(replay.stats.captures, 1);
   EXPECT_EQ(replay.stats.replays, steps - 2);
   EXPECT_TRUE(replay.stats.last_was_replay);

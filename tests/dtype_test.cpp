@@ -1,7 +1,7 @@
-// Conversion-kernel property tests: fp32 <-> fp16/bf16 round-trips for
+// Conversion property tests: fp32 <-> fp16/bf16 round-trips for
 // exactly-representable values, round-to-nearest-even ties, inf/nan
-// propagation, subnormal handling, and the Tensor-level dtype axis
-// (to(), clone/copy_/reshape, byte-sized pooled storage).
+// propagation, subnormal handling, and quantize_to as the definition the
+// GEMM quantize policy matches.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "core/rng.h"
 #include "tensor/dtype.h"
 #include "tensor/matmul.h"
-#include "tensor/ops.h"
 #include "tensor/tensor.h"
 
 namespace hfta {
@@ -32,9 +31,6 @@ TEST(DTypeTest, MetaHelpers) {
   EXPECT_STREQ(dtype_name(DType::kF32), "f32");
   EXPECT_STREQ(dtype_name(DType::kF16), "f16");
   EXPECT_STREQ(dtype_name(DType::kBF16), "bf16");
-  EXPECT_EQ(dtype_size(DType::kF32), 4);
-  EXPECT_EQ(dtype_size(DType::kF16), 2);
-  EXPECT_EQ(dtype_size(DType::kBF16), 2);
 }
 
 TEST(DTypeTest, F16ExactValuesRoundTrip) {
@@ -170,76 +166,22 @@ TEST(DTypeTest, QuantizeToMatchesScalarConverters) {
   }
 }
 
-TEST(DTypeTest, TensorToRoundTripMatchesScalarQuantization) {
-  Rng rng(7);
-  Tensor x = Tensor::randn({3, 17}, rng);
-  for (DType dt : {DType::kF16, DType::kBF16}) {
-    Tensor half = x.to(dt);
-    EXPECT_EQ(half.dtype(), dt);
-    EXPECT_EQ(half.byte_size(), x.numel() * 2);
-    Tensor back = half.to(DType::kF32);
-    EXPECT_EQ(back.dtype(), DType::kF32);
-    const std::vector<float> xs = x.to_vector();
-    const std::vector<float> bs = back.to_vector();
-    for (size_t i = 0; i < xs.size(); ++i) {
-      EXPECT_EQ(bits_of(bs[i]), bits_of(quantize_to(xs[i], dt))) << i;
-    }
-  }
-  // to() at the same dtype is the identity (shared storage, no copy).
-  EXPECT_TRUE(x.to(DType::kF32).shares_storage_with(x));
-}
-
-TEST(DTypeTest, HalfTensorMetadataAndViews) {
-  Rng rng(11);
-  Tensor x = Tensor::randn({4, 6}, rng);
-  Tensor h = x.to(DType::kF16);
-  // reshape shares storage and keeps the dtype.
-  Tensor r = h.reshape({6, 4});
-  EXPECT_EQ(r.dtype(), DType::kF16);
-  EXPECT_TRUE(r.shares_storage_with(h));
-  // clone deep-copies the 16-bit payload.
-  Tensor c = h.clone();
-  EXPECT_EQ(c.dtype(), DType::kF16);
-  EXPECT_FALSE(c.shares_storage_with(h));
-  for (int64_t i = 0; i < h.numel(); ++i)
-    EXPECT_EQ(c.data_u16()[i], h.data_u16()[i]);
-  // copy_ moves bits between same-dtype tensors...
-  Tensor d = Tensor::empty({4, 6}, DType::kF16);
-  d.copy_(h);
-  for (int64_t i = 0; i < h.numel(); ++i)
-    EXPECT_EQ(d.data_u16()[i], h.data_u16()[i]);
-  // ...and rejects a dtype mismatch, as does the f32 accessor on a half
-  // tensor and the u16 accessor on an f32 tensor.
-  EXPECT_THROW(d.copy_(x), Error);
-  EXPECT_THROW(h.data(), Error);
-  EXPECT_THROW(x.data_u16(), Error);
-}
-
-TEST(DTypeTest, OpsCastAndAsF32) {
-  Rng rng(13);
-  Tensor x = Tensor::randn({5, 5}, rng);
-  Tensor h = ops::cast(x, DType::kBF16);
-  EXPECT_EQ(h.dtype(), DType::kBF16);
-  Tensor w = ops::as_f32(h);
-  EXPECT_EQ(w.dtype(), DType::kF32);
-  const std::vector<float> xs = x.to_vector();
-  const std::vector<float> ws = w.to_vector();
-  for (size_t i = 0; i < xs.size(); ++i)
-    EXPECT_EQ(bits_of(ws[i]), bits_of(quantize_to(xs[i], DType::kBF16)));
-  // as_f32 on an f32 tensor is the identity.
-  EXPECT_TRUE(ops::as_f32(x).shares_storage_with(x));
-}
-
-TEST(DTypeTest, MatmulWidensHalfInputs) {
-  // A GEMM over half inputs must equal the f32 GEMM over the quantized
-  // values — fp32 accumulation from low-precision inputs, bit for bit.
+TEST(DTypeTest, MatmulQuantizePolicyMatchesQuantizedInputs) {
+  // A GEMM with quantize policies must equal the f32 GEMM over operands
+  // rounded elementwise with quantize_to — fp32 accumulation from
+  // low-precision inputs, bit for bit.
   Rng rng(17);
   Tensor a = Tensor::randn({3, 4}, rng);
   Tensor b = Tensor::randn({4, 5}, rng);
+  auto quantized = [](const Tensor& t, DType dt) {
+    Tensor q = t.clone();
+    for (int64_t i = 0; i < q.numel(); ++i)
+      q.data()[i] = quantize_to(q.data()[i], dt);
+    return q;
+  };
   for (DType dt : {DType::kF16, DType::kBF16}) {
-    Tensor ref = ops::matmul(ops::as_f32(a.to(dt)), ops::as_f32(b.to(dt)));
-    Tensor out = ops::matmul(a.to(dt), b.to(dt));
-    EXPECT_EQ(out.dtype(), DType::kF32);
+    Tensor ref = ops::matmul(quantized(a, dt), quantized(b, dt));
+    Tensor out = ops::matmul(a, b, dt, dt);
     const std::vector<float> rs = ref.to_vector();
     const std::vector<float> os = out.to_vector();
     for (size_t i = 0; i < rs.size(); ++i) EXPECT_EQ(bits_of(os[i]), bits_of(rs[i]));

@@ -337,6 +337,15 @@ TEST_P(FusionB, EmbeddingWithIndexOffsets) {
     Tensor gw_f = unfuse_blocks(fused.weight.grad(), B, {V, E})[ub];
     EXPECT_LT(ops::max_abs_diff(gw_f, plain[ub]->weight.grad()), kTol);
   }
+  // An id past the per-model vocab throws, as nn::Embedding does, instead
+  // of reading the next model's block of the stacked table.
+  Tensor bad = fused_idx.clone();
+  bad.data()[0] = static_cast<float>(V);
+  EXPECT_THROW(plain[0]->lookup(Tensor::full({1}, static_cast<float>(V))),
+               std::exception);
+  EXPECT_THROW(fused.lookup(bad), std::exception);
+  EXPECT_THROW(ops::embedding_backward(Tensor::zeros({B, L, E}), bad, B * V, V),
+               std::exception);
 }
 
 TEST_P(FusionB, PoolingOnFusedLayout) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "hfta/fused_optim.h"
 #include "hfta/fused_sched.h"
@@ -135,6 +137,58 @@ TEST_P(FusedOptimB, AdadeltaHeterogeneousHyperparams) {
     fused.step();
     for (auto& p : plain) p->step();
     EXPECT_LT(s.max_diff(), kTol) << "step " << step;
+  }
+}
+
+TEST_P(FusedOptimB, AdadeltaGradScaleFoldMatchesPreUnscaledGrads) {
+  // The AMP contract of the folded grad-scale path: step(1/S) on grads
+  // scaled by S (a power of two, so scaling is exact) must be bit-identical
+  // to step() on the unscaled grads, serial and fused alike, and the fused
+  // step must still match the serial one.
+  const int64_t B = GetParam();
+  const double S = 1024.0;
+  OptimRig scaled(B, 9), unscaled(B, 9);
+  HyperVec lr(B), rho(B), eps(B), wd(B);
+  for (int64_t b = 0; b < B; ++b) {
+    lr[b] = 0.5 + 0.2 * b;
+    rho[b] = 0.85 + 0.01 * b;
+    eps[b] = 1e-6;
+    wd[b] = b % 2 ? 0.01 : 0.0;
+  }
+  auto make_serial = [&](OptimRig& r) {
+    std::vector<std::unique_ptr<nn::Adadelta>> v;
+    for (int64_t b = 0; b < B; ++b)
+      v.push_back(std::make_unique<nn::Adadelta>(
+          std::vector<ag::Variable>{r.plain_params[static_cast<size_t>(b)]},
+          nn::Adadelta::Options{lr[b], rho[b], eps[b], wd[b]}));
+    return v;
+  };
+  auto serial_s = make_serial(scaled), serial_u = make_serial(unscaled);
+  FusedAdadelta fused_s({{scaled.fused_param, B}}, B, {lr, rho, eps, wd});
+  FusedAdadelta fused_u({{unscaled.fused_param, B}}, B, {lr, rho, eps, wd});
+  auto same_bits = [](const Tensor& a, const Tensor& b) {
+    return a.numel() == b.numel() &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+  };
+  Rng rng_s(10), rng_u(10);
+  for (int step = 0; step < 6; ++step) {
+    scaled.set_grads(rng_s);
+    unscaled.set_grads(rng_u);
+    scaled.fused_param.grad().mul_(static_cast<float>(S));
+    for (auto& p : scaled.plain_params) p.grad().mul_(static_cast<float>(S));
+    fused_s.step(1.0 / S);
+    for (auto& p : serial_s) p->step(1.0 / S);
+    fused_u.step();
+    for (auto& p : serial_u) p->step();
+    EXPECT_TRUE(same_bits(scaled.fused_param.value(),
+                          unscaled.fused_param.value()))
+        << "fused step " << step;
+    for (int64_t b = 0; b < B; ++b)
+      EXPECT_TRUE(same_bits(scaled.plain_params[static_cast<size_t>(b)].value(),
+                            unscaled.plain_params[static_cast<size_t>(b)].value()))
+          << "serial model " << b << " step " << step;
+    EXPECT_EQ(scaled.max_diff(), 0.f) << "fused vs serial step " << step;
   }
 }
 

@@ -15,6 +15,8 @@
 #include "hfta/fused_optim.h"
 #include "hfta/fusion.h"
 #include "hfta/train.h"
+#include "models/bert.h"
+#include "models/transformer.h"
 #include "nn/layers.h"
 #include "nn/optim.h"
 #include "tensor/ops.h"
@@ -235,6 +237,73 @@ TEST(StepProgram, ArraySizeAndFuseMaskChangesGetFreshPrograms) {
   EXPECT_EQ(cap.program_count(), 2);
   cap.invalidate_programs();
   EXPECT_EQ(cap.program_count(), 0);
+}
+
+// ---- fused token models: replays read each step's staged ids ---------------
+
+struct TokenRun {
+  std::vector<float> losses;
+  std::vector<std::vector<float>> params;
+  TrainStep::Stats stats;
+};
+
+// Trains a fused token model (B models, stacked embedding tables) on a fresh
+// random token batch per step, staged in place, with capture on or off.
+template <typename Model, typename Config>
+TokenRun run_token_model(bool capture, int steps) {
+  const int64_t B = 2, N = 2, S = 4;
+  const Config cfg = Config::tiny();
+  Rng rng(5);
+  Model model(B, cfg, rng);
+  fused::FusedSGD opt(fused::collect_fused_parameters(model, B), B,
+                      {.lr = {0.05}});
+  TrainStep step;
+  if (capture) step.enable_capture();
+  Tensor staged;
+  Rng data(11);
+  TokenRun out;
+  for (int s = 0; s < steps; ++s) {
+    Tensor tokens({B, N, S});
+    for (int64_t i = 0; i < tokens.numel(); ++i)
+      tokens.data()[i] = static_cast<float>(data.uniform_int(cfg.vocab));
+    step.stage(&staged, tokens);
+    ag::Variable loss = step.run(opt, [&] {
+      ag::Variable y = model.forward_tokens(staged);
+      return ag::mean_all(ag::mul(y, y));
+    });
+    out.losses.push_back(loss.value().item());
+  }
+  for (const ag::Variable& p : model.parameters())
+    out.params.push_back(p.value().to_vector());
+  out.stats = step.stats();
+  return out;
+}
+
+template <typename Model, typename Config>
+void expect_token_replay_matches_eager(const std::string& tag) {
+  // The stacked-table offset of FusedEmbedding lives inside the recorded
+  // embedding op, so every replay looks up the ids staged for its own step
+  // — replay IS the eager step, bit for bit.
+  const int kSteps = 6;
+  const TokenRun eager = run_token_model<Model, Config>(false, kSteps);
+  const TokenRun replay = run_token_model<Model, Config>(true, kSteps);
+  EXPECT_EQ(replay.stats.captures, 1) << tag;
+  EXPECT_EQ(replay.stats.replays, kSteps - 2) << tag;
+  for (int s = 0; s < kSteps; ++s)
+    EXPECT_EQ(eager.losses[static_cast<size_t>(s)],
+              replay.losses[static_cast<size_t>(s)])
+        << tag << " step " << s;
+  ASSERT_EQ(eager.params.size(), replay.params.size()) << tag;
+  for (size_t i = 0; i < eager.params.size(); ++i)
+    EXPECT_EQ(eager.params[i], replay.params[i]) << tag << " param " << i;
+}
+
+TEST(StepProgram, FusedTokenModelsReplayFreshStagedIds) {
+  expect_token_replay_matches_eager<models::FusedTransformerLM,
+                                    models::TransformerConfig>(
+      "FusedTransformerLM");
+  expect_token_replay_matches_eager<models::FusedBertModel,
+                                    models::BertConfig>("FusedBertModel");
 }
 
 }  // namespace

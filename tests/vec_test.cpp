@@ -6,9 +6,9 @@
 // tolerances anywhere. When the host (or build) lacks AVX2+FMA+F16C the
 // SIMD-vs-scalar comparisons are vacuous and GTEST_SKIP.
 //
-// The cast tests additionally pin both backends to the RNE reference
-// converters in core/half.h: all 65536 f16 patterns exhaustively, plus
-// property-tested rounding of hand-built halfway cases.
+// The quantize tests additionally pin both backends' quantizing pack paths
+// to the RNE reference converters in core/half.h: all 65536 half patterns
+// exhaustively, plus property-tested rounding of hand-built halfway cases.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -125,70 +125,33 @@ TEST(VecGemm, AlphaBetaVariantsMatchBitwise) {
     }
 }
 
-TEST(VecGemm, HalfPrecisionOperandsMatchBitwise) {
+TEST(VecGemm, QuantizeOnPackEqualsPreRoundedPackBitwise) {
   REQUIRE_SIMD();
-  const int64_t m = 9, n = 13, k = 7;
-  Lcg rng;
-  const auto af = rng.vec(m * k);
-  const auto bf = rng.vec(k * n);
-  for (vec::PackType pt : {vec::PackType::kF16, vec::PackType::kBF16}) {
-    std::vector<uint16_t> ah(af.size()), bh(bf.size());
-    for (size_t i = 0; i < af.size(); ++i) {
-      ah[i] = pt == vec::PackType::kF16 ? f32_to_f16_bits(af[i])
-                                        : f32_to_bf16_bits(af[i]);
-      bh[i] = pt == vec::PackType::kF16 ? f32_to_f16_bits(bf[i])
-                                        : f32_to_bf16_bits(bf[i]);
-    }
-    for (bool ta : {false, true}) {
-      auto [simd, scalar] = both_backends(m * n, [&](float* c) {
-        vec::GemmArgs g;
-        g.a = ah.data();
-        g.a_type = pt;
-        g.trans_a = ta;
-        g.b = bh.data();
-        g.b_type = pt;
-        g.c = c;
-        g.m = m;
-        g.n = n;
-        g.k = k;
-        vec::gemm(g);
-      });
-      EXPECT_TRUE(bits_equal(simd, scalar))
-          << "half gemm pack=" << static_cast<int>(pt) << " ta=" << ta;
-    }
-  }
-}
-
-TEST(VecGemm, QuantizeOnPackEqualsCastThenPackBitwise) {
-  REQUIRE_SIMD();
-  // kF32QF16/kF32QBF16 promise: rounding f32 operands inside the pack loop
-  // is bit-identical to casting them to 16-bit storage first and packing
-  // that (the autocast GEMM path relies on this; DESIGN S11/S12). Includes
-  // inf/NaN inputs to pin the canonical-NaN blend against the scalar cast.
+  // The kF16/kBF16 quantize policy's promise: rounding operands inside the
+  // pack loop is bit-identical to packing copies rounded elementwise first
+  // (autocast's definition; DESIGN S11/S12). A carries inf/NaN in two
+  // different rows to pin the canonical-NaN blend; B stays finite, so no fma
+  // chain meets two NaN operands (whose propagation order IEEE leaves open).
   const int64_t m = 11, n = 19, k = 23;
   Lcg rng;
   auto af = rng.vec(m * k);
-  auto bf = rng.vec(k * n);
+  const auto bf = rng.vec(k * n);
   af[0] = std::numeric_limits<float>::infinity();
-  af[5] = -std::numeric_limits<float>::quiet_NaN();
-  bf[3] = std::numeric_limits<float>::quiet_NaN();
-  bf[7] = -std::numeric_limits<float>::infinity();
-  const std::pair<vec::PackType, vec::PackType> kinds[] = {
-      {vec::PackType::kF32QF16, vec::PackType::kF16},
-      {vec::PackType::kF32QBF16, vec::PackType::kBF16},
+  af[2 * k + 3] = -std::numeric_limits<float>::quiet_NaN();
+  const std::pair<DType, float (*)(float)> kinds[] = {
+      {DType::kF16,
+       [](float x) { return f16_bits_to_f32(f32_to_f16_bits(x)); }},
+      {DType::kBF16,
+       [](float x) { return bf16_bits_to_f32(f32_to_bf16_bits(x)); }},
   };
-  for (const auto& [qt, ht] : kinds) {
-    std::vector<uint16_t> ah(af.size()), bh(bf.size());
-    for (size_t i = 0; i < af.size(); ++i)
-      ah[i] = ht == vec::PackType::kF16 ? f32_to_f16_bits(af[i])
-                                        : f32_to_bf16_bits(af[i]);
-    for (size_t i = 0; i < bf.size(); ++i)
-      bh[i] = ht == vec::PackType::kF16 ? f32_to_f16_bits(bf[i])
-                                        : f32_to_bf16_bits(bf[i]);
+  for (const auto& [qt, round] : kinds) {
+    std::vector<float> ar(af.size()), br(bf.size());
+    for (size_t i = 0; i < af.size(); ++i) ar[i] = round(af[i]);
+    for (size_t i = 0; i < bf.size(); ++i) br[i] = round(bf[i]);
     for (bool ta : {false, true})
       for (bool tb : {false, true}) {
-        auto run = [&](const void* a, vec::PackType at, const void* b,
-                       vec::PackType bt, float* c) {
+        auto run = [&](const float* a, DType at, const float* b, DType bt,
+                       float* c) {
           vec::GemmArgs g;
           g.a = a;
           g.a_type = at;
@@ -202,29 +165,30 @@ TEST(VecGemm, QuantizeOnPackEqualsCastThenPackBitwise) {
           g.k = k;
           vec::gemm(g);
         };
-        // Quantize-on-pack == cast-then-pack, per backend; and the
+        const DType f32 = DType::kF32;
+        // Quantize-on-pack == pre-rounded pack, per backend; and the
         // quantized path itself is SIMD-vs-scalar bit-identical.
         auto [q_simd, q_scalar] = both_backends(m * n, [&](float* c) {
           run(af.data(), qt, bf.data(), qt, c);
         });
-        auto [h_simd, h_scalar] = both_backends(m * n, [&](float* c) {
-          run(ah.data(), ht, bh.data(), ht, c);
+        auto [r_simd, r_scalar] = both_backends(m * n, [&](float* c) {
+          run(ar.data(), f32, br.data(), f32, c);
         });
-        EXPECT_TRUE(bits_equal(q_simd, h_simd))
-            << "simd q-pack vs cast pack=" << static_cast<int>(qt)
+        EXPECT_TRUE(bits_equal(q_simd, r_simd))
+            << "simd q-pack vs rounded pack=" << static_cast<int>(qt)
             << " ta=" << ta << " tb=" << tb;
-        EXPECT_TRUE(bits_equal(q_scalar, h_scalar))
-            << "scalar q-pack vs cast pack=" << static_cast<int>(qt)
+        EXPECT_TRUE(bits_equal(q_scalar, r_scalar))
+            << "scalar q-pack vs rounded pack=" << static_cast<int>(qt)
             << " ta=" << ta << " tb=" << tb;
         EXPECT_TRUE(bits_equal(q_simd, q_scalar))
             << "q-pack simd vs scalar pack=" << static_cast<int>(qt)
             << " ta=" << ta << " tb=" << tb;
         // Mixed policy: quantize one operand only.
         auto [x_simd, x_scalar] = both_backends(m * n, [&](float* c) {
-          run(af.data(), vec::PackType::kF32, bf.data(), qt, c);
+          run(af.data(), f32, bf.data(), qt, c);
         });
         auto [y_simd, y_scalar] = both_backends(m * n, [&](float* c) {
-          run(af.data(), vec::PackType::kF32, bh.data(), ht, c);
+          run(af.data(), f32, br.data(), f32, c);
         });
         EXPECT_TRUE(bits_equal(x_simd, y_simd) &&
                     bits_equal(x_scalar, y_scalar) &&
@@ -491,47 +455,13 @@ TEST(VecReduce, RowMaxRowSumexpColSumMatchBitwise) {
     }
 }
 
-// ---- casts ------------------------------------------------------------------
+// ---- quantize round trip ----------------------------------------------------
 
-TEST(VecCast, F16ToF32ExhaustiveAllPatterns) {
-  // Every one of the 65536 f16 bit patterns, widened by each backend, must
-  // match the scalar reference in core/half.h bit-for-bit (incl. NaNs, infs,
-  // denormals). Runs even without AVX2 — then it pins the scalar backend.
-  SimdGuard guard;
-  std::vector<uint16_t> src(65536);
-  for (uint32_t i = 0; i < 65536; ++i) src[i] = static_cast<uint16_t>(i);
-  std::vector<float> ref(65536);
-  for (uint32_t i = 0; i < 65536; ++i) ref[i] = f16_bits_to_f32(src[i]);
-  for (bool simd : {true, false}) {
-    if (simd && !vec::simd_available()) continue;
-    vec::set_simd_enabled(simd);
-    std::vector<float> out(65536);
-    vec::cast_f16_to_f32(src.data(), out.data(), 65536);
-    EXPECT_EQ(std::memcmp(out.data(), ref.data(), 65536 * sizeof(float)), 0)
-        << "backend=" << (simd ? "simd" : "scalar");
-  }
-}
-
-TEST(VecCast, Bf16ToF32ExhaustiveAllPatterns) {
-  SimdGuard guard;
-  std::vector<uint16_t> src(65536);
-  for (uint32_t i = 0; i < 65536; ++i) src[i] = static_cast<uint16_t>(i);
-  std::vector<float> ref(65536);
-  for (uint32_t i = 0; i < 65536; ++i) ref[i] = bf16_bits_to_f32(src[i]);
-  for (bool simd : {true, false}) {
-    if (simd && !vec::simd_available()) continue;
-    vec::set_simd_enabled(simd);
-    std::vector<float> out(65536);
-    vec::cast_bf16_to_f32(src.data(), out.data(), 65536);
-    EXPECT_EQ(std::memcmp(out.data(), ref.data(), 65536 * sizeof(float)), 0)
-        << "backend=" << (simd ? "simd" : "scalar");
-  }
-}
-
-// Narrowing inputs that exercise every rounding regime: round-trips of all
-// 65536 half patterns (must narrow back exactly), ties hand-built to land
-// halfway between representable halves, overflow/underflow, NaN payloads.
-std::vector<float> narrowing_inputs(bool f16) {
+// Inputs that exercise every rounding regime: all 65536 half patterns
+// widened (each must survive the round trip exactly), ties hand-built to
+// land halfway between representable halves, overflow/underflow, NaN
+// payloads.
+std::vector<float> quantize_inputs(bool f16) {
   std::vector<float> in;
   in.reserve(70000);
   for (uint32_t i = 0; i < 65536; ++i) {
@@ -545,7 +475,7 @@ std::vector<float> narrowing_inputs(bool f16) {
     in.push_back(rng.next() * 70000.f);  // overflow territory for f16
   }
   // Exact ties: midpoint between consecutive representable values must
-  // round to even in both the vector and scalar converters.
+  // round to even on every path.
   for (float base : {1.f, 3.f, 100.f, 0.0001f, -7.f}) {
     const uint16_t h = f16 ? f32_to_f16_bits(base) : f32_to_bf16_bits(base);
     const float lo = f16 ? f16_bits_to_f32(h) : bf16_bits_to_f32(h);
@@ -561,41 +491,63 @@ std::vector<float> narrowing_inputs(bool f16) {
   return in;
 }
 
-TEST(VecCast, F32ToF16MatchesScalarReferenceRne) {
+TEST(VecQuantize, PackMatchesScalarRoundTripOnEveryHalfPattern) {
+  // Each input goes through every quantizing pack path — A or B, plain or
+  // transposed — as a 1-wide GEMM operand against an exact 1.0, with C
+  // seeded -0.0 and beta = 1: fma(q, 1, -0) == q for every q, signed zeros
+  // and NaN payloads included, so C holds the packed values themselves.
+  // Both backends must reproduce the core/half.h round trip bit for bit.
+  // Runs even without AVX2 — then it pins the scalar backend.
   SimdGuard guard;
-  const auto in = narrowing_inputs(/*f16=*/true);
-  const int64_t n = static_cast<int64_t>(in.size());
-  std::vector<uint16_t> ref(in.size());
-  for (size_t i = 0; i < in.size(); ++i) ref[i] = f32_to_f16_bits(in[i]);
-  for (bool simd : {true, false}) {
-    if (simd && !vec::simd_available()) continue;
-    vec::set_simd_enabled(simd);
-    std::vector<uint16_t> out(in.size());
-    vec::cast_f32_to_f16(in.data(), out.data(), n);
-    EXPECT_EQ(std::memcmp(out.data(), ref.data(), in.size() * 2), 0)
-        << "backend=" << (simd ? "simd" : "scalar");
+  const float one = 1.f;
+  for (bool f16 : {true, false}) {
+    const DType pt = f16 ? DType::kF16 : DType::kBF16;
+    const auto in = quantize_inputs(f16);
+    const int64_t n = static_cast<int64_t>(in.size());
+    std::vector<float> ref(in.size());
+    for (size_t i = 0; i < in.size(); ++i)
+      ref[i] = f16 ? f16_bits_to_f32(f32_to_f16_bits(in[i]))
+                   : bf16_bits_to_f32(f32_to_bf16_bits(in[i]));
+    for (bool simd : {true, false}) {
+      if (simd && !vec::simd_available()) continue;
+      vec::set_simd_enabled(simd);
+      for (bool on_a : {true, false})
+        for (bool trans : {false, true}) {
+          std::vector<float> c(in.size(), -0.f);
+          vec::GemmArgs g;
+          if (on_a) {
+            g.a = in.data();
+            g.a_type = pt;
+            g.trans_a = trans;
+            g.b = &one;
+            g.m = n;
+            g.n = 1;
+          } else {
+            g.a = &one;
+            g.b = in.data();
+            g.b_type = pt;
+            g.trans_b = trans;
+            g.m = 1;
+            g.n = n;
+          }
+          g.k = 1;
+          g.beta = 1.f;
+          g.c = c.data();
+          vec::gemm(g);
+          EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(float)),
+                    0)
+              << (f16 ? "f16" : "bf16") << " backend="
+              << (simd ? "simd" : "scalar") << " operand=" << (on_a ? "a" : "b")
+              << " trans=" << trans;
+        }
+    }
   }
 }
 
-TEST(VecCast, F32ToBf16MatchesScalarReferenceRne) {
-  SimdGuard guard;
-  const auto in = narrowing_inputs(/*f16=*/false);
-  const int64_t n = static_cast<int64_t>(in.size());
-  std::vector<uint16_t> ref(in.size());
-  for (size_t i = 0; i < in.size(); ++i) ref[i] = f32_to_bf16_bits(in[i]);
-  for (bool simd : {true, false}) {
-    if (simd && !vec::simd_available()) continue;
-    vec::set_simd_enabled(simd);
-    std::vector<uint16_t> out(in.size());
-    vec::cast_f32_to_bf16(in.data(), out.data(), n);
-    EXPECT_EQ(std::memcmp(out.data(), ref.data(), in.size() * 2), 0)
-        << "backend=" << (simd ? "simd" : "scalar");
-  }
-}
-
-TEST(VecCast, ScalarConverterRneProperties) {
-  // Property checks on the half.h reference itself (both vec backends are
-  // pinned to it above, so these properties transfer to the kernels).
+TEST(VecQuantize, ScalarConverterRneProperties) {
+  // Property checks on the half.h reference itself (both vec backends'
+  // quantizing packs are pinned to it above, so these properties transfer
+  // to the kernels).
   // 1) Round-trip: every finite f16 narrows back to its own bits.
   for (uint32_t i = 0; i < 65536; ++i) {
     const uint16_t h = static_cast<uint16_t>(i);
