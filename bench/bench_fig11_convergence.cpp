@@ -13,7 +13,6 @@
 #include "hfta/loss_scaling.h"
 #include "hfta/train.h"
 #include "models/resnet.h"
-#include "nn/optim.h"
 
 using namespace hfta;
 

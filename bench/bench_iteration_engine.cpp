@@ -1,11 +1,8 @@
-// Iteration-engine benchmark: what do pooled tensor storage, the reusable
-// backward engine, and step-program replay buy on the real fused training
-// hot loop?
+// Iteration-engine benchmark: what does step-program replay buy over the
+// eager TrainStep on the real fused training hot loop, and does the steady
+// state stay allocation-free?
 //
-// Trains a fused MLP array at several array sizes B in three modes:
-//   baseline  the faithful pre-engine hot loop: pool disabled, every
-//             allocation heap-backed AND zero-filled like the old
-//             std::vector storage, fresh backward() scratch per step
+// Trains a fused MLP array at several array sizes B in two modes:
 //   engine    TrainStep: pooled storage, uninitialized full-overwrite
 //             allocs, reused ag::Engine — still re-records the tape
 //   replay    TrainStep with step-program capture: the step is captured
@@ -13,9 +10,9 @@
 //             backward closures, no topo sort, zero heap allocations
 // and reports iterations/sec, tensor-storage heap allocations per
 // iteration, and autograd Node constructions per iteration. The training
-// math is bit-identical in all modes (train_test asserts pooled == heap,
-// step_program_test and the audit below assert replay == eager to the
-// bit); only the iteration overhead differs.
+// math is bit-identical in both modes (step_program_test and the audit
+// below assert replay == eager to the bit); only the iteration overhead
+// differs.
 //
 // Flags (defaults keep CI smoke fast):
 //   --steps N        timed iterations per measurement (default 200)
@@ -97,20 +94,16 @@ struct FusedMlp : fused::FusedModule {
   std::shared_ptr<fused::FusedLinear> head;
 };
 
-enum class Mode { kBaseline, kEngine, kReplay };
+enum class Mode { kEngine, kReplay };
 
 struct Row {
   int64_t models;
-  double baseline_iters_per_sec;
   double engine_iters_per_sec;
   double replay_iters_per_sec;
-  double allocs_per_iter_baseline;  // heap allocs, pool off
-  double allocs_per_iter_engine;    // steady-state heap allocs, pool on
-  double allocs_per_iter_replay;    // must be 0: replay allocates nothing
-  double nodes_per_iter_engine;     // ag::Node builds, eager tape
-  double nodes_per_iter_replay;     // must be 0: replay is tape-free
-  double speedup_engine;            // engine / baseline
-  double speedup_replay;            // replay / baseline
+  double allocs_per_iter_engine;  // steady-state heap allocs
+  double allocs_per_iter_replay;  // must be 0: replay allocates nothing
+  double nodes_per_iter_engine;   // ag::Node builds, eager tape
+  double nodes_per_iter_replay;   // must be 0: replay is tape-free
 };
 
 struct Measurement {
@@ -122,17 +115,9 @@ struct Measurement {
 constexpr int64_t kIn = 16, kHidden = 16, kClasses = 4, kN = 8, kDepth = 8;
 
 // One configuration: B fused models, `steps` timed iterations. With
-// amp=true the TrainStep runs f16 autocast + loss scaling (engine/replay
-// modes only — the pre-engine baseline has no TrainStep to scale).
+// amp=true the TrainStep runs f16 autocast + loss scaling.
 Measurement run_config(int64_t B, Mode mode, int steps, int warmup,
                        bool amp = false) {
-  // Baseline = the pre-iteration-engine hot loop, faithfully: no recycling
-  // and every allocation zero-filled (old std::vector-backed storage).
-  const bool engine_on = mode != Mode::kBaseline;
-  StoragePool::Config cfg;
-  cfg.enabled = engine_on;
-  cfg.zero_fill_all = !engine_on;
-  StoragePool::instance().set_config(cfg);
   StoragePool::instance().trim();
   Rng rng(1);
   FusedMlp model(B, kIn, kHidden, kClasses, kDepth, rng);
@@ -157,19 +142,7 @@ Measurement run_config(int64_t B, Mode mode, int steps, int warmup,
         ag::Variable(fused::pack_model_major(std::vector<Tensor>(B, x))));
     return fused::fused_cross_entropy(logits, labels, ag::Reduction::kMean);
   };
-  auto one_iter = [&] {
-    if (engine_on) {
-      step.run(opt, loss_fn);
-    } else {
-      // The pre-engine hot loop: same five lines, fresh traversal scratch
-      // per backward, every tensor allocation on the heap.
-      IterationScope scope;
-      opt.zero_grad();
-      ag::Variable loss = loss_fn();
-      loss.backward();
-      opt.step();
-    }
-  };
+  auto one_iter = [&] { step.run(opt, loss_fn); };
   // Replay mode captures during warm-up (warmup eager step + capture step),
   // so every timed iteration is a pure replay.
   for (int s = 0; s < warmup; ++s) one_iter();
@@ -182,7 +155,6 @@ Measurement run_config(int64_t B, Mode mode, int steps, int warmup,
   const uint64_t allocs = StoragePool::instance().stats().heap_allocs - allocs0;
   const uint64_t nodes = counters::node_constructions() - nodes0;
 
-  StoragePool::instance().set_config(StoragePool::Config{});
   StoragePool::instance().trim();
   return {static_cast<double>(steps) / secs,
           static_cast<double>(allocs) / static_cast<double>(steps),
@@ -248,7 +220,6 @@ struct ThreadRow {
 // a pure function of problem size, so this must be bit-identical for every
 // thread count — the sweep asserts it.
 double final_loss_at_current_threads(int64_t B, int train_steps) {
-  StoragePool::instance().set_config(StoragePool::Config{});
   StoragePool::instance().trim();
   Rng rng(1);
   FusedMlp model(B, kIn, kHidden, kClasses, kDepth, rng);
@@ -310,9 +281,6 @@ struct AmpPairMeasurement {
 };
 
 AmpPairMeasurement run_amp_pair(int64_t B, int total_steps, int warmup) {
-  StoragePool::Config cfg;
-  cfg.enabled = true;
-  StoragePool::instance().set_config(cfg);
   StoragePool::instance().trim();
   struct Side {
     std::unique_ptr<FusedMlp> model;
@@ -386,7 +354,6 @@ AmpPairMeasurement run_amp_pair(int64_t B, int total_steps, int warmup) {
   std::sort(t_amp.begin(), t_amp.end());
   const double med_fp32 = t_fp32[t_fp32.size() / 2];
   const double med_amp = t_amp[t_amp.size() / 2];
-  StoragePool::instance().set_config(StoragePool::Config{});
   StoragePool::instance().trim();
   const double total_amp_steps = static_cast<double>(rounds) * kBlock;
   return {static_cast<double>(kBlock) / med_fp32,
@@ -399,7 +366,6 @@ AmpPairMeasurement run_amp_pair(int64_t B, int total_steps, int warmup) {
 // AMP; also reports the scaler's skip counter.
 double amp_final_loss(int64_t B, int train_steps, double init_scale,
                       int64_t* skips_out, double* scale_out) {
-  StoragePool::instance().set_config(StoragePool::Config{});
   StoragePool::instance().trim();
   Rng rng(1);
   FusedMlp model(B, kIn, kHidden, kClasses, kDepth, rng);
@@ -450,20 +416,14 @@ void write_json(const char* path, int steps, const std::vector<Row>& rows,
     const Row& r = rows[i];
     std::fprintf(f,
                  "    {\"models\": %ld, \"engine_iters_per_sec\": %.2f, "
-                 "\"baseline_iters_per_sec\": %.2f, "
                  "\"replay_iters_per_sec\": %.2f, "
                  "\"allocs_per_iter_engine\": %.2f, "
-                 "\"allocs_per_iter_baseline\": %.2f, "
                  "\"allocs_per_iter_replay\": %.2f, "
                  "\"nodes_per_iter_engine\": %.2f, "
-                 "\"nodes_per_iter_replay\": %.2f, "
-                 "\"speedup\": %.4f, "
-                 "\"speedup_replay\": %.4f}%s\n",
-                 r.models, r.engine_iters_per_sec, r.baseline_iters_per_sec,
-                 r.replay_iters_per_sec, r.allocs_per_iter_engine,
-                 r.allocs_per_iter_baseline, r.allocs_per_iter_replay,
+                 "\"nodes_per_iter_replay\": %.2f}%s\n",
+                 r.models, r.engine_iters_per_sec, r.replay_iters_per_sec,
+                 r.allocs_per_iter_engine, r.allocs_per_iter_replay,
                  r.nodes_per_iter_engine, r.nodes_per_iter_replay,
-                 r.speedup_engine, r.speedup_replay,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -554,41 +514,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("iteration engine: pooled storage + reused backward engine + "
-              "step-program replay vs the plain hot loop\n");
+  std::printf("iteration engine: eager TrainStep (pooled storage + reused "
+              "backward engine) vs step-program replay\n");
   std::printf("(fused MLP array, %d timed fwd+bwd+step iterations per "
               "configuration)\n\n", steps);
-  std::printf("%-8s %14s %14s %14s %11s %10s %9s %9s\n", "models",
-              "baseline it/s", "engine it/s", "replay it/s", "allocs/it",
-              "nodes/it", "engine", "replay");
+  std::printf("%-8s %14s %14s %11s %10s\n", "models", "engine it/s",
+              "replay it/s", "allocs/it", "nodes/it");
   std::vector<Row> rows;
   for (int64_t B : {1, 2, 4, 8}) {
-    // Alternate modes within each repeat so slow drift hits all equally.
-    Measurement base{0, 0, 0}, eng{0, 0, 0}, rep{0, 0, 0};
+    // Alternate modes within each repeat so slow drift hits both equally.
+    Measurement eng{0, 0, 0}, rep{0, 0, 0};
     for (int r = 0; r < repeats; ++r) {
-      const Measurement b_i = run_config(B, Mode::kBaseline, steps, warmup);
       const Measurement e_i = run_config(B, Mode::kEngine, steps, warmup);
       const Measurement r_i = run_config(B, Mode::kReplay, steps, warmup);
-      if (b_i.iters_per_sec > base.iters_per_sec) base = b_i;
       if (e_i.iters_per_sec > eng.iters_per_sec) eng = e_i;
       if (r_i.iters_per_sec > rep.iters_per_sec) rep = r_i;
     }
     const Row r{B,
-                base.iters_per_sec,
                 eng.iters_per_sec,
                 rep.iters_per_sec,
-                base.allocs_per_iter,
                 eng.allocs_per_iter,
                 rep.allocs_per_iter,
                 eng.nodes_per_iter,
-                rep.nodes_per_iter,
-                eng.iters_per_sec / base.iters_per_sec,
-                rep.iters_per_sec / base.iters_per_sec};
+                rep.nodes_per_iter};
     rows.push_back(r);
-    std::printf("%-8ld %14.1f %14.1f %14.1f %11.2f %10.2f %8.2fx %8.2fx\n",
-                r.models, r.baseline_iters_per_sec, r.engine_iters_per_sec,
-                r.replay_iters_per_sec, r.allocs_per_iter_replay,
-                r.nodes_per_iter_replay, r.speedup_engine, r.speedup_replay);
+    std::printf("%-8ld %14.1f %14.1f %11.2f %10.2f\n", r.models,
+                r.engine_iters_per_sec, r.replay_iters_per_sec,
+                r.allocs_per_iter_replay, r.nodes_per_iter_replay);
   }
   std::printf("\n(allocs/it, nodes/it = replay mode's per-iteration heap "
               "allocations and autograd Node\nconstructions; both must be "

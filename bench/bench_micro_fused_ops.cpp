@@ -11,7 +11,6 @@
 #include "hfta/fused_optim.h"
 #include "hfta/fused_ops.h"
 #include "nn/layers.h"
-#include "nn/optim.h"
 #include "tensor/conv.h"
 #include "tensor/matmul.h"
 

@@ -19,7 +19,6 @@
 #include "hfta/fusion.h"
 #include "hfta/train.h"
 #include "models/pointnet.h"
-#include "nn/optim.h"
 #include "tensor/ops.h"
 
 using namespace hfta;

@@ -13,7 +13,6 @@
 #include "hfta/train.h"
 #include "nn/layers.h"
 #include "nn/norm.h"
-#include "nn/optim.h"
 #include "tensor/ops.h"
 
 using namespace hfta;

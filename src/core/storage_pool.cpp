@@ -136,7 +136,7 @@ StorageRef StoragePool::acquire(int64_t numel, bool zeroed) {
   if (b == nullptr) b = heap_alloc(cap);
   b->refs.store(1, std::memory_order_relaxed);
   b->pooled = enabled;
-  if ((zeroed || zero_fill_all_.load(std::memory_order_relaxed)) && numel > 0)
+  if (zeroed && numel > 0)
     std::memset(b->payload(), 0, sizeof(float) * static_cast<size_t>(numel));
   return StorageRef(b);
 }
@@ -168,13 +168,11 @@ void StoragePool::release(StorageBlock* b) {
 
 void StoragePool::set_config(const Config& c) {
   enabled_.store(c.enabled, std::memory_order_relaxed);
-  zero_fill_all_.store(c.zero_fill_all, std::memory_order_relaxed);
 }
 
 StoragePool::Config StoragePool::config() const {
   Config c;
   c.enabled = enabled_.load(std::memory_order_relaxed);
-  c.zero_fill_all = zero_fill_all_.load(std::memory_order_relaxed);
   return c;
 }
 

@@ -126,13 +126,6 @@ class StoragePool {
     /// does) and in-flight pooled buffers are heap-freed on release while
     /// the pool is off.
     bool enabled = true;
-    /// Bench hook: when on, EVERY acquire is zero-filled — including
-    /// Tensor::empty / PooledBuffer ones — emulating the
-    /// pre-iteration-engine allocator (all storage was a zero-initialized
-    /// std::vector) for honest before/after A-B measurements. Values are
-    /// unaffected either way: empty-path users overwrite fully, so extra
-    /// zeroing only costs time.
-    bool zero_fill_all = false;
   };
   void set_config(const Config& c);
   Config config() const;
@@ -184,7 +177,6 @@ class StoragePool {
   mutable std::mutex mu_;  // guards the shared free_ buckets
   std::unordered_map<int64_t, std::vector<StorageBlock*>> free_;
   std::atomic<bool> enabled_{true};
-  std::atomic<bool> zero_fill_all_{false};
 
   std::mutex registry_mu_;
   std::vector<std::shared_ptr<ThreadCache>> caches_;

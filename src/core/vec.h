@@ -127,9 +127,10 @@ void axpy(float alpha, const float* x, float* o, int64_t n);
 /// o[i] = v.
 void fill(float v, float* o, int64_t n);
 
-/// Per-element Adam update, the exact expression shared by nn::Adam and
-/// fused::FusedAdam (all-float scalars; mul/add/div/sqrt only — no fma — so
-/// the vector and scalar paths are identical by IEEE exactness):
+/// Per-element Adam update, run by fused::FusedAdam on each model block (the
+/// serial nn::Adam is its one-model case). All-float scalars and
+/// mul/add/div/sqrt only — no fma — so the vector and scalar paths are
+/// identical by IEEE exactness:
 ///   g  = grad_scale * grad[i] + weight_decay * p[i]
 ///   m' = beta1 * m[i] + (1 - beta1) * g
 ///   v' = beta2 * v[i] + (1 - beta2) * g * g
@@ -146,8 +147,8 @@ struct AdamArgs {
 void adam(const AdamArgs& s, float* p, const float* grad, float* m, float* v,
           int64_t n);
 
-/// Per-element SGD(+momentum) update shared by nn::SGD and fused::FusedSGD
-/// (grad_scale as in AdamArgs):
+/// Per-element SGD(+momentum) update, run by fused::FusedSGD on each model
+/// block (nn::SGD is its one-model case; grad_scale as in AdamArgs):
 ///   g = grad_scale * grad[i] + weight_decay * p[i]
 ///   if has_momentum: buf[i] = momentum * buf[i] + g; g = buf[i]
 ///   p[i] -= lr * g

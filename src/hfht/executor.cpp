@@ -447,7 +447,7 @@ void FusedTrainingExecutor::train(Group& g, int64_t delta_epochs,
     }
     g.opt->set_lr(lrs);
     for (size_t b = 0; b < g.serial_opts.size(); ++b)
-      g.serial_opts[b]->set_lr(lrs[b]);
+      g.serial_opts[b]->set_lr({lrs[b]});
 
     for (const auto& bidx : g.sampler->epoch()) {
       auto [x, y] = train_batch(bidx);

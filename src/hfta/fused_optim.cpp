@@ -7,10 +7,10 @@
 
 namespace hfta::fused {
 
-// The per-model update loops below call the shared per-element kernels in
-// core/vec — the same kernels nn::SGD / nn::Adam use — on each model's block
-// of the fused parameter array. One implementation of each update expression
-// keeps the fused step bit-equal to the B serial steps by construction.
+// Each update rule below runs once per model block of the fused parameter
+// array: SGD and Adam through the per-element kernels in core/vec, Adadelta
+// inline. The serial optimizers (one-model arrays) run these same loops, so
+// the fused step is bit-equal to the B serial steps by construction.
 
 HyperVec select_hyper(const HyperVec& v, const std::vector<int64_t>& keep) {
   HyperVec out;
@@ -20,10 +20,28 @@ HyperVec select_hyper(const HyperVec& v, const std::vector<int64_t>& keep) {
   return out;
 }
 
+namespace {
+
+std::vector<ag::Variable> vars_of(const std::vector<FusedParam>& params) {
+  std::vector<ag::Variable> vars;
+  vars.reserve(params.size());
+  for (const FusedParam& p : params) vars.push_back(p.var);
+  return vars;
+}
+
+std::vector<FusedParam> one_model(const std::vector<ag::Variable>& vars) {
+  std::vector<FusedParam> params;
+  params.reserve(vars.size());
+  for (const ag::Variable& v : vars) params.push_back(FusedParam{v, 1});
+  return params;
+}
+
+}  // namespace
+
 FusedOptimizer::FusedOptimizer(std::vector<FusedParam> params,
                                int64_t array_size)
-    : params_(std::move(params)), array_size_(array_size) {
-  for (const FusedParam& p : params_) {
+    : nn::Optimizer(vars_of(params)), array_size_(array_size) {
+  for (const FusedParam& p : params) {
     HFTA_CHECK(p.array_size == array_size_,
                "FusedOptimizer: parameter array size ", p.array_size,
                " != optimizer array size ", array_size_);
@@ -32,8 +50,12 @@ FusedOptimizer::FusedOptimizer(std::vector<FusedParam> params,
   }
 }
 
-void FusedOptimizer::zero_grad() {
-  for (auto& p : params_) p.var.zero_grad();
+std::vector<FusedParam> FusedOptimizer::fused_params() const {
+  std::vector<FusedParam> out;
+  out.reserve(params_.size());
+  for (const ag::Variable& v : params_)
+    out.push_back(FusedParam{v, array_size_});
+  return out;
 }
 
 HyperVec FusedOptimizer::expand(HyperVec v) const {
@@ -67,7 +89,7 @@ void FusedOptimizer::check_repack(
                " vs ", src->params_.size(), ")");
     for (size_t i = 0; i < params_.size(); ++i) {
       HFTA_CHECK(
-          params_[i].per_model_numel() == src->params_[i].per_model_numel(),
+          per_model_numel(i) == src->per_model_numel(i),
           "repack_state_from: per-model numel mismatch at param ", i);
     }
   }
@@ -94,9 +116,9 @@ void FusedOptimizer::gather_state(
                  "repack_state_from: source state defined-ness differs at "
                  "param ", i, " (sources trained unequal step counts?)");
     if (!state_of(*sources[0])[i].defined()) continue;  // lazy, untouched
-    Tensor dst = Tensor::zeros(params_[i].var.shape());
+    Tensor dst = Tensor::zeros(params_[i].shape());
     float* pd = dst.data();
-    const int64_t block = params_[i].per_model_numel();
+    const int64_t block = per_model_numel(i);
     for (size_t j = 0; j < picks.size(); ++j) {
       const float* ps = state_of(*sources[picks[j].source])[i].data();
       const int64_t b = picks[j].model;
@@ -120,18 +142,18 @@ FusedSGD::FusedSGD(std::vector<FusedParam> params, int64_t array_size,
 
 void FusedSGD::step_impl(float grad_scale) {
   for (size_t i = 0; i < params_.size(); ++i) {
-    FusedParam& fp = params_[i];
-    if (!fp.var.has_grad()) continue;
-    const int64_t block = fp.per_model_numel();
-    const float* pg = fp.var.grad().data();
-    float* pp = fp.var.mutable_value().data();
+    ag::Variable& var = params_[i];
+    if (!var.has_grad()) continue;
+    const int64_t block = per_model_numel(i);
+    const float* pg = var.grad().data();
+    float* pp = var.mutable_value().data();
     Tensor& buf = momentum_buf_[i];
     const bool has_momentum =
         std::any_of(momentum_.begin(), momentum_.end(),
                     [](double m) { return m != 0.0; });
     // First step seeds buf = 0, so momentum*buf + g == g: the PyTorch
-    // first-step rule without a special case (mirrors nn::SGD).
-    if (has_momentum && !buf.defined()) buf = Tensor::zeros(fp.var.shape());
+    // first-step rule without a special case.
+    if (has_momentum && !buf.defined()) buf = Tensor::zeros(var.shape());
     float* pb = has_momentum ? buf.data() : nullptr;
     for (int64_t b = 0; b < array_size_; ++b) {
       const size_t ub = static_cast<size_t>(b);
@@ -172,39 +194,43 @@ FusedAdam::FusedAdam(std::vector<FusedParam> params, int64_t array_size,
   weight_decay_ = expand(std::move(opt.weight_decay));
   m_.resize(params_.size());
   v_.resize(params_.size());
+  args_.resize(static_cast<size_t>(array_size));
 }
 
 void FusedAdam::step_impl(float grad_scale) {
   ++t_;
+  // Each model's constants depend only on the step count: computed once per
+  // step, not once per parameter.
+  for (int64_t b = 0; b < array_size_; ++b) {
+    const size_t ub = static_cast<size_t>(b);
+    const double bc1 = 1.0 - std::pow(beta1_[ub], static_cast<double>(t_));
+    const double bc2 = 1.0 - std::pow(beta2_[ub], static_cast<double>(t_));
+    vec::AdamArgs& s = args_[ub];
+    s.weight_decay = static_cast<float>(weight_decay_[ub]);
+    s.beta1 = static_cast<float>(beta1_[ub]);
+    s.one_minus_beta1 = 1.f - s.beta1;
+    s.beta2 = static_cast<float>(beta2_[ub]);
+    s.one_minus_beta2 = 1.f - s.beta2;
+    s.step_size = static_cast<float>(lr_[ub] / bc1);
+    s.inv_bc2 = static_cast<float>(1.0 / bc2);
+    s.eps = static_cast<float>(eps_[ub]);
+    s.grad_scale = grad_scale;
+  }
   for (size_t i = 0; i < params_.size(); ++i) {
-    FusedParam& fp = params_[i];
-    if (!fp.var.has_grad()) continue;
-    const int64_t block = fp.per_model_numel();
+    ag::Variable& var = params_[i];
+    if (!var.has_grad()) continue;
+    const int64_t block = per_model_numel(i);
     if (!m_[i].defined()) {
-      m_[i] = Tensor::zeros(fp.var.shape());
-      v_[i] = Tensor::zeros(fp.var.shape());
+      m_[i] = Tensor::zeros(var.shape());
+      v_[i] = Tensor::zeros(var.shape());
     }
-    const float* pg = fp.var.grad().data();
-    float* pp = fp.var.mutable_value().data();
+    const float* pg = var.grad().data();
+    float* pp = var.mutable_value().data();
     float* pm = m_[i].data();
     float* pv = v_[i].data();
-    for (int64_t b = 0; b < array_size_; ++b) {
-      const size_t ub = static_cast<size_t>(b);
-      const double bc1 = 1.0 - std::pow(beta1_[ub], static_cast<double>(t_));
-      const double bc2 = 1.0 - std::pow(beta2_[ub], static_cast<double>(t_));
-      vec::AdamArgs s;
-      s.weight_decay = static_cast<float>(weight_decay_[ub]);
-      s.beta1 = static_cast<float>(beta1_[ub]);
-      s.one_minus_beta1 = 1.f - s.beta1;
-      s.beta2 = static_cast<float>(beta2_[ub]);
-      s.one_minus_beta2 = 1.f - s.beta2;
-      s.step_size = static_cast<float>(lr_[ub] / bc1);
-      s.inv_bc2 = static_cast<float>(1.0 / bc2);
-      s.eps = static_cast<float>(eps_[ub]);
-      s.grad_scale = grad_scale;
-      vec::adam(s, pp + b * block, pg + b * block, pm + b * block,
-                pv + b * block, block);
-    }
+    for (int64_t b = 0; b < array_size_; ++b)
+      vec::adam(args_[static_cast<size_t>(b)], pp + b * block, pg + b * block,
+                pm + b * block, pv + b * block, block);
   }
 }
 
@@ -252,19 +278,21 @@ FusedAdadelta::FusedAdadelta(std::vector<FusedParam> params,
 }
 
 void FusedAdadelta::step_impl(float grad_scale) {
-  // g = grad_scale * grad + wd * p, as in vec::sgd/vec::adam (grad_scale is
-  // skipped when 1).
+  // g = grad_scale * grad + wd * p, as in vec::sgd/vec::adam: grad_scale is
+  // skipped when 1 and weight decay when that model's wd is 0, so an fp32
+  // step is the plain expression and a scaled one equals unscaling the
+  // buffer first.
   const bool scaled = grad_scale != 1.f;
   for (size_t i = 0; i < params_.size(); ++i) {
-    FusedParam& fp = params_[i];
-    if (!fp.var.has_grad()) continue;
-    const int64_t block = fp.per_model_numel();
+    ag::Variable& var = params_[i];
+    if (!var.has_grad()) continue;
+    const int64_t block = per_model_numel(i);
     if (!square_avg_[i].defined()) {
-      square_avg_[i] = Tensor::zeros(fp.var.shape());
-      acc_delta_[i] = Tensor::zeros(fp.var.shape());
+      square_avg_[i] = Tensor::zeros(var.shape());
+      acc_delta_[i] = Tensor::zeros(var.shape());
     }
-    const float* pg = fp.var.grad().data();
-    float* pp = fp.var.mutable_value().data();
+    const float* pg = var.grad().data();
+    float* pp = var.mutable_value().data();
     float* sq = square_avg_[i].data();
     float* ad = acc_delta_[i].data();
     for (int64_t b = 0; b < array_size_; ++b) {
@@ -273,8 +301,10 @@ void FusedAdadelta::step_impl(float grad_scale) {
       const float eps = static_cast<float>(eps_[ub]);
       const float lr = static_cast<float>(lr_[ub]);
       const float wd = static_cast<float>(weight_decay_[ub]);
+      const bool decay = weight_decay_[ub] != 0.0;
       for (int64_t j = b * block; j < (b + 1) * block; ++j) {
-        const float g = (scaled ? grad_scale * pg[j] : pg[j]) + wd * pp[j];
+        float g = scaled ? grad_scale * pg[j] : pg[j];
+        if (decay) g = g + wd * pp[j];
         sq[j] = rho * sq[j] + (1.f - rho) * g * g;
         const float delta = std::sqrt(ad[j] + eps) / std::sqrt(sq[j] + eps) * g;
         ad[j] = rho * ad[j] + (1.f - rho) * delta * delta;
@@ -304,3 +334,20 @@ void FusedAdadelta::repack_state_from(
 }
 
 }  // namespace hfta::fused
+
+namespace hfta::nn {
+
+SGD::SGD(std::vector<ag::Variable> params, Options opt)
+    : FusedSGD(fused::one_model(params), 1,
+               {{opt.lr}, {opt.momentum}, {opt.weight_decay}}) {}
+
+Adam::Adam(std::vector<ag::Variable> params, Options opt)
+    : FusedAdam(fused::one_model(params), 1,
+                {{opt.lr}, {opt.beta1}, {opt.beta2}, {opt.eps},
+                 {opt.weight_decay}}) {}
+
+Adadelta::Adadelta(std::vector<ag::Variable> params, Options opt)
+    : FusedAdadelta(fused::one_model(params), 1,
+                    {{opt.lr}, {opt.rho}, {opt.eps}, {opt.weight_decay}}) {}
+
+}  // namespace hfta::nn

@@ -5,12 +5,20 @@
 //
 // All fused parameters pack their B model blocks contiguously along dim 0
 // (FusedParam), so "broadcast over model b's slice" is a strided loop.
+//
+// Each update rule exists once, here, applied per model block. The serial
+// optimizers at the bottom of this file (nn::SGD / nn::Adam / nn::Adadelta)
+// are the B = 1 case: a constructor that maps scalar options to one-element
+// hyper-vectors, so fused-vs-serial equality of the optimizer step holds
+// by construction.
 #pragma once
 
 #include <functional>
 #include <vector>
 
+#include "core/vec.h"
 #include "hfta/fused_ops.h"
+#include "nn/optim.h"
 
 namespace hfta::fused {
 
@@ -21,28 +29,16 @@ using HyperVec = std::vector<double>;
 /// surviving models of a repacked array: out[j] = v[keep[j]].
 HyperVec select_hyper(const HyperVec& v, const std::vector<int64_t>& keep);
 
-class FusedOptimizer {
+class FusedOptimizer : public nn::Optimizer {
  public:
   FusedOptimizer(std::vector<FusedParam> params, int64_t array_size);
-  virtual ~FusedOptimizer() = default;
-
-  /// One update. An AMP step passes grad_scale = 1/S, applied to every
-  /// gradient READ — the fused per-element kernels fold the multiply into
-  /// the update, so gradients stay scaled in memory (zero_grad wipes them
-  /// next iteration) and no separate unscale pass runs. Bit-identical to
-  /// unscaling in place first; grad_scale == 1 skips the multiply.
-  void step(double grad_scale = 1.0) {
-    step_impl(static_cast<float>(grad_scale));
-  }
-  void zero_grad();
 
   int64_t array_size() const { return array_size_; }
   /// Per-model learning rates (always size B).
   const HyperVec& lr() const { return lr_; }
   void set_lr(HyperVec lr);
-  /// The fused parameters this optimizer steps (fingerprinted by step
-  /// programs to detect structural changes such as a Hyperband repack).
-  const std::vector<FusedParam>& fused_params() const { return params_; }
+  /// params() as FusedParams of this optimizer's array size.
+  std::vector<FusedParam> fused_params() const;
 
   /// Carries optimizer state across a FusionPlan::repack_multi: this
   /// optimizer (freshly built over the repacked array's parameters, array
@@ -62,7 +58,6 @@ class FusedOptimizer {
                          const std::vector<int64_t>& keep);
 
  protected:
-  virtual void step_impl(float grad_scale) = 0;
   /// Shared repack_state_from validation: array/param-count alignment,
   /// per-model block sizes, pick ranges.
   void check_repack(const std::vector<const FusedOptimizer*>& sources,
@@ -78,13 +73,16 @@ class FusedOptimizer {
       std::vector<Tensor>* dst_state,
       const std::vector<const FusedOptimizer*>& sources,
       const std::vector<RepackPick>& picks);
+  /// Numel of one model's block of parameter i.
+  int64_t per_model_numel(size_t i) const {
+    return params_[i].numel() / array_size_;
+  }
   /// Resolves v[b] for vectors of size B or 1.
   static double at(const HyperVec& v, int64_t b) {
     return v.size() == 1 ? v[0] : v[static_cast<size_t>(b)];
   }
   HyperVec expand(HyperVec v) const;
 
-  std::vector<FusedParam> params_;
   int64_t array_size_;
   HyperVec lr_;
 };
@@ -128,6 +126,7 @@ class FusedAdam : public FusedOptimizer {
   HyperVec beta1_, beta2_, eps_, weight_decay_;
   std::vector<Tensor> m_, v_;
   int64_t t_ = 0;
+  std::vector<vec::AdamArgs> args_;  // per-model step constants
 };
 
 /// Fused Adadelta with per-model lr / rho / eps / weight decay.
@@ -152,3 +151,43 @@ class FusedAdadelta : public FusedOptimizer {
 };
 
 }  // namespace hfta::fused
+
+namespace hfta::nn {
+
+// Serial optimizers: the fused ones over a one-model array, with scalar
+// hyper-parameters.
+
+class SGD : public fused::FusedSGD {
+ public:
+  struct Options {
+    double lr = 0.01;
+    double momentum = 0.0;
+    double weight_decay = 0.0;
+  };
+  SGD(std::vector<ag::Variable> params, Options opt);
+};
+
+class Adam : public fused::FusedAdam {
+ public:
+  struct Options {
+    double lr = 1e-3;
+    double beta1 = 0.9;
+    double beta2 = 0.999;
+    double eps = 1e-8;
+    double weight_decay = 0.0;
+  };
+  Adam(std::vector<ag::Variable> params, Options opt);
+};
+
+class Adadelta : public fused::FusedAdadelta {
+ public:
+  struct Options {
+    double lr = 1.0;
+    double rho = 0.9;
+    double eps = 1e-6;
+    double weight_decay = 0.0;
+  };
+  Adadelta(std::vector<ag::Variable> params, Options opt);
+};
+
+}  // namespace hfta::nn

@@ -14,6 +14,8 @@ FusedStepLR::FusedStepLR(FusedOptimizer& opt, std::vector<int64_t> step_size,
   if (gamma_.size() == 1) gamma_.assign(B, gamma_[0]);
   HFTA_CHECK(step_size_.size() == B && gamma_.size() == B,
              "FusedStepLR: per-model vectors must have size 1 or B");
+  for (int64_t s : step_size_)
+    HFTA_CHECK(s >= 1, "FusedStepLR: step_size must be >= 1, got ", s);
 }
 
 HyperVec FusedStepLR::lr_at(int64_t epoch) const {
@@ -49,6 +51,8 @@ FusedCosineAnnealingLR::FusedCosineAnnealingLR(FusedOptimizer& opt,
   if (eta_min_.size() == 1) eta_min_.assign(B, eta_min_[0]);
   HFTA_CHECK(t_max_.size() == B && eta_min_.size() == B,
              "FusedCosineAnnealingLR: per-model vectors must have size 1 or B");
+  for (int64_t t : t_max_)
+    HFTA_CHECK(t >= 1, "FusedCosineAnnealingLR: t_max must be >= 1, got ", t);
 }
 
 HyperVec FusedCosineAnnealingLR::lr_at(int64_t epoch) const {

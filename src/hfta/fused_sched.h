@@ -1,6 +1,8 @@
 // Fused learning-rate schedulers: each of the B models follows its own
 // schedule; step() recomputes the whole lr vector and hands it to the fused
-// optimizer (scalar-vector -> vector-vector, paper §3).
+// optimizer (scalar-vector -> vector-vector, paper §3). A serial optimizer
+// is a one-model fused optimizer, so it is scheduled by these same classes
+// with one-element vectors.
 #pragma once
 
 #include "hfta/fused_optim.h"

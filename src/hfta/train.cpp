@@ -31,14 +31,6 @@ uint64_t fnv_var(uint64_t h, const ag::Variable& v) {
   return h;
 }
 
-uint64_t fingerprint(const fused::FusedOptimizer& opt) {
-  uint64_t h = 1469598103934665603ull;
-  h = fnv_mix(h, static_cast<uint64_t>(opt.array_size()));
-  h = fnv_mix(h, opt.fused_params().size());
-  for (const fused::FusedParam& p : opt.fused_params()) h = fnv_var(h, p.var);
-  return h;
-}
-
 uint64_t fingerprint(const nn::Optimizer& opt) {
   uint64_t h = 1469598103934665603ull;
   h = fnv_mix(h, opt.params().size());
@@ -89,8 +81,7 @@ std::vector<ag::Variable> TrainStep::run_multi_impl(
   return losses;
 }
 
-template <typename Opt>
-ag::Variable TrainStep::run_cached(Opt& opt, const LossFn& loss_fn) {
+ag::Variable TrainStep::run_cached(nn::Optimizer& opt, const LossFn& loss_fn) {
   ProgramSlot& slot = programs_[static_cast<const void*>(&opt)];
   uint64_t fp = fingerprint(opt);
   if (amp_) {
@@ -240,28 +231,15 @@ bool grad_finite_scaled(const Tensor& grad, float inv) {
 
 }  // namespace
 
-bool TrainStep::grads_finite(fused::FusedOptimizer& opt, double inv_scale) {
+bool TrainStep::grads_finite(const nn::Optimizer& opt, double inv_scale) {
   const float inv = static_cast<float>(inv_scale);
   bool finite = true;
-  for (const fused::FusedParam& p : opt.fused_params()) {
-    ag::Variable v = p.var;  // shared impl — grad() is the live gradient
+  for (ag::Variable v : opt.params())  // shared impl: grad() is live
     finite &= grad_finite_scaled(v.grad(), inv);
-  }
   return finite;
 }
 
-bool TrainStep::grads_finite(nn::Optimizer& opt, double inv_scale) {
-  const float inv = static_cast<float>(inv_scale);
-  bool finite = true;
-  for (const ag::Variable& p : opt.params()) {
-    ag::Variable v = p;
-    finite &= grad_finite_scaled(v.grad(), inv);
-  }
-  return finite;
-}
-
-template <typename Opt>
-void TrainStep::amp_step(Opt& opt) {
+void TrainStep::amp_step(nn::Optimizer& opt) {
   if (!amp_) {
     opt.step();
     return;
@@ -280,25 +258,10 @@ void TrainStep::amp_step(Opt& opt) {
   scaler_.update(!finite);
 }
 
-ag::Variable TrainStep::run(fused::FusedOptimizer& opt,
-                            const LossFn& loss_fn) {
-  if (capture_) return run_cached(opt, loss_fn);
-  return run_impl([&] { opt.zero_grad(); }, [&] { amp_step(opt); }, loss_fn,
-                  amp_, backward_seed());
-}
-
 ag::Variable TrainStep::run(nn::Optimizer& opt, const LossFn& loss_fn) {
   if (capture_) return run_cached(opt, loss_fn);
   return run_impl([&] { opt.zero_grad(); }, [&] { amp_step(opt); }, loss_fn,
                   amp_, backward_seed());
-}
-
-std::vector<ag::Variable> TrainStep::run(fused::FusedOptimizer& opt,
-                                         const MultiLossFn& loss_fn) {
-  HFTA_CHECK(!amp_, "multi-loss run() does not support AMP (each loss would "
-             "need its own scale bookkeeping)");
-  return run_multi_impl([&] { opt.zero_grad(); }, [&] { opt.step(); },
-                        loss_fn);
 }
 
 std::vector<ag::Variable> TrainStep::run(nn::Optimizer& opt,
@@ -328,16 +291,10 @@ void TrainLoop::run_loop(int64_t steps, Target& target,
     const bool epoch_end =
         opts_.steps_per_epoch > 0 && (s + 1) % opts_.steps_per_epoch == 0;
     if (epoch_end) {
-      if (opts_.fused_scheduler) opts_.fused_scheduler->step();
       if (opts_.scheduler) opts_.scheduler->step();
       if (opts_.on_epoch_end) opts_.on_epoch_end((s + 1) / opts_.steps_per_epoch - 1);
     }
   }
-}
-
-void TrainLoop::run(int64_t steps, fused::FusedOptimizer& opt,
-                    const std::function<ag::Variable(int64_t)>& loss_fn) {
-  run_loop(steps, opt, loss_fn);
 }
 
 void TrainLoop::run(int64_t steps, nn::Optimizer& opt,

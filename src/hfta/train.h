@@ -26,7 +26,6 @@
 #include "hfta/loss_scaling.h"
 #include "nn/module.h"
 #include "nn/optim.h"
-#include "nn/sched.h"
 
 namespace hfta {
 
@@ -55,16 +54,13 @@ class TrainStep {
     int64_t amp_overflow_skips = 0;  // AMP steps skipped on non-finite grads
   };
 
-  /// Fused-array iteration: `opt` is zero_grad'ed and stepped around the
-  /// loss built by `loss_fn`. Returns the loss variable (its value is
-  /// alive; its tape has been consumed by backward).
-  ag::Variable run(fused::FusedOptimizer& opt, const LossFn& loss_fn);
-  /// Serial counterpart (one of the B per-model runs).
+  /// One iteration: `opt` is zero_grad'ed and stepped around the loss
+  /// built by `loss_fn`. Returns the loss variable (its value is alive; its
+  /// tape has been consumed by backward). `opt` is a fused array or a
+  /// serial optimizer alike — a serial optimizer is the one-model array.
   ag::Variable run(nn::Optimizer& opt, const LossFn& loss_fn);
 
-  /// Multi-loss iterations (losses run backward in order, one step).
-  std::vector<ag::Variable> run(fused::FusedOptimizer& opt,
-                                const MultiLossFn& loss_fn);
+  /// Multi-loss iteration (losses run backward in order, one step).
   std::vector<ag::Variable> run(nn::Optimizer& opt,
                                 const MultiLossFn& loss_fn);
 
@@ -130,10 +126,10 @@ class TrainStep {
   // rates) stay live — the real optimizer step runs around every replay.
   //
   // Invalidation: each program is fingerprinted over the optimizer's
-  // structure (param identities, storages, shapes, array size). A repack,
-  // fuse-mask change, or any param re-registration changes the
-  // fingerprint and recaptures automatically; stage() with a new shape
-  // invalidates every program (batch-size change reshapes the graph).
+  // structure (param identities, storages, sizes). A repack, fuse-mask
+  // change, or any param re-registration changes the fingerprint and
+  // recaptures automatically; stage() with a new shape invalidates every
+  // program (batch-size change reshapes the graph).
 
   /// Enables capture on this TrainStep after `warmup` eager steps per
   /// optimizer (>= 1 so pooled buffers are warm when the program pins
@@ -177,8 +173,7 @@ class TrainStep {
   std::vector<ag::Variable> run_multi_impl(const ZeroFn& zero,
                                            const StepFn& step,
                                            const MultiLossFn& loss_fn);
-  template <typename Opt>
-  ag::Variable run_cached(Opt& opt, const LossFn& loss_fn);
+  ag::Variable run_cached(nn::Optimizer& opt, const LossFn& loss_fn);
   void finish_stats(const IterationScope& scope);
   void evict_lru();
 
@@ -191,13 +186,11 @@ class TrainStep {
   /// Read-only scan: true iff every gradient element times inv_scale is
   /// finite (the grads themselves are left scaled — the optimizer applies
   /// 1/S via step(grad_scale)).
-  bool grads_finite(fused::FusedOptimizer& opt, double inv_scale);
-  bool grads_finite(nn::Optimizer& opt, double inv_scale);
+  bool grads_finite(const nn::Optimizer& opt, double inv_scale);
   /// The optimizer step under the AMP contract: finiteness scan first,
   /// step(1/S) when clean, skip + backoff on overflow, scaler update either
   /// way. Plain opt.step() when AMP is off.
-  template <typename Opt>
-  void amp_step(Opt& opt);
+  void amp_step(nn::Optimizer& opt);
 
   ag::Engine engine_;
   Stats stats_;
@@ -219,11 +212,12 @@ class TrainStep {
 class TrainLoop {
  public:
   struct Options {
-    /// Iterations per epoch; 0 disables epoch boundaries. Schedulers and
+    /// Iterations per epoch; 0 disables epoch boundaries. The scheduler and
     /// on_epoch_end fire after each full epoch.
     int64_t steps_per_epoch = 0;
-    fused::FusedLRScheduler* fused_scheduler = nullptr;
-    nn::LRScheduler* scheduler = nullptr;
+    /// Steps the optimizer's lr (fused or serial: a serial optimizer is a
+    /// one-model array, scheduled with one-element vectors).
+    fused::FusedLRScheduler* scheduler = nullptr;
     std::function<void(int64_t epoch)> on_epoch_end;
     /// Scoring/tracing hook: (step index, that step's loss).
     std::function<void(int64_t step, const ag::Variable& loss)> on_step;
@@ -241,10 +235,7 @@ class TrainLoop {
     if (opts_.capture) step_.enable_capture(opts_.capture_warmup);
   }
 
-  /// Runs `steps` iterations of loss_fn against the fused optimizer.
-  void run(int64_t steps, fused::FusedOptimizer& opt,
-           const std::function<ag::Variable(int64_t)>& loss_fn);
-  /// Serial-optimizer variant.
+  /// Runs `steps` iterations of loss_fn against the optimizer.
   void run(int64_t steps, nn::Optimizer& opt,
            const std::function<ag::Variable(int64_t)>& loss_fn);
   /// Optimizer-free variant (timing probes).

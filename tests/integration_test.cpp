@@ -9,8 +9,6 @@
 
 #include <cmath>
 
-#include "nn/optim.h"
-#include "nn/sched.h"
 #include "hfta/fused_optim.h"
 #include "hfta/fused_sched.h"
 #include "hfta/loss_scaling.h"
@@ -121,7 +119,7 @@ TEST(TrainingEquivalence, ResNetSGDMomentumAndStepLR) {
   models::FusedResNet18 fused_model(kB, cfg, rng);
   std::vector<std::shared_ptr<models::ResNet18>> plain;
   std::vector<std::unique_ptr<nn::SGD>> plain_opts;
-  std::vector<std::unique_ptr<nn::StepLR>> plain_scheds;
+  std::vector<std::unique_ptr<fused::FusedStepLR>> plain_scheds;
   fused::HyperVec lrs;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<models::ResNet18>(cfg, rng));
@@ -131,8 +129,8 @@ TEST(TrainingEquivalence, ResNetSGDMomentumAndStepLR) {
     plain_opts.push_back(std::make_unique<nn::SGD>(
         plain.back()->parameters(),
         nn::SGD::Options{.lr = lr, .momentum = 0.9}));
-    plain_scheds.push_back(
-        std::make_unique<nn::StepLR>(*plain_opts.back(), 1, 0.5));
+    plain_scheds.push_back(std::make_unique<fused::FusedStepLR>(
+        *plain_opts.back(), std::vector<int64_t>{1}, fused::HyperVec{0.5}));
   }
   fused::FusedSGD fused_opt(fused::collect_fused_parameters(fused_model, kB),
                             kB, {.lr = lrs, .momentum = {0.9}});

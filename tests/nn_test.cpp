@@ -4,11 +4,12 @@
 
 #include <cmath>
 
+#include "hfta/fused_optim.h"
+#include "hfta/fused_sched.h"
 #include "nn/layers.h"
 #include "nn/losses.h"
 #include "nn/norm.h"
 #include "nn/optim.h"
-#include "nn/sched.h"
 #include "tensor/ops.h"
 
 namespace hfta::nn {
@@ -181,6 +182,28 @@ TEST(Optim, AdamFirstStepIsLrSized) {
   EXPECT_NEAR(p.value().item(), -0.01f, 1e-5f);
 }
 
+TEST(Optim, AdadeltaFirstStepClosedForm) {
+  // Zero-initialized accumulators: with g = grad + wd * p,
+  //   square_avg = (1 - rho) * g^2
+  //   delta      = sqrt(eps) / sqrt(square_avg + eps) * g
+  //   p         -= lr * delta
+  // evaluated in double, independently of the optimizer's float loop.
+  const double p0[2] = {2.0, -1.0}, g0[2] = {0.5, 0.0};
+  const double lr = 0.7, rho = 0.9, eps = 1e-6, wd = 0.1;
+  ag::Variable p(Tensor::from_data({2}, {2.f, -1.f}), true);
+  p.grad().copy_(Tensor::from_data({2}, {0.5f, 0.f}));
+  Adadelta opt({p}, {.lr = lr, .rho = rho, .eps = eps, .weight_decay = wd});
+  opt.step();
+  for (int j = 0; j < 2; ++j) {
+    const double g = g0[j] + wd * p0[j];
+    const double sq = (1.0 - rho) * g * g;
+    const double delta = std::sqrt(eps) / std::sqrt(sq + eps) * g;
+    const double expected = p0[j] - lr * delta;
+    EXPECT_NEAR(p.value().data()[j], expected, 1e-6 * std::fabs(expected))
+        << "element " << j;
+  }
+}
+
 TEST(Optim, WeightDecayPullsTowardZero) {
   ag::Variable p(Tensor::full({1}, 10.f), true);
   SGD opt({p}, {.lr = 0.1, .weight_decay = 0.5});
@@ -212,13 +235,16 @@ TEST(Optim, QuadraticBowlConvergence) {
   }
 }
 
+// A serial optimizer is a one-model array, scheduled by the fused
+// schedulers with one-element hyper-vectors.
+
 TEST(Sched, StepLRDecaysInStages) {
   ag::Variable p(Tensor::zeros({1}), true);
   SGD opt({p}, {.lr = 1.0});
-  StepLR sched(opt, /*step_size=*/3, /*gamma=*/0.1);
+  fused::FusedStepLR sched(opt, /*step_size=*/{3}, /*gamma=*/{0.1});
   std::vector<double> lrs;
   for (int e = 0; e < 7; ++e) {
-    lrs.push_back(opt.lr());
+    lrs.push_back(opt.lr()[0]);
     sched.step();
   }
   EXPECT_DOUBLE_EQ(lrs[0], 1.0);
@@ -230,12 +256,12 @@ TEST(Sched, StepLRDecaysInStages) {
 TEST(Sched, ExponentialAndCosine) {
   ag::Variable p(Tensor::zeros({1}), true);
   SGD opt({p}, {.lr = 1.0});
-  ExponentialLR exp_sched(opt, 0.5);
-  EXPECT_NEAR(exp_sched.lr_at(3), 0.125, 1e-12);
-  CosineAnnealingLR cos_sched(opt, 10, 0.0);
-  EXPECT_NEAR(cos_sched.lr_at(0), 1.0, 1e-12);
-  EXPECT_NEAR(cos_sched.lr_at(10), 0.0, 1e-12);
-  EXPECT_NEAR(cos_sched.lr_at(5), 0.5, 1e-12);
+  fused::FusedExponentialLR exp_sched(opt, {0.5});
+  EXPECT_NEAR(exp_sched.lr_at(3)[0], 0.125, 1e-12);
+  fused::FusedCosineAnnealingLR cos_sched(opt, {10}, {0.0});
+  EXPECT_NEAR(cos_sched.lr_at(0)[0], 1.0, 1e-12);
+  EXPECT_NEAR(cos_sched.lr_at(10)[0], 0.0, 1e-12);
+  EXPECT_NEAR(cos_sched.lr_at(5)[0], 0.5, 1e-12);
 }
 
 TEST(EndToEnd, TinyMLPLearnsXor) {

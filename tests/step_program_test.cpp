@@ -140,8 +140,8 @@ TEST(StepProgram, LrScheduleFlowsThroughReplayWithoutRecapture) {
   Rng data_e(13), data_r(13);
   for (int s = 0; s < 10; ++s) {
     const double lr_s = 0.05 * std::pow(0.9, s);
-    eager.opt->set_lr(lr_s);
-    replay.opt->set_lr(lr_s);
+    eager.opt->set_lr({lr_s});
+    replay.opt->set_lr({lr_s});
     const float le = step_once(eager, "Linear", tests::kind_input("Linear", kN, data_e));
     const float lr = step_once(replay, "Linear", tests::kind_input("Linear", kN, data_r));
     EXPECT_EQ(le, lr) << "step " << s;

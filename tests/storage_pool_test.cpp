@@ -129,13 +129,10 @@ TEST_F(StoragePoolTest, ConfigRoundTrips) {
   auto& pool = StoragePool::instance();
   StoragePool::Config c;
   c.enabled = false;
-  c.zero_fill_all = true;
   pool.set_config(c);
   EXPECT_FALSE(pool.config().enabled);
-  EXPECT_TRUE(pool.config().zero_fill_all);
   pool.set_config(StoragePool::Config{});
   EXPECT_TRUE(pool.config().enabled);
-  EXPECT_FALSE(pool.config().zero_fill_all);
 }
 
 TEST_F(StoragePoolTest, IterationScopeReportsPerIterationDeltas) {

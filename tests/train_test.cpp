@@ -192,7 +192,7 @@ TEST(TrainEngine, TrainLoopRunsSchedulerAndHooksAtEpochBoundaries) {
   int64_t steps_seen = 0;
   TrainLoop::Options lopts;
   lopts.steps_per_epoch = 3;
-  lopts.fused_scheduler = &sched;
+  lopts.scheduler = &sched;
   lopts.on_epoch_end = [&](int64_t e) { epochs_seen.push_back(e); };
   lopts.on_step = [&](int64_t, const ag::Variable& loss) {
     EXPECT_TRUE(loss.defined());
