@@ -29,18 +29,21 @@ int main() {
   data::ImageDataset ds(64, cfg.image_size, 3, cfg.num_classes, 77);
   data::BatchSampler sampler(ds.size(), 16, true, 5);
 
-  models::FusedResNet18 fused_model(kB, cfg, rng);
   std::vector<std::shared_ptr<models::ResNet18>> plain;
+  std::vector<std::shared_ptr<nn::Module>> nets;
   std::vector<std::unique_ptr<nn::Adadelta>> plain_opts;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<models::ResNet18>(cfg, rng));
-    fused_model.load_model(b, *plain.back());
+    nets.push_back(plain.back()->net);
     plain_opts.push_back(std::make_unique<nn::Adadelta>(
         plain.back()->parameters(),
         nn::Adadelta::Options{.lr = lrs[static_cast<size_t>(b)]}));
   }
+  fused::FusionOptions opts;
+  opts.output_layout = fused::Layout::kModelMajor;
+  auto fused_model = fused::FusionPlan(kB, opts).compile(nets, rng);
   fused::FusedAdadelta fused_opt(
-      fused::collect_fused_parameters(fused_model, kB), kB, {.lr = lrs});
+      fused::collect_fused_parameters(*fused_model, kB), kB, {.lr = lrs});
 
   std::printf("Figure 11: training loss per iteration, serial (solid) vs "
               "HFTA (dotted)\n");
@@ -63,7 +66,7 @@ int main() {
       std::vector<double> fused_losses;
       train.run(fused_opt, [&] {
         ag::Variable logits =
-            fused_model.forward(ag::Variable(fused::pack_channel_fused(xs)));
+            fused_model->forward(ag::Variable(fused::pack_channel_fused(xs)));
         fused_losses = fused::per_model_cross_entropy(logits.value(), labels);
         return fused::fused_cross_entropy(logits, labels,
                                           ag::Reduction::kMean);

@@ -23,12 +23,25 @@ int main() {
   models::DCGANConfig cfg = models::DCGANConfig::tiny();
   data::ImageDataset ds(32, cfg.image_size, cfg.nc, 2, 13);
 
-  models::FusedDCGANGenerator gen(B, cfg, rng);
-  models::FusedDCGANDiscriminator disc(B, cfg, rng);
+  // B per-model generator and discriminator graphs, each compiled into
+  // one fused array by the planner.
+  std::vector<std::shared_ptr<nn::Module>> gnets, dnets;
+  for (int64_t b = 0; b < B; ++b) {
+    gnets.push_back(models::DCGANGenerator(cfg, rng).net);
+    dnets.push_back(models::DCGANDiscriminator(cfg, rng).net);
+  }
+  auto gen = fused::FusionPlan(B).compile(gnets, rng);
+  fused::FusionOptions disc_opts;
+  disc_opts.output_layout = fused::Layout::kModelMajor;
+  auto disc = fused::FusionPlan(B, disc_opts).compile(dnets, rng);
+  // The discriminator array emits model-major logits [B, N, 1].
+  auto disc_logits = [&](const ag::Variable& x) {
+    return ag::reshape(disc->forward(x), {B, N});
+  };
   const fused::HyperVec beta1 = {0.3, 0.5, 0.7};
-  fused::FusedAdam g_opt(fused::collect_fused_parameters(gen, B), B,
+  fused::FusedAdam g_opt(fused::collect_fused_parameters(*gen, B), B,
                          {.lr = {2e-3}, .beta1 = beta1});
-  fused::FusedAdam d_opt(fused::collect_fused_parameters(disc, B), B,
+  fused::FusedAdam d_opt(fused::collect_fused_parameters(*disc, B), B,
                          {.lr = {2e-3}, .beta1 = beta1});
 
   const Tensor real_label = Tensor::ones({B, N});
@@ -53,12 +66,12 @@ int main() {
     // --- discriminator step: real up, fake down -------------------------
     ag::Variable d_real, d_on_fake;
     train.run(d_opt, [&]() -> std::vector<ag::Variable> {
-      d_real = disc.forward(ag::Variable(
+      d_real = disc_logits(ag::Variable(
           fused::pack_channel_fused(std::vector<Tensor>(B, real))));
       ag::Variable loss_real = fused::fused_bce_with_logits(
           d_real, real_label, ag::Reduction::kMean, B);
-      Tensor fake = gen.forward(ag::Variable(z)).value();  // detached
-      ag::Variable d_fake = disc.forward(ag::Variable(fake));
+      Tensor fake = gen->forward(ag::Variable(z)).value();  // detached
+      ag::Variable d_fake = disc_logits(ag::Variable(fake));
       ag::Variable loss_fake = fused::fused_bce_with_logits(
           d_fake, fake_label, ag::Reduction::kMean, B);
       return {loss_real, loss_fake};
@@ -66,8 +79,8 @@ int main() {
 
     // --- generator step: make D call fakes real -------------------------
     train.run(g_opt, [&] {
-      ag::Variable fake_v = gen.forward(ag::Variable(z));
-      d_on_fake = disc.forward(fake_v);
+      ag::Variable fake_v = gen->forward(ag::Variable(z));
+      d_on_fake = disc_logits(fake_v);
       return fused::fused_bce_with_logits(d_on_fake, real_label,
                                           ag::Reduction::kMean, B);
     });

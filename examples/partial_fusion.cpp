@@ -105,32 +105,5 @@ int main() {
                                              donor_after[i].value()));
   std::printf("donor drift after training the partial array: %.2e\n",
               donor_drift);
-
-  // Construction cost: a structure-only compile skips both the B donor
-  // constructions and the donor-to-array weight copy (the wrappers'
-  // constructors use this path; callers load_model real weights anyway).
-  const int64_t Bc = 8;
-  const auto t0 = Clock::now();
-  {
-    Rng crng(5);
-    std::vector<std::shared_ptr<nn::Module>> donors;
-    for (int64_t b = 0; b < Bc; ++b)
-      donors.push_back(models::ResNet18(cfg, crng).net);
-    fused::FusionPlan(Bc).compile(donors, crng);
-  }
-  const double t_full_compile =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  const auto t1 = Clock::now();
-  {
-    Rng crng(5);
-    models::ResNet18 template_model(cfg, crng);
-    fused::FusionPlan(Bc).compile_structure_only(template_model.net, crng);
-  }
-  const double t_structure_only =
-      std::chrono::duration<double>(Clock::now() - t1).count();
-  std::printf("\nconstructing a B=%ld array: %d-donor compile %.3fs, "
-              "structure-only %.3fs (%.1fx cheaper)\n",
-              Bc, static_cast<int>(Bc), t_full_compile, t_structure_only,
-              t_full_compile / t_structure_only);
   return 0;
 }

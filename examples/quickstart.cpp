@@ -33,7 +33,8 @@ struct Mlp : nn::Module {
   std::shared_ptr<nn::Linear> fc1, fc2;
 };
 
-// The fused array of B such MLPs: same two lines, fused classes.
+// The fused array of B such MLPs: same two lines, fused classes. Its child
+// names mirror Mlp's, so load_model/store_model move whole models.
 struct FusedMlp : fused::FusedModule {
   FusedMlp(int64_t B, int64_t in, int64_t hidden, int64_t classes, Rng& rng)
       : fused::FusedModule(B) {
@@ -62,8 +63,7 @@ int main() {
   const fused::HyperVec lrs = {1e-3, 3e-3, 1e-2};
   for (int64_t b = 0; b < B; ++b) {
     serial_models.push_back(std::make_shared<Mlp>(in, hidden, classes, rng));
-    fused_model.fc1->load_model(b, *serial_models.back()->fc1);
-    fused_model.fc2->load_model(b, *serial_models.back()->fc2);
+    fused_model.load_model(b, *serial_models.back());
   }
   fused::FusedAdam fused_opt(fused::collect_fused_parameters(fused_model, B),
                              B, {.lr = lrs});
@@ -135,19 +135,13 @@ int main() {
   // Equivalence: fused weights == serial weights, model by model.
   float max_diff = 0;
   for (int64_t b = 0; b < B; ++b) {
-    nn::Linear probe1(in, hidden, true, rng), probe2(hidden, classes, true, rng);
-    fused_model.fc1->store_model(b, probe1);
-    fused_model.fc2->store_model(b, probe2);
-    max_diff = std::max(
-        max_diff,
-        ops::max_abs_diff(probe1.weight.value(),
-                          serial_models[static_cast<size_t>(b)]
-                              ->fc1->weight.value()));
-    max_diff = std::max(
-        max_diff,
-        ops::max_abs_diff(probe2.weight.value(),
-                          serial_models[static_cast<size_t>(b)]
-                              ->fc2->weight.value()));
+    Mlp probe(in, hidden, classes, rng);
+    fused_model.store_model(b, probe);
+    const Mlp& sm = *serial_models[static_cast<size_t>(b)];
+    max_diff = std::max(max_diff, ops::max_abs_diff(probe.fc1->weight.value(),
+                                                    sm.fc1->weight.value()));
+    max_diff = std::max(max_diff, ops::max_abs_diff(probe.fc2->weight.value(),
+                                                    sm.fc2->weight.value()));
   }
   std::printf("\nafter 40 steps, max |fused - serial| weight difference: "
               "%.2e\n",
@@ -169,10 +163,8 @@ int main() {
   std::vector<std::shared_ptr<Mlp>> amp_serial;
   for (int64_t b = 0; b < B; ++b) {
     amp_serial.push_back(std::make_shared<Mlp>(in, hidden, classes, rng2));
-    amp_fused.fc1->load_model(b, *amp_serial.back()->fc1);
-    amp_fused.fc2->load_model(b, *amp_serial.back()->fc2);
-    ref_fused.fc1->load_model(b, *amp_serial.back()->fc1);
-    ref_fused.fc2->load_model(b, *amp_serial.back()->fc2);
+    amp_fused.load_model(b, *amp_serial.back());
+    ref_fused.load_model(b, *amp_serial.back());
   }
   fused::FusedAdam amp_opt(fused::collect_fused_parameters(amp_fused, B), B,
                            {.lr = lrs});
@@ -209,22 +201,18 @@ int main() {
   }
   float amp_diff = 0, amp_gap = 0;
   for (int64_t b = 0; b < B; ++b) {
-    nn::Linear probe1(in, hidden, true, rng), probe2(hidden, classes, true,
-                                                     rng);
-    nn::Linear ref1(in, hidden, true, rng), ref2(hidden, classes, true, rng);
-    amp_fused.fc1->store_model(b, probe1);
-    amp_fused.fc2->store_model(b, probe2);
-    ref_fused.fc1->store_model(b, ref1);
-    ref_fused.fc2->store_model(b, ref2);
-    const auto& sm = amp_serial[static_cast<size_t>(b)];
-    amp_diff = std::max(amp_diff, ops::max_abs_diff(probe1.weight.value(),
-                                                    sm->fc1->weight.value()));
-    amp_diff = std::max(amp_diff, ops::max_abs_diff(probe2.weight.value(),
-                                                    sm->fc2->weight.value()));
-    amp_gap = std::max(amp_gap, ops::max_abs_diff(probe1.weight.value(),
-                                                  ref1.weight.value()));
-    amp_gap = std::max(amp_gap, ops::max_abs_diff(probe2.weight.value(),
-                                                  ref2.weight.value()));
+    Mlp probe(in, hidden, classes, rng), ref(in, hidden, classes, rng);
+    amp_fused.store_model(b, probe);
+    ref_fused.store_model(b, ref);
+    const Mlp& sm = *amp_serial[static_cast<size_t>(b)];
+    amp_diff = std::max(amp_diff, ops::max_abs_diff(probe.fc1->weight.value(),
+                                                    sm.fc1->weight.value()));
+    amp_diff = std::max(amp_diff, ops::max_abs_diff(probe.fc2->weight.value(),
+                                                    sm.fc2->weight.value()));
+    amp_gap = std::max(amp_gap, ops::max_abs_diff(probe.fc1->weight.value(),
+                                                  ref.fc1->weight.value()));
+    amp_gap = std::max(amp_gap, ops::max_abs_diff(probe.fc2->weight.value(),
+                                                  ref.fc2->weight.value()));
   }
   std::printf("amp max |fused - serial| weight difference: %.2e\n", amp_diff);
   std::printf("amp vs fp32 weight gap: %.2e (bf16 quantization error — "

@@ -80,7 +80,7 @@ struct FusedTrainingExecutor::Group {
   std::vector<ParamSet> members;  // slot b trains members[b]
   int64_t batch_size = 0;
   // Congruent per-model graph kept as the repack clone template (its weight
-  // values are irrelevant — save_model overwrites every survivor clone).
+  // values are irrelevant — store_model overwrites every survivor clone).
   std::shared_ptr<nn::Module> tmpl;
   std::shared_ptr<fused::FusedArray> array;
   std::unique_ptr<fused::FusedAdam> opt;

@@ -64,13 +64,6 @@ ag::Variable FusedMultiheadAttention::forward_masked(const ag::Variable& x,
   return ag::reshape(out, {B, N, S, embed_dim});
 }
 
-std::vector<FusedParam> FusedMultiheadAttention::fused_parameters() {
-  auto out = in_proj->fused_parameters();
-  auto o2 = out_proj->fused_parameters();
-  out.insert(out.end(), o2.begin(), o2.end());
-  return out;
-}
-
 FusedTransformerEncoderLayer::FusedTransformerEncoderLayer(
     int64_t B, int64_t embed_dim, int64_t num_heads, int64_t ff_dim,
     float dropout_p, const std::string& activation, Rng& rng)
@@ -108,10 +101,6 @@ ag::Variable FusedTransformerEncoderLayer::forward_masked(
   f = linear2->forward(drop->forward(f));
   f = ag::reshape(f, {B, N, S, E});
   return norm2->forward(ag::add(h, drop->forward(f)));
-}
-
-std::vector<FusedParam> FusedTransformerEncoderLayer::fused_parameters() {
-  return collect_fused_parameters(*this, array_size_);
 }
 
 }  // namespace hfta::fused

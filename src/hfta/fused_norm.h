@@ -15,9 +15,6 @@ class FusedBatchNorm2d : public FusedModule {
                    float momentum = 0.1f);
   /// x: [N, B*C, H, W].
   ag::Variable forward(const ag::Variable& x) override;
-  std::vector<FusedParam> fused_parameters() override;
-  void load_model(int64_t b, const nn::BatchNorm2d& m);
-  void store_model(int64_t b, nn::BatchNorm2d& m) const;
   /// The per-model state (weight/bias/running stats) lives in the nested
   /// B*C-channel impl, so the default name-mirroring derivation is wrong.
   StateMap state_map() const override;
@@ -32,9 +29,6 @@ class FusedBatchNorm1d : public FusedModule {
   FusedBatchNorm1d(int64_t B, int64_t channels, float eps = 1e-5f,
                    float momentum = 0.1f);
   ag::Variable forward(const ag::Variable& x) override;
-  std::vector<FusedParam> fused_parameters() override;
-  void load_model(int64_t b, const nn::BatchNorm1d& m);
-  void store_model(int64_t b, nn::BatchNorm1d& m) const;
   StateMap state_map() const override;
 
   std::shared_ptr<nn::BatchNorm1d> impl;
@@ -49,9 +43,6 @@ class FusedLayerNorm : public FusedModule {
  public:
   FusedLayerNorm(int64_t B, Shape normalized_shape, float eps, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
-  std::vector<FusedParam> fused_parameters() override;
-  void load_model(int64_t b, const nn::LayerNorm& m);
-  void store_model(int64_t b, nn::LayerNorm& m) const;
 
   ag::Variable weight;  // [B, E...] used broadcast as [B, 1..., E...]
   ag::Variable bias;

@@ -16,6 +16,10 @@
 //   channel-fused  [N, B*C, H, W] / [N, B*C, L]  (conv/BN/pool family)
 //   model-major    [B, N, F] / [B, N, ...]       (linear/LayerNorm/attention)
 // to_model_major / to_channel_fused convert between them.
+//
+// Every fused module, leaf or composite, moves model b's state in and out
+// through one pair, FusedModule::load_model/store_model, which follows the
+// module's StateMap schema (DESIGN.md §7).
 #pragma once
 
 #include "nn/layers.h"
@@ -50,9 +54,9 @@ enum class SliceRule {
 /// One entry of a fused module's state schema: which per-model tensor
 /// (dotted path relative to the per-model layer) lives where inside the
 /// fused module, and how model b's slice is laid out. Exactly one of
-/// fused_param / fused_buffer is defined. The planner derives load_model,
-/// save_model, and state-congruence checking from these entries instead of
-/// per-kind hand-written transfer lambdas (DESIGN.md §7).
+/// fused_param / fused_buffer is defined. load_model, store_model and the
+/// planner's state-congruence check all derive from these entries
+/// (DESIGN.md §7).
 struct StateEntry {
   std::string path;          // per-model tensor path, e.g. "weight"
   ag::Variable fused_param;  // trainable state lives in a parameter...
@@ -90,7 +94,7 @@ struct RepackPick {
   int64_t model = 0;
 };
 
-/// Base for all fused modules: tracks B and collects FusedParams.
+/// Base for all fused modules: tracks B and moves per-model state.
 class FusedModule : public nn::Module {
  public:
   explicit FusedModule(int64_t array_size) : array_size_(array_size) {
@@ -98,8 +102,13 @@ class FusedModule : public nn::Module {
   }
   int64_t array_size() const { return array_size_; }
 
-  /// This module's own fused parameters (not recursive).
-  virtual std::vector<FusedParam> fused_parameters() { return {}; }
+  /// Copies model b's parameters and buffers from `m`, the per-model
+  /// module this one fuses (load_state over state_map()). Throws unless
+  /// 0 <= b < B.
+  virtual void load_model(int64_t b, const nn::Module& m);
+  /// The inverse: extracts model b's slices into `m` (store_state over
+  /// state_map()).
+  virtual void store_model(int64_t b, nn::Module& m) const;
 
   /// This module's per-model state schema. The default derivation covers
   /// every composite fused module whose registered child names mirror the
@@ -116,8 +125,8 @@ class FusedModule : public nn::Module {
 };
 
 /// Copies model b's state from the congruent per-model module `src` into
-/// the fused tensors of `map` — the schema-driven generalization of the
-/// per-kind hand-written load_model methods. `B` is the fused array size.
+/// the fused tensors of `map`. `B` is the fused array size; b outside
+/// [0, B) throws.
 void load_state(const StateMap& map, int64_t B, int64_t b,
                 const nn::Module& src);
 /// The inverse: extracts model b's slices out of the fused tensors into
@@ -151,11 +160,6 @@ class FusedConv2d : public FusedModule {
               Rng& rng);
   /// x: [N, B*in, H, W] -> [N, B*out, Ho, Wo].
   ag::Variable forward(const ag::Variable& x) override;
-  std::vector<FusedParam> fused_parameters() override;
-
-  /// Copies model b's weights from / to an unfused layer.
-  void load_model(int64_t b, const nn::Conv2d& m);
-  void store_model(int64_t b, nn::Conv2d& m) const;
 
   ag::Variable weight;  // [B*out, in/g, k, k]
   ag::Variable bias;    // [B*out]
@@ -170,10 +174,6 @@ class FusedConv1d : public FusedModule {
               Rng& rng);
   /// x: [N, B*in, L] -> [N, B*out, Lo].
   ag::Variable forward(const ag::Variable& x) override;
-  std::vector<FusedParam> fused_parameters() override;
-
-  void load_model(int64_t b, const nn::Conv1d& m);
-  void store_model(int64_t b, nn::Conv1d& m) const;
 
   ag::Variable weight;  // [B*out, in/g, k]
   ag::Variable bias;    // [B*out]
@@ -188,10 +188,6 @@ class FusedConvTranspose2d : public FusedModule {
                        int64_t groups, bool bias, Rng& rng);
   /// x: [N, B*in, H, W] -> [N, B*out, Ho, Wo].
   ag::Variable forward(const ag::Variable& x) override;
-  std::vector<FusedParam> fused_parameters() override;
-
-  void load_model(int64_t b, const nn::ConvTranspose2d& m);
-  void store_model(int64_t b, nn::ConvTranspose2d& m) const;
 
   ag::Variable weight;  // [B*in, out/g, k, k]
   ag::Variable bias;    // [B*out]
@@ -206,10 +202,6 @@ class FusedConvTranspose1d : public FusedModule {
                        int64_t groups, bool bias, Rng& rng);
   /// x: [N, B*in, L] -> [N, B*out, Lo].
   ag::Variable forward(const ag::Variable& x) override;
-  std::vector<FusedParam> fused_parameters() override;
-
-  void load_model(int64_t b, const nn::ConvTranspose1d& m);
-  void store_model(int64_t b, nn::ConvTranspose1d& m) const;
 
   ag::Variable weight;  // [B*in, out/g, k]
   ag::Variable bias;    // [B*out]
@@ -222,10 +214,6 @@ class FusedLinear : public FusedModule {
   FusedLinear(int64_t B, int64_t in, int64_t out, bool bias, Rng& rng);
   /// x: [B, N, in] -> [B, N, out] via baddbmm.
   ag::Variable forward(const ag::Variable& x) override;
-  std::vector<FusedParam> fused_parameters() override;
-
-  void load_model(int64_t b, const nn::Linear& m);
-  void store_model(int64_t b, nn::Linear& m) const;
   /// weight uses kLinearWeight (the per-model [out, in] is transposed).
   StateMap state_map() const override;
 
@@ -241,10 +229,6 @@ class FusedEmbedding : public FusedModule {
   /// indices: [B, ...] per-model integer ids -> [B, ..., E]. Replay-safe:
   /// the per-model table offset is applied inside the recorded op.
   ag::Variable lookup(const Tensor& indices);
-  std::vector<FusedParam> fused_parameters() override;
-
-  void load_model(int64_t b, const nn::Embedding& m);
-  void store_model(int64_t b, nn::Embedding& m) const;
 
   ag::Variable weight;  // [B*V, E]
   int64_t vocab, dim;

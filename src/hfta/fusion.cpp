@@ -66,10 +66,6 @@ std::vector<Tensor> unfuse_blocks(const Tensor& fused, int64_t B, Shape shape) {
   return out;
 }
 
-void copy_module_state(const nn::Module& src, nn::Module& dst) {
-  nn::copy_state(src, dst);
-}
-
 // ---- diagnostics -----------------------------------------------------------
 
 const char* layout_name(Layout l) {
@@ -419,24 +415,24 @@ void FusedArray::load_model(int64_t b, const nn::Module& per_model_root) {
                "' not found in the per-model tree");
     if (!s.fused) {
       auto& adapter = static_cast<UnfusedBlockAdapter&>(*s.module);
-      copy_module_state(*src, *adapter.replicas()[static_cast<size_t>(b)]);
+      nn::copy_state(*src, *adapter.replicas()[static_cast<size_t>(b)]);
     } else {
       load_state(s.state, array_size_, b, *src);
     }
   }
 }
 
-void FusedArray::save_model(int64_t b, nn::Module& per_model_root) const {
-  HFTA_CHECK(b >= 0 && b < array_size_, "FusedArray::save_model: bad index");
+void FusedArray::store_model(int64_t b, nn::Module& per_model_root) const {
+  HFTA_CHECK(b >= 0 && b < array_size_, "FusedArray::store_model: bad index");
   for (const Step& s : steps_) {
     if (s.fused && s.state.empty()) continue;  // stateless step
     nn::Module* dst = per_model_root.find(s.path);
-    HFTA_CHECK(dst != nullptr, "FusedArray::save_model: path '", s.path,
+    HFTA_CHECK(dst != nullptr, "FusedArray::store_model: path '", s.path,
                "' not found in the per-model tree");
     if (!s.fused) {
       const auto& adapter =
           static_cast<const UnfusedBlockAdapter&>(*s.module);
-      copy_module_state(*adapter.replicas()[static_cast<size_t>(b)], *dst);
+      nn::copy_state(*adapter.replicas()[static_cast<size_t>(b)], *dst);
     } else {
       store_state(s.state, array_size_, b, *dst);
     }
@@ -517,7 +513,7 @@ FusedArray::Step make_adapter_step(
   s.out = Layout::kChannelFused;
   s.path = path;
   // No StateMap: adapter replicas are whole per-model modules, transferred
-  // by nn::copy_state in FusedArray::{load,save}_model.
+  // by nn::copy_state in FusedArray::{load,store}_model.
   s.fused = false;
   s.unit = unit;
   return s;
@@ -632,59 +628,7 @@ std::shared_ptr<FusedArray> FusionPlan::compile(
   for (const auto& m : models) raw.push_back(m.get());
   std::vector<FusionDiagnostic> diags = analyze(raw);
   if (!diags.empty()) throw FusionError(diags.front());
-  return compile_impl(models, rng, /*load_weights=*/true);
-}
 
-std::shared_ptr<FusedArray> FusionPlan::compile_structure_only(
-    const std::shared_ptr<nn::Module>& template_model, Rng& rng) const {
-  HFTA_CHECK(template_model != nullptr,
-             "compile_structure_only: null template");
-  // B references to the one template: trivially congruent, so no analyze()
-  // pass; unfused units clone the template into owned replicas.
-  std::vector<std::shared_ptr<nn::Module>> models(
-      static_cast<size_t>(array_size_), template_model);
-  return compile_impl(models, rng, /*load_weights=*/false);
-}
-
-std::shared_ptr<FusedArray> FusionPlan::repack_multi(
-    const std::vector<const FusedArray*>& sources,
-    const std::vector<RepackPick>& picks, const nn::Module& template_model,
-    Rng& rng) const {
-  HFTA_CHECK(!sources.empty(), "FusionPlan::repack_multi: no sources");
-  HFTA_CHECK(static_cast<int64_t>(picks.size()) == array_size_,
-             "FusionPlan::repack_multi: plan is sized for ", array_size_,
-             " models but picks has ", picks.size());
-  // Extract each survivor from its source array into its own per-model
-  // tree, then compile the smaller array from those trees — compile copies
-  // their exact weights and buffers, so every survivor's state carries over
-  // bit-for-bit no matter which chunked array it trained in.
-  std::vector<std::shared_ptr<nn::Module>> survivors;
-  survivors.reserve(picks.size());
-  for (const RepackPick& p : picks) {
-    HFTA_CHECK(p.source < sources.size() && sources[p.source] != nullptr,
-               "FusionPlan::repack_multi: pick references source ", p.source,
-               " of ", sources.size());
-    std::shared_ptr<nn::Module> tree = template_model.clone();
-    HFTA_CHECK(tree != nullptr, "FusionPlan::repack_multi: template kind '",
-               template_model.kind_name(), "' has no clone support");
-    sources[p.source]->save_model(p.model, *tree);
-    survivors.push_back(std::move(tree));
-  }
-  return compile(survivors, rng);
-}
-
-std::shared_ptr<FusedArray> FusionPlan::repack(
-    const FusedArray& src, const std::vector<int64_t>& keep,
-    const nn::Module& template_model, Rng& rng) const {
-  std::vector<RepackPick> picks;
-  picks.reserve(keep.size());
-  for (int64_t b : keep) picks.push_back(RepackPick{0, b});
-  return repack_multi({&src}, picks, template_model, rng);
-}
-
-std::shared_ptr<FusedArray> FusionPlan::compile_impl(
-    const std::vector<std::shared_ptr<nn::Module>>& models, Rng& rng,
-    bool load_weights) const {
   // Top-level fusion units: the children of a root Sequential, or the root
   // itself. This is the granularity of fuse_mask (paper Fig. 17).
   std::vector<std::pair<std::string, std::vector<std::shared_ptr<nn::Module>>>>
@@ -723,19 +667,48 @@ std::shared_ptr<FusedArray> FusionPlan::compile_impl(
     }
   }
 
-  for (size_t i = 0; i < array->steps_.size(); ++i) {
-    FusedArray::Step& s = array->steps_[i];
-    array->register_module("step" + std::to_string(i), s.module);
-    // Adapter steps cloned the donors' state when they were built — only
-    // fused steps still need the donors' weights copied in.
-    if (!load_weights || !s.fused || s.state.empty()) continue;
-    for (int64_t b = 0; b < array_size_; ++b) {
-      const nn::Module* src = models[static_cast<size_t>(b)]->find(s.path);
-      HFTA_CHECK(src != nullptr, "compile: path '", s.path, "' not found");
-      load_state(s.state, array_size_, b, *src);
-    }
-  }
+  for (size_t i = 0; i < array->steps_.size(); ++i)
+    array->register_module("step" + std::to_string(i),
+                           array->steps_[i].module);
+  for (int64_t b = 0; b < array_size_; ++b)
+    array->load_model(b, *models[static_cast<size_t>(b)]);
   return array;
+}
+
+std::shared_ptr<FusedArray> FusionPlan::repack_multi(
+    const std::vector<const FusedArray*>& sources,
+    const std::vector<RepackPick>& picks, const nn::Module& template_model,
+    Rng& rng) const {
+  HFTA_CHECK(!sources.empty(), "FusionPlan::repack_multi: no sources");
+  HFTA_CHECK(static_cast<int64_t>(picks.size()) == array_size_,
+             "FusionPlan::repack_multi: plan is sized for ", array_size_,
+             " models but picks has ", picks.size());
+  // Extract each survivor from its source array into its own per-model
+  // tree, then compile the smaller array from those trees — compile copies
+  // their exact weights and buffers, so every survivor's state carries over
+  // bit-for-bit no matter which chunked array it trained in.
+  std::vector<std::shared_ptr<nn::Module>> survivors;
+  survivors.reserve(picks.size());
+  for (const RepackPick& p : picks) {
+    HFTA_CHECK(p.source < sources.size() && sources[p.source] != nullptr,
+               "FusionPlan::repack_multi: pick references source ", p.source,
+               " of ", sources.size());
+    std::shared_ptr<nn::Module> tree = template_model.clone();
+    HFTA_CHECK(tree != nullptr, "FusionPlan::repack_multi: template kind '",
+               template_model.kind_name(), "' has no clone support");
+    sources[p.source]->store_model(p.model, *tree);
+    survivors.push_back(std::move(tree));
+  }
+  return compile(survivors, rng);
+}
+
+std::shared_ptr<FusedArray> FusionPlan::repack(
+    const FusedArray& src, const std::vector<int64_t>& keep,
+    const nn::Module& template_model, Rng& rng) const {
+  std::vector<RepackPick> picks;
+  picks.reserve(keep.size());
+  for (int64_t b : keep) picks.push_back(RepackPick{0, b});
+  return repack_multi({&src}, picks, template_model, rng);
 }
 
 // ---- planner-support modules ------------------------------------------------

@@ -54,11 +54,6 @@ Tensor fuse_blocks(const std::vector<Tensor>& per_model);
 /// Splits a dim-0-block fused tensor into B per-model tensors of `shape`.
 std::vector<Tensor> unfuse_blocks(const Tensor& fused, int64_t B, Shape shape);
 
-/// Copies every parameter and buffer of `src` into the structurally
-/// identical module `dst` (used to (re)load unfused replicas). Alias of
-/// nn::copy_state, kept under its historical fused:: name.
-void copy_module_state(const nn::Module& src, nn::Module& dst);
-
 // ---- planner ---------------------------------------------------------------
 
 /// The two fused data layouts of DESIGN.md §2. kAny marks layout-agnostic
@@ -182,7 +177,7 @@ class FusedArray : public FusedModule {
     std::string kind;  // the per-model layer kind this step lowers
     /// Schema of the step's per-model state, derived once at lowering time
     /// and validated against the per-model reference layer; load_model and
-    /// save_model both walk it (empty = stateless step). Unfused adapter
+    /// store_model both walk it (empty = stateless step). Unfused adapter
     /// steps transfer via nn::copy_state on their owned replicas instead.
     StateMap state;
     bool fused = true;
@@ -195,7 +190,7 @@ class FusedArray : public FusedModule {
   /// compiled one (the planner walks the same paths it lowered). Always
   /// copies INTO the array — unfused units own cloned replicas, so neither
   /// this nor training ever mutates the compile-time donors.
-  void load_model(int64_t b, const nn::Module& per_model_root);
+  void load_model(int64_t b, const nn::Module& per_model_root) override;
 
   /// The inverse of load_model: extracts model b's parameters and buffers
   /// out of the array into a congruent per-model tree, walking the same
@@ -207,7 +202,7 @@ class FusedArray : public FusedModule {
   /// tensor, not the B per-model streams) are neither extracted nor part of
   /// the fused/serial equivalence contract to begin with; a repacked array
   /// restarts those streams.
-  void save_model(int64_t b, nn::Module& per_model_root) const;
+  void store_model(int64_t b, nn::Module& per_model_root) const override;
 
   const std::vector<Step>& steps() const { return steps_; }
   /// Number of top-level fusion units (granularity of fuse_mask).
@@ -245,20 +240,9 @@ class FusionPlan {
   std::shared_ptr<FusedArray> compile(
       const std::vector<std::shared_ptr<nn::Module>>& models, Rng& rng) const;
 
-  /// Structure-only compile: lowers ONE per-model graph as the structural
-  /// template of all B replicas and skips weight loading entirely — fused
-  /// units keep the lowering's own (rng) initialization, unfused units get
-  /// B clones of the template. Use when the caller loads real weights via
-  /// load_model afterwards anyway (as the Fused* model wrappers do): it
-  /// avoids constructing B donor models just to immediately overwrite the
-  /// array with their weights, roughly halving construction cost at paper
-  /// scale (B=30).
-  std::shared_ptr<FusedArray> compile_structure_only(
-      const std::shared_ptr<nn::Module>& template_model, Rng& rng) const;
-
   /// Repacks survivors drawn from SEVERAL live arrays into one fresh array
   /// of this plan's size: model j of the result is model picks[j].model of
-  /// sources[picks[j].source], extracted via save_model into clones of
+  /// sources[picks[j].source], extracted via store_model into clones of
   /// `template_model` and recompiled. Weights and buffers (BN running stats
   /// included) carry over exactly, so the survivors continue training
   /// bit-exactly as if they had always shared one array (optimizer state
@@ -282,10 +266,6 @@ class FusionPlan {
   const FusionOptions& options() const { return opts_; }
 
  private:
-  std::shared_ptr<FusedArray> compile_impl(
-      const std::vector<std::shared_ptr<nn::Module>>& models, Rng& rng,
-      bool load_weights) const;
-
   int64_t array_size_;
   FusionOptions opts_;
 };

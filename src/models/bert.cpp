@@ -71,9 +71,7 @@ static const fused::LoweringRegistrar kBertModelLowering(
       return fused::Lowered{m, fused::Layout::kAny, fused::Layout::kAny};
     });
 
-// Hand-fused wrapper (driven through forward_tokens): initializes its fused
-// parameters exactly once — the structure-only analogue of the
-// planner-compiled wrappers; load_model supplies real weights.
+// Hand-fused BERT, driven through forward_tokens like FusedTransformerLM.
 FusedBertModel::FusedBertModel(int64_t B, const BertConfig& cfg, Rng& rng)
     : fused::FusedModule(B), cfg(cfg) {
   tok_embed = register_module(
@@ -115,14 +113,6 @@ ag::Variable FusedBertModel::forward_tokens(const Tensor& tokens) {
   for (auto& l : layers) h = l->forward(h);
   ag::Variable flat = ag::reshape(h, {B, N * S, cfg.hidden});
   return ag::reshape(mlm_head->forward(flat), {B, N, S, cfg.vocab});
-}
-
-void FusedBertModel::load_model(int64_t b, const BertModel& m) {
-  fused::load_state(state_map(), array_size_, b, m);
-}
-
-void FusedBertModel::store_model(int64_t b, BertModel& m) const {
-  fused::store_state(state_map(), array_size_, b, m);
 }
 
 }  // namespace hfta::models

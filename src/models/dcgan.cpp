@@ -72,49 +72,4 @@ std::shared_ptr<nn::Module> DCGANDiscriminator::clone() const {
   return cloned(*this, std::make_shared<DCGANDiscriminator>(cfg, rng));
 }
 
-// ---- fused (planner-compiled) ------------------------------------------------
-//
-// Structure-only compiles from ONE per-model template: the fused units
-// random-init through the lowering registry, and callers provide the actual
-// weights via load_model (no B donor constructions, no donor copy pass).
-
-FusedDCGANGenerator::FusedDCGANGenerator(int64_t B, const DCGANConfig& cfg,
-                                         Rng& rng)
-    : fused::FusedModule(B), cfg(cfg) {
-  const DCGANGenerator template_model(cfg, rng);
-  array = register_module(
-      "array",
-      fused::FusionPlan(B).compile_structure_only(template_model.net, rng));
-}
-
-ag::Variable FusedDCGANGenerator::forward(const ag::Variable& z) {
-  return array->forward(z);
-}
-
-void FusedDCGANGenerator::load_model(int64_t b, const DCGANGenerator& m) {
-  array->load_model(b, *m.net);
-}
-
-FusedDCGANDiscriminator::FusedDCGANDiscriminator(int64_t B,
-                                                 const DCGANConfig& cfg,
-                                                 Rng& rng)
-    : fused::FusedModule(B), cfg(cfg) {
-  const DCGANDiscriminator template_model(cfg, rng);
-  fused::FusionOptions opts;
-  opts.output_layout = fused::Layout::kModelMajor;
-  array = register_module(
-      "array", fused::FusionPlan(B, opts).compile_structure_only(
-                   template_model.net, rng));
-}
-
-ag::Variable FusedDCGANDiscriminator::forward(const ag::Variable& x) {
-  ag::Variable logit = array->forward(x);  // [B, N, 1]
-  return ag::reshape(logit, {logit.size(0), logit.size(1)});
-}
-
-void FusedDCGANDiscriminator::load_model(int64_t b,
-                                         const DCGANDiscriminator& m) {
-  array->load_model(b, *m.net);
-}
-
 }  // namespace hfta::models

@@ -57,32 +57,4 @@ class DCGANDiscriminator : public nn::Module {
   DCGANConfig cfg;
 };
 
-// ---- fused variants --------------------------------------------------------------
-//
-// Thin wrappers over FusionPlan::compile_structure_only: lower ONE
-// per-model template graph into a fused array, keep the (B, cfg, rng) +
-// load_model interface (load_model supplies the actual weights).
-
-class FusedDCGANGenerator : public fused::FusedModule {
- public:
-  FusedDCGANGenerator(int64_t B, const DCGANConfig& cfg, Rng& rng);
-  /// z: [N, B*nz, 1, 1] -> [N, B*nc, S, S].
-  ag::Variable forward(const ag::Variable& z) override;
-  void load_model(int64_t b, const DCGANGenerator& m);
-
-  std::shared_ptr<fused::FusedArray> array;
-  DCGANConfig cfg;
-};
-
-class FusedDCGANDiscriminator : public fused::FusedModule {
- public:
-  FusedDCGANDiscriminator(int64_t B, const DCGANConfig& cfg, Rng& rng);
-  /// x: [N, B*nc, S, S] -> model-major logits [B, N].
-  ag::Variable forward(const ag::Variable& x) override;
-  void load_model(int64_t b, const DCGANDiscriminator& m);
-
-  std::shared_ptr<fused::FusedArray> array;
-  DCGANConfig cfg;
-};
-
 }  // namespace hfta::models

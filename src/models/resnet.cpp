@@ -127,14 +127,6 @@ ag::Variable FusedBasicBlock::forward(const ag::Variable& x) {
   return ag::relu(ag::add(h, skip));
 }
 
-void FusedBasicBlock::load_model(int64_t b, const BasicBlock& m) {
-  fused::load_state(state_map(), array_size_, b, m);
-}
-
-void FusedBasicBlock::store_model(int64_t b, BasicBlock& m) const {
-  fused::store_state(state_map(), array_size_, b, m);
-}
-
 ResNetFusionMask ResNetFusionMask::partially_unfused(int64_t n) {
   ResNetFusionMask m;
   int64_t left = n;
@@ -159,30 +151,6 @@ std::vector<bool> ResNetFusionMask::to_fuse_mask() const {
   mask.push_back(true);  // flatten
   mask.push_back(head);
   return mask;
-}
-
-FusedResNet18::FusedResNet18(int64_t B, const ResNetConfig& cfg, Rng& rng,
-                             ResNetFusionMask mask)
-    : fused::FusedModule(B), cfg(cfg), mask(mask) {
-  // ONE structural template instead of B donor models: the fused units
-  // random-init once through the lowering registry, and callers load real
-  // weights via load_model — so construction no longer pays B donor inits
-  // plus a full copy of every donor into the array.
-  const ResNet18 template_model(cfg, rng);
-  fused::FusionOptions opts;
-  opts.fuse_mask = mask.to_fuse_mask();
-  opts.output_layout = fused::Layout::kModelMajor;
-  array = register_module("array", fused::FusionPlan(B, opts)
-                                       .compile_structure_only(
-                                           template_model.net, rng));
-}
-
-ag::Variable FusedResNet18::forward(const ag::Variable& x) {
-  return array->forward(x);  // [B, N, classes]
-}
-
-void FusedResNet18::load_model(int64_t b, const ResNet18& m) {
-  array->load_model(b, *m.net);
 }
 
 }  // namespace hfta::models

@@ -63,8 +63,6 @@ class FusedBasicBlock : public fused::FusedModule {
  public:
   FusedBasicBlock(int64_t B, int64_t in, int64_t out, int64_t stride, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
-  void load_model(int64_t b, const BasicBlock& m);
-  void store_model(int64_t b, BasicBlock& m) const;
 
   std::shared_ptr<fused::FusedConv2d> conv1, conv2, down_conv;
   std::shared_ptr<fused::FusedBatchNorm2d> bn1, bn2, down_bn;
@@ -87,21 +85,6 @@ struct ResNetFusionMask {
   /// (stem, 8 blocks, pool, flatten, fc); pool/flatten are parameterless
   /// and always fused.
   std::vector<bool> to_fuse_mask() const;
-};
-
-/// Thin wrapper over FusionPlan::compile_structure_only with the mask as
-/// plan option; load_model supplies the actual weights.
-class FusedResNet18 : public fused::FusedModule {
- public:
-  FusedResNet18(int64_t B, const ResNetConfig& cfg, Rng& rng,
-                ResNetFusionMask mask = ResNetFusionMask::all_fused());
-  /// x: [N, B*3, S, S] -> model-major logits [B, N, classes].
-  ag::Variable forward(const ag::Variable& x) override;
-  void load_model(int64_t b, const ResNet18& m);
-
-  std::shared_ptr<fused::FusedArray> array;
-  ResNetConfig cfg;
-  ResNetFusionMask mask;
 };
 
 }  // namespace hfta::models

@@ -171,10 +171,9 @@ ag::Variable TransformerLM::forward_tokens(const Tensor& tokens) {
   return decoder->forward(h);  // [N, S, V]
 }
 
-// Hand-fused wrapper (driven through forward_tokens, so not a planner
-// chain): initializes its fused parameters exactly once — the
-// structure-only analogue of the planner-compiled wrappers; load_model
-// supplies real weights.
+// Hand-fused LM, driven through forward_tokens rather than as a planner
+// chain. Its child names mirror TransformerLM's, so the derived StateMap
+// moves model b's weights (FusedModule::load_model/store_model).
 FusedTransformerLM::FusedTransformerLM(int64_t B, const TransformerConfig& cfg,
                                        Rng& rng)
     : fused::FusedModule(B), cfg(cfg) {
@@ -208,14 +207,6 @@ ag::Variable FusedTransformerLM::forward_tokens(const Tensor& tokens) {
   for (auto& l : layers) h = l->forward_masked(h, mask);
   ag::Variable flat = ag::reshape(h, {B, N * S, cfg.embed_dim});
   return ag::reshape(decoder->forward(flat), {B, N, S, cfg.vocab});
-}
-
-void FusedTransformerLM::load_model(int64_t b, const TransformerLM& m) {
-  fused::load_state(state_map(), array_size_, b, m);
-}
-
-void FusedTransformerLM::store_model(int64_t b, TransformerLM& m) const {
-  fused::store_state(state_map(), array_size_, b, m);
 }
 
 

@@ -287,6 +287,8 @@ TEST(FusionPlan, FuseMaskSizeMismatchIsDiagnosed) {
 }
 
 TEST(FusionPlan, LoadModelReloadsFromNewDonors) {
+  // Every fuse mask, so fused steps and unfused (cloned-replica) units are
+  // reloaded in every combination.
   Rng rng(12);
   std::vector<std::shared_ptr<nn::Module>> nets, fresh;
   std::vector<Tensor> xs;
@@ -295,13 +297,16 @@ TEST(FusionPlan, LoadModelReloadsFromNewDonors) {
     fresh.push_back(mlp(6, 10, 4, rng));  // different weights
     xs.push_back(Tensor::randn({5, 6}, rng));
   }
-  FusionOptions opts;
-  opts.output_layout = Layout::kModelMajor;
-  opts.fuse_mask = {true, true, false};  // exercise the adapter loader too
-  auto array = FusionPlan(kB, opts).compile(nets, rng);
-  for (int64_t b = 0; b < kB; ++b)
-    array->load_model(b, *fresh[static_cast<size_t>(b)]);
-  expect_equivalent(*array, fresh, xs);
+  for (int m = 0; m < 8; ++m) {
+    FusionOptions opts;
+    opts.output_layout = Layout::kModelMajor;
+    opts.fuse_mask = {(m & 1) != 0, (m & 2) != 0, (m & 4) != 0};
+    auto array = FusionPlan(kB, opts).compile(nets, rng);
+    for (int64_t b = 0; b < kB; ++b)
+      array->load_model(b, *fresh[static_cast<size_t>(b)]);
+    SCOPED_TRACE("mask " + std::to_string(m));
+    expect_equivalent(*array, fresh, xs);
+  }
 }
 
 TEST(FusionPlan, UnfusedUnitsOwnClonedReplicas) {
@@ -375,54 +380,6 @@ TEST(FusionPlan, UnfusedUnitsOwnClonedReplicas) {
   expect_equivalent(*array, fresh, xs);
 }
 
-TEST(FusionPlan, StructureOnlyCompileMatchesAfterLoad) {
-  // compile_structure_only lowers ONE template graph and skips weight
-  // loading; after load_model the array must be exactly equivalent to the
-  // per-model nets — including across masked-off (cloned-replica) units.
-  Rng rng(21);
-  auto tmpl = mlp(6, 10, 4, rng);
-  std::vector<std::shared_ptr<nn::Module>> nets;
-  std::vector<Tensor> xs;
-  for (int64_t b = 0; b < kB; ++b) {
-    nets.push_back(mlp(6, 10, 4, rng));
-    xs.push_back(Tensor::randn({5, 6}, rng));
-  }
-  for (int m = 0; m < 8; ++m) {
-    FusionOptions opts;
-    opts.output_layout = Layout::kModelMajor;
-    opts.fuse_mask = {(m & 1) != 0, (m & 2) != 0, (m & 4) != 0};
-    auto array = FusionPlan(kB, opts).compile_structure_only(tmpl, rng);
-    for (int64_t b = 0; b < kB; ++b)
-      array->load_model(b, *nets[static_cast<size_t>(b)]);
-    expect_equivalent(*array, nets, xs);
-  }
-}
-
-TEST(FusionPlan, StructureOnlyCompileLeavesTemplateUntouched) {
-  Rng rng(22);
-  auto tmpl = mlp(6, 10, 4, rng);
-  std::vector<Tensor> before;
-  for (const auto& p : tmpl->parameters()) before.push_back(p.value().clone());
-
-  FusionOptions opts;
-  opts.output_layout = Layout::kModelMajor;
-  opts.fuse_mask = {true, false, false};
-  auto array = FusionPlan(kB, opts).compile_structure_only(tmpl, rng);
-  std::vector<std::shared_ptr<nn::Module>> fresh;
-  for (int64_t b = 0; b < kB; ++b) {
-    fresh.push_back(mlp(6, 10, 4, rng));
-    array->load_model(b, *fresh.back());
-  }
-  for (auto& p : array->parameters()) {
-    Tensor v = p.mutable_value();
-    v.add_(Tensor::ones(v.shape()), 1.f);
-  }
-  const auto after = tmpl->parameters();
-  for (size_t i = 0; i < before.size(); ++i)
-    EXPECT_EQ(ops::max_abs_diff(before[i], after[i].value()), 0.f)
-        << "structure-only compile mutated the template";
-}
-
 // A stateful composite without lowering OR clone support.
 class StatefulOpaque : public nn::Module {
  public:
@@ -458,21 +415,11 @@ TEST(FusionPlan, StatefulUncloneableUnfusedUnitIsDiagnosed) {
   }
 }
 
-TEST(FusionPlan, StructureOnlyFallbackSharesStatelessKinds) {
+TEST(FusionPlan, FallbackSharesStatelessKinds) {
   // An unregistered stateless kind behind allow_unfused_fallback may be
   // shared rather than cloned — nothing to write through — and the compile
   // still round-trips.
   Rng rng(23);
-  auto tmpl = std::make_shared<nn::Sequential>();
-  tmpl->push_back("fc1", std::make_shared<nn::Linear>(6, 8, true, rng));
-  tmpl->push_back("dbl", std::make_shared<Doubler>());
-  tmpl->push_back("fc2", std::make_shared<nn::Linear>(8, 3, true, rng));
-  FusionOptions opts;
-  opts.allow_unfused_fallback = true;
-  opts.output_layout = Layout::kModelMajor;
-  auto array = FusionPlan(kB, opts).compile_structure_only(tmpl, rng);
-  EXPECT_FALSE(array->unit_fused(1));
-
   std::vector<std::shared_ptr<nn::Module>> nets;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < kB; ++b) {
@@ -482,7 +429,20 @@ TEST(FusionPlan, StructureOnlyFallbackSharesStatelessKinds) {
     net->push_back("fc2", std::make_shared<nn::Linear>(8, 3, true, rng));
     nets.push_back(net);
     xs.push_back(Tensor::randn({4, 6}, rng));
-    array->load_model(b, *net);
+  }
+  FusionOptions opts;
+  opts.allow_unfused_fallback = true;
+  opts.output_layout = Layout::kModelMajor;
+  auto array = FusionPlan(kB, opts).compile(nets, rng);
+  EXPECT_FALSE(array->unit_fused(1));
+  auto adapter =
+      std::dynamic_pointer_cast<UnfusedBlockAdapter>(array->steps()[1].module);
+  ASSERT_NE(adapter, nullptr);
+  for (int64_t b = 0; b < kB; ++b) {
+    const size_t ub = static_cast<size_t>(b);
+    EXPECT_EQ(adapter->replicas()[ub].get(),
+              static_cast<const nn::Sequential&>(*nets[ub]).at(1).get())
+        << "replica " << b;
   }
   expect_equivalent(*array, nets, xs);
 }
@@ -535,7 +495,7 @@ TEST(FusionPlan, EncoderLayerStackLowersThroughRegistry) {
   expect_equivalent(*array, nets, xs, 1e-3);
 }
 
-// ---- save_model / repack ---------------------------------------------------
+// ---- store_model / repack ---------------------------------------------------
 
 // conv/BN/linear stack with one masked-off (unfused-adapter) unit: exercises
 // fused block storers, the adapter's copy_state storer, and BN buffers.
@@ -581,7 +541,7 @@ TEST(SaveModel, TrainSaveReloadRoundTripIsBitExact) {
   std::vector<std::shared_ptr<nn::Module>> saved;
   for (int64_t b = 0; b < kB; ++b) {
     saved.push_back(nets[static_cast<size_t>(b)]->clone());
-    array->save_model(b, *saved.back());
+    array->store_model(b, *saved.back());
   }
   auto reloaded = FusionPlan(kB, opts).compile(saved, rng);
   array->eval();
@@ -594,7 +554,7 @@ TEST(SaveModel, TrainSaveReloadRoundTripIsBitExact) {
 TEST(SaveModel, CompositeEncoderLayerStoreIsDerivedFromStateMap) {
   // Store support used to be a per-kind hand-written lambda, and the
   // encoder layer shipped without one ("no store support"). Under the
-  // schema-derived transfer it works like every other kind: save_model
+  // schema-derived transfer it works like every other kind: store_model
   // round-trips every parameter bit-exactly.
   Rng rng(22);
   const int64_t E = 8, H = 2, FF = 16;
@@ -608,11 +568,11 @@ TEST(SaveModel, CompositeEncoderLayerStoreIsDerivedFromStateMap) {
   auto array = FusionPlan(kB).compile(nets, rng);
   for (int64_t b = 0; b < kB; ++b) {
     const std::shared_ptr<nn::Module> out = nets[b]->clone();
-    // Scramble the clone so the comparison can only pass if save_model
+    // Scramble the clone so the comparison can only pass if store_model
     // actually wrote every tensor.
     for (auto& [name, p] : out->named_parameters())
       p.mutable_value().fill_(-7.5f);
-    array->save_model(b, *out);
+    array->store_model(b, *out);
     const auto want = nets[b]->named_parameters();
     const auto got = out->named_parameters();
     ASSERT_EQ(want.size(), got.size());
@@ -703,7 +663,7 @@ TEST(Repack, SurvivorsContinueBitExactlyAfterHalving) {
         0.0)
         << "survivor " << j;
     auto tree = nets[0]->clone();
-    array2->save_model(static_cast<int64_t>(j), *tree);
+    array2->store_model(static_cast<int64_t>(j), *tree);
     const auto got = tree->named_parameters();
     const auto want = serial[b]->named_parameters();
     ASSERT_EQ(got.size(), want.size());
@@ -763,7 +723,7 @@ TEST(StateSchema, EveryRegisteredKindRoundTripsSaveLoadBitExactly) {
         Tensor handle = t;
         handle.fill_(-7.5f);
       }
-      array->save_model(b, *out);
+      array->store_model(b, *out);
       const auto wp = donors[ub]->named_parameters();
       const auto gp = out->named_parameters();
       ASSERT_EQ(wp.size(), gp.size()) << kind;
@@ -909,7 +869,7 @@ TEST(RepackMulti, SurvivorsFromTwoArraysMergeAndContinueBitExactly) {
         0.0)
         << "survivor " << j;
     auto tree = nets[0]->clone();
-    merged->save_model(static_cast<int64_t>(j), *tree);
+    merged->store_model(static_cast<int64_t>(j), *tree);
     const auto got = tree->named_parameters();
     const auto want = serial[b]->named_parameters();
     ASSERT_EQ(got.size(), want.size());

@@ -13,6 +13,7 @@
 #include "hfta/fused_norm.h"
 #include "hfta/fused_ops.h"
 #include "hfta/fusion.h"
+#include "models/resnet.h"
 #include "tensor/ops.h"
 
 namespace hfta::fused {
@@ -202,6 +203,23 @@ TEST_P(FusionB, LinearWeightRoundTrip) {
   fused.store_model(B - 1, dst);
   EXPECT_EQ(ops::max_abs_diff(src.weight.value(), dst.weight.value()), 0.f);
   EXPECT_EQ(ops::max_abs_diff(src.bias.value(), dst.bias.value()), 0.f);
+}
+
+TEST_P(FusionB, StateTransferRejectsModelIndexOutsideArray) {
+  // Model indices outside [0, B) must throw, not read or write past the
+  // fused blocks — on a leaf and on a composite alike.
+  const int64_t B = GetParam();
+  Rng rng(660 + B);
+  FusedConv2d conv(B, 3, 4, 3, 1, 1, 1, true, rng);
+  nn::Conv2d plain_conv(3, 4, 3, 1, 1, 1, true, rng);
+  models::FusedBasicBlock block(B, 4, 8, 2, rng);
+  models::BasicBlock plain_block(4, 8, 2, rng);
+  for (const int64_t b : {int64_t{-1}, B}) {
+    EXPECT_THROW(conv.load_model(b, plain_conv), Error) << "b = " << b;
+    EXPECT_THROW(conv.store_model(b, plain_conv), Error) << "b = " << b;
+    EXPECT_THROW(block.load_model(b, plain_block), Error) << "b = " << b;
+    EXPECT_THROW(block.store_model(b, plain_block), Error) << "b = " << b;
+  }
 }
 
 TEST_P(FusionB, BatchNorm2dTrainingAndEval) {

@@ -24,6 +24,14 @@ using fused::FusedParam;
 
 constexpr int64_t kB = 3;
 
+// The planner-compiled array of the B per-model graphs, model-major output.
+std::shared_ptr<fused::FusedArray> compile_model_major(
+    const std::vector<std::shared_ptr<nn::Module>>& nets, Rng& rng) {
+  fused::FusionOptions opts;
+  opts.output_layout = fused::Layout::kModelMajor;
+  return fused::FusionPlan(kB, opts).compile(nets, rng);
+}
+
 // Max |fused param block b - plain param| across all parameters.
 template <typename FusedModel, typename PlainModel>
 float param_divergence(FusedModel& fused_model,
@@ -63,20 +71,21 @@ TEST(TrainingEquivalence, PointNetClsAdamWithHeterogeneousLRs) {
                              cfg.num_parts, /*seed=*/7);
 
   // B plain models + their Adam optimizers (distinct lrs).
-  models::FusedPointNetCls fused_model(kB, cfg, rng);
   std::vector<std::shared_ptr<models::PointNetCls>> plain;
+  std::vector<std::shared_ptr<nn::Module>> nets;
   std::vector<std::unique_ptr<nn::Adam>> plain_opts;
   fused::HyperVec lrs;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<models::PointNetCls>(cfg, rng));
-    fused_model.load_model(b, *plain.back());
+    nets.push_back(plain.back()->net);
     const double lr = 1e-3 * (b + 1);
     lrs.push_back(lr);
     plain_opts.push_back(std::make_unique<nn::Adam>(
         plain.back()->parameters(), nn::Adam::Options{.lr = lr}));
   }
+  auto fused_model = compile_model_major(nets, rng);
   fused::FusedAdam fused_opt(
-      fused::collect_fused_parameters(fused_model, kB), kB, {.lr = lrs});
+      fused::collect_fused_parameters(*fused_model, kB), kB, {.lr = lrs});
 
   data::BatchSampler sampler(ds.size(), 8, /*shuffle=*/true, 3);
   int steps = 0;
@@ -92,7 +101,7 @@ TEST(TrainingEquivalence, PointNetClsAdamWithHeterogeneousLRs) {
     // fused step
     fused_opt.zero_grad();
     ag::Variable logits =
-        fused_model.forward(ag::Variable(fused::pack_channel_fused(xs)));
+        fused_model->forward(ag::Variable(fused::pack_channel_fused(xs)));
     fused::fused_cross_entropy(logits, labels, ag::Reduction::kMean)
         .backward();
     fused_opt.step();
@@ -107,7 +116,7 @@ TEST(TrainingEquivalence, PointNetClsAdamWithHeterogeneousLRs) {
     }
     if (++steps >= 3) break;
   }
-  EXPECT_LT(param_divergence(fused_model, plain, kB), 5e-3f);
+  EXPECT_LT(param_divergence(*fused_model, plain, kB), 5e-3f);
 }
 
 TEST(TrainingEquivalence, ResNetSGDMomentumAndStepLR) {
@@ -116,14 +125,14 @@ TEST(TrainingEquivalence, ResNetSGDMomentumAndStepLR) {
   cfg.image_size = 8;
   data::ImageDataset ds(16, cfg.image_size, 3, cfg.num_classes, 11);
 
-  models::FusedResNet18 fused_model(kB, cfg, rng);
   std::vector<std::shared_ptr<models::ResNet18>> plain;
+  std::vector<std::shared_ptr<nn::Module>> nets;
   std::vector<std::unique_ptr<nn::SGD>> plain_opts;
   std::vector<std::unique_ptr<fused::FusedStepLR>> plain_scheds;
   fused::HyperVec lrs;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<models::ResNet18>(cfg, rng));
-    fused_model.load_model(b, *plain.back());
+    nets.push_back(plain.back()->net);
     const double lr = 0.01 * (b + 1);
     lrs.push_back(lr);
     plain_opts.push_back(std::make_unique<nn::SGD>(
@@ -132,7 +141,8 @@ TEST(TrainingEquivalence, ResNetSGDMomentumAndStepLR) {
     plain_scheds.push_back(std::make_unique<fused::FusedStepLR>(
         *plain_opts.back(), std::vector<int64_t>{1}, fused::HyperVec{0.5}));
   }
-  fused::FusedSGD fused_opt(fused::collect_fused_parameters(fused_model, kB),
+  auto fused_model = compile_model_major(nets, rng);
+  fused::FusedSGD fused_opt(fused::collect_fused_parameters(*fused_model, kB),
                             kB, {.lr = lrs, .momentum = {0.9}});
   fused::FusedStepLR fused_sched(fused_opt, {1}, {0.5});
 
@@ -147,7 +157,7 @@ TEST(TrainingEquivalence, ResNetSGDMomentumAndStepLR) {
 
       fused_opt.zero_grad();
       ag::Variable logits =
-          fused_model.forward(ag::Variable(fused::pack_channel_fused(xs)));
+          fused_model->forward(ag::Variable(fused::pack_channel_fused(xs)));
       fused::fused_cross_entropy(logits, labels, ag::Reduction::kMean)
           .backward();
       fused_opt.step();
@@ -164,7 +174,7 @@ TEST(TrainingEquivalence, ResNetSGDMomentumAndStepLR) {
     fused_sched.step();
     for (auto& s : plain_scheds) s->step();
   }
-  EXPECT_LT(param_divergence(fused_model, plain, kB), 5e-3f);
+  EXPECT_LT(param_divergence(*fused_model, plain, kB), 5e-3f);
 }
 
 TEST(TrainingEquivalence, DCGANAdversarialStep) {
@@ -173,25 +183,30 @@ TEST(TrainingEquivalence, DCGANAdversarialStep) {
   models::DCGANConfig cfg = models::DCGANConfig::tiny();
   const int64_t N = 4;
 
-  models::FusedDCGANGenerator fgen(kB, cfg, rng);
-  models::FusedDCGANDiscriminator fdisc(kB, cfg, rng);
   std::vector<std::shared_ptr<models::DCGANGenerator>> gens;
   std::vector<std::shared_ptr<models::DCGANDiscriminator>> discs;
+  std::vector<std::shared_ptr<nn::Module>> gnets, dnets;
   std::vector<std::unique_ptr<nn::Adam>> g_opts, d_opts;
   for (int64_t b = 0; b < kB; ++b) {
     gens.push_back(std::make_shared<models::DCGANGenerator>(cfg, rng));
     discs.push_back(std::make_shared<models::DCGANDiscriminator>(cfg, rng));
-    fgen.load_model(b, *gens.back());
-    fdisc.load_model(b, *discs.back());
+    gnets.push_back(gens.back()->net);
+    dnets.push_back(discs.back()->net);
     g_opts.push_back(std::make_unique<nn::Adam>(
         gens.back()->parameters(), nn::Adam::Options{.lr = 2e-4, .beta1 = 0.5}));
     d_opts.push_back(std::make_unique<nn::Adam>(
         discs.back()->parameters(),
         nn::Adam::Options{.lr = 2e-4, .beta1 = 0.5}));
   }
-  fused::FusedAdam fg_opt(fused::collect_fused_parameters(fgen, kB), kB,
+  auto fgen = fused::FusionPlan(kB).compile(gnets, rng);
+  auto fdisc = compile_model_major(dnets, rng);
+  // The array's discriminator logits are [B, N, 1]; the losses take [B, N].
+  auto disc_logits = [&](const ag::Variable& x) {
+    return ag::reshape(fdisc->forward(x), {kB, N});
+  };
+  fused::FusedAdam fg_opt(fused::collect_fused_parameters(*fgen, kB), kB,
                           {.lr = {2e-4}, .beta1 = {0.5}});
-  fused::FusedAdam fd_opt(fused::collect_fused_parameters(fdisc, kB), kB,
+  fused::FusedAdam fd_opt(fused::collect_fused_parameters(*fdisc, kB), kB,
                           {.lr = {2e-4}, .beta1 = {0.5}});
 
   data::ImageDataset ds(N, cfg.image_size, cfg.nc, 2, 21);
@@ -206,19 +221,21 @@ TEST(TrainingEquivalence, DCGANAdversarialStep) {
 
   // ---- fused D step: real + fake(detached) ----
   fd_opt.zero_grad();
-  ag::Variable d_real = fdisc.forward(ag::Variable(fused::pack_channel_fused(reals)));
+  ag::Variable d_real =
+      disc_logits(ag::Variable(fused::pack_channel_fused(reals)));
   fused::fused_bce_with_logits(d_real, ones_t, ag::Reduction::kMean, kB)
       .backward();
   Tensor fake_f =
-      fgen.forward(ag::Variable(fused::pack_channel_fused(zs))).value();
-  ag::Variable d_fake = fdisc.forward(ag::Variable(fake_f));
+      fgen->forward(ag::Variable(fused::pack_channel_fused(zs))).value();
+  ag::Variable d_fake = disc_logits(ag::Variable(fake_f));
   fused::fused_bce_with_logits(d_fake, zeros_t, ag::Reduction::kMean, kB)
       .backward();
   fd_opt.step();
   // ---- fused G step ----
   fg_opt.zero_grad();
-  ag::Variable fake_v = fgen.forward(ag::Variable(fused::pack_channel_fused(zs)));
-  ag::Variable d_on_fake = fdisc.forward(fake_v);
+  ag::Variable fake_v =
+      fgen->forward(ag::Variable(fused::pack_channel_fused(zs)));
+  ag::Variable d_on_fake = disc_logits(fake_v);
   fused::fused_bce_with_logits(d_on_fake, ones_t, ag::Reduction::kMean, kB)
       .backward();
   fg_opt.step();
@@ -240,8 +257,8 @@ TEST(TrainingEquivalence, DCGANAdversarialStep) {
     g_opts[ub]->step();
   }
 
-  EXPECT_LT(param_divergence(fgen, gens, kB), 5e-3f);
-  EXPECT_LT(param_divergence(fdisc, discs, kB), 5e-3f);
+  EXPECT_LT(param_divergence(*fgen, gens, kB), 5e-3f);
+  EXPECT_LT(param_divergence(*fdisc, discs, kB), 5e-3f);
 }
 
 TEST(TrainingEquivalence, LossCurvesIdenticalAcrossManySteps) {
@@ -253,19 +270,20 @@ TEST(TrainingEquivalence, LossCurvesIdenticalAcrossManySteps) {
   cfg.base_width = 4;
   data::ImageDataset ds(16, cfg.image_size, 3, cfg.num_classes, 31);
 
-  models::FusedResNet18 fused_model(kB, cfg, rng);
   std::vector<std::shared_ptr<models::ResNet18>> plain;
+  std::vector<std::shared_ptr<nn::Module>> nets;
   std::vector<std::unique_ptr<nn::Adadelta>> plain_opts;
   fused::HyperVec lrs = {0.5, 1.0, 2.0};
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<models::ResNet18>(cfg, rng));
-    fused_model.load_model(b, *plain.back());
+    nets.push_back(plain.back()->net);
     plain_opts.push_back(std::make_unique<nn::Adadelta>(
         plain.back()->parameters(),
         nn::Adadelta::Options{.lr = lrs[static_cast<size_t>(b)]}));
   }
+  auto fused_model = compile_model_major(nets, rng);
   fused::FusedAdadelta fused_opt(
-      fused::collect_fused_parameters(fused_model, kB), kB, {.lr = lrs});
+      fused::collect_fused_parameters(*fused_model, kB), kB, {.lr = lrs});
 
   data::BatchSampler sampler(ds.size(), 8, true, 9);
   for (int step = 0; step < 6; ++step) {
@@ -278,7 +296,7 @@ TEST(TrainingEquivalence, LossCurvesIdenticalAcrossManySteps) {
 
     fused_opt.zero_grad();
     ag::Variable logits =
-        fused_model.forward(ag::Variable(fused::pack_channel_fused(xs)));
+        fused_model->forward(ag::Variable(fused::pack_channel_fused(xs)));
     auto fused_losses =
         fused::per_model_cross_entropy(logits.value(), labels);
     fused::fused_cross_entropy(logits, labels, ag::Reduction::kMean)

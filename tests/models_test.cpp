@@ -18,6 +18,16 @@ namespace {
 constexpr float kTol = 2e-3f;
 constexpr int64_t kB = 3;
 
+// The planner-compiled array of the B per-model graphs, model-major output.
+std::shared_ptr<fused::FusedArray> compile_model_major(
+    const std::vector<std::shared_ptr<nn::Module>>& nets, Rng& rng,
+    std::vector<bool> fuse_mask = {}) {
+  fused::FusionOptions opts;
+  opts.output_layout = fused::Layout::kModelMajor;
+  opts.fuse_mask = std::move(fuse_mask);
+  return fused::FusionPlan(kB, opts).compile(nets, rng);
+}
+
 TEST(PointNetModel, ClsForwardShapes) {
   Rng rng(1);
   PointNetConfig cfg = PointNetConfig::tiny();
@@ -29,16 +39,17 @@ TEST(PointNetModel, ClsForwardShapes) {
 TEST(PointNetModel, FusedClsMatchesSerial) {
   Rng rng(2);
   PointNetConfig cfg = PointNetConfig::tiny();
-  FusedPointNetCls fused(kB, cfg, rng);
   std::vector<std::shared_ptr<PointNetCls>> plain;
+  std::vector<std::shared_ptr<nn::Module>> nets;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<PointNetCls>(cfg, rng));
-    fused.load_model(b, *plain.back());
+    nets.push_back(plain.back()->net);
     xs.push_back(Tensor::randn({4, 3, cfg.num_points}, rng));
   }
+  auto fused = compile_model_major(nets, rng);
   Tensor yf =
-      fused.forward(ag::Variable(fused::pack_channel_fused(xs))).value();
+      fused->forward(ag::Variable(fused::pack_channel_fused(xs))).value();
   for (int64_t b = 0; b < kB; ++b) {
     Tensor yb = plain[static_cast<size_t>(b)]
                     ->forward(ag::Variable(xs[static_cast<size_t>(b)]))
@@ -52,16 +63,17 @@ TEST(PointNetModel, FusedClsWithInputTransformMatchesSerial) {
   Rng rng(3);
   PointNetConfig cfg = PointNetConfig::tiny();
   cfg.input_transform = true;
-  FusedPointNetCls fused(kB, cfg, rng);
   std::vector<std::shared_ptr<PointNetCls>> plain;
+  std::vector<std::shared_ptr<nn::Module>> nets;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<PointNetCls>(cfg, rng));
-    fused.load_model(b, *plain.back());
+    nets.push_back(plain.back()->net);
     xs.push_back(Tensor::randn({2, 3, cfg.num_points}, rng));
   }
+  auto fused = compile_model_major(nets, rng);
   Tensor yf =
-      fused.forward(ag::Variable(fused::pack_channel_fused(xs))).value();
+      fused->forward(ag::Variable(fused::pack_channel_fused(xs))).value();
   for (int64_t b = 0; b < kB; ++b) {
     Tensor yb = plain[static_cast<size_t>(b)]
                     ->forward(ag::Variable(xs[static_cast<size_t>(b)]))
@@ -111,21 +123,22 @@ TEST(DCGANModel, GeneratorShapesAndRange) {
 TEST(DCGANModel, FusedGeneratorAndDiscriminatorMatchSerial) {
   Rng rng(6);
   DCGANConfig cfg = DCGANConfig::tiny();
-  FusedDCGANGenerator fgen(kB, cfg, rng);
-  FusedDCGANDiscriminator fdisc(kB, cfg, rng);
   std::vector<std::shared_ptr<DCGANGenerator>> gens;
   std::vector<std::shared_ptr<DCGANDiscriminator>> discs;
+  std::vector<std::shared_ptr<nn::Module>> gnets, dnets;
   std::vector<Tensor> zs;
   for (int64_t b = 0; b < kB; ++b) {
     gens.push_back(std::make_shared<DCGANGenerator>(cfg, rng));
     discs.push_back(std::make_shared<DCGANDiscriminator>(cfg, rng));
-    fgen.load_model(b, *gens.back());
-    fdisc.load_model(b, *discs.back());
+    gnets.push_back(gens.back()->net);
+    dnets.push_back(discs.back()->net);
     zs.push_back(Tensor::randn({2, cfg.nz, 1, 1}, rng));
   }
+  auto fgen = fused::FusionPlan(kB).compile(gnets, rng);
+  auto fdisc = compile_model_major(dnets, rng);
   Tensor imgs =
-      fgen.forward(ag::Variable(fused::pack_channel_fused(zs))).value();
-  Tensor logits = fdisc.forward(ag::Variable(imgs)).value();  // [B, N]
+      fgen->forward(ag::Variable(fused::pack_channel_fused(zs))).value();
+  Tensor logits = fdisc->forward(ag::Variable(imgs)).value();  // [B, N, 1]
   auto img_per = fused::unpack_channel_fused(imgs, kB);
   for (int64_t b = 0; b < kB; ++b) {
     const size_t ub = static_cast<size_t>(b);
@@ -150,16 +163,17 @@ TEST(ResNetModel, ForwardShapes) {
 TEST(ResNetModel, FusedMatchesSerial) {
   Rng rng(8);
   ResNetConfig cfg = ResNetConfig::tiny();
-  FusedResNet18 fused(kB, cfg, rng);
   std::vector<std::shared_ptr<ResNet18>> plain;
+  std::vector<std::shared_ptr<nn::Module>> nets;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<ResNet18>(cfg, rng));
-    fused.load_model(b, *plain.back());
+    nets.push_back(plain.back()->net);
     xs.push_back(Tensor::randn({2, 3, cfg.image_size, cfg.image_size}, rng));
   }
+  auto fused = compile_model_major(nets, rng);
   Tensor yf =
-      fused.forward(ag::Variable(fused::pack_channel_fused(xs))).value();
+      fused->forward(ag::Variable(fused::pack_channel_fused(xs))).value();
   for (int64_t b = 0; b < kB; ++b) {
     const size_t ub = static_cast<size_t>(b);
     Tensor yb = plain[ub]->forward(ag::Variable(xs[ub])).value();
@@ -177,17 +191,18 @@ TEST_P(PartialFusionTest, PartiallyUnfusedResNetMatchesSerial) {
   Rng rng(9);
   ResNetConfig cfg = ResNetConfig::tiny();
   auto mask = ResNetFusionMask::partially_unfused(unfused_units);
-  FusedResNet18 fused(kB, cfg, rng, mask);
   EXPECT_EQ(mask.fused_units(), 10 - unfused_units);
   std::vector<std::shared_ptr<ResNet18>> plain;
+  std::vector<std::shared_ptr<nn::Module>> nets;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<ResNet18>(cfg, rng));
-    fused.load_model(b, *plain.back());
+    nets.push_back(plain.back()->net);
     xs.push_back(Tensor::randn({2, 3, cfg.image_size, cfg.image_size}, rng));
   }
+  auto fused = compile_model_major(nets, rng, mask.to_fuse_mask());
   Tensor yf =
-      fused.forward(ag::Variable(fused::pack_channel_fused(xs))).value();
+      fused->forward(ag::Variable(fused::pack_channel_fused(xs))).value();
   for (int64_t b = 0; b < kB; ++b) {
     const size_t ub = static_cast<size_t>(b);
     Tensor yb = plain[ub]->forward(ag::Variable(xs[ub])).value();
