@@ -670,6 +670,27 @@ Variable mean_all(const Variable& x) {
   return mul_scalar(sum_all(x), 1.f / static_cast<float>(x.numel()));
 }
 
+// ---- normalization -----------------------------------------------------------------
+
+Variable batch_norm(const Variable& x, const Variable& weight,
+                    const Variable& bias, Tensor mean, Tensor var,
+                    bool training, float eps) {
+  Tensor xv = x.value(), wv = weight.value(), bv = bias.value();
+  // mutable: the thunk writes the batch statistics through its own handles
+  // on mean/var (shared storage), so a replay refreshes what the backward
+  // closure and the caller's running-stat update read.
+  auto fwd = [xv, wv, bv, mean, var, training, eps]() mutable {
+    return ops::batch_norm_forward(xv, wv, bv, mean, var, training, eps);
+  };
+  return make_op("batch_norm", fwd(), fwd, {x, weight, bias},
+                 [xv, wv, mean, var, training,
+                  eps](const Tensor& gy) -> std::vector<Tensor> {
+                   ops::BatchNormGrads g = ops::batch_norm_backward(
+                       gy, xv, wv, mean, var, training, eps);
+                   return {g.x, g.weight, g.bias};
+                 });
+}
+
 // ---- softmax / losses ---------------------------------------------------------------------
 
 Variable softmax(const Variable& x, int64_t dim) {

@@ -85,6 +85,17 @@ Variable mean(const Variable& x, std::vector<int64_t> dims, bool keepdim);
 Variable sum_all(const Variable& x);
 Variable mean_all(const Variable& x);
 
+// ---- normalization -----------------------------------------------------------
+/// BatchNorm over dim 1 of x [N, C, *] as one op (ops::batch_norm_forward):
+/// per channel, (x - mean) * (var + eps)^-0.5 * weight + bias. With
+/// `training` the op writes the batch mean and biased variance into `mean`
+/// and `var` ([C]) every time it runs, replays included; otherwise it reads
+/// them. Gradients flow to x, weight and bias, bit-identical to the
+/// composed mean/sub/mul/pow chain when x has no other consumer.
+Variable batch_norm(const Variable& x, const Variable& weight,
+                    const Variable& bias, Tensor mean, Tensor var,
+                    bool training, float eps);
+
 // ---- softmax / losses -----------------------------------------------------------
 Variable softmax(const Variable& x, int64_t dim);
 Variable log_softmax(const Variable& x, int64_t dim);

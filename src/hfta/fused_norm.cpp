@@ -57,8 +57,13 @@ FusedLayerNorm::FusedLayerNorm(int64_t B, Shape shape, float eps, Rng&)
 ag::Variable FusedLayerNorm::forward(const ag::Variable& x) {
   HFTA_CHECK(x.size(0) == array_size_, "FusedLayerNorm: expected [B, ...]");
   const int64_t n = static_cast<int64_t>(normalized_shape.size());
+  HFTA_CHECK(x.dim() >= n + 1, "FusedLayerNorm: rank too small");
   std::vector<int64_t> dims;
-  for (int64_t i = x.dim() - n; i < x.dim(); ++i) dims.push_back(i);
+  for (int64_t i = x.dim() - n; i < x.dim(); ++i) {
+    HFTA_CHECK(x.size(i) == normalized_shape[static_cast<size_t>(i - (x.dim() - n))],
+               "FusedLayerNorm: trailing shape mismatch at dim ", i);
+    dims.push_back(i);
+  }
   ag::Variable mean_v = ag::mean(x, dims, /*keepdim=*/true);
   ag::Variable centered = ag::sub(x, mean_v);
   ag::Variable var_v = ag::mean(ag::mul(centered, centered), dims, true);

@@ -13,52 +13,38 @@ BatchNormBase::BatchNormBase(int64_t channels, float eps, float momentum)
   running_var = register_buffer("running_var", Tensor::ones({channels}));
 }
 
-ag::Variable BatchNormBase::normalize(
-    const ag::Variable& x, const std::vector<int64_t>& reduce_dims) {
-  // Shape [1, C, 1, ...] for broadcasting against x.
-  Shape bshape(static_cast<size_t>(x.dim()), 1);
-  bshape[1] = channels;
-
-  ag::Variable mean_v, var_v;
-  if (is_training()) {
-    mean_v = ag::mean(x, reduce_dims, /*keepdim=*/true);
-    ag::Variable centered = ag::sub(x, mean_v);
-    var_v = ag::mean(ag::mul(centered, centered), reduce_dims, true);
-    // Update running stats outside the tape (PyTorch uses the unbiased
-    // variance for the running buffer).
-    const int64_t count = x.numel() / channels;
-    Tensor batch_mean = mean_v.value().reshape({channels});
-    Tensor batch_var = var_v.value().reshape({channels});
-    const float unbias =
-        count > 1 ? static_cast<float>(count) / static_cast<float>(count - 1)
-                  : 1.f;
-    // batch_mean/batch_var share storage with mean_v/var_v's pinned
-    // values, so when a step program replays this effect after the mean
-    // thunks refresh those buffers, the update reads current batch stats.
-    // The scratch tensor replaces eager's per-step clone so replay stays
-    // allocation-free; copy_ + mul_ is bit-identical to clone + mul_.
-    auto update = [rm = running_mean, rv = running_var, batch_mean, batch_var,
-                   scratch = Tensor(Shape{channels}), m = momentum,
-                   unbias]() mutable {
-      rm.mul_(1.f - m);
-      rm.add_(batch_mean, m);
-      rv.mul_(1.f - m);
-      scratch.copy_(batch_var);
-      scratch.mul_(unbias);
-      rv.add_(scratch, m);
-    };
-    update();
-    if (ag::capturing()) ag::record_side_effect(update);
-  } else {
-    mean_v = ag::constant(running_mean.reshape(bshape));
-    var_v = ag::constant(running_var.reshape(bshape));
-  }
-  ag::Variable inv_std =
-      ag::pow_scalar(ag::add_scalar(var_v, eps), -0.5f);
-  ag::Variable xhat = ag::mul(ag::sub(x, mean_v), inv_std);
-  ag::Variable w = ag::reshape(weight, bshape);
-  ag::Variable b = ag::reshape(bias, bshape);
-  return ag::add(ag::mul(xhat, w), b);
+ag::Variable BatchNormBase::normalize(const ag::Variable& x) {
+  if (!is_training())
+    return ag::batch_norm(x, weight, bias, running_mean, running_var,
+                          /*training=*/false, eps);
+  // The op writes this step's batch statistics into batch_mean/batch_var
+  // whenever it runs, eagerly or in a step program's replay, so the update
+  // below always reads current values.
+  Tensor batch_mean = Tensor::empty({channels});
+  Tensor batch_var = Tensor::empty({channels});
+  ag::Variable y = ag::batch_norm(x, weight, bias, batch_mean, batch_var,
+                                  /*training=*/true, eps);
+  // Update running stats outside the tape (PyTorch uses the unbiased
+  // variance for the running buffer). The scratch tensor replaces eager's
+  // per-step clone so replay stays allocation-free; copy_ + mul_ is
+  // bit-identical to clone + mul_.
+  const int64_t count = x.numel() / channels;
+  const float unbias =
+      count > 1 ? static_cast<float>(count) / static_cast<float>(count - 1)
+                : 1.f;
+  auto update = [rm = running_mean, rv = running_var, batch_mean, batch_var,
+                 scratch = Tensor(Shape{channels}), m = momentum,
+                 unbias]() mutable {
+    rm.mul_(1.f - m);
+    rm.add_(batch_mean, m);
+    rv.mul_(1.f - m);
+    scratch.copy_(batch_var);
+    scratch.mul_(unbias);
+    rv.add_(scratch, m);
+  };
+  update();
+  if (ag::capturing()) ag::record_side_effect(update);
+  return y;
 }
 
 BatchNorm2d::BatchNorm2d(int64_t channels, float eps, float momentum)
@@ -68,7 +54,7 @@ ag::Variable BatchNorm2d::forward(const ag::Variable& x) {
   HFTA_CHECK(x.dim() == 4 && x.size(1) == channels,
              "BatchNorm2d: expected [N, ", channels, ", H, W], got ",
              shape_str(x.shape()));
-  return normalize(x, {0, 2, 3});
+  return normalize(x);
 }
 
 BatchNorm1d::BatchNorm1d(int64_t channels, float eps, float momentum)
@@ -78,7 +64,7 @@ ag::Variable BatchNorm1d::forward(const ag::Variable& x) {
   HFTA_CHECK((x.dim() == 2 || x.dim() == 3) && x.size(1) == channels,
              "BatchNorm1d: expected [N, ", channels, "] or [N, ", channels,
              ", L], got ", shape_str(x.shape()));
-  return x.dim() == 2 ? normalize(x, {0}) : normalize(x, {0, 2});
+  return normalize(x);
 }
 
 LayerNorm::LayerNorm(Shape shape, float eps, Rng&)

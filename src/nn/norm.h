@@ -22,9 +22,10 @@ class BatchNormBase : public Module {
   float momentum;
 
  protected:
-  /// x viewed with channels at dim 1; reduce_dims are all dims but 1.
-  ag::Variable normalize(const ag::Variable& x,
-                         const std::vector<int64_t>& reduce_dims);
+  /// One ag::batch_norm over x's dim 1 (statistics over all other dims):
+  /// batch statistics in training, followed by the running-stat update
+  /// (also recorded into a capturing step program); running stats in eval.
+  ag::Variable normalize(const ag::Variable& x);
 };
 
 class BatchNorm2d : public BatchNormBase {

@@ -561,6 +561,154 @@ Tensor softmax_backward(const Tensor& gy, const Tensor& y, int64_t dim) {
 }
 
 namespace {
+// x viewed as [N, C, S]: channel c is N runs of S contiguous floats, run n
+// starting at (n * C + c) * S. each() visits them in ascending (n, s) — the
+// flat order ops::sum and vec::col_sum reduce the channel's elements in.
+struct ChannelView {
+  int64_t N, C, S;
+
+  explicit ChannelView(const Tensor& x)
+      : N(x.dim() >= 2 ? x.size(0) : 0),
+        C(x.dim() >= 2 ? x.size(1) : 0),
+        S(N * C > 0 ? x.numel() / (N * C) : 0) {
+    HFTA_CHECK(x.dim() >= 2 && N * S > 0,
+               "batch_norm: expected non-empty [N, C, *], got ",
+               shape_str(x.shape()));
+  }
+
+  template <typename Fn>
+  void each(int64_t c, Fn&& fn) const {
+    for (int64_t n = 0; n < N; ++n) {
+      const int64_t base = (n * C + c) * S;
+      for (int64_t s = 0; s < S; ++s) fn(base + s);
+    }
+  }
+};
+
+void check_per_channel(const ChannelView& v,
+                       std::initializer_list<const Tensor*> ts) {
+  for (const Tensor* t : ts)
+    HFTA_CHECK(t->numel() == v.C, "batch_norm: per-channel tensor has ",
+               t->numel(), " elements for ", v.C, " channels");
+}
+}  // namespace
+
+Tensor batch_norm_forward(const Tensor& x, const Tensor& weight,
+                          const Tensor& bias, Tensor& mean, Tensor& var,
+                          bool training, float eps) {
+  const ChannelView cv(x);
+  check_per_channel(cv, {&weight, &bias, &mean, &var});
+  // mean = sum * (1/count), as ag::mean computes it.
+  const float inv = 1.f / static_cast<float>(cv.N * cv.S);
+  Tensor out = Tensor::empty(x.shape());
+  const float* px = x.data();
+  const float* pw = weight.data();
+  const float* pb = bias.data();
+  float* pm = mean.data();
+  float* pv = var.data();
+  float* py = out.data();
+  parallel_for(Partition::rows(cv.C), [&](int64_t lo, int64_t hi) {
+    for (int64_t c = lo; c < hi; ++c) {
+      if (training) {
+        float s1 = 0.f;
+        cv.each(c, [&](int64_t i) { s1 += px[i]; });
+        const float m = s1 * inv;
+        float s2 = 0.f;
+        cv.each(c, [&](int64_t i) {
+          const float d = px[i] - m;
+          s2 += d * d;
+        });
+        pm[c] = m;
+        pv[c] = s2 * inv;
+      }
+      const float m = pm[c];
+      const float r = std::pow(pv[c] + eps, -0.5f);
+      const float w = pw[c];
+      const float b = pb[c];
+      cv.each(c, [&](int64_t i) { py[i] = ((px[i] - m) * r) * w + b; });
+    }
+  });
+  return out;
+}
+
+BatchNormGrads batch_norm_backward(const Tensor& gy, const Tensor& x,
+                                   const Tensor& weight, const Tensor& mean,
+                                   const Tensor& var, bool training,
+                                   float eps) {
+  const ChannelView cv(x);
+  check_per_channel(cv, {&weight, &mean, &var});
+  HFTA_CHECK(gy.numel() == x.numel(), "batch_norm_backward: gy numel ",
+             gy.numel(), " vs x numel ", x.numel());
+  const float inv = 1.f / static_cast<float>(cv.N * cv.S);
+  BatchNormGrads g;
+  g.weight = Tensor::empty({cv.C});
+  g.bias = Tensor::empty({cv.C});
+  g.x = Tensor::empty(x.shape());
+  const float* pg = gy.data();
+  const float* px = x.data();
+  const float* pw = weight.data();
+  const float* pm = mean.data();
+  const float* pv = var.data();
+  float* pgw = g.weight.data();
+  float* pgb = g.bias.data();
+  float* pgx = g.x.data();
+  // Bit-identical to the engine differentiating the composed chain
+  //   m = sum(x) * inv, d = x - m, v = sum(d * d) * inv,
+  //   r = pow(v + eps, -0.5), y = ((d * r) * w) + b,
+  // whose backward visits y, b, t = xhat * w, w, xhat = d * r, r, v + eps,
+  // v, sum(d * d), d * d, the first d, the second d, m, sum(x). Every
+  // "0.f +" below is the engine's zero-then-add into a fresh grad buffer
+  // (or sum's add(zeros, g) broadcast), every sum a chain from +0 in
+  // (n, s) order.
+  parallel_for(Partition::rows(cv.C), [&](int64_t lo, int64_t hi) {
+    for (int64_t c = lo; c < hi; ++c) {
+      const float m = pm[c];
+      const float a = pv[c] + eps;
+      const float r = std::pow(a, -0.5f);
+      const float w = pw[c];
+      // Grad of the second sub's output: through y, t and xhat.
+      auto g_c2 = [&](int64_t i) {
+        return 0.f + (0.f + (0.f + pg[i]) * w) * r;
+      };
+      float sum_gb = 0.f, sum_gw = 0.f, sum_gr = 0.f, sum_gm2 = 0.f;
+      cv.each(c, [&](int64_t i) {
+        const float d = px[i] - m;
+        const float gt = 0.f + pg[i];
+        const float gxh = 0.f + gt * w;
+        sum_gb += pg[i];
+        sum_gw += gt * (d * r);
+        sum_gr += gxh * d;
+        sum_gm2 += -(0.f + gxh * r);
+      });
+      pgb[c] = 0.f + sum_gb;
+      pgw[c] = 0.f + sum_gw;
+      if (!training) {
+        // Running stats are constants: x's only path is the second sub.
+        cv.each(c, [&](int64_t i) { pgx[i] = g_c2(i); });
+        continue;
+      }
+      // r's grad through pow_scalar(-0.5), add_scalar, mul_scalar(inv) and
+      // sum's broadcast reaches d * d as one per-channel value.
+      const float g_a = 0.f + (0.f + sum_gr) * (std::pow(a, -1.5f) * -0.5f);
+      const float g_s2 = 0.f + (0.f + g_a) * inv;
+      const float g_sq = 0.f + (0.f + g_s2);
+      // d * d's backward adds g_sq * d twice into the first sub's grad.
+      auto g_c1 = [&](int64_t i) {
+        const float t = g_sq * (px[i] - m);
+        return (0.f + t) + t;
+      };
+      float sum_gm1 = 0.f;
+      cv.each(c, [&](int64_t i) { sum_gm1 += -g_c1(i); });
+      const float g_s1 = 0.f + ((0.f + sum_gm1) + sum_gm2) * inv;
+      cv.each(c, [&](int64_t i) {
+        pgx[i] = ((0.f + g_c1(i)) + g_c2(i)) + (0.f + g_s1);
+      });
+    }
+  });
+  return g;
+}
+
+namespace {
 // Table row read by entry i of `indices`: its id, plus b * block_vocab for
 // model b's slice of a stacked table (per_model entries per model). A
 // stacked id is checked against its own block, so an out-of-range id throws

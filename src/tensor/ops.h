@@ -1,5 +1,5 @@
 // Non-differentiable tensor kernels: elementwise (with full numpy-style
-// broadcasting), reductions, shape ops, softmax, embedding lookup.
+// broadcasting), reductions, shape ops, softmax, batch norm, embedding lookup.
 // The autograd layer (src/autograd) wraps these with backward rules.
 #pragma once
 
@@ -87,6 +87,32 @@ Tensor log_softmax_backward(const Tensor& gy, const Tensor& log_probs,
                             int64_t dim);
 /// Backward of softmax: gx = y * (gy - sum(gy * y, dim)).
 Tensor softmax_backward(const Tensor& gy, const Tensor& y, int64_t dim);
+
+// ---- batch norm ------------------------------------------------------------------
+
+/// BatchNorm over dim 1 of x [N, C, *]: per channel,
+/// y = (x - mean) * (var + eps)^-0.5 * weight + bias. With `training` the
+/// batch statistics (biased variance) are first written into `mean` and
+/// `var` ([C]); otherwise `mean` and `var` are read (running statistics).
+/// Parallel over channels; each channel's sums are one ascending
+/// (n, spatial) chain from +0, so results are thread-count invariant.
+Tensor batch_norm_forward(const Tensor& x, const Tensor& weight,
+                          const Tensor& bias, Tensor& mean, Tensor& var,
+                          bool training, float eps);
+
+struct BatchNormGrads {
+  Tensor x;
+  Tensor weight;
+  Tensor bias;
+};
+/// Gradients of batch_norm_forward (mean/var as that call left them). Each
+/// element takes the roundings, and each sum the accumulation order, of the
+/// composed autograd chain (sum, mul_scalar, sub, mul, ..., add), so the
+/// result is bit-identical to differentiating that chain.
+BatchNormGrads batch_norm_backward(const Tensor& gy, const Tensor& x,
+                                   const Tensor& weight, const Tensor& mean,
+                                   const Tensor& var, bool training,
+                                   float eps);
 
 // ---- embedding -----------------------------------------------------------------
 

@@ -3,11 +3,13 @@
 // For every fused operator, sweeping the array size B: the fused op applied
 // to the packed inputs of B models with distinct weights must equal the B
 // unfused ops applied per model — forward AND backward (parameter
-// gradients) — to float tolerance. This is the mathematical-equivalence
-// guarantee HFTA's convergence claim rests on.
+// gradients) — to float tolerance, and bitwise for BatchNorm. This is the
+// mathematical-equivalence guarantee HFTA's convergence claim rests on.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "hfta/fused_attention.h"
 #include "hfta/fused_norm.h"
@@ -222,81 +224,84 @@ TEST_P(FusionB, StateTransferRejectsModelIndexOutsideArray) {
   }
 }
 
+void expect_same_bits(const Tensor& want, const Tensor& got,
+                      const std::string& tag) {
+  ASSERT_EQ(want.numel(), got.numel()) << tag;
+  EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                        sizeof(float) * static_cast<size_t>(want.numel())),
+            0)
+      << tag;
+}
+
+// B BatchNorms fused over B*C channels vs B plain ones, one training step
+// then one eval step. Per model, the output, the x, weight and bias grads
+// and the running stats must be bitwise equal: fused BN runs each model's
+// channels through the same per-channel chains as the plain layer.
+template <typename Fused, typename Plain>
+void expect_batch_norm_fuses_exactly(int64_t B, const Shape& shape,
+                                     Rng& rng) {
+  const int64_t C = shape[1];
+  Fused fused(B, C);
+  std::vector<std::shared_ptr<Plain>> plain;
+  std::vector<Tensor> xs;
+  for (int64_t b = 0; b < B; ++b) {
+    plain.push_back(std::make_shared<Plain>(C));
+    plain.back()->weight.mutable_value().copy_(Tensor::randn({C}, rng));
+    plain.back()->bias.mutable_value().copy_(Tensor::randn({C}, rng));
+    plain.back()->running_mean.copy_(Tensor::randn({C}, rng));
+    plain.back()->running_var.copy_(Tensor::rand({C}, rng, 0.5f, 2.f));
+    fused.load_model(b, *plain.back());
+    xs.push_back(Tensor::randn(shape, rng));
+  }
+  for (const bool training : {true, false}) {
+    fused.train(training);
+    fused.zero_grad();
+    ag::Variable xf(pack_channel_fused(xs), /*requires_grad=*/true);
+    ag::Variable yf = fused.forward(xf);
+    const Tensor probe = Tensor::randn(yf.shape(), rng);
+    probe_loss(yf, probe).backward();
+    const auto y_per = unpack_channel_fused(yf.value(), B);
+    const auto gx_per = unpack_channel_fused(xf.grad(), B);
+    const auto probe_per = unpack_channel_fused(probe, B);
+    const auto gw_per = unfuse_blocks(fused.impl->weight.grad(), B, {C});
+    const auto gb_per = unfuse_blocks(fused.impl->bias.grad(), B, {C});
+    const auto rm_per = unfuse_blocks(fused.impl->running_mean, B, {C});
+    const auto rv_per = unfuse_blocks(fused.impl->running_var, B, {C});
+    for (int64_t b = 0; b < B; ++b) {
+      const size_t ub = static_cast<size_t>(b);
+      Plain& p = *plain[ub];
+      p.train(training);
+      p.zero_grad();
+      ag::Variable xb(xs[ub], /*requires_grad=*/true);
+      ag::Variable yb = p.forward(xb);
+      probe_loss(yb, probe_per[ub]).backward();
+      const std::string tag = shape_str(shape) +
+                              (training ? " train" : " eval") + " model " +
+                              std::to_string(b);
+      expect_same_bits(yb.value(), y_per[ub], tag + " y");
+      expect_same_bits(xb.grad(), gx_per[ub], tag + " x grad");
+      expect_same_bits(p.weight.grad(), gw_per[ub], tag + " weight grad");
+      expect_same_bits(p.bias.grad(), gb_per[ub], tag + " bias grad");
+      expect_same_bits(p.running_mean, rm_per[ub], tag + " running_mean");
+      expect_same_bits(p.running_var, rv_per[ub], tag + " running_var");
+    }
+  }
+}
+
 TEST_P(FusionB, BatchNorm2dTrainingAndEval) {
   const int64_t B = GetParam();
   Rng rng(700 + B);
-  const int64_t C = 3;
-  FusedBatchNorm2d fused(B, C);
-  std::vector<std::shared_ptr<nn::BatchNorm2d>> plain;
-  std::vector<Tensor> xs;
-  for (int64_t b = 0; b < B; ++b) {
-    plain.push_back(std::make_shared<nn::BatchNorm2d>(C));
-    // randomize affine so models differ
-    plain.back()->weight.mutable_value().copy_(Tensor::randn({C}, rng));
-    plain.back()->bias.mutable_value().copy_(Tensor::randn({C}, rng));
-    fused.load_model(b, *plain.back());
-    xs.push_back(Tensor::randn({4, C, 5, 5}, rng));
-  }
-  // training mode: batch statistics per (model, channel)
-  Tensor yf = fused.forward(ag::Variable(pack_channel_fused(xs))).value();
-  auto yf_per = unpack_channel_fused(yf, B);
-  for (int64_t b = 0; b < B; ++b) {
-    const size_t ub = static_cast<size_t>(b);
-    Tensor yb = plain[ub]->forward(ag::Variable(xs[ub])).value();
-    EXPECT_LT(ops::max_abs_diff(yf_per[ub], yb), kTol);
-  }
-  // running stats updated identically -> eval mode also matches
-  fused.eval();
-  Tensor yf_eval = fused.forward(ag::Variable(pack_channel_fused(xs))).value();
-  auto yf_eval_per = unpack_channel_fused(yf_eval, B);
-  for (int64_t b = 0; b < B; ++b) {
-    const size_t ub = static_cast<size_t>(b);
-    plain[ub]->eval();
-    Tensor yb = plain[ub]->forward(ag::Variable(xs[ub])).value();
-    EXPECT_LT(ops::max_abs_diff(yf_eval_per[ub], yb), kTol);
-  }
+  expect_batch_norm_fuses_exactly<FusedBatchNorm2d, nn::BatchNorm2d>(
+      B, {4, 3, 5, 5}, rng);
 }
 
 TEST_P(FusionB, BatchNorm1dOn2dAnd3dInputs) {
   const int64_t B = GetParam();
   Rng rng(800 + B);
-  const int64_t C = 4;
-  {
-    FusedBatchNorm1d fused(B, C);
-    std::vector<std::shared_ptr<nn::BatchNorm1d>> plain;
-    std::vector<Tensor> xs;
-    for (int64_t b = 0; b < B; ++b) {
-      plain.push_back(std::make_shared<nn::BatchNorm1d>(C));
-      plain.back()->weight.mutable_value().copy_(Tensor::randn({C}, rng));
-      fused.load_model(b, *plain.back());
-      xs.push_back(Tensor::randn({6, C}, rng));
-    }
-    Tensor yf = fused.forward(ag::Variable(pack_channel_fused(xs))).value();
-    auto per = unpack_channel_fused(yf, B);
-    for (int64_t b = 0; b < B; ++b) {
-      const size_t ub = static_cast<size_t>(b);
-      Tensor yb = plain[ub]->forward(ag::Variable(xs[ub])).value();
-      EXPECT_LT(ops::max_abs_diff(per[ub], yb), kTol);
-    }
-  }
-  {
-    FusedBatchNorm1d fused(B, C);
-    std::vector<std::shared_ptr<nn::BatchNorm1d>> plain;
-    std::vector<Tensor> xs;
-    for (int64_t b = 0; b < B; ++b) {
-      plain.push_back(std::make_shared<nn::BatchNorm1d>(C));
-      plain.back()->bias.mutable_value().copy_(Tensor::randn({C}, rng));
-      fused.load_model(b, *plain.back());
-      xs.push_back(Tensor::randn({3, C, 7}, rng));
-    }
-    Tensor yf = fused.forward(ag::Variable(pack_channel_fused(xs))).value();
-    auto per = unpack_channel_fused(yf, B);
-    for (int64_t b = 0; b < B; ++b) {
-      const size_t ub = static_cast<size_t>(b);
-      Tensor yb = plain[ub]->forward(ag::Variable(xs[ub])).value();
-      EXPECT_LT(ops::max_abs_diff(per[ub], yb), kTol);
-    }
-  }
+  expect_batch_norm_fuses_exactly<FusedBatchNorm1d, nn::BatchNorm1d>(
+      B, {6, 4}, rng);
+  expect_batch_norm_fuses_exactly<FusedBatchNorm1d, nn::BatchNorm1d>(
+      B, {3, 4, 7}, rng);
 }
 
 TEST_P(FusionB, LayerNormPerModelAffine) {
@@ -325,6 +330,18 @@ TEST_P(FusionB, LayerNormPerModelAffine) {
     Tensor gw_f = unfuse_blocks(fused.weight.grad(), B, {E})[ub];
     EXPECT_LT(ops::max_abs_diff(gw_f, plain[ub]->weight.grad()), kTol);
   }
+}
+
+TEST_P(FusionB, LayerNormRejectsWrongTrailingShape) {
+  // A [B, N, 1] input must not broadcast against normalized_shape {6}.
+  const int64_t B = GetParam();
+  Rng rng(950 + B);
+  FusedLayerNorm fused(B, {6}, 1e-5f, rng);
+  EXPECT_THROW(fused.forward(ag::Variable(Tensor::randn({B, 3, 1}, rng))),
+               Error);
+  EXPECT_THROW(fused.forward(ag::Variable(Tensor::randn({B, 6, 5}, rng))),
+               Error);
+  EXPECT_NO_THROW(fused.forward(ag::Variable(Tensor::randn({B, 3, 6}, rng))));
 }
 
 TEST_P(FusionB, EmbeddingWithIndexOffsets) {

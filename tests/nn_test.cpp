@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "core/parallel.h"
 
 #include "hfta/fused_optim.h"
 #include "hfta/fused_sched.h"
@@ -151,6 +156,180 @@ TEST(Norm, LayerNormPerRow) {
     EXPECT_NEAR(mean, 0.f, 1e-4f);
     EXPECT_NEAR(var / 6.f, 1.f, 1e-2f);
   }
+}
+
+// ---- BatchNorm as one op: bit-identity with the composed chain ---------------
+
+// One BatchNorm call's inputs: x [N, C, *], affine, running stats and the
+// upstream gradient.
+struct BnCase {
+  Tensor x, w, b, rm, rv, gy;
+};
+
+// Everything one BatchNorm step produces.
+struct BnOut {
+  Tensor y, mean, var, rm, rv, gx, gw, gb;
+};
+
+constexpr float kBnEps = 1e-5f;
+constexpr float kBnMomentum = 0.1f;
+
+// The composed autograd chain BatchNorm ran before ag::batch_norm (sum,
+// mul_scalar, sub, mul, sum, mul_scalar, add_scalar, pow_scalar, sub, mul,
+// reshape, mul, reshape, add), with its running-stat update: the reference
+// the one-op kernel must match bit for bit.
+BnOut composed_batch_norm(const BnCase& c, bool training, bool x_grad) {
+  const int64_t C = c.x.size(1);
+  std::vector<int64_t> dims{0};
+  for (int64_t d = 2; d < c.x.dim(); ++d) dims.push_back(d);
+  Shape bshape(static_cast<size_t>(c.x.dim()), 1);
+  bshape[1] = C;
+  ag::Variable x(c.x.clone(), x_grad);
+  ag::Variable w(c.w.clone(), true), b(c.b.clone(), true);
+  BnOut out;
+  out.rm = c.rm.clone();
+  out.rv = c.rv.clone();
+  ag::Variable mean_v, var_v;
+  if (training) {
+    mean_v = ag::mean(x, dims, /*keepdim=*/true);
+    ag::Variable centered = ag::sub(x, mean_v);
+    var_v = ag::mean(ag::mul(centered, centered), dims, true);
+    out.mean = mean_v.value().reshape({C});
+    out.var = var_v.value().reshape({C});
+    const int64_t count = c.x.numel() / C;
+    const float unbias = count > 1 ? static_cast<float>(count) /
+                                         static_cast<float>(count - 1)
+                                   : 1.f;
+    out.rm.mul_(1.f - kBnMomentum);
+    out.rm.add_(out.mean, kBnMomentum);
+    out.rv.mul_(1.f - kBnMomentum);
+    Tensor unbiased = out.var.clone();
+    unbiased.mul_(unbias);
+    out.rv.add_(unbiased, kBnMomentum);
+  } else {
+    mean_v = ag::constant(out.rm.reshape(bshape));
+    var_v = ag::constant(out.rv.reshape(bshape));
+  }
+  ag::Variable inv_std =
+      ag::pow_scalar(ag::add_scalar(var_v, kBnEps), -0.5f);
+  ag::Variable xhat = ag::mul(ag::sub(x, mean_v), inv_std);
+  ag::Variable y = ag::add(ag::mul(xhat, ag::reshape(w, bshape)),
+                           ag::reshape(b, bshape));
+  y.backward(c.gy);
+  out.y = y.value();
+  if (x_grad) out.gx = x.grad();
+  out.gw = w.grad();
+  out.gb = b.grad();
+  return out;
+}
+
+// The same step through the module (one ag::batch_norm op plus its
+// running-stat update); the batch statistics come from a direct op call.
+BnOut one_op_batch_norm(const BnCase& c, bool training, bool x_grad) {
+  const int64_t C = c.x.size(1);
+  std::shared_ptr<BatchNormBase> bn;
+  if (c.x.dim() == 4) {
+    bn = std::make_shared<BatchNorm2d>(C, kBnEps, kBnMomentum);
+  } else {
+    bn = std::make_shared<BatchNorm1d>(C, kBnEps, kBnMomentum);
+  }
+  bn->weight.mutable_value().copy_(c.w);
+  bn->bias.mutable_value().copy_(c.b);
+  bn->running_mean.copy_(c.rm);
+  bn->running_var.copy_(c.rv);
+  if (!training) bn->eval();
+  ag::Variable x(c.x.clone(), x_grad);
+  ag::Variable y = bn->forward(x);
+  y.backward(c.gy);
+  BnOut out;
+  out.y = y.value();
+  out.rm = bn->running_mean;
+  out.rv = bn->running_var;
+  if (x_grad) out.gx = x.grad();
+  out.gw = bn->weight.grad();
+  out.gb = bn->bias.grad();
+  if (training) {
+    out.mean = Tensor::empty({C});
+    out.var = Tensor::empty({C});
+    ag::batch_norm(ag::constant(c.x), ag::constant(c.w), ag::constant(c.b),
+                   out.mean, out.var, /*training=*/true, kBnEps);
+  }
+  return out;
+}
+
+void expect_same_bits(const Tensor& want, const Tensor& got,
+                      const std::string& tag) {
+  ASSERT_EQ(want.defined(), got.defined()) << tag;
+  if (!want.defined()) return;
+  ASSERT_EQ(want.numel(), got.numel()) << tag;
+  EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                        sizeof(float) * static_cast<size_t>(want.numel())),
+            0)
+      << tag;
+}
+
+// Random data with the edge cases folded in: channel 0 constant (variance
+// 0), channel 1 holding +0 and -0 (as do the weight and bias), and zeros
+// in the upstream gradient (so products with negative factors give -0).
+BnCase make_bn_case(const Shape& shape, Rng& rng) {
+  const int64_t C = shape[1];
+  BnCase c{Tensor::randn(shape, rng), Tensor::randn({C}, rng),
+           Tensor::randn({C}, rng),   Tensor::randn({C}, rng),
+           Tensor::rand({C}, rng, 0.5f, 2.f), Tensor::randn(shape, rng)};
+  const int64_t S = c.x.numel() / (shape[0] * C);
+  for (int64_t n = 0; n < shape[0]; ++n) {
+    float* row = c.x.data() + n * C * S;
+    for (int64_t s = 0; s < S; ++s) {
+      row[s] = 0.75f;                                         // channel 0
+      if (C > 1) row[S + s] = (n + s) % 2 == 0 ? 0.f : -0.f;  // channel 1
+    }
+  }
+  for (int64_t i = 0; i < c.gy.numel(); i += 3) c.gy.data()[i] = 0.f;
+  c.w.data()[0] = -0.f;
+  c.b.data()[C - 1] = -0.f;
+  if (C > 2) c.w.data()[2] = 0.f;
+  return c;
+}
+
+TEST(Norm, BatchNormOpBitIdenticalToComposedChain) {
+  const int saved_threads = num_threads();
+  Rng rng(2024);
+  // Edge shapes where a channel holds one element (N * spatial = 1), then
+  // seeded [N, C], [N, C, L] and [N, C, H, W] shapes.
+  std::vector<Shape> shapes = {{1, 3}, {1, 3, 1}, {1, 4, 1, 1}};
+  auto draw = [&rng](int64_t lo, int64_t hi) {
+    return lo + rng.uniform_int(hi - lo + 1);
+  };
+  for (int i = 0; i < 4; ++i) {
+    shapes.push_back({draw(1, 6), draw(1, 7)});
+    shapes.push_back({draw(1, 4), draw(1, 7), draw(1, 9)});
+    shapes.push_back({draw(1, 3), draw(1, 6), draw(1, 5), draw(1, 5)});
+  }
+  for (const Shape& shape : shapes) {
+    const BnCase c = make_bn_case(shape, rng);
+    for (int nt : {1, 4}) {
+      set_num_threads(nt);
+      for (bool training : {true, false}) {
+        for (bool x_grad : {true, false}) {
+          const std::string tag = shape_str(shape) + " nt=" +
+                                  std::to_string(nt) +
+                                  (training ? " train" : " eval") +
+                                  (x_grad ? "" : " x-const");
+          const BnOut want = composed_batch_norm(c, training, x_grad);
+          const BnOut got = one_op_batch_norm(c, training, x_grad);
+          expect_same_bits(want.y, got.y, tag + " y");
+          expect_same_bits(want.mean, got.mean, tag + " batch mean");
+          expect_same_bits(want.var, got.var, tag + " batch var");
+          expect_same_bits(want.rm, got.rm, tag + " running_mean");
+          expect_same_bits(want.rv, got.rv, tag + " running_var");
+          expect_same_bits(want.gx, got.gx, tag + " x grad");
+          expect_same_bits(want.gw, got.gw, tag + " weight grad");
+          expect_same_bits(want.gb, got.gb, tag + " bias grad");
+        }
+      }
+    }
+  }
+  set_num_threads(saved_threads);
 }
 
 // ---- optimizers: closed-form single-step checks -----------------------------

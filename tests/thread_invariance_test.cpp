@@ -92,10 +92,11 @@ class ThreadInvarianceTest : public ::testing::Test {
 TEST_F(ThreadInvarianceTest, RepresentativeKindsBitIdenticalAt1248Threads) {
   // Full 1/2/4/8 sweep on kinds that exercise the heavy parallel kernels:
   // conv (im2col gemm + channel-reduced grad_bias), attention (bmm,
-  // softmax, layernorm), and pooling.
+  // softmax, layernorm), pooling, and the channel-parallel BatchNorm.
   const auto factories = tests::kind_factories();
   for (const std::string kind :
-       {"Conv2d", "models::TransformerEncoderLayer", "MaxPool2d"}) {
+       {"Conv2d", "models::TransformerEncoderLayer", "MaxPool2d",
+        "BatchNorm2d", "BatchNorm1d"}) {
     const RunOut ref = run_kind(kind, factories.at(kind), 1);
     for (int nt : {2, 4, 8}) {
       const RunOut got = run_kind(kind, factories.at(kind), nt);
