@@ -685,8 +685,29 @@ Variable batch_norm(const Variable& x, const Variable& weight,
   return make_op("batch_norm", fwd(), fwd, {x, weight, bias},
                  [xv, wv, mean, var, training,
                   eps](const Tensor& gy) -> std::vector<Tensor> {
-                   ops::BatchNormGrads g = ops::batch_norm_backward(
+                   ops::NormGrads g = ops::batch_norm_backward(
                        gy, xv, wv, mean, var, training, eps);
+                   return {g.x, g.weight, g.bias};
+                 });
+}
+
+Variable layer_norm(const Variable& x, const Variable& weight,
+                    const Variable& bias, int64_t groups, float eps) {
+  Tensor xv = x.value(), wv = weight.value(), bv = bias.value();
+  HFTA_CHECK(groups > 0 && wv.numel() >= groups, "layer_norm: ", groups,
+             " groups for a weight of ", wv.numel(), " elements");
+  const int64_t rows = xv.numel() / (wv.numel() / groups);
+  // The row statistics, written by every run of the thunk (see batch_norm)
+  // and read by the backward.
+  Tensor mean = Tensor::empty({rows}), var = Tensor::empty({rows});
+  auto fwd = [xv, wv, bv, groups, mean, var, eps]() mutable {
+    return ops::layer_norm_forward(xv, wv, bv, groups, mean, var, eps);
+  };
+  return make_op("layer_norm", fwd(), fwd, {x, weight, bias},
+                 [xv, wv, mean, var, groups,
+                  eps](const Tensor& gy) -> std::vector<Tensor> {
+                   ops::NormGrads g = ops::layer_norm_backward(
+                       gy, xv, wv, mean, var, groups, eps);
                    return {g.x, g.weight, g.bias};
                  });
 }

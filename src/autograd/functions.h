@@ -96,6 +96,15 @@ Variable batch_norm(const Variable& x, const Variable& weight,
                     const Variable& bias, Tensor mean, Tensor var,
                     bool training, float eps);
 
+/// LayerNorm over the trailing weight.numel() / groups elements of x as one
+/// op (ops::layer_norm_forward): per row, (x - mean) * (var + eps)^-0.5 *
+/// w + b, with the rows split into `groups` equal runs that each use their
+/// own row of weight and bias ([groups, E] flat). Gradients flow to x,
+/// weight and bias, bit-identical to the composed mean/sub/mul/pow chain
+/// when x has no other consumer.
+Variable layer_norm(const Variable& x, const Variable& weight,
+                    const Variable& bias, int64_t groups, float eps);
+
 // ---- softmax / losses -----------------------------------------------------------
 Variable softmax(const Variable& x, int64_t dim);
 Variable log_softmax(const Variable& x, int64_t dim);

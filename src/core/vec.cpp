@@ -131,8 +131,8 @@ void col_sum(const float* src, float* dst, int64_t rows, int64_t cols,
 // the vectorized vexp in vec_impl.h (vec_test asserts this).
 
 float exp_approx(float x) {
+  if (x < kExpUnderflow) return 0.f;  // exact +0, as vexp
   x = x < 88.3762626647949f ? x : 88.3762626647949f;
-  x = x > -87.3365478515625f ? x : -87.3365478515625f;
   const float fx = std::floor(std::fma(x, 1.44269504088896341f, 0.5f));
   x = x - fx * 0.693359375f;
   x = x - fx * -2.12194440e-4f;

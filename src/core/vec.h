@@ -183,10 +183,17 @@ float row_max(const float* x, int64_t st, int64_t n);
 /// to eout (same stride).
 float row_sumexp(const float* x, int64_t st, int64_t n, float mx, float* eout);
 
+/// The smallest float above ln(FLT_MIN) = -87.33654475..., so the smallest
+/// x whose exp is a normal float; its neighbour below, -87.3365478515625f,
+/// already has a subnormal exp.
+inline constexpr float kExpUnderflow = -87.33654022216796875f;
+
 /// The polynomial expf every backend uses inside row_sumexp (Cephes-style:
 /// clamped range reduction + degree-5 Horner in fma + exponent rebuild).
 /// Deterministic and identical across backends; differs from libm expf by a
-/// few ulp. Exposed for tests.
+/// few ulp. Returns exactly +0 for x < kExpUnderflow (-inf included), so it
+/// never returns a subnormal; NaN takes the upper clamp's value.
+/// Exposed for tests.
 float exp_approx(float x);
 
 /// dst[j] (+)= sum_r src[r*cols + j] for j in [0, cols): one ascending-r

@@ -37,10 +37,15 @@ struct Kern {
   // -- shared polynomial exp (Cephes-style) ----------------------------------
   // Range-clamped Cody-Waite reduction + degree-5 Horner in fma + exponent
   // rebuild. Every operation is exact or correctly rounded, so lane results
-  // are bit-identical across backends (and to vec::exp_approx).
+  // are bit-identical across backends (and to vec::exp_approx). Below
+  // kExpUnderflow the result is exactly +0, never a subnormal: a masked
+  // softmax entry then stays 0 through the 1/z scale instead of stalling
+  // every kernel that reads it (see DESIGN.md §12). Those lanes are
+  // selected away, so no lower clamp is needed; the ordered compare is
+  // false for NaN, and NaN lanes take the upper clamp.
   static inline V vexp(V x) {
+    const V under = T::gt(T::set1(kExpUnderflow), x);
     x = T::min(x, T::set1(88.3762626647949f));
-    x = T::max(x, T::set1(-87.3365478515625f));
     const V fx = T::floor(T::fma(x, T::set1(1.44269504088896341f),
                                  T::set1(0.5f)));
     x = T::sub(x, T::mul(fx, T::set1(0.693359375f)));
@@ -54,7 +59,7 @@ struct Kern {
     y = T::fma(y, x, T::set1(5.0000001201e-1f));
     y = T::fma(y, z, x);
     y = T::add(y, T::set1(1.f));
-    return T::scale_pow2(y, fx);
+    return T::select(under, T::zero(), T::scale_pow2(y, fx));
   }
 
   // ==== packed cache-blocked GEMM ============================================

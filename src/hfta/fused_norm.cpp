@@ -1,7 +1,5 @@
 #include "hfta/fused_norm.h"
 
-#include "tensor/ops.h"
-
 namespace hfta::fused {
 
 namespace {
@@ -55,29 +53,10 @@ FusedLayerNorm::FusedLayerNorm(int64_t B, Shape shape, float eps, Rng&)
 }
 
 ag::Variable FusedLayerNorm::forward(const ag::Variable& x) {
+  nn::check_layer_norm_input(x.shape(), normalized_shape, 1, "FusedLayerNorm");
   HFTA_CHECK(x.size(0) == array_size_, "FusedLayerNorm: expected [B, ...]");
-  const int64_t n = static_cast<int64_t>(normalized_shape.size());
-  HFTA_CHECK(x.dim() >= n + 1, "FusedLayerNorm: rank too small");
-  std::vector<int64_t> dims;
-  for (int64_t i = x.dim() - n; i < x.dim(); ++i) {
-    HFTA_CHECK(x.size(i) == normalized_shape[static_cast<size_t>(i - (x.dim() - n))],
-               "FusedLayerNorm: trailing shape mismatch at dim ", i);
-    dims.push_back(i);
-  }
-  ag::Variable mean_v = ag::mean(x, dims, /*keepdim=*/true);
-  ag::Variable centered = ag::sub(x, mean_v);
-  ag::Variable var_v = ag::mean(ag::mul(centered, centered), dims, true);
-  ag::Variable inv_std = ag::pow_scalar(ag::add_scalar(var_v, eps), -0.5f);
-  ag::Variable xhat = ag::mul(centered, inv_std);
-  // Broadcast the per-model affine [B, E...] as [B, 1..., E...].
-  Shape bshape(static_cast<size_t>(x.dim()), 1);
-  bshape[0] = array_size_;
-  for (int64_t i = 0; i < n; ++i)
-    bshape[static_cast<size_t>(x.dim() - n + i)] =
-        normalized_shape[static_cast<size_t>(i)];
-  ag::Variable w = ag::reshape(weight, bshape);
-  ag::Variable b = ag::reshape(bias, bshape);
-  return ag::add(ag::mul(xhat, w), b);
+  // Model b's rows are the b-th of B equal runs: groups = B.
+  return ag::layer_norm(x, weight, bias, array_size_, eps);
 }
 
 }  // namespace hfta::fused

@@ -35,16 +35,15 @@ class FusedBatchNorm1d : public FusedModule {
   int64_t channels;
 };
 
-/// B LayerNorms fused on the model-major layout [B, N, D..., E...]:
-/// normalize over the trailing E dims without affine, then apply the
-/// per-model affine (w, b of shape [B, 1..., E...]) — Appendix B row
-/// LayerNorm.
+/// B LayerNorms fused on the model-major layout [B, N, D..., E...]: one
+/// ag::layer_norm over the trailing E dims whose affine is grouped by model
+/// (row run b uses w[b], b[b]) — Appendix B row LayerNorm.
 class FusedLayerNorm : public FusedModule {
  public:
   FusedLayerNorm(int64_t B, Shape normalized_shape, float eps, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
 
-  ag::Variable weight;  // [B, E...] used broadcast as [B, 1..., E...]
+  ag::Variable weight;  // [B, E...]
   ag::Variable bias;
   Shape normalized_shape;
   float eps;

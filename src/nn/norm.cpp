@@ -73,23 +73,22 @@ LayerNorm::LayerNorm(Shape shape, float eps, Rng&)
   bias = register_parameter("bias", Tensor::zeros(normalized_shape));
 }
 
-ag::Variable LayerNorm::forward(const ag::Variable& x) {
+void check_layer_norm_input(const Shape& x, const Shape& normalized_shape,
+                            int64_t lead, const char* who) {
   const int64_t n = static_cast<int64_t>(normalized_shape.size());
-  HFTA_CHECK(x.dim() >= n, "LayerNorm: rank too small");
-  std::vector<int64_t> dims;
-  for (int64_t i = x.dim() - n; i < x.dim(); ++i) {
-    HFTA_CHECK(x.size(i) == normalized_shape[static_cast<size_t>(i - (x.dim() - n))],
-               "LayerNorm: trailing shape mismatch at dim ", i);
-    dims.push_back(i);
-  }
-  ag::Variable mean_v = ag::mean(x, dims, /*keepdim=*/true);
-  ag::Variable centered = ag::sub(x, mean_v);
-  ag::Variable var_v = ag::mean(ag::mul(centered, centered), dims, true);
-  ag::Variable inv_std = ag::pow_scalar(ag::add_scalar(var_v, eps), -0.5f);
-  ag::Variable xhat = ag::mul(centered, inv_std);
-  return ag::add(ag::mul(xhat, weight), bias);
+  const int64_t nd = static_cast<int64_t>(x.size());
+  HFTA_CHECK(nd >= n + lead, who, ": rank too small for ", shape_str(x));
+  for (int64_t i = 0; i < n; ++i)
+    HFTA_CHECK(x[static_cast<size_t>(nd - n + i)] ==
+                   normalized_shape[static_cast<size_t>(i)],
+               who, ": trailing shape mismatch at dim ", nd - n + i, " of ",
+               shape_str(x));
 }
 
+ag::Variable LayerNorm::forward(const ag::Variable& x) {
+  check_layer_norm_input(x.shape(), normalized_shape, 0, "LayerNorm");
+  return ag::layer_norm(x, weight, bias, /*groups=*/1, eps);
+}
 
 namespace {
 ModuleConfig batch_norm_config(const BatchNormBase& bn) {

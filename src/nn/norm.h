@@ -61,4 +61,9 @@ class LayerNorm : public Module {
   float eps;
 };
 
+/// Checks that x has `lead` dims before a trailing normalized_shape (`who`
+/// names the module in the error).
+void check_layer_norm_input(const Shape& x, const Shape& normalized_shape,
+                            int64_t lead, const char* who);
+
 }  // namespace hfta::nn

@@ -487,22 +487,21 @@ Tensor stack_repeat(const Tensor& t, int64_t reps) {
 }
 
 namespace {
-// Applies fn(row_in, row_out, n) over rows of a [outer, n, inner] view.
+// Applies fn(off, n, st) over the rows of a's [outer, n, inner] view along
+// dim: row element i sits at flat offset off + i * st (st == inner).
 template <typename Fn>
-void rowwise(const Tensor& a, int64_t dim, Tensor& out, Fn fn) {
+void rowwise(const Tensor& a, int64_t dim, Fn fn) {
   const int64_t nd = a.dim();
   int64_t outer = 1, inner = 1;
   const int64_t n = a.size(dim);
   for (int64_t i = 0; i < dim; ++i) outer *= a.size(i);
   for (int64_t i = dim + 1; i < nd; ++i) inner *= a.size(i);
-  const float* pa = a.data();
-  float* po = out.data();
   parallel_for(Partition::range(0, outer * inner, 64),
                [&](int64_t lo, int64_t hi) {
     for (int64_t oi = lo; oi < hi; ++oi) {
       const int64_t o = oi / inner;
       const int64_t in = oi % inner;
-      fn(pa + (o * n) * inner + in, po + (o * n) * inner + in, n, inner);
+      fn((o * n) * inner + in, n, inner);
     }
   });
 }
@@ -516,7 +515,11 @@ void rowwise(const Tensor& a, int64_t dim, Tensor& out, Fn fn) {
 Tensor softmax(const Tensor& a, int64_t dim) {
   if (dim < 0) dim += a.dim();
   Tensor out = Tensor::empty(a.shape());
-  rowwise(a, dim, out, [](const float* x, float* y, int64_t n, int64_t st) {
+  const float* pa = a.data();
+  float* po = out.data();
+  rowwise(a, dim, [&](int64_t off, int64_t n, int64_t st) {
+    const float* x = pa + off;
+    float* y = po + off;
     const float mx = vec::row_max(x, st, n);
     const float z = vec::row_sumexp(x, st, n, mx, y);
     const float inv = 1.f / z;
@@ -532,7 +535,11 @@ Tensor softmax(const Tensor& a, int64_t dim) {
 Tensor log_softmax(const Tensor& a, int64_t dim) {
   if (dim < 0) dim += a.dim();
   Tensor out = Tensor::empty(a.shape());
-  rowwise(a, dim, out, [](const float* x, float* y, int64_t n, int64_t st) {
+  const float* pa = a.data();
+  float* po = out.data();
+  rowwise(a, dim, [&](int64_t off, int64_t n, int64_t st) {
+    const float* x = pa + off;
+    float* y = po + off;
     const float mx = vec::row_max(x, st, n);
     const float z = vec::row_sumexp(x, st, n, mx, nullptr);
     const float lse = mx + std::log(z);
@@ -556,8 +563,25 @@ Tensor log_softmax_backward(const Tensor& gy, const Tensor& log_probs,
 
 Tensor softmax_backward(const Tensor& gy, const Tensor& y, int64_t dim) {
   if (dim < 0) dim += gy.dim();
-  Tensor dot = sum(mul(gy, y), {dim}, /*keepdim=*/true);
-  return mul(y, sub(gy, dot));
+  HFTA_CHECK(gy.shape() == y.shape(), "softmax_backward: gy ",
+             shape_str(gy.shape()), " vs y ", shape_str(y.shape()));
+  Tensor gx = Tensor::empty(y.shape());
+  const float* pg = gy.data();
+  const float* py = y.data();
+  float* px = gx.data();
+  // One pass per row with the roundings of the composed
+  // mul(y, sub(gy, sum(mul(gy, y), {dim}))): sum's chain is ascending from
+  // +0 along the row (its generic walk and vec::col_sum agree on that), and
+  // each output is one subtract and one multiply.
+  rowwise(y, dim, [&](int64_t off, int64_t n, int64_t st) {
+    float dot = 0.f;
+    for (int64_t i = 0; i < n; ++i) dot += pg[off + i * st] * py[off + i * st];
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t k = off + i * st;
+      px[k] = py[k] * (pg[k] - dot);
+    }
+  });
+  return gx;
 }
 
 namespace {
@@ -631,16 +655,15 @@ Tensor batch_norm_forward(const Tensor& x, const Tensor& weight,
   return out;
 }
 
-BatchNormGrads batch_norm_backward(const Tensor& gy, const Tensor& x,
-                                   const Tensor& weight, const Tensor& mean,
-                                   const Tensor& var, bool training,
-                                   float eps) {
+NormGrads batch_norm_backward(const Tensor& gy, const Tensor& x,
+                              const Tensor& weight, const Tensor& mean,
+                              const Tensor& var, bool training, float eps) {
   const ChannelView cv(x);
   check_per_channel(cv, {&weight, &mean, &var});
   HFTA_CHECK(gy.numel() == x.numel(), "batch_norm_backward: gy numel ",
              gy.numel(), " vs x numel ", x.numel());
   const float inv = 1.f / static_cast<float>(cv.N * cv.S);
-  BatchNormGrads g;
+  NormGrads g;
   g.weight = Tensor::empty({cv.C});
   g.bias = Tensor::empty({cv.C});
   g.x = Tensor::empty(x.shape());
@@ -703,6 +726,160 @@ BatchNormGrads batch_norm_backward(const Tensor& gy, const Tensor& x,
       cv.each(c, [&](int64_t i) {
         pgx[i] = ((0.f + g_c1(i)) + g_c2(i)) + (0.f + g_s1);
       });
+    }
+  });
+  return g;
+}
+
+namespace {
+// x viewed as [rows, E], the rows split into G runs of `per` rows; run g
+// uses row g of the [G, E] affine.
+struct RowGroups {
+  int64_t rows, E, G, per;
+
+  RowGroups(const Tensor& x, const Tensor& weight, int64_t groups)
+      : rows(0), E(0), G(groups), per(0) {
+    HFTA_CHECK(groups > 0 && weight.numel() > 0 &&
+                   weight.numel() % groups == 0,
+               "layer_norm: weight numel ", weight.numel(),
+               " is not a positive multiple of ", groups, " groups");
+    E = weight.numel() / groups;
+    HFTA_CHECK(x.numel() > 0 && x.numel() % (E * groups) == 0,
+               "layer_norm: x ", shape_str(x.shape()), " does not split into ",
+               groups, " groups of rows of ", E);
+    rows = x.numel() / E;
+    per = rows / groups;
+  }
+
+  void check_stats(const Tensor& mean, const Tensor& var) const {
+    HFTA_CHECK(mean.numel() == rows && var.numel() == rows,
+               "layer_norm: row statistics have ", mean.numel(), " and ",
+               var.numel(), " elements for ", rows, " rows");
+  }
+};
+}  // namespace
+
+Tensor layer_norm_forward(const Tensor& x, const Tensor& weight,
+                          const Tensor& bias, int64_t groups, Tensor& mean,
+                          Tensor& var, float eps) {
+  const RowGroups rg(x, weight, groups);
+  rg.check_stats(mean, var);
+  HFTA_CHECK(bias.numel() == weight.numel(), "layer_norm: bias has ",
+             bias.numel(), " elements, weight ", weight.numel());
+  const int64_t E = rg.E;
+  // mean = sum * (1/E), as ag::mean computes it.
+  const float inv = 1.f / static_cast<float>(E);
+  Tensor out = Tensor::empty(x.shape());
+  const float* px = x.data();
+  const float* pw = weight.data();
+  const float* pb = bias.data();
+  float* pm = mean.data();
+  float* pv = var.data();
+  float* py = out.data();
+  parallel_for(Partition::rows(rg.rows), [&](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r) {
+      const float* xr = px + r * E;
+      float s1 = 0.f;
+      for (int64_t e = 0; e < E; ++e) s1 += xr[e];
+      const float m = s1 * inv;
+      float s2 = 0.f;
+      for (int64_t e = 0; e < E; ++e) {
+        const float d = xr[e] - m;
+        s2 += d * d;
+      }
+      pm[r] = m;
+      pv[r] = s2 * inv;
+      const float rs = std::pow(pv[r] + eps, -0.5f);
+      const float* w = pw + (r / rg.per) * E;
+      const float* b = pb + (r / rg.per) * E;
+      float* yr = py + r * E;
+      for (int64_t e = 0; e < E; ++e) yr[e] = ((xr[e] - m) * rs) * w[e] + b[e];
+    }
+  });
+  return out;
+}
+
+NormGrads layer_norm_backward(const Tensor& gy, const Tensor& x,
+                              const Tensor& weight, const Tensor& mean,
+                              const Tensor& var, int64_t groups, float eps) {
+  const RowGroups rg(x, weight, groups);
+  rg.check_stats(mean, var);
+  HFTA_CHECK(gy.numel() == x.numel(), "layer_norm_backward: gy numel ",
+             gy.numel(), " vs x numel ", x.numel());
+  const int64_t E = rg.E;
+  const float inv = 1.f / static_cast<float>(E);
+  NormGrads g;
+  g.x = Tensor::empty(x.shape());
+  g.weight = Tensor::empty(weight.shape());
+  g.bias = Tensor::empty(weight.shape());
+  Tensor rstd = Tensor::empty({rg.rows});
+  const float* pg = gy.data();
+  const float* px = x.data();
+  const float* pw = weight.data();
+  const float* pm = mean.data();
+  const float* pv = var.data();
+  float* prs = rstd.data();
+  float* pgx = g.x.data();
+  float* pgw = g.weight.data();
+  float* pgb = g.bias.data();
+  // Bit-identical to the engine differentiating the composed chain
+  //   m = sum(x) * inv, c = x - m, v = sum(c * c) * inv,
+  //   r = pow(v + eps, -0.5), y = ((c * r) * w) + b,
+  // whose backward visits y, t = xhat * w, xhat = c * r, r, v + eps, v,
+  // sum(c * c), c * c, c, m, sum(x). c collects three contributions (from
+  // xhat, then twice from c * c) and x two (from c, then from sum(x)).
+  // Every "0.f +" is the engine's zero-then-add into a fresh grad buffer (or
+  // sum's add(zeros, g) broadcast), every row sum a chain from +0.
+  parallel_for(Partition::rows(rg.rows), [&](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r) {
+      const float* gr = pg + r * E;
+      const float* xr = px + r * E;
+      const float* w = pw + (r / rg.per) * E;
+      float* gxr = pgx + r * E;
+      const float m = pm[r];
+      const float a = pv[r] + eps;
+      const float rs = std::pow(a, -0.5f);
+      prs[r] = rs;
+      // xhat's grad: through y and t.
+      auto g_xh = [&](int64_t e) { return 0.f + (0.f + gr[e]) * w[e]; };
+      float sum_gr = 0.f;
+      for (int64_t e = 0; e < E; ++e) sum_gr += g_xh(e) * (xr[e] - m);
+      // r's grad through pow_scalar(-0.5), add_scalar, mul_scalar(inv) and
+      // sum's broadcast reaches c * c as one per-row value.
+      const float g_a =
+          0.f + (0.f + sum_gr) * (std::pow(a, -1.5f) * -0.5f);
+      const float g_s2 = 0.f + (0.f + g_a) * inv;
+      const float g_sq = 0.f + (0.f + g_s2);
+      float sum_gm = 0.f;
+      for (int64_t e = 0; e < E; ++e) {
+        const float t = g_sq * (xr[e] - m);
+        const float gc = ((0.f + g_xh(e) * rs) + t) + t;
+        gxr[e] = gc;
+        sum_gm += -gc;
+      }
+      const float g_s1 = 0.f + (0.f + sum_gm) * inv;
+      for (int64_t e = 0; e < E; ++e)
+        gxr[e] = (0.f + gxr[e]) + (0.f + g_s1);
+    }
+  });
+  // weight/bias: per group and column, one ascending-row chain from +0 (the
+  // order of reduce_to_shape's col_sum) over gy and (0 + gy) * xhat.
+  parallel_for(Partition::rows(rg.G), [&](int64_t lo, int64_t hi) {
+    for (int64_t gi = lo; gi < hi; ++gi) {
+      float* gw = pgw + gi * E;
+      float* gb = pgb + gi * E;
+      std::fill(gw, gw + E, 0.f);
+      std::fill(gb, gb + E, 0.f);
+      for (int64_t r = gi * rg.per; r < (gi + 1) * rg.per; ++r) {
+        const float* gr = pg + r * E;
+        const float* xr = px + r * E;
+        const float m = pm[r];
+        const float rs = prs[r];
+        for (int64_t e = 0; e < E; ++e) {
+          gb[e] += gr[e];
+          gw[e] += (0.f + gr[e]) * ((xr[e] - m) * rs);
+        }
+      }
     }
   });
   return g;

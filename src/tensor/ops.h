@@ -1,5 +1,6 @@
 // Non-differentiable tensor kernels: elementwise (with full numpy-style
-// broadcasting), reductions, shape ops, softmax, batch norm, embedding lookup.
+// broadcasting), reductions, shape ops, softmax, batch and layer norm,
+// embedding lookup.
 // The autograd layer (src/autograd) wraps these with backward rules.
 #pragma once
 
@@ -85,7 +86,8 @@ Tensor log_softmax(const Tensor& a, int64_t dim);
 /// Backward of log_softmax: gx = gy - softmax(x) * sum(gy, dim).
 Tensor log_softmax_backward(const Tensor& gy, const Tensor& log_probs,
                             int64_t dim);
-/// Backward of softmax: gx = y * (gy - sum(gy * y, dim)).
+/// Backward of softmax: gx = y * (gy - sum(gy * y, dim)), one pass per row
+/// with the roundings of that composition (an ascending dot from +0).
 Tensor softmax_backward(const Tensor& gy, const Tensor& y, int64_t dim);
 
 // ---- batch norm ------------------------------------------------------------------
@@ -100,7 +102,8 @@ Tensor batch_norm_forward(const Tensor& x, const Tensor& weight,
                           const Tensor& bias, Tensor& mean, Tensor& var,
                           bool training, float eps);
 
-struct BatchNormGrads {
+/// Gradients of a normalization op's three inputs.
+struct NormGrads {
   Tensor x;
   Tensor weight;
   Tensor bias;
@@ -109,10 +112,31 @@ struct BatchNormGrads {
 /// element takes the roundings, and each sum the accumulation order, of the
 /// composed autograd chain (sum, mul_scalar, sub, mul, ..., add), so the
 /// result is bit-identical to differentiating that chain.
-BatchNormGrads batch_norm_backward(const Tensor& gy, const Tensor& x,
-                                   const Tensor& weight, const Tensor& mean,
-                                   const Tensor& var, bool training,
-                                   float eps);
+NormGrads batch_norm_backward(const Tensor& gy, const Tensor& x,
+                              const Tensor& weight, const Tensor& mean,
+                              const Tensor& var, bool training, float eps);
+
+// ---- layer norm ------------------------------------------------------------------
+
+/// LayerNorm over the trailing E = weight.numel() / groups elements of x:
+/// x is viewed as [rows, E], and row r, with m and v its mean and biased
+/// variance, gives y = (x - m) * (v + eps)^-0.5 * w + b. The affine is
+/// grouped: the rows split into `groups` equal runs and run g uses row g of
+/// weight and bias viewed as [groups, E] (groups = 1 for one LayerNorm, B
+/// for B LayerNorms fused on a model-major [B, ...] input). Each row's
+/// statistics are written into `mean` and `var` ([rows]). Parallel over
+/// rows; each row sum is one ascending chain from +0.
+Tensor layer_norm_forward(const Tensor& x, const Tensor& weight,
+                          const Tensor& bias, int64_t groups, Tensor& mean,
+                          Tensor& var, float eps);
+
+/// Gradients of layer_norm_forward (mean/var as that call left them),
+/// bit-identical to differentiating the composed chain it replaced
+/// (mean, sub, mul, mean, add_scalar, pow_scalar, mul, mul, add); the
+/// weight and bias sums run over each group's rows in ascending order.
+NormGrads layer_norm_backward(const Tensor& gy, const Tensor& x,
+                              const Tensor& weight, const Tensor& mean,
+                              const Tensor& var, int64_t groups, float eps);
 
 // ---- embedding -----------------------------------------------------------------
 

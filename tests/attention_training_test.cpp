@@ -4,6 +4,10 @@
 // pass. Also covers activation functions on fused layouts.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <unordered_set>
+
 #include "data/datasets.h"
 #include "hfta/fused_optim.h"
 #include "hfta/loss_scaling.h"
@@ -128,6 +132,60 @@ TEST(AttentionTraining, BertMlmStepTracksSerial) {
     opts[ub]->step();
   }
   EXPECT_LT(divergence(fused_model, plain), 5e-3f);
+}
+
+// The causal mask's -1e9 logits must give probabilities of exactly +0: exp
+// underflows to 0 below ln(FLT_MIN), so the 1/z scale cannot turn them into
+// subnormals, which stall the attention GEMMs downstream (microcode assists
+// on x86). Guards every softmax output, and its input gradient, of one fused
+// training step.
+TEST(AttentionTraining, CausalSoftmaxHasExactZerosAndNoSubnormals) {
+  Rng rng(4);
+  models::TransformerConfig cfg = models::TransformerConfig::tiny();
+  data::TextDataset ds(2000, cfg.vocab, 3);
+  models::FusedTransformerLM fused_model(kB, cfg, rng);
+  auto [x, y] = ds.batch_lm(4, cfg.seq_len, 0);
+  Tensor toks = fused::pack_model_major(std::vector<Tensor>(kB, x));
+  Tensor labels = fused::pack_model_major(std::vector<Tensor>(kB, y));
+  ag::Variable loss = fused::fused_cross_entropy(
+      ag::reshape(fused_model.forward_tokens(toks),
+                  {kB, 4 * cfg.seq_len, cfg.vocab}),
+      labels.reshape({kB, 4 * cfg.seq_len}), ag::Reduction::kMean);
+  loss.backward();
+
+  std::vector<ag::Variable> softmaxes, stack{loss};
+  std::unordered_set<const void*> seen;
+  while (!stack.empty()) {
+    ag::Variable v = stack.back();
+    stack.pop_back();
+    if (!v.node() || !seen.insert(v.id()).second) continue;
+    if (v.node()->name == "softmax") softmaxes.push_back(v);
+    for (const ag::Variable& in : v.node()->inputs)
+      if (in.defined()) stack.push_back(in);
+  }
+  ASSERT_EQ(static_cast<int64_t>(softmaxes.size()), cfg.num_layers);
+  const int64_t S = cfg.seq_len;
+  for (const ag::Variable& sm : softmaxes) {
+    const Tensor& p = sm.value();
+    const Tensor gx = sm.node()->inputs[0].grad();
+    ASSERT_EQ(p.size(-1), S);
+    ASSERT_EQ(gx.numel(), p.numel());
+    int64_t masked = 0;
+    for (int64_t k = 0; k < p.numel(); ++k) {
+      const int64_t i = (k / S) % S, j = k % S;
+      const float pk = p.data()[k];
+      if (j > i) {
+        uint32_t bits;
+        std::memcpy(&bits, &pk, sizeof bits);
+        ASSERT_EQ(bits, 0u) << "masked probability " << pk << " at " << k;
+        ++masked;
+      }
+      ASSERT_NE(std::fpclassify(pk), FP_SUBNORMAL) << "probability at " << k;
+      ASSERT_NE(std::fpclassify(gx.data()[k]), FP_SUBNORMAL)
+          << "softmax input gradient at " << k;
+    }
+    EXPECT_EQ(masked, p.numel() / (S * S) * (S * (S - 1) / 2));
+  }
 }
 
 // Activations are shape-agnostic and identical in fused form (Appendix B's

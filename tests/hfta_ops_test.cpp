@@ -3,8 +3,9 @@
 // For every fused operator, sweeping the array size B: the fused op applied
 // to the packed inputs of B models with distinct weights must equal the B
 // unfused ops applied per model — forward AND backward (parameter
-// gradients) — to float tolerance, and bitwise for BatchNorm. This is the
-// mathematical-equivalence guarantee HFTA's convergence claim rests on.
+// gradients) — to float tolerance, and bitwise for BatchNorm and LayerNorm.
+// This is the mathematical-equivalence guarantee HFTA's convergence claim
+// rests on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -305,6 +306,8 @@ TEST_P(FusionB, BatchNorm1dOn2dAnd3dInputs) {
 }
 
 TEST_P(FusionB, LayerNormPerModelAffine) {
+  // Model b's rows run through the same per-row chains as its plain layer,
+  // with its own affine row: output and all three grads are bitwise equal.
   const int64_t B = GetParam();
   Rng rng(900 + B);
   const int64_t N = 3, E = 5;
@@ -318,17 +321,22 @@ TEST_P(FusionB, LayerNormPerModelAffine) {
     fused.load_model(b, *plain.back());
     xs.push_back(Tensor::randn({N, E}, rng));
   }
-  ag::Variable yf = fused.forward(ag::Variable(pack_model_major(xs)));
+  ag::Variable xf(pack_model_major(xs), /*requires_grad=*/true);
+  ag::Variable yf = fused.forward(xf);
   Tensor probe = Tensor::randn(yf.shape(), rng);
   probe_loss(yf, probe).backward();
+  const auto gw_per = unfuse_blocks(fused.weight.grad(), B, {E});
+  const auto gb_per = unfuse_blocks(fused.bias.grad(), B, {E});
   for (int64_t b = 0; b < B; ++b) {
     const size_t ub = static_cast<size_t>(b);
-    ag::Variable yb = plain[ub]->forward(ag::Variable(xs[ub]));
-    Tensor yf_b = yf.value().slice(0, b, b + 1).reshape({N, E});
-    EXPECT_LT(ops::max_abs_diff(yf_b, yb.value()), kTol);
+    ag::Variable xb(xs[ub], /*requires_grad=*/true);
+    ag::Variable yb = plain[ub]->forward(xb);
     probe_loss(yb, probe.slice(0, b, b + 1).reshape({N, E})).backward();
-    Tensor gw_f = unfuse_blocks(fused.weight.grad(), B, {E})[ub];
-    EXPECT_LT(ops::max_abs_diff(gw_f, plain[ub]->weight.grad()), kTol);
+    const std::string tag = "model " + std::to_string(b);
+    expect_same_bits(yb.value(), yf.value().slice(0, b, b + 1), tag + " y");
+    expect_same_bits(xb.grad(), xf.grad().slice(0, b, b + 1), tag + " x grad");
+    expect_same_bits(plain[ub]->weight.grad(), gw_per[ub], tag + " w grad");
+    expect_same_bits(plain[ub]->bias.grad(), gb_per[ub], tag + " b grad");
   }
 }
 

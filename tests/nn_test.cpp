@@ -8,9 +8,14 @@
 #include <vector>
 
 #include "core/parallel.h"
+#include "core/vec.h"
 
+#include "hfta/fused_attention.h"
+#include "hfta/fused_norm.h"
 #include "hfta/fused_optim.h"
 #include "hfta/fused_sched.h"
+#include "hfta/train.h"
+#include "models/transformer.h"
 #include "nn/layers.h"
 #include "nn/losses.h"
 #include "nn/norm.h"
@@ -330,6 +335,190 @@ TEST(Norm, BatchNormOpBitIdenticalToComposedChain) {
     }
   }
   set_num_threads(saved_threads);
+}
+
+// ---- LayerNorm as one op: bit-identity with the composed chain ---------------
+
+// One LayerNorm call: x [rows..., norm...] split into G equal row runs, the
+// affine ([norm...] for G = 1, else [G, norm...]) and the upstream gradient.
+struct LnCase {
+  Shape norm;
+  int64_t G;
+  Tensor x, w, b, gy;
+};
+
+struct LnOut {
+  Tensor y, gx, gw, gb;
+};
+
+constexpr float kLnEps = 1e-5f;
+
+// The 9-op chain LayerNorm and FusedLayerNorm ran before ag::layer_norm
+// (mean, sub, mul, mean, add_scalar, pow_scalar, mul, mul, add; the fused
+// layer first views its [G, norm...] affine as [G, 1..., norm...]): the
+// reference the one-op kernel must match bit for bit.
+LnOut composed_layer_norm(const LnCase& c) {
+  const int64_t nd = c.x.dim();
+  const int64_t n = static_cast<int64_t>(c.norm.size());
+  std::vector<int64_t> dims;
+  for (int64_t i = nd - n; i < nd; ++i) dims.push_back(i);
+  ag::Variable x(c.x.clone(), true);
+  ag::Variable w(c.w.clone(), true), b(c.b.clone(), true);
+  ag::Variable mean_v = ag::mean(x, dims, /*keepdim=*/true);
+  ag::Variable centered = ag::sub(x, mean_v);
+  ag::Variable var_v = ag::mean(ag::mul(centered, centered), dims, true);
+  ag::Variable inv_std = ag::pow_scalar(ag::add_scalar(var_v, kLnEps), -0.5f);
+  ag::Variable xhat = ag::mul(centered, inv_std);
+  ag::Variable wa = w, ba = b;
+  if (c.G > 1) {
+    Shape bshape(static_cast<size_t>(nd), 1);
+    bshape[0] = c.G;
+    for (int64_t i = 0; i < n; ++i)
+      bshape[static_cast<size_t>(nd - n + i)] = c.norm[static_cast<size_t>(i)];
+    wa = ag::reshape(w, bshape);
+    ba = ag::reshape(b, bshape);
+  }
+  ag::Variable y = ag::add(ag::mul(xhat, wa), ba);
+  y.backward(c.gy);
+  return {y.value(), x.grad(), w.grad(), b.grad()};
+}
+
+// The same step through the module: LayerNorm for G = 1, else
+// FusedLayerNorm (one ag::layer_norm with G affine groups).
+template <typename M>
+LnOut module_layer_norm(M& m, const LnCase& c) {
+  m.weight.mutable_value().copy_(c.w);
+  m.bias.mutable_value().copy_(c.b);
+  ag::Variable x(c.x.clone(), true);
+  ag::Variable y = m.forward(x);
+  y.backward(c.gy);
+  return {y.value(), x.grad(), m.weight.grad(), m.bias.grad()};
+}
+
+LnOut one_op_layer_norm(const LnCase& c) {
+  Rng rng(0);
+  if (c.G == 1) {
+    LayerNorm ln(c.norm, kLnEps, rng);
+    return module_layer_norm(ln, c);
+  }
+  fused::FusedLayerNorm ln(c.G, c.norm, kLnEps, rng);
+  return module_layer_norm(ln, c);
+}
+
+// Random data with the edge cases folded in: row 0 constant (variance 0),
+// the last row holding +0 and -0 (as do the affine), and zeros in the
+// upstream gradient (so products with negative factors give -0).
+LnCase make_ln_case(const Shape& lead, const Shape& norm, int64_t G,
+                    Rng& rng) {
+  Shape xs = lead;
+  xs.insert(xs.end(), norm.begin(), norm.end());
+  Shape ws = norm;
+  if (G > 1) ws.insert(ws.begin(), G);
+  LnCase c{norm, G, Tensor::randn(xs, rng), Tensor::randn(ws, rng),
+           Tensor::randn(ws, rng), Tensor::randn(xs, rng)};
+  const int64_t E = c.w.numel() / G;
+  const int64_t rows = c.x.numel() / E;
+  for (int64_t e = 0; e < E; ++e) {
+    c.x.data()[e] = 0.75f;
+    if (rows > 1) c.x.data()[(rows - 1) * E + e] = e % 2 == 0 ? 0.f : -0.f;
+  }
+  for (int64_t i = 0; i < c.gy.numel(); i += 3) c.gy.data()[i] = 0.f;
+  c.w.data()[0] = -0.f;
+  c.b.data()[c.b.numel() - 1] = -0.f;
+  if (c.w.numel() > 2) c.w.data()[2] = 0.f;
+  return c;
+}
+
+TEST(Norm, LayerNormOpBitIdenticalToComposedChain) {
+  const int saved_threads = num_threads();
+  Rng rng(2025);
+  auto draw = [&rng](int64_t lo, int64_t hi) {
+    return lo + rng.uniform_int(hi - lo + 1);
+  };
+  std::vector<LnCase> cases;
+  for (int64_t E : {1, 7, 16, 33}) {
+    // One row, with and without a leading dim, for the plain layer.
+    cases.push_back(make_ln_case({}, {E}, 1, rng));
+    for (int64_t G : {1, 3, 8}) {
+      cases.push_back(make_ln_case({G, 1}, {E}, G, rng));
+      cases.push_back(make_ln_case({G, draw(2, 5)}, {E}, G, rng));
+      cases.push_back(make_ln_case({G, draw(1, 3), draw(2, 4)}, {E}, G, rng));
+    }
+  }
+  // A two-dim normalized shape.
+  cases.push_back(make_ln_case({4}, {3, 5}, 1, rng));
+  cases.push_back(make_ln_case({3, 2}, {3, 5}, 3, rng));
+  for (const LnCase& c : cases) {
+    for (int nt : {1, 8}) {
+      set_num_threads(nt);
+      for (bool simd : {false, true}) {
+        vec::set_simd_enabled(simd);
+        const std::string tag = shape_str(c.x.shape()) + " G=" +
+                                std::to_string(c.G) + " nt=" +
+                                std::to_string(nt) + " simd=" +
+                                std::to_string(simd);
+        const LnOut want = composed_layer_norm(c);
+        const LnOut got = one_op_layer_norm(c);
+        expect_same_bits(want.y, got.y, tag + " y");
+        expect_same_bits(want.gx, got.gx, tag + " x grad");
+        expect_same_bits(want.gw, got.gw, tag + " weight grad");
+        expect_same_bits(want.gb, got.gb, tag + " bias grad");
+      }
+    }
+  }
+  vec::set_simd_enabled(true);
+  set_num_threads(saved_threads);
+}
+
+// Losses and final parameters of steps on fresh data through a TrainStep:
+// with capture, step 0 runs eager, step 1 captures and the rest replay,
+// each re-running the layer_norm thunks (which rewrite the row statistics
+// the backward reads) on the newly staged data.
+template <typename Layer, typename Opt>
+std::pair<std::vector<float>, std::vector<std::vector<float>>>
+train_encoder_layer(Layer& layer, Opt& opt, const Shape& x_shape, bool capture,
+                    int steps) {
+  TrainStep step;
+  if (capture) step.enable_capture();
+  const Tensor mask = models::causal_mask(x_shape[x_shape.size() - 2]);
+  Rng data(17);
+  Tensor staged;
+  std::vector<float> losses;
+  for (int s = 0; s < steps; ++s) {
+    step.stage(&staged, Tensor::randn(x_shape, data));
+    ag::Variable loss = step.run(opt, [&] {
+      ag::Variable y = layer.forward_masked(ag::Variable(staged), mask);
+      return ag::mean_all(ag::mul(y, y));
+    });
+    losses.push_back(loss.value().item());
+  }
+  if (capture) {
+    EXPECT_EQ(step.stats().replays, steps - 2);
+  }
+  std::vector<std::vector<float>> params;
+  for (const ag::Variable& p : layer.parameters())
+    params.push_back(p.value().to_vector());
+  return {losses, params};
+}
+
+TEST(Norm, LayerNormReplayMatchesEagerOverTransformerSteps) {
+  const int kSteps = 4;  // two replayed steps
+  const int64_t B = 3, N = 2, S = 5, E = 16;
+  auto plain = [&](bool capture) {
+    Rng rng(8);
+    models::TransformerEncoderLayer layer(E, 2, 32, 0.f, "relu", rng);
+    SGD opt(layer.parameters(), {.lr = 0.05, .momentum = 0.9});
+    return train_encoder_layer(layer, opt, {N, S, E}, capture, kSteps);
+  };
+  auto fused_array = [&](bool capture) {
+    Rng rng(9);
+    fused::FusedTransformerEncoderLayer layer(B, E, 2, 32, 0.f, "relu", rng);
+    fused::FusedSGD opt(fused::collect_fused_parameters(layer, B), B,
+                        {.lr = {0.05}, .momentum = {0.9}});
+    return train_encoder_layer(layer, opt, {B, N, S, E}, capture, kSteps);
+  };
+  EXPECT_EQ(plain(false), plain(true));
+  EXPECT_EQ(fused_array(false), fused_array(true));
 }
 
 // ---- optimizers: closed-form single-step checks -----------------------------

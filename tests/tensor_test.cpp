@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "tensor/conv.h"
 #include "tensor/matmul.h"
@@ -165,6 +166,32 @@ TEST(Ops, LogSoftmaxMatchesLogOfSoftmax) {
   Tensor a = ops::log_softmax(x, 1);
   Tensor b = ops::log(ops::softmax(x, 1));
   EXPECT_LT(ops::max_abs_diff(a, b), 1e-5f);
+}
+
+TEST(Ops, SoftmaxBackwardOnePassMatchesComposedBitwise) {
+  // The one-pass row kernel against the composition it replaced, along every
+  // dim (strided rows included), with masked logits (exact-zero
+  // probabilities) and zero upstream gradients for signed-zero products.
+  Rng rng(4);
+  const std::vector<Shape> shapes = {
+      {1, 1}, {4, 7}, {3, 5, 6}, {2, 3, 4, 9}, {5, 40}};
+  for (const Shape& shape : shapes) {
+    Tensor x = Tensor::randn(shape, rng);
+    Tensor gy = Tensor::randn(shape, rng);
+    for (int64_t i = 0; i < x.numel(); i += 4) x.data()[i] = -1e9f;
+    for (int64_t i = 0; i < gy.numel(); i += 3) gy.data()[i] = 0.f;
+    for (int64_t dim = 0; dim < x.dim(); ++dim) {
+      const Tensor y = ops::softmax(x, dim);
+      const Tensor want =
+          ops::mul(y, ops::sub(gy, ops::sum(ops::mul(gy, y), {dim}, true)));
+      const Tensor got = ops::softmax_backward(gy, y, dim);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                            sizeof(float) * static_cast<size_t>(want.numel())),
+                0)
+          << shape_str(shape) << " dim " << dim;
+    }
+  }
 }
 
 TEST(Ops, EmbeddingLookupAndBackward) {

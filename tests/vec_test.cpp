@@ -583,11 +583,16 @@ TEST(VecExp, ExpApproxMatchesVectorizedExpBitwise) {
   // row_sumexp writes exp(x - mx) through the backend's vexp; with mx = 0 the
   // lanes are exactly vexp(x). The scalar backend runs vec::exp_approx's op
   // sequence per lane — outputs must agree bitwise across the full clamp
-  // range and beyond it.
+  // range and beyond it, down to the causal mask's -1e9 and -inf.
   std::vector<float> x;
   for (float v = -100.f; v <= 100.f; v += 0.0625f) x.push_back(v);
-  x.push_back(0.f);
-  x.push_back(-0.f);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float lo = vec::kExpUnderflow;
+  for (float v : {0.f, -0.f, lo, std::nextafter(lo, 0.f),
+                  std::nextafter(lo, -inf), -103.98f, -1e4f, -1e9f, -3.4e38f,
+                  -inf, inf, nan, -nan})
+    x.push_back(v);
   const int64_t n = static_cast<int64_t>(x.size());
   auto [e1, e2] = both_backends(n, [&](float* out) {
     vec::row_sumexp(x.data(), 1, n, 0.f, out);
@@ -598,10 +603,24 @@ TEST(VecExp, ExpApproxMatchesVectorizedExpBitwise) {
   std::vector<float> lanes(static_cast<size_t>(n));
   vec::row_sumexp(x.data(), 1, n, 0.f, lanes.data());
   vec::set_simd_enabled(true);
-  for (int64_t i = 0; i < n; ++i)
-    EXPECT_EQ(f32_bits(lanes[static_cast<size_t>(i)]),
-              f32_bits(vec::exp_approx(x[static_cast<size_t>(i)])))
-        << "x=" << x[static_cast<size_t>(i)];
+  // NaN never compares below the underflow bound: it keeps the upper
+  // clamp's result, as it did before the underflow rule.
+  const uint32_t nan_bits = f32_bits(vec::exp_approx(88.3762626647949f));
+  for (int64_t i = 0; i < n; ++i) {
+    const size_t ui = static_cast<size_t>(i);
+    const float xi = x[ui];
+    EXPECT_EQ(f32_bits(lanes[ui]), f32_bits(vec::exp_approx(xi))) << "x=" << xi;
+    if (std::isnan(xi)) {
+      EXPECT_EQ(f32_bits(e1[ui]), nan_bits) << "x=" << xi;
+    } else if (xi < lo) {
+      // Underflow is exactly +0 on both backends, never FLT_MIN or a
+      // subnormal.
+      EXPECT_EQ(f32_bits(e1[ui]), 0u) << "x=" << xi;
+      EXPECT_EQ(f32_bits(e2[ui]), 0u) << "x=" << xi;
+    } else {
+      EXPECT_EQ(std::fpclassify(e1[ui]), FP_NORMAL) << "x=" << xi;
+    }
+  }
 }
 
 }  // namespace
