@@ -2,7 +2,8 @@
 // class, the dynamic LossScaler (overflow skip, backoff, growth interval,
 // state surviving a repack-style optimizer swap), power-of-two scale
 // exactness, AMP fused-vs-serial bit-exactness, and zero-alloc tape-free
-// replay of AMP step programs with precision changes forcing recapture.
+// replay of AMP step programs (drawing exactly the fp32 replay's pool
+// buffers) with precision changes forcing recapture — under f16 and bf16.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -57,9 +58,12 @@ struct Mlp : nn::Module {
 };
 
 void expect_bits_equal(const std::vector<float>& a,
-                       const std::vector<float>& b, const char* tag) {
+                       const std::vector<float>& b, const std::string& tag) {
   ASSERT_EQ(a.size(), b.size()) << tag;
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << tag << " " << i;
+  if (!a.empty()) {
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << tag;
+  }
 }
 
 struct AmpRun {
@@ -315,13 +319,17 @@ TEST(Autocast, ConvFamilyEqualsF32OnQuantizedOperands) {
 
 TEST(Amp, PowerOfTwoScaleIsExact) {
   // d(S*L)/dw with S = 2^16, then x1/S, must be bit-identical to S = 1:
-  // power-of-two scaling only shifts exponents.
-  const AmpRun s1 = run_amp_mlp(false, true, DType::kBF16, 1.0, 10);
-  const AmpRun s65536 = run_amp_mlp(false, true, DType::kBF16, 65536.0, 10);
-  expect_bits_equal(s1.losses, s65536.losses, "losses");
-  expect_bits_equal(s1.weights, s65536.weights, "weights");
-  EXPECT_EQ(s1.overflow_skips, 0);
-  EXPECT_EQ(s65536.overflow_skips, 0);
+  // power-of-two scaling only shifts exponents. A well-scaled run never
+  // skips a step.
+  for (DType dt : {DType::kF16, DType::kBF16}) {
+    const std::string tag = dtype_name(dt);
+    const AmpRun s1 = run_amp_mlp(false, true, dt, 1.0, 10);
+    const AmpRun s65536 = run_amp_mlp(false, true, dt, 65536.0, 10);
+    expect_bits_equal(s1.losses, s65536.losses, tag + " losses");
+    expect_bits_equal(s1.weights, s65536.weights, tag + " weights");
+    EXPECT_EQ(s1.overflow_skips, 0) << tag;
+    EXPECT_EQ(s65536.overflow_skips, 0) << tag;
+  }
 }
 
 TEST(Amp, FusedVsSerialBitExact) {
@@ -400,18 +408,38 @@ TEST(Amp, FusedVsSerialBitExact) {
 
 TEST(Amp, ReplayMatchesEagerAndIsZeroAllocTapeFree) {
   const int steps = 12;
-  const AmpRun eager = run_amp_mlp(false, true, DType::kBF16, 65536.0, steps);
-  const AmpRun replay = run_amp_mlp(true, true, DType::kBF16, 65536.0, steps);
-  expect_bits_equal(eager.losses, replay.losses, "losses");
-  expect_bits_equal(eager.weights, replay.weights, "weights");
-  // 1 warmup + 1 capture, the rest replayed tape-free with zero heap
-  // allocations once warm — including the quantizing GEMM thunks and the
-  // seed-scaled backward.
-  EXPECT_EQ(replay.stats.captures, 1);
-  EXPECT_EQ(replay.stats.replays, steps - 2);
-  EXPECT_TRUE(replay.stats.last_was_replay);
-  EXPECT_EQ(replay.stats.last_heap_allocs, 0u);
-  EXPECT_EQ(replay.stats.last_node_constructions, 0u);
+  for (DType dt : {DType::kF16, DType::kBF16}) {
+    const std::string tag = dtype_name(dt);
+    const AmpRun eager = run_amp_mlp(false, true, dt, 65536.0, steps);
+    const AmpRun replay = run_amp_mlp(true, true, dt, 65536.0, steps);
+    expect_bits_equal(eager.losses, replay.losses, tag + " losses");
+    expect_bits_equal(eager.weights, replay.weights, tag + " weights");
+    // 1 warmup + 1 capture, the rest replayed tape-free with zero heap
+    // allocations once warm — including the quantizing GEMM thunks and the
+    // seed-scaled backward.
+    EXPECT_EQ(replay.stats.captures, 1) << tag;
+    EXPECT_EQ(replay.stats.replays, steps - 2) << tag;
+    EXPECT_TRUE(replay.stats.last_was_replay) << tag;
+    EXPECT_EQ(replay.stats.last_heap_allocs, 0u) << tag;
+    EXPECT_EQ(replay.stats.last_node_constructions, 0u) << tag;
+  }
+}
+
+TEST(Amp, ReplayDrawsTheSamePoolBuffersAsFp32Replay) {
+  // Quantize-on-pack, the in-place seed and the unscale folded into the
+  // optimizer leave AMP with no tensor of its own: a warm AMP replay step
+  // takes exactly as many pool buffers as the fp32 replay of the same
+  // array. A materialized cast or scratch tensor would show up here.
+  const int steps = 6;
+  const AmpRun fp32 = run_amp_mlp(true, false, DType::kF32, 1.0, steps);
+  ASSERT_TRUE(fp32.stats.last_was_replay);
+  EXPECT_GT(fp32.stats.last_pool_hits, 0u);
+  for (DType dt : {DType::kF16, DType::kBF16}) {
+    const AmpRun amp = run_amp_mlp(true, true, dt, 65536.0, steps);
+    ASSERT_TRUE(amp.stats.last_was_replay) << dtype_name(dt);
+    EXPECT_EQ(amp.stats.last_pool_hits, fp32.stats.last_pool_hits)
+        << dtype_name(dt);
+  }
 }
 
 TEST(Amp, ScaleGrowthReachesReplayedProgramsWithoutRecapture) {
@@ -438,18 +466,21 @@ TEST(Amp, OverflowSkipsStepBacksOffAndRecovers) {
   // proceeds — all scales powers of two, so the run matches the scale-1
   // run bit for bit once it recovers.
   const int steps = 10;
-  const AmpRun huge =
-      run_amp_mlp(false, true, DType::kBF16, std::ldexp(1.0, 130), steps);
-  EXPECT_GE(huge.overflow_skips, 3);
-  EXPECT_LT(huge.overflow_skips, steps);
-  EXPECT_EQ(huge.stats.amp_overflow_skips, huge.overflow_skips);
-  EXPECT_LE(huge.final_scale, std::ldexp(1.0, 127));
-  // The skipped steps left the weights at init; the remaining steps
-  // trained — so this run equals a scale-1 run of (steps - skips).
-  const AmpRun clean = run_amp_mlp(
-      false, true, DType::kBF16, 1.0,
-      steps - static_cast<int>(huge.overflow_skips));
-  expect_bits_equal(huge.weights, clean.weights, "post-recovery weights");
+  for (DType dt : {DType::kF16, DType::kBF16}) {
+    const std::string tag = dtype_name(dt);
+    const AmpRun huge =
+        run_amp_mlp(false, true, dt, std::ldexp(1.0, 130), steps);
+    EXPECT_GE(huge.overflow_skips, 3) << tag;
+    EXPECT_LT(huge.overflow_skips, steps) << tag;
+    EXPECT_EQ(huge.stats.amp_overflow_skips, huge.overflow_skips) << tag;
+    EXPECT_LE(huge.final_scale, std::ldexp(1.0, 127)) << tag;
+    // The skipped steps left the weights at init; the remaining steps
+    // trained — so this run equals a scale-1 run of (steps - skips).
+    const AmpRun clean = run_amp_mlp(
+        false, true, dt, 1.0, steps - static_cast<int>(huge.overflow_skips));
+    expect_bits_equal(huge.weights, clean.weights,
+                      tag + " post-recovery weights");
+  }
 }
 
 TEST(Amp, PrecisionChangeForcesRecapture) {

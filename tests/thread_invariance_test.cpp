@@ -2,7 +2,8 @@
 // threads. Partition boundaries depend only on problem size and no
 // floating-point accumulation chain is ever split across chunks, so a full
 // capture+replay training run — per-step losses, final parameters, final
-// buffers — must agree to the last bit whatever HFTA_NUM_THREADS says.
+// buffers — must agree to the last bit whatever HFTA_NUM_THREADS says, and
+// a warm replayed step allocates and records nothing at any thread count.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -53,6 +54,10 @@ RunOut run_kind(const std::string& kind, const tests::KindFactory& make,
     out.losses.push_back(loss.value().item());
   }
   EXPECT_TRUE(step.stats().last_was_replay) << kind << " nt=" << nt;
+  // Kernels take their per-chunk scratch on the launching thread (DESIGN
+  // §10), so the warm pool serves every replayed step at any lane count.
+  EXPECT_EQ(step.stats().last_heap_allocs, 0u) << kind << " nt=" << nt;
+  EXPECT_EQ(step.stats().last_node_constructions, 0u) << kind << " nt=" << nt;
   for (const auto& [name, p] : module->named_parameters())
     out.params.push_back(p.value().to_vector());
   for (const auto& [name, b] : nn::named_buffers_recursive(*module))
