@@ -20,14 +20,16 @@ using Clock = std::chrono::steady_clock;
 
 static double time_steps(fused::FusedArray& model, const Tensor& x,
                          int steps) {
-  // Optimizer-free TrainLoop: zero_grad -> forward -> loss -> backward per
+  // Optimizer-free TrainStep: zero_grad -> forward -> loss -> backward per
   // iteration, with the engine scratch and pooled storage reused across
   // all of them.
-  TrainLoop loop;
+  TrainStep step;
   const auto t0 = Clock::now();
-  loop.run(steps, model, [&](int64_t) {
-    return ag::sum_all(model.forward(ag::Variable(x)));
-  });
+  for (int s = 0; s < steps; ++s) {
+    step.run(model, [&] {
+      return ag::sum_all(model.forward(ag::Variable(x)));
+    });
+  }
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 

@@ -85,21 +85,28 @@ int main() {
 
   std::printf("training %ld fused models (lrs: %.0e %.0e %.0e)\n\n", B,
               lrs[0], lrs[1], lrs[2]);
-  // One TrainLoop drives the fused iteration through the canonical
+  // One TrainStep drives the fused iteration through the canonical
   // zero_grad -> forward/loss -> backward -> step sequence; the three
-  // serial twins it replaces run inside the scoring hook on a SECOND
-  // TrainStep, so loop.step()'s stats keep describing the fused step (the
-  // zero-alloc line below) rather than the last serial twin.
-  Tensor logits_value;  // value only: the tape is released per step
-  TrainStep serial_step;  // drives the serial twins inside the hook
-  serial_step.enable_capture();  // twins replay tape-free too
-  TrainLoop::Options lopts;
-  // The batch is fixed, so the step is captured once and replayed
+  // serial twins it replaces run on a SECOND TrainStep, so fused_step's
+  // stats keep describing the fused step (the zero-alloc line below)
+  // rather than the last serial twin.
+  //
+  // The batch is fixed, so both steps are captured once and replayed
   // thereafter: no autograd nodes, no closures, no topo sort per step.
   // (logits_value shares the captured graph's pinned storage, so the
   // per-model loss printout stays live through replays.)
-  lopts.capture = true;
-  lopts.on_step = [&](int64_t step, const ag::Variable&) {
+  Tensor logits_value;  // value only: the tape is released per step
+  TrainStep fused_step, serial_step;
+  fused_step.enable_capture();
+  serial_step.enable_capture();
+  for (int64_t step = 0; step < 40; ++step) {
+    fused_step.run(fused_opt, [&] {
+      ag::Variable logits = fused_model.forward(
+          ag::Variable(fused::pack_model_major(std::vector<Tensor>(B, x))));
+      logits_value = logits.value();
+      return fused::fused_cross_entropy(logits, fused_labels,
+                                        ag::Reduction::kMean);
+    });
     // --- the three serial steps the fused one replaces ---
     for (int64_t b = 0; b < B; ++b) {
       const size_t ub = static_cast<size_t>(b);
@@ -113,24 +120,16 @@ int main() {
       std::printf("step %2ld   fused per-model losses: %.4f %.4f %.4f\n",
                   step, per[0], per[1], per[2]);
     }
-  };
-  TrainLoop loop(lopts);
-  loop.run(40, fused_opt, [&](int64_t) {
-    ag::Variable logits = fused_model.forward(
-        ag::Variable(fused::pack_model_major(std::vector<Tensor>(B, x))));
-    logits_value = logits.value();
-    return fused::fused_cross_entropy(logits, fused_labels,
-                                      ag::Reduction::kMean);
-  });
+  }
   std::printf("\nsteady-state heap allocations per fused step: %llu "
               "(storage pool recycles everything once warm)\n",
               static_cast<unsigned long long>(
-                  loop.step().stats().last_heap_allocs));
+                  fused_step.stats().last_heap_allocs));
   std::printf("steps replayed tape-free: %lld of 40 (autograd node "
               "constructions in the last step: %llu)\n",
-              static_cast<long long>(loop.step().stats().replays),
+              static_cast<long long>(fused_step.stats().replays),
               static_cast<unsigned long long>(
-                  loop.step().stats().last_node_constructions));
+                  fused_step.stats().last_node_constructions));
 
   // Equivalence: fused weights == serial weights, model by model.
   float max_diff = 0;

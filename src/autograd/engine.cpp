@@ -14,6 +14,25 @@ namespace {
 std::atomic<uint64_t> g_run_counter{0};
 }  // namespace
 
+template <typename OnTarget>
+void Engine::backward_node(Variable::Impl* impl, const OnTarget& on_target) {
+  std::vector<Tensor> gin = impl->node->backward(impl->grad);
+  HFTA_CHECK(gin.size() == impl->node->inputs.size(),
+             "backward of ", impl->node->name, " returned ", gin.size(),
+             " grads for ", impl->node->inputs.size(), " inputs");
+  for (size_t i = 0; i < gin.size(); ++i) {
+    const Variable& in = impl->node->inputs[i];
+    if (!in.defined() || !gin[i].defined()) continue;
+    if (!in.impl_->requires_grad && !in.impl_->node) continue;
+    Tensor& g = in.impl_->grad;
+    if (!g.defined()) g = Tensor::zeros(in.shape());
+    HFTA_CHECK(gin[i].numel() == g.numel(), "backward of ",
+               impl->node->name, ": grad ", i, " numel mismatch");
+    g.add_(gin[i]);
+    on_target(in.impl_.get());
+  }
+}
+
 void Engine::run(const Variable& root, Tensor seed, BackwardTape* capture) {
   HFTA_CHECK(root.defined(), "backward() on undefined Variable");
   if (!seed.defined()) {
@@ -72,22 +91,10 @@ void Engine::run(const Variable& root, Tensor seed, BackwardTape* capture) {
     Variable::Impl* impl = *it;
     if (!impl->node || !impl->grad.defined()) continue;
     if (capture != nullptr) capture->schedule.push_back(impl);
-    std::vector<Tensor> gin = impl->node->backward(impl->grad);
-    HFTA_CHECK(gin.size() == impl->node->inputs.size(),
-               "backward of ", impl->node->name, " returned ", gin.size(),
-               " grads for ", impl->node->inputs.size(), " inputs");
-    for (size_t i = 0; i < gin.size(); ++i) {
-      const Variable& in = impl->node->inputs[i];
-      if (!in.defined() || !gin[i].defined()) continue;
-      if (!in.impl_->requires_grad && !in.impl_->node) continue;
-      Tensor& g = in.impl_->grad;
-      if (!g.defined()) g = Tensor::zeros(in.shape());
-      HFTA_CHECK(gin[i].numel() == g.numel(), "backward of ",
-                 impl->node->name, ": grad ", i, " numel mismatch");
-      g.add_(gin[i]);
-      if (capture != nullptr && seen_targets.insert(in.impl_.get()).second)
-        capture->grad_targets.push_back(in.impl_.get());
-    }
+    backward_node(impl, [&](Variable::Impl* target) {
+      if (capture != nullptr && seen_targets.insert(target).second)
+        capture->grad_targets.push_back(target);
+    });
   }
   ++runs_;
 }
@@ -106,18 +113,8 @@ void BackwardTape::replay() const {
   }
   root.impl_->grad.add_(seed);
   // The captured schedule, with the captured accumulation order.
-  for (Variable::Impl* impl : schedule) {
-    std::vector<Tensor> gin = impl->node->backward(impl->grad);
-    HFTA_CHECK(gin.size() == impl->node->inputs.size(),
-               "replay of ", impl->node->name, " returned ", gin.size(),
-               " grads for ", impl->node->inputs.size(), " inputs");
-    for (size_t i = 0; i < gin.size(); ++i) {
-      const Variable& in = impl->node->inputs[i];
-      if (!in.defined() || !gin[i].defined()) continue;
-      if (!in.impl_->requires_grad && !in.impl_->node) continue;
-      in.impl_->grad.add_(gin[i]);
-    }
-  }
+  for (Variable::Impl* impl : schedule)
+    Engine::backward_node(impl, [](Variable::Impl*) {});
 }
 
 void BackwardTape::clear() {

@@ -70,6 +70,17 @@ class Engine {
   }
 
  private:
+  friend struct BackwardTape;  // replays through backward_node
+
+  /// One node's backward step, shared by run() and BackwardTape::replay():
+  /// runs the node's closure and adds each on-tape input's gradient into
+  /// that input's grad buffer (allocated as zeros on first write), in input
+  /// order. `on_target` sees every buffer written — run()'s capture
+  /// bookkeeping. Replay's targets are already zeroed, so there the lazy
+  /// allocation never fires.
+  template <typename OnTarget>
+  static void backward_node(Variable::Impl* impl, const OnTarget& on_target);
+
   // Traversal scratch, reused across runs (capacity persists).
   std::vector<Variable::Impl*> topo_;
   std::vector<std::pair<Variable::Impl*, size_t>> stack_;

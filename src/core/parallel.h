@@ -68,9 +68,9 @@ struct Partition {
   /// Index of the chunk starting at `lo` (the first argument of a
   /// parallel_for callback). Kernels that need scratch must acquire one
   /// slab of num_chunks() slots on the launching thread and address it by
-  /// this index: acquiring pool storage from inside the body would park
-  /// buffers in whichever worker cache ran the chunk, making warm-pool
-  /// state (and the zero-alloc steady state) depend on scheduling.
+  /// this index: acquiring pool storage from inside the body would make
+  /// the peak number of live scratch buffers, and so the pool's heap
+  /// allocations, depend on how the chunks were scheduled.
   int64_t chunk_index(int64_t lo) const { return (lo - begin) / chunk; }
 };
 

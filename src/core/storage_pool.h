@@ -1,5 +1,5 @@
-// Size-bucketed recycling pool for tensor storage, with per-thread free
-// lists and intrusive refcounts.
+// Size-bucketed recycling pool for tensor storage, with intrusive
+// refcounts.
 //
 // Training iterates the same graph over and over: every step allocates the
 // same set of activation/gradient buffers and frees them before the next
@@ -10,7 +10,7 @@
 // rounded up to a power of two (min 64 floats), so near-size requests share
 // lists and the cache stays small.
 //
-// Two designs keep that invariant cheap under multi-threaded kernels:
+// Two designs keep that invariant cheap:
 //
 //  * Intrusive refcounts. Each pooled block starts with a StorageBlock
 //    header (atomic refcount + capacity) and Tensors hold a StorageRef — a
@@ -19,13 +19,11 @@
 //    "zero allocations per warm step" property; StorageRef allocates
 //    nothing.
 //
-//  * Per-thread LIFO free lists. Releases park on the releasing thread's
-//    cache and acquires pop from the acquiring thread's cache, so the hot
-//    path never touches the shared-bucket mutex. Misses spill to the shared
-//    buckets, and a would-be heap allocation first STEALS from sibling
-//    caches — a buffer is only ever heap-allocated when its bucket is empty
-//    across the whole process, so dynamic chunk->thread scheduling cannot
-//    reintroduce warm-step allocations.
+//  * One mutex-guarded set of LIFO buckets. Kernels acquire and release
+//    storage on the launching thread only (DESIGN §10), so the lock is
+//    uncontended on the hot path and a buffer is heap-allocated exactly
+//    when its bucket is empty. Other threads may use the pool too; they
+//    share the same lists.
 //
 // Zero-fill is a separate concern from allocation: acquire(numel, zeroed)
 // memsets only when the caller's semantics need it. Kernels and factories
@@ -40,7 +38,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -116,9 +113,8 @@ class StoragePool {
   static StoragePool& instance();
 
   /// A buffer of at least `numel` floats, zero-filled when `zeroed`.
-  /// Served from the calling thread's cache, then the shared buckets, then
-  /// by stealing from sibling thread caches; falls back to the heap (and
-  /// counts a heap alloc) only when the bucket is empty process-wide.
+  /// Pops the bucket's most recently parked block; falls back to the heap
+  /// (and counts a heap alloc) only when the bucket is empty.
   StorageRef acquire(int64_t numel, bool zeroed);
 
   struct Config {
@@ -133,8 +129,8 @@ class StoragePool {
   struct Stats {
     uint64_t heap_allocs = 0;    // real heap allocations since last reset
     uint64_t heap_bytes = 0;     // bytes those allocations requested
-    uint64_t pool_hits = 0;      // acquires served from any free list
-    uint64_t cached_buffers = 0; // buffers currently parked (all lists)
+    uint64_t pool_hits = 0;      // acquires served from a free list
+    uint64_t cached_buffers = 0; // buffers currently parked (all buckets)
     uint64_t cached_bytes = 0;
   };
   Stats stats() const;
@@ -142,44 +138,21 @@ class StoragePool {
   /// not affected).
   void reset_stats();
 
-  /// Frees every cached buffer — shared buckets and every thread cache.
-  /// Live tensors are unaffected; they return to the (now empty) free
-  /// lists as usual when released.
+  /// Frees every cached buffer. Live tensors are unaffected; they return
+  /// to the (now empty) free lists as usual when released.
   void trim();
 
  private:
   friend class StorageRef;
 
-  // Per-thread free lists. The owning thread takes the mutex uncontended on
-  // the hot path; other threads lock it only to steal on a would-be heap
-  // allocation or to trim.
-  struct ThreadCache {
-    std::mutex mu;
-    std::unordered_map<int64_t, std::vector<StorageBlock*>> lists;
-  };
-
   StoragePool() = default;
 
   void release(StorageBlock* block);
-  /// This thread's cache, or nullptr during thread/process teardown (after
-  /// the thread-local holder was destroyed) — callers then use the shared
-  /// buckets directly.
-  ThreadCache* local_cache();
-  void flush_cache(const std::shared_ptr<ThreadCache>& cache);
-  StorageBlock* steal(int64_t capacity, const ThreadCache* self);
   StorageBlock* heap_alloc(int64_t capacity);
 
-  // Most buffers a thread parks per bucket before spilling to the shared
-  // lists (bounds per-thread memory when one thread frees what another
-  // allocates).
-  static constexpr size_t kMaxCachedPerBucket = 8;
-
-  mutable std::mutex mu_;  // guards the shared free_ buckets
+  mutable std::mutex mu_;  // guards free_
   std::unordered_map<int64_t, std::vector<StorageBlock*>> free_;
   std::atomic<bool> enabled_{true};
-
-  std::mutex registry_mu_;
-  std::vector<std::shared_ptr<ThreadCache>> caches_;
 
   // Relaxed atomics: counters are read for snapshots, never for
   // synchronization.
@@ -204,9 +177,6 @@ inline void StorageRef::release() {
 ///   IterationScope scope;
 ///   ... zero_grad / forward / backward / step ...
 ///   assert(scope.stats().heap_allocs == 0);  // steady state: all recycled
-///
-/// Destruction publishes the deltas as IterationScope::last(), so drivers
-/// can report per-iteration behavior without threading the scope around.
 class IterationScope {
  public:
   /// One snapshot of everything a step driver reports: allocation behavior
@@ -220,13 +190,9 @@ class IterationScope {
   };
 
   IterationScope();
-  ~IterationScope();
 
   /// Deltas since construction.
   Stats stats() const;
-
-  /// Deltas recorded by the most recently destroyed scope.
-  static Stats last();
 
  private:
   StoragePool::Stats start_;

@@ -95,7 +95,7 @@ ag::Variable TrainStep::run_cached(nn::Optimizer& opt, const LossFn& loss_fn) {
     // Same optimizer address, different structure (e.g. a repacked group
     // reusing a slot): the captured graph is stale.
     slot.program.clear();
-    slot.eager_runs = 0;
+    slot.warm = false;
   }
   slot.fingerprint = fp;
   slot.fingerprinted = true;
@@ -117,8 +117,8 @@ ag::Variable TrainStep::run_cached(nn::Optimizer& opt, const LossFn& loss_fn) {
     return slot.program.loss();
   }
 
-  if (slot.eager_runs < warmup_) {
-    ++slot.eager_runs;
+  if (!slot.warm) {
+    slot.warm = true;
     return run_impl([&] { opt.zero_grad(); }, [&] { amp_step(opt); }, loss_fn,
                     amp_, backward_seed());
   }
@@ -142,18 +142,6 @@ ag::Variable TrainStep::run_cached(nn::Optimizer& opt, const LossFn& loss_fn) {
   finish_stats(scope);
   evict_lru();
   return loss;
-}
-
-void TrainStep::enable_capture(int64_t warmup) {
-  HFTA_CHECK(warmup >= 1, "enable_capture: warmup must be >= 1 (the pool "
-             "must be warm before a program pins its buffers)");
-  capture_ = true;
-  warmup_ = warmup;
-}
-
-void TrainStep::disable_capture() {
-  capture_ = false;
-  programs_.clear();
 }
 
 void TrainStep::stage(Tensor* dst, const Tensor& src) {
@@ -280,31 +268,6 @@ ag::Variable TrainStep::run(nn::Module& model, const LossFn& loss_fn) {
 
 void TrainStep::backward(const ag::Variable& loss, Tensor seed) {
   engine_.run(loss, std::move(seed));
-}
-
-template <typename Target>
-void TrainLoop::run_loop(int64_t steps, Target& target,
-                         const std::function<ag::Variable(int64_t)>& loss_fn) {
-  for (int64_t s = 0; s < steps; ++s) {
-    ag::Variable loss = step_.run(target, [&] { return loss_fn(s); });
-    if (opts_.on_step) opts_.on_step(s, loss);
-    const bool epoch_end =
-        opts_.steps_per_epoch > 0 && (s + 1) % opts_.steps_per_epoch == 0;
-    if (epoch_end) {
-      if (opts_.scheduler) opts_.scheduler->step();
-      if (opts_.on_epoch_end) opts_.on_epoch_end((s + 1) / opts_.steps_per_epoch - 1);
-    }
-  }
-}
-
-void TrainLoop::run(int64_t steps, nn::Optimizer& opt,
-                    const std::function<ag::Variable(int64_t)>& loss_fn) {
-  run_loop(steps, opt, loss_fn);
-}
-
-void TrainLoop::run(int64_t steps, nn::Module& model,
-                    const std::function<ag::Variable(int64_t)>& loss_fn) {
-  run_loop(steps, model, loss_fn);
 }
 
 }  // namespace hfta

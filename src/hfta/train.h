@@ -1,16 +1,16 @@
-// The iteration engine's driver layer: one TrainStep/TrainLoop API for
-// every training loop in the repo (examples, benches, the HFHT executor).
+// The iteration engine's driver layer: one TrainStep API for every
+// training loop in the repo (examples, benches, the HFHT executor).
 //
 // Every hand-rolled loop here used to repeat the same five lines —
 // zero_grad, forward, loss, backward, optimizer step — and every copy paid
 // the full per-iteration overhead: a fresh autograd traversal scratch per
 // backward and heap-allocated storage for every activation and gradient.
 // TrainStep owns the two reusable pieces (an ag::Engine and the pool's
-// IterationScope accounting) and drives the canonical sequence; TrainLoop
-// adds epoch boundaries, scheduler stepping, and scoring/tracing hooks on
-// top. Porting a loop onto TrainStep is what makes pooling + engine reuse
-// apply to it — and keeps it bit-exact, because the step order is the same
-// five lines it always ran.
+// IterationScope accounting) and drives the canonical sequence; callers
+// keep their own loop around it (epochs, schedulers, logging). Porting a
+// loop onto TrainStep is what makes pooling + engine reuse apply to it —
+// and keeps it bit-exact, because the step order is the same five lines it
+// always ran.
 #pragma once
 
 #include <functional>
@@ -22,7 +22,6 @@
 #include "autograd/step_program.h"
 #include "core/storage_pool.h"
 #include "hfta/fused_optim.h"
-#include "hfta/fused_sched.h"
 #include "hfta/loss_scaling.h"
 #include "nn/module.h"
 #include "nn/optim.h"
@@ -116,7 +115,7 @@ class TrainStep {
   //
   // Opt-in (a data-varying loss builder would silently train on stale
   // data): once enabled, the single-loss optimizer overloads of run()
-  // drive `warmup` eager steps per optimizer, capture the next step into
+  // drive one eager step per optimizer, capture the next step into
   // an ag::StepProgram, and replay it thereafter — no Node construction,
   // no closure allocation, no topo sort, and (warm) no heap allocation.
   //
@@ -131,12 +130,9 @@ class TrainStep {
   // recaptures automatically; stage() with a new shape invalidates every
   // program (batch-size change reshapes the graph).
 
-  /// Enables capture on this TrainStep after `warmup` eager steps per
-  /// optimizer (>= 1 so pooled buffers are warm when the program pins
-  /// them).
-  void enable_capture(int64_t warmup = 1);
-  /// Disables capture and drops every cached program.
-  void disable_capture();
+  /// Enables capture on this TrainStep. Each optimizer's first step runs
+  /// eagerly so the pool is warm before a program pins its buffers.
+  void enable_capture() { capture_ = true; }
   bool capture_enabled() const { return capture_; }
 
   /// Stages per-step data into `*dst` (a tensor the captured graph
@@ -161,7 +157,7 @@ class TrainStep {
   struct ProgramSlot {
     uint64_t fingerprint = 0;
     bool fingerprinted = false;
-    int64_t eager_runs = 0;  // warmup progress before capture
+    bool warm = false;       // the warm-up eager step has run
     int64_t last_used = 0;   // LRU clock value
     ag::StepProgram program;
   };
@@ -196,63 +192,12 @@ class TrainStep {
   Stats stats_;
   std::unordered_map<const void*, ProgramSlot> programs_;
   bool capture_ = false;
-  int64_t warmup_ = 1;
   int64_t use_clock_ = 0;
   bool amp_ = false;
   DType amp_dtype_ = DType::kBF16;
   fused::LossScaler scaler_;
   Tensor amp_seed_;  // persistent scalar; every captured tape shares it
   float amp_seed_value_ = 0.f;  // last value written; skips redundant fills
-};
-
-/// Drives a TrainStep over a fixed number of iterations with epoch
-/// boundaries, scheduler stepping, and hooks — the loop around the loop.
-/// The loss builder receives the step index (for data selection/logging);
-/// hooks run after the optimizer step so they observe the updated model.
-class TrainLoop {
- public:
-  struct Options {
-    /// Iterations per epoch; 0 disables epoch boundaries. The scheduler and
-    /// on_epoch_end fire after each full epoch.
-    int64_t steps_per_epoch = 0;
-    /// Steps the optimizer's lr (fused or serial: a serial optimizer is a
-    /// one-model array, scheduled with one-element vectors).
-    fused::FusedLRScheduler* scheduler = nullptr;
-    std::function<void(int64_t epoch)> on_epoch_end;
-    /// Scoring/tracing hook: (step index, that step's loss).
-    std::function<void(int64_t step, const ag::Variable& loss)> on_step;
-    /// Capture the step into a replayable program after `capture_warmup`
-    /// eager steps (see TrainStep::enable_capture and its static-input
-    /// discipline — the loss builder is not called during replay).
-    bool capture = false;
-    int64_t capture_warmup = 1;
-  };
-
-  TrainLoop() = default;
-  // Delegating overload instead of `Options opts = {}`: GCC rejects
-  // defaulted {} for nested structs with NSDMI.
-  explicit TrainLoop(Options opts) : opts_(std::move(opts)) {
-    if (opts_.capture) step_.enable_capture(opts_.capture_warmup);
-  }
-
-  /// Runs `steps` iterations of loss_fn against the optimizer.
-  void run(int64_t steps, nn::Optimizer& opt,
-           const std::function<ag::Variable(int64_t)>& loss_fn);
-  /// Optimizer-free variant (timing probes).
-  void run(int64_t steps, nn::Module& model,
-           const std::function<ag::Variable(int64_t)>& loss_fn);
-
-  /// The underlying TrainStep (shared engine/stats; also usable directly
-  /// for interleaved extra steps, e.g. serial verification twins).
-  TrainStep& step() { return step_; }
-
- private:
-  template <typename Target>
-  void run_loop(int64_t steps, Target& target,
-                const std::function<ag::Variable(int64_t)>& loss_fn);
-
-  Options opts_;
-  TrainStep step_;
 };
 
 }  // namespace hfta

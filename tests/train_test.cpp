@@ -1,5 +1,5 @@
 // The iteration engine end to end: Engine reuse vs fresh backward() calls,
-// TrainStep/TrainLoop driving real fused training, pooled-vs-heap
+// TrainStep driving real fused training, pooled-vs-heap
 // bit-exactness at quickstart scale, and the steady-state zero-alloc
 // property the storage pool exists for.
 #include <gtest/gtest.h>
@@ -175,44 +175,6 @@ TEST(TrainEngine, SteadyStateStepsMakeZeroHeapAllocations) {
     EXPECT_GT(step.stats().last_pool_hits, 0u);
   }
   EXPECT_EQ(step.stats().steps, 8);
-}
-
-TEST(TrainEngine, TrainLoopRunsSchedulerAndHooksAtEpochBoundaries) {
-  const int64_t B = 2, in = 4, classes = 3, N = 4;
-  Rng rng(5);
-  FusedMlp model(B, in, 8, classes, rng);
-  fused::FusedAdam opt(fused::collect_fused_parameters(model, B), B,
-                       {.lr = {1e-3, 2e-3}});
-  fused::FusedExponentialLR sched(opt, {0.5});
-  Rng data_rng(9);
-  Tensor x = Tensor::randn({N, in}, data_rng);
-  Tensor labels = Tensor::zeros({B, N});
-
-  std::vector<int64_t> epochs_seen;
-  int64_t steps_seen = 0;
-  TrainLoop::Options lopts;
-  lopts.steps_per_epoch = 3;
-  lopts.scheduler = &sched;
-  lopts.on_epoch_end = [&](int64_t e) { epochs_seen.push_back(e); };
-  lopts.on_step = [&](int64_t, const ag::Variable& loss) {
-    EXPECT_TRUE(loss.defined());
-    ++steps_seen;
-  };
-  TrainLoop loop(lopts);
-  loop.run(6, opt, [&](int64_t) {
-    return fused::fused_cross_entropy(
-        model.forward(ag::Variable(
-            fused::pack_model_major(std::vector<Tensor>(B, x)))),
-        labels, ag::Reduction::kMean);
-  });
-  EXPECT_EQ(steps_seen, 6);
-  ASSERT_EQ(epochs_seen.size(), 2u);
-  EXPECT_EQ(epochs_seen[0], 0);
-  EXPECT_EQ(epochs_seen[1], 1);
-  EXPECT_EQ(sched.epoch(), 2);
-  // Two scheduler steps of gamma=0.5: lr vector decayed to a quarter.
-  EXPECT_DOUBLE_EQ(opt.lr()[0], 1e-3 * 0.25);
-  EXPECT_DOUBLE_EQ(opt.lr()[1], 2e-3 * 0.25);
 }
 
 TEST(TrainEngine, MultiLossRunsEveryBackwardBeforeTheStep) {
