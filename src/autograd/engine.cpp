@@ -1,9 +1,9 @@
 #include "autograd/engine.h"
 
 #include <atomic>
-#include <unordered_set>
 
 #include "core/check.h"
+#include "core/vec.h"
 
 namespace hfta::ag {
 
@@ -14,8 +14,24 @@ namespace {
 std::atomic<uint64_t> g_run_counter{0};
 }  // namespace
 
-template <typename OnTarget>
-void Engine::backward_node(Variable::Impl* impl, const OnTarget& on_target) {
+void Engine::accumulate(Variable::Impl* target, const Tensor& x,
+                        uint64_t pass, bool overwrite) {
+  Tensor& g = target->grad;
+  const bool fresh = !g.defined();
+  if (fresh) g = Tensor::empty(target->value.shape());
+  HFTA_CHECK(x.numel() == g.numel(), "gradient of ", g.numel(),
+             " elements given a contribution of ", x.numel());
+  if (fresh || (overwrite && target->grad_mark != pass)) {
+    vec::unary(vec::UnOp::kAddScalar, 0.f, 0.f, x.data(), g.data(),
+               g.numel());
+  } else {
+    g.add_(x);
+  }
+  target->grad_mark = pass;
+}
+
+void Engine::backward_node(Variable::Impl* impl, uint64_t pass,
+                           bool overwrite) {
   std::vector<Tensor> gin = impl->node->backward(impl->grad);
   HFTA_CHECK(gin.size() == impl->node->inputs.size(),
              "backward of ", impl->node->name, " returned ", gin.size(),
@@ -24,12 +40,7 @@ void Engine::backward_node(Variable::Impl* impl, const OnTarget& on_target) {
     const Variable& in = impl->node->inputs[i];
     if (!in.defined() || !gin[i].defined()) continue;
     if (!in.impl_->requires_grad && !in.impl_->node) continue;
-    Tensor& g = in.impl_->grad;
-    if (!g.defined()) g = Tensor::zeros(in.shape());
-    HFTA_CHECK(gin[i].numel() == g.numel(), "backward of ",
-               impl->node->name, ": grad ", i, " numel mismatch");
-    g.add_(gin[i]);
-    on_target(in.impl_.get());
+    accumulate(in.impl_.get(), gin[i], pass, overwrite);
   }
 }
 
@@ -70,9 +81,6 @@ void Engine::run(const Variable& root, Tensor seed, BackwardTape* capture) {
     }
   }
 
-  // Capture bookkeeping: the dedup set exists only on the (rare) capture
-  // run, so eager passes pay nothing for recordability.
-  std::unordered_set<Variable::Impl*> seen_targets;
   if (capture != nullptr) {
     capture->clear();
     capture->root = root;
@@ -80,48 +88,31 @@ void Engine::run(const Variable& root, Tensor seed, BackwardTape* capture) {
   }
 
   // Seed and propagate in reverse topological order.
-  root_impl->grad =
-      root_impl->grad.defined() ? root_impl->grad : Tensor::zeros(root.shape());
-  root_impl->grad.add_(seed.reshape(root.shape()));
-  if (capture != nullptr) {
-    capture->grad_targets.push_back(root_impl);
-    seen_targets.insert(root_impl);
-  }
+  accumulate(root_impl, seed, mark, /*overwrite=*/false);
   for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
     Variable::Impl* impl = *it;
     if (!impl->node || !impl->grad.defined()) continue;
     if (capture != nullptr) capture->schedule.push_back(impl);
-    backward_node(impl, [&](Variable::Impl* target) {
-      if (capture != nullptr && seen_targets.insert(target).second)
-        capture->grad_targets.push_back(target);
-    });
+    backward_node(impl, mark, /*overwrite=*/false);
   }
   ++runs_;
 }
 
 void BackwardTape::replay() const {
   HFTA_CHECK(captured(), "BackwardTape::replay() before any capture");
-  // Zero every gradient buffer the captured pass wrote (in place: the
-  // buffers are pinned by the captured graph), then re-seed the root —
-  // equivalent to eager's fresh lazily-zeroed grads.
-  for (Variable::Impl* t : grad_targets) {
-    if (t->grad.defined()) {
-      t->grad.zero_();
-    } else {
-      t->grad = Tensor::zeros(t->value.shape());
-    }
-  }
-  root.impl_->grad.add_(seed);
-  // The captured schedule, with the captured accumulation order.
+  // A fresh pass stamp: every pinned gradient buffer's first contribution
+  // of this pass overwrites it (the seed first, at the root), then the
+  // captured schedule runs in the captured accumulation order.
+  const uint64_t pass = ++g_run_counter;
+  Engine::accumulate(root.impl_.get(), seed, pass, /*overwrite=*/true);
   for (Variable::Impl* impl : schedule)
-    Engine::backward_node(impl, [](Variable::Impl*) {});
+    Engine::backward_node(impl, pass, /*overwrite=*/true);
 }
 
 void BackwardTape::clear() {
   root = Variable();
   seed = Tensor();
   schedule.clear();
-  grad_targets.clear();
 }
 
 }  // namespace hfta::ag

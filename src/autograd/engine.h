@@ -22,17 +22,19 @@ namespace hfta::ag {
 
 /// The backward half of a captured step program: the exact node schedule
 /// one Engine::run executed, flattened for replay. `schedule` holds the
-/// reverse-topological node order the eager pass propagated through and
-/// `grad_targets` every gradient buffer it wrote, so replay() can zero
-/// those buffers in place, re-seed the root, and re-run the recorded
-/// backward closures — no topo sort, no visited stamps, no Node or closure
-/// construction, and (once warm) no allocation: every gradient lands in
-/// the same pinned pool buffer the capture run resolved.
+/// reverse-topological node order the eager pass propagated through, so
+/// replay() can re-seed the root and re-run the recorded backward closures
+/// — no topo sort, no visited stamps, no Node or closure construction, and
+/// (once warm) no allocation: every gradient lands in the same pinned pool
+/// buffer the capture run resolved.
 ///
 /// Bit-exactness contract: replay() visits nodes and accumulates per-input
-/// gradients in exactly the captured order, and eager's lazily-allocated
-/// zeros + add_() equals replay's zero_() + add_(), so a replayed backward
-/// is bit-identical to the eager pass it recorded.
+/// gradients in exactly the captured order. Each gradient's first
+/// contribution of the pass overwrites its buffer as `x + 0` (what the
+/// buffer held before — last step's gradient, or optimizer zeros — is
+/// never read), later ones add_() on top: the roundings of eager's fresh
+/// buffer, so a replayed backward is bit-identical to the eager pass it
+/// recorded.
 ///
 /// Lifetime: `root` keeps the whole captured graph (and therefore every
 /// raw Impl pointer here) alive; the tape must be cleared or discarded
@@ -40,8 +42,7 @@ namespace hfta::ag {
 struct BackwardTape {
   Variable root;    // capture root; owns the graph the raw pointers walk
   Tensor seed;      // root seed, already reshaped to root's shape
-  std::vector<Variable::Impl*> schedule;      // nodes, reverse-topo order
-  std::vector<Variable::Impl*> grad_targets;  // every grad buffer written
+  std::vector<Variable::Impl*> schedule;  // nodes, reverse-topo order
 
   bool captured() const { return root.defined(); }
   void replay() const;
@@ -70,16 +71,22 @@ class Engine {
   }
 
  private:
-  friend struct BackwardTape;  // replays through backward_node
+  friend struct BackwardTape;  // replays through backward_node/accumulate
 
   /// One node's backward step, shared by run() and BackwardTape::replay():
-  /// runs the node's closure and adds each on-tape input's gradient into
-  /// that input's grad buffer (allocated as zeros on first write), in input
-  /// order. `on_target` sees every buffer written — run()'s capture
-  /// bookkeeping. Replay's targets are already zeroed, so there the lazy
-  /// allocation never fires.
-  template <typename OnTarget>
-  static void backward_node(Variable::Impl* impl, const OnTarget& on_target);
+  /// runs the node's closure and accumulates each on-tape input's gradient
+  /// into that input's grad buffer, in input order (see accumulate()).
+  static void backward_node(Variable::Impl* impl, uint64_t pass,
+                            bool overwrite);
+  /// Adds contribution `x` to `target`'s gradient during backward pass
+  /// `pass`. A gradient without a buffer gets one, written as `x + 0` in
+  /// one pass — bit-identical to adding `x` into fresh zeros, −0 → +0
+  /// included. With `overwrite` (replay), a buffer not yet written in this
+  /// pass (its grad_mark stamp is stale) is written the same way; every
+  /// other contribution is add_()ed, so eager still accumulates into
+  /// gradients that exist before the pass (parameters, multi-loss steps).
+  static void accumulate(Variable::Impl* target, const Tensor& x,
+                         uint64_t pass, bool overwrite);
 
   // Traversal scratch, reused across runs (capacity persists).
   std::vector<Variable::Impl*> topo_;

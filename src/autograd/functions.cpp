@@ -24,17 +24,25 @@ bool any_needs_tape(const std::vector<Variable>& ins) {
 //
 // `fwd` is the op's recompute thunk: a callable capturing the input
 // *tensors* by value (shared storage — the step program's pinned buffers)
-// that re-runs the forward kernel. Eager execution evaluates it exactly
-// once at the call site (`fwd()` produced `out`); when a StepProgram is
-// recording, the thunk is additionally appended to the program — including
-// for off-tape constant subgraphs, whose values may be data-dependent and
-// must refresh on replay. `fwd` stays a template parameter so the eager
-// path never type-erases it (no std::function allocation per op).
+// that re-runs the forward kernel into the destination it is given. Eager
+// execution evaluates it exactly once at the call site (`fwd({})`, no
+// destination, produced `out`); when a StepProgram is recording, the thunk
+// is additionally appended to the program with `out` as its destination —
+// including for off-tape constant subgraphs, whose values may be
+// data-dependent and must refresh on replay. A view (reshape) records
+// nothing: `out` aliases an input, which replay refreshes in place. `fwd`
+// stays a template parameter so the eager path never type-erases it (no
+// std::function allocation per op).
 template <typename Fwd>
 Variable make_op(const char* name, Tensor out, const Fwd& fwd,
                  std::vector<Variable> inputs,
                  std::function<std::vector<Tensor>(const Tensor&)> backward) {
-  if (StepProgram* rec = StepProgram::recording()) rec->record_op(out, fwd);
+  if (StepProgram* rec = StepProgram::recording()) {
+    bool view = false;
+    for (const Variable& v : inputs)
+      view = view || (v.defined() && out.shares_storage_with(v.value()));
+    if (!view) rec->record_op(out, fwd);
+  }
   if (!any_needs_tape(inputs)) return Variable(std::move(out));
   auto node = std::make_shared<Node>();
   node->name = name;
@@ -52,8 +60,8 @@ Variable constant(Tensor value) { return Variable(std::move(value)); }
 Variable add(const Variable& a, const Variable& b) {
   Shape sa = a.shape(), sb = b.shape();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv] { return ops::add(av, bv); };
-  return make_op("add", fwd(), fwd, {a, b},
+  auto fwd = [av, bv](const Tensor& out) { return ops::add(av, bv, out); };
+  return make_op("add", fwd({}), fwd, {a, b},
                  [sa, sb](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::reduce_to_shape(gy, sa),
                            ops::reduce_to_shape(gy, sb)};
@@ -63,8 +71,8 @@ Variable add(const Variable& a, const Variable& b) {
 Variable sub(const Variable& a, const Variable& b) {
   Shape sa = a.shape(), sb = b.shape();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv] { return ops::sub(av, bv); };
-  return make_op("sub", fwd(), fwd, {a, b},
+  auto fwd = [av, bv](const Tensor& out) { return ops::sub(av, bv, out); };
+  return make_op("sub", fwd({}), fwd, {a, b},
                  [sa, sb](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::reduce_to_shape(gy, sa),
                            ops::reduce_to_shape(ops::neg(gy), sb)};
@@ -74,8 +82,8 @@ Variable sub(const Variable& a, const Variable& b) {
 Variable mul(const Variable& a, const Variable& b) {
   Shape sa = a.shape(), sb = b.shape();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv] { return ops::mul(av, bv); };
-  return make_op("mul", fwd(), fwd, {a, b},
+  auto fwd = [av, bv](const Tensor& out) { return ops::mul(av, bv, out); };
+  return make_op("mul", fwd({}), fwd, {a, b},
                  [sa, sb, av, bv](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::reduce_to_shape(ops::mul(gy, bv), sa),
                            ops::reduce_to_shape(ops::mul(gy, av), sb)};
@@ -85,9 +93,9 @@ Variable mul(const Variable& a, const Variable& b) {
 Variable div(const Variable& a, const Variable& b) {
   Shape sa = a.shape(), sb = b.shape();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv] { return ops::div(av, bv); };
+  auto fwd = [av, bv](const Tensor& out) { return ops::div(av, bv, out); };
   return make_op(
-      "div", fwd(), fwd, {a, b},
+      "div", fwd({}), fwd, {a, b},
       [sa, sb, av, bv](const Tensor& gy) -> std::vector<Tensor> {
         Tensor ga = ops::reduce_to_shape(ops::div(gy, bv), sa);
         Tensor gb = ops::reduce_to_shape(
@@ -100,15 +108,15 @@ Variable div(const Variable& a, const Variable& b) {
 
 Variable add_scalar(const Variable& a, float s) {
   Tensor av = a.value();
-  auto fwd = [av, s] { return ops::add_scalar(av, s); };
-  return make_op("add_scalar", fwd(), fwd, {a},
+  auto fwd = [av, s](const Tensor& out) { return ops::add_scalar(av, s, out); };
+  return make_op("add_scalar", fwd({}), fwd, {a},
                  [](const Tensor& gy) -> std::vector<Tensor> { return {gy}; });
 }
 
 Variable mul_scalar(const Variable& a, float s) {
   Tensor av = a.value();
-  auto fwd = [av, s] { return ops::mul_scalar(av, s); };
-  return make_op("mul_scalar", fwd(), fwd, {a},
+  auto fwd = [av, s](const Tensor& out) { return ops::mul_scalar(av, s, out); };
+  return make_op("mul_scalar", fwd({}), fwd, {a},
                  [s](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::mul_scalar(gy, s)};
                  });
@@ -118,8 +126,8 @@ Variable mul_scalar(const Variable& a, float s) {
 
 Variable neg(const Variable& a) {
   Tensor av = a.value();
-  auto fwd = [av] { return ops::neg(av); };
-  return make_op("neg", fwd(), fwd, {a},
+  auto fwd = [av](const Tensor& out) { return ops::neg(av, out); };
+  return make_op("neg", fwd({}), fwd, {a},
                  [](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::neg(gy)};
                  });
@@ -127,8 +135,8 @@ Variable neg(const Variable& a) {
 
 Variable exp(const Variable& a) {
   Tensor av = a.value();
-  auto fwd = [av] { return ops::exp(av); };
-  Tensor y = fwd();
+  auto fwd = [av](const Tensor& out) { return ops::exp(av, out); };
+  Tensor y = fwd({});
   return make_op("exp", y, fwd, {a},
                  [y](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::mul(gy, y)};
@@ -137,8 +145,8 @@ Variable exp(const Variable& a) {
 
 Variable log(const Variable& a) {
   Tensor x = a.value();
-  auto fwd = [x] { return ops::log(x); };
-  return make_op("log", fwd(), fwd, {a},
+  auto fwd = [x](const Tensor& out) { return ops::log(x, out); };
+  return make_op("log", fwd({}), fwd, {a},
                  [x](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::div(gy, x)};
                  });
@@ -146,8 +154,8 @@ Variable log(const Variable& a) {
 
 Variable sqrt(const Variable& a) {
   Tensor av = a.value();
-  auto fwd = [av] { return ops::sqrt(av); };
-  Tensor y = fwd();
+  auto fwd = [av](const Tensor& out) { return ops::sqrt(av, out); };
+  Tensor y = fwd({});
   return make_op("sqrt", y, fwd, {a},
                  [y](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::div(ops::mul_scalar(gy, 0.5f), y)};
@@ -156,8 +164,8 @@ Variable sqrt(const Variable& a) {
 
 Variable tanh(const Variable& a) {
   Tensor av = a.value();
-  auto fwd = [av] { return ops::tanh(av); };
-  Tensor y = fwd();
+  auto fwd = [av](const Tensor& out) { return ops::tanh(av, out); };
+  Tensor y = fwd({});
   return make_op("tanh", y, fwd, {a},
                  [y](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor one_minus = ops::unary(
@@ -168,8 +176,8 @@ Variable tanh(const Variable& a) {
 
 Variable sigmoid(const Variable& a) {
   Tensor av = a.value();
-  auto fwd = [av] { return ops::sigmoid(av); };
-  Tensor y = fwd();
+  auto fwd = [av](const Tensor& out) { return ops::sigmoid(av, out); };
+  Tensor y = fwd({});
   return make_op("sigmoid", y, fwd, {a},
                  [y](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor d =
@@ -180,8 +188,8 @@ Variable sigmoid(const Variable& a) {
 
 Variable relu(const Variable& a) {
   Tensor x = a.value();
-  auto fwd = [x] { return ops::relu(x); };
-  return make_op("relu", fwd(), fwd, {a},
+  auto fwd = [x](const Tensor& out) { return ops::relu(x, out); };
+  return make_op("relu", fwd({}), fwd, {a},
                  [x](const Tensor& gy) -> std::vector<Tensor> {
                    // One-pass masked multiply (no materialized mask tensor);
                    // bit-identical to mask-then-mul.
@@ -191,8 +199,8 @@ Variable relu(const Variable& a) {
 
 Variable relu6(const Variable& a) {
   Tensor x = a.value();
-  auto fwd = [x] { return ops::clamp(x, 0.f, 6.f); };
-  return make_op("relu6", fwd(), fwd, {a},
+  auto fwd = [x](const Tensor& out) { return ops::clamp(x, 0.f, 6.f, out); };
+  return make_op("relu6", fwd({}), fwd, {a},
                  [x](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor m = ops::unary(x, [](float v) {
                      return (v > 0.f && v < 6.f) ? 1.f : 0.f;
@@ -203,8 +211,10 @@ Variable relu6(const Variable& a) {
 
 Variable leaky_relu(const Variable& a, float slope) {
   Tensor x = a.value();
-  auto fwd = [x, slope] { return ops::leaky_relu(x, slope); };
-  return make_op("leaky_relu", fwd(), fwd, {a},
+  auto fwd = [x, slope](const Tensor& out) {
+    return ops::leaky_relu(x, slope, out);
+  };
+  return make_op("leaky_relu", fwd({}), fwd, {a},
                  [x, slope](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor m = ops::unary(x, [slope](float v) {
                      return v > 0.f ? 1.f : slope;
@@ -215,8 +225,8 @@ Variable leaky_relu(const Variable& a, float slope) {
 
 Variable pow_scalar(const Variable& a, float p) {
   Tensor x = a.value();
-  auto fwd = [x, p] { return ops::pow_scalar(x, p); };
-  return make_op("pow_scalar", fwd(), fwd, {a},
+  auto fwd = [x, p](const Tensor& out) { return ops::pow_scalar(x, p, out); };
+  return make_op("pow_scalar", fwd({}), fwd, {a},
                  [x, p](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor d = ops::mul_scalar(ops::pow_scalar(x, p - 1.f), p);
                    return {ops::mul(gy, d)};
@@ -225,12 +235,12 @@ Variable pow_scalar(const Variable& a, float p) {
 
 Variable hardsigmoid(const Variable& a) {
   Tensor x = a.value();
-  auto fwd = [x] {
-    return ops::unary(x, [](float v) {
-      return std::min(6.f, std::max(0.f, v + 3.f)) / 6.f;
-    });
+  auto fwd = [x](const Tensor& out) {
+    return ops::unary(
+        x, [](float v) { return std::min(6.f, std::max(0.f, v + 3.f)) / 6.f; },
+        out);
   };
-  return make_op("hardsigmoid", fwd(), fwd, {a},
+  return make_op("hardsigmoid", fwd({}), fwd, {a},
                  [x](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor m = ops::unary(x, [](float v) {
                      return (v > -3.f && v < 3.f) ? (1.f / 6.f) : 0.f;
@@ -241,12 +251,13 @@ Variable hardsigmoid(const Variable& a) {
 
 Variable hardswish(const Variable& a) {
   Tensor x = a.value();
-  auto fwd = [x] {
-    return ops::unary(x, [](float v) {
-      return v * std::min(6.f, std::max(0.f, v + 3.f)) / 6.f;
-    });
+  auto fwd = [x](const Tensor& out) {
+    return ops::unary(
+        x,
+        [](float v) { return v * std::min(6.f, std::max(0.f, v + 3.f)) / 6.f; },
+        out);
   };
-  return make_op("hardswish", fwd(), fwd, {a},
+  return make_op("hardswish", fwd({}), fwd, {a},
                  [x](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor m = ops::unary(x, [](float v) {
                      if (v <= -3.f) return 0.f;
@@ -261,13 +272,16 @@ Variable gelu(const Variable& a) {
   // tanh approximation of GELU (as used in BERT).
   Tensor x = a.value();
   constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  auto fwd = [x] {
-    return ops::unary(x, [](float v) {
-      const float inner = kC * (v + 0.044715f * v * v * v);
-      return 0.5f * v * (1.f + std::tanh(inner));
-    });
+  auto fwd = [x](const Tensor& out) {
+    return ops::unary(
+        x,
+        [](float v) {
+          const float inner = kC * (v + 0.044715f * v * v * v);
+          return 0.5f * v * (1.f + std::tanh(inner));
+        },
+        out);
   };
-  return make_op("gelu", fwd(), fwd, {a},
+  return make_op("gelu", fwd({}), fwd, {a},
                  [x](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor d = ops::unary(x, [](float v) {
                      const float v3 = v * v * v;
@@ -303,8 +317,10 @@ DType gemm_quantize_dtype() {
 Variable matmul(const Variable& a, const Variable& b) {
   const DType q = gemm_quantize_dtype();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv, q] { return ops::matmul(av, bv, q, q); };
-  return make_op("matmul", fwd(), fwd, {a, b},
+  auto fwd = [av, bv, q](const Tensor& out) {
+    return ops::matmul(av, bv, q, q, out);
+  };
+  return make_op("matmul", fwd({}), fwd, {a, b},
                  [av, bv, q](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::matmul_nt(gy, bv, DType::kF32, q),
                            ops::matmul_tn(av, gy, q, DType::kF32)};
@@ -314,8 +330,10 @@ Variable matmul(const Variable& a, const Variable& b) {
 Variable bmm(const Variable& a, const Variable& b) {
   const DType q = gemm_quantize_dtype();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv, q] { return ops::bmm(av, bv, q, q); };
-  return make_op("bmm", fwd(), fwd, {a, b},
+  auto fwd = [av, bv, q](const Tensor& out) {
+    return ops::bmm(av, bv, q, q, out);
+  };
+  return make_op("bmm", fwd({}), fwd, {a, b},
                  [av, bv, q](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::bmm_nt(gy, bv, DType::kF32, q),
                            ops::bmm_tn(av, gy, q, DType::kF32)};
@@ -325,8 +343,10 @@ Variable bmm(const Variable& a, const Variable& b) {
 Variable bmm_nt(const Variable& a, const Variable& b) {
   const DType q = gemm_quantize_dtype();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv, q] { return ops::bmm_nt(av, bv, q, q); };
-  return make_op("bmm_nt", fwd(), fwd, {a, b},
+  auto fwd = [av, bv, q](const Tensor& out) {
+    return ops::bmm_nt(av, bv, q, q, out);
+  };
+  return make_op("bmm_nt", fwd({}), fwd, {a, b},
                  [av, bv, q](const Tensor& gy) -> std::vector<Tensor> {
                    // y = a @ b^T: ga = gy @ b; gb = gy^T @ a.
                    return {ops::bmm(gy, bv, DType::kF32, q),
@@ -339,8 +359,10 @@ Variable baddbmm(const Variable& bias, const Variable& a,
   const DType q = gemm_quantize_dtype();
   Tensor biasv = bias.value(), av = a.value(), bv = b.value();
   Shape sbias = bias.shape();
-  auto fwd = [biasv, av, bv, q] { return ops::baddbmm(biasv, av, bv, q, q); };
-  return make_op("baddbmm", fwd(), fwd, {bias, a, b},
+  auto fwd = [biasv, av, bv, q](const Tensor& out) {
+    return ops::baddbmm(biasv, av, bv, q, q, out);
+  };
+  return make_op("baddbmm", fwd({}), fwd, {bias, a, b},
                  [sbias, av, bv, q](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::reduce_to_shape(gy, sbias),
                            ops::bmm_nt(gy, bv, DType::kF32, q),
@@ -357,8 +379,10 @@ Variable linear(const Variable& x, const Variable& w,
   const int64_t in = wv.size(1);
   const int64_t out = wv.size(0);
   const int64_t rows = xv.numel() / in;
-  auto fwd = [xv, wv, bv, q] { return ops::linear_forward(xv, wv, bv, q, q); };
-  Tensor y = fwd();
+  auto fwd = [xv, wv, bv, q](const Tensor& out) {
+    return ops::linear_forward(xv, wv, bv, q, q, out);
+  };
+  Tensor y = fwd({});
   std::vector<Variable> inputs = {x, w};
   if (b.defined()) inputs.push_back(b);
   const bool has_bias = b.defined();
@@ -386,10 +410,10 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b,
   const DType q = gemm_quantize_dtype();
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, args, q] {
-    return ops::conv2d(xv, wv, bv, args, q, q);
+  auto fwd = [xv, wv, bv, args, q](const Tensor& out) {
+    return ops::conv2d(xv, wv, bv, args, q, q, out);
   };
-  Tensor y = fwd();
+  Tensor y = fwd({});
   std::vector<Variable> inputs = {x, w};
   if (b.defined()) inputs.push_back(b);
   const bool has_bias = b.defined();
@@ -410,10 +434,10 @@ Variable conv1d(const Variable& x, const Variable& w, const Variable& b,
   const DType q = gemm_quantize_dtype();
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, stride, pad, groups, q] {
-    return ops::conv1d(xv, wv, bv, stride, pad, groups, q);
+  auto fwd = [xv, wv, bv, stride, pad, groups, q](const Tensor& out) {
+    return ops::conv1d(xv, wv, bv, stride, pad, groups, q, out);
   };
-  Tensor y = fwd();
+  Tensor y = fwd({});
   std::vector<Variable> inputs = {x, w};
   if (b.defined()) inputs.push_back(b);
   const bool has_bias = b.defined();
@@ -440,10 +464,10 @@ Variable conv_transpose2d(const Variable& x, const Variable& w,
   const DType q = gemm_quantize_dtype();
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, args, q] {
-    return ops::conv_transpose2d(xv, wv, bv, args, q);
+  auto fwd = [xv, wv, bv, args, q](const Tensor& out) {
+    return ops::conv_transpose2d(xv, wv, bv, args, q, out);
   };
-  Tensor y = fwd();
+  Tensor y = fwd({});
   std::vector<Variable> inputs = {x, w};
   if (b.defined()) inputs.push_back(b);
   const bool has_bias = b.defined();
@@ -464,10 +488,10 @@ Variable conv_transpose1d(const Variable& x, const Variable& w,
   const DType q = gemm_quantize_dtype();
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, args, q] {
-    return ops::conv_transpose1d(xv, wv, bv, args, q);
+  auto fwd = [xv, wv, bv, args, q](const Tensor& out) {
+    return ops::conv_transpose1d(xv, wv, bv, args, q, out);
   };
-  Tensor y = fwd();
+  Tensor y = fwd({});
   std::vector<Variable> inputs = {x, w};
   if (b.defined()) inputs.push_back(b);
   const bool has_bias = b.defined();
@@ -491,12 +515,12 @@ Variable max_pool2d(const Variable& x, const ops::PoolArgs& args) {
   // reads them through a shared box the thunk refreshes — the same
   // pinned-state pattern as op outputs, for non-output state.
   auto idx_box = std::make_shared<Tensor>();
-  auto fwd = [xv, args, idx_box] {
-    auto [y, idx] = ops::max_pool2d(xv, args);
+  auto fwd = [xv, args, idx_box](const Tensor& out) {
+    auto [y, idx] = ops::max_pool2d(xv, args, out);
     *idx_box = idx;
     return y;
   };
-  Tensor y = fwd();
+  Tensor y = fwd({});
   const Shape x_shape = x.shape();
   return make_op("max_pool2d", y, fwd, {x},
                  [idx_box, x_shape](const Tensor& gy) -> std::vector<Tensor> {
@@ -506,9 +530,11 @@ Variable max_pool2d(const Variable& x, const ops::PoolArgs& args) {
 
 Variable avg_pool2d(const Variable& x, const ops::PoolArgs& args) {
   Tensor xv = x.value();
-  auto fwd = [xv, args] { return ops::avg_pool2d(xv, args); };
+  auto fwd = [xv, args](const Tensor& out) {
+    return ops::avg_pool2d(xv, args, out);
+  };
   const Shape x_shape = x.shape();
-  return make_op("avg_pool2d", fwd(), fwd, {x},
+  return make_op("avg_pool2d", fwd({}), fwd, {x},
                  [x_shape, args](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::avg_pool2d_backward(gy, x_shape, args)};
                  });
@@ -516,9 +542,11 @@ Variable avg_pool2d(const Variable& x, const ops::PoolArgs& args) {
 
 Variable adaptive_avg_pool2d(const Variable& x, int64_t oh, int64_t ow) {
   Tensor xv = x.value();
-  auto fwd = [xv, oh, ow] { return ops::adaptive_avg_pool2d(xv, oh, ow); };
+  auto fwd = [xv, oh, ow](const Tensor& out) {
+    return ops::adaptive_avg_pool2d(xv, oh, ow, out);
+  };
   const Shape x_shape = x.shape();
-  return make_op("adaptive_avg_pool2d", fwd(), fwd, {x},
+  return make_op("adaptive_avg_pool2d", fwd({}), fwd, {x},
                  [x_shape](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::adaptive_avg_pool2d_backward(gy, x_shape)};
                  });
@@ -527,12 +555,12 @@ Variable adaptive_avg_pool2d(const Variable& x, int64_t oh, int64_t ow) {
 Variable global_max_pool1d(const Variable& x) {
   Tensor xv = x.value();
   auto idx_box = std::make_shared<Tensor>();  // see max_pool2d
-  auto fwd = [xv, idx_box] {
-    auto [y, idx] = ops::max_pool1d_global(xv);
+  auto fwd = [xv, idx_box](const Tensor& out) {
+    auto [y, idx] = ops::max_pool1d_global(xv, out);
     *idx_box = idx;
     return y;
   };
-  Tensor y = fwd();
+  Tensor y = fwd({});
   const Shape x_shape = x.shape();
   return make_op("global_max_pool1d", y, fwd, {x},
                  [idx_box, x_shape](const Tensor& gy) -> std::vector<Tensor> {
@@ -546,8 +574,8 @@ Variable global_max_pool1d(const Variable& x) {
 Variable reshape(const Variable& x, Shape shape) {
   const Shape x_shape = x.shape();
   Tensor xv = x.value();
-  auto fwd = [xv, shape] { return xv.reshape(shape); };
-  return make_op("reshape", fwd(), fwd, {x},
+  auto fwd = [xv, shape](const Tensor&) { return xv.reshape(shape); };
+  return make_op("reshape", fwd({}), fwd, {x},
                  [x_shape](const Tensor& gy) -> std::vector<Tensor> {
                    return {gy.reshape(x_shape)};
                  });
@@ -555,8 +583,8 @@ Variable reshape(const Variable& x, Shape shape) {
 
 Variable transpose(const Variable& x, int64_t a, int64_t b) {
   Tensor xv = x.value();
-  auto fwd = [xv, a, b] { return xv.transpose(a, b); };
-  return make_op("transpose", fwd(), fwd, {x},
+  auto fwd = [xv, a, b](const Tensor& out) { return xv.transpose(a, b, out); };
+  return make_op("transpose", fwd({}), fwd, {x},
                  [a, b](const Tensor& gy) -> std::vector<Tensor> {
                    return {gy.transpose(a, b)};
                  });
@@ -567,8 +595,8 @@ Variable permute(const Variable& x, std::vector<int64_t> perm) {
   for (size_t i = 0; i < perm.size(); ++i)
     inv[static_cast<size_t>(perm[i])] = static_cast<int64_t>(i);
   Tensor xv = x.value();
-  auto fwd = [xv, perm] { return xv.permute(perm); };
-  return make_op("permute", fwd(), fwd, {x},
+  auto fwd = [xv, perm](const Tensor& out) { return xv.permute(perm, out); };
+  return make_op("permute", fwd({}), fwd, {x},
                  [inv](const Tensor& gy) -> std::vector<Tensor> {
                    return {gy.permute(inv)};
                  });
@@ -581,8 +609,10 @@ Variable concat(const std::vector<Variable>& xs, int64_t dim) {
   for (const Variable& v : xs) {
     vals.push_back(v.value());
   }
-  auto fwd = [vals, dim] { return ops::concat(vals, dim); };
-  Tensor y = fwd();
+  auto fwd = [vals, dim](const Tensor& out) {
+    return ops::concat(vals, dim, out);
+  };
+  Tensor y = fwd({});
   int64_t d = dim < 0 ? dim + static_cast<int64_t>(y.dim()) : dim;
   for (const Variable& v : xs) sizes.push_back(v.size(d));
   return make_op("concat", y, fwd, xs,
@@ -595,8 +625,10 @@ Variable slice(const Variable& x, int64_t dim, int64_t start, int64_t end) {
   const Shape x_shape = x.shape();
   int64_t d = dim < 0 ? dim + x.dim() : dim;
   Tensor xv = x.value();
-  auto fwd = [xv, d, start, end] { return xv.slice(d, start, end); };
-  return make_op("slice", fwd(), fwd, {x},
+  auto fwd = [xv, d, start, end](const Tensor& out) {
+    return xv.slice(d, start, end, out);
+  };
+  return make_op("slice", fwd({}), fwd, {x},
                  [x_shape, d, start](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor gx = Tensor::zeros(x_shape);
                    // Scatter gy into the slice range along d.
@@ -640,8 +672,10 @@ Variable sum(const Variable& x, std::vector<int64_t> dims, bool keepdim) {
   Shape keep_shape = x_shape;
   for (int64_t d : nd) keep_shape[static_cast<size_t>(d)] = 1;
   Tensor xv = x.value();
-  auto fwd = [xv, nd, keepdim] { return ops::sum(xv, nd, keepdim); };
-  return make_op("sum", fwd(), fwd, {x},
+  auto fwd = [xv, nd, keepdim](const Tensor& out) {
+    return ops::sum(xv, nd, keepdim, out);
+  };
+  return make_op("sum", fwd({}), fwd, {x},
                  [x_shape, keep_shape](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor g = gy.reshape(keep_shape);
                    // broadcast up to the input shape
@@ -659,8 +693,8 @@ Variable mean(const Variable& x, std::vector<int64_t> dims, bool keepdim) {
 Variable sum_all(const Variable& x) {
   const Shape x_shape = x.shape();
   Tensor xv = x.value();
-  auto fwd = [xv] { return ops::sum_all(xv); };
-  return make_op("sum_all", fwd(), fwd, {x},
+  auto fwd = [xv](const Tensor& out) { return ops::sum_all(xv, out); };
+  return make_op("sum_all", fwd({}), fwd, {x},
                  [x_shape](const Tensor& gy) -> std::vector<Tensor> {
                    return {Tensor::full(x_shape, gy.item())};
                  });
@@ -679,10 +713,11 @@ Variable batch_norm(const Variable& x, const Variable& weight,
   // mutable: the thunk writes the batch statistics through its own handles
   // on mean/var (shared storage), so a replay refreshes what the backward
   // closure and the caller's running-stat update read.
-  auto fwd = [xv, wv, bv, mean, var, training, eps]() mutable {
-    return ops::batch_norm_forward(xv, wv, bv, mean, var, training, eps);
+  auto fwd = [xv, wv, bv, mean, var, training,
+              eps](const Tensor& out) mutable {
+    return ops::batch_norm_forward(xv, wv, bv, mean, var, training, eps, out);
   };
-  return make_op("batch_norm", fwd(), fwd, {x, weight, bias},
+  return make_op("batch_norm", fwd({}), fwd, {x, weight, bias},
                  [xv, wv, mean, var, training,
                   eps](const Tensor& gy) -> std::vector<Tensor> {
                    ops::NormGrads g = ops::batch_norm_backward(
@@ -700,10 +735,10 @@ Variable layer_norm(const Variable& x, const Variable& weight,
   // The row statistics, written by every run of the thunk (see batch_norm)
   // and read by the backward.
   Tensor mean = Tensor::empty({rows}), var = Tensor::empty({rows});
-  auto fwd = [xv, wv, bv, groups, mean, var, eps]() mutable {
-    return ops::layer_norm_forward(xv, wv, bv, groups, mean, var, eps);
+  auto fwd = [xv, wv, bv, groups, mean, var, eps](const Tensor& out) mutable {
+    return ops::layer_norm_forward(xv, wv, bv, groups, mean, var, eps, out);
   };
-  return make_op("layer_norm", fwd(), fwd, {x, weight, bias},
+  return make_op("layer_norm", fwd({}), fwd, {x, weight, bias},
                  [xv, wv, mean, var, groups,
                   eps](const Tensor& gy) -> std::vector<Tensor> {
                    ops::NormGrads g = ops::layer_norm_backward(
@@ -717,8 +752,8 @@ Variable layer_norm(const Variable& x, const Variable& weight,
 Variable softmax(const Variable& x, int64_t dim) {
   int64_t d = dim < 0 ? dim + x.dim() : dim;
   Tensor xv = x.value();
-  auto fwd = [xv, d] { return ops::softmax(xv, d); };
-  Tensor y = fwd();
+  auto fwd = [xv, d](const Tensor& out) { return ops::softmax(xv, d, out); };
+  Tensor y = fwd({});
   return make_op("softmax", y, fwd, {x},
                  [y, d](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::softmax_backward(gy, y, d)};
@@ -728,8 +763,10 @@ Variable softmax(const Variable& x, int64_t dim) {
 Variable log_softmax(const Variable& x, int64_t dim) {
   int64_t d = dim < 0 ? dim + x.dim() : dim;
   Tensor xv = x.value();
-  auto fwd = [xv, d] { return ops::log_softmax(xv, d); };
-  Tensor y = fwd();
+  auto fwd = [xv, d](const Tensor& out) {
+    return ops::log_softmax(xv, d, out);
+  };
+  Tensor y = fwd({});
   return make_op("log_softmax", y, fwd, {x},
                  [y, d](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::log_softmax_backward(gy, y, d)};
@@ -757,13 +794,12 @@ Variable nll_loss(const Variable& log_probs, const Tensor& labels,
   int64_t N, C, inner;
   nll_dims(log_probs.value(), labels, &N, &C, &inner);
   const Tensor lp = log_probs.value();
-  auto fwd = [lp, labels, N, C, inner, reduction]() -> Tensor {
+  auto fwd = [lp, labels, N, C, inner, reduction](const Tensor& dst) {
     const float* p = lp.data();
     const float* pl = labels.data();
     const int64_t total = N * inner;
-    Tensor out = (reduction == Reduction::kNone)
-                     ? Tensor(labels.shape())
-                     : Tensor(Shape{});
+    Tensor out = Tensor::empty_or(
+        dst, reduction == Reduction::kNone ? labels.shape() : Shape{});
     double acc = 0.0;
     for (int64_t i = 0; i < total; ++i) {
       const int64_t n = i / inner;
@@ -783,7 +819,7 @@ Variable nll_loss(const Variable& log_probs, const Tensor& labels,
     if (reduction == Reduction::kSum) out.data()[0] = static_cast<float>(acc);
     return out;
   };
-  Tensor out = fwd();
+  Tensor out = fwd({});
 
   const Shape lp_shape = lp.shape();
   return make_op(
@@ -819,11 +855,11 @@ Variable bce_with_logits(const Variable& logits, const Tensor& targets,
   const Tensor x = logits.value();
   HFTA_CHECK(x.numel() == targets.numel(), "bce: shape mismatch");
   const int64_t n = x.numel();
-  auto fwd = [x, targets, reduction, n]() -> Tensor {
+  auto fwd = [x, targets, reduction, n](const Tensor& dst) {
     const float* px = x.data();
     const float* pt = targets.data();
-    Tensor out =
-        (reduction == Reduction::kNone) ? Tensor(x.shape()) : Tensor(Shape{});
+    Tensor out = Tensor::empty_or(
+        dst, reduction == Reduction::kNone ? x.shape() : Shape{});
     double acc = 0.0;
     for (int64_t i = 0; i < n; ++i) {
       // max(x,0) - x*t + log(1 + exp(-|x|)) — numerically stable.
@@ -840,7 +876,7 @@ Variable bce_with_logits(const Variable& logits, const Tensor& targets,
     if (reduction == Reduction::kSum) out.data()[0] = static_cast<float>(acc);
     return out;
   };
-  Tensor out = fwd();
+  Tensor out = fwd({});
   return make_op("bce_with_logits", out, fwd, {logits},
                  [x, targets, reduction, n](const Tensor& gy) {
                    Tensor gx(x.shape());
@@ -880,11 +916,11 @@ Variable mse_loss(const Variable& x, const Tensor& target,
 Variable embedding(const Tensor& indices, const Variable& weight,
                    int64_t block_vocab) {
   Tensor wv = weight.value();
-  auto fwd = [indices, wv, block_vocab] {
-    return ops::embedding(indices, wv, block_vocab);
+  auto fwd = [indices, wv, block_vocab](const Tensor& out) {
+    return ops::embedding(indices, wv, block_vocab, out);
   };
   const int64_t vocab = weight.size(0);
-  return make_op("embedding", fwd(), fwd, {weight},
+  return make_op("embedding", fwd({}), fwd, {weight},
                  [indices, vocab,
                   block_vocab](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::embedding_backward(gy, indices, vocab,
@@ -894,8 +930,8 @@ Variable embedding(const Tensor& indices, const Variable& weight,
 
 Variable mul_mask(const Variable& x, const Tensor& mask) {
   Tensor xv = x.value();
-  auto fwd = [xv, mask] { return ops::mul(xv, mask); };
-  return make_op("mul_mask", fwd(), fwd, {x},
+  auto fwd = [xv, mask](const Tensor& out) { return ops::mul(xv, mask, out); };
+  return make_op("mul_mask", fwd({}), fwd, {x},
                  [mask](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::mul(gy, mask)};
                  });

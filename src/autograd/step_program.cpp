@@ -20,7 +20,7 @@ StepProgram::CaptureGuard::~CaptureGuard() { g_recording = prev_; }
 StepProgram* StepProgram::recording() { return g_recording; }
 
 void StepProgram::record_op(const Tensor& out,
-                            std::function<Tensor()> recompute) {
+                            std::function<Tensor(const Tensor&)> recompute) {
   Slot s;
   s.out = out;
   s.compute = std::move(recompute);
@@ -49,9 +49,9 @@ void StepProgram::replay() {
       s.effect();
       continue;
     }
-    Tensor r = s.compute();
-    // View ops (reshape) return the pinned storage itself — no copy.
-    if (!r.shares_storage_with(s.out)) s.out.copy_(r);
+    const Tensor r = s.compute(s.out);
+    HFTA_CHECK(r.shares_storage_with(s.out),
+               "a replayed op wrote its result outside its pinned output");
   }
   tape_.replay();
 }

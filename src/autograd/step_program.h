@@ -15,11 +15,12 @@
 //     program. The thunk captures the op's *input tensors by value* —
 //     shared storage, so the thunk permanently reads through the buffers
 //     the capture run resolved from the StoragePool (buffer pinning).
-//     Replay runs the thunks in recorded order and copies each result
-//     into its pinned output (view ops share storage and skip the copy),
-//     so every downstream consumer — including backward closures that
-//     captured input/output tensors — sees fresh values with zero Node or
-//     closure construction.
+//     Replay runs the thunks in recorded order, each handed its pinned
+//     output as the destination its kernel writes into (view ops alias
+//     their input and record no slot), so every downstream consumer —
+//     including backward closures that captured input/output tensors —
+//     sees fresh values with zero Node or closure construction, and no
+//     pass beyond the kernels themselves.
 //   - Side effects outside the tape (BatchNorm running-stat updates,
 //     dropout mask draws from a module's RNG stream) are recorded via
 //     record_side_effect() at their position in the op stream, so replay
@@ -67,8 +68,9 @@ class StepProgram {
   static StepProgram* recording();
 
   /// Appends one op: `out` is the pinned output buffer, `recompute` the
-  /// kernel thunk whose result replay copies into it.
-  void record_op(const Tensor& out, std::function<Tensor()> recompute);
+  /// kernel thunk replay calls with `out` as its destination.
+  void record_op(const Tensor& out,
+                 std::function<Tensor(const Tensor&)> recompute);
   /// Appends one non-tape side effect at its position in the op stream.
   void record_effect(std::function<void()> effect);
 
@@ -86,15 +88,16 @@ class StepProgram {
   /// replay().
   const Variable& loss() const { return tape_.root; }
 
+  /// Op slots a replay runs (views record none).
   int64_t op_count() const;
   int64_t effect_count() const;
   void clear();
 
  private:
   struct Slot {
-    Tensor out;                       // pinned output (ops only)
-    std::function<Tensor()> compute;  // null for side-effect slots
-    std::function<void()> effect;     // null for op slots
+    Tensor out;  // pinned output (ops only)
+    std::function<Tensor(const Tensor&)> compute;  // null for effect slots
+    std::function<void()> effect;                  // null for op slots
   };
 
   std::vector<Slot> slots_;

@@ -81,6 +81,7 @@ class Variable {
     bool requires_grad = false;
     std::shared_ptr<Node> node;  // creator; null for leaves
     uint64_t visit_mark = 0;     // ag::Engine visited stamp (run id)
+    uint64_t grad_mark = 0;      // backward pass that last wrote grad
   };
   std::shared_ptr<Impl> impl_;
 };

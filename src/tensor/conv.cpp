@@ -107,12 +107,12 @@ ConvDims check_conv(const Shape& x_shape, const Shape& w_shape,
 // f32 (the AMP compute policy); the 1-D and transposed variants all funnel
 // through them.
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
-              const ConvArgs& a, DType qx, DType qw) {
+              const ConvArgs& a, DType qx, DType qw, const Tensor& out) {
   const ConvDims d = check_conv(x.shape(), w.shape(), a);
   if (b.defined())
     HFTA_CHECK(b.numel() == d.Cout, "conv2d: bias numel ", b.numel(), " != ",
                d.Cout);
-  Tensor y = Tensor::empty({d.N, d.Cout, d.Ho, d.Wo});
+  Tensor y = Tensor::empty_or(out, {d.N, d.Cout, d.Ho, d.Wo});
   const int64_t col_rows = d.Cing * d.kh * d.kw;
   const int64_t spatial = d.Ho * d.Wo;
   const float* px = x.data();
@@ -156,12 +156,14 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
 
 Tensor conv2d_grad_input(const Tensor& gy, const Tensor& w,
                          const Shape& x_shape, const ConvArgs& a, DType qgy,
-                         DType qw) {
+                         DType qw, const Tensor& out) {
   const ConvDims d = check_conv(x_shape, w.shape(), a);
   HFTA_CHECK(gy.size(0) == d.N && gy.size(1) == d.Cout && gy.size(2) == d.Ho &&
                  gy.size(3) == d.Wo,
              "conv2d_grad_input: gy shape ", shape_str(gy.shape()));
-  Tensor gx(x_shape);
+  // col2im accumulates, so the result starts from zeros.
+  Tensor gx = Tensor::empty_or(out, x_shape);
+  gx.zero_();
   const int64_t col_rows = d.Cing * d.kh * d.kw;
   const int64_t spatial = d.Ho * d.Wo;
   const float* pgy = gy.data();
@@ -266,14 +268,20 @@ namespace {
 Shape as4d_x(const Shape& s) { return {s[0], s[1], 1, s[2]}; }
 Shape as4d_w(const Shape& s) { return {s[0], s[1], 1, s[2]}; }
 Shape as3d(const Shape& s) { return {s[0], s[1], s[3]}; }
+// A 1-D kernel's destination viewed as the 2-D kernel's (undefined stays
+// undefined).
+Tensor out4d(const Tensor& out) {
+  return out.defined() ? out.reshape(as4d_x(out.shape())) : Tensor();
+}
 }  // namespace
 
 Tensor conv1d(const Tensor& x, const Tensor& w, const Tensor& b,
-              int64_t stride, int64_t pad, int64_t groups, DType q) {
+              int64_t stride, int64_t pad, int64_t groups, DType q,
+              const Tensor& out) {
   HFTA_CHECK(x.dim() == 3 && w.dim() == 3, "conv1d: x [N,C,L], w [Co,Ci/g,k]");
   ConvArgs a{1, stride, 0, pad, groups};
   Tensor y = conv2d(x.reshape(as4d_x(x.shape())), w.reshape(as4d_w(w.shape())),
-                    b, a, q, q);
+                    b, a, q, q, out4d(out));
   return y.reshape(as3d(y.shape()));
 }
 
@@ -300,7 +308,8 @@ Tensor conv1d_grad_weight(const Tensor& gy, const Tensor& x,
 // ---- conv_transpose2d (via conv/conv-grad duality) ---------------------------
 
 Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
-                        const ConvTransposeArgs& t, DType q) {
+                        const ConvTransposeArgs& t, DType q,
+                        const Tensor& out) {
   HFTA_CHECK(x.dim() == 4 && w.dim() == 4,
              "conv_transpose2d: x [N,Ci,H,W], w [Ci,Co/g,kh,kw]");
   HFTA_CHECK(t.out_pad < t.stride, "conv_transpose2d: out_pad must be < stride");
@@ -317,7 +326,7 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
   // convT(x, w) == conv_grad_input treating x as the conv's output gradient:
   // the underlying conv maps [N, Cout, Ho, Wo] -> [N, Cin, H, W].
   const ConvArgs a{t.stride, t.stride, t.pad, t.pad, t.groups};
-  Tensor y = conv2d_grad_input(x, w, {N, Cout, Ho, Wo}, a, q, q);
+  Tensor y = conv2d_grad_input(x, w, {N, Cout, Ho, Wo}, a, q, q, out);
   if (b.defined()) {
     HFTA_CHECK(b.numel() == Cout, "conv_transpose2d: bias mismatch");
     float* py = y.data();
@@ -352,7 +361,8 @@ Tensor conv_transpose2d_grad_weight(const Tensor& gy, const Tensor& x,
 // through the conv/conv-grad duality directly rather than through
 // conv_transpose2d (whose scalar stride/pad apply to both axes).
 Tensor conv_transpose1d(const Tensor& x, const Tensor& w, const Tensor& b,
-                        const ConvTransposeArgs& t, DType q) {
+                        const ConvTransposeArgs& t, DType q,
+                        const Tensor& out) {
   HFTA_CHECK(x.dim() == 3 && w.dim() == 3,
              "conv_transpose1d: x [N,Ci,L], w [Ci,Co/g,k]");
   HFTA_CHECK(t.out_pad < t.stride, "conv_transpose1d: out_pad must be < stride");
@@ -364,7 +374,7 @@ Tensor conv_transpose1d(const Tensor& x, const Tensor& w, const Tensor& b,
   const ConvArgs a{1, t.stride, 0, t.pad, t.groups};
   Tensor y = conv2d_grad_input(x.reshape(as4d_x(x.shape())),
                                w.reshape(as4d_w(w.shape())),
-                               {N, Cout, 1, Lo}, a, q, q);
+                               {N, Cout, 1, Lo}, a, q, q, out4d(out));
   y = y.reshape(as3d(y.shape()));
   if (b.defined()) {
     HFTA_CHECK(b.numel() == Cout, "conv_transpose1d: bias mismatch");

@@ -20,6 +20,10 @@
 // their grad kernels quantize only the saved operand (w for grad_input, x
 // for grad_weight) and never the incoming f32 gradient. Biases are never
 // quantized.
+//
+// The forward kernels (conv2d, conv1d and the transposed pair, and
+// conv2d_grad_input, which conv_transpose2d lowers to) take an optional
+// destination `out` as their last argument (see tensor/ops.h).
 #pragma once
 
 #include "tensor/dtype.h"
@@ -48,11 +52,12 @@ int64_t conv_transpose_out_size(int64_t in, int64_t kernel, int64_t stride,
 /// x: [N, Cin, H, W], w: [Cout, Cin/g, kh, kw], optional b: [Cout].
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
               const ConvArgs& args, DType qx = DType::kF32,
-              DType qw = DType::kF32);
+              DType qw = DType::kF32, const Tensor& out = Tensor());
 /// Gradient w.r.t. x given gy: [N, Cout, Ho, Wo]; x_shape: [N, Cin, H, W].
 Tensor conv2d_grad_input(const Tensor& gy, const Tensor& w,
                          const Shape& x_shape, const ConvArgs& args,
-                         DType qgy = DType::kF32, DType qw = DType::kF32);
+                         DType qgy = DType::kF32, DType qw = DType::kF32,
+                         const Tensor& out = Tensor());
 /// Gradient w.r.t. w; w_shape: [Cout, Cin/g, kh, kw].
 Tensor conv2d_grad_weight(const Tensor& gy, const Tensor& x,
                           const Shape& w_shape, const ConvArgs& args,
@@ -63,7 +68,7 @@ Tensor conv2d_grad_bias(const Tensor& gy);
 /// x: [N, Cin, L], w: [Cout, Cin/g, k] — lowered to 2-D with H = 1.
 Tensor conv1d(const Tensor& x, const Tensor& w, const Tensor& b,
               int64_t stride, int64_t pad, int64_t groups,
-              DType q = DType::kF32);
+              DType q = DType::kF32, const Tensor& out = Tensor());
 Tensor conv1d_grad_input(const Tensor& gy, const Tensor& w,
                          const Shape& x_shape, int64_t stride, int64_t pad,
                          int64_t groups, DType q = DType::kF32);
@@ -80,7 +85,8 @@ struct ConvTransposeArgs {
 
 /// x: [N, Cin, H, W], w: [Cin, Cout/g, kh, kw], optional b: [Cout].
 Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
-                        const ConvTransposeArgs& args, DType q = DType::kF32);
+                        const ConvTransposeArgs& args, DType q = DType::kF32,
+                        const Tensor& out = Tensor());
 Tensor conv_transpose2d_grad_input(const Tensor& gy, const Tensor& w,
                                    const ConvTransposeArgs& args,
                                    DType q = DType::kF32);
@@ -92,7 +98,8 @@ Tensor conv_transpose2d_grad_weight(const Tensor& gy, const Tensor& x,
 /// x: [N, Cin, L], w: [Cin, Cout/g, k] — lowered to 2-D with H = 1 (the
 /// paper's ConvTranspose1d fusion-rule example, Section 3).
 Tensor conv_transpose1d(const Tensor& x, const Tensor& w, const Tensor& b,
-                        const ConvTransposeArgs& args, DType q = DType::kF32);
+                        const ConvTransposeArgs& args, DType q = DType::kF32,
+                        const Tensor& out = Tensor());
 Tensor conv_transpose1d_grad_input(const Tensor& gy, const Tensor& w,
                                    const ConvTransposeArgs& args,
                                    DType q = DType::kF32);

@@ -45,10 +45,11 @@ int64_t gemm_scratch_floats(int64_t m, int64_t n, int64_t k) {
   return vec::gemm_scratch_floats(m, n, k);
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b, DType qa, DType qb) {
+Tensor matmul(const Tensor& a, const Tensor& b, DType qa, DType qb,
+              const Tensor& out) {
   HFTA_CHECK(a.dim() == 2 && b.dim() == 2 && a.size(1) == b.size(0),
              "matmul: ", shape_str(a.shape()), " @ ", shape_str(b.shape()));
-  Tensor c = Tensor::empty({a.size(0), b.size(1)});
+  Tensor c = Tensor::empty_or(out, {a.size(0), b.size(1)});
   gemm(a.data(), b.data(), c.data(), a.size(0), b.size(1), a.size(1), false,
        false, 1.f, 0.f, nullptr, qa, qb);
   return c;
@@ -63,10 +64,11 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b, DType qa, DType qb) {
   return c;
 }
 
-Tensor matmul_nt(const Tensor& a, const Tensor& b, DType qa, DType qb) {
+Tensor matmul_nt(const Tensor& a, const Tensor& b, DType qa, DType qb,
+                 const Tensor& out) {
   HFTA_CHECK(a.dim() == 2 && b.dim() == 2 && a.size(1) == b.size(1),
              "matmul_nt: ", shape_str(a.shape()), " @ ", shape_str(b.shape()));
-  Tensor c = Tensor::empty({a.size(0), b.size(0)});
+  Tensor c = Tensor::empty_or(out, {a.size(0), b.size(0)});
   gemm(a.data(), b.data(), c.data(), a.size(0), b.size(0), a.size(1), false,
        true, 1.f, 0.f, nullptr, qa, qb);
   return c;
@@ -74,7 +76,7 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b, DType qa, DType qb) {
 
 namespace {
 Tensor bmm_impl(const Tensor& a, const Tensor& b, bool ta, bool tb, DType qa,
-                DType qb) {
+                DType qb, const Tensor& out) {
   HFTA_CHECK(a.dim() == 3 && b.dim() == 3 && a.size(0) == b.size(0),
              "bmm: ", shape_str(a.shape()), " @ ", shape_str(b.shape()));
   const int64_t B = a.size(0);
@@ -83,7 +85,7 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, bool ta, bool tb, DType qa,
   const int64_t kb = tb ? b.size(2) : b.size(1);
   const int64_t n = tb ? b.size(1) : b.size(2);
   HFTA_CHECK(ka == kb, "bmm: inner dim mismatch ", ka, " vs ", kb);
-  Tensor c = Tensor::empty({B, m, n});
+  Tensor c = Tensor::empty_or(out, {B, m, n});
   const int64_t a_size = a.size(1) * a.size(2);
   const int64_t b_size = b.size(1) * b.size(2);
   // One packing-scratch slot per partition chunk, acquired HERE on the
@@ -123,45 +125,61 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, bool ta, bool tb, DType qa,
 }
 }  // namespace
 
-Tensor bmm(const Tensor& a, const Tensor& b, DType qa, DType qb) {
-  return bmm_impl(a, b, false, false, qa, qb);
+Tensor bmm(const Tensor& a, const Tensor& b, DType qa, DType qb,
+           const Tensor& out) {
+  return bmm_impl(a, b, false, false, qa, qb, out);
 }
 Tensor bmm_tn(const Tensor& a, const Tensor& b, DType qa, DType qb) {
-  return bmm_impl(a, b, true, false, qa, qb);
+  return bmm_impl(a, b, true, false, qa, qb, Tensor());
 }
-Tensor bmm_nt(const Tensor& a, const Tensor& b, DType qa, DType qb) {
-  return bmm_impl(a, b, false, true, qa, qb);
+Tensor bmm_nt(const Tensor& a, const Tensor& b, DType qa, DType qb,
+              const Tensor& out) {
+  return bmm_impl(a, b, false, true, qa, qb, out);
 }
 
+namespace {
+// y[r, :] += bias[r / per_bias, :] for each of y's `rows` rows of `cols`:
+// one contiguous vec pass per row. Output-row parallel, and each row's adds
+// are independent of every other row's, so the decomposition cannot change
+// any result bit.
+void add_bias_rows(float* y, const float* bias, int64_t rows, int64_t cols,
+                   int64_t per_bias) {
+  parallel_for(Partition::rows(rows), [&](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r)
+      vec::binary(vec::BinOp::kAdd, y + r * cols, bias + (r / per_bias) * cols,
+                  y + r * cols, cols);
+  });
+}
+}  // namespace
+
 Tensor baddbmm(const Tensor& bias, const Tensor& a, const Tensor& b, DType qa,
-               DType qb) {
-  Tensor c = bmm(a, b, qa, qb);
-  return ops::add(c, bias);
+               DType qb, const Tensor& out) {
+  Tensor c = bmm(a, b, qa, qb, out);
+  const int64_t B = c.size(0), m = c.size(1), n = c.size(2);
+  HFTA_CHECK(bias.shape() == (Shape{B, 1, n}), "baddbmm: bias ",
+             shape_str(bias.shape()), " for a ", shape_str(c.shape()),
+             " product");
+  add_bias_rows(c.data(), bias.data(), B * m, n, m);
+  return c;
 }
 
 Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                      DType qx, DType qw) {
+                      DType qx, DType qw, const Tensor& out) {
   HFTA_CHECK(w.dim() == 2, "linear: weight must be [out, in]");
   const int64_t in = w.size(1);
-  const int64_t out = w.size(0);
+  const int64_t n_out = w.size(0);
   HFTA_CHECK(x.size(-1) == in, "linear: input feature ", x.size(-1),
              " != weight in ", in);
   const int64_t rows = x.numel() / in;
-  Tensor x2 = x.reshape({rows, in});
-  Tensor y = matmul_nt(x2, w, qx, qw);  // [rows, out]
-  if (b.defined()) {
-    HFTA_CHECK(b.numel() == out, "linear: bias size mismatch");
-    float* py = y.data();
-    const float* pb = b.data();
-    // Output-row parallel: each row's adds are independent of every other
-    // row's, so the decomposition cannot change any result bit.
-    parallel_for(Partition::rows(rows), [&](int64_t lo, int64_t hi) {
-      for (int64_t r = lo; r < hi; ++r)
-        vec::binary(vec::BinOp::kAdd, py + r * out, pb, py + r * out, out);
-    });
-  }
   Shape out_shape = x.shape();
-  out_shape.back() = out;
+  out_shape.back() = n_out;
+  Tensor x2 = x.reshape({rows, in});
+  Tensor y = matmul_nt(x2, w, qx, qw,
+                       Tensor::empty_or(out, out_shape).reshape({rows, n_out}));
+  if (b.defined()) {
+    HFTA_CHECK(b.numel() == n_out, "linear: bias size mismatch");
+    add_bias_rows(y.data(), b.data(), rows, n_out, rows);
+  }
   return y.reshape(out_shape);
 }
 

@@ -28,37 +28,41 @@ int64_t gemm_scratch_floats(int64_t m, int64_t n, int64_t k);
 // the kernel to round that operand RNE to the half format DURING packing
 // and widen it back — the value quantize_to(x, q) gives each element
 // (autocast's definition), with no materialized copy or extra memory pass.
-// kF32 (the default) packs verbatim.
+// kF32 (the default) packs verbatim. `out`, on the variants an autograd op
+// runs forward, is the optional destination (see tensor/ops.h).
 
 /// [M,K] @ [K,N] -> [M,N].
 Tensor matmul(const Tensor& a, const Tensor& b, DType qa = DType::kF32,
-              DType qb = DType::kF32);
+              DType qb = DType::kF32, const Tensor& out = Tensor());
 /// [M,K]^T-aware product: a [K,M] treated as transposed.
 Tensor matmul_tn(const Tensor& a, const Tensor& b, DType qa = DType::kF32,
                  DType qb = DType::kF32);
 /// a [M,K] @ b[N,K]^T -> [M,N].
 Tensor matmul_nt(const Tensor& a, const Tensor& b, DType qa = DType::kF32,
-                 DType qb = DType::kF32);
+                 DType qb = DType::kF32, const Tensor& out = Tensor());
 
 /// [B,M,K] @ [B,K,N] -> [B,M,N].
 Tensor bmm(const Tensor& a, const Tensor& b, DType qa = DType::kF32,
-           DType qb = DType::kF32);
+           DType qb = DType::kF32, const Tensor& out = Tensor());
 /// bmm with a transposed: a [B,K,M].
 Tensor bmm_tn(const Tensor& a, const Tensor& b, DType qa = DType::kF32,
               DType qb = DType::kF32);
 /// bmm with b transposed: b [B,N,K].
 Tensor bmm_nt(const Tensor& a, const Tensor& b, DType qa = DType::kF32,
-              DType qb = DType::kF32);
+              DType qb = DType::kF32, const Tensor& out = Tensor());
 
-/// bias [B,1,N] (or broadcastable to [B,M,N]) + [B,M,K] @ [B,K,N].
-/// This is the fused-Linear kernel of the paper (Appendix B, row Linear).
-/// The quantize policies apply to a/b only — the bias add stays f32.
+/// bias [B,1,N] + [B,M,K] @ [B,K,N]: the product, then the bias row added
+/// to each of its B*M rows. This is the fused-Linear kernel of the paper
+/// (Appendix B, row Linear). The quantize policies apply to a/b only — the
+/// bias add stays f32.
 Tensor baddbmm(const Tensor& bias, const Tensor& a, const Tensor& b,
-               DType qa = DType::kF32, DType qb = DType::kF32);
+               DType qa = DType::kF32, DType qb = DType::kF32,
+               const Tensor& out = Tensor());
 
 /// PyTorch-convention linear: x [.., in] @ w[out, in]^T + b[out].
 /// qx/qw quantize x and w; the bias add stays f32.
 Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                      DType qx = DType::kF32, DType qw = DType::kF32);
+                      DType qx = DType::kF32, DType qw = DType::kF32,
+                      const Tensor& out = Tensor());
 
 }  // namespace hfta::ops

@@ -44,28 +44,29 @@ std::vector<int64_t> broadcast_strides(const Shape& padded, const Shape& out) {
 // These ops are single-rounding IEEE maps, so vectorization cannot change
 // any output bit. Broadcast shapes fall back to the generic strided walk.
 Tensor binary_vec(const Tensor& a, const Tensor& b, vec::BinOp op,
-                  float (*fn)(float, float)) {
+                  float (*fn)(float, float), const Tensor& out = Tensor()) {
   if (a.defined() && b.defined() && a.shape() == b.shape()) {
-    Tensor out = Tensor::empty(a.shape());
+    Tensor y = Tensor::empty_or(out, a.shape());
     const float* pa = a.data();
     const float* pb = b.data();
-    float* po = out.data();
-    parallel_for(Partition::elems(out.numel()), [&](int64_t lo, int64_t hi) {
+    float* po = y.data();
+    parallel_for(Partition::elems(y.numel()), [&](int64_t lo, int64_t hi) {
       vec::binary(op, pa + lo, pb + lo, po + lo, hi - lo);
     });
-    return out;
+    return y;
   }
-  return binary(a, b, fn);
+  return binary(a, b, fn, out);
 }
 
-Tensor unary_vec(const Tensor& a, vec::UnOp op, float p0, float p1 = 0.f) {
-  Tensor out = Tensor::empty(a.shape());
+Tensor unary_vec(const Tensor& a, vec::UnOp op, float p0, float p1 = 0.f,
+                 const Tensor& out = Tensor()) {
+  Tensor y = Tensor::empty_or(out, a.shape());
   const float* pa = a.data();
-  float* po = out.data();
+  float* po = y.data();
   parallel_for(Partition::elems(a.numel()), [&](int64_t lo, int64_t hi) {
     vec::unary(op, p0, p1, pa + lo, po + lo, hi - lo);
   });
-  return out;
+  return y;
 }
 
 }  // namespace
@@ -85,30 +86,31 @@ Shape broadcast_shapes(const Shape& a, const Shape& b) {
   return out;
 }
 
-Tensor binary(const Tensor& a, const Tensor& b, float (*fn)(float, float)) {
+Tensor binary(const Tensor& a, const Tensor& b, float (*fn)(float, float),
+              const Tensor& out) {
   HFTA_CHECK(a.defined() && b.defined(), "binary op on undefined tensor");
   // Fast path: identical shapes.
   if (a.shape() == b.shape()) {
-    Tensor out = Tensor::empty(a.shape());
+    Tensor y = Tensor::empty_or(out, a.shape());
     const float* pa = a.data();
     const float* pb = b.data();
-    float* po = out.data();
-    const int64_t n = out.numel();
+    float* po = y.data();
+    const int64_t n = y.numel();
     parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = fn(pa[i], pb[i]);
     });
-    return out;
+    return y;
   }
   const Shape out_shape = broadcast_shapes(a.shape(), b.shape());
   const int64_t nd = static_cast<int64_t>(out_shape.size());
   HFTA_CHECK(nd <= kMaxRank, "binary: rank ", nd, " exceeds ", kMaxRank);
   const auto sa = broadcast_strides(pad_shape(a.shape(), nd), out_shape);
   const auto sb = broadcast_strides(pad_shape(b.shape(), nd), out_shape);
-  Tensor out = Tensor::empty(out_shape);
+  Tensor y = Tensor::empty_or(out, out_shape);
   const float* pa = a.data();
   const float* pb = b.data();
-  float* po = out.data();
-  const int64_t n = out.numel();
+  float* po = y.data();
+  const int64_t n = y.numel();
   // Pure map: each output element reads fixed source offsets, so chunks are
   // independent. Each chunk seeds the mixed-radix counter from its first
   // flat index and then walks exactly like the old serial loop.
@@ -136,24 +138,24 @@ Tensor binary(const Tensor& a, const Tensor& b, float (*fn)(float, float)) {
       }
     }
   });
-  return out;
+  return y;
 }
 
-Tensor add(const Tensor& a, const Tensor& b) {
+Tensor add(const Tensor& a, const Tensor& b, const Tensor& out) {
   return binary_vec(a, b, vec::BinOp::kAdd,
-                    [](float x, float y) { return x + y; });
+                    [](float x, float y) { return x + y; }, out);
 }
-Tensor sub(const Tensor& a, const Tensor& b) {
+Tensor sub(const Tensor& a, const Tensor& b, const Tensor& out) {
   return binary_vec(a, b, vec::BinOp::kSub,
-                    [](float x, float y) { return x - y; });
+                    [](float x, float y) { return x - y; }, out);
 }
-Tensor mul(const Tensor& a, const Tensor& b) {
+Tensor mul(const Tensor& a, const Tensor& b, const Tensor& out) {
   return binary_vec(a, b, vec::BinOp::kMul,
-                    [](float x, float y) { return x * y; });
+                    [](float x, float y) { return x * y; }, out);
 }
-Tensor div(const Tensor& a, const Tensor& b) {
+Tensor div(const Tensor& a, const Tensor& b, const Tensor& out) {
   return binary_vec(a, b, vec::BinOp::kDiv,
-                    [](float x, float y) { return x / y; });
+                    [](float x, float y) { return x / y; }, out);
 }
 Tensor maximum(const Tensor& a, const Tensor& b) {
   return binary_vec(a, b, vec::BinOp::kMax,
@@ -173,50 +175,64 @@ Tensor reduce_to_shape(const Tensor& grad, const Shape& shape) {
   return r.reshape(shape);
 }
 
-Tensor add_scalar(const Tensor& a, float s) {
-  return unary_vec(a, vec::UnOp::kAddScalar, s);
+Tensor add_scalar(const Tensor& a, float s, const Tensor& out) {
+  return unary_vec(a, vec::UnOp::kAddScalar, s, 0.f, out);
 }
-Tensor mul_scalar(const Tensor& a, float s) {
-  return unary_vec(a, vec::UnOp::kMulScalar, s);
+Tensor mul_scalar(const Tensor& a, float s, const Tensor& out) {
+  return unary_vec(a, vec::UnOp::kMulScalar, s, 0.f, out);
 }
 
-Tensor unary(const Tensor& a, FunctionRef<float(float)> fn) {
-  Tensor out = Tensor::empty(a.shape());
+Tensor unary(const Tensor& a, FunctionRef<float(float)> fn,
+             const Tensor& out) {
+  Tensor y = Tensor::empty_or(out, a.shape());
   const float* pa = a.data();
-  float* po = out.data();
+  float* po = y.data();
   const int64_t n = a.numel();
   parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) po[i] = fn(pa[i]);
   });
-  return out;
+  return y;
 }
 
-Tensor neg(const Tensor& a) { return unary_vec(a, vec::UnOp::kNeg, 0.f); }
-Tensor exp(const Tensor& a) { return unary(a, [](float x) { return std::exp(x); }); }
-Tensor log(const Tensor& a) { return unary(a, [](float x) { return std::log(x); }); }
-Tensor sqrt(const Tensor& a) { return unary(a, [](float x) { return std::sqrt(x); }); }
-Tensor tanh(const Tensor& a) { return unary(a, [](float x) { return std::tanh(x); }); }
-Tensor sigmoid(const Tensor& a) {
-  return unary(a, [](float x) { return 1.f / (1.f + std::exp(-x)); });
+Tensor neg(const Tensor& a, const Tensor& out) {
+  return unary_vec(a, vec::UnOp::kNeg, 0.f, 0.f, out);
 }
-Tensor relu(const Tensor& a) { return unary_vec(a, vec::UnOp::kRelu, 0.f); }
+Tensor exp(const Tensor& a, const Tensor& out) {
+  return unary(a, [](float x) { return std::exp(x); }, out);
+}
+Tensor log(const Tensor& a, const Tensor& out) {
+  return unary(a, [](float x) { return std::log(x); }, out);
+}
+Tensor sqrt(const Tensor& a, const Tensor& out) {
+  return unary(a, [](float x) { return std::sqrt(x); }, out);
+}
+Tensor tanh(const Tensor& a, const Tensor& out) {
+  return unary(a, [](float x) { return std::tanh(x); }, out);
+}
+Tensor sigmoid(const Tensor& a, const Tensor& out) {
+  return unary(a, [](float x) { return 1.f / (1.f + std::exp(-x)); }, out);
+}
+Tensor relu(const Tensor& a, const Tensor& out) {
+  return unary_vec(a, vec::UnOp::kRelu, 0.f, 0.f, out);
+}
 Tensor relu_backward(const Tensor& gy, const Tensor& x) {
   return binary_vec(gy, x, vec::BinOp::kReluBwd, [](float g, float v) {
     return g * (v > 0.f ? 1.f : 0.f);
   });
 }
-Tensor clamp(const Tensor& a, float lo, float hi) {
-  return unary_vec(a, vec::UnOp::kClamp, lo, hi);
+Tensor clamp(const Tensor& a, float lo, float hi, const Tensor& out) {
+  return unary_vec(a, vec::UnOp::kClamp, lo, hi, out);
 }
-Tensor leaky_relu(const Tensor& a, float slope) {
-  return unary_vec(a, vec::UnOp::kLeakyRelu, slope);
+Tensor leaky_relu(const Tensor& a, float slope, const Tensor& out) {
+  return unary_vec(a, vec::UnOp::kLeakyRelu, slope, 0.f, out);
 }
-Tensor pow_scalar(const Tensor& a, float p) {
-  return unary(a, [p](float x) { return std::pow(x, p); });
+Tensor pow_scalar(const Tensor& a, float p, const Tensor& out) {
+  return unary(a, [p](float x) { return std::pow(x, p); }, out);
 }
 Tensor abs(const Tensor& a) { return unary_vec(a, vec::UnOp::kAbs, 0.f); }
 
-Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
+Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim,
+           const Tensor& out) {
   const int64_t nd = a.dim();
   std::vector<bool> reduce(static_cast<size_t>(nd), false);
   for (int64_t d : dims) {
@@ -231,7 +247,7 @@ Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
     if (!r) out_shape.push_back(a.size(i));
   }
   HFTA_CHECK(nd <= kMaxRank, "sum: rank ", nd, " exceeds ", kMaxRank);
-  Tensor out = Tensor::empty(out_shape.empty() ? Shape{} : out_shape);
+  Tensor y = Tensor::empty_or(out, out_shape);
   // Row-major strides of the input, then split dims into kept / reduced
   // (original order preserved in both lists).
   std::vector<int64_t> in_strides(static_cast<size_t>(nd), 1);
@@ -251,8 +267,8 @@ Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
     }
   }
   const float* pa = a.data();
-  float* po = out.data();
-  const int64_t out_n = out.numel();
+  float* po = y.data();
+  const int64_t out_n = y.numel();
   // Fast path: when the reduced dims form one contiguous block, the input is
   // a [outer, red_count, inner] view with unit-stride inner, and each output
   // element's chain is a per-column ascending-r sum — exactly vec::col_sum's
@@ -278,7 +294,7 @@ Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
             vec::col_sum(pa + o * red_count * inner, po + o * inner, red_count,
                          inner, /*accumulate=*/false);
         });
-        return out;
+        return y;
       }
     }
   }
@@ -310,10 +326,10 @@ Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
       po[of] = acc;
     }
   });
-  return out;
+  return y;
 }
 
-Tensor sum_all(const Tensor& a) {
+Tensor sum_all(const Tensor& a, const Tensor& out) {
   // Deliberately serial: a single double-precision chain over the whole
   // tensor. Splitting it would need a combine step whose float result
   // depends on the partition, and this sits on loss paths where the
@@ -321,9 +337,9 @@ Tensor sum_all(const Tensor& a) {
   const float* p = a.data();
   double acc = 0.0;
   for (int64_t i = 0; i < a.numel(); ++i) acc += p[i];
-  Tensor out = Tensor::empty(Shape{});
-  out.data()[0] = static_cast<float>(acc);
-  return out;
+  Tensor y = Tensor::empty_or(out, Shape{});
+  y.data()[0] = static_cast<float>(acc);
+  return y;
 }
 
 Tensor mean(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
@@ -389,7 +405,7 @@ Tensor argmax(const Tensor& a, int64_t dim) {
   return max_dim(a, dim, /*keepdim=*/false).second;
 }
 
-Tensor concat(const std::vector<Tensor>& ts, int64_t dim) {
+Tensor concat(const std::vector<Tensor>& ts, int64_t dim, const Tensor& out) {
   HFTA_CHECK(!ts.empty(), "concat of empty list");
   const int64_t nd = ts[0].dim();
   if (dim < 0) dim += nd;
@@ -406,11 +422,11 @@ Tensor concat(const std::vector<Tensor>& ts, int64_t dim) {
     total += t.size(dim);
   }
   out_shape[static_cast<size_t>(dim)] = total;
-  Tensor out = Tensor::empty(out_shape);
+  Tensor y = Tensor::empty_or(out, out_shape);
   int64_t outer = 1, inner = 1;
   for (int64_t i = 0; i < dim; ++i) outer *= out_shape[static_cast<size_t>(i)];
   for (int64_t i = dim + 1; i < nd; ++i) inner *= out_shape[static_cast<size_t>(i)];
-  float* dst = out.data();
+  float* dst = y.data();
   int64_t row_off = 0;
   for (const Tensor& t : ts) {
     const int64_t rows = t.size(dim);
@@ -421,7 +437,7 @@ Tensor concat(const std::vector<Tensor>& ts, int64_t dim) {
     }
     row_off += rows;
   }
-  return out;
+  return y;
 }
 
 std::vector<Tensor> split(const Tensor& t, const std::vector<int64_t>& sizes,
@@ -512,11 +528,11 @@ void rowwise(const Tensor& a, int64_t dim, Fn fn) {
 // strip/tree shape on every backend and at every thread count, so fused ==
 // serial == scalar-build holds bitwise (see DESIGN.md §11).
 
-Tensor softmax(const Tensor& a, int64_t dim) {
+Tensor softmax(const Tensor& a, int64_t dim, const Tensor& out) {
   if (dim < 0) dim += a.dim();
-  Tensor out = Tensor::empty(a.shape());
+  Tensor result = Tensor::empty_or(out, a.shape());
   const float* pa = a.data();
-  float* po = out.data();
+  float* po = result.data();
   rowwise(a, dim, [&](int64_t off, int64_t n, int64_t st) {
     const float* x = pa + off;
     float* y = po + off;
@@ -529,14 +545,14 @@ Tensor softmax(const Tensor& a, int64_t dim) {
       for (int64_t i = 0; i < n; ++i) y[i * st] *= inv;
     }
   });
-  return out;
+  return result;
 }
 
-Tensor log_softmax(const Tensor& a, int64_t dim) {
+Tensor log_softmax(const Tensor& a, int64_t dim, const Tensor& out) {
   if (dim < 0) dim += a.dim();
-  Tensor out = Tensor::empty(a.shape());
+  Tensor result = Tensor::empty_or(out, a.shape());
   const float* pa = a.data();
-  float* po = out.data();
+  float* po = result.data();
   rowwise(a, dim, [&](int64_t off, int64_t n, int64_t st) {
     const float* x = pa + off;
     float* y = po + off;
@@ -550,7 +566,7 @@ Tensor log_softmax(const Tensor& a, int64_t dim) {
       for (int64_t i = 0; i < n; ++i) y[i * st] = x[i * st] - lse;
     }
   });
-  return out;
+  return result;
 }
 
 Tensor log_softmax_backward(const Tensor& gy, const Tensor& log_probs,
@@ -619,18 +635,18 @@ void check_per_channel(const ChannelView& v,
 
 Tensor batch_norm_forward(const Tensor& x, const Tensor& weight,
                           const Tensor& bias, Tensor& mean, Tensor& var,
-                          bool training, float eps) {
+                          bool training, float eps, const Tensor& out) {
   const ChannelView cv(x);
   check_per_channel(cv, {&weight, &bias, &mean, &var});
   // mean = sum * (1/count), as ag::mean computes it.
   const float inv = 1.f / static_cast<float>(cv.N * cv.S);
-  Tensor out = Tensor::empty(x.shape());
+  Tensor y = Tensor::empty_or(out, x.shape());
   const float* px = x.data();
   const float* pw = weight.data();
   const float* pb = bias.data();
   float* pm = mean.data();
   float* pv = var.data();
-  float* py = out.data();
+  float* py = y.data();
   parallel_for(Partition::rows(cv.C), [&](int64_t lo, int64_t hi) {
     for (int64_t c = lo; c < hi; ++c) {
       if (training) {
@@ -652,7 +668,7 @@ Tensor batch_norm_forward(const Tensor& x, const Tensor& weight,
       cv.each(c, [&](int64_t i) { py[i] = ((px[i] - m) * r) * w + b; });
     }
   });
-  return out;
+  return y;
 }
 
 NormGrads batch_norm_backward(const Tensor& gy, const Tensor& x,
@@ -680,9 +696,9 @@ NormGrads batch_norm_backward(const Tensor& gy, const Tensor& x,
   //   r = pow(v + eps, -0.5), y = ((d * r) * w) + b,
   // whose backward visits y, b, t = xhat * w, w, xhat = d * r, r, v + eps,
   // v, sum(d * d), d * d, the first d, the second d, m, sum(x). Every
-  // "0.f +" below is the engine's zero-then-add into a fresh grad buffer
-  // (or sum's add(zeros, g) broadcast), every sum a chain from +0 in
-  // (n, s) order.
+  // "0.f +" below is the engine's first write of a gradient (x + 0) (or
+  // sum's add(zeros, g) broadcast), every sum a chain from +0 in (n, s)
+  // order.
   parallel_for(Partition::rows(cv.C), [&](int64_t lo, int64_t hi) {
     for (int64_t c = lo; c < hi; ++c) {
       const float m = pm[c];
@@ -761,7 +777,7 @@ struct RowGroups {
 
 Tensor layer_norm_forward(const Tensor& x, const Tensor& weight,
                           const Tensor& bias, int64_t groups, Tensor& mean,
-                          Tensor& var, float eps) {
+                          Tensor& var, float eps, const Tensor& out) {
   const RowGroups rg(x, weight, groups);
   rg.check_stats(mean, var);
   HFTA_CHECK(bias.numel() == weight.numel(), "layer_norm: bias has ",
@@ -769,13 +785,13 @@ Tensor layer_norm_forward(const Tensor& x, const Tensor& weight,
   const int64_t E = rg.E;
   // mean = sum * (1/E), as ag::mean computes it.
   const float inv = 1.f / static_cast<float>(E);
-  Tensor out = Tensor::empty(x.shape());
+  Tensor y = Tensor::empty_or(out, x.shape());
   const float* px = x.data();
   const float* pw = weight.data();
   const float* pb = bias.data();
   float* pm = mean.data();
   float* pv = var.data();
-  float* py = out.data();
+  float* py = y.data();
   parallel_for(Partition::rows(rg.rows), [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
       const float* xr = px + r * E;
@@ -796,7 +812,7 @@ Tensor layer_norm_forward(const Tensor& x, const Tensor& weight,
       for (int64_t e = 0; e < E; ++e) yr[e] = ((xr[e] - m) * rs) * w[e] + b[e];
     }
   });
-  return out;
+  return y;
 }
 
 NormGrads layer_norm_backward(const Tensor& gy, const Tensor& x,
@@ -828,7 +844,7 @@ NormGrads layer_norm_backward(const Tensor& gy, const Tensor& x,
   // whose backward visits y, t = xhat * w, xhat = c * r, r, v + eps, v,
   // sum(c * c), c * c, c, m, sum(x). c collects three contributions (from
   // xhat, then twice from c * c) and x two (from c, then from sum(x)).
-  // Every "0.f +" is the engine's zero-then-add into a fresh grad buffer (or
+  // Every "0.f +" is the engine's first write of a gradient (x + 0) (or
   // sum's add(zeros, g) broadcast), every row sum a chain from +0.
   parallel_for(Partition::rows(rg.rows), [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
@@ -908,16 +924,16 @@ int64_t embedding_per_model(const Tensor& indices, int64_t block_vocab) {
 }  // namespace
 
 Tensor embedding(const Tensor& indices, const Tensor& weight,
-                 int64_t block_vocab) {
+                 int64_t block_vocab, const Tensor& out) {
   HFTA_CHECK(weight.dim() == 2, "embedding weight must be [V, E]");
   const int64_t V = weight.size(0);
   const int64_t E = weight.size(1);
   Shape out_shape = indices.shape();
   out_shape.push_back(E);
-  Tensor out = Tensor::empty(out_shape);
+  Tensor y = Tensor::empty_or(out, out_shape);
   const float* pi = indices.data();
   const float* pw = weight.data();
-  float* po = out.data();
+  float* po = y.data();
   const int64_t n = indices.numel();
   const int64_t per_model = embedding_per_model(indices, block_vocab);
   for (int64_t i = 0; i < n; ++i) {
@@ -925,7 +941,7 @@ Tensor embedding(const Tensor& indices, const Tensor& weight,
     HFTA_CHECK(v >= 0 && v < V, "embedding: index ", v, " out of vocab ", V);
     std::memcpy(po + i * E, pw + v * E, sizeof(float) * static_cast<size_t>(E));
   }
-  return out;
+  return y;
 }
 
 Tensor embedding_backward(const Tensor& grad_out, const Tensor& indices,

@@ -2,6 +2,12 @@
 // broadcasting), reductions, shape ops, softmax, batch and layer norm,
 // embedding lookup.
 // The autograd layer (src/autograd) wraps these with backward rules.
+//
+// Every kernel an autograd op runs forward takes an optional destination
+// `out` as its last argument. When it is defined the result is written
+// there (its shape must match; see Tensor::empty_or) and returned, instead
+// of into a fresh buffer: a replayed step program passes each op its
+// pinned output this way.
 #pragma once
 
 #include <utility>
@@ -18,12 +24,13 @@ namespace hfta::ops {
 Shape broadcast_shapes(const Shape& a, const Shape& b);
 
 /// Elementwise binary op with broadcasting.
-Tensor binary(const Tensor& a, const Tensor& b, float (*fn)(float, float));
+Tensor binary(const Tensor& a, const Tensor& b, float (*fn)(float, float),
+              const Tensor& out = Tensor());
 
-Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);
-Tensor div(const Tensor& a, const Tensor& b);
+Tensor add(const Tensor& a, const Tensor& b, const Tensor& out = Tensor());
+Tensor sub(const Tensor& a, const Tensor& b, const Tensor& out = Tensor());
+Tensor mul(const Tensor& a, const Tensor& b, const Tensor& out = Tensor());
+Tensor div(const Tensor& a, const Tensor& b, const Tensor& out = Tensor());
 Tensor maximum(const Tensor& a, const Tensor& b);
 
 /// Sums `grad` down to `shape` (inverse of broadcasting) — used by the
@@ -32,31 +39,34 @@ Tensor reduce_to_shape(const Tensor& grad, const Shape& shape);
 
 // ---- scalar / unary ---------------------------------------------------------
 
-Tensor add_scalar(const Tensor& a, float s);
-Tensor mul_scalar(const Tensor& a, float s);
+Tensor add_scalar(const Tensor& a, float s, const Tensor& out = Tensor());
+Tensor mul_scalar(const Tensor& a, float s, const Tensor& out = Tensor());
 /// Elementwise map.
-Tensor unary(const Tensor& a, FunctionRef<float(float)> fn);
-Tensor neg(const Tensor& a);
-Tensor exp(const Tensor& a);
-Tensor log(const Tensor& a);
-Tensor sqrt(const Tensor& a);
-Tensor tanh(const Tensor& a);
-Tensor sigmoid(const Tensor& a);
-Tensor relu(const Tensor& a);
+Tensor unary(const Tensor& a, FunctionRef<float(float)> fn,
+             const Tensor& out = Tensor());
+Tensor neg(const Tensor& a, const Tensor& out = Tensor());
+Tensor exp(const Tensor& a, const Tensor& out = Tensor());
+Tensor log(const Tensor& a, const Tensor& out = Tensor());
+Tensor sqrt(const Tensor& a, const Tensor& out = Tensor());
+Tensor tanh(const Tensor& a, const Tensor& out = Tensor());
+Tensor sigmoid(const Tensor& a, const Tensor& out = Tensor());
+Tensor relu(const Tensor& a, const Tensor& out = Tensor());
 /// gy * ((x > 0) ? 1 : 0) in one pass — the relu backward mask-and-multiply
 /// without materializing the mask (bit-identical to the two-pass form).
 Tensor relu_backward(const Tensor& gy, const Tensor& x);
-Tensor clamp(const Tensor& a, float lo, float hi);
-Tensor leaky_relu(const Tensor& a, float slope);
-Tensor pow_scalar(const Tensor& a, float p);
+Tensor clamp(const Tensor& a, float lo, float hi,
+             const Tensor& out = Tensor());
+Tensor leaky_relu(const Tensor& a, float slope, const Tensor& out = Tensor());
+Tensor pow_scalar(const Tensor& a, float p, const Tensor& out = Tensor());
 Tensor abs(const Tensor& a);
 
 // ---- reductions -------------------------------------------------------------
 
 /// Sum over `dims` (each in [0, rank)); keepdim keeps size-1 dims.
-Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim);
+Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim,
+           const Tensor& out = Tensor());
 /// Sum of everything -> scalar tensor (shape {}).
-Tensor sum_all(const Tensor& a);
+Tensor sum_all(const Tensor& a, const Tensor& out = Tensor());
 Tensor mean(const Tensor& a, std::vector<int64_t> dims, bool keepdim);
 Tensor mean_all(const Tensor& a);
 /// Max over one dim; returns {values, indices} (indices stored as floats).
@@ -67,7 +77,8 @@ Tensor argmax(const Tensor& a, int64_t dim);
 // ---- shape ops ---------------------------------------------------------------
 
 /// Concatenate along `dim`; all other dims must match.
-Tensor concat(const std::vector<Tensor>& ts, int64_t dim);
+Tensor concat(const std::vector<Tensor>& ts, int64_t dim,
+              const Tensor& out = Tensor());
 /// Split into pieces of the given sizes along `dim`.
 std::vector<Tensor> split(const Tensor& t, const std::vector<int64_t>& sizes,
                           int64_t dim);
@@ -81,8 +92,8 @@ Tensor stack_repeat(const Tensor& t, int64_t reps);
 
 // ---- softmax family -----------------------------------------------------------
 
-Tensor softmax(const Tensor& a, int64_t dim);
-Tensor log_softmax(const Tensor& a, int64_t dim);
+Tensor softmax(const Tensor& a, int64_t dim, const Tensor& out = Tensor());
+Tensor log_softmax(const Tensor& a, int64_t dim, const Tensor& out = Tensor());
 /// Backward of log_softmax: gx = gy - softmax(x) * sum(gy, dim).
 Tensor log_softmax_backward(const Tensor& gy, const Tensor& log_probs,
                             int64_t dim);
@@ -100,7 +111,8 @@ Tensor softmax_backward(const Tensor& gy, const Tensor& y, int64_t dim);
 /// (n, spatial) chain from +0, so results are thread-count invariant.
 Tensor batch_norm_forward(const Tensor& x, const Tensor& weight,
                           const Tensor& bias, Tensor& mean, Tensor& var,
-                          bool training, float eps);
+                          bool training, float eps,
+                          const Tensor& out = Tensor());
 
 /// Gradients of a normalization op's three inputs.
 struct NormGrads {
@@ -128,7 +140,7 @@ NormGrads batch_norm_backward(const Tensor& gy, const Tensor& x,
 /// rows; each row sum is one ascending chain from +0.
 Tensor layer_norm_forward(const Tensor& x, const Tensor& weight,
                           const Tensor& bias, int64_t groups, Tensor& mean,
-                          Tensor& var, float eps);
+                          Tensor& var, float eps, const Tensor& out = Tensor());
 
 /// Gradients of layer_norm_forward (mean/var as that call left them),
 /// bit-identical to differentiating the composed chain it replaced
@@ -146,7 +158,7 @@ NormGrads layer_norm_backward(const Tensor& gy, const Tensor& x,
 /// read rows b * block_vocab + id. The offset is applied here, so the ids
 /// tensor itself is never rewritten. Every row read must lie in [0, V).
 Tensor embedding(const Tensor& indices, const Tensor& weight,
-                 int64_t block_vocab = 0);
+                 int64_t block_vocab = 0, const Tensor& out = Tensor());
 /// Scatter-add of grad_out into grad_weight [V, E] (block_vocab as above).
 Tensor embedding_backward(const Tensor& grad_out, const Tensor& indices,
                           int64_t vocab, int64_t block_vocab = 0);

@@ -7,14 +7,15 @@
 
 namespace hfta::ops {
 
-std::pair<Tensor, Tensor> max_pool2d(const Tensor& x, const PoolArgs& a) {
+std::pair<Tensor, Tensor> max_pool2d(const Tensor& x, const PoolArgs& a,
+                                     const Tensor& out) {
   HFTA_CHECK(x.dim() == 4, "max_pool2d: x must be [N,C,H,W]");
   const int64_t N = x.size(0), C = x.size(1), H = x.size(2), W = x.size(3);
   const int64_t s = a.effective_stride();
   const int64_t Ho = (H + 2 * a.pad - a.kernel) / s + 1;
   const int64_t Wo = (W + 2 * a.pad - a.kernel) / s + 1;
   HFTA_CHECK(Ho > 0 && Wo > 0, "max_pool2d: empty output");
-  Tensor y = Tensor::empty({N, C, Ho, Wo});
+  Tensor y = Tensor::empty_or(out, {N, C, Ho, Wo});
   Tensor idx = Tensor::empty({N, C, Ho, Wo});
   const float* px = x.data();
   float* py = y.data();
@@ -82,10 +83,11 @@ inline int64_t ada_end(int64_t o, int64_t in, int64_t out) {
 }
 }  // namespace
 
-Tensor adaptive_avg_pool2d(const Tensor& x, int64_t out_h, int64_t out_w) {
+Tensor adaptive_avg_pool2d(const Tensor& x, int64_t out_h, int64_t out_w,
+                           const Tensor& out) {
   HFTA_CHECK(x.dim() == 4, "adaptive_avg_pool2d: x must be [N,C,H,W]");
   const int64_t N = x.size(0), C = x.size(1), H = x.size(2), W = x.size(3);
-  Tensor y = Tensor::empty({N, C, out_h, out_w});
+  Tensor y = Tensor::empty_or(out, {N, C, out_h, out_w});
   const float* px = x.data();
   float* py = y.data();
   parallel_for(Partition::rows(N * C), [&](int64_t lo, int64_t hi) {
@@ -136,13 +138,13 @@ Tensor adaptive_avg_pool2d_backward(const Tensor& gy, const Shape& x_shape) {
   return gx;
 }
 
-Tensor avg_pool2d(const Tensor& x, const PoolArgs& a) {
+Tensor avg_pool2d(const Tensor& x, const PoolArgs& a, const Tensor& out) {
   HFTA_CHECK(x.dim() == 4, "avg_pool2d: x must be [N,C,H,W]");
   const int64_t N = x.size(0), C = x.size(1), H = x.size(2), W = x.size(3);
   const int64_t s = a.effective_stride();
   const int64_t Ho = (H + 2 * a.pad - a.kernel) / s + 1;
   const int64_t Wo = (W + 2 * a.pad - a.kernel) / s + 1;
-  Tensor y = Tensor::empty({N, C, Ho, Wo});
+  Tensor y = Tensor::empty_or(out, {N, C, Ho, Wo});
   const float* px = x.data();
   float* py = y.data();
   const float inv = 1.f / static_cast<float>(a.kernel * a.kernel);
@@ -200,10 +202,11 @@ Tensor avg_pool2d_backward(const Tensor& gy, const Shape& x_shape,
   return gx;
 }
 
-std::pair<Tensor, Tensor> max_pool1d_global(const Tensor& x) {
+std::pair<Tensor, Tensor> max_pool1d_global(const Tensor& x,
+                                            const Tensor& out) {
   HFTA_CHECK(x.dim() == 3, "max_pool1d_global: x must be [N,C,L]");
   const int64_t N = x.size(0), C = x.size(1), L = x.size(2);
-  Tensor y = Tensor::empty({N, C});
+  Tensor y = Tensor::empty_or(out, {N, C});
   Tensor idx = Tensor::empty({N, C});
   const float* px = x.data();
   float* py = y.data();

@@ -43,6 +43,13 @@ Tensor Tensor::empty(Shape shape) {
   return t;
 }
 
+Tensor Tensor::empty_or(const Tensor& dst, Shape shape) {
+  if (!dst.defined()) return empty(std::move(shape));
+  HFTA_CHECK(dst.shape_ == shape, "destination ", shape_str(dst.shape_),
+             " for a result of shape ", shape_str(shape));
+  return dst;
+}
+
 Tensor Tensor::zeros(Shape shape) { return Tensor(std::move(shape)); }
 
 Tensor Tensor::ones(Shape shape) { return full(std::move(shape), 1.f); }
@@ -168,7 +175,8 @@ Tensor Tensor::clone() const {
   return t;
 }
 
-Tensor Tensor::permute(const std::vector<int64_t>& perm) const {
+Tensor Tensor::permute(const std::vector<int64_t>& perm,
+                       const Tensor& out) const {
   const int64_t nd = dim();
   HFTA_CHECK(static_cast<int64_t>(perm.size()) == nd, "permute rank mismatch");
   std::vector<bool> seen(static_cast<size_t>(nd), false);
@@ -186,9 +194,9 @@ Tensor Tensor::permute(const std::vector<int64_t>& perm) const {
     src_strides[static_cast<size_t>(i)] =
         src_strides[static_cast<size_t>(i + 1)] * shape_[static_cast<size_t>(i + 1)];
 
-  Tensor out = empty(out_shape);
+  Tensor y = empty_or(out, out_shape);
   const float* src = data();
-  float* dst = out.data();
+  float* dst = y.data();
   std::vector<int64_t> idx(static_cast<size_t>(nd), 0);
   for (int64_t flat = 0; flat < numel_; ++flat) {
     int64_t src_off = 0;
@@ -202,10 +210,10 @@ Tensor Tensor::permute(const std::vector<int64_t>& perm) const {
       idx[static_cast<size_t>(i)] = 0;
     }
   }
-  return out;
+  return y;
 }
 
-Tensor Tensor::transpose(int64_t a, int64_t b) const {
+Tensor Tensor::transpose(int64_t a, int64_t b, const Tensor& out) const {
   const int64_t nd = dim();
   if (a < 0) a += nd;
   if (b < 0) b += nd;
@@ -213,10 +221,11 @@ Tensor Tensor::transpose(int64_t a, int64_t b) const {
   std::vector<int64_t> perm(static_cast<size_t>(nd));
   std::iota(perm.begin(), perm.end(), 0);
   std::swap(perm[static_cast<size_t>(a)], perm[static_cast<size_t>(b)]);
-  return permute(perm);
+  return permute(perm, out);
 }
 
-Tensor Tensor::slice(int64_t d, int64_t start, int64_t end) const {
+Tensor Tensor::slice(int64_t d, int64_t start, int64_t end,
+                     const Tensor& out) const {
   const int64_t nd = dim();
   if (d < 0) d += nd;
   HFTA_CHECK(d >= 0 && d < nd, "slice dim out of range");
@@ -225,19 +234,19 @@ Tensor Tensor::slice(int64_t d, int64_t start, int64_t end) const {
              ") out of range for dim of size ", n);
   Shape out_shape = shape_;
   out_shape[static_cast<size_t>(d)] = end - start;
-  Tensor out = empty(out_shape);
+  Tensor y = empty_or(out, out_shape);
   // View the tensor as [outer, n, inner]; copy rows [start, end).
   int64_t outer = 1, inner = 1;
   for (int64_t i = 0; i < d; ++i) outer *= shape_[static_cast<size_t>(i)];
   for (int64_t i = d + 1; i < nd; ++i) inner *= shape_[static_cast<size_t>(i)];
   const float* src = data();
-  float* dst = out.data();
+  float* dst = y.data();
   const int64_t len = end - start;
   for (int64_t o = 0; o < outer; ++o) {
     std::memcpy(dst + o * len * inner, src + (o * n + start) * inner,
                 sizeof(float) * static_cast<size_t>(len * inner));
   }
-  return out;
+  return y;
 }
 
 void Tensor::fill_(float v) { vec::fill(v, data(), numel_); }

@@ -32,8 +32,10 @@ int64_t shape_numel(const Shape& s);
 
 class Tensor {
  public:
-  /// Undefined tensor (no storage). defined() == false.
-  Tensor() = default;
+  /// Undefined tensor (no storage). defined() == false. User-provided, not
+  /// `= default`: the default arguments below construct a Tensor inside
+  /// the class, before its member initializers are complete.
+  Tensor() {}
 
   /// Zero-initialized tensor of the given shape.
   explicit Tensor(Shape shape);
@@ -45,6 +47,11 @@ class Tensor {
   /// and factories whose output is fully written (no zero-fill, and a
   /// recycled pool buffer is handed over as-is).
   static Tensor empty(Shape shape);
+  /// A kernel's output buffer: `dst` itself when it is defined (its shape
+  /// must equal `shape`), else empty(shape). Kernels take an optional
+  /// destination this way so a replayed step program can hand each op its
+  /// pinned output; either way the storage is uninitialized to the kernel.
+  static Tensor empty_or(const Tensor& dst, Shape shape);
   static Tensor ones(Shape shape);
   static Tensor full(Shape shape, float value);
   /// Standard-normal entries drawn from `rng`.
@@ -82,12 +89,16 @@ class Tensor {
   Tensor squeeze(int64_t d) const;
   /// Deep copy.
   Tensor clone() const;
+  // The materializing ops below write into `out` when it is defined (see
+  // empty_or).
   /// Materialized transpose of dims a, b.
-  Tensor transpose(int64_t a, int64_t b) const;
+  Tensor transpose(int64_t a, int64_t b, const Tensor& out = Tensor()) const;
   /// Materialized permutation; perm must be a permutation of 0..dim-1.
-  Tensor permute(const std::vector<int64_t>& perm) const;
+  Tensor permute(const std::vector<int64_t>& perm,
+                 const Tensor& out = Tensor()) const;
   /// Materialized copy of rows [start, end) along `d`.
-  Tensor slice(int64_t d, int64_t start, int64_t end) const;
+  Tensor slice(int64_t d, int64_t start, int64_t end,
+               const Tensor& out = Tensor()) const;
 
   // -- in-place helpers -------------------------------------------------------
   void fill_(float v);

@@ -5,13 +5,19 @@
 // changes, and with learning-rate schedules flowing through replay without
 // recapture. Replay itself must be silent: zero tensor-storage heap
 // allocations and zero autograd Node constructions per replayed step.
+// Replay writes gradients instead of zero-filling them, so the sign of a
+// -0 first contribution is pinned too.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "autograd/engine.h"
+#include "autograd/step_program.h"
+#include "core/storage_pool.h"
 #include "hfta/fused_optim.h"
 #include "hfta/fusion.h"
 #include "hfta/train.h"
@@ -71,11 +77,13 @@ void expect_state_equal(const nn::Module& a, const nn::Module& b,
         << tag << " buffer " << ba[i].first;
 }
 
-TEST(StepProgram, ReplayMatchesEagerBitExactlyForEveryRegisteredKind) {
-  // Every kind with a round-trip factory: 12 steps of fresh staged data,
-  // one twin eager, one capturing after the default 1-step warmup (so 10
-  // of the 12 steps replay). Per-step losses and final parameters/buffers
-  // must agree to the last bit — replay IS the eager step.
+// Every kind with a round-trip factory: 12 steps of fresh staged data, one
+// twin eager, one capturing after the default 1-step warmup (so 10 of the
+// 12 steps replay). Per-step losses and final parameters/buffers must agree
+// to the last bit — replay IS the eager step. `pooled` says whether the
+// storage pool recycles buffers, and with it whether a replayed step can
+// be asserted to make no heap allocation.
+void expect_every_kind_replays_as_eager(bool pooled) {
   const int kSteps = 12;
   for (const auto& [kind, make] : tests::kind_factories()) {
     Twin eager, replay;
@@ -94,7 +102,9 @@ TEST(StepProgram, ReplayMatchesEagerBitExactlyForEveryRegisteredKind) {
     EXPECT_TRUE(st.last_was_replay) << kind;
     // A replayed step allocates and records nothing: warm pool serves every
     // tensor, and no ag::Node (or backward closure) is ever constructed.
-    EXPECT_EQ(st.last_heap_allocs, 0u) << kind;
+    if (pooled) {
+      EXPECT_EQ(st.last_heap_allocs, 0u) << kind;
+    }
     EXPECT_EQ(st.last_node_constructions, 0u) << kind;
     // The node counter is live: the eager twin records a tape every step
     // (a parameter-free kind has no input that requires grad, so no tape).
@@ -103,6 +113,64 @@ TEST(StepProgram, ReplayMatchesEagerBitExactlyForEveryRegisteredKind) {
     }
     expect_state_equal(*eager.module, *replay.module, kind);
   }
+}
+
+TEST(StepProgram, ReplayMatchesEagerBitExactlyForEveryRegisteredKind) {
+  expect_every_kind_replays_as_eager(/*pooled=*/true);
+  // Again with the pool off, so every buffer is heap-owned and freed on
+  // release: a sanitizer build then sees a replayed op that writes a
+  // released or wrong buffer, which pooled blocks (never freed) hide.
+  StoragePool& pool = StoragePool::instance();
+  const StoragePool::Config saved = pool.config();
+  pool.set_config(StoragePool::Config{.enabled = false});
+  struct Restore {
+    StoragePool& pool;
+    StoragePool::Config config;
+    ~Restore() { pool.set_config(config); }
+  } restore{pool, saved};
+  expect_every_kind_replays_as_eager(/*pooled=*/false);
+}
+
+// True when every element of `t` is +0 (bit pattern, so -0 fails).
+bool all_positive_zero(const Tensor& t) {
+  const Tensor zeros = Tensor::zeros(t.shape());
+  return std::memcmp(t.data(), zeros.data(),
+                     sizeof(float) * static_cast<size_t>(t.numel())) == 0;
+}
+
+TEST(StepProgram, FirstGradientContributionOfNegativeZeroLandsAsPositiveZero) {
+  // A gradient's first contribution is written as x + 0, the bits of
+  // adding x into fresh zeros, so a -0 contribution lands as +0, in eager
+  // and in replay alike. Multiplying by a constant -0 sends -0 to an
+  // interior node (h) and to a leaf (v) as their only contributions.
+  ag::Variable u(Tensor::full({3}, 2.f), /*requires_grad=*/true);
+  ag::Variable v(Tensor::full({3}, 3.f), /*requires_grad=*/true);
+  const ag::Variable c = ag::constant(Tensor::full({3}, -0.f));
+  ag::Variable h, loss;
+  auto build = [&] {
+    h = ag::add_scalar(u, 1.f);
+    loss = ag::sum_all(ag::add(ag::mul(h, c), ag::mul(v, c)));
+  };
+
+  build();
+  loss.backward();
+  EXPECT_TRUE(all_positive_zero(h.grad())) << "eager, interior node";
+  EXPECT_TRUE(all_positive_zero(v.grad())) << "eager, leaf";
+
+  ag::StepProgram program;
+  {
+    ag::StepProgram::CaptureGuard guard(program);
+    build();
+  }
+  ag::Engine engine;
+  program.finish_capture(engine, loss);
+  // Replay overwrites whatever the buffers hold: adding -0 into -0 would
+  // leave -0.
+  h.grad().fill_(-0.f);
+  v.grad().fill_(-0.f);
+  program.replay();
+  EXPECT_TRUE(all_positive_zero(h.grad())) << "replay, interior node";
+  EXPECT_TRUE(all_positive_zero(v.grad())) << "replay, leaf";
 }
 
 TEST(StepProgram, BatchShapeChangeInvalidatesAndRecaptures) {
