@@ -354,22 +354,6 @@ Variable bmm_nt(const Variable& a, const Variable& b) {
                  });
 }
 
-Variable baddbmm(const Variable& bias, const Variable& a,
-                 const Variable& b) {
-  const DType q = gemm_quantize_dtype();
-  Tensor biasv = bias.value(), av = a.value(), bv = b.value();
-  Shape sbias = bias.shape();
-  auto fwd = [biasv, av, bv, q](const Tensor& out) {
-    return ops::baddbmm(biasv, av, bv, q, q, out);
-  };
-  return make_op("baddbmm", fwd({}), fwd, {bias, a, b},
-                 [sbias, av, bv, q](const Tensor& gy) -> std::vector<Tensor> {
-                   return {ops::reduce_to_shape(gy, sbias),
-                           ops::bmm_nt(gy, bv, DType::kF32, q),
-                           ops::bmm_tn(av, gy, q, DType::kF32)};
-                 });
-}
-
 Variable linear(const Variable& x, const Variable& w,
                 const Variable& b) {
   const DType q = gemm_quantize_dtype();
@@ -396,6 +380,29 @@ Variable linear(const Variable& x, const Variable& w,
         Tensor gw = ops::matmul_tn(gy2, x2, DType::kF32, q);  // [out, in]
         std::vector<Tensor> grads = {gx, gw};
         if (has_bias) grads.push_back(ops::sum(gy2, {0}, false));
+        return grads;
+      });
+}
+
+Variable batched_linear(const Variable& x, const Variable& w,
+                        const Variable& b) {
+  const DType q = gemm_quantize_dtype();
+  Tensor xv = x.value(), wv = w.value();
+  Tensor bv = b.defined() ? b.value() : Tensor();
+  auto fwd = [xv, wv, bv, q](const Tensor& out) {
+    return ops::batched_linear_forward(xv, wv, bv, q, q, out);
+  };
+  std::vector<Variable> inputs = {x, w};
+  if (b.defined()) inputs.push_back(b);
+  return make_op(
+      "batched_linear", fwd({}), fwd, std::move(inputs),
+      [xv, wv, bv, q](const Tensor& gy) -> std::vector<Tensor> {
+        // Per model block, linear's backward GEMMs: gx = gy @ w,
+        // gw = gy^T @ x.
+        std::vector<Tensor> grads = {ops::bmm(gy, wv, DType::kF32, q),
+                                     ops::bmm_tn(gy, xv, DType::kF32, q)};
+        if (bv.defined())
+          grads.push_back(ops::reduce_to_shape(gy, bv.shape()));
         return grads;
       });
 }

@@ -48,9 +48,13 @@ Variable matmul(const Variable& a, const Variable& b);
 Variable bmm(const Variable& a, const Variable& b);
 /// a @ b with b transposed on its last two dims (attention scores).
 Variable bmm_nt(const Variable& a, const Variable& b);
-Variable baddbmm(const Variable& bias, const Variable& a, const Variable& b);
 /// x [.., in] @ w [out, in]^T + b [out] (b may be undefined).
 Variable linear(const Variable& x, const Variable& w, const Variable& b);
+/// B linears: x [B, N, in] @ w [B, out, in]^T + b [B, 1, out] (b may be
+/// undefined). Model block b runs linear's forward and backward GEMMs on
+/// x[b], w[b], b[b] (ops::batched_linear_forward).
+Variable batched_linear(const Variable& x, const Variable& w,
+                        const Variable& b);
 
 // ---- convolution -------------------------------------------------------------
 Variable conv2d(const Variable& x, const Variable& w, const Variable& b,

@@ -86,37 +86,18 @@ Tensor find_per_model_tensor(const std::map<std::string, Tensor>& tensors,
   return it->second;
 }
 
-/// Moves model b's slice between the fused tensor and the per-model one,
-/// in either direction, following the entry's slice rule.
+/// Moves model b's block between the fused tensor and the per-model one,
+/// in either direction.
 void transfer_slice(const StateEntry& e, int64_t B, int64_t b,
                     Tensor per_model, bool to_fused) {
   // StateEntry holds handles; copying re-opens mutable access to storage.
   Tensor fused = e.is_buffer() ? e.fused_buffer
                                : ag::Variable(e.fused_param).mutable_value();
-  switch (e.rule) {
-    case SliceRule::kBlock:
-      if (to_fused) {
-        copy_into_block(fused, per_model, b, B);
-      } else {
-        copy_from_block(fused, per_model, b, B);
-      }
-      return;
-    case SliceRule::kLinearWeight: {
-      HFTA_CHECK(per_model.dim() == 2, "state transfer: '", e.path,
-                 "' uses kLinearWeight but the per-model tensor is not 2-D");
-      if (to_fused) {
-        Tensor wt = per_model.transpose(0, 1);  // [out, in] -> [in, out]
-        copy_into_block(fused, wt, b, B);
-      } else {
-        Tensor wt({per_model.size(1), per_model.size(0)});
-        copy_from_block(fused, wt, b, B);
-        const Tensor t = wt.transpose(0, 1);
-        std::copy(t.data(), t.data() + t.numel(), per_model.data());
-      }
-      return;
-    }
+  if (to_fused) {
+    copy_into_block(fused, per_model, b, B);
+  } else {
+    copy_from_block(fused, per_model, b, B);
   }
-  HFTA_CHECK(false, "state transfer: unknown slice rule");
 }
 
 void check_model_index(int64_t B, int64_t b) {
@@ -302,7 +283,7 @@ FusedLinear::FusedLinear(int64_t B, int64_t in, int64_t out, bool has_bias,
                          Rng& rng)
     : FusedModule(B), in_features(in), out_features(out) {
   weight =
-      register_parameter("weight", nn::init::kaiming_uniform({B, in, out},
+      register_parameter("weight", nn::init::kaiming_uniform({B, out, in},
                                                              in, rng));
   if (has_bias)
     bias = register_parameter("bias",
@@ -314,14 +295,7 @@ ag::Variable FusedLinear::forward(const ag::Variable& x) {
                  x.size(2) == in_features,
              "FusedLinear: expected [", array_size_, ", N, ", in_features,
              "], got ", shape_str(x.shape()));
-  if (bias.defined()) return ag::baddbmm(bias, x, weight);
-  return ag::bmm(x, weight);
-}
-
-StateMap FusedLinear::state_map() const {
-  StateMap out = {param_entry("weight", weight, SliceRule::kLinearWeight)};
-  if (bias.defined()) out.push_back(param_entry("bias", bias));
-  return out;
+  return ag::batched_linear(x, weight, bias);
 }
 
 // ---- FusedEmbedding --------------------------------------------------------------------------

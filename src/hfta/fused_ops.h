@@ -5,7 +5,8 @@
 //   FusedConv2d   B convs with G groups  -> one grouped conv, G' = B*G
 //   FusedConv1d   likewise (1-D)
 //   FusedConvTranspose2d likewise (deconvolution)
-//   FusedLinear   B linears -> one baddbmm(b [B,1,Fy], x [B,N,Fx], w [B,Fx,Fy])
+//   FusedLinear   B linears -> one batched_linear(x [B,N,in], w [B,out,in],
+//                 b [B,1,out]): per model block, nn::Linear's own GEMMs
 //   FusedBatchNorm1d/2d  per-(model,channel) statistics over B*C channels
 //   FusedLayerNorm  normalize trailing dims, then per-model affine
 //   FusedEmbedding  index offsets b*V into a [B*V, E] table
@@ -39,21 +40,11 @@ struct FusedParam {
 
 // ---- state schema -----------------------------------------------------------
 
-/// How model b's per-model tensor is laid out inside its fused counterpart.
-enum class SliceRule {
-  /// The fused tensor packs B per-model blocks contiguously along dim 0
-  /// (fused numel = B * per-model numel); model b's block starts at
-  /// b * per-model numel. Every fused tensor in this codebase uses this
-  /// layout except FusedLinear's weight.
-  kBlock,
-  /// nn::Linear's weight: the per-model [out, in] tensor maps to the
-  /// transposed [in, out] block b of the fused [B, in, out] baddbmm weight.
-  kLinearWeight,
-};
-
 /// One entry of a fused module's state schema: which per-model tensor
 /// (dotted path relative to the per-model layer) lives where inside the
-/// fused module, and how model b's slice is laid out. Exactly one of
+/// fused module. Every fused tensor packs B per-model blocks contiguously
+/// along dim 0, each laid out exactly like the per-model tensor, so model
+/// b's slice is block b (fused numel = B * per-model numel). Exactly one of
 /// fused_param / fused_buffer is defined. load_model, store_model and the
 /// planner's state-congruence check all derive from these entries
 /// (DESIGN.md §7).
@@ -61,7 +52,6 @@ struct StateEntry {
   std::string path;          // per-model tensor path, e.g. "weight"
   ag::Variable fused_param;  // trainable state lives in a parameter...
   Tensor fused_buffer;       // ...non-trainable state (running stats) here
-  SliceRule rule = SliceRule::kBlock;
 
   bool is_buffer() const { return fused_buffer.defined(); }
 };
@@ -70,12 +60,10 @@ struct StateEntry {
 /// matches the per-model module's own parameter/buffer order).
 using StateMap = std::vector<StateEntry>;
 
-inline StateEntry param_entry(std::string path, const ag::Variable& v,
-                              SliceRule rule = SliceRule::kBlock) {
+inline StateEntry param_entry(std::string path, const ag::Variable& v) {
   StateEntry e;
   e.path = std::move(path);
   e.fused_param = v;
-  e.rule = rule;
   return e;
 }
 inline StateEntry buffer_entry(std::string path, const Tensor& t) {
@@ -115,9 +103,9 @@ class FusedModule : public nn::Module {
   /// per-model module's: own registered parameters and buffers map by name
   /// as dim-0 blocks, and child FusedModules compose recursively under
   /// their registered names. Leaves with a different internal layout
-  /// (FusedLinear's transposed weight, FusedBatchNorm's nested plain impl)
-  /// override. A stateful non-fused child without an override is a schema
-  /// derivation error and fails loudly.
+  /// (FusedBatchNorm's nested plain impl) override. A stateful non-fused
+  /// child without an override is a schema derivation error and fails
+  /// loudly.
   virtual StateMap state_map() const;
 
  protected:
@@ -212,12 +200,10 @@ class FusedConvTranspose1d : public FusedModule {
 class FusedLinear : public FusedModule {
  public:
   FusedLinear(int64_t B, int64_t in, int64_t out, bool bias, Rng& rng);
-  /// x: [B, N, in] -> [B, N, out] via baddbmm.
+  /// x: [B, N, in] -> [B, N, out] via ag::batched_linear.
   ag::Variable forward(const ag::Variable& x) override;
-  /// weight uses kLinearWeight (the per-model [out, in] is transposed).
-  StateMap state_map() const override;
 
-  ag::Variable weight;  // [B, in, out]
+  ag::Variable weight;  // [B, out, in]: block b is nn::Linear's [out, in]
   ag::Variable bias;    // [B, 1, out]
   int64_t in_features, out_features;
 };

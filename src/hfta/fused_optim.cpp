@@ -67,14 +67,6 @@ HyperVec FusedOptimizer::expand(HyperVec v) const {
 
 void FusedOptimizer::set_lr(HyperVec lr) { lr_ = expand(std::move(lr)); }
 
-void FusedOptimizer::repack_state_from(const FusedOptimizer& src,
-                                       const std::vector<int64_t>& keep) {
-  std::vector<RepackPick> picks;
-  picks.reserve(keep.size());
-  for (int64_t b : keep) picks.push_back(RepackPick{0, b});
-  repack_state_from(std::vector<const FusedOptimizer*>{&src}, picks);
-}
-
 void FusedOptimizer::check_repack(
     const std::vector<const FusedOptimizer*>& sources,
     const std::vector<RepackPick>& picks) const {

@@ -52,10 +52,6 @@ class FusedOptimizer : public nn::Optimizer {
   /// shared scalar state (Adam's step count).
   virtual void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
                                  const std::vector<RepackPick>& picks) = 0;
-  /// Single-source convenience (model keep[j] of `src` becomes model j):
-  /// thin delegate to the multi-source gather — one code path for both.
-  void repack_state_from(const FusedOptimizer& src,
-                         const std::vector<int64_t>& keep);
 
  protected:
   /// Shared repack_state_from validation: array/param-count alignment,
@@ -96,7 +92,6 @@ class FusedSGD : public FusedOptimizer {
     HyperVec weight_decay = {0.0};
   };
   FusedSGD(std::vector<FusedParam> params, int64_t array_size, Options opt);
-  using FusedOptimizer::repack_state_from;
   void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
                          const std::vector<RepackPick>& picks) override;
 
@@ -117,7 +112,6 @@ class FusedAdam : public FusedOptimizer {
     HyperVec weight_decay = {0.0};
   };
   FusedAdam(std::vector<FusedParam> params, int64_t array_size, Options opt);
-  using FusedOptimizer::repack_state_from;
   void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
                          const std::vector<RepackPick>& picks) override;
 
@@ -140,7 +134,6 @@ class FusedAdadelta : public FusedOptimizer {
   };
   FusedAdadelta(std::vector<FusedParam> params, int64_t array_size,
                 Options opt);
-  using FusedOptimizer::repack_state_from;
   void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
                          const std::vector<RepackPick>& picks) override;
 

@@ -22,8 +22,7 @@ UnfusedBlockAdapter::UnfusedBlockAdapter(
       // donor module cannot write through to anything.
       HFTA_CHECK(!nn::has_state(*donor),
                  "UnfusedBlockAdapter: stateful kind '", donor->kind_name(),
-                 "' has no clone support — override Module::clone() or "
-                 "register a clone factory with the LoweringRegistry");
+                 "' has no clone support — override Module::clone()");
       owned = std::move(donor);
     }
     mods_.push_back(std::move(owned));
@@ -118,17 +117,6 @@ const LoweringFn* LoweringRegistry::find(const std::string& kind_name) const {
   return it == rules_.end() ? nullptr : &it->second;
 }
 
-void LoweringRegistry::add_clone_factory(const std::string& kind_name,
-                                         CloneFactory fn) {
-  clone_factories_[kind_name] = std::move(fn);
-}
-
-const CloneFactory* LoweringRegistry::find_clone_factory(
-    const std::string& kind_name) const {
-  auto it = clone_factories_.find(kind_name);
-  return it == clone_factories_.end() ? nullptr : &it->second;
-}
-
 std::vector<std::string> LoweringRegistry::supported_kinds() const {
   std::vector<std::string> out;
   for (const auto& [k, v] : rules_) out.push_back(k);
@@ -136,16 +124,6 @@ std::vector<std::string> LoweringRegistry::supported_kinds() const {
 }
 
 LoweringRegistry::LoweringRegistry() {
-  // Route Module::clone()'s default implementation through the per-kind
-  // clone factories, so composite kinds registered via LoweringRegistrar
-  // clone without a clone() override.
-  nn::Module::set_clone_fallback(
-      [](const nn::Module& m) -> std::shared_ptr<nn::Module> {
-        const CloneFactory* fn =
-            LoweringRegistry::instance().find_clone_factory(m.kind_name());
-        return fn ? (*fn)(m) : nullptr;
-      });
-
   // -- model-major family ----------------------------------------------------
   add(nn::layer_kind_name(nn::LayerKind::kLinear),
       [](const LoweringContext& ctx) {
@@ -505,8 +483,7 @@ FusedArray::Step make_adapter_step(
     throw FusionError(
         {path, -1,
          "unfused unit of stateful kind '" + reps[0]->kind_name() +
-             "' has no clone support — override Module::clone() or "
-             "register a clone factory with the LoweringRegistry"});
+             "' has no clone support — override Module::clone()"});
   }
   s.module = std::make_shared<UnfusedBlockAdapter>(B, std::move(reps));
   s.in = Layout::kChannelFused;
@@ -522,10 +499,9 @@ FusedArray::Step make_adapter_step(
 /// Derives the state schema of a lowered step's module and validates it
 /// against the per-model reference layer: every per-model parameter and
 /// buffer must be covered by exactly one entry, sized B x the per-model
-/// numel (shape-checked through the slice rule at transfer time). A
-/// registration that forgets part of its state — the old "ships a loader,
-/// silently lacks store support" class of bug — now fails the compile with
-/// a structured diagnostic instead of surfacing as drift after a repack.
+/// numel (block-size-checked again at transfer time). A registration that
+/// forgets part of its state fails the compile with a structured
+/// diagnostic instead of surfacing as drift after a repack.
 StateMap derive_step_state(const nn::Module& fused_mod, int64_t B,
                            const nn::Module& ref, const std::string& path) {
   const auto* fm = dynamic_cast<const FusedModule*>(&fused_mod);
@@ -574,8 +550,7 @@ StateMap derive_step_state(const nn::Module& fused_mod, int64_t B,
 
 void lower_into(int64_t B, Rng& rng, const std::string& path,
                 const std::vector<std::shared_ptr<nn::Module>>& reps,
-                int64_t unit, bool allow_fallback,
-                std::vector<FusedArray::Step>* steps) {
+                int64_t unit, std::vector<FusedArray::Step>* steps) {
   const nn::Module& ref = *reps[0];
   if (ref.kind() == nn::LayerKind::kSequential) {
     const auto& ref_children = ref.named_children();
@@ -584,21 +559,16 @@ void lower_into(int64_t B, Rng& rng, const std::string& path,
       for (const auto& r : reps)
         child_reps.push_back(r->named_children()[i].second);
       lower_into(B, rng, join_path(path, ref_children[i].first), child_reps,
-                 unit, allow_fallback, steps);
+                 unit, steps);
     }
     return;
   }
   const LoweringFn* fn = LoweringRegistry::instance().find(ref.kind_name());
   if (fn == nullptr) {
-    if (allow_fallback) {
-      steps->push_back(make_adapter_step(B, path, reps, unit));
-      return;
-    }
     throw FusionError(
         {path, -1,
          "no fusion rule registered for layer kind '" + ref.kind_name() +
-             "'; register a lowering, enable allow_unfused_fallback, or turn "
-             "this unit off in fuse_mask"});
+             "'; register a lowering, or turn this unit off in fuse_mask"});
   }
   LoweringContext ctx;
   ctx.array_size = B;
@@ -660,7 +630,7 @@ std::shared_ptr<FusedArray> FusionPlan::compile(
     const bool fuse = opts_.fuse_mask.empty() || opts_.fuse_mask[u];
     if (fuse) {
       lower_into(array_size_, rng, path, reps, static_cast<int64_t>(u),
-                 opts_.allow_unfused_fallback, &array->steps_);
+                 &array->steps_);
     } else {
       array->steps_.push_back(make_adapter_step(
           array_size_, path, reps, static_cast<int64_t>(u)));
@@ -700,15 +670,6 @@ std::shared_ptr<FusedArray> FusionPlan::repack_multi(
     survivors.push_back(std::move(tree));
   }
   return compile(survivors, rng);
-}
-
-std::shared_ptr<FusedArray> FusionPlan::repack(
-    const FusedArray& src, const std::vector<int64_t>& keep,
-    const nn::Module& template_model, Rng& rng) const {
-  std::vector<RepackPick> picks;
-  picks.reserve(keep.size());
-  for (int64_t b : keep) picks.push_back(RepackPick{0, b});
-  return repack_multi({&src}, picks, template_model, rng);
 }
 
 // ---- planner-support modules ------------------------------------------------

@@ -104,18 +104,9 @@ struct Lowered {
 
 using LoweringFn = std::function<Lowered(const LoweringContext&)>;
 
-/// Per-kind deep-copy factory: builds an independently owned, structurally
-/// congruent copy of `src` (same weights/buffers). Module::clone() falls
-/// back to these for composite kinds without a clone() override.
-using CloneFactory =
-    std::function<std::shared_ptr<nn::Module>(const nn::Module& src)>;
-
 /// Per-layer-kind lowering rules. Built-in nn:: leaves are pre-registered;
 /// composite model blocks (e.g. "models::BasicBlock") register themselves so
 /// the planner can lower user-defined stacks without bespoke fused models.
-/// Also hosts the per-kind clone factories that back Module::clone() for
-/// registered composite kinds (the planner needs clones whenever a unit
-/// runs unfused).
 class LoweringRegistry {
  public:
   static LoweringRegistry& instance();
@@ -124,26 +115,16 @@ class LoweringRegistry {
   const LoweringFn* find(const std::string& kind_name) const;
   std::vector<std::string> supported_kinds() const;
 
-  void add_clone_factory(const std::string& kind_name, CloneFactory fn);
-  const CloneFactory* find_clone_factory(const std::string& kind_name) const;
-
  private:
   LoweringRegistry();
   std::map<std::string, LoweringFn> rules_;
-  std::map<std::string, CloneFactory> clone_factories_;
 };
 
-/// Registers `fn` (and optionally the kind's clone factory) at static-init
-/// time (file-scope object in the .cpp that defines the fused counterpart).
+/// Registers `fn` at static-init time (file-scope object in the .cpp that
+/// defines the fused counterpart).
 struct LoweringRegistrar {
   LoweringRegistrar(const std::string& kind_name, LoweringFn fn) {
     LoweringRegistry::instance().add(kind_name, std::move(fn));
-  }
-  LoweringRegistrar(const std::string& kind_name, LoweringFn fn,
-                    CloneFactory clone_fn) {
-    LoweringRegistry::instance().add(kind_name, std::move(fn));
-    LoweringRegistry::instance().add_clone_factory(kind_name,
-                                                   std::move(clone_fn));
   }
 };
 
@@ -158,9 +139,6 @@ struct FusionOptions {
   std::vector<bool> fuse_mask;
   /// Layout the array's output is converted to (kAny = leave as produced).
   Layout output_layout = Layout::kAny;
-  /// When true, units with no registered lowering fall back to an
-  /// UnfusedBlockAdapter instead of failing the compile.
-  bool allow_unfused_fallback = false;
 };
 
 /// A compiled fused array: the lowered steps of B per-model graphs, with
@@ -234,7 +212,7 @@ class FusionPlan {
 
   /// Verifies congruence, lowers every layer through the registry, loads
   /// all B models' weights, and returns the fused array. Every unit —
-  /// fused, masked-off, or fallback — gets its own copy of the weights;
+  /// fused or masked off — gets its own copy of the weights;
   /// the donor modules are never aliased or mutated. Throws FusionError
   /// (with a structured diagnostic) on the first unsupported combination.
   std::shared_ptr<FusedArray> compile(
@@ -254,13 +232,6 @@ class FusionPlan {
       const std::vector<const FusedArray*>& sources,
       const std::vector<RepackPick>& picks, const nn::Module& template_model,
       Rng& rng) const;
-
-  /// Single-source convenience: model j of the result is model keep[j] of
-  /// `src`. Thin delegate to repack_multi — one code path for both.
-  std::shared_ptr<FusedArray> repack(const FusedArray& src,
-                                     const std::vector<int64_t>& keep,
-                                     const nn::Module& template_model,
-                                     Rng& rng) const;
 
   int64_t array_size() const { return array_size_; }
   const FusionOptions& options() const { return opts_; }

@@ -88,11 +88,15 @@ nn::ModuleConfig PointNetTrunk::config() const {
   return c;
 }
 
+std::shared_ptr<nn::Module> PointNetTrunk::clone() const {
+  Rng rng(0);
+  return cloned(*this, std::make_shared<PointNetTrunk>(cfg, rng));
+}
+
 // The planner lowering for the trunk (B congruent trunks become one
-// FusedPointNetTrunk on the channel-fused layout) plus the clone factory
-// Module::clone() falls back to when the trunk runs unfused. State transfer
-// needs no per-kind code: the fused trunk's child names mirror the
-// per-model trunk's, so the planner derives load/store from its StateMap.
+// FusedPointNetTrunk on the channel-fused layout). State transfer needs no
+// per-kind code: the fused trunk's child names mirror the per-model
+// trunk's, so the planner derives load/store from its StateMap.
 static const fused::LoweringRegistrar kTrunkLowering(
     "models::PointNetTrunk",
     [](const fused::LoweringContext& ctx) {
@@ -101,12 +105,6 @@ static const fused::LoweringRegistrar kTrunkLowering(
                                                     *ctx.rng);
       return fused::Lowered{m, fused::Layout::kChannelFused,
                             fused::Layout::kChannelFused};
-    },
-    [](const nn::Module& src) -> std::shared_ptr<nn::Module> {
-      const auto& ref = static_cast<const PointNetTrunk&>(src);
-      Rng rng(0);
-      return nn::Module::cloned(src,
-                                std::make_shared<PointNetTrunk>(ref.cfg, rng));
     });
 
 // ---- classification head ----------------------------------------------------------

@@ -54,6 +54,7 @@ class PointNetTrunk : public nn::Module {
   std::pair<ag::Variable, ag::Variable> forward_both(const ag::Variable& x);
   std::string kind_name() const override { return "models::PointNetTrunk"; }
   nn::ModuleConfig config() const override;
+  std::shared_ptr<nn::Module> clone() const override;
 
   std::shared_ptr<STN> stn;  // may be null
   std::shared_ptr<nn::Conv1d> conv1, conv2, conv3;

@@ -33,12 +33,18 @@ nn::ModuleConfig BasicBlock::config() const {
   return c;
 }
 
+std::shared_ptr<nn::Module> BasicBlock::clone() const {
+  const nn::ModuleConfig c = config();
+  Rng rng(0);
+  return cloned(*this, std::make_shared<BasicBlock>(c.get_int("in"),
+                                                    c.get_int("out"),
+                                                    c.get_int("stride"), rng));
+}
+
 // The planner lowering for a residual block (B congruent BasicBlocks become
-// one FusedBasicBlock on the channel-fused layout) plus the clone factory
-// Module::clone() falls back to when a block runs unfused. Load AND store
-// are derived from the fused block's StateMap (its child names mirror the
-// per-model block's), so the old "no store support" gap is gone by
-// construction.
+// one FusedBasicBlock on the channel-fused layout). Load AND store are
+// derived from the fused block's StateMap (its child names mirror the
+// per-model block's).
 static const fused::LoweringRegistrar kBasicBlockLowering(
     "models::BasicBlock",
     [](const fused::LoweringContext& ctx) {
@@ -48,13 +54,6 @@ static const fused::LoweringRegistrar kBasicBlockLowering(
           c.get_int("stride"), *ctx.rng);
       return fused::Lowered{m, fused::Layout::kChannelFused,
                             fused::Layout::kChannelFused};
-    },
-    [](const nn::Module& src) -> std::shared_ptr<nn::Module> {
-      const nn::ModuleConfig c = src.config();
-      Rng rng(0);
-      return nn::Module::cloned(
-          src, std::make_shared<BasicBlock>(c.get_int("in"), c.get_int("out"),
-                                            c.get_int("stride"), rng));
     });
 
 ResNet18::ResNet18(const ResNetConfig& cfg, Rng& rng) : cfg(cfg) {

@@ -37,6 +37,7 @@ class BasicBlock : public nn::Module {
   ag::Variable forward(const ag::Variable& x) override;
   std::string kind_name() const override { return "models::BasicBlock"; }
   nn::ModuleConfig config() const override;
+  std::shared_ptr<nn::Module> clone() const override;
 
   std::shared_ptr<nn::Conv2d> conv1, conv2, down_conv;  // down_conv optional
   std::shared_ptr<nn::BatchNorm2d> bn1, bn2, down_bn;

@@ -91,11 +91,19 @@ nn::ModuleConfig TransformerEncoderLayer::config() const {
   return c;
 }
 
+std::shared_ptr<nn::Module> TransformerEncoderLayer::clone() const {
+  const nn::ModuleConfig c = config();
+  Rng rng(0);
+  return cloned(*this, std::make_shared<TransformerEncoderLayer>(
+                           c.get_int("embed_dim"), c.get_int("num_heads"),
+                           c.get_int("ff_dim"),
+                           static_cast<float>(c.get_float("dropout_p")),
+                           c.get_int("gelu") != 0 ? "gelu" : "relu", rng));
+}
+
 // Planner lowering: B congruent encoder layers -> one fused layer on the
-// model-major layout ([B, N, S, E]); plus the clone factory Module::clone()
-// falls back to when a layer runs unfused. Load/store both derive from the
-// fused layer's StateMap (child names mirror the per-model layer's), which
-// is also what closed the encoder layer's old "no store support" gap.
+// model-major layout ([B, N, S, E]). Load/store both derive from the fused
+// layer's StateMap (child names mirror the per-model layer's).
 static const fused::LoweringRegistrar kEncoderLayerLowering(
     "models::TransformerEncoderLayer",
     [](const fused::LoweringContext& ctx) {
@@ -106,16 +114,6 @@ static const fused::LoweringRegistrar kEncoderLayerLowering(
           c.get_int("gelu") != 0 ? "gelu" : "relu", *ctx.rng);
       return fused::Lowered{m, fused::Layout::kModelMajor,
                             fused::Layout::kModelMajor};
-    },
-    [](const nn::Module& src) -> std::shared_ptr<nn::Module> {
-      const nn::ModuleConfig c = src.config();
-      Rng rng(0);
-      return nn::Module::cloned(
-          src, std::make_shared<TransformerEncoderLayer>(
-                   c.get_int("embed_dim"), c.get_int("num_heads"),
-                   c.get_int("ff_dim"),
-                   static_cast<float>(c.get_float("dropout_p")),
-                   c.get_int("gelu") != 0 ? "gelu" : "relu", rng));
     });
 
 Tensor sinusoidal_positions(int64_t seq_len, int64_t embed_dim) {
@@ -221,9 +219,13 @@ nn::ModuleConfig TransformerLM::config() const {
   return c;
 }
 
+std::shared_ptr<nn::Module> TransformerLM::clone() const {
+  Rng rng(0);
+  return cloned(*this, std::make_shared<TransformerLM>(cfg, rng));
+}
+
 // Planner lowering for the whole LM: the fused module is driven through
-// forward_tokens, so the plan is a single unit rather than a chain. The
-// clone factory lets a masked-off / fallback LM unit own its replicas.
+// forward_tokens, so the plan is a single unit rather than a chain.
 static const fused::LoweringRegistrar kTransformerLMLowering(
     "models::TransformerLM",
     [](const fused::LoweringContext& ctx) {
@@ -231,12 +233,6 @@ static const fused::LoweringRegistrar kTransformerLMLowering(
       auto m = std::make_shared<FusedTransformerLM>(ctx.array_size, ref.cfg,
                                                     *ctx.rng);
       return fused::Lowered{m, fused::Layout::kAny, fused::Layout::kAny};
-    },
-    [](const nn::Module& src) -> std::shared_ptr<nn::Module> {
-      const auto& ref = static_cast<const TransformerLM&>(src);
-      Rng rng(0);
-      return nn::Module::cloned(src,
-                                std::make_shared<TransformerLM>(ref.cfg, rng));
     });
 
 }  // namespace hfta::models

@@ -37,6 +37,7 @@ class TransformerEncoderLayer : public nn::Module {
     return "models::TransformerEncoderLayer";
   }
   nn::ModuleConfig config() const override;
+  std::shared_ptr<nn::Module> clone() const override;
 
   std::shared_ptr<MultiheadAttention> self_attn;
   std::shared_ptr<nn::Linear> linear1, linear2;
@@ -77,6 +78,7 @@ class TransformerLM : public nn::Module {
   ag::Variable forward_tokens(const Tensor& tokens);
   std::string kind_name() const override { return "models::TransformerLM"; }
   nn::ModuleConfig config() const override;
+  std::shared_ptr<nn::Module> clone() const override;
 
   std::shared_ptr<nn::Embedding> embed;
   std::vector<std::shared_ptr<TransformerEncoderLayer>> layers;

@@ -46,24 +46,6 @@ double ModuleConfig::get_float(const std::string& name, double fallback) const {
   return fallback;
 }
 
-namespace {
-
-Module::CloneFallback& clone_fallback_slot() {
-  static Module::CloneFallback fn;
-  return fn;
-}
-
-}  // namespace
-
-void Module::set_clone_fallback(CloneFallback fn) {
-  clone_fallback_slot() = std::move(fn);
-}
-
-std::shared_ptr<Module> Module::clone() const {
-  const CloneFallback& fn = clone_fallback_slot();
-  return fn ? fn(*this) : nullptr;
-}
-
 std::vector<std::pair<std::string, Tensor>> named_buffers_recursive(
     const Module& m) {
   std::vector<std::pair<std::string, Tensor>> out;

@@ -3,7 +3,6 @@
 // nn.Module contract scaled down to what the paper's models need.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -79,19 +78,11 @@ class Module {
 
   /// Deep copy: structurally congruent, equal parameter/buffer values,
   /// independently owned storage (mutating the clone never touches the
-  /// original, and vice versa). Built-in layers and Sequential override
-  /// this; composite kinds registered through the fusion layer's
-  /// LoweringRegistrar clone through its per-kind factories. Returns
-  /// nullptr when the kind has no clone support.
-  virtual std::shared_ptr<Module> clone() const;
+  /// original, and vice versa). Every clonable kind overrides this; the
+  /// default returns nullptr (no clone support).
+  virtual std::shared_ptr<Module> clone() const { return nullptr; }
 
-  /// Hook consulted by the default clone() for kinds without an override —
-  /// installed once by the fusion layer to route through the
-  /// LoweringRegistry's per-kind clone factories.
-  using CloneFallback = std::function<std::shared_ptr<Module>(const Module&)>;
-  static void set_clone_fallback(CloneFallback fn);
-
-  /// Tail shared by every clone() implementation and clone factory: copies
+  /// Tail shared by every clone() implementation: copies
   /// src's parameters, buffers, private rng streams, and train/eval mode
   /// into the freshly constructed dst.
   template <typename M>

@@ -72,7 +72,7 @@ struct Builder {
     act(static_cast<double>(N) * Cout * Hout * Hout);
   }
 
-  // Fused linear = baddbmm over B model-blocks.
+  // Fused linear = one batched GEMM over B model-blocks.
   void linear(int64_t M, int64_t in, int64_t out) {
     const double io = static_cast<double>(B) *
                       (static_cast<double>(M) * (in + out) +

@@ -152,17 +152,6 @@ void add_bias_rows(float* y, const float* bias, int64_t rows, int64_t cols,
 }
 }  // namespace
 
-Tensor baddbmm(const Tensor& bias, const Tensor& a, const Tensor& b, DType qa,
-               DType qb, const Tensor& out) {
-  Tensor c = bmm(a, b, qa, qb, out);
-  const int64_t B = c.size(0), m = c.size(1), n = c.size(2);
-  HFTA_CHECK(bias.shape() == (Shape{B, 1, n}), "baddbmm: bias ",
-             shape_str(bias.shape()), " for a ", shape_str(c.shape()),
-             " product");
-  add_bias_rows(c.data(), bias.data(), B * m, n, m);
-  return c;
-}
-
 Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
                       DType qx, DType qw, const Tensor& out) {
   HFTA_CHECK(w.dim() == 2, "linear: weight must be [out, in]");
@@ -181,6 +170,20 @@ Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
     add_bias_rows(y.data(), b.data(), rows, n_out, rows);
   }
   return y.reshape(out_shape);
+}
+
+Tensor batched_linear_forward(const Tensor& x, const Tensor& w,
+                              const Tensor& b, DType qx, DType qw,
+                              const Tensor& out) {
+  Tensor y = bmm_nt(x, w, qx, qw, out);
+  const int64_t B = y.size(0), n = y.size(1), n_out = y.size(2);
+  if (b.defined()) {
+    HFTA_CHECK(b.shape() == (Shape{B, 1, n_out}), "batched_linear: bias ",
+               shape_str(b.shape()), " for a ", shape_str(y.shape()),
+               " product");
+    add_bias_rows(y.data(), b.data(), B * n, n_out, n);
+  }
+  return y;
 }
 
 }  // namespace hfta::ops

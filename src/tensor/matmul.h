@@ -1,6 +1,6 @@
-// GEMM-family kernels: matmul, batched matmul, baddbmm (the kernel the
-// paper's fused Linear lowers to), and the raw gemm used by the conv
-// implementation.
+// GEMM-family kernels: matmul, batched matmul, linear and its batched form
+// (the kernel the paper's fused Linear lowers to), and the raw gemm used by
+// the conv implementation.
 #pragma once
 
 #include "tensor/dtype.h"
@@ -51,18 +51,19 @@ Tensor bmm_tn(const Tensor& a, const Tensor& b, DType qa = DType::kF32,
 Tensor bmm_nt(const Tensor& a, const Tensor& b, DType qa = DType::kF32,
               DType qb = DType::kF32, const Tensor& out = Tensor());
 
-/// bias [B,1,N] + [B,M,K] @ [B,K,N]: the product, then the bias row added
-/// to each of its B*M rows. This is the fused-Linear kernel of the paper
-/// (Appendix B, row Linear). The quantize policies apply to a/b only — the
-/// bias add stays f32.
-Tensor baddbmm(const Tensor& bias, const Tensor& a, const Tensor& b,
-               DType qa = DType::kF32, DType qb = DType::kF32,
-               const Tensor& out = Tensor());
-
 /// PyTorch-convention linear: x [.., in] @ w[out, in]^T + b[out].
 /// qx/qw quantize x and w; the bias add stays f32.
 Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
                       DType qx = DType::kF32, DType qw = DType::kF32,
                       const Tensor& out = Tensor());
+
+/// B linears at once: x [B,N,in] @ w[B,out,in]^T (+ b [B,1,out], which may
+/// be undefined) -> [B,N,out]. Each model block runs linear_forward's own
+/// GEMM, so block b equals linear_forward(x[b], w[b], b[b]) bit for bit.
+/// This is the fused-Linear kernel of the paper (Appendix B, row Linear).
+Tensor batched_linear_forward(const Tensor& x, const Tensor& w,
+                              const Tensor& b, DType qx = DType::kF32,
+                              DType qw = DType::kF32,
+                              const Tensor& out = Tensor());
 
 }  // namespace hfta::ops

@@ -35,12 +35,7 @@ float divergence(FusedModel& fused_model,
       Tensor fb({block});
       std::copy(fv.data() + b * block, fv.data() + (b + 1) * block,
                 fb.data());
-      Tensor ref = pv;
-      if (fv.dim() == 3 && pv.dim() == 2 && fv.size(1) == pv.size(1) &&
-          fv.size(2) == pv.size(0)) {
-        ref = pv.transpose(0, 1);  // FusedLinear layout
-      }
-      worst = std::max(worst, ops::max_abs_diff(fb, ref.reshape({block})));
+      worst = std::max(worst, ops::max_abs_diff(fb, pv.reshape({block})));
     }
   }
   return worst;

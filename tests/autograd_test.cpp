@@ -171,13 +171,13 @@ TEST(AutogradGrad, BmmAndBmmNt) {
   }
 }
 
-TEST(AutogradGrad, Baddbmm) {
+TEST(AutogradGrad, BatchedLinear) {
   Rng rng(11);
-  std::vector<Variable> inputs = {leaf({2, 1, 3}, rng), leaf({2, 4, 5}, rng),
-                                  leaf({2, 5, 3}, rng)};
+  std::vector<Variable> inputs = {leaf({2, 4, 5}, rng), leaf({2, 3, 5}, rng),
+                                  leaf({2, 1, 3}, rng)};
   auto res = gradcheck(
       [](std::vector<Variable>& in) {
-        return sum_all(baddbmm(in[0], in[1], in[2]));
+        return sum_all(batched_linear(in[0], in[1], in[2]));
       },
       inputs, 1e-2f, 2e-2f);
   EXPECT_TRUE(res.ok) << res.detail;

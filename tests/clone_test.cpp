@@ -1,7 +1,7 @@
 // Module::clone() coverage: structural congruence of the clone, weight and
 // buffer equality without shared storage, train/eval mode carry-over, deep
 // nesting (Sequential stacks, ResNet BasicBlock, full models), and the
-// LoweringRegistry clone-factory fallback for registered composite kinds.
+// composite kinds the fusion planner lowers, cloned through the Module base.
 #include <gtest/gtest.h>
 
 #include "hfta/fusion.h"
@@ -155,9 +155,10 @@ TEST(ModuleClone, ReconstructedCompositeCarriesDropoutStream) {
   }
 }
 
-TEST(ModuleClone, BasicBlockClonesThroughTheRegistry) {
-  // BasicBlock has no clone() override: Module::clone() must route through
-  // the clone factory its LoweringRegistrar registered.
+TEST(ModuleClone, BasicBlockClonesThroughTheBase) {
+  // A composite kind the planner lowers: an unfused unit clones it through
+  // the virtual Module::clone(), so the base-class call must reach
+  // BasicBlock's own override.
   Rng rng(5);
   models::BasicBlock src(4, 8, 2, rng);  // strided: includes the down path
   src.forward(ag::Variable(Tensor::randn({2, 4, 8, 8}, rng)));  // BN stats
@@ -177,7 +178,7 @@ TEST(ModuleClone, BasicBlockClonesThroughTheRegistry) {
   expect_independent(*c, src);
 }
 
-TEST(ModuleClone, RegisteredEncoderLayerClonesThroughTheRegistry) {
+TEST(ModuleClone, RegisteredEncoderLayerClonesThroughTheBase) {
   Rng rng(6);
   models::TransformerEncoderLayer src(8, 2, 16, 0.f, "gelu", rng);
   const Module& as_base = src;
@@ -207,6 +208,42 @@ TEST(ModuleClone, DeepNestedModelsClone) {
                               rc->forward(ag::Variable(x)).value()),
             0.f);
   expect_independent(*rc, resnet);
+
+  // PointNet trunk: input-transform STN plus the conv1d/BN stack.
+  models::PointNetConfig pcfg = models::PointNetConfig::tiny();
+  pcfg.input_transform = true;
+  models::PointNetTrunk trunk(pcfg, rng);
+  trunk.forward(ag::Variable(Tensor::randn({2, 3, pcfg.num_points}, rng)));
+  std::shared_ptr<Module> tc = static_cast<const Module&>(trunk).clone();
+  ASSERT_NE(tc, nullptr);
+  EXPECT_EQ(tc->kind_name(), "models::PointNetTrunk");
+  expect_congruent(trunk, *tc);
+  expect_equal_state(trunk, *tc);
+  trunk.eval();
+  tc->eval();
+  Tensor pts = Tensor::randn({2, 3, pcfg.num_points}, rng);
+  EXPECT_EQ(ops::max_abs_diff(trunk.forward(ag::Variable(pts)).value(),
+                              tc->forward(ag::Variable(pts)).value()),
+            0.f);
+  expect_independent(*tc, trunk);
+
+  // Transformer LM: embedding, encoder stack and decoder, driven through
+  // forward_tokens.
+  models::TransformerLM lm(models::TransformerConfig::tiny(), rng);
+  std::shared_ptr<Module> lc = static_cast<const Module&>(lm).clone();
+  ASSERT_NE(lc, nullptr);
+  EXPECT_EQ(lc->kind_name(), "models::TransformerLM");
+  expect_congruent(lm, *lc);
+  expect_equal_state(lm, *lc);
+  Tensor lm_toks({2, lm.cfg.seq_len});
+  for (int64_t i = 0; i < lm_toks.numel(); ++i)
+    lm_toks.data()[i] = static_cast<float>(rng.uniform_int(lm.cfg.vocab));
+  EXPECT_EQ(ops::max_abs_diff(
+                lm.forward_tokens(lm_toks).value(),
+                static_cast<models::TransformerLM&>(*lc).forward_tokens(lm_toks)
+                    .value()),
+            0.f);
+  expect_independent(*lc, lm);
 
   // MobileNetV3: bnecks with depthwise convs and squeeze-excite.
   models::MobileNetV3 mobile(models::MobileNetV3Config::tiny(), rng);

@@ -236,7 +236,7 @@ TEST(FusionPlan, UnfusedFallbackRunsUnsupportedKind) {
     xs.push_back(Tensor::randn({4, 6}, rng));
   }
   FusionOptions opts;
-  opts.allow_unfused_fallback = true;
+  opts.fuse_mask = {true, false, true};
   opts.output_layout = Layout::kModelMajor;
   auto array = FusionPlan(kB, opts).compile(nets, rng);
   EXPECT_FALSE(array->unit_fused(1));
@@ -403,7 +403,7 @@ TEST(FusionPlan, StatefulUncloneableUnfusedUnitIsDiagnosed) {
     nets.push_back(net);
   }
   FusionOptions opts;
-  opts.allow_unfused_fallback = true;
+  opts.fuse_mask = {true, false};
   try {
     FusionPlan(kB, opts).compile(nets, rng);
     FAIL() << "compile must reject a stateful, clone-less unfused unit";
@@ -416,9 +416,9 @@ TEST(FusionPlan, StatefulUncloneableUnfusedUnitIsDiagnosed) {
 }
 
 TEST(FusionPlan, FallbackSharesStatelessKinds) {
-  // An unregistered stateless kind behind allow_unfused_fallback may be
-  // shared rather than cloned — nothing to write through — and the compile
-  // still round-trips.
+  // An unregistered stateless kind in a masked-off unit may be shared
+  // rather than cloned — nothing to write through — and the compile still
+  // round-trips.
   Rng rng(23);
   std::vector<std::shared_ptr<nn::Module>> nets;
   std::vector<Tensor> xs;
@@ -431,7 +431,7 @@ TEST(FusionPlan, FallbackSharesStatelessKinds) {
     xs.push_back(Tensor::randn({4, 6}, rng));
   }
   FusionOptions opts;
-  opts.allow_unfused_fallback = true;
+  opts.fuse_mask = {true, false, true};
   opts.output_layout = Layout::kModelMajor;
   auto array = FusionPlan(kB, opts).compile(nets, rng);
   EXPECT_FALSE(array->unit_fused(1));
@@ -637,11 +637,12 @@ TEST(Repack, SurvivorsContinueBitExactlyAfterHalving) {
   // Halve: keep models 2 and 0 (order scrambled on purpose); model 1 dies.
   const std::vector<int64_t> keep = {2, 0};
   const FusionPlan plan2(2, opts);
-  auto array2 = plan2.repack(*array, keep, *nets[0], rng);
+  const std::vector<RepackPick> picks = {{0, keep[0]}, {0, keep[1]}};
+  auto array2 = plan2.repack_multi({array.get()}, picks, *nets[0], rng);
   auto opt2 = std::make_unique<FusedAdam>(
       collect_fused_parameters(*array2, 2), 2,
       FusedAdam::Options{.lr = select_hyper(lrs, keep)});
-  opt2->repack_state_from(*opt, keep);
+  opt2->repack_state_from({opt.get()}, picks);
 
   train_fused(*array2, *opt2, 2, 3);
   train_serial(2, 3);

@@ -166,7 +166,19 @@ TEST_P(FusionB, ConvTranspose2dEquivalence) {
   }
 }
 
-TEST_P(FusionB, LinearEquivalenceViaBaddbmm) {
+void expect_same_bits(const Tensor& want, const Tensor& got,
+                      const std::string& tag) {
+  ASSERT_EQ(want.numel(), got.numel()) << tag;
+  EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                        sizeof(float) * static_cast<size_t>(want.numel())),
+            0)
+      << tag;
+}
+
+// B linears fused into one batched_linear vs B plain ones. Block b of the
+// fused weight is the plain [out, in] weight, and each block runs the plain
+// layer's own GEMMs, so output and every gradient are bitwise equal.
+TEST_P(FusionB, LinearEquivalenceViaBatchedLinear) {
   const int64_t B = GetParam();
   Rng rng(600 + B);
   const int64_t N = 4, in = 5, out = 3;
@@ -178,22 +190,26 @@ TEST_P(FusionB, LinearEquivalenceViaBaddbmm) {
     fused.load_model(b, *plain.back());
     xs.push_back(Tensor::randn({N, in}, rng));
   }
-  ag::Variable yf = fused.forward(ag::Variable(pack_model_major(xs)));
+  ag::Variable xf(pack_model_major(xs), /*requires_grad=*/true);
+  ag::Variable yf = fused.forward(xf);
   Tensor probe = Tensor::randn(yf.shape(), rng);
   probe_loss(yf, probe).backward();
+  const auto gw_per = unfuse_blocks(fused.weight.grad(), B, {out, in});
+  const auto gb_per = unfuse_blocks(fused.bias.grad(), B, {out});
   for (int64_t b = 0; b < B; ++b) {
     const size_t ub = static_cast<size_t>(b);
-    ag::Variable yb = plain[ub]->forward(ag::Variable(xs[ub]));
-    Tensor yf_b = yf.value().slice(0, b, b + 1).reshape({N, out});
-    EXPECT_LT(ops::max_abs_diff(yf_b, yb.value()), kTol);
+    ag::Variable xb(xs[ub], /*requires_grad=*/true);
+    ag::Variable yb = plain[ub]->forward(xb);
     probe_loss(yb, probe.slice(0, b, b + 1).reshape({N, out})).backward();
-    // fused weight block is [in, out] = plain [out, in] transposed
-    Tensor gw_f = unfuse_blocks(fused.weight.grad(), B, {in, out})[ub];
-    EXPECT_LT(ops::max_abs_diff(gw_f.transpose(0, 1),
-                                plain[ub]->weight.grad()),
-              kTol);
-    Tensor gb_f = unfuse_blocks(fused.bias.grad(), B, {out})[ub];
-    EXPECT_LT(ops::max_abs_diff(gb_f, plain[ub]->bias.grad()), kTol);
+    const std::string tag = "model " + std::to_string(b);
+    expect_same_bits(yb.value(),
+                     yf.value().slice(0, b, b + 1).reshape({N, out}),
+                     tag + " y");
+    expect_same_bits(xb.grad(), xf.grad().slice(0, b, b + 1).reshape({N, in}),
+                     tag + " x grad");
+    expect_same_bits(plain[ub]->weight.grad(), gw_per[ub],
+                     tag + " weight grad");
+    expect_same_bits(plain[ub]->bias.grad(), gb_per[ub], tag + " bias grad");
   }
 }
 
@@ -223,15 +239,6 @@ TEST_P(FusionB, StateTransferRejectsModelIndexOutsideArray) {
     EXPECT_THROW(block.load_model(b, plain_block), Error) << "b = " << b;
     EXPECT_THROW(block.store_model(b, plain_block), Error) << "b = " << b;
   }
-}
-
-void expect_same_bits(const Tensor& want, const Tensor& got,
-                      const std::string& tag) {
-  ASSERT_EQ(want.numel(), got.numel()) << tag;
-  EXPECT_EQ(std::memcmp(want.data(), got.data(),
-                        sizeof(float) * static_cast<size_t>(want.numel())),
-            0)
-      << tag;
 }
 
 // B BatchNorms fused over B*C channels vs B plain ones, one training step
@@ -487,12 +494,12 @@ INSTANTIATE_TEST_SUITE_P(ArraySizes, FusionB, ::testing::Values(1, 2, 3, 5, 8));
 ag::Variable plain_mha(const ag::Variable& x, const ag::Variable& wi,
                        const ag::Variable& bi, const ag::Variable& wo,
                        const ag::Variable& bo, int64_t H) {
-  // x: [N, S, E]; wi: [E, 3E] (fused-layout block), bi: [3E].
+  // x: [N, S, E]; wi: [3E, E] (one fused block = nn::Linear's layout),
+  // bi: [3E].
   const int64_t N = x.size(0), S = x.size(1), E = x.size(2);
   const int64_t Dh = E / H;
   ag::Variable flat = ag::reshape(x, {N * S, E});
-  ag::Variable qkv =
-      ag::add(ag::matmul(flat, wi), bi);  // [N*S, 3E]
+  ag::Variable qkv = ag::linear(flat, wi, bi);  // [N*S, 3E]
   auto parts = ag::chunk(qkv, 3, 1);
   auto heads = [&](const ag::Variable& t) {
     ag::Variable r = ag::reshape(t, {N, S, H, Dh});
@@ -506,7 +513,7 @@ ag::Variable plain_mha(const ag::Variable& x, const ag::Variable& wi,
   ctx = ag::reshape(ctx, {N, H, S, Dh});
   ctx = ag::permute(ctx, {0, 2, 1, 3});
   ctx = ag::reshape(ctx, {N * S, E});
-  ag::Variable out = ag::add(ag::matmul(ctx, wo), bo);
+  ag::Variable out = ag::linear(ctx, wo, bo);
   return ag::reshape(out, {N, S, E});
 }
 
@@ -522,7 +529,7 @@ TEST_P(FusionB, MultiheadAttentionEquivalence) {
     const size_t ub = static_cast<size_t>(b);
     // Extract model b's projection weights from the fused modules.
     Tensor wi = fused.in_proj->weight.value().slice(0, b, b + 1)
-                    .reshape({E, 3 * E});
+                    .reshape({3 * E, E});
     Tensor bi = fused.in_proj->bias.value().slice(0, b, b + 1)
                     .reshape({3 * E});
     Tensor wo = fused.out_proj->weight.value().slice(0, b, b + 1)

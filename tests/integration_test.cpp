@@ -52,13 +52,7 @@ float param_divergence(FusedModel& fused_model,
                  fused_params[i].first);
       Tensor fb({block});
       std::copy(fv.data() + b * block, fv.data() + (b + 1) * block, fb.data());
-      // FusedLinear stores [B, in, out]; the plain layer stores [out, in].
-      Tensor ref = pv;
-      if (fv.dim() == 3 && pv.dim() == 2 && fv.size(1) == pv.size(1) &&
-          fv.size(2) == pv.size(0)) {
-        ref = pv.transpose(0, 1);
-      }
-      worst = std::max(worst, ops::max_abs_diff(fb, ref));
+      worst = std::max(worst, ops::max_abs_diff(fb, pv));
     }
   }
   return worst;

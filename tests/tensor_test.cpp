@@ -244,22 +244,28 @@ TEST(Matmul, BmmMatchesPerBatchMatmul) {
   }
 }
 
-TEST(Matmul, BaddbmmIsFusedLinear) {
-  // The paper's Linear fusion: baddbmm(b [B,1,Fy], x [B,N,Fx], w [B,Fx,Fy]).
+TEST(Matmul, BatchedLinearIsPerModelLinear) {
+  // The paper's Linear fusion: batched_linear(x [B,N,in], w [B,out,in],
+  // b [B,1,out]). Block b runs linear_forward's own GEMM, so it matches the
+  // per-model linear bit for bit.
   Rng rng(6);
-  const int64_t B = 3, N = 4, Fx = 5, Fy = 2;
-  Tensor bias = Tensor::randn({B, 1, Fy}, rng);
-  Tensor x = Tensor::randn({B, N, Fx}, rng);
-  Tensor w = Tensor::randn({B, Fx, Fy}, rng);
-  Tensor y = ops::baddbmm(bias, x, w);
-  EXPECT_EQ(y.shape(), (Shape{B, N, Fy}));
+  const int64_t B = 3, N = 4, in = 5, out = 2;
+  Tensor bias = Tensor::randn({B, 1, out}, rng);
+  Tensor x = Tensor::randn({B, N, in}, rng);
+  Tensor w = Tensor::randn({B, out, in}, rng);
+  Tensor y = ops::batched_linear_forward(x, w, bias);
+  Tensor y_nobias = ops::batched_linear_forward(x, w, Tensor());
+  EXPECT_EQ(y.shape(), (Shape{B, N, out}));
   for (int64_t bi = 0; bi < B; ++bi) {
-    Tensor yb = ops::matmul(x.slice(0, bi, bi + 1).reshape({N, Fx}),
-                            w.slice(0, bi, bi + 1).reshape({Fx, Fy}));
-    for (int64_t n = 0; n < N; ++n)
-      for (int64_t f = 0; f < Fy; ++f)
-        EXPECT_NEAR(y.at({bi, n, f}), yb.at({n, f}) + bias.at({bi, 0, f}),
-                    1e-4f);
+    Tensor xb = x.slice(0, bi, bi + 1).reshape({N, in});
+    Tensor wb = w.slice(0, bi, bi + 1).reshape({out, in});
+    Tensor yb = ops::linear_forward(xb, wb, bias.slice(0, bi, bi + 1)
+                                                .reshape({out}));
+    Tensor yb_nobias = ops::linear_forward(xb, wb, Tensor());
+    EXPECT_EQ(0, std::memcmp(y.data() + bi * N * out, yb.data(),
+                             sizeof(float) * N * out));
+    EXPECT_EQ(0, std::memcmp(y_nobias.data() + bi * N * out,
+                             yb_nobias.data(), sizeof(float) * N * out));
   }
 }
 
