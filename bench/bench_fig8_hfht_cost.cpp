@@ -96,10 +96,9 @@ int main(int argc, char** argv) {
     for (AlgorithmKind algo :
          {AlgorithmKind::kRandomSearch, AlgorithmKind::kHyperband}) {
       Row row{task, algo, {0, 0, 0, 0}, 0};
-      const SchedulerKind kinds[4] = {SchedulerKind::kSerial,
-                                      SchedulerKind::kConcurrent,
-                                      SchedulerKind::kMps,
-                                      SchedulerKind::kHfta};
+      using hfta::sim::Mode;
+      const Mode kinds[4] = {Mode::kSerial, Mode::kConcurrent, Mode::kMps,
+                             Mode::kHfta};
       for (int k = 0; k < 4; ++k) {
         const TuneResult r =
             run_tuning(task, algo, kinds[k], dev,

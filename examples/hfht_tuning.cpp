@@ -54,20 +54,20 @@ void synthetic_act(const hfta::sim::DeviceSpec& dev) {
        {AlgorithmKind::kRandomSearch, AlgorithmKind::kHyperband}) {
     std::printf("%s:\n", algorithm_name(algo));
     double serial_hours = 0;
-    for (SchedulerKind sched :
-         {SchedulerKind::kSerial, SchedulerKind::kConcurrent,
-          SchedulerKind::kMps, SchedulerKind::kHfta}) {
+    using hfta::sim::Mode;
+    for (Mode sched :
+         {Mode::kSerial, Mode::kConcurrent, Mode::kMps, Mode::kHfta}) {
       const TuneResult r = run_tuning(Task::kPointNet, algo, sched, dev, 99);
-      if (sched == SchedulerKind::kSerial) serial_hours = r.total_gpu_hours;
+      if (sched == Mode::kSerial) serial_hours = r.total_gpu_hours;
       std::printf("  %-11s %7.1f GPU-hours (%.2fx cheaper), best accuracy "
                   "%.3f over %ld trials\n",
-                  scheduler_name(sched), r.total_gpu_hours,
+                  hfta::sim::mode_name(sched), r.total_gpu_hours,
                   serial_hours / r.total_gpu_hours, r.best_accuracy,
                   r.total_trials);
     }
     // The winning configuration (identical across schedulers by design).
     auto tuning = make_algorithm(algo, Task::kPointNet, 99);
-    SyntheticExecutor exec(Task::kPointNet, SchedulerKind::kHfta, dev);
+    SyntheticExecutor exec(Task::kPointNet, hfta::sim::Mode::kHfta, dev);
     run_tuning(*tuning, exec);
     print_best(space, tuning->best_params(), Task::kPointNet);
     std::printf("\n");

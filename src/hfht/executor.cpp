@@ -51,7 +51,7 @@ models::MobileNetV3Config mobilenet_config(const SearchSpace& space,
 
 // ---- SyntheticExecutor -----------------------------------------------------
 
-SyntheticExecutor::SyntheticExecutor(Task task, SchedulerKind scheduler,
+SyntheticExecutor::SyntheticExecutor(Task task, sim::Mode scheduler,
                                      sim::DeviceSpec dev)
     : task_(task),
       scheduler_(scheduler),

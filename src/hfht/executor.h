@@ -47,12 +47,12 @@ class TrialExecutor {
 /// cost from the scheduler cost model (unchanged Fig. 8 behavior).
 class SyntheticExecutor : public TrialExecutor {
  public:
-  SyntheticExecutor(Task task, SchedulerKind scheduler, sim::DeviceSpec dev);
+  SyntheticExecutor(Task task, sim::Mode scheduler, sim::DeviceSpec dev);
   ExecutionReport run(const std::vector<Trial>& batch) override;
 
  private:
   Task task_;
-  SchedulerKind scheduler_;
+  sim::Mode scheduler_;
   sim::DeviceSpec dev_;
   SearchSpace space_;
   sim::Workload workload_;

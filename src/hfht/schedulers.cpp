@@ -6,17 +6,6 @@
 
 namespace hfta::hfht {
 
-const char* scheduler_name(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::kSerial: return "serial";
-    case SchedulerKind::kConcurrent: return "concurrent";
-    case SchedulerKind::kMps: return "MPS";
-    case SchedulerKind::kMig: return "MIG";
-    case SchedulerKind::kHfta: return "HFTA";
-  }
-  return "?";
-}
-
 int64_t iterations_per_epoch(sim::Workload w) {
   switch (w) {
     case sim::Workload::kPointNetCls:
@@ -47,12 +36,12 @@ double group_hours(const std::vector<int64_t>& epochs, double round_us,
 
 CostReport schedule_cost(const std::vector<Trial>& trials,
                          const SearchSpace& space, sim::Workload w,
-                         const sim::DeviceSpec& dev, SchedulerKind kind) {
+                         const sim::DeviceSpec& dev, sim::Mode mode) {
   CostReport report;
   if (trials.empty()) return report;
   const int64_t iters = iterations_per_epoch(w);
 
-  if (kind == SchedulerKind::kSerial) {
+  if (mode == sim::Mode::kSerial) {
     const sim::RunResult r =
         sim::simulate(dev, w, sim::Mode::kSerial, 1, sim::Precision::kFP32);
     for (const Trial& t : trials) {
@@ -63,16 +52,11 @@ CostReport schedule_cost(const std::vector<Trial>& trials,
     return report;
   }
 
-  if (kind == SchedulerKind::kConcurrent || kind == SchedulerKind::kMps ||
-      kind == SchedulerKind::kMig) {
-    const sim::Mode mode = kind == SchedulerKind::kConcurrent
-                               ? sim::Mode::kConcurrent
-                               : (kind == SchedulerKind::kMps
-                                      ? sim::Mode::kMps
-                                      : sim::Mode::kMig);
-    if (kind == SchedulerKind::kMig && dev.max_mig_instances == 0) {
+  if (mode == sim::Mode::kConcurrent || mode == sim::Mode::kMps ||
+      mode == sim::Mode::kMig) {
+    if (mode == sim::Mode::kMig && dev.max_mig_instances == 0) {
       // Device without MIG: fall back to serial execution.
-      return schedule_cost(trials, space, w, dev, SchedulerKind::kSerial);
+      return schedule_cost(trials, space, w, dev, sim::Mode::kSerial);
     }
     const int64_t cap =
         std::max<int64_t>(1, sim::max_models(dev, w, mode,

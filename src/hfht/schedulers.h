@@ -10,9 +10,6 @@
 
 namespace hfta::hfht {
 
-enum class SchedulerKind { kSerial, kConcurrent, kMps, kMig, kHfta };
-const char* scheduler_name(SchedulerKind k);
-
 struct CostReport {
   double gpu_hours = 0;
   int64_t jobs_launched = 0;  // processes (or fused jobs) started
@@ -23,10 +20,10 @@ struct CostReport {
 int64_t iterations_per_epoch(sim::Workload w);
 
 /// Cost of running `trials` (each with its own epoch budget) under the
-/// given scheduler on one device. For HFTA, `space` provides the
+/// given sharing mode on one device. For HFTA, `space` provides the
 /// fusible/infusible split.
 CostReport schedule_cost(const std::vector<Trial>& trials,
                          const SearchSpace& space, sim::Workload w,
-                         const sim::DeviceSpec& dev, SchedulerKind kind);
+                         const sim::DeviceSpec& dev, sim::Mode mode);
 
 }  // namespace hfta::hfht

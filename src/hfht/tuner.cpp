@@ -84,7 +84,7 @@ TuneResult run_tuning(TuningAlgorithm& algorithm, TrialExecutor& executor) {
   return result;
 }
 
-TuneResult run_tuning(Task task, AlgorithmKind algo, SchedulerKind scheduler,
+TuneResult run_tuning(Task task, AlgorithmKind algo, sim::Mode scheduler,
                       const sim::DeviceSpec& dev, uint64_t seed,
                       int64_t budget_override) {
   auto tuning = make_algorithm(algo, task, seed, budget_override);

@@ -41,7 +41,7 @@ TuneResult run_tuning(TuningAlgorithm& algorithm, TrialExecutor& executor);
 
 /// Runs the full tuning workload on one device under one scheduler with the
 /// synthetic executor (the Fig. 8 configuration).
-TuneResult run_tuning(Task task, AlgorithmKind algo, SchedulerKind scheduler,
+TuneResult run_tuning(Task task, AlgorithmKind algo, sim::Mode scheduler,
                       const sim::DeviceSpec& dev, uint64_t seed,
                       int64_t budget_override = 0);
 

@@ -82,7 +82,7 @@ FusedTransformerEncoderLayer::FusedTransformerEncoderLayer(
   norm2 = register_module(
       "norm2", std::make_shared<FusedLayerNorm>(B, Shape{embed_dim}, 1e-5f, rng));
   drop = register_module("drop",
-                         std::make_shared<FusedDropout>(B, dropout_p));
+                         std::make_shared<nn::Dropout>(dropout_p, 0xd0));
 }
 
 ag::Variable FusedTransformerEncoderLayer::forward(const ag::Variable& x) {

@@ -38,7 +38,7 @@ class FusedTransformerEncoderLayer : public FusedModule {
   std::shared_ptr<FusedMultiheadAttention> self_attn;
   std::shared_ptr<FusedLinear> linear1, linear2;
   std::shared_ptr<FusedLayerNorm> norm1, norm2;
-  std::shared_ptr<FusedDropout> drop;
+  std::shared_ptr<nn::Dropout> drop;  // one mask stream over the array
   bool use_gelu;
 };
 

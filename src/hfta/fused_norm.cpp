@@ -1,48 +1,8 @@
 #include "hfta/fused_norm.h"
 
+#include "nn/norm.h"
+
 namespace hfta::fused {
-
-namespace {
-
-// The per-model BN state lives in the nested B*C-channel impl, as dim-0
-// blocks of each of its four tensors.
-StateMap batch_norm_state(const nn::BatchNormBase& impl) {
-  return {param_entry("weight", impl.weight), param_entry("bias", impl.bias),
-          buffer_entry("running_mean", impl.running_mean),
-          buffer_entry("running_var", impl.running_var)};
-}
-
-}  // namespace
-
-FusedBatchNorm2d::FusedBatchNorm2d(int64_t B, int64_t channels, float eps,
-                                   float momentum)
-    : FusedModule(B), channels(channels) {
-  impl = register_module(
-      "bn", std::make_shared<nn::BatchNorm2d>(B * channels, eps, momentum));
-}
-
-ag::Variable FusedBatchNorm2d::forward(const ag::Variable& x) {
-  return impl->forward(x);
-}
-
-StateMap FusedBatchNorm2d::state_map() const {
-  return batch_norm_state(*impl);
-}
-
-FusedBatchNorm1d::FusedBatchNorm1d(int64_t B, int64_t channels, float eps,
-                                   float momentum)
-    : FusedModule(B), channels(channels) {
-  impl = register_module(
-      "bn", std::make_shared<nn::BatchNorm1d>(B * channels, eps, momentum));
-}
-
-ag::Variable FusedBatchNorm1d::forward(const ag::Variable& x) {
-  return impl->forward(x);
-}
-
-StateMap FusedBatchNorm1d::state_map() const {
-  return batch_norm_state(*impl);
-}
 
 FusedLayerNorm::FusedLayerNorm(int64_t B, Shape shape, float eps, Rng&)
     : FusedModule(B), normalized_shape(std::move(shape)), eps(eps) {

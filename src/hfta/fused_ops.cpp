@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "autograd/step_program.h"
 #include "nn/init.h"
 #include "tensor/ops.h"
 
@@ -29,37 +28,21 @@ void copy_from_block(const Tensor& src, Tensor& dst, int64_t b, int64_t B) {
 
 // ---- state schema -----------------------------------------------------------
 
-StateMap FusedModule::state_map() const {
+StateMap state_map(const nn::Module& fused) {
   StateMap out;
-  for (const auto& [name, var] : own_named_parameters())
+  for (const auto& [name, var] : fused.named_parameters())
     out.push_back(param_entry(name, var));
-  for (const auto& [name, buf] : named_buffers())
+  for (const auto& [name, buf] : nn::named_buffers_recursive(fused))
     out.push_back(buffer_entry(name, buf));
-  for (const auto& [name, child] : named_children()) {
-    const auto* f = dynamic_cast<const FusedModule*>(child.get());
-    if (f == nullptr) {
-      // A plain (per-model style) child has no block layout to derive. It
-      // is fine only when stateless (activations wrapped for convenience);
-      // anything stateful needs an explicit schema.
-      HFTA_CHECK(!nn::has_state(*child), "FusedModule::state_map: kind '",
-                 kind_name(), "' has stateful non-fused child '", name,
-                 "' — override state_map() to describe its layout");
-      continue;
-    }
-    for (StateEntry e : f->state_map()) {
-      e.path = name + "." + e.path;
-      out.push_back(std::move(e));
-    }
-  }
   return out;
 }
 
 void FusedModule::load_model(int64_t b, const nn::Module& m) {
-  load_state(state_map(), array_size_, b, m);
+  load_state(state_map(*this), array_size_, b, m);
 }
 
 void FusedModule::store_model(int64_t b, nn::Module& m) const {
-  store_state(state_map(), array_size_, b, m);
+  store_state(state_map(*this), array_size_, b, m);
 }
 
 namespace {
@@ -187,96 +170,6 @@ Tensor pack_model_major(const std::vector<Tensor>& xs) {
   return ops::concat(un, 0);
 }
 
-// ---- FusedConv2d ------------------------------------------------------------------
-
-FusedConv2d::FusedConv2d(int64_t B, int64_t in, int64_t out, int64_t kernel,
-                         int64_t stride, int64_t pad, int64_t groups,
-                         bool has_bias, Rng& rng)
-    : FusedModule(B),
-      fused_args(ops::ConvArgs::make(stride, pad, B * groups)),
-      out_channels(out) {
-  const int64_t fan_in = (in / groups) * kernel * kernel;
-  weight = register_parameter(
-      "weight", nn::init::kaiming_uniform(
-                    {B * out, in / groups, kernel, kernel}, fan_in, rng));
-  if (has_bias)
-    bias = register_parameter(
-        "bias", nn::init::kaiming_uniform({B * out}, fan_in, rng));
-}
-
-ag::Variable FusedConv2d::forward(const ag::Variable& x) {
-  return ag::conv2d(x, weight, bias, fused_args);
-}
-
-// ---- FusedConv1d --------------------------------------------------------------------
-
-FusedConv1d::FusedConv1d(int64_t B, int64_t in, int64_t out, int64_t kernel,
-                         int64_t stride, int64_t pad, int64_t groups,
-                         bool has_bias, Rng& rng)
-    : FusedModule(B),
-      stride(stride),
-      pad(pad),
-      fused_groups(B * groups),
-      out_channels(out) {
-  const int64_t fan_in = (in / groups) * kernel;
-  weight = register_parameter(
-      "weight",
-      nn::init::kaiming_uniform({B * out, in / groups, kernel}, fan_in, rng));
-  if (has_bias)
-    bias = register_parameter(
-        "bias", nn::init::kaiming_uniform({B * out}, fan_in, rng));
-}
-
-ag::Variable FusedConv1d::forward(const ag::Variable& x) {
-  return ag::conv1d(x, weight, bias, stride, pad, fused_groups);
-}
-
-// ---- FusedConvTranspose2d --------------------------------------------------------------
-
-FusedConvTranspose2d::FusedConvTranspose2d(int64_t B, int64_t in, int64_t out,
-                                           int64_t kernel, int64_t stride,
-                                           int64_t pad, int64_t out_pad,
-                                           int64_t groups, bool has_bias,
-                                           Rng& rng)
-    : FusedModule(B),
-      fused_args{stride, pad, out_pad, B * groups},
-      out_channels(out) {
-  const int64_t fan_in = (out / groups) * kernel * kernel;
-  weight = register_parameter(
-      "weight", nn::init::kaiming_uniform(
-                    {B * in, out / groups, kernel, kernel}, fan_in, rng));
-  if (has_bias)
-    bias = register_parameter(
-        "bias", nn::init::kaiming_uniform({B * out}, fan_in, rng));
-}
-
-ag::Variable FusedConvTranspose2d::forward(const ag::Variable& x) {
-  return ag::conv_transpose2d(x, weight, bias, fused_args);
-}
-
-// ---- FusedConvTranspose1d ------------------------------------------------------
-
-FusedConvTranspose1d::FusedConvTranspose1d(int64_t B, int64_t in, int64_t out,
-                                           int64_t kernel, int64_t stride,
-                                           int64_t pad, int64_t out_pad,
-                                           int64_t groups, bool has_bias,
-                                           Rng& rng)
-    : FusedModule(B),
-      fused_args{stride, pad, out_pad, B * groups},
-      out_channels(out) {
-  const int64_t fan_in = (out / groups) * kernel;
-  weight = register_parameter(
-      "weight",
-      nn::init::kaiming_uniform({B * in, out / groups, kernel}, fan_in, rng));
-  if (has_bias)
-    bias = register_parameter(
-        "bias", nn::init::kaiming_uniform({B * out}, fan_in, rng));
-}
-
-ag::Variable FusedConvTranspose1d::forward(const ag::Variable& x) {
-  return ag::conv_transpose1d(x, weight, bias, fused_args);
-}
-
 // ---- FusedLinear --------------------------------------------------------------------------
 
 FusedLinear::FusedLinear(int64_t B, int64_t in, int64_t out, bool has_bias,
@@ -318,65 +211,6 @@ ag::Variable FusedEmbedding::lookup(const Tensor& indices) {
   HFTA_CHECK(indices.dim() >= 1 && indices.size(0) == array_size_,
              "FusedEmbedding: indices must be [B, ...]");
   return ag::embedding(indices, weight, vocab);
-}
-
-// ---- pooling / dropout -----------------------------------------------------------------------
-
-FusedMaxPool2d::FusedMaxPool2d(int64_t B, int64_t kernel, int64_t stride,
-                               int64_t pad)
-    : FusedModule(B), args{kernel, stride, pad} {}
-
-ag::Variable FusedMaxPool2d::forward(const ag::Variable& x) {
-  return ag::max_pool2d(x, args);
-}
-
-FusedAdaptiveAvgPool2d::FusedAdaptiveAvgPool2d(int64_t B, int64_t out_h,
-                                               int64_t out_w)
-    : FusedModule(B), out_h(out_h), out_w(out_w) {}
-
-ag::Variable FusedAdaptiveAvgPool2d::forward(const ag::Variable& x) {
-  return ag::adaptive_avg_pool2d(x, out_h, out_w);
-}
-
-FusedDropout2d::FusedDropout2d(int64_t B, float p, uint64_t seed)
-    : FusedModule(B), p(p), rng_(seed) {}
-
-ag::Variable FusedDropout2d::forward(const ag::Variable& x) {
-  if (!is_training() || p == 0.f) return x;
-  HFTA_CHECK(x.dim() == 4, "FusedDropout2d expects [N, B*C, H, W]");
-  const int64_t NC = x.size(0) * x.size(1);
-  const int64_t spatial = x.numel() / NC;
-  Tensor mask(x.shape());
-  const float scale = 1.f / (1.f - p);
-  // Recorded before mul_mask so replay redraws the mask (same RNG stream
-  // position as eager) ahead of the product thunk — see nn::Dropout.
-  auto draw = [mask, scale, NC, spatial, p = p, rng = &rng_]() mutable {
-    float* m = mask.data();
-    for (int64_t nc = 0; nc < NC; ++nc) {
-      const float v = rng->bernoulli(p) ? 0.f : scale;
-      for (int64_t s = 0; s < spatial; ++s) m[nc * spatial + s] = v;
-    }
-  };
-  draw();
-  if (ag::capturing()) ag::record_side_effect(draw);
-  return ag::mul_mask(x, mask);
-}
-
-FusedDropout::FusedDropout(int64_t B, float p, uint64_t seed)
-    : FusedModule(B), p(p), rng_(seed) {}
-
-ag::Variable FusedDropout::forward(const ag::Variable& x) {
-  if (!is_training() || p == 0.f) return x;
-  Tensor mask(x.shape());
-  const float scale = 1.f / (1.f - p);
-  auto draw = [mask, scale, p = p, rng = &rng_]() mutable {
-    float* m = mask.data();
-    for (int64_t i = 0; i < mask.numel(); ++i)
-      m[i] = rng->bernoulli(p) ? 0.f : scale;
-  };
-  draw();
-  if (ag::capturing()) ag::record_side_effect(draw);
-  return ag::mul_mask(x, mask);
 }
 
 }  // namespace hfta::fused

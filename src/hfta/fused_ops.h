@@ -1,17 +1,21 @@
 // Horizontally fused operators — the paper's primary contribution
-// (Appendix B, Table 6). Each Fused* module is the mathematically
-// equivalent fusion of B instances of the corresponding nn:: layer:
+// (Appendix B, Table 6). Fusing B instances of an nn:: layer is, for most
+// layers, mathematically the same layer at B x width, so the array runs
+// that nn:: layer itself:
 //
-//   FusedConv2d   B convs with G groups  -> one grouped conv, G' = B*G
-//   FusedConv1d   likewise (1-D)
-//   FusedConvTranspose2d likewise (deconvolution)
+//   Conv1d/2d, ConvTranspose1d/2d  B convs with G groups -> one nn:: conv
+//                 over B*in -> B*out channels with B*G groups
+//   BatchNorm1d/2d  one nn:: BatchNorm over B*C channels: per-(model,
+//                   channel) statistics
+//   MaxPool2d / AdaptiveAvgPool2d / Dropout / Dropout2d  the nn:: layer,
+//                   unchanged, on the channel-fused layout
+//
+// The layers below really differ from their nn:: counterpart:
+//
 //   FusedLinear   B linears -> one batched_linear(x [B,N,in], w [B,out,in],
 //                 b [B,1,out]): per model block, nn::Linear's own GEMMs
-//   FusedBatchNorm1d/2d  per-(model,channel) statistics over B*C channels
 //   FusedLayerNorm  normalize trailing dims, then per-model affine
 //   FusedEmbedding  index offsets b*V into a [B*V, E] table
-//   FusedMaxPool2d / FusedAdaptiveAvgPool2d / FusedDropout2d  unchanged math
-//                   on the channel-fused layout
 //
 // Layout conventions (see DESIGN.md §2):
 //   channel-fused  [N, B*C, H, W] / [N, B*C, L]  (conv/BN/pool family)
@@ -20,7 +24,7 @@
 //
 // Every fused module, leaf or composite, moves model b's state in and out
 // through one pair, FusedModule::load_model/store_model, which follows the
-// module's StateMap schema (DESIGN.md §7).
+// schema state_map() derives from the module tree (DESIGN.md §7).
 #pragma once
 
 #include "nn/layers.h"
@@ -91,26 +95,24 @@ class FusedModule : public nn::Module {
   int64_t array_size() const { return array_size_; }
 
   /// Copies model b's parameters and buffers from `m`, the per-model
-  /// module this one fuses (load_state over state_map()). Throws unless
-  /// 0 <= b < B.
+  /// module this one fuses (load_state over state_map(*this)). Throws
+  /// unless 0 <= b < B.
   virtual void load_model(int64_t b, const nn::Module& m);
   /// The inverse: extracts model b's slices into `m` (store_state over
-  /// state_map()).
+  /// state_map(*this)).
   virtual void store_model(int64_t b, nn::Module& m) const;
-
-  /// This module's per-model state schema. The default derivation covers
-  /// every composite fused module whose registered child names mirror the
-  /// per-model module's: own registered parameters and buffers map by name
-  /// as dim-0 blocks, and child FusedModules compose recursively under
-  /// their registered names. Leaves with a different internal layout
-  /// (FusedBatchNorm's nested plain impl) override. A stateful non-fused
-  /// child without an override is a schema derivation error and fails
-  /// loudly.
-  virtual StateMap state_map() const;
 
  protected:
   int64_t array_size_;
 };
+
+/// The per-model state schema of a fused module tree: every registered
+/// parameter and buffer, under its dotted path, as one dim-0 block per
+/// model. A fused module's children are named as in the per-model module,
+/// so each path is also the per-model tensor's path; plain nn:: children
+/// run at B x width, and a composite's schema is its children's schemas
+/// under their names.
+StateMap state_map(const nn::Module& fused);
 
 /// Copies model b's state from the congruent per-model module `src` into
 /// the fused tensors of `map`. `B` is the fused array size; b outside
@@ -141,62 +143,6 @@ Tensor pack_model_major(const std::vector<Tensor>& xs);
 
 // ---- fused layers --------------------------------------------------------------
 
-class FusedConv2d : public FusedModule {
- public:
-  FusedConv2d(int64_t B, int64_t in, int64_t out, int64_t kernel,
-              int64_t stride, int64_t pad, int64_t groups, bool bias,
-              Rng& rng);
-  /// x: [N, B*in, H, W] -> [N, B*out, Ho, Wo].
-  ag::Variable forward(const ag::Variable& x) override;
-
-  ag::Variable weight;  // [B*out, in/g, k, k]
-  ag::Variable bias;    // [B*out]
-  ops::ConvArgs fused_args;  // groups = B*g
-  int64_t out_channels;      // per model
-};
-
-class FusedConv1d : public FusedModule {
- public:
-  FusedConv1d(int64_t B, int64_t in, int64_t out, int64_t kernel,
-              int64_t stride, int64_t pad, int64_t groups, bool bias,
-              Rng& rng);
-  /// x: [N, B*in, L] -> [N, B*out, Lo].
-  ag::Variable forward(const ag::Variable& x) override;
-
-  ag::Variable weight;  // [B*out, in/g, k]
-  ag::Variable bias;    // [B*out]
-  int64_t stride, pad, fused_groups;
-  int64_t out_channels;
-};
-
-class FusedConvTranspose2d : public FusedModule {
- public:
-  FusedConvTranspose2d(int64_t B, int64_t in, int64_t out, int64_t kernel,
-                       int64_t stride, int64_t pad, int64_t out_pad,
-                       int64_t groups, bool bias, Rng& rng);
-  /// x: [N, B*in, H, W] -> [N, B*out, Ho, Wo].
-  ag::Variable forward(const ag::Variable& x) override;
-
-  ag::Variable weight;  // [B*in, out/g, k, k]
-  ag::Variable bias;    // [B*out]
-  ops::ConvTransposeArgs fused_args;  // groups = B*g
-  int64_t out_channels;
-};
-
-class FusedConvTranspose1d : public FusedModule {
- public:
-  FusedConvTranspose1d(int64_t B, int64_t in, int64_t out, int64_t kernel,
-                       int64_t stride, int64_t pad, int64_t out_pad,
-                       int64_t groups, bool bias, Rng& rng);
-  /// x: [N, B*in, L] -> [N, B*out, Lo].
-  ag::Variable forward(const ag::Variable& x) override;
-
-  ag::Variable weight;  // [B*in, out/g, k]
-  ag::Variable bias;    // [B*out]
-  ops::ConvTransposeArgs fused_args;  // groups = B*g
-  int64_t out_channels;
-};
-
 class FusedLinear : public FusedModule {
  public:
   FusedLinear(int64_t B, int64_t in, int64_t out, bool bias, Rng& rng);
@@ -218,43 +164,6 @@ class FusedEmbedding : public FusedModule {
 
   ag::Variable weight;  // [B*V, E]
   int64_t vocab, dim;
-};
-
-class FusedMaxPool2d : public FusedModule {
- public:
-  FusedMaxPool2d(int64_t B, int64_t kernel, int64_t stride, int64_t pad = 0);
-  ag::Variable forward(const ag::Variable& x) override;
-  ops::PoolArgs args;
-};
-
-class FusedAdaptiveAvgPool2d : public FusedModule {
- public:
-  FusedAdaptiveAvgPool2d(int64_t B, int64_t out_h, int64_t out_w);
-  ag::Variable forward(const ag::Variable& x) override;
-  int64_t out_h, out_w;
-};
-
-/// Dropout2d on the channel-fused layout: drops per-(model, channel),
-/// exactly what B independent Dropout2d ops would do.
-class FusedDropout2d : public FusedModule {
- public:
-  FusedDropout2d(int64_t B, float p, uint64_t seed = 0xd20);
-  ag::Variable forward(const ag::Variable& x) override;
-  float p;
-
- private:
-  Rng rng_;
-};
-
-/// Elementwise dropout (layout-agnostic).
-class FusedDropout : public FusedModule {
- public:
-  FusedDropout(int64_t B, float p, uint64_t seed = 0xd0);
-  ag::Variable forward(const ag::Variable& x) override;
-  float p;
-
- private:
-  Rng rng_;
 };
 
 }  // namespace hfta::fused

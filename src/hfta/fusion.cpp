@@ -148,49 +148,54 @@ LoweringRegistry::LoweringRegistry() {
       });
 
   // -- channel-fused family --------------------------------------------------
+  // B of these layers are the same nn:: layer at B x width (B*in -> B*out
+  // channels, B*groups groups; BatchNorm over B*C channels): same weight
+  // shapes, fan_in, init draw order and kernels as B plain layers.
   add(nn::layer_kind_name(nn::LayerKind::kConv2d),
       [](const LoweringContext& ctx) {
         const nn::ModuleConfig c = ctx.reference().config();
-        auto m = std::make_shared<FusedConv2d>(
-            ctx.array_size, c.get_int("in"), c.get_int("out"),
-            c.get_int("kernel"), c.get_int("stride"), c.get_int("pad"),
-            c.get_int("groups"), c.get_int("bias") != 0, *ctx.rng);
+        const int64_t B = ctx.array_size;
+        auto m = std::make_shared<nn::Conv2d>(
+            B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
+            c.get_int("stride"), c.get_int("pad"), B * c.get_int("groups"),
+            c.get_int("bias") != 0, *ctx.rng);
         return Lowered{m, Layout::kChannelFused, Layout::kChannelFused};
       });
   add(nn::layer_kind_name(nn::LayerKind::kConv1d),
       [](const LoweringContext& ctx) {
         const nn::ModuleConfig c = ctx.reference().config();
-        auto m = std::make_shared<FusedConv1d>(
-            ctx.array_size, c.get_int("in"), c.get_int("out"),
-            c.get_int("kernel"), c.get_int("stride"), c.get_int("pad"),
-            c.get_int("groups"), c.get_int("bias") != 0, *ctx.rng);
+        const int64_t B = ctx.array_size;
+        auto m = std::make_shared<nn::Conv1d>(
+            B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
+            c.get_int("stride"), c.get_int("pad"), B * c.get_int("groups"),
+            c.get_int("bias") != 0, *ctx.rng);
         return Lowered{m, Layout::kChannelFused, Layout::kChannelFused};
       });
   add(nn::layer_kind_name(nn::LayerKind::kConvTranspose2d),
       [](const LoweringContext& ctx) {
         const nn::ModuleConfig c = ctx.reference().config();
-        auto m = std::make_shared<FusedConvTranspose2d>(
-            ctx.array_size, c.get_int("in"), c.get_int("out"),
-            c.get_int("kernel"), c.get_int("stride"), c.get_int("pad"),
-            c.get_int("out_pad"), c.get_int("groups"), c.get_int("bias") != 0,
-            *ctx.rng);
+        const int64_t B = ctx.array_size;
+        auto m = std::make_shared<nn::ConvTranspose2d>(
+            B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
+            c.get_int("stride"), c.get_int("pad"), c.get_int("out_pad"),
+            B * c.get_int("groups"), c.get_int("bias") != 0, *ctx.rng);
         return Lowered{m, Layout::kChannelFused, Layout::kChannelFused};
       });
   add(nn::layer_kind_name(nn::LayerKind::kConvTranspose1d),
       [](const LoweringContext& ctx) {
         const nn::ModuleConfig c = ctx.reference().config();
-        auto m = std::make_shared<FusedConvTranspose1d>(
-            ctx.array_size, c.get_int("in"), c.get_int("out"),
-            c.get_int("kernel"), c.get_int("stride"), c.get_int("pad"),
-            c.get_int("out_pad"), c.get_int("groups"), c.get_int("bias") != 0,
-            *ctx.rng);
+        const int64_t B = ctx.array_size;
+        auto m = std::make_shared<nn::ConvTranspose1d>(
+            B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
+            c.get_int("stride"), c.get_int("pad"), c.get_int("out_pad"),
+            B * c.get_int("groups"), c.get_int("bias") != 0, *ctx.rng);
         return Lowered{m, Layout::kChannelFused, Layout::kChannelFused};
       });
   add(nn::layer_kind_name(nn::LayerKind::kBatchNorm2d),
       [](const LoweringContext& ctx) {
         const nn::ModuleConfig c = ctx.reference().config();
-        auto m = std::make_shared<FusedBatchNorm2d>(
-            ctx.array_size, c.get_int("channels"),
+        auto m = std::make_shared<nn::BatchNorm2d>(
+            ctx.array_size * c.get_int("channels"),
             static_cast<float>(c.get_float("eps")),
             static_cast<float>(c.get_float("momentum")));
         return Lowered{m, Layout::kChannelFused, Layout::kChannelFused};
@@ -198,8 +203,8 @@ LoweringRegistry::LoweringRegistry() {
   add(nn::layer_kind_name(nn::LayerKind::kBatchNorm1d),
       [](const LoweringContext& ctx) {
         const nn::ModuleConfig c = ctx.reference().config();
-        auto m = std::make_shared<FusedBatchNorm1d>(
-            ctx.array_size, c.get_int("channels"),
+        auto m = std::make_shared<nn::BatchNorm1d>(
+            ctx.array_size * c.get_int("channels"),
             static_cast<float>(c.get_float("eps")),
             static_cast<float>(c.get_float("momentum")));
         return Lowered{m, Layout::kChannelFused, Layout::kChannelFused};
@@ -208,35 +213,33 @@ LoweringRegistry::LoweringRegistry() {
       [](const LoweringContext& ctx) {
         const nn::ModuleConfig c = ctx.reference().config();
         return stateless(
-            std::make_shared<FusedMaxPool2d>(ctx.array_size,
-                                             c.get_int("kernel"),
-                                             c.get_int("stride"),
-                                             c.get_int("pad")),
+            std::make_shared<nn::MaxPool2d>(
+                c.get_int("kernel"), c.get_int("stride"), c.get_int("pad")),
             Layout::kChannelFused, Layout::kChannelFused);
       });
   add(nn::layer_kind_name(nn::LayerKind::kAdaptiveAvgPool2d),
       [](const LoweringContext& ctx) {
         const nn::ModuleConfig c = ctx.reference().config();
-        return stateless(
-            std::make_shared<FusedAdaptiveAvgPool2d>(
-                ctx.array_size, c.get_int("out_h"), c.get_int("out_w")),
-            Layout::kChannelFused, Layout::kChannelFused);
+        return stateless(std::make_shared<nn::AdaptiveAvgPool2d>(
+                             c.get_int("out_h"), c.get_int("out_w")),
+                         Layout::kChannelFused, Layout::kChannelFused);
       });
+  // Fused dropout draws one mask stream over the whole fused tensor, from
+  // its own seed (not the B per-model streams).
   add(nn::layer_kind_name(nn::LayerKind::kDropout2d),
       [](const LoweringContext& ctx) {
         const nn::ModuleConfig c = ctx.reference().config();
-        return stateless(
-            std::make_shared<FusedDropout2d>(
-                ctx.array_size, static_cast<float>(c.get_float("p"))),
-            Layout::kChannelFused, Layout::kChannelFused);
+        return stateless(std::make_shared<nn::Dropout2d>(
+                             static_cast<float>(c.get_float("p")), 0xd20),
+                         Layout::kChannelFused, Layout::kChannelFused);
       });
 
   // -- layout-agnostic steps -------------------------------------------------
   add(nn::layer_kind_name(nn::LayerKind::kDropout),
       [](const LoweringContext& ctx) {
         const nn::ModuleConfig c = ctx.reference().config();
-        return stateless(std::make_shared<FusedDropout>(
-            ctx.array_size, static_cast<float>(c.get_float("p"))));
+        return stateless(std::make_shared<nn::Dropout>(
+            static_cast<float>(c.get_float("p")), 0xd0));
       });
   add(nn::layer_kind_name(nn::LayerKind::kGlobalMaxPool1d),
       [](const LoweringContext&) {
@@ -499,13 +502,13 @@ FusedArray::Step make_adapter_step(
 /// Derives the state schema of a lowered step's module and validates it
 /// against the per-model reference layer: every per-model parameter and
 /// buffer must be covered by exactly one entry, sized B x the per-model
-/// numel (block-size-checked again at transfer time). A registration that
-/// forgets part of its state fails the compile with a structured
-/// diagnostic instead of surfacing as drift after a repack.
+/// numel (block-size-checked again at transfer time). A lowering that
+/// misses part of the state, or leaves a child at per-model width, fails
+/// the compile with a structured diagnostic instead of surfacing as drift
+/// after a repack.
 StateMap derive_step_state(const nn::Module& fused_mod, int64_t B,
                            const nn::Module& ref, const std::string& path) {
-  const auto* fm = dynamic_cast<const FusedModule*>(&fused_mod);
-  const StateMap map = fm ? fm->state_map() : StateMap{};
+  const StateMap map = state_map(fused_mod);
   std::map<std::string, int64_t> want;  // per-model tensor path -> numel
   for (const auto& [n, v] : ref.named_parameters()) want.emplace(n, v.numel());
   for (const auto& [n, t] : nn::named_buffers_recursive(ref))
@@ -542,7 +545,7 @@ StateMap derive_step_state(const nn::Module& fused_mod, int64_t B,
           {path, -1,
            "lowering for kind '" + ref.kind_name() +
                "' covers no state entry for per-model tensor '" + n +
-               "' — describe it in the fused module's state_map()"});
+               "' — register it in the fused module under the same path"});
     }
   }
   return map;

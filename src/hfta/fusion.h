@@ -9,7 +9,8 @@
 // shapes and topology — per-model hyper-parameters like learning rate live
 // in the fused optimizer, not the graph), reports unsupported combinations
 // as structured diagnostics, and lowers each layer through a per-kind
-// registry into the existing Fused* operators, inserting
+// registry into fused operators (for the conv/BN/pool/dropout family, the
+// nn:: layer itself at B x width), inserting
 // to_model_major/to_channel_fused layout conversions automatically at
 // family boundaries (DESIGN.md §2). Partial fusion is a plan option
 // (FusionOptions::fuse_mask) rather than bespoke per-model wiring.
@@ -92,7 +93,7 @@ struct LoweringContext {
 /// Result of lowering one per-model layer: the fused module and the layout
 /// family it runs in. State transfer is NOT part of this contract any more:
 /// the planner derives bidirectional load/store (and state-congruence
-/// checking) from the module's StateMap schema (FusedModule::state_map),
+/// checking) from the module's StateMap schema (fused::state_map),
 /// so a registration cannot ship a loader while silently lacking store
 /// support — every stateful lowering is validated against the per-model
 /// reference layer at compile time.
@@ -176,10 +177,10 @@ class FusedArray : public FusedModule {
   /// support is universal: it is derived from each step's StateMap, so
   /// every kind that loads also stores.
   /// Scope: parameters and buffers only. Private rng stream positions of
-  /// stateless-random steps (FusedDropout draws ONE stream over the fused
-  /// tensor, not the B per-model streams) are neither extracted nor part of
-  /// the fused/serial equivalence contract to begin with; a repacked array
-  /// restarts those streams.
+  /// stateless-random steps (a fused nn::Dropout draws ONE stream over
+  /// the fused tensor, not the B per-model streams) are neither extracted
+  /// nor part of the fused/serial equivalence contract to begin with; a
+  /// repacked array restarts those streams.
   void store_model(int64_t b, nn::Module& per_model_root) const override;
 
   const std::vector<Step>& steps() const { return steps_; }

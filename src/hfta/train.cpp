@@ -222,8 +222,10 @@ bool grad_finite_scaled(const Tensor& grad, float inv) {
 bool TrainStep::grads_finite(const nn::Optimizer& opt, double inv_scale) {
   const float inv = static_cast<float>(inv_scale);
   bool finite = true;
+  // A parameter without a gradient is skipped, as the optimizers skip it:
+  // grad() would allocate a zero gradient that the step then applies.
   for (ag::Variable v : opt.params())  // shared impl: grad() is live
-    finite &= grad_finite_scaled(v.grad(), inv);
+    if (v.has_grad()) finite &= grad_finite_scaled(v.grad(), inv);
   return finite;
 }
 

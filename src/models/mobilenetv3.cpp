@@ -256,11 +256,11 @@ static const fused::LoweringRegistrar kMobileNetV3Lowering(
 FusedSqueezeExcite::FusedSqueezeExcite(int64_t B, int64_t channels, Rng& rng)
     : fused::FusedModule(B) {
   const int64_t squeeze = std::max<int64_t>(4, channels / 4);
-  fc1 = register_module("fc1", std::make_shared<fused::FusedConv2d>(
-                                   B, channels, squeeze, 1, 1, 0, 1, true,
+  fc1 = register_module("fc1", std::make_shared<nn::Conv2d>(
+                                   B * channels, B * squeeze, 1, 1, 0, B, true,
                                    rng));
-  fc2 = register_module("fc2", std::make_shared<fused::FusedConv2d>(
-                                   B, squeeze, channels, 1, 1, 0, 1, true,
+  fc2 = register_module("fc2", std::make_shared<nn::Conv2d>(
+                                   B * squeeze, B * channels, 1, 1, 0, B, true,
                                    rng));
 }
 
@@ -280,26 +280,26 @@ FusedBneck::FusedBneck(int64_t B, int64_t in, const BneckSpec& spec,
   residual = spec.stride == 1 && in == out_c;
   if (has_expand) {
     expand_conv = register_module(
-        "expand_conv", std::make_shared<fused::FusedConv2d>(
-                           B, in, exp_c, 1, 1, 0, 1, false, rng));
+        "expand_conv", std::make_shared<nn::Conv2d>(B * in, B * exp_c, 1, 1, 0,
+                                                    B, false, rng));
     expand_bn = register_module(
-        "expand_bn", std::make_shared<fused::FusedBatchNorm2d>(B, exp_c));
+        "expand_bn", std::make_shared<nn::BatchNorm2d>(B * exp_c));
   }
   // Depthwise: per-model groups = exp_c fuse into B*exp_c groups.
   dw_conv = register_module(
-      "dw_conv", std::make_shared<fused::FusedConv2d>(
-                     B, exp_c, exp_c, spec.kernel, spec.stride,
-                     spec.kernel / 2, exp_c, false, rng));
+      "dw_conv", std::make_shared<nn::Conv2d>(
+                     B * exp_c, B * exp_c, spec.kernel, spec.stride,
+                     spec.kernel / 2, B * exp_c, false, rng));
   dw_bn = register_module("dw_bn",
-                          std::make_shared<fused::FusedBatchNorm2d>(B, exp_c));
+                          std::make_shared<nn::BatchNorm2d>(B * exp_c));
   if (spec.se)
     se = register_module("se",
                          std::make_shared<FusedSqueezeExcite>(B, exp_c, rng));
   project_conv = register_module(
-      "project_conv", std::make_shared<fused::FusedConv2d>(
-                          B, exp_c, out_c, 1, 1, 0, 1, false, rng));
+      "project_conv", std::make_shared<nn::Conv2d>(B * exp_c, B * out_c, 1, 1,
+                                                   0, B, false, rng));
   project_bn = register_module(
-      "project_bn", std::make_shared<fused::FusedBatchNorm2d>(B, out_c));
+      "project_bn", std::make_shared<nn::BatchNorm2d>(B * out_c));
 }
 
 ag::Variable FusedBneck::forward(const ag::Variable& x) {
@@ -321,10 +321,10 @@ FusedMobileNetV3::FusedMobileNetV3(int64_t B, const MobileNetV3Config& cfg,
   const auto table = cfg.rows();
   const int64_t stem_c = cfg.scaled(cfg.stem_channels());
   stem_conv = register_module(
-      "stem_conv", std::make_shared<fused::FusedConv2d>(B, 3, stem_c, 3, 2, 1,
-                                                        1, false, rng));
-  stem_bn = register_module(
-      "stem_bn", std::make_shared<fused::FusedBatchNorm2d>(B, stem_c));
+      "stem_conv", std::make_shared<nn::Conv2d>(B * 3, B * stem_c, 3, 2, 1, B,
+                                                false, rng));
+  stem_bn = register_module("stem_bn",
+                            std::make_shared<nn::BatchNorm2d>(B * stem_c));
   int64_t in = stem_c;
   for (size_t i = 0; i < table.size(); ++i) {
     const BneckSpec& spec = table[i];
@@ -335,10 +335,10 @@ FusedMobileNetV3::FusedMobileNetV3(int64_t B, const MobileNetV3Config& cfg,
   }
   const int64_t last_c = cfg.scaled(table.back().expand);
   last_conv = register_module(
-      "last_conv", std::make_shared<fused::FusedConv2d>(B, in, last_c, 1, 1, 0,
-                                                        1, false, rng));
-  last_bn = register_module(
-      "last_bn", std::make_shared<fused::FusedBatchNorm2d>(B, last_c));
+      "last_conv", std::make_shared<nn::Conv2d>(B * in, B * last_c, 1, 1, 0, B,
+                                                false, rng));
+  last_bn = register_module("last_bn",
+                            std::make_shared<nn::BatchNorm2d>(B * last_c));
   fc1 = register_module("fc1", std::make_shared<fused::FusedLinear>(
                                    B, last_c, cfg.head_dim, true, rng));
   fc2 = register_module("fc2", std::make_shared<fused::FusedLinear>(

@@ -8,7 +8,6 @@
 #include <array>
 #include <vector>
 
-#include "hfta/fused_norm.h"
 #include "hfta/fused_ops.h"
 #include "nn/norm.h"
 
@@ -106,7 +105,7 @@ class FusedSqueezeExcite : public fused::FusedModule {
  public:
   FusedSqueezeExcite(int64_t B, int64_t channels, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
-  std::shared_ptr<fused::FusedConv2d> fc1, fc2;
+  std::shared_ptr<nn::Conv2d> fc1, fc2;  // at B x width
 };
 
 class FusedBneck : public fused::FusedModule {
@@ -115,8 +114,8 @@ class FusedBneck : public fused::FusedModule {
              const MobileNetV3Config& cfg, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
 
-  std::shared_ptr<fused::FusedConv2d> expand_conv, dw_conv, project_conv;
-  std::shared_ptr<fused::FusedBatchNorm2d> expand_bn, dw_bn, project_bn;
+  std::shared_ptr<nn::Conv2d> expand_conv, dw_conv, project_conv;  // B x width
+  std::shared_ptr<nn::BatchNorm2d> expand_bn, dw_bn, project_bn;
   std::shared_ptr<FusedSqueezeExcite> se;
   bool use_hswish, use_relu6, has_expand, residual;
 };
@@ -127,8 +126,8 @@ class FusedMobileNetV3 : public fused::FusedModule {
   /// x: [N, B*3, S, S] -> model-major logits [B, N, classes].
   ag::Variable forward(const ag::Variable& x) override;
 
-  std::shared_ptr<fused::FusedConv2d> stem_conv, last_conv;
-  std::shared_ptr<fused::FusedBatchNorm2d> stem_bn, last_bn;
+  std::shared_ptr<nn::Conv2d> stem_conv, last_conv;  // at B x width
+  std::shared_ptr<nn::BatchNorm2d> stem_bn, last_bn;
   std::vector<std::shared_ptr<FusedBneck>> bnecks;
   std::shared_ptr<fused::FusedLinear> fc1, fc2;
   MobileNetV3Config cfg;

@@ -171,16 +171,14 @@ ag::Variable PointNetSeg::forward(const ag::Variable& x) {
 FusedSTN::FusedSTN(int64_t B, int64_t channels, const PointNetConfig& cfg,
                    Rng& rng)
     : fused::FusedModule(B), channels(channels) {
-  conv1 = register_module("conv1", std::make_shared<fused::FusedConv1d>(
-                                       B, channels, cfg.w1, 1, 1, 0, 1, true,
-                                       rng));
-  conv2 = register_module("conv2", std::make_shared<fused::FusedConv1d>(
-                                       B, cfg.w1, cfg.w2, 1, 1, 0, 1, true,
-                                       rng));
-  bn1 = register_module("bn1",
-                        std::make_shared<fused::FusedBatchNorm1d>(B, cfg.w1));
-  bn2 = register_module("bn2",
-                        std::make_shared<fused::FusedBatchNorm1d>(B, cfg.w2));
+  conv1 = register_module("conv1", std::make_shared<nn::Conv1d>(
+                                       B * channels, B * cfg.w1, 1, 1, 0, B,
+                                       true, rng));
+  conv2 = register_module("conv2", std::make_shared<nn::Conv1d>(
+                                       B * cfg.w1, B * cfg.w2, 1, 1, 0, B,
+                                       true, rng));
+  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm1d>(B * cfg.w1));
+  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm1d>(B * cfg.w2));
   fc1 = register_module(
       "fc1", std::make_shared<fused::FusedLinear>(B, cfg.w2, cfg.fc1, true,
                                                   rng));
@@ -211,20 +209,18 @@ FusedPointNetTrunk::FusedPointNetTrunk(int64_t B, const PointNetConfig& cfg,
     : fused::FusedModule(B), cfg(cfg) {
   if (cfg.input_transform)
     stn = register_module("stn", std::make_shared<FusedSTN>(B, 3, cfg, rng));
-  conv1 = register_module("conv1", std::make_shared<fused::FusedConv1d>(
-                                       B, 3, cfg.w1, 1, 1, 0, 1, true, rng));
-  conv2 = register_module("conv2", std::make_shared<fused::FusedConv1d>(
-                                       B, cfg.w1, cfg.w2, 1, 1, 0, 1, true,
+  conv1 = register_module("conv1", std::make_shared<nn::Conv1d>(
+                                       B * 3, B * cfg.w1, 1, 1, 0, B, true,
                                        rng));
-  conv3 = register_module("conv3", std::make_shared<fused::FusedConv1d>(
-                                       B, cfg.w2, cfg.w3, 1, 1, 0, 1, true,
-                                       rng));
-  bn1 = register_module("bn1",
-                        std::make_shared<fused::FusedBatchNorm1d>(B, cfg.w1));
-  bn2 = register_module("bn2",
-                        std::make_shared<fused::FusedBatchNorm1d>(B, cfg.w2));
-  bn3 = register_module("bn3",
-                        std::make_shared<fused::FusedBatchNorm1d>(B, cfg.w3));
+  conv2 = register_module("conv2", std::make_shared<nn::Conv1d>(
+                                       B * cfg.w1, B * cfg.w2, 1, 1, 0, B,
+                                       true, rng));
+  conv3 = register_module("conv3", std::make_shared<nn::Conv1d>(
+                                       B * cfg.w2, B * cfg.w3, 1, 1, 0, B,
+                                       true, rng));
+  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm1d>(B * cfg.w1));
+  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm1d>(B * cfg.w2));
+  bn3 = register_module("bn3", std::make_shared<nn::BatchNorm1d>(B * cfg.w3));
 }
 
 std::pair<ag::Variable, ag::Variable> FusedPointNetTrunk::forward_both(
@@ -261,18 +257,16 @@ FusedPointNetSeg::FusedPointNetSeg(int64_t B, const PointNetConfig& cfg,
   trunk = register_module("trunk",
                           std::make_shared<FusedPointNetTrunk>(B, cfg, rng));
   conv1 = register_module(
-      "conv1", std::make_shared<fused::FusedConv1d>(
-                   B, cfg.w1 + cfg.w3, cfg.w2, 1, 1, 0, 1, true, rng));
-  conv2 = register_module("conv2", std::make_shared<fused::FusedConv1d>(
-                                       B, cfg.w2, cfg.w1, 1, 1, 0, 1, true,
-                                       rng));
+      "conv1", std::make_shared<nn::Conv1d>(B * (cfg.w1 + cfg.w3), B * cfg.w2,
+                                            1, 1, 0, B, true, rng));
+  conv2 = register_module("conv2", std::make_shared<nn::Conv1d>(
+                                       B * cfg.w2, B * cfg.w1, 1, 1, 0, B,
+                                       true, rng));
   conv3 = register_module(
-      "conv3", std::make_shared<fused::FusedConv1d>(
-                   B, cfg.w1, cfg.num_parts, 1, 1, 0, 1, true, rng));
-  bn1 = register_module("bn1",
-                        std::make_shared<fused::FusedBatchNorm1d>(B, cfg.w2));
-  bn2 = register_module("bn2",
-                        std::make_shared<fused::FusedBatchNorm1d>(B, cfg.w1));
+      "conv3", std::make_shared<nn::Conv1d>(B * cfg.w1, B * cfg.num_parts, 1,
+                                            1, 0, B, true, rng));
+  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm1d>(B * cfg.w2));
+  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm1d>(B * cfg.w1));
 }
 
 ag::Variable FusedPointNetSeg::forward(const ag::Variable& x) {

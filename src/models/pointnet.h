@@ -8,7 +8,6 @@
 // classes / 50 part labels), `tiny()` a CPU-trainable reduction.
 #pragma once
 
-#include "hfta/fused_norm.h"
 #include "hfta/fusion.h"
 #include "nn/layers.h"
 #include "nn/norm.h"
@@ -100,8 +99,8 @@ class FusedSTN : public fused::FusedModule {
   /// x: [N, B*C, L] -> transforms [B, N, C, C].
   ag::Variable forward(const ag::Variable& x) override;
 
-  std::shared_ptr<fused::FusedConv1d> conv1, conv2;
-  std::shared_ptr<fused::FusedBatchNorm1d> bn1, bn2;
+  std::shared_ptr<nn::Conv1d> conv1, conv2;  // at B x width
+  std::shared_ptr<nn::BatchNorm1d> bn1, bn2;
   std::shared_ptr<fused::FusedLinear> fc1, fc2;
   int64_t channels;
 };
@@ -114,8 +113,8 @@ class FusedPointNetTrunk : public fused::FusedModule {
   std::pair<ag::Variable, ag::Variable> forward_both(const ag::Variable& x);
 
   std::shared_ptr<FusedSTN> stn;
-  std::shared_ptr<fused::FusedConv1d> conv1, conv2, conv3;
-  std::shared_ptr<fused::FusedBatchNorm1d> bn1, bn2, bn3;
+  std::shared_ptr<nn::Conv1d> conv1, conv2, conv3;  // at B x width
+  std::shared_ptr<nn::BatchNorm1d> bn1, bn2, bn3;
   PointNetConfig cfg;
 };
 
@@ -126,8 +125,8 @@ class FusedPointNetSeg : public fused::FusedModule {
   ag::Variable forward(const ag::Variable& x) override;
 
   std::shared_ptr<FusedPointNetTrunk> trunk;
-  std::shared_ptr<fused::FusedConv1d> conv1, conv2, conv3;
-  std::shared_ptr<fused::FusedBatchNorm1d> bn1, bn2;
+  std::shared_ptr<nn::Conv1d> conv1, conv2, conv3;  // at B x width
+  std::shared_ptr<nn::BatchNorm1d> bn1, bn2;
   PointNetConfig cfg;
 };
 

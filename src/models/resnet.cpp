@@ -100,22 +100,19 @@ FusedBasicBlock::FusedBasicBlock(int64_t B, int64_t in, int64_t out,
                                  int64_t stride, Rng& rng)
     : fused::FusedModule(B) {
   conv1 = register_module(
-      "conv1", std::make_shared<fused::FusedConv2d>(B, in, out, 3, stride, 1,
-                                                    1, false, rng));
-  bn1 = register_module("bn1",
-                        std::make_shared<fused::FusedBatchNorm2d>(B, out));
+      "conv1", std::make_shared<nn::Conv2d>(B * in, B * out, 3, stride, 1, B,
+                                            false, rng));
+  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm2d>(B * out));
   conv2 = register_module(
-      "conv2", std::make_shared<fused::FusedConv2d>(B, out, out, 3, 1, 1, 1,
-                                                    false, rng));
-  bn2 = register_module("bn2",
-                        std::make_shared<fused::FusedBatchNorm2d>(B, out));
+      "conv2", std::make_shared<nn::Conv2d>(B * out, B * out, 3, 1, 1, B,
+                                            false, rng));
+  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm2d>(B * out));
   if (stride != 1 || in != out) {
     down_conv = register_module(
-        "down_conv", std::make_shared<fused::FusedConv2d>(B, in, out, 1,
-                                                          stride, 0, 1, false,
-                                                          rng));
-    down_bn = register_module(
-        "down_bn", std::make_shared<fused::FusedBatchNorm2d>(B, out));
+        "down_conv", std::make_shared<nn::Conv2d>(B * in, B * out, 1, stride,
+                                                  0, B, false, rng));
+    down_bn =
+        register_module("down_bn", std::make_shared<nn::BatchNorm2d>(B * out));
   }
 }
 

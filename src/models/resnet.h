@@ -10,7 +10,6 @@
 // layout (mathematically identical, no operator fusion).
 #pragma once
 
-#include "hfta/fused_norm.h"
 #include "hfta/fusion.h"
 #include "nn/layers.h"
 #include "nn/norm.h"
@@ -65,8 +64,8 @@ class FusedBasicBlock : public fused::FusedModule {
   FusedBasicBlock(int64_t B, int64_t in, int64_t out, int64_t stride, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
 
-  std::shared_ptr<fused::FusedConv2d> conv1, conv2, down_conv;
-  std::shared_ptr<fused::FusedBatchNorm2d> bn1, bn2, down_bn;
+  std::shared_ptr<nn::Conv2d> conv1, conv2, down_conv;  // at B x width
+  std::shared_ptr<nn::BatchNorm2d> bn1, bn2, down_bn;
 };
 
 /// Which parts of the fused ResNet-18 are operator-fused. The paper's

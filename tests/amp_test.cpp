@@ -556,6 +556,25 @@ TEST(Amp, ScalerStateSurvivesRepackStyleOptimizerSwap) {
   EXPECT_EQ(step.stats().amp_overflow_skips, skips);
 }
 
+TEST(Amp, ParameterWithoutGradientIsNotStepped) {
+  // A parameter the loss never reaches has no gradient, and the optimizer
+  // skips it — weight decay included. The AMP step's finiteness scan must
+  // not give it a zero gradient for the step to apply.
+  Rng rng(12);
+  ag::Variable used(Tensor::randn({3}, rng), /*requires_grad=*/true);
+  ag::Variable unused(Tensor::randn({3}, rng), /*requires_grad=*/true);
+  const Tensor before = unused.value().clone();
+  nn::SGD opt({used, unused}, {.lr = 0.1, .weight_decay = 0.5});
+  TrainStep step;
+  step.enable_amp();
+  step.run(opt, [&] { return ag::sum_all(ag::mul(used, used)); });
+  EXPECT_FALSE(unused.has_grad());
+  EXPECT_EQ(std::memcmp(before.data(), unused.value().data(),
+                        sizeof(float) * static_cast<size_t>(before.numel())),
+            0);
+  EXPECT_TRUE(used.has_grad());
+}
+
 TEST(Amp, MultiLossRunRejectsAmp) {
   TrainStep step;
   step.enable_amp();

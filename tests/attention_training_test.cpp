@@ -223,7 +223,7 @@ TEST(FusedActivations, ElementwiseOpsCommuteWithPacking) {
 TEST(FusedActivations, FusedDropoutPreservesExpectationPerModel) {
   Rng rng(4);
   const int64_t B = 4, n = 4000;
-  fused::FusedDropout drop(B, 0.3f, 123);
+  nn::Dropout drop(0.3f, 123);
   Tensor x = Tensor::ones({B, n});
   Tensor y = drop.forward(ag::Variable(x)).value();
   for (int64_t b = 0; b < B; ++b) {

@@ -3,6 +3,9 @@
 // failure-injection on API validation paths.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "hfta/fused_optim.h"
 #include "hfta/fused_sched.h"
 #include "hfta/fusion.h"
@@ -16,18 +19,28 @@ namespace {
 
 class ConvT1dFusionB : public ::testing::TestWithParam<int64_t> {};
 
+void expect_same_bits(const Tensor& want, const Tensor& got,
+                      const std::string& tag) {
+  ASSERT_EQ(want.numel(), got.numel()) << tag;
+  EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                        sizeof(float) * static_cast<size_t>(want.numel())),
+            0)
+      << tag;
+}
+
+// B ConvTranspose1d layers fused are one ConvTranspose1d at B x width with
+// B groups: output and weight gradient bitwise equal per model.
 TEST_P(ConvT1dFusionB, FusedMatchesSerialForwardAndBackward) {
   const int64_t B = GetParam();
   Rng rng(10 + B);
   const int64_t Cin = 4, Cout = 3, L = 9;
-  fused::FusedConvTranspose1d fused_layer(B, Cin, Cout, 4, 2, 1, 0, 1, true,
-                                          rng);
+  nn::ConvTranspose1d fused_layer(B * Cin, B * Cout, 4, 2, 1, 0, B, true, rng);
   std::vector<std::shared_ptr<nn::ConvTranspose1d>> plain;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < B; ++b) {
     plain.push_back(std::make_shared<nn::ConvTranspose1d>(Cin, Cout, 4, 2, 1,
                                                           0, 1, true, rng));
-    fused_layer.load_model(b, *plain.back());
+    fused::load_state(fused::state_map(fused_layer), B, b, *plain.back());
     xs.push_back(Tensor::randn({2, Cin, L}, rng));
   }
   ag::Variable yf =
@@ -38,12 +51,13 @@ TEST_P(ConvT1dFusionB, FusedMatchesSerialForwardAndBackward) {
   auto probes = fused::unpack_channel_fused(probe, B);
   for (int64_t b = 0; b < B; ++b) {
     const size_t ub = static_cast<size_t>(b);
+    const std::string tag = "model " + std::to_string(b);
     ag::Variable yb = plain[ub]->forward(ag::Variable(xs[ub]));
-    EXPECT_LT(ops::max_abs_diff(per[ub], yb.value()), 1e-3f) << "model " << b;
+    expect_same_bits(yb.value(), per[ub], tag + " y");
     ag::sum_all(ag::mul(yb, ag::constant(probes[ub]))).backward();
     Tensor gw = fused::unfuse_blocks(fused_layer.weight.grad(), B,
                                      plain[ub]->weight.shape())[ub];
-    EXPECT_LT(ops::max_abs_diff(gw, plain[ub]->weight.grad()), 1e-3f);
+    expect_same_bits(plain[ub]->weight.grad(), gw, tag + " weight grad");
   }
 }
 
@@ -90,13 +104,13 @@ TEST(HfhtMig, MigSchedulerCostsBetweenSerialAndHfta) {
   const auto a100 = sim::a100();
   const auto serial = hfht::schedule_cost(trials, space,
                                           sim::Workload::kPointNetCls, a100,
-                                          hfht::SchedulerKind::kSerial);
+                                          sim::Mode::kSerial);
   const auto mig = hfht::schedule_cost(trials, space,
                                        sim::Workload::kPointNetCls, a100,
-                                       hfht::SchedulerKind::kMig);
+                                       sim::Mode::kMig);
   const auto hfta_cost = hfht::schedule_cost(trials, space,
                                              sim::Workload::kPointNetCls,
-                                             a100, hfht::SchedulerKind::kHfta);
+                                             a100, sim::Mode::kHfta);
   EXPECT_LT(mig.gpu_hours, serial.gpu_hours);
   EXPECT_LT(hfta_cost.gpu_hours, serial.gpu_hours);
   // With 21 random sets over 6 infusible combos, HFTA's partitions are
@@ -112,10 +126,10 @@ TEST(HfhtMig, FallsBackToSerialWithoutMigSupport) {
   const auto v100 = sim::v100();  // no MIG
   const auto mig = hfht::schedule_cost(trials, space,
                                        sim::Workload::kPointNetCls, v100,
-                                       hfht::SchedulerKind::kMig);
+                                       sim::Mode::kMig);
   const auto serial = hfht::schedule_cost(trials, space,
                                           sim::Workload::kPointNetCls, v100,
-                                          hfht::SchedulerKind::kSerial);
+                                          sim::Mode::kSerial);
   EXPECT_NEAR(mig.gpu_hours, serial.gpu_hours, 1e-9);
 }
 

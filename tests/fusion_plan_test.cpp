@@ -744,16 +744,16 @@ TEST(StateSchema, EveryRegisteredKindRoundTripsSaveLoadBitExactly) {
 }
 
 TEST(StateSchema, IncompleteStateMapFailsTheCompile) {
-  // A kind whose fused module forgets part of its state in state_map()
-  // must be rejected at lowering time with a structured diagnostic — this
-  // is the auto-fail that replaced the trailing-nullptr store footgun.
+  // A kind whose fused module leaves part of its state at per-model width
+  // (a child built without B) must be rejected at lowering time with a
+  // structured diagnostic — this is the auto-fail that replaced the
+  // trailing-nullptr store footgun.
   struct HalfMapped : FusedModule {
     ag::Variable w;
     explicit HalfMapped(int64_t B) : FusedModule(B) {
-      w = register_parameter("w", Tensor::zeros({B * 2}));
+      w = register_parameter("w", Tensor::zeros({2}));  // forgets B
     }
     ag::Variable forward(const ag::Variable& x) override { return x; }
-    StateMap state_map() const override { return {}; }  // forgets "w"
   };
   struct PlainPair : nn::Module {
     PlainPair() { register_parameter("w", Tensor::zeros({2})); }

@@ -48,7 +48,7 @@ TEST(SyntheticExecutorSeam, MatchesAccuracySurfaceAndCostModel) {
   std::vector<Trial> batch;
   for (int i = 0; i < 6; ++i) batch.push_back({space.sample(rng), 10});
   const auto dev = sim::v100();
-  SyntheticExecutor exec(Task::kPointNet, SchedulerKind::kHfta, dev);
+  SyntheticExecutor exec(Task::kPointNet, sim::Mode::kHfta, dev);
   const ExecutionReport rep = exec.run(batch);
   ASSERT_EQ(rep.scores.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i)
@@ -57,7 +57,7 @@ TEST(SyntheticExecutorSeam, MatchesAccuracySurfaceAndCostModel) {
                                         Task::kPointNet));
   const CostReport want = schedule_cost(batch, space,
                                         sim::Workload::kPointNetCls, dev,
-                                        SchedulerKind::kHfta);
+                                        sim::Mode::kHfta);
   EXPECT_DOUBLE_EQ(rep.cost.gpu_hours, want.gpu_hours);
   EXPECT_EQ(rep.cost.jobs_launched, want.jobs_launched);
 }
@@ -66,9 +66,9 @@ TEST(SyntheticExecutorSeam, RunTuningWrapperIsUnchanged) {
   const auto dev = sim::v100();
   const TuneResult via_wrapper =
       run_tuning(Task::kPointNet, AlgorithmKind::kRandomSearch,
-                 SchedulerKind::kHfta, dev, 42);
+                 sim::Mode::kHfta, dev, 42);
   auto algo = make_algorithm(AlgorithmKind::kRandomSearch, Task::kPointNet, 42);
-  SyntheticExecutor exec(Task::kPointNet, SchedulerKind::kHfta, dev);
+  SyntheticExecutor exec(Task::kPointNet, sim::Mode::kHfta, dev);
   const TuneResult via_seam = run_tuning(*algo, exec);
   EXPECT_DOUBLE_EQ(via_seam.total_gpu_hours, via_wrapper.total_gpu_hours);
   EXPECT_DOUBLE_EQ(via_seam.best_accuracy, via_wrapper.best_accuracy);

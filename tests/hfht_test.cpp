@@ -142,9 +142,9 @@ TEST(Scheduler, HftaCheaperThanSerialOnABatch) {
   for (int i = 0; i < 24; ++i) trials.push_back({space.sample(rng), 10});
   const auto dev = sim::v100();
   const auto serial = schedule_cost(trials, space, sim::Workload::kPointNetCls,
-                                    dev, SchedulerKind::kSerial);
+                                    dev, sim::Mode::kSerial);
   const auto hfta = schedule_cost(trials, space, sim::Workload::kPointNetCls,
-                                  dev, SchedulerKind::kHfta);
+                                  dev, sim::Mode::kHfta);
   EXPECT_GT(serial.gpu_hours, hfta.gpu_hours * 1.5);
   EXPECT_LT(hfta.jobs_launched, serial.jobs_launched);
 }
@@ -155,9 +155,9 @@ TEST(Scheduler, SingleTrialCostsTheSameEverywhere) {
   std::vector<Trial> one = {{space.sample(rng), 5}};
   const auto dev = sim::v100();
   const auto a = schedule_cost(one, space, sim::Workload::kPointNetCls, dev,
-                               SchedulerKind::kSerial);
+                               sim::Mode::kSerial);
   const auto b = schedule_cost(one, space, sim::Workload::kPointNetCls, dev,
-                               SchedulerKind::kHfta);
+                               sim::Mode::kHfta);
   EXPECT_NEAR(a.gpu_hours, b.gpu_hours, 1e-9);
 }
 
@@ -167,8 +167,8 @@ TEST(EndToEnd, Fig8CostOrderingAndSavings) {
     for (AlgorithmKind algo :
          {AlgorithmKind::kRandomSearch, AlgorithmKind::kHyperband}) {
       const auto serial =
-          run_tuning(task, algo, SchedulerKind::kSerial, dev, 42);
-      const auto hfta = run_tuning(task, algo, SchedulerKind::kHfta, dev, 42);
+          run_tuning(task, algo, sim::Mode::kSerial, dev, 42);
+      const auto hfta = run_tuning(task, algo, sim::Mode::kHfta, dev, 42);
       // HFTA always cheapest (Fig. 8); savings can reach ~5x.
       EXPECT_LT(hfta.total_gpu_hours, serial.total_gpu_hours)
           << task_name(task) << "/" << algorithm_name(algo);
@@ -185,15 +185,15 @@ TEST(EndToEnd, RandomSearchBenefitsMoreThanHyperband) {
   const auto dev = sim::v100();
   const auto rs_serial = run_tuning(Task::kPointNet,
                                     AlgorithmKind::kRandomSearch,
-                                    SchedulerKind::kSerial, dev, 11);
+                                    sim::Mode::kSerial, dev, 11);
   const auto rs_hfta = run_tuning(Task::kPointNet,
                                   AlgorithmKind::kRandomSearch,
-                                  SchedulerKind::kHfta, dev, 11);
+                                  sim::Mode::kHfta, dev, 11);
   const auto hb_serial = run_tuning(Task::kPointNet,
                                     AlgorithmKind::kHyperband,
-                                    SchedulerKind::kSerial, dev, 11);
+                                    sim::Mode::kSerial, dev, 11);
   const auto hb_hfta = run_tuning(Task::kPointNet, AlgorithmKind::kHyperband,
-                                  SchedulerKind::kHfta, dev, 11);
+                                  sim::Mode::kHfta, dev, 11);
   const double rs_saving = rs_serial.total_gpu_hours / rs_hfta.total_gpu_hours;
   const double hb_saving = hb_serial.total_gpu_hours / hb_hfta.total_gpu_hours;
   EXPECT_GT(rs_saving, hb_saving);

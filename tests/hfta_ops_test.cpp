@@ -2,10 +2,10 @@
 //
 // For every fused operator, sweeping the array size B: the fused op applied
 // to the packed inputs of B models with distinct weights must equal the B
-// unfused ops applied per model — forward AND backward (parameter
-// gradients) — to float tolerance, and bitwise for BatchNorm and LayerNorm.
-// This is the mathematical-equivalence guarantee HFTA's convergence claim
-// rests on.
+// unfused ops applied per model — forward AND backward (input and parameter
+// gradients) — bitwise. For convs, BatchNorm, pooling and dropout the fused
+// op is the plain nn:: layer at B x width. This is the
+// mathematical-equivalence guarantee HFTA's convergence claim rests on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -29,6 +29,21 @@ class FusionB : public ::testing::TestWithParam<int64_t> {};
 // Sums y*probe for a deterministic scalar to backprop (probe fixed).
 ag::Variable probe_loss(const ag::Variable& y, const Tensor& probe) {
   return ag::sum_all(ag::mul(y, ag::constant(probe)));
+}
+
+void expect_same_bits(const Tensor& want, const Tensor& got,
+                      const std::string& tag) {
+  ASSERT_EQ(want.numel(), got.numel()) << tag;
+  EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                        sizeof(float) * static_cast<size_t>(want.numel())),
+            0)
+      << tag;
+}
+
+// Copies `plain`'s state into model b's blocks of `fused`, an array of B.
+void load_model(const nn::Module& fused, int64_t B, int64_t b,
+                const nn::Module& plain) {
+  load_state(state_map(fused), B, b, plain);
 }
 
 TEST_P(FusionB, LayoutRoundTrip) {
@@ -60,34 +75,38 @@ TEST_P(FusionB, Conv2dForwardAndBackward) {
   const int64_t N = 2, Cin = 3, Cout = 5, H = 7, W = 7, k = 3;
   std::vector<std::shared_ptr<nn::Conv2d>> plain;
   std::vector<Tensor> xs, probes;
-  FusedConv2d fused(B, Cin, Cout, k, /*stride=*/2, /*pad=*/1, /*groups=*/1,
-                    /*bias=*/true, rng);
+  nn::Conv2d fused(B * Cin, B * Cout, k, /*stride=*/2, /*pad=*/1,
+                   /*groups=*/B, /*bias=*/true, rng);
   for (int64_t b = 0; b < B; ++b) {
     plain.push_back(std::make_shared<nn::Conv2d>(Cin, Cout, k, 2, 1, 1, true,
                                                  rng));
-    fused.load_model(b, *plain.back());
+    load_model(fused, B, b, *plain.back());
     xs.push_back(Tensor::randn({N, Cin, H, W}, rng));
   }
-  Tensor xf = pack_channel_fused(xs);
-  ag::Variable yf = fused.forward(ag::Variable(xf));
+  ag::Variable xf(pack_channel_fused(xs), /*requires_grad=*/true);
+  ag::Variable yf = fused.forward(xf);
   Tensor probe_f = Tensor::randn(yf.shape(), rng);
   probe_loss(yf, probe_f).backward();
   auto probes_per = unpack_channel_fused(probe_f, B);
+  const auto gx_per = unpack_channel_fused(xf.grad(), B);
 
   for (int64_t b = 0; b < B; ++b) {
     const size_t ub = static_cast<size_t>(b);
-    ag::Variable yb = plain[ub]->forward(ag::Variable(xs[ub]));
+    const std::string tag = "model " + std::to_string(b);
+    ag::Variable xb(xs[ub], /*requires_grad=*/true);
+    ag::Variable yb = plain[ub]->forward(xb);
     // forward equivalence
     Tensor yf_b = unpack_channel_fused(yf.value(), B)[ub];
-    EXPECT_LT(ops::max_abs_diff(yf_b, yb.value()), kTol) << "model " << b;
-    // backward equivalence (weight + bias grads)
+    expect_same_bits(yb.value(), yf_b, tag + " y");
+    // backward equivalence (input, weight and bias grads)
     probe_loss(yb, probes_per[ub]).backward();
+    expect_same_bits(xb.grad(), gx_per[ub], tag + " x grad");
     Tensor gw_f = unfuse_blocks(fused.weight.grad(), B,
                                 plain[ub]->weight.shape())[ub];
-    EXPECT_LT(ops::max_abs_diff(gw_f, plain[ub]->weight.grad()), kTol);
+    expect_same_bits(plain[ub]->weight.grad(), gw_f, tag + " weight grad");
     Tensor gb_f =
         unfuse_blocks(fused.bias.grad(), B, plain[ub]->bias.shape())[ub];
-    EXPECT_LT(ops::max_abs_diff(gb_f, plain[ub]->bias.grad()), kTol);
+    expect_same_bits(plain[ub]->bias.grad(), gb_f, tag + " bias grad");
   }
 }
 
@@ -96,14 +115,14 @@ TEST_P(FusionB, Conv2dGroupedBecomesBTimesGroups) {
   const int64_t B = GetParam();
   Rng rng(300 + B);
   const int64_t Cin = 4, Cout = 6, g = 2;
-  FusedConv2d fused(B, Cin, Cout, 3, 1, 1, g, true, rng);
-  EXPECT_EQ(fused.fused_args.groups, B * g);
+  nn::Conv2d fused(B * Cin, B * Cout, 3, 1, 1, B * g, true, rng);
+  EXPECT_EQ(fused.args.groups, B * g);
   std::vector<std::shared_ptr<nn::Conv2d>> plain;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < B; ++b) {
     plain.push_back(
         std::make_shared<nn::Conv2d>(Cin, Cout, 3, 1, 1, g, true, rng));
-    fused.load_model(b, *plain.back());
+    load_model(fused, B, b, *plain.back());
     xs.push_back(Tensor::randn({2, Cin, 5, 5}, rng));
   }
   Tensor yf = fused.forward(ag::Variable(pack_channel_fused(xs))).value();
@@ -111,7 +130,7 @@ TEST_P(FusionB, Conv2dGroupedBecomesBTimesGroups) {
   for (int64_t b = 0; b < B; ++b) {
     const size_t ub = static_cast<size_t>(b);
     Tensor yb = plain[ub]->forward(ag::Variable(xs[ub])).value();
-    EXPECT_LT(ops::max_abs_diff(yf_per[ub], yb), kTol);
+    expect_same_bits(yb, yf_per[ub], "model " + std::to_string(b));
   }
 }
 
@@ -119,13 +138,13 @@ TEST_P(FusionB, Conv1dEquivalence) {
   const int64_t B = GetParam();
   Rng rng(400 + B);
   const int64_t Cin = 3, Cout = 4, L = 12;
-  FusedConv1d fused(B, Cin, Cout, 3, 1, 1, 1, true, rng);
+  nn::Conv1d fused(B * Cin, B * Cout, 3, 1, 1, B, true, rng);
   std::vector<std::shared_ptr<nn::Conv1d>> plain;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < B; ++b) {
     plain.push_back(
         std::make_shared<nn::Conv1d>(Cin, Cout, 3, 1, 1, 1, true, rng));
-    fused.load_model(b, *plain.back());
+    load_model(fused, B, b, *plain.back());
     xs.push_back(Tensor::randn({2, Cin, L}, rng));
   }
   Tensor yf = fused.forward(ag::Variable(pack_channel_fused(xs))).value();
@@ -133,7 +152,7 @@ TEST_P(FusionB, Conv1dEquivalence) {
   for (int64_t b = 0; b < B; ++b) {
     const size_t ub = static_cast<size_t>(b);
     Tensor yb = plain[ub]->forward(ag::Variable(xs[ub])).value();
-    EXPECT_LT(ops::max_abs_diff(yf_per[ub], yb), kTol);
+    expect_same_bits(yb, yf_per[ub], "model " + std::to_string(b));
   }
 }
 
@@ -141,38 +160,37 @@ TEST_P(FusionB, ConvTranspose2dEquivalence) {
   const int64_t B = GetParam();
   Rng rng(500 + B);
   const int64_t Cin = 6, Cout = 4;
-  FusedConvTranspose2d fused(B, Cin, Cout, 4, 2, 1, 0, 1, true, rng);
+  nn::ConvTranspose2d fused(B * Cin, B * Cout, 4, 2, 1, 0, B, true, rng);
   std::vector<std::shared_ptr<nn::ConvTranspose2d>> plain;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < B; ++b) {
     plain.push_back(std::make_shared<nn::ConvTranspose2d>(Cin, Cout, 4, 2, 1,
                                                           0, 1, true, rng));
-    fused.load_model(b, *plain.back());
+    load_model(fused, B, b, *plain.back());
     xs.push_back(Tensor::randn({2, Cin, 5, 5}, rng));
   }
-  ag::Variable yf_v = fused.forward(ag::Variable(pack_channel_fused(xs)));
+  ag::Variable xf(pack_channel_fused(xs), /*requires_grad=*/true);
+  ag::Variable yf_v = fused.forward(xf);
   Tensor probe = Tensor::randn(yf_v.shape(), rng);
   probe_loss(yf_v, probe).backward();
   auto yf_per = unpack_channel_fused(yf_v.value(), B);
   auto probes = unpack_channel_fused(probe, B);
+  const auto gx_per = unpack_channel_fused(xf.grad(), B);
   for (int64_t b = 0; b < B; ++b) {
     const size_t ub = static_cast<size_t>(b);
-    ag::Variable yb = plain[ub]->forward(ag::Variable(xs[ub]));
-    EXPECT_LT(ops::max_abs_diff(yf_per[ub], yb.value()), kTol);
+    const std::string tag = "model " + std::to_string(b);
+    ag::Variable xb(xs[ub], /*requires_grad=*/true);
+    ag::Variable yb = plain[ub]->forward(xb);
+    expect_same_bits(yb.value(), yf_per[ub], tag + " y");
     probe_loss(yb, probes[ub]).backward();
+    expect_same_bits(xb.grad(), gx_per[ub], tag + " x grad");
     Tensor gw_f = unfuse_blocks(fused.weight.grad(), B,
                                 plain[ub]->weight.shape())[ub];
-    EXPECT_LT(ops::max_abs_diff(gw_f, plain[ub]->weight.grad()), kTol);
+    expect_same_bits(plain[ub]->weight.grad(), gw_f, tag + " weight grad");
+    Tensor gb_f =
+        unfuse_blocks(fused.bias.grad(), B, plain[ub]->bias.shape())[ub];
+    expect_same_bits(plain[ub]->bias.grad(), gb_f, tag + " bias grad");
   }
-}
-
-void expect_same_bits(const Tensor& want, const Tensor& got,
-                      const std::string& tag) {
-  ASSERT_EQ(want.numel(), got.numel()) << tag;
-  EXPECT_EQ(std::memcmp(want.data(), got.data(),
-                        sizeof(float) * static_cast<size_t>(want.numel())),
-            0)
-      << tag;
 }
 
 // B linears fused into one batched_linear vs B plain ones. Block b of the
@@ -229,27 +247,29 @@ TEST_P(FusionB, StateTransferRejectsModelIndexOutsideArray) {
   // fused blocks — on a leaf and on a composite alike.
   const int64_t B = GetParam();
   Rng rng(660 + B);
-  FusedConv2d conv(B, 3, 4, 3, 1, 1, 1, true, rng);
+  nn::Conv2d conv(B * 3, B * 4, 3, 1, 1, B, true, rng);
   nn::Conv2d plain_conv(3, 4, 3, 1, 1, 1, true, rng);
   models::FusedBasicBlock block(B, 4, 8, 2, rng);
   models::BasicBlock plain_block(4, 8, 2, rng);
   for (const int64_t b : {int64_t{-1}, B}) {
-    EXPECT_THROW(conv.load_model(b, plain_conv), Error) << "b = " << b;
-    EXPECT_THROW(conv.store_model(b, plain_conv), Error) << "b = " << b;
+    EXPECT_THROW(load_state(state_map(conv), B, b, plain_conv), Error)
+        << "b = " << b;
+    EXPECT_THROW(store_state(state_map(conv), B, b, plain_conv), Error)
+        << "b = " << b;
     EXPECT_THROW(block.load_model(b, plain_block), Error) << "b = " << b;
     EXPECT_THROW(block.store_model(b, plain_block), Error) << "b = " << b;
   }
 }
 
-// B BatchNorms fused over B*C channels vs B plain ones, one training step
-// then one eval step. Per model, the output, the x, weight and bias grads
-// and the running stats must be bitwise equal: fused BN runs each model's
-// channels through the same per-channel chains as the plain layer.
-template <typename Fused, typename Plain>
+// B BatchNorms fused as one over B*C channels vs B plain ones, one training
+// step then one eval step. Per model, the output, the x, weight and bias
+// grads and the running stats must be bitwise equal: fused BN runs each
+// model's channels through the same per-channel chains as the plain layer.
+template <typename Plain>
 void expect_batch_norm_fuses_exactly(int64_t B, const Shape& shape,
                                      Rng& rng) {
   const int64_t C = shape[1];
-  Fused fused(B, C);
+  Plain fused(B * C);
   std::vector<std::shared_ptr<Plain>> plain;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < B; ++b) {
@@ -258,7 +278,7 @@ void expect_batch_norm_fuses_exactly(int64_t B, const Shape& shape,
     plain.back()->bias.mutable_value().copy_(Tensor::randn({C}, rng));
     plain.back()->running_mean.copy_(Tensor::randn({C}, rng));
     plain.back()->running_var.copy_(Tensor::rand({C}, rng, 0.5f, 2.f));
-    fused.load_model(b, *plain.back());
+    load_model(fused, B, b, *plain.back());
     xs.push_back(Tensor::randn(shape, rng));
   }
   for (const bool training : {true, false}) {
@@ -271,10 +291,10 @@ void expect_batch_norm_fuses_exactly(int64_t B, const Shape& shape,
     const auto y_per = unpack_channel_fused(yf.value(), B);
     const auto gx_per = unpack_channel_fused(xf.grad(), B);
     const auto probe_per = unpack_channel_fused(probe, B);
-    const auto gw_per = unfuse_blocks(fused.impl->weight.grad(), B, {C});
-    const auto gb_per = unfuse_blocks(fused.impl->bias.grad(), B, {C});
-    const auto rm_per = unfuse_blocks(fused.impl->running_mean, B, {C});
-    const auto rv_per = unfuse_blocks(fused.impl->running_var, B, {C});
+    const auto gw_per = unfuse_blocks(fused.weight.grad(), B, {C});
+    const auto gb_per = unfuse_blocks(fused.bias.grad(), B, {C});
+    const auto rm_per = unfuse_blocks(fused.running_mean, B, {C});
+    const auto rv_per = unfuse_blocks(fused.running_var, B, {C});
     for (int64_t b = 0; b < B; ++b) {
       const size_t ub = static_cast<size_t>(b);
       Plain& p = *plain[ub];
@@ -299,17 +319,14 @@ void expect_batch_norm_fuses_exactly(int64_t B, const Shape& shape,
 TEST_P(FusionB, BatchNorm2dTrainingAndEval) {
   const int64_t B = GetParam();
   Rng rng(700 + B);
-  expect_batch_norm_fuses_exactly<FusedBatchNorm2d, nn::BatchNorm2d>(
-      B, {4, 3, 5, 5}, rng);
+  expect_batch_norm_fuses_exactly<nn::BatchNorm2d>(B, {4, 3, 5, 5}, rng);
 }
 
 TEST_P(FusionB, BatchNorm1dOn2dAnd3dInputs) {
   const int64_t B = GetParam();
   Rng rng(800 + B);
-  expect_batch_norm_fuses_exactly<FusedBatchNorm1d, nn::BatchNorm1d>(
-      B, {6, 4}, rng);
-  expect_batch_norm_fuses_exactly<FusedBatchNorm1d, nn::BatchNorm1d>(
-      B, {3, 4, 7}, rng);
+  expect_batch_norm_fuses_exactly<nn::BatchNorm1d>(B, {6, 4}, rng);
+  expect_batch_norm_fuses_exactly<nn::BatchNorm1d>(B, {3, 4, 7}, rng);
 }
 
 TEST_P(FusionB, LayerNormPerModelAffine) {
@@ -381,11 +398,12 @@ TEST_P(FusionB, EmbeddingWithIndexOffsets) {
   for (int64_t b = 0; b < B; ++b) {
     const size_t ub = static_cast<size_t>(b);
     ag::Variable yb = plain[ub]->lookup(idxs[ub]);
+    const std::string tag = "model " + std::to_string(b);
     Tensor yf_b = yf.value().slice(0, b, b + 1).reshape({L, E});
-    EXPECT_LT(ops::max_abs_diff(yf_b, yb.value()), kTol);
+    expect_same_bits(yb.value(), yf_b, tag + " y");
     probe_loss(yb, probe.slice(0, b, b + 1).reshape({L, E})).backward();
     Tensor gw_f = unfuse_blocks(fused.weight.grad(), B, {V, E})[ub];
-    EXPECT_LT(ops::max_abs_diff(gw_f, plain[ub]->weight.grad()), kTol);
+    expect_same_bits(plain[ub]->weight.grad(), gw_f, tag + " weight grad");
   }
   // An id past the per-model vocab throws, as nn::Embedding does, instead
   // of reading the next model's block of the stacked table.
@@ -405,37 +423,28 @@ TEST_P(FusionB, PoolingOnFusedLayout) {
   for (int64_t b = 0; b < B; ++b)
     xs.push_back(Tensor::randn({2, 3, 8, 8}, rng));
   Tensor xf = pack_channel_fused(xs);
-  {
-    FusedMaxPool2d fused(B, 2, 2);
-    nn::MaxPool2d plain(2, 2);
-    Tensor yf = fused.forward(ag::Variable(xf)).value();
+  // The same layer runs the array on the channel-fused layout and each
+  // model on its own input.
+  auto expect_fuses = [&](nn::Module& pool, const std::string& name) {
+    Tensor yf = pool.forward(ag::Variable(xf)).value();
     auto per = unpack_channel_fused(yf, B);
     for (int64_t b = 0; b < B; ++b) {
       const size_t ub = static_cast<size_t>(b);
-      EXPECT_LT(ops::max_abs_diff(
-                    per[ub], plain.forward(ag::Variable(xs[ub])).value()),
-                kTol);
+      expect_same_bits(pool.forward(ag::Variable(xs[ub])).value(), per[ub],
+                       name + " model " + std::to_string(b));
     }
-  }
-  {
-    FusedAdaptiveAvgPool2d fused(B, 2, 2);
-    nn::AdaptiveAvgPool2d plain(2, 2);
-    Tensor yf = fused.forward(ag::Variable(xf)).value();
-    auto per = unpack_channel_fused(yf, B);
-    for (int64_t b = 0; b < B; ++b) {
-      const size_t ub = static_cast<size_t>(b);
-      EXPECT_LT(ops::max_abs_diff(
-                    per[ub], plain.forward(ag::Variable(xs[ub])).value()),
-                kTol);
-    }
-  }
+  };
+  nn::MaxPool2d max_pool(2, 2);
+  expect_fuses(max_pool, "MaxPool2d");
+  nn::AdaptiveAvgPool2d avg_pool(2, 2);
+  expect_fuses(avg_pool, "AdaptiveAvgPool2d");
 }
 
 TEST_P(FusionB, DropoutEvalIdentityOnFusedLayout) {
   const int64_t B = GetParam();
   Rng rng(1200 + B);
   Tensor x = Tensor::randn({2, B * 3, 4, 4}, rng);
-  FusedDropout2d drop(B, 0.5f);
+  nn::Dropout2d drop(0.5f, 0xd20);
   drop.eval();
   EXPECT_EQ(ops::max_abs_diff(drop.forward(ag::Variable(x)).value(), x), 0.f);
   drop.train();
@@ -461,12 +470,12 @@ TEST_P(FusionB, UnfusedBlockAdapterMatchesFusion) {
   const int64_t B = GetParam();
   Rng rng(1300 + B);
   const int64_t Cin = 3, Cout = 4;
-  FusedConv2d fused(B, Cin, Cout, 3, 1, 1, 1, true, rng);
+  nn::Conv2d fused(B * Cin, B * Cout, 3, 1, 1, B, true, rng);
   std::vector<std::shared_ptr<nn::Module>> reps;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < B; ++b) {
     auto conv = std::make_shared<nn::Conv2d>(Cin, Cout, 3, 1, 1, 1, true, rng);
-    fused.load_model(b, *conv);
+    load_model(fused, B, b, *conv);
     reps.push_back(conv);
     xs.push_back(Tensor::randn({2, Cin, 6, 6}, rng));
   }
@@ -474,13 +483,13 @@ TEST_P(FusionB, UnfusedBlockAdapterMatchesFusion) {
   Tensor xf = pack_channel_fused(xs);
   Tensor y_fused = fused.forward(ag::Variable(xf)).value();
   Tensor y_adapter = adapter.forward(ag::Variable(xf)).value();
-  EXPECT_LT(ops::max_abs_diff(y_fused, y_adapter), kTol);
+  expect_same_bits(y_fused, y_adapter, "adapter");
 }
 
 TEST_P(FusionB, CollectFusedParametersValidates) {
   const int64_t B = GetParam();
   Rng rng(1400 + B);
-  FusedConv2d fused(B, 3, 4, 3, 1, 1, 1, true, rng);
+  nn::Conv2d fused(B * 3, B * 4, 3, 1, 1, B, true, rng);
   auto fps = collect_fused_parameters(fused, B);
   EXPECT_EQ(fps.size(), 2u);
   for (const auto& fp : fps) EXPECT_EQ(fp.array_size, B);
