@@ -1,12 +1,13 @@
 // Autocast: scoped mixed-precision policy for the differentiable ops.
 //
 // Inside an AutocastGuard(kF16 / kBF16) scope, the GEMM/conv-class ops
-// (matmul, bmm, bmm_nt, linear, batched_linear, conv*, conv_transpose*) round
-// their tensor operands — NOT their biases — to the autocast dtype before
-// computing, and accumulate in f32, so the op class runs "fp32-accumulate
-// from low-precision inputs". Everything else is untouched: elementwise and
-// pooling ops run native on the (f32) activations that GEMMs produce, and
-// reductions/losses stay f32. Gradients are ALWAYS f32.
+// (matmul, bmm, bmm_nt, linear, batched_linear, attention's GEMMs, conv*,
+// conv_transpose*) round their tensor operands — NOT their biases — to the
+// autocast dtype before computing, and accumulate in f32, so the op class
+// runs "fp32-accumulate from low-precision inputs". Everything else is
+// untouched: elementwise and pooling ops run native on the (f32) activations
+// that GEMMs produce, and reductions/losses stay f32. Gradients are ALWAYS
+// f32.
 //
 // There is one formulation: each op captures the dtype BY VALUE as a
 // per-operand quantize policy, and the packed GEMM (directly, or behind

@@ -407,6 +407,23 @@ Variable batched_linear(const Variable& x, const Variable& w,
       });
 }
 
+Variable attention(const Variable& qkv, int64_t heads, const Tensor& mask) {
+  const DType q = gemm_quantize_dtype();
+  Tensor xv = qkv.value();
+  HFTA_CHECK(xv.dim() == 3, "attention: qkv must be [R, S, 3E], got ",
+             shape_str(xv.shape()));
+  // The probabilities, written by every run of the thunk (see layer_norm)
+  // and read by the backward.
+  Tensor probs = Tensor::empty({xv.size(0) * heads, xv.size(1), xv.size(1)});
+  auto fwd = [xv, heads, mask, probs, q](const Tensor& out) mutable {
+    return ops::attention_forward(xv, heads, mask, probs, q, out);
+  };
+  return make_op("attention", fwd({}), fwd, {qkv},
+                 [xv, probs, heads, q](const Tensor& gy) -> std::vector<Tensor> {
+                   return {ops::attention_backward(gy, xv, probs, heads, q)};
+                 });
+}
+
 // ---- convolution ----------------------------------------------------------------
 
 // Operand policies: forward (x:q, w:q); grad_input (gy:f32, w:q);

@@ -46,7 +46,7 @@ Variable gelu(const Variable& a);
 // ---- matmul family ---------------------------------------------------------
 Variable matmul(const Variable& a, const Variable& b);
 Variable bmm(const Variable& a, const Variable& b);
-/// a @ b with b transposed on its last two dims (attention scores).
+/// a @ b with b transposed on its last two dims.
 Variable bmm_nt(const Variable& a, const Variable& b);
 /// x [.., in] @ w [out, in]^T + b [out] (b may be undefined).
 Variable linear(const Variable& x, const Variable& w, const Variable& b);
@@ -55,6 +55,13 @@ Variable linear(const Variable& x, const Variable& w, const Variable& b);
 /// x[b], w[b], b[b] (ops::batched_linear_forward).
 Variable batched_linear(const Variable& x, const Variable& w,
                         const Variable& b);
+/// Multi-head self-attention off the input projection as one op
+/// (ops::attention_forward): qkv [R, S, 3E] -> merged context [R, S, E],
+/// softmax((q·kᵀ)/√Dh + mask)·v per head, mask [S, S] or undefined. Values
+/// and the qkv gradient are bit-identical to the composed chain (chunk,
+/// head-split permutes, bmm_nt, mul_scalar, add, softmax, bmm, merge
+/// permute); under autocast its GEMMs take bmm_nt's and bmm's policies.
+Variable attention(const Variable& qkv, int64_t heads, const Tensor& mask);
 
 // ---- convolution -------------------------------------------------------------
 Variable conv2d(const Variable& x, const Variable& w, const Variable& b,

@@ -74,6 +74,14 @@ bool simd_available();
 /// trip through the scalar converters in core/half.h is the definition both
 /// backends match bit-for-bit — so autocast needs no cast tensors and no
 /// separate rounding pass.
+///
+/// lda/ldb/ldc are the row strides of the stored operands, so a GEMM can
+/// read a column block of a wider matrix (one head's q, k or v inside a
+/// [S, 3E] projection) and write into one (a head's columns of [S, E]);
+/// 0 means dense (the stored row length). Strides only move where each
+/// element is read or written: packing reads the same values, so every C
+/// element keeps its one chain and its bits. C's columns past n in a
+/// strided row are never touched.
 struct GemmArgs {
   const float* a = nullptr;  // row-major [m,k], or [k,m] when trans_a
   DType a_type = DType::kF32;
@@ -83,6 +91,7 @@ struct GemmArgs {
   bool trans_b = false;
   float* c = nullptr;  // row-major [m,n]
   int64_t m = 0, n = 0, k = 0;
+  int64_t lda = 0, ldb = 0, ldc = 0;
   float alpha = 1.f;
   float beta = 0.f;
   /// Packing scratch of >= gemm_scratch_floats(m,n,k) floats, or nullptr to

@@ -91,10 +91,10 @@ struct Kern {
 
   /// Packs all kNR-column panels of the logical B[k0..k0+kc) x [0..n) into
   /// dst: panel jp holds kc rows of kNR contiguous floats (zero-padded past
-  /// n). Runs on the launching thread (the panels are shared by every row
-  /// block).
+  /// n). ldb is the stored operand's row stride. Runs on the launching
+  /// thread (the panels are shared by every row block).
   template <int PT, bool TB>
-  static void pack_b(const float* b, int64_t n, int64_t k, int64_t k0,
+  static void pack_b(const float* b, int64_t n, int64_t ldb, int64_t k0,
                      int64_t kc, float* dst) {
     const int64_t nb = ceil_div(n, kNR);
     for (int64_t jp = 0; jp < nb; ++jp) {
@@ -106,7 +106,7 @@ struct Kern {
           // Full panel of a row-major [k,n] operand: two vector copies (with
           // in-flight quantization under a quantize policy) per k row.
           for (int64_t p = 0; p < kc; ++p) {
-            const float* bp = b + (k0 + p) * n + j0;
+            const float* bp = b + (k0 + p) * ldb + j0;
             if constexpr (PT == 0) {
               T::store(d + p * kNR, T::load(bp));
               T::store(d + p * kNR + kLanes, T::load(bp + kLanes));
@@ -120,7 +120,7 @@ struct Kern {
           // Partial panel under a quantize policy: quantize vector strips
           // straight from the contiguous row.
           for (int64_t p = 0; p < kc; ++p) {
-            const float* bp = b + (k0 + p) * n + j0;
+            const float* bp = b + (k0 + p) * ldb + j0;
             const int64_t j1 = std::min<int64_t>(jn, kLanes);
             T::maskstore(d + p * kNR, j1,
                          quantize_v<PT>(T::maskload(bp, j1)));
@@ -133,7 +133,7 @@ struct Kern {
         } else {
           for (int64_t p = 0; p < kc; ++p) {
             for (int64_t j = 0; j < jn; ++j)
-              d[p * kNR + j] = b[(k0 + p) * n + j0 + j];
+              d[p * kNR + j] = b[(k0 + p) * ldb + j0 + j];
             for (int64_t j = jn; j < kNR; ++j) d[p * kNR + j] = 0.f;
           }
         }
@@ -147,13 +147,13 @@ struct Kern {
           // loop the f32 path runs.
           alignas(64) float q[kKC];
           for (int64_t j = 0; j < jn; ++j) {
-            quantize_strip<PT>(b + (j0 + j) * k + k0, q, kc);
+            quantize_strip<PT>(b + (j0 + j) * ldb + k0, q, kc);
             for (int64_t p = 0; p < kc; ++p) d[p * kNR + j] = q[p];
           }
         } else {
           for (int64_t j = 0; j < jn; ++j)
             for (int64_t p = 0; p < kc; ++p)
-              d[p * kNR + j] = b[(j0 + j) * k + k0 + p];
+              d[p * kNR + j] = b[(j0 + j) * ldb + k0 + p];
         }
         for (int64_t j = jn; j < kNR; ++j)
           for (int64_t p = 0; p < kc; ++p) d[p * kNR + j] = 0.f;
@@ -163,19 +163,19 @@ struct Kern {
 
   /// Packs one kMR-row micro-panel of the logical A (rows [i0, i0+ir),
   /// k-range [k0, k0+kc)) into d, folding alpha (one rounding, identical on
-  /// every path) and zero-padding past ir. Runs inside the row-block
-  /// parallel body — each block writes only its own disjoint region.
+  /// every path) and zero-padding past ir. lda is the stored operand's row
+  /// stride. Runs inside the row-block parallel body — each block writes
+  /// only its own disjoint region.
   template <int PT, bool TA>
-  static void pack_a(const float* a, int64_t m, int64_t k, int64_t i0,
-                     int64_t ir, int64_t k0, int64_t kc, float alpha,
-                     float* d) {
+  static void pack_a(const float* a, int64_t lda, int64_t i0, int64_t ir,
+                     int64_t k0, int64_t kc, float alpha, float* d) {
     if constexpr (PT != 0 && !TA) {
       // Quantize-on-pack: each row's k-strip is contiguous, so quantize it
       // with vector round trips into a stack strip first; the strided
       // scatter below is then identical to the f32 path's.
       alignas(64) float q[kKC];
       for (int64_t r = 0; r < ir; ++r) {
-        quantize_strip<PT>(a + (i0 + r) * k + k0, q, kc);
+        quantize_strip<PT>(a + (i0 + r) * lda + k0, q, kc);
         for (int64_t p = 0; p < kc; ++p) d[p * kMR + r] = alpha * q[p];
       }
     } else if constexpr (PT != 0 && TA) {
@@ -184,22 +184,20 @@ struct Kern {
       // each slice (dead lanes load 0.0 and are never stored).
       const V av = T::set1(alpha);
       for (int64_t p = 0; p < kc; ++p) {
-        const V v = quantize_v<PT>(T::maskload(a + (k0 + p) * m + i0, ir));
+        const V v = quantize_v<PT>(T::maskload(a + (k0 + p) * lda + i0, ir));
         T::maskstore(d + p * kMR, ir, T::mul(av, v));
       }
     } else if constexpr (!TA) {
       for (int64_t r = 0; r < ir; ++r)
         for (int64_t p = 0; p < kc; ++p)
-          d[p * kMR + r] = alpha * a[(i0 + r) * k + k0 + p];
+          d[p * kMR + r] = alpha * a[(i0 + r) * lda + k0 + p];
     } else {
       for (int64_t p = 0; p < kc; ++p)
         for (int64_t r = 0; r < ir; ++r)
-          d[p * kMR + r] = alpha * a[(k0 + p) * m + i0 + r];
+          d[p * kMR + r] = alpha * a[(k0 + p) * lda + i0 + r];
     }
     for (int64_t r = ir; r < kMR; ++r)
       for (int64_t p = 0; p < kc; ++p) d[p * kMR + r] = 0.f;
-    (void)m;
-    (void)k;
   }
 
   // Partial-width load/store of one accumulator vector: `cols` is how many
@@ -278,41 +276,38 @@ struct Kern {
     emit(5, a5_0, a5_1);
   }
 
-  static void pack_b_dispatch(const GemmArgs& g, int64_t k0, int64_t kc,
-                              float* pb) {
+  static void pack_b_dispatch(const GemmArgs& g, int64_t ldb, int64_t k0,
+                              int64_t kc, float* pb) {
     switch (g.b_type) {
       case DType::kF16:
-        g.trans_b ? pack_b<1, true>(g.b, g.n, g.k, k0, kc, pb)
-                  : pack_b<1, false>(g.b, g.n, g.k, k0, kc, pb);
+        g.trans_b ? pack_b<1, true>(g.b, g.n, ldb, k0, kc, pb)
+                  : pack_b<1, false>(g.b, g.n, ldb, k0, kc, pb);
         break;
       case DType::kBF16:
-        g.trans_b ? pack_b<2, true>(g.b, g.n, g.k, k0, kc, pb)
-                  : pack_b<2, false>(g.b, g.n, g.k, k0, kc, pb);
+        g.trans_b ? pack_b<2, true>(g.b, g.n, ldb, k0, kc, pb)
+                  : pack_b<2, false>(g.b, g.n, ldb, k0, kc, pb);
         break;
       default:
-        g.trans_b ? pack_b<0, true>(g.b, g.n, g.k, k0, kc, pb)
-                  : pack_b<0, false>(g.b, g.n, g.k, k0, kc, pb);
+        g.trans_b ? pack_b<0, true>(g.b, g.n, ldb, k0, kc, pb)
+                  : pack_b<0, false>(g.b, g.n, ldb, k0, kc, pb);
         break;
     }
   }
 
-  static void pack_a_dispatch(const GemmArgs& g, int64_t i0, int64_t ir,
-                              int64_t k0, int64_t kc, float* pa) {
+  static void pack_a_dispatch(const GemmArgs& g, int64_t lda, int64_t i0,
+                              int64_t ir, int64_t k0, int64_t kc, float* pa) {
     switch (g.a_type) {
       case DType::kF16:
-        g.trans_a ? pack_a<1, true>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha, pa)
-                  : pack_a<1, false>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha,
-                                     pa);
+        g.trans_a ? pack_a<1, true>(g.a, lda, i0, ir, k0, kc, g.alpha, pa)
+                  : pack_a<1, false>(g.a, lda, i0, ir, k0, kc, g.alpha, pa);
         break;
       case DType::kBF16:
-        g.trans_a ? pack_a<2, true>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha, pa)
-                  : pack_a<2, false>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha,
-                                     pa);
+        g.trans_a ? pack_a<2, true>(g.a, lda, i0, ir, k0, kc, g.alpha, pa)
+                  : pack_a<2, false>(g.a, lda, i0, ir, k0, kc, g.alpha, pa);
         break;
       default:
-        g.trans_a ? pack_a<0, true>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha, pa)
-                  : pack_a<0, false>(g.a, g.m, g.k, i0, ir, k0, kc, g.alpha,
-                                     pa);
+        g.trans_a ? pack_a<0, true>(g.a, lda, i0, ir, k0, kc, g.alpha, pa)
+                  : pack_a<0, false>(g.a, lda, i0, ir, k0, kc, g.alpha, pa);
         break;
     }
   }
@@ -320,13 +315,19 @@ struct Kern {
   static void gemm(const GemmArgs& g, float* scratch) {
     const int64_t m = g.m, n = g.n, k = g.k;
     if (m <= 0 || n <= 0) return;
+    // Leading dimensions: 0 means the dense row stride of that operand.
+    const int64_t lda = g.lda != 0 ? g.lda : (g.trans_a ? m : k);
+    const int64_t ldb = g.ldb != 0 ? g.ldb : (g.trans_b ? k : n);
+    const int64_t ldc = g.ldc != 0 ? g.ldc : n;
     if (k <= 0) {
       // Degenerate contraction: C is just its beta term.
-      float* c = g.c;
-      if (g.beta == 0.f) {
-        for (int64_t i = 0; i < m * n; ++i) c[i] = 0.f;
-      } else if (g.beta != 1.f) {
-        for (int64_t i = 0; i < m * n; ++i) c[i] = g.beta * c[i];
+      for (int64_t i = 0; i < m; ++i) {
+        float* c = g.c + i * ldc;
+        if (g.beta == 0.f) {
+          for (int64_t j = 0; j < n; ++j) c[j] = 0.f;
+        } else if (g.beta != 1.f) {
+          for (int64_t j = 0; j < n; ++j) c[j] = g.beta * c[j];
+        }
       }
       return;
     }
@@ -337,18 +338,18 @@ struct Kern {
     float* pa = scratch + nb * kNR * kcp;
     for (int64_t k0 = 0; k0 < k; k0 += kcp) {
       const int64_t kc = std::min<int64_t>(kcp, k - k0);
-      pack_b_dispatch(g, k0, kc, pb);
+      pack_b_dispatch(g, ldb, k0, kc, pb);
       const bool first = (k0 == 0);
       parallel_for(Partition::rows(mb), [&](int64_t lo, int64_t hi) {
         for (int64_t ib = lo; ib < hi; ++ib) {
           const int64_t i0 = ib * kMR;
           const int64_t ir = std::min<int64_t>(kMR, m - i0);
           float* apanel = pa + ib * kMR * kc;
-          pack_a_dispatch(g, i0, ir, k0, kc, apanel);
+          pack_a_dispatch(g, lda, i0, ir, k0, kc, apanel);
           for (int64_t jp = 0; jp < nb; ++jp) {
             const int64_t jn = std::min<int64_t>(kNR, n - jp * kNR);
-            micro(apanel, pb + jp * kNR * kc, g.c + i0 * n + jp * kNR, n, kc,
-                  ir, jn, g.beta, first);
+            micro(apanel, pb + jp * kNR * kc, g.c + i0 * ldc + jp * kNR, ldc,
+                  kc, ir, jn, g.beta, first);
           }
         }
       });

@@ -1,17 +1,10 @@
 #include "hfta/fused_attention.h"
 
-#include <cmath>
-
-#include "tensor/ops.h"
-
 namespace hfta::fused {
 
 FusedMultiheadAttention::FusedMultiheadAttention(int64_t B, int64_t embed_dim,
                                                  int64_t num_heads, Rng& rng)
-    : FusedModule(B),
-      embed_dim(embed_dim),
-      num_heads(num_heads),
-      head_dim(embed_dim / num_heads) {
+    : FusedModule(B), embed_dim(embed_dim), num_heads(num_heads) {
   HFTA_CHECK(embed_dim % num_heads == 0,
              "FusedMultiheadAttention: embed_dim % num_heads != 0");
   in_proj = register_module(
@@ -33,35 +26,14 @@ ag::Variable FusedMultiheadAttention::forward_masked(const ag::Variable& x,
              "FusedMultiheadAttention: expected [B, N, S, E], got ",
              shape_str(x.shape()));
   const int64_t B = array_size_, N = x.size(1), S = x.size(2);
-  const int64_t H = num_heads, Dh = head_dim;
-
-  ag::Variable flat = ag::reshape(x, {B, N * S, embed_dim});
-  ag::Variable qkv = in_proj->forward(flat);  // [B, N*S, 3E]
-  std::vector<ag::Variable> parts = ag::chunk(qkv, 3, 2);
-  auto heads = [&](const ag::Variable& t) {
-    // [B, N*S, E] -> [B*N*H, S, Dh]
-    ag::Variable r = ag::reshape(t, {B, N, S, H, Dh});
-    r = ag::permute(r, {0, 1, 3, 2, 4});  // [B, N, H, S, Dh]
-    return ag::reshape(r, {B * N * H, S, Dh});
-  };
-  ag::Variable q = heads(parts[0]);
-  ag::Variable k = heads(parts[1]);
-  ag::Variable v = heads(parts[2]);
-
-  ag::Variable scores = ag::mul_scalar(
-      ag::bmm_nt(q, k), 1.f / std::sqrt(static_cast<float>(Dh)));
-  if (mask.defined()) {
-    HFTA_CHECK(mask.dim() == 2 && mask.size(0) == S && mask.size(1) == S,
-               "attention mask must be [S, S]");
-    scores = ag::add(scores, ag::constant(mask));
-  }
-  ag::Variable attn = ag::softmax(scores, -1);       // [B*N*H, S, S]
-  ag::Variable ctx = ag::bmm(attn, v);               // [B*N*H, S, Dh]
-  ctx = ag::reshape(ctx, {B, N, H, S, Dh});
-  ctx = ag::permute(ctx, {0, 1, 3, 2, 4});           // [B, N, S, H, Dh]
-  ctx = ag::reshape(ctx, {B, N * S, embed_dim});
-  ag::Variable out = out_proj->forward(ctx);
-  return ag::reshape(out, {B, N, S, embed_dim});
+  const int64_t E = embed_dim;
+  // The B*N sequences of the array are one attention problem: model b's
+  // sequence n is row b*N + n of the [B*N, S, 3E] view of the projection.
+  ag::Variable qkv = in_proj->forward(ag::reshape(x, {B, N * S, E}));
+  ag::Variable ctx =
+      ag::attention(ag::reshape(qkv, {B * N, S, 3 * E}), num_heads, mask);
+  ag::Variable out = out_proj->forward(ag::reshape(ctx, {B, N * S, E}));
+  return ag::reshape(out, {B, N, S, E});
 }
 
 FusedTransformerEncoderLayer::FusedTransformerEncoderLayer(

@@ -22,7 +22,7 @@ class FusedMultiheadAttention : public FusedModule {
 
   std::shared_ptr<FusedLinear> in_proj;   // E -> 3E
   std::shared_ptr<FusedLinear> out_proj;  // E -> E
-  int64_t embed_dim, num_heads, head_dim;
+  int64_t embed_dim, num_heads;
 };
 
 class FusedTransformerEncoderLayer : public FusedModule {

@@ -8,9 +8,7 @@ namespace hfta::models {
 
 MultiheadAttention::MultiheadAttention(int64_t embed_dim, int64_t num_heads,
                                        Rng& rng)
-    : embed_dim(embed_dim),
-      num_heads(num_heads),
-      head_dim(embed_dim / num_heads) {
+    : embed_dim(embed_dim), num_heads(num_heads) {
   HFTA_CHECK(embed_dim % num_heads == 0, "embed_dim % num_heads != 0");
   in_proj = register_module(
       "in_proj", std::make_shared<nn::Linear>(embed_dim, 3 * embed_dim, true,
@@ -26,24 +24,8 @@ ag::Variable MultiheadAttention::forward(const ag::Variable& x) {
 
 ag::Variable MultiheadAttention::forward_masked(const ag::Variable& x,
                                                 const Tensor& mask) {
-  const int64_t N = x.size(0), S = x.size(1);
-  const int64_t H = num_heads, Dh = head_dim;
   ag::Variable qkv = in_proj->forward(x);  // [N, S, 3E]
-  auto parts = ag::chunk(qkv, 3, 2);
-  auto heads = [&](const ag::Variable& t) {
-    ag::Variable r = ag::reshape(t, {N, S, H, Dh});
-    r = ag::permute(r, {0, 2, 1, 3});  // [N, H, S, Dh]
-    return ag::reshape(r, {N * H, S, Dh});
-  };
-  ag::Variable q = heads(parts[0]), k = heads(parts[1]), v = heads(parts[2]);
-  ag::Variable scores = ag::mul_scalar(
-      ag::bmm_nt(q, k), 1.f / std::sqrt(static_cast<float>(Dh)));
-  if (mask.defined()) scores = ag::add(scores, ag::constant(mask));
-  ag::Variable ctx = ag::bmm(ag::softmax(scores, -1), v);  // [N*H, S, Dh]
-  ctx = ag::reshape(ctx, {N, H, S, Dh});
-  ctx = ag::permute(ctx, {0, 2, 1, 3});
-  ctx = ag::reshape(ctx, {N, S, embed_dim});
-  return out_proj->forward(ctx);
+  return out_proj->forward(ag::attention(qkv, num_heads, mask));
 }
 
 TransformerEncoderLayer::TransformerEncoderLayer(int64_t embed_dim,

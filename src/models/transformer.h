@@ -20,7 +20,7 @@ class MultiheadAttention : public nn::Module {
 
   std::shared_ptr<nn::Linear> in_proj;   // E -> 3E
   std::shared_ptr<nn::Linear> out_proj;  // E -> E
-  int64_t embed_dim, num_heads, head_dim;
+  int64_t embed_dim, num_heads;
 };
 
 /// Plain post-norm encoder layer (same op order as the fused one).

@@ -1,5 +1,8 @@
 #include "tensor/matmul.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/parallel.h"
 #include "core/storage_pool.h"
 #include "core/vec.h"
@@ -135,6 +138,156 @@ Tensor bmm_tn(const Tensor& a, const Tensor& b, DType qa, DType qb) {
 Tensor bmm_nt(const Tensor& a, const Tensor& b, DType qa, DType qb,
               const Tensor& out) {
   return bmm_impl(a, b, false, true, qa, qb, out);
+}
+
+namespace {
+// One GEMM of the attention kernels: C = A'·B' over [m, k] x [k, n] operands
+// read, and a C written, through their leading dimensions.
+void head_gemm(const float* a, int64_t lda, bool ta, DType qa, const float* b,
+               int64_t ldb, bool tb, DType qb, float* c, int64_t ldc,
+               int64_t m, int64_t n, int64_t k, float* scratch) {
+  vec::GemmArgs g;
+  g.a = a;
+  g.lda = lda;
+  g.trans_a = ta;
+  g.a_type = qa;
+  g.b = b;
+  g.ldb = ldb;
+  g.trans_b = tb;
+  g.b_type = qb;
+  g.c = c;
+  g.ldc = ldc;
+  g.m = m;
+  g.n = n;
+  g.k = k;
+  g.scratch = scratch;
+  vec::gemm(g);
+}
+
+// The shape of an attention problem: R sequences of S positions, E = H*Dh.
+struct AttentionDims {
+  int64_t R, S, E, H, Dh;
+
+  AttentionDims(const Tensor& qkv, int64_t heads) {
+    HFTA_CHECK(qkv.dim() == 3 && heads > 0 && qkv.size(2) % (3 * heads) == 0,
+               "attention: qkv ", shape_str(qkv.shape()),
+               " is not [R, S, 3E] with E divisible by ", heads, " heads");
+    R = qkv.size(0);
+    S = qkv.size(1);
+    E = qkv.size(2) / 3;
+    H = heads;
+    Dh = E / H;
+  }
+  // Per-chunk GEMM packing scratch: every attention GEMM is S x S x Dh or
+  // S x Dh x S.
+  int64_t gemm_slot() const {
+    return std::max(vec::gemm_scratch_floats(S, S, Dh),
+                    vec::gemm_scratch_floats(S, Dh, S));
+  }
+  float scale() const { return 1.f / std::sqrt(static_cast<float>(Dh)); }
+};
+}  // namespace
+
+Tensor attention_forward(const Tensor& qkv, int64_t heads, const Tensor& mask,
+                         Tensor& probs, DType q, const Tensor& out) {
+  const AttentionDims d(qkv, heads);
+  const int64_t S = d.S, E = d.E, H = d.H, Dh = d.Dh;
+  HFTA_CHECK(probs.shape() == (Shape{d.R * H, S, S}), "attention: probs ",
+             shape_str(probs.shape()), " for ", shape_str(qkv.shape()));
+  HFTA_CHECK(!mask.defined() || mask.shape() == (Shape{S, S}),
+             "attention mask must be [S, S], got ", shape_str(mask.shape()));
+  Tensor ctx = Tensor::empty_or(out, {d.R, S, E});
+  const float scale = d.scale();
+  // GEMM scratch hoisted on the launching thread, one slot per chunk
+  // (DESIGN §10), as in bmm_impl.
+  const Partition part = Partition::rows(d.R * H);
+  const int64_t slot = d.gemm_slot();
+  PooledBuffer scratch(part.num_chunks() * slot);
+  float* ps = scratch.data();
+  const float* px = qkv.data();
+  const float* pm = mask.defined() ? mask.data() : nullptr;
+  float* pp = probs.data();
+  float* pc = ctx.data();
+  parallel_for(part, [&](int64_t lo, int64_t hi) {
+    float* ws = ps + part.chunk_index(lo) * slot;
+    for (int64_t i = lo; i < hi; ++i) {
+      const int64_t r = i / H, h = i % H;
+      const float* qh = px + r * S * 3 * E + h * Dh;
+      const float* kh = qh + E;
+      const float* vh = qh + 2 * E;
+      float* p = pp + i * S * S;
+      head_gemm(qh, 3 * E, false, q, kh, 3 * E, true, q, p, S, S, S, Dh, ws);
+      for (int64_t s = 0; s < S; ++s) {
+        float* row = p + s * S;
+        vec::unary(vec::UnOp::kMulScalar, scale, 0.f, row, row, S);
+        if (pm != nullptr)
+          vec::binary(vec::BinOp::kAdd, row, pm + s * S, row, S);
+        softmax_row(row, row, S, 1);
+      }
+      head_gemm(p, S, false, q, vh, 3 * E, false, q, pc + r * S * E + h * Dh,
+                E, S, Dh, S, ws);
+    }
+  });
+  return ctx;
+}
+
+Tensor attention_backward(const Tensor& gctx, const Tensor& qkv,
+                          const Tensor& probs, int64_t heads, DType q,
+                          const Tensor& score_grad) {
+  const AttentionDims d(qkv, heads);
+  const int64_t S = d.S, E = d.E, H = d.H, Dh = d.Dh;
+  const Shape probs_shape = {d.R * H, S, S};
+  HFTA_CHECK(gctx.shape() == (Shape{d.R, S, E}) &&
+                 probs.shape() == probs_shape &&
+                 (!score_grad.defined() || score_grad.shape() == probs_shape),
+             "attention_backward: gctx ", shape_str(gctx.shape()), ", probs ",
+             shape_str(probs.shape()), " for ", shape_str(qkv.shape()));
+  // Every element is written by exactly one GEMM (dq, dk or dv of one
+  // head), so there is no zero-fill and no scatter (DESIGN §2).
+  Tensor gqkv = Tensor::empty(qkv.shape());
+  const float scale = d.scale();
+  // Per chunk: the score gradient of one head, then GEMM scratch.
+  const Partition part = Partition::rows(d.R * H);
+  const int64_t slot = S * S + d.gemm_slot();
+  PooledBuffer scratch(part.num_chunks() * slot);
+  float* ps = scratch.data();
+  const float* px = qkv.data();
+  const float* pp = probs.data();
+  const float* pg = gctx.data();
+  Tensor sg = score_grad;
+  float* psg = sg.defined() ? sg.data() : nullptr;
+  float* po = gqkv.data();
+  const DType f32 = DType::kF32;
+  parallel_for(part, [&](int64_t lo, int64_t hi) {
+    float* own = ps + part.chunk_index(lo) * slot;
+    float* ws = own + S * S;
+    for (int64_t i = lo; i < hi; ++i) {
+      const int64_t r = i / H, h = i % H;
+      const int64_t off = r * S * 3 * E + h * Dh;
+      const float* qh = px + off;
+      const float* kh = qh + E;
+      const float* vh = qh + 2 * E;
+      const float* gc = pg + r * S * E + h * Dh;
+      const float* p = pp + i * S * S;
+      float* g = psg != nullptr ? psg + i * S * S : own;
+      // dp = gctx·vᵀ and dv = pᵀ·gctx (bmm's backward).
+      head_gemm(gc, E, false, f32, vh, 3 * E, true, q, g, S, S, S, Dh, ws);
+      head_gemm(p, S, true, q, gc, E, false, f32, po + off + 2 * E, 3 * E, S,
+                Dh, S, ws);
+      // ds = (softmax backward of dp)·(1/√Dh); the mask add passes it on.
+      for (int64_t s = 0; s < S; ++s) {
+        float* row = g + s * S;
+        softmax_backward_row(row, p + s * S, row, S, 1);
+        vec::unary(vec::UnOp::kMulScalar, scale, 0.f, row, row, S);
+      }
+      // dq = ds·k and dk = dsᵀ·q (bmm_nt's backward).
+      head_gemm(g, S, false, f32, kh, 3 * E, false, q, po + off, 3 * E, S, Dh,
+                S, ws);
+      head_gemm(g, S, true, f32, qh, 3 * E, false, q, po + off + E, 3 * E, S,
+                Dh, S, ws);
+    }
+  });
+  return gqkv;
 }
 
 namespace {

@@ -51,6 +51,34 @@ Tensor bmm_tn(const Tensor& a, const Tensor& b, DType qa = DType::kF32,
 Tensor bmm_nt(const Tensor& a, const Tensor& b, DType qa = DType::kF32,
               DType qb = DType::kF32, const Tensor& out = Tensor());
 
+/// Multi-head scaled dot-product self-attention straight off the input
+/// projection: qkv [R, S, 3E] holds q, k and v side by side (each [R, S, E],
+/// head h in columns [h*Dh, (h+1)*Dh), Dh = E / heads) -> ctx [R, S, E],
+/// heads merged the same way. Per (r, h) it computes
+/// p = softmax((q·kᵀ)·(1/√Dh) + mask) and ctx = p·v, with the roundings
+/// of that composed chain (bmm_nt, mul_scalar, a broadcast add of `mask`,
+/// softmax, bmm): the GEMMs read each head's q, k and v in place through
+/// their leading dimensions and write its context columns in place, so no
+/// head split or merge is ever copied. `mask` is [S, S] or undefined. The
+/// probabilities are written into `probs` [R*heads, S, S], which
+/// attention_backward reads. Both GEMMs quantize both operands with `q`.
+/// One parallel_for over the R*heads (r, h) pairs.
+Tensor attention_forward(const Tensor& qkv, int64_t heads, const Tensor& mask,
+                         Tensor& probs, DType q = DType::kF32,
+                         const Tensor& out = Tensor());
+
+/// Gradient of attention_forward with respect to qkv, given gctx [R, S, E]
+/// and the probabilities that call left: dq, dk and dv are written straight
+/// into the [R, S, 3E] result, with the roundings of the composed chain's
+/// backward (the operand policies are gctx·vᵀ (f32, q), pᵀ·gctx (q, f32),
+/// ds·k (f32, q) and dsᵀ·q (f32, q), ds the score gradient). When
+/// `score_grad` [R*heads, S, S] is defined, ds is left there for
+/// inspection; it is per-chunk scratch otherwise.
+Tensor attention_backward(const Tensor& gctx, const Tensor& qkv,
+                          const Tensor& probs, int64_t heads,
+                          DType q = DType::kF32,
+                          const Tensor& score_grad = Tensor());
+
 /// PyTorch-convention linear: x [.., in] @ w[out, in]^T + b[out].
 /// qx/qw quantize x and w; the bias add stays f32.
 Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,

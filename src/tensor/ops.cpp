@@ -528,22 +528,24 @@ void rowwise(const Tensor& a, int64_t dim, Fn fn) {
 // strip/tree shape on every backend and at every thread count, so fused ==
 // serial == scalar-build holds bitwise (see DESIGN.md §11).
 
+void softmax_row(const float* x, float* y, int64_t n, int64_t st) {
+  const float mx = vec::row_max(x, st, n);
+  const float z = vec::row_sumexp(x, st, n, mx, y);
+  const float inv = 1.f / z;
+  if (st == 1) {
+    vec::unary(vec::UnOp::kMulScalar, inv, 0.f, y, y, n);
+  } else {
+    for (int64_t i = 0; i < n; ++i) y[i * st] *= inv;
+  }
+}
+
 Tensor softmax(const Tensor& a, int64_t dim, const Tensor& out) {
   if (dim < 0) dim += a.dim();
   Tensor result = Tensor::empty_or(out, a.shape());
   const float* pa = a.data();
   float* po = result.data();
   rowwise(a, dim, [&](int64_t off, int64_t n, int64_t st) {
-    const float* x = pa + off;
-    float* y = po + off;
-    const float mx = vec::row_max(x, st, n);
-    const float z = vec::row_sumexp(x, st, n, mx, y);
-    const float inv = 1.f / z;
-    if (st == 1) {
-      vec::unary(vec::UnOp::kMulScalar, inv, 0.f, y, y, n);
-    } else {
-      for (int64_t i = 0; i < n; ++i) y[i * st] *= inv;
-    }
+    softmax_row(pa + off, po + off, n, st);
   });
   return result;
 }
@@ -577,6 +579,17 @@ Tensor log_softmax_backward(const Tensor& gy, const Tensor& log_probs,
   return sub(gy, mul(exp(log_probs), sum_gy));
 }
 
+void softmax_backward_row(const float* gy, const float* y, float* gx,
+                          int64_t n, int64_t st) {
+  // The roundings of the composed mul(y, sub(gy, sum(mul(gy, y), {dim}))):
+  // sum's chain is ascending from +0 along the row (its generic walk and
+  // vec::col_sum agree on that), and each output is one subtract and one
+  // multiply.
+  float dot = 0.f;
+  for (int64_t i = 0; i < n; ++i) dot += gy[i * st] * y[i * st];
+  for (int64_t i = 0; i < n; ++i) gx[i * st] = y[i * st] * (gy[i * st] - dot);
+}
+
 Tensor softmax_backward(const Tensor& gy, const Tensor& y, int64_t dim) {
   if (dim < 0) dim += gy.dim();
   HFTA_CHECK(gy.shape() == y.shape(), "softmax_backward: gy ",
@@ -585,17 +598,8 @@ Tensor softmax_backward(const Tensor& gy, const Tensor& y, int64_t dim) {
   const float* pg = gy.data();
   const float* py = y.data();
   float* px = gx.data();
-  // One pass per row with the roundings of the composed
-  // mul(y, sub(gy, sum(mul(gy, y), {dim}))): sum's chain is ascending from
-  // +0 along the row (its generic walk and vec::col_sum agree on that), and
-  // each output is one subtract and one multiply.
   rowwise(y, dim, [&](int64_t off, int64_t n, int64_t st) {
-    float dot = 0.f;
-    for (int64_t i = 0; i < n; ++i) dot += pg[off + i * st] * py[off + i * st];
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t k = off + i * st;
-      px[k] = py[k] * (pg[k] - dot);
-    }
+    softmax_backward_row(pg + off, py + off, px + off, n, st);
   });
   return gx;
 }

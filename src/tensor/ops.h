@@ -100,6 +100,13 @@ Tensor log_softmax_backward(const Tensor& gy, const Tensor& log_probs,
 /// Backward of softmax: gx = y * (gy - sum(gy * y, dim)), one pass per row
 /// with the roundings of that composition (an ascending dot from +0).
 Tensor softmax_backward(const Tensor& gy, const Tensor& y, int64_t dim);
+/// The row bodies of softmax and softmax_backward, shared with the
+/// attention kernel (tensor/matmul.h) so each rounding sequence exists in
+/// one place: one row of n elements at stride st. y may alias x, and gx
+/// may alias gy.
+void softmax_row(const float* x, float* y, int64_t n, int64_t st);
+void softmax_backward_row(const float* gy, const float* y, float* gx,
+                          int64_t n, int64_t st);
 
 // ---- batch norm ------------------------------------------------------------------
 

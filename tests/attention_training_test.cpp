@@ -14,6 +14,7 @@
 #include "models/bert.h"
 #include "models/transformer.h"
 #include "nn/optim.h"
+#include "tensor/matmul.h"
 #include "tensor/ops.h"
 
 namespace hfta {
@@ -132,8 +133,10 @@ TEST(AttentionTraining, BertMlmStepTracksSerial) {
 // The causal mask's -1e9 logits must give probabilities of exactly +0: exp
 // underflows to 0 below ln(FLT_MIN), so the 1/z scale cannot turn them into
 // subnormals, which stall the attention GEMMs downstream (microcode assists
-// on x86). Guards every softmax output, and its input gradient, of one fused
-// training step.
+// on x86). Guards the probabilities and the score gradients of every
+// attention op of one fused training step: the op's kernels are rerun on
+// the op's own input and output gradient (the context must come out equal
+// to the op's value), with the score gradients left in a destination.
 TEST(AttentionTraining, CausalSoftmaxHasExactZerosAndNoSubnormals) {
   Rng rng(4);
   models::TransformerConfig cfg = models::TransformerConfig::tiny();
@@ -148,23 +151,28 @@ TEST(AttentionTraining, CausalSoftmaxHasExactZerosAndNoSubnormals) {
       labels.reshape({kB, 4 * cfg.seq_len}), ag::Reduction::kMean);
   loss.backward();
 
-  std::vector<ag::Variable> softmaxes, stack{loss};
+  std::vector<ag::Variable> attentions, stack{loss};
   std::unordered_set<const void*> seen;
   while (!stack.empty()) {
     ag::Variable v = stack.back();
     stack.pop_back();
     if (!v.node() || !seen.insert(v.id()).second) continue;
-    if (v.node()->name == "softmax") softmaxes.push_back(v);
+    if (v.node()->name == "attention") attentions.push_back(v);
     for (const ag::Variable& in : v.node()->inputs)
       if (in.defined()) stack.push_back(in);
   }
-  ASSERT_EQ(static_cast<int64_t>(softmaxes.size()), cfg.num_layers);
-  const int64_t S = cfg.seq_len;
-  for (const ag::Variable& sm : softmaxes) {
-    const Tensor& p = sm.value();
-    const Tensor gx = sm.node()->inputs[0].grad();
-    ASSERT_EQ(p.size(-1), S);
-    ASSERT_EQ(gx.numel(), p.numel());
+  ASSERT_EQ(static_cast<int64_t>(attentions.size()), cfg.num_layers);
+  const int64_t S = cfg.seq_len, H = cfg.num_heads;
+  const Tensor mask = models::causal_mask(S);
+  for (ag::Variable& a : attentions) {
+    const Tensor qkv = a.node()->inputs[0].value();
+    Tensor p = Tensor::empty({qkv.size(0) * H, S, S});
+    const Tensor ctx = ops::attention_forward(qkv, H, mask, p);
+    ASSERT_EQ(std::memcmp(ctx.data(), a.value().data(),
+                          sizeof(float) * static_cast<size_t>(ctx.numel())),
+              0);
+    Tensor gs = Tensor::empty(p.shape());
+    ops::attention_backward(a.grad(), qkv, p, H, DType::kF32, gs);
     int64_t masked = 0;
     for (int64_t k = 0; k < p.numel(); ++k) {
       const int64_t i = (k / S) % S, j = k % S;
@@ -176,8 +184,8 @@ TEST(AttentionTraining, CausalSoftmaxHasExactZerosAndNoSubnormals) {
         ++masked;
       }
       ASSERT_NE(std::fpclassify(pk), FP_SUBNORMAL) << "probability at " << k;
-      ASSERT_NE(std::fpclassify(gx.data()[k]), FP_SUBNORMAL)
-          << "softmax input gradient at " << k;
+      ASSERT_NE(std::fpclassify(gs.data()[k]), FP_SUBNORMAL)
+          << "score gradient at " << k;
     }
     EXPECT_EQ(masked, p.numel() / (S * S) * (S * (S - 1) / 2));
   }

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
+#include "autograd/autocast.h"
 #include "autograd/functions.h"
 #include "autograd/gradcheck.h"
+#include "models/transformer.h"
+#include "tensor/matmul.h"
 #include "tensor/ops.h"
 
 namespace hfta::ag {
@@ -316,6 +321,22 @@ TEST(AutogradGrad, SoftmaxFamily) {
   }
 }
 
+TEST(AutogradGrad, Attention) {
+  Rng rng(24);
+  const Tensor causal = models::causal_mask(3);
+  for (const Tensor& mask : {Tensor(), causal}) {
+    // R = 2 sequences of S = 3, E = 4 over 2 heads.
+    std::vector<Variable> inputs = {leaf({2, 3, 12}, rng)};
+    Tensor weights = Tensor::randn({2, 3, 4}, rng);
+    auto res = gradcheck(
+        [&](std::vector<Variable>& in) {
+          return sum_all(mul(attention(in[0], 2, mask), constant(weights)));
+        },
+        inputs, 1e-3f, 1e-2f);
+    EXPECT_TRUE(res.ok) << (mask.defined() ? "causal: " : "") << res.detail;
+  }
+}
+
 TEST(AutogradGrad, Losses) {
   Rng rng(20);
   Tensor labels = Tensor::from_data({4}, {0.f, 2.f, 1.f, 2.f});
@@ -385,6 +406,70 @@ TEST(AutogradGrad, MulMaskDropoutBuildingBlock) {
       },
       inputs, 1e-3f, 1e-2f);
   EXPECT_TRUE(res.ok) << res.detail;
+}
+
+// ---- attention as one op ---------------------------------------------------
+
+// The composed chain ag::attention replaced, kept as its specification: the
+// head split (chunk, reshape/permute/reshape), the scaled and masked scores,
+// softmax, the context GEMM and the head merge. Sets *probs to the softmax.
+Variable composed_attention(const Variable& qkv, int64_t H, const Tensor& mask,
+                            Variable* probs) {
+  const int64_t R = qkv.size(0), S = qkv.size(1), E = qkv.size(2) / 3;
+  const int64_t Dh = E / H;
+  std::vector<Variable> parts = chunk(qkv, 3, 2);
+  auto heads = [&](const Variable& t) {
+    Variable r = permute(reshape(t, {R, S, H, Dh}), {0, 2, 1, 3});
+    return reshape(r, {R * H, S, Dh});
+  };
+  Variable scores = mul_scalar(bmm_nt(heads(parts[0]), heads(parts[1])),
+                               1.f / std::sqrt(static_cast<float>(Dh)));
+  if (mask.defined()) scores = add(scores, constant(mask));
+  *probs = softmax(scores, -1);
+  Variable ctx = bmm(*probs, heads(parts[2]));
+  ctx = permute(reshape(ctx, {R, H, S, Dh}), {0, 2, 1, 3});
+  return reshape(ctx, {R, S, E});
+}
+
+void expect_same_bits(const Tensor& want, const Tensor& got,
+                      const std::string& tag) {
+  ASSERT_EQ(want.shape(), got.shape()) << tag;
+  EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                        sizeof(float) * static_cast<size_t>(want.numel())),
+            0)
+      << tag;
+}
+
+// ag::attention equals the chain bit for bit: the context, the saved
+// probabilities and the qkv gradient, for one to four heads, one to 16
+// positions, with and without the causal mask, in f32 and under autocast.
+TEST(Attention, EqualsComposedChainBitwise) {
+  const int64_t R = 3, E = 12;
+  for (DType dt : {DType::kF32, DType::kF16, DType::kBF16})
+    for (int64_t H : {1, 2, 4})
+      for (int64_t S : {1, 7, 16})
+        for (bool masked : {false, true}) {
+          const std::string tag = "dtype=" +
+                                  std::to_string(static_cast<int>(dt)) +
+                                  " H=" + std::to_string(H) +
+                                  " S=" + std::to_string(S) +
+                                  (masked ? " causal" : "");
+          Rng rng(static_cast<uint64_t>(100 + 10 * H + S));
+          const Tensor x = Tensor::randn({R, S, 3 * E}, rng);
+          const Tensor w = Tensor::randn({R, S, E}, rng);
+          const Tensor mask = masked ? models::causal_mask(S) : Tensor();
+          AutocastGuard autocast(dt);  // kF32 turns autocast off
+          Variable xa(x.clone(), true), xc(x.clone(), true), probs;
+          Variable ya = attention(xa, H, mask);
+          Variable yc = composed_attention(xc, H, mask, &probs);
+          sum_all(mul(ya, constant(w))).backward();
+          sum_all(mul(yc, constant(w))).backward();
+          Tensor p = Tensor::empty({R * H, S, S});
+          ops::attention_forward(x, H, mask, p, dt);
+          expect_same_bits(yc.value(), ya.value(), tag + " ctx");
+          expect_same_bits(probs.value(), p, tag + " probs");
+          expect_same_bits(xc.grad(), xa.grad(), tag + " qkv grad");
+        }
 }
 
 }  // namespace

@@ -22,8 +22,6 @@
 namespace hfta::fused {
 namespace {
 
-constexpr float kTol = 1e-3f;
-
 class FusionB : public ::testing::TestWithParam<int64_t> {};
 
 // Sums y*probe for a deterministic scalar to backprop (probe fixed).
@@ -548,7 +546,7 @@ TEST_P(FusionB, MultiheadAttentionEquivalence) {
         plain_mha(ag::Variable(xs[ub]), ag::Variable(wi), ag::Variable(bi),
                   ag::Variable(wo), ag::Variable(bo), H);
     Tensor yf_b = yf.value().slice(0, b, b + 1).reshape({N, S, E});
-    EXPECT_LT(ops::max_abs_diff(yf_b, yb.value()), kTol) << "model " << b;
+    expect_same_bits(yb.value(), yf_b, "model " + std::to_string(b));
   }
 }
 

@@ -199,6 +199,87 @@ TEST(VecGemm, QuantizeOnPackEqualsPreRoundedPackBitwise) {
   }
 }
 
+TEST(VecGemm, LeadingDimensionsEqualDenseGemmOnPackedCopiesBitwise) {
+  // lda/ldb/ldc only move where elements are read and written: a GEMM over
+  // blocks of wider stored matrices equals the dense GEMM on packed copies
+  // of those blocks, bit for bit, and never touches C's columns [n, ldc).
+  // m and n are not multiples of kMR/kNR, and k > kKC spans two k-panels.
+  // The padding holds NaN, so any element read from it would show in C.
+  SimdGuard guard;
+  const int64_t m = 13, n = 21, k = vec::kKC + 44, pad = 5;
+  const float sentinel = std::nanf("0xdead");
+  // Stores a rows x cols block into rows of `ld` floats, NaN-padded.
+  const auto strided = [&](const std::vector<float>& dense, int64_t rows,
+                           int64_t cols, int64_t ld) {
+    std::vector<float> out(static_cast<size_t>(rows * ld), sentinel);
+    for (int64_t r = 0; r < rows; ++r)
+      std::memcpy(out.data() + r * ld, dense.data() + r * cols,
+                  static_cast<size_t>(cols) * sizeof(float));
+    return out;
+  };
+  Lcg rng;
+  const auto c0 = rng.vec(m * n);  // pre-existing C for beta != 0
+  const int64_t ldc = n + pad;
+  for (bool simd : {true, false}) {
+    if (simd && !vec::simd_available()) continue;
+    vec::set_simd_enabled(simd);
+    for (DType pt : {DType::kF32, DType::kF16, DType::kBF16})
+      for (bool ta : {false, true})
+        for (bool tb : {false, true})
+          for (float beta : {0.f, 0.75f}) {
+            const int64_t a_cols = ta ? m : k, a_rows = ta ? k : m;
+            const int64_t b_cols = tb ? k : n, b_rows = tb ? n : k;
+            const auto a = rng.vec(a_rows * a_cols);
+            const auto b = rng.vec(b_rows * b_cols);
+            const auto as = strided(a, a_rows, a_cols, a_cols + pad);
+            const auto bs = strided(b, b_rows, b_cols, b_cols + pad);
+            std::vector<float> c = c0;
+            std::vector<float> cs = strided(c0, m, n, ldc);
+            vec::GemmArgs g;
+            g.a_type = pt;
+            g.trans_a = ta;
+            g.b_type = pt;
+            g.trans_b = tb;
+            g.m = m;
+            g.n = n;
+            g.k = k;
+            g.alpha = -1.25f;
+            g.beta = beta;
+            g.a = a.data();
+            g.b = b.data();
+            g.c = c.data();
+            vec::gemm(g);
+            g.a = as.data();
+            g.lda = a_cols + pad;
+            g.b = bs.data();
+            g.ldb = b_cols + pad;
+            g.c = cs.data();
+            g.ldc = ldc;
+            vec::gemm(g);
+            EXPECT_TRUE(bits_equal(strided(c, m, n, ldc), cs))
+                << "backend=" << (simd ? "simd" : "scalar")
+                << " policy=" << static_cast<int>(pt) << " ta=" << ta
+                << " tb=" << tb << " beta=" << beta;
+          }
+    // The k = 0 path writes only C's first n columns of each row too.
+    for (float beta : {0.f, 0.75f}) {
+      std::vector<float> c = c0;
+      std::vector<float> cs = strided(c0, m, n, ldc);
+      vec::GemmArgs g;
+      g.m = m;
+      g.n = n;
+      g.beta = beta;
+      g.c = c.data();
+      vec::gemm(g);
+      g.c = cs.data();
+      g.ldc = ldc;
+      vec::gemm(g);
+      EXPECT_TRUE(bits_equal(strided(c, m, n, ldc), cs))
+          << "k=0 backend=" << (simd ? "simd" : "scalar") << " beta=" << beta;
+    }
+  }
+}
+
 // ---- elementwise ------------------------------------------------------------
 
 TEST(VecElementwise, BinaryOpsMatchBitwise) {
