@@ -181,15 +181,14 @@ FusedTrainingExecutor::~FusedTrainingExecutor() = default;
 std::shared_ptr<nn::Module> FusedTrainingExecutor::build_trial_net(
     const ParamSet& p) const {
   Rng donor_rng(param_key(p, opts_.seed ^ 0xD0));
+  // Each model's Sequential graph is the per-model tree (the PointNetCls
+  // and MobileNetV3 wrappers only forward to it).
   if (task_ == Task::kPointNet) {
     models::PointNetConfig cfg = models::PointNetConfig::tiny();
     cfg.input_transform = space_.get(p, "feature_transform") != 0.0;
-    // The classifier's Sequential graph is the per-model tree (the
-    // PointNetCls wrapper only forwards to it).
     return models::PointNetCls(cfg, donor_rng).net;
   }
-  return std::make_shared<models::MobileNetV3>(mobilenet_config(space_, p),
-                                               donor_rng);
+  return models::MobileNetV3(mobilenet_config(space_, p), donor_rng).net;
 }
 
 std::pair<Tensor, Tensor> FusedTrainingExecutor::train_batch(

@@ -10,6 +10,11 @@
 //   MaxPool2d / AdaptiveAvgPool2d / Dropout / Dropout2d  the nn:: layer,
 //                   unchanged, on the channel-fused layout
 //
+// A model block built only from those layers is, fused, the same block at
+// B x width: models::BasicBlock, Bneck and SqueezeExcite take the array
+// size B the way nn::Conv2d takes groups, and the planner lowers B of them
+// to one block built with that B.
+//
 // The layers below really differ from their nn:: counterpart:
 //
 //   FusedLinear   B linears -> one batched_linear(x [B,N,in], w [B,out,in],

@@ -74,13 +74,15 @@ int64_t MobileNetV3Config::scaled(int64_t c) const {
   return std::max<int64_t>(4, v);
 }
 
-SqueezeExcite::SqueezeExcite(int64_t channels, Rng& rng)
-    : channels(channels) {
+SqueezeExcite::SqueezeExcite(int64_t channels, Rng& rng, int64_t B)
+    : channels(channels), array_size(B) {
   const int64_t squeeze = std::max<int64_t>(4, channels / 4);
   fc1 = register_module("fc1", std::make_shared<nn::Conv2d>(
-                                   channels, squeeze, 1, 1, 0, 1, true, rng));
+                                   B * channels, B * squeeze, 1, 1, 0, B, true,
+                                   rng));
   fc2 = register_module("fc2", std::make_shared<nn::Conv2d>(
-                                   squeeze, channels, 1, 1, 0, 1, true, rng));
+                                   B * squeeze, B * channels, 1, 1, 0, B, true,
+                                   rng));
 }
 
 ag::Variable SqueezeExcite::forward(const ag::Variable& x) {
@@ -91,37 +93,40 @@ ag::Variable SqueezeExcite::forward(const ag::Variable& x) {
 }
 
 Bneck::Bneck(int64_t in, const BneckSpec& spec, const MobileNetV3Config& cfg,
-             Rng& rng)
+             Rng& rng, int64_t B)
     : use_hswish(spec.hswish), use_relu6(spec.relu6), in_channels(in),
-      spec(spec), cfg(cfg) {
+      spec(spec), cfg(cfg), array_size(B) {
   const int64_t exp_c = cfg.scaled(spec.expand);
   const int64_t out_c = cfg.scaled(spec.out);
   has_expand = exp_c != in;
   residual = spec.stride == 1 && in == out_c;
   if (has_expand) {
     expand_conv = register_module(
-        "expand_conv",
-        std::make_shared<nn::Conv2d>(in, exp_c, 1, 1, 0, 1, false, rng));
-    expand_bn = register_module("expand_bn",
-                                std::make_shared<nn::BatchNorm2d>(exp_c));
+        "expand_conv", std::make_shared<nn::Conv2d>(B * in, B * exp_c, 1, 1, 0,
+                                                    B, false, rng));
+    expand_bn = register_module(
+        "expand_bn", std::make_shared<nn::BatchNorm2d>(B * exp_c));
   }
   dw_conv = register_module(
-      "dw_conv", std::make_shared<nn::Conv2d>(exp_c, exp_c, spec.kernel,
-                                              spec.stride, spec.kernel / 2,
-                                              /*groups=*/exp_c, false, rng));
-  dw_bn = register_module("dw_bn", std::make_shared<nn::BatchNorm2d>(exp_c));
+      "dw_conv", std::make_shared<nn::Conv2d>(
+                     B * exp_c, B * exp_c, spec.kernel, spec.stride,
+                     spec.kernel / 2, /*groups=*/B * exp_c, false, rng));
+  dw_bn = register_module("dw_bn",
+                          std::make_shared<nn::BatchNorm2d>(B * exp_c));
   if (spec.se)
-    se = register_module("se", std::make_shared<SqueezeExcite>(exp_c, rng));
+    se = register_module("se",
+                         std::make_shared<SqueezeExcite>(exp_c, rng, B));
   project_conv = register_module(
-      "project_conv",
-      std::make_shared<nn::Conv2d>(exp_c, out_c, 1, 1, 0, 1, false, rng));
-  project_bn = register_module("project_bn",
-                               std::make_shared<nn::BatchNorm2d>(out_c));
+      "project_conv", std::make_shared<nn::Conv2d>(B * exp_c, B * out_c, 1, 1,
+                                                   0, B, false, rng));
+  project_bn = register_module(
+      "project_bn", std::make_shared<nn::BatchNorm2d>(B * out_c));
 }
 
 std::shared_ptr<nn::Module> SqueezeExcite::clone() const {
   Rng rng(0);
-  return cloned(*this, std::make_shared<SqueezeExcite>(channels, rng));
+  return cloned(*this,
+                std::make_shared<SqueezeExcite>(channels, rng, array_size));
 }
 
 nn::ModuleConfig SqueezeExcite::config() const {
@@ -130,13 +135,13 @@ nn::ModuleConfig SqueezeExcite::config() const {
   return c;
 }
 
-// B congruent SE blocks fuse into one FusedSqueezeExcite on the
+// B congruent SE blocks lower to one SqueezeExcite at B x width on the
 // channel-fused layout; load/store derive from its StateMap.
 static const fused::LoweringRegistrar kSqueezeExciteLowering(
     "models::SqueezeExcite", [](const fused::LoweringContext& ctx) {
       const auto& ref = static_cast<const SqueezeExcite&>(ctx.reference());
-      auto m = std::make_shared<FusedSqueezeExcite>(ctx.array_size,
-                                                    ref.channels, *ctx.rng);
+      auto m = std::make_shared<SqueezeExcite>(ref.channels, *ctx.rng,
+                                               ctx.array_size);
       return fused::Lowered{m, fused::Layout::kChannelFused,
                             fused::Layout::kChannelFused};
     });
@@ -156,7 +161,8 @@ ag::Variable Bneck::forward(const ag::Variable& x) {
 
 std::shared_ptr<nn::Module> Bneck::clone() const {
   Rng rng(0);
-  return cloned(*this, std::make_shared<Bneck>(in_channels, spec, cfg, rng));
+  return cloned(*this, std::make_shared<Bneck>(in_channels, spec, cfg, rng,
+                                               array_size));
 }
 
 nn::ModuleConfig Bneck::config() const {
@@ -178,183 +184,52 @@ nn::ModuleConfig Bneck::config() const {
 static const fused::LoweringRegistrar kBneckLowering(
     "models::Bneck", [](const fused::LoweringContext& ctx) {
       const auto& ref = static_cast<const Bneck&>(ctx.reference());
-      auto m = std::make_shared<FusedBneck>(ctx.array_size, ref.in_channels,
-                                            ref.spec, ref.cfg, *ctx.rng);
+      auto m = std::make_shared<Bneck>(ref.in_channels, ref.spec, ref.cfg,
+                                       *ctx.rng, ctx.array_size);
       return fused::Lowered{m, fused::Layout::kChannelFused,
                             fused::Layout::kChannelFused};
     });
 
 MobileNetV3::MobileNetV3(const MobileNetV3Config& cfg, Rng& rng) : cfg(cfg) {
+  net = register_module("net", std::make_shared<nn::Sequential>());
   const auto table = cfg.rows();
   const int64_t stem_c = cfg.scaled(cfg.stem_channels());
-  stem_conv = register_module(
-      "stem_conv", std::make_shared<nn::Conv2d>(3, stem_c, 3, 2, 1, 1, false,
-                                                rng));
-  stem_bn = register_module("stem_bn",
-                            std::make_shared<nn::BatchNorm2d>(stem_c));
+  auto stem = std::make_shared<nn::Sequential>();
+  stem->push_back("conv", std::make_shared<nn::Conv2d>(3, stem_c, 3, 2, 1, 1,
+                                                       false, rng));
+  stem->push_back("bn", std::make_shared<nn::BatchNorm2d>(stem_c));
+  stem->push_back("hswish", std::make_shared<nn::Hardswish>());
+  net->push_back("stem", stem);
   int64_t in = stem_c;
   for (size_t i = 0; i < table.size(); ++i) {
     const BneckSpec& spec = table[i];
-    bnecks.push_back(register_module("bneck" + std::to_string(i),
-                                     std::make_shared<Bneck>(in, spec, cfg,
-                                                             rng)));
+    bnecks.push_back(std::make_shared<Bneck>(in, spec, cfg, rng));
+    net->push_back("bneck" + std::to_string(i), bnecks.back());
     in = cfg.scaled(spec.out);
   }
   const int64_t last_c = cfg.scaled(table.back().expand);
-  last_conv = register_module(
-      "last_conv", std::make_shared<nn::Conv2d>(in, last_c, 1, 1, 0, 1, false,
-                                                rng));
-  last_bn = register_module("last_bn",
-                            std::make_shared<nn::BatchNorm2d>(last_c));
-  fc1 = register_module(
-      "fc1", std::make_shared<nn::Linear>(last_c, cfg.head_dim, true, rng));
-  fc2 = register_module("fc2", std::make_shared<nn::Linear>(
-                                   cfg.head_dim, cfg.num_classes, true, rng));
+  auto last = std::make_shared<nn::Sequential>();
+  last->push_back("conv", std::make_shared<nn::Conv2d>(in, last_c, 1, 1, 0, 1,
+                                                       false, rng));
+  last->push_back("bn", std::make_shared<nn::BatchNorm2d>(last_c));
+  last->push_back("hswish", std::make_shared<nn::Hardswish>());
+  net->push_back("last", last);
+  net->push_back("pool", std::make_shared<nn::AdaptiveAvgPool2d>(1, 1));
+  net->push_back("flatten", std::make_shared<nn::Flatten>());
+  net->push_back("fc1", std::make_shared<nn::Linear>(last_c, cfg.head_dim,
+                                                     true, rng));
+  net->push_back("hswish", std::make_shared<nn::Hardswish>());
+  net->push_back("fc2", std::make_shared<nn::Linear>(
+                            cfg.head_dim, cfg.num_classes, true, rng));
 }
 
 ag::Variable MobileNetV3::forward(const ag::Variable& x) {
-  ag::Variable h = ag::hardswish(stem_bn->forward(stem_conv->forward(x)));
-  for (auto& b : bnecks) h = b->forward(h);
-  h = ag::hardswish(last_bn->forward(last_conv->forward(h)));
-  h = ag::adaptive_avg_pool2d(h, 1, 1);
-  h = ag::reshape(h, {h.size(0), h.size(1)});
-  h = ag::hardswish(fc1->forward(h));
-  return fc2->forward(h);
+  return net->forward(x);  // [N, classes]
 }
 
 std::shared_ptr<nn::Module> MobileNetV3::clone() const {
   Rng rng(0);
   return cloned(*this, std::make_shared<MobileNetV3>(cfg, rng));
-}
-
-nn::ModuleConfig MobileNetV3::config() const {
-  nn::ModuleConfig c;
-  c.set("version", cfg.version);
-  c.set("num_blocks", cfg.num_blocks);
-  c.set("image_size", cfg.image_size);
-  c.set("num_classes", cfg.num_classes);
-  c.set("head_dim", cfg.head_dim);
-  c.set("width_mult", static_cast<double>(cfg.width_mult));
-  return c;
-}
-
-// The whole model lowers as one unit (like models::TransformerLM): channel-
-// fused images in, model-major logits out — the classifier head converts
-// internally. This is what lets the HFHT executor compile B MobileNet
-// trials straight through FusionPlan::compile.
-static const fused::LoweringRegistrar kMobileNetV3Lowering(
-    "models::MobileNetV3", [](const fused::LoweringContext& ctx) {
-      const auto& ref = static_cast<const MobileNetV3&>(ctx.reference());
-      auto m = std::make_shared<FusedMobileNetV3>(ctx.array_size, ref.cfg,
-                                                  *ctx.rng);
-      return fused::Lowered{m, fused::Layout::kChannelFused,
-                            fused::Layout::kModelMajor};
-    });
-
-// ---- fused -----------------------------------------------------------------------
-
-FusedSqueezeExcite::FusedSqueezeExcite(int64_t B, int64_t channels, Rng& rng)
-    : fused::FusedModule(B) {
-  const int64_t squeeze = std::max<int64_t>(4, channels / 4);
-  fc1 = register_module("fc1", std::make_shared<nn::Conv2d>(
-                                   B * channels, B * squeeze, 1, 1, 0, B, true,
-                                   rng));
-  fc2 = register_module("fc2", std::make_shared<nn::Conv2d>(
-                                   B * squeeze, B * channels, 1, 1, 0, B, true,
-                                   rng));
-}
-
-ag::Variable FusedSqueezeExcite::forward(const ag::Variable& x) {
-  ag::Variable s = ag::adaptive_avg_pool2d(x, 1, 1);
-  s = ag::relu(fc1->forward(s));
-  s = ag::hardsigmoid(fc2->forward(s));
-  return ag::mul(x, s);
-}
-
-FusedBneck::FusedBneck(int64_t B, int64_t in, const BneckSpec& spec,
-                       const MobileNetV3Config& cfg, Rng& rng)
-    : fused::FusedModule(B), use_hswish(spec.hswish), use_relu6(spec.relu6) {
-  const int64_t exp_c = cfg.scaled(spec.expand);
-  const int64_t out_c = cfg.scaled(spec.out);
-  has_expand = exp_c != in;
-  residual = spec.stride == 1 && in == out_c;
-  if (has_expand) {
-    expand_conv = register_module(
-        "expand_conv", std::make_shared<nn::Conv2d>(B * in, B * exp_c, 1, 1, 0,
-                                                    B, false, rng));
-    expand_bn = register_module(
-        "expand_bn", std::make_shared<nn::BatchNorm2d>(B * exp_c));
-  }
-  // Depthwise: per-model groups = exp_c fuse into B*exp_c groups.
-  dw_conv = register_module(
-      "dw_conv", std::make_shared<nn::Conv2d>(
-                     B * exp_c, B * exp_c, spec.kernel, spec.stride,
-                     spec.kernel / 2, B * exp_c, false, rng));
-  dw_bn = register_module("dw_bn",
-                          std::make_shared<nn::BatchNorm2d>(B * exp_c));
-  if (spec.se)
-    se = register_module("se",
-                         std::make_shared<FusedSqueezeExcite>(B, exp_c, rng));
-  project_conv = register_module(
-      "project_conv", std::make_shared<nn::Conv2d>(B * exp_c, B * out_c, 1, 1,
-                                                   0, B, false, rng));
-  project_bn = register_module(
-      "project_bn", std::make_shared<nn::BatchNorm2d>(B * out_c));
-}
-
-ag::Variable FusedBneck::forward(const ag::Variable& x) {
-  auto act = [this](const ag::Variable& v) {
-    if (use_hswish) return ag::hardswish(v);
-    return use_relu6 ? ag::relu6(v) : ag::relu(v);
-  };
-  ag::Variable h = x;
-  if (has_expand) h = act(expand_bn->forward(expand_conv->forward(h)));
-  h = act(dw_bn->forward(dw_conv->forward(h)));
-  if (se) h = se->forward(h);
-  h = project_bn->forward(project_conv->forward(h));
-  return residual ? ag::add(h, x) : h;
-}
-
-FusedMobileNetV3::FusedMobileNetV3(int64_t B, const MobileNetV3Config& cfg,
-                                   Rng& rng)
-    : fused::FusedModule(B), cfg(cfg) {
-  const auto table = cfg.rows();
-  const int64_t stem_c = cfg.scaled(cfg.stem_channels());
-  stem_conv = register_module(
-      "stem_conv", std::make_shared<nn::Conv2d>(B * 3, B * stem_c, 3, 2, 1, B,
-                                                false, rng));
-  stem_bn = register_module("stem_bn",
-                            std::make_shared<nn::BatchNorm2d>(B * stem_c));
-  int64_t in = stem_c;
-  for (size_t i = 0; i < table.size(); ++i) {
-    const BneckSpec& spec = table[i];
-    bnecks.push_back(
-        register_module("bneck" + std::to_string(i),
-                        std::make_shared<FusedBneck>(B, in, spec, cfg, rng)));
-    in = cfg.scaled(spec.out);
-  }
-  const int64_t last_c = cfg.scaled(table.back().expand);
-  last_conv = register_module(
-      "last_conv", std::make_shared<nn::Conv2d>(B * in, B * last_c, 1, 1, 0, B,
-                                                false, rng));
-  last_bn = register_module("last_bn",
-                            std::make_shared<nn::BatchNorm2d>(B * last_c));
-  fc1 = register_module("fc1", std::make_shared<fused::FusedLinear>(
-                                   B, last_c, cfg.head_dim, true, rng));
-  fc2 = register_module("fc2", std::make_shared<fused::FusedLinear>(
-                                   B, cfg.head_dim, cfg.num_classes, true,
-                                   rng));
-}
-
-ag::Variable FusedMobileNetV3::forward(const ag::Variable& x) {
-  ag::Variable h = ag::hardswish(stem_bn->forward(stem_conv->forward(x)));
-  for (auto& b : bnecks) h = b->forward(h);
-  h = ag::hardswish(last_bn->forward(last_conv->forward(h)));
-  h = ag::adaptive_avg_pool2d(h, 1, 1);
-  h = ag::reshape(h, {h.size(0), h.size(1)});            // [N, B*C]
-  h = fused::to_model_major(h, array_size_);              // [B, N, C]
-  h = ag::hardswish(fc1->forward(h));
-  return fc2->forward(h);                                 // [B, N, classes]
 }
 
 }  // namespace hfta::models

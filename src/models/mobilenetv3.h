@@ -1,14 +1,15 @@
 // MobileNetV3-Large (Howard et al., ICCV 2019): inverted-residual bnecks
 // with depthwise convolutions, squeeze-excite, and hard-swish. Depthwise
 // convs are the most demanding fusion case (per-model groups = C fuse into
-// B*C groups). SE is implemented with 1x1 convolutions so that the fused
-// model stays on the channel-fused layout end-to-end.
+// B*C groups). SE is implemented with 1x1 convolutions so that every block
+// stays on the channel-fused layout; only the classifier head runs
+// model-major.
 #pragma once
 
 #include <array>
 #include <vector>
 
-#include "hfta/fused_ops.h"
+#include "nn/layers.h"
 #include "nn/norm.h"
 
 namespace hfta::models {
@@ -54,25 +55,32 @@ const std::array<BneckSpec, 15>& mobilenetv3_large_table();
 /// absolute-width entries).
 const std::array<BneckSpec, 17>& mobilenetv2_table();
 
+/// Squeeze-excite on 1x1 convs. `B` works like `groups` on nn::Conv2d: B > 1
+/// builds the fused form of B such blocks (both convs over B x channels with
+/// B groups), which is what the planner lowers B of them to.
 class SqueezeExcite : public nn::Module {
  public:
-  SqueezeExcite(int64_t channels, Rng& rng);
+  SqueezeExcite(int64_t channels, Rng& rng, int64_t B = 1);
   ag::Variable forward(const ag::Variable& x) override;
   std::shared_ptr<nn::Module> clone() const override;
   std::string kind_name() const override { return "models::SqueezeExcite"; }
-  nn::ModuleConfig config() const override;
+  nn::ModuleConfig config() const override;  // per-model, whatever B is
   std::shared_ptr<nn::Conv2d> fc1, fc2;  // 1x1 convs
-  int64_t channels;
+  int64_t channels, array_size;
 };
 
+/// Inverted-residual block. As for SqueezeExcite, B > 1 builds the fused
+/// form of B blocks: every conv over B*in -> B*out channels with B x groups
+/// (the depthwise conv's exp_c groups become B*exp_c), every BatchNorm over
+/// B x channels; the forward is the same.
 class Bneck : public nn::Module {
  public:
   Bneck(int64_t in, const BneckSpec& spec, const MobileNetV3Config& cfg,
-        Rng& rng);
+        Rng& rng, int64_t B = 1);
   ag::Variable forward(const ag::Variable& x) override;
   std::shared_ptr<nn::Module> clone() const override;
   std::string kind_name() const override { return "models::Bneck"; }
-  nn::ModuleConfig config() const override;
+  nn::ModuleConfig config() const override;  // per-model, whatever B is
 
   std::shared_ptr<nn::Conv2d> expand_conv, dw_conv, project_conv;
   std::shared_ptr<nn::BatchNorm2d> expand_bn, dw_bn, project_bn;
@@ -81,55 +89,22 @@ class Bneck : public nn::Module {
   int64_t in_channels;   // clone() reconstructs from these
   BneckSpec spec;
   MobileNetV3Config cfg;
+  int64_t array_size;
 };
 
+/// The whole network is a planner-walkable Sequential (`net`): stem (conv,
+/// bn, hard-swish), the bnecks, last (conv, bn, hard-swish), pool, flatten,
+/// fc1, hard-swish, fc2. The fused array is FusionPlan-compiled from B such
+/// `net`s; the planner puts the to_model_major conversion before Flatten.
 class MobileNetV3 : public nn::Module {
  public:
   MobileNetV3(const MobileNetV3Config& cfg, Rng& rng);
   /// x: [N, 3, S, S] -> [N, num_classes].
   ag::Variable forward(const ag::Variable& x) override;
   std::shared_ptr<nn::Module> clone() const override;
-  std::string kind_name() const override { return "models::MobileNetV3"; }
-  nn::ModuleConfig config() const override;
 
-  std::shared_ptr<nn::Conv2d> stem_conv, last_conv;
-  std::shared_ptr<nn::BatchNorm2d> stem_bn, last_bn;
+  std::shared_ptr<nn::Sequential> net;  // the planner-walkable graph
   std::vector<std::shared_ptr<Bneck>> bnecks;
-  std::shared_ptr<nn::Linear> fc1, fc2;
-  MobileNetV3Config cfg;
-};
-
-// ---- fused -------------------------------------------------------------------
-
-class FusedSqueezeExcite : public fused::FusedModule {
- public:
-  FusedSqueezeExcite(int64_t B, int64_t channels, Rng& rng);
-  ag::Variable forward(const ag::Variable& x) override;
-  std::shared_ptr<nn::Conv2d> fc1, fc2;  // at B x width
-};
-
-class FusedBneck : public fused::FusedModule {
- public:
-  FusedBneck(int64_t B, int64_t in, const BneckSpec& spec,
-             const MobileNetV3Config& cfg, Rng& rng);
-  ag::Variable forward(const ag::Variable& x) override;
-
-  std::shared_ptr<nn::Conv2d> expand_conv, dw_conv, project_conv;  // B x width
-  std::shared_ptr<nn::BatchNorm2d> expand_bn, dw_bn, project_bn;
-  std::shared_ptr<FusedSqueezeExcite> se;
-  bool use_hswish, use_relu6, has_expand, residual;
-};
-
-class FusedMobileNetV3 : public fused::FusedModule {
- public:
-  FusedMobileNetV3(int64_t B, const MobileNetV3Config& cfg, Rng& rng);
-  /// x: [N, B*3, S, S] -> model-major logits [B, N, classes].
-  ag::Variable forward(const ag::Variable& x) override;
-
-  std::shared_ptr<nn::Conv2d> stem_conv, last_conv;  // at B x width
-  std::shared_ptr<nn::BatchNorm2d> stem_bn, last_bn;
-  std::vector<std::shared_ptr<FusedBneck>> bnecks;
-  std::shared_ptr<fused::FusedLinear> fc1, fc2;
   MobileNetV3Config cfg;
 };
 

@@ -2,19 +2,23 @@
 
 namespace hfta::models {
 
-BasicBlock::BasicBlock(int64_t in, int64_t out, int64_t stride, Rng& rng) {
+BasicBlock::BasicBlock(int64_t in, int64_t out, int64_t stride, Rng& rng,
+                       int64_t B)
+    : in_channels(in), out_channels(out), stride(stride), array_size(B) {
   conv1 = register_module(
-      "conv1", std::make_shared<nn::Conv2d>(in, out, 3, stride, 1, 1, false,
-                                            rng));
-  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm2d>(out));
+      "conv1", std::make_shared<nn::Conv2d>(B * in, B * out, 3, stride, 1, B,
+                                            false, rng));
+  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm2d>(B * out));
   conv2 = register_module(
-      "conv2", std::make_shared<nn::Conv2d>(out, out, 3, 1, 1, 1, false, rng));
-  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm2d>(out));
+      "conv2", std::make_shared<nn::Conv2d>(B * out, B * out, 3, 1, 1, B,
+                                            false, rng));
+  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm2d>(B * out));
   if (stride != 1 || in != out) {
     down_conv = register_module(
-        "down_conv",
-        std::make_shared<nn::Conv2d>(in, out, 1, stride, 0, 1, false, rng));
-    down_bn = register_module("down_bn", std::make_shared<nn::BatchNorm2d>(out));
+        "down_conv", std::make_shared<nn::Conv2d>(B * in, B * out, 1, stride,
+                                                  0, B, false, rng));
+    down_bn =
+        register_module("down_bn", std::make_shared<nn::BatchNorm2d>(B * out));
   }
 }
 
@@ -27,31 +31,28 @@ ag::Variable BasicBlock::forward(const ag::Variable& x) {
 
 nn::ModuleConfig BasicBlock::config() const {
   nn::ModuleConfig c;
-  c.set("in", conv1->weight.size(1));
-  c.set("out", conv1->weight.size(0));
-  c.set("stride", conv1->args.stride_h);
+  c.set("in", in_channels);
+  c.set("out", out_channels);
+  c.set("stride", stride);
   return c;
 }
 
 std::shared_ptr<nn::Module> BasicBlock::clone() const {
-  const nn::ModuleConfig c = config();
   Rng rng(0);
-  return cloned(*this, std::make_shared<BasicBlock>(c.get_int("in"),
-                                                    c.get_int("out"),
-                                                    c.get_int("stride"), rng));
+  return cloned(*this, std::make_shared<BasicBlock>(in_channels, out_channels,
+                                                    stride, rng, array_size));
 }
 
-// The planner lowering for a residual block (B congruent BasicBlocks become
-// one FusedBasicBlock on the channel-fused layout). Load AND store are
-// derived from the fused block's StateMap (its child names mirror the
-// per-model block's).
+// B congruent BasicBlocks lower to one BasicBlock at B x width on the
+// channel-fused layout; load and store derive from its StateMap, whose
+// paths are the per-model block's own.
 static const fused::LoweringRegistrar kBasicBlockLowering(
     "models::BasicBlock",
     [](const fused::LoweringContext& ctx) {
-      const nn::ModuleConfig c = ctx.reference().config();
-      auto m = std::make_shared<FusedBasicBlock>(
-          ctx.array_size, c.get_int("in"), c.get_int("out"),
-          c.get_int("stride"), *ctx.rng);
+      const auto& ref = static_cast<const BasicBlock&>(ctx.reference());
+      auto m = std::make_shared<BasicBlock>(ref.in_channels, ref.out_channels,
+                                            ref.stride, *ctx.rng,
+                                            ctx.array_size);
       return fused::Lowered{m, fused::Layout::kChannelFused,
                             fused::Layout::kChannelFused};
     });
@@ -92,35 +93,6 @@ ag::Variable ResNet18::forward(const ag::Variable& x) {
 std::shared_ptr<nn::Module> ResNet18::clone() const {
   Rng rng(0);
   return cloned(*this, std::make_shared<ResNet18>(cfg, rng));
-}
-
-// ---- fused -----------------------------------------------------------------------
-
-FusedBasicBlock::FusedBasicBlock(int64_t B, int64_t in, int64_t out,
-                                 int64_t stride, Rng& rng)
-    : fused::FusedModule(B) {
-  conv1 = register_module(
-      "conv1", std::make_shared<nn::Conv2d>(B * in, B * out, 3, stride, 1, B,
-                                            false, rng));
-  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm2d>(B * out));
-  conv2 = register_module(
-      "conv2", std::make_shared<nn::Conv2d>(B * out, B * out, 3, 1, 1, B,
-                                            false, rng));
-  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm2d>(B * out));
-  if (stride != 1 || in != out) {
-    down_conv = register_module(
-        "down_conv", std::make_shared<nn::Conv2d>(B * in, B * out, 1, stride,
-                                                  0, B, false, rng));
-    down_bn =
-        register_module("down_bn", std::make_shared<nn::BatchNorm2d>(B * out));
-  }
-}
-
-ag::Variable FusedBasicBlock::forward(const ag::Variable& x) {
-  ag::Variable h = ag::relu(bn1->forward(conv1->forward(x)));
-  h = bn2->forward(conv2->forward(h));
-  ag::Variable skip = down_conv ? down_bn->forward(down_conv->forward(x)) : x;
-  return ag::relu(ag::add(h, skip));
 }
 
 ResNetFusionMask ResNetFusionMask::partially_unfused(int64_t n) {

@@ -4,7 +4,8 @@
 // subject (Fig. 17 / Appendix H.4).
 //
 // The per-model network is a planner-walkable Sequential (`net`); the fused
-// variant is compiled by FusionPlan, with the Fig. 17 partial-fusion sweep
+// variant is compiled by FusionPlan (each BasicBlock lowering to one
+// BasicBlock at B x width), with the Fig. 17 partial-fusion sweep
 // expressed as the plan's fuse_mask: units whose fusion is "turned off" run
 // B per-model replicas through an UnfusedBlockAdapter on the channel-fused
 // layout (mathematically identical, no operator fusion).
@@ -30,16 +31,25 @@ struct ResNetConfig {
 
 /// Standard two-conv residual block. Registers the custom lowering
 /// "models::BasicBlock" so the planner can fuse it.
+///
+/// `B` works like `groups` on nn::Conv2d: B > 1 builds B independent blocks
+/// side by side on the channel-fused layout — every conv over B*in -> B*out
+/// channels with B x groups, every BatchNorm over B*out channels — which is
+/// exactly the fused form of B such blocks (paper Appendix B). The planner
+/// lowers B congruent blocks to one block at B x width.
 class BasicBlock : public nn::Module {
  public:
-  BasicBlock(int64_t in, int64_t out, int64_t stride, Rng& rng);
+  BasicBlock(int64_t in, int64_t out, int64_t stride, Rng& rng,
+             int64_t B = 1);
   ag::Variable forward(const ag::Variable& x) override;
   std::string kind_name() const override { return "models::BasicBlock"; }
+  /// The per-model constructor arguments (in, out, stride), whatever B is.
   nn::ModuleConfig config() const override;
   std::shared_ptr<nn::Module> clone() const override;
 
   std::shared_ptr<nn::Conv2d> conv1, conv2, down_conv;  // down_conv optional
   std::shared_ptr<nn::BatchNorm2d> bn1, bn2, down_bn;
+  int64_t in_channels, out_channels, stride, array_size;
 };
 
 class ResNet18 : public nn::Module {
@@ -55,17 +65,6 @@ class ResNet18 : public nn::Module {
   std::vector<std::shared_ptr<BasicBlock>> blocks;  // 8
   std::shared_ptr<nn::Linear> fc;
   ResNetConfig cfg;
-};
-
-// ---- fused -------------------------------------------------------------------
-
-class FusedBasicBlock : public fused::FusedModule {
- public:
-  FusedBasicBlock(int64_t B, int64_t in, int64_t out, int64_t stride, Rng& rng);
-  ag::Variable forward(const ag::Variable& x) override;
-
-  std::shared_ptr<nn::Conv2d> conv1, conv2, down_conv;  // at B x width
-  std::shared_ptr<nn::BatchNorm2d> bn1, bn2, down_bn;
 };
 
 /// Which parts of the fused ResNet-18 are operator-fused. The paper's

@@ -13,6 +13,7 @@
 #include "models/transformer.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
+#include "same_bits.h"
 
 namespace hfta::ag {
 namespace {
@@ -431,14 +432,7 @@ Variable composed_attention(const Variable& qkv, int64_t H, const Tensor& mask,
   return reshape(ctx, {R, S, E});
 }
 
-void expect_same_bits(const Tensor& want, const Tensor& got,
-                      const std::string& tag) {
-  ASSERT_EQ(want.shape(), got.shape()) << tag;
-  EXPECT_EQ(std::memcmp(want.data(), got.data(),
-                        sizeof(float) * static_cast<size_t>(want.numel())),
-            0)
-      << tag;
-}
+using tests::expect_same_bits;
 
 // ag::attention equals the chain bit for bit: the context, the saved
 // probabilities and the qkv gradient, for one to four heads, one to 16

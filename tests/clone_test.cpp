@@ -14,6 +14,8 @@
 #include "nn/norm.h"
 #include "tensor/ops.h"
 
+#include "same_bits.h"
+
 namespace hfta::nn {
 namespace {
 
@@ -30,16 +32,14 @@ void expect_equal_state(const Module& a, const Module& b) {
   ASSERT_EQ(pa.size(), pb.size());
   for (size_t i = 0; i < pa.size(); ++i) {
     EXPECT_EQ(pa[i].first, pb[i].first);
-    EXPECT_EQ(ops::max_abs_diff(pa[i].second.value(), pb[i].second.value()),
-              0.f)
-        << pa[i].first;
+    tests::expect_same_bits(pa[i].second.value(), pb[i].second.value(),
+                            pa[i].first);
   }
   auto ba = named_buffers_recursive(a);
   auto bb = named_buffers_recursive(b);
   ASSERT_EQ(ba.size(), bb.size());
   for (size_t i = 0; i < ba.size(); ++i)
-    EXPECT_EQ(ops::max_abs_diff(ba[i].second, bb[i].second), 0.f)
-        << ba[i].first;
+    tests::expect_same_bits(ba[i].second, bb[i].second, ba[i].first);
 }
 
 // Mutating every parameter/buffer of `m` must leave `other` untouched.
@@ -176,6 +176,43 @@ TEST(ModuleClone, BasicBlockClonesThroughTheBase) {
                               c->forward(ag::Variable(x)).value()),
             0.f);
   expect_independent(*c, src);
+}
+
+TEST(ModuleClone, BlocksAtBTimesWidthCloneAtTheSameWidth) {
+  // A block built with B > 1 is the fused form of B blocks (what the planner
+  // lowers B of them to). Its clone rebuilds at the same B, bit for bit, and
+  // both report the per-model block's config.
+  Rng rng(9);
+  const int64_t B = 3;
+  const models::MobileNetV3Config mcfg = models::MobileNetV3Config::tiny();
+  const models::BneckSpec& se_row = models::mobilenetv3_large_table()[3];
+  ASSERT_TRUE(se_row.se);
+  struct Case {
+    std::shared_ptr<Module> wide, plain;
+    Shape input;  // per-model [N, C, H, W]
+  };
+  const std::vector<Case> cases = {
+      {std::make_shared<models::BasicBlock>(4, 8, 2, rng, B),
+       std::make_shared<models::BasicBlock>(4, 8, 2, rng), {2, 4, 8, 8}},
+      {std::make_shared<models::Bneck>(8, se_row, mcfg, rng, B),
+       std::make_shared<models::Bneck>(8, se_row, mcfg, rng), {2, 8, 6, 6}},
+  };
+  for (const Case& c : cases) {
+    const std::string kind = c.plain->kind_name();
+    Shape wide_input = c.input;
+    wide_input[1] *= B;
+    c.wide->forward(ag::Variable(Tensor::randn(wide_input, rng)));  // BN stats
+    std::shared_ptr<Module> copy = c.wide->clone();
+    ASSERT_NE(copy, nullptr) << kind;
+    EXPECT_EQ(copy->kind_name(), kind);
+    EXPECT_EQ(copy->num_parameters(), B * c.plain->num_parameters()) << kind;
+    expect_equal_state(*c.wide, *copy);
+    for (const Module* m : {c.wide.get(), copy.get()}) {
+      EXPECT_EQ(m->config().ints, c.plain->config().ints) << kind;
+      EXPECT_EQ(m->config().floats, c.plain->config().floats) << kind;
+    }
+    expect_independent(*copy, *c.wide);
+  }
 }
 
 TEST(ModuleClone, RegisteredEncoderLayerClonesThroughTheBase) {

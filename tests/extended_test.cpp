@@ -13,20 +13,14 @@
 #include "tensor/matmul.h"
 #include "hfht/schedulers.h"
 #include "tensor/ops.h"
+#include "same_bits.h"
 
 namespace hfta {
 namespace {
 
 class ConvT1dFusionB : public ::testing::TestWithParam<int64_t> {};
 
-void expect_same_bits(const Tensor& want, const Tensor& got,
-                      const std::string& tag) {
-  ASSERT_EQ(want.numel(), got.numel()) << tag;
-  EXPECT_EQ(std::memcmp(want.data(), got.data(),
-                        sizeof(float) * static_cast<size_t>(want.numel())),
-            0)
-      << tag;
-}
+using tests::expect_same_bits;
 
 // B ConvTranspose1d layers fused are one ConvTranspose1d at B x width with
 // B groups: output and weight gradient bitwise equal per model.

@@ -22,6 +22,7 @@
 #include "tensor/ops.h"
 
 #include "kind_factories.h"
+#include "same_bits.h"
 
 namespace hfta::fused {
 namespace {
@@ -681,18 +682,73 @@ TEST(Repack, SurvivorsContinueBitExactlyAfterHalving) {
 // The per-kind factories live in kind_factories.h, shared with
 // step_program_test so every registered lowering is covered by BOTH the
 // state round-trip here and the capture/replay bit-exactness suite.
+using tests::expect_same_bits;
 using tests::KindFactory;
 using tests::kind_factories;
 
+// One training-mode forward and backward of `array` against each donor on
+// the same per-model data, through a per-model probe: the output, the
+// input gradient and every per-model parameter-gradient block must equal
+// the donor's bit for bit.
+void expect_step_matches_donors(
+    const std::string& kind, FusedArray& array,
+    const std::vector<std::shared_ptr<nn::Module>>& donors, Rng& rng) {
+  if (kind == "Dropout" || kind == "Dropout2d") {
+    // A fused dropout draws one mask stream over the fused tensor, not the
+    // B per-model streams, so only its eval-mode identity is comparable.
+    array.eval();
+    for (const auto& d : donors) d->eval();
+  }
+  std::vector<Tensor> xs;
+  for (int64_t b = 0; b < kB; ++b)
+    xs.push_back(tests::kind_input(kind, 2, rng));
+  ag::Variable xf(pack_channel_fused(xs), /*requires_grad=*/true);
+  ag::Variable yf = array.forward(xf);
+  const Tensor probe = Tensor::randn(yf.shape(), rng);
+  ag::sum_all(ag::mul(yf, ag::constant(probe))).backward();
+  const auto gx_per = unpack_channel_fused(xf.grad(), kB);
+  for (int64_t b = 0; b < kB; ++b) {
+    const size_t ub = static_cast<size_t>(b);
+    const std::string tag = kind + " model " + std::to_string(b);
+    ag::Variable xb(xs[ub], /*requires_grad=*/true);
+    ag::Variable yb = donors[ub]->forward(xb);
+    expect_same_bits(yb.value(),
+                     yf.value().slice(0, b, b + 1).reshape(yb.shape()),
+                     tag + " y");
+    ag::sum_all(ag::mul(yb, ag::constant(probe.slice(0, b, b + 1)
+                                             .reshape(yb.shape()))))
+        .backward();
+    expect_same_bits(xb.grad(), gx_per[ub], tag + " x grad");
+    std::map<std::string, ag::Variable> want;
+    for (const auto& [name, p] : donors[ub]->named_parameters())
+      want.emplace(name, p);
+    for (const FusedArray::Step& s : array.steps()) {
+      for (const StateEntry& e : s.state) {
+        if (e.is_buffer()) continue;
+        const std::string path =
+            s.path.empty() ? e.path : s.path + "." + e.path;
+        ag::Variable p = want.at(path), fused_p = e.fused_param;
+        ASSERT_TRUE(fused_p.grad().defined()) << tag << " " << path;
+        expect_same_bits(p.grad(),
+                         unfuse_blocks(fused_p.grad(), kB, p.shape())[ub],
+                         tag + " " + path + " grad");
+      }
+    }
+  }
+}
+
 TEST(StateSchema, EveryRegisteredKindRoundTripsSaveLoadBitExactly) {
   // Parameterized over the ENTIRE LoweringRegistry: compile B congruent
-  // replicas of each kind, then save every model back out into a scrambled
-  // clone and demand bit equality for all parameters and buffers. The
-  // companion guarantee is at compile time — a lowering whose StateMap
-  // misses any per-model tensor throws a structured FusionError — so a
-  // future registration cannot silently ship without (complete) state
-  // transfer. The factory-coverage check below makes the same registration
-  // fail THIS test until it is added here.
+  // replicas of each kind, train one step of the array and of each donor
+  // side by side (fused == serial, forward and backward, bit for bit), then
+  // save every model back out into a scrambled clone and demand bit
+  // equality for all parameters and buffers. The companion guarantee is at
+  // compile time — a lowering whose StateMap misses any per-model tensor
+  // throws a structured FusionError — so a future registration cannot
+  // silently ship without (complete) state transfer. The factory-coverage
+  // check below makes the same registration fail THIS test until it is
+  // added here. The token kinds take ids, not features; models_test and
+  // attention_training_test cover their fused == serial steps.
   const std::map<std::string, KindFactory> factories = kind_factories();
   for (const std::string& kind :
        LoweringRegistry::instance().supported_kinds()) {
@@ -706,14 +762,18 @@ TEST(StateSchema, EveryRegisteredKindRoundTripsSaveLoadBitExactly) {
            "kind_factories()";
   }
   Rng rng(77);
+  FusionOptions opts;
+  opts.output_layout = Layout::kModelMajor;
   for (const auto& [kind, make] : factories) {
     ASSERT_NE(LoweringRegistry::instance().find(kind), nullptr)
         << "factory for '" << kind << "' has no registered lowering";
     std::vector<std::shared_ptr<nn::Module>> donors;
     for (int64_t b = 0; b < kB; ++b) donors.push_back(make(rng));
     std::shared_ptr<FusedArray> array;
-    ASSERT_NO_THROW(array = FusionPlan(kB).compile(donors, rng))
+    ASSERT_NO_THROW(array = FusionPlan(kB, opts).compile(donors, rng))
         << "kind " << kind;
+    if (kind != "models::TransformerLM" && kind != "models::BertModel")
+      expect_step_matches_donors(kind, *array, donors, rng);
     for (int64_t b = 0; b < kB; ++b) {
       const size_t ub = static_cast<size_t>(b);
       std::shared_ptr<nn::Module> out = donors[ub]->clone();
@@ -729,16 +789,16 @@ TEST(StateSchema, EveryRegisteredKindRoundTripsSaveLoadBitExactly) {
       const auto gp = out->named_parameters();
       ASSERT_EQ(wp.size(), gp.size()) << kind;
       for (size_t i = 0; i < wp.size(); ++i)
-        EXPECT_EQ(ops::max_abs_diff(wp[i].second.value(),
-                                    gp[i].second.value()),
-                  0.f)
-            << kind << " param " << wp[i].first << " model " << b;
+        expect_same_bits(wp[i].second.value(), gp[i].second.value(),
+                         kind + " param " + wp[i].first + " model " +
+                             std::to_string(b));
       const auto wb = nn::named_buffers_recursive(*donors[ub]);
       const auto gb = nn::named_buffers_recursive(*out);
       ASSERT_EQ(wb.size(), gb.size()) << kind;
       for (size_t i = 0; i < wb.size(); ++i)
-        EXPECT_EQ(ops::max_abs_diff(wb[i].second, gb[i].second), 0.f)
-            << kind << " buffer " << wb[i].first << " model " << b;
+        expect_same_bits(wb[i].second, gb[i].second,
+                         kind + " buffer " + wb[i].first + " model " +
+                             std::to_string(b));
     }
   }
 }

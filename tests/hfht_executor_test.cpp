@@ -252,8 +252,9 @@ SearchSpace mobilenet_single_partition_space() {
 
 TEST(FusedExecutor, MobileNetTrialsTrainForRealBitExactly) {
   // The second paper workload scores from REAL fused training now, not the
-  // synthetic accuracy surface: one planner-compiled FusedMobileNetV3
-  // array whose per-model loss trajectories equal the serial runs exactly.
+  // synthetic accuracy surface: one array planner-compiled from the
+  // trials' MobileNetV3 graphs, whose per-model loss trajectories equal the
+  // serial runs exactly.
   RandomSearch rs(mobilenet_single_partition_space(), /*total_sets=*/3,
                   /*epochs_per_set=*/1, /*seed=*/21);
   FusedTrainingExecutor exec(Task::kMobileNet, sim::v100(),

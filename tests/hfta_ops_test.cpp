@@ -18,6 +18,7 @@
 #include "hfta/fusion.h"
 #include "models/resnet.h"
 #include "tensor/ops.h"
+#include "same_bits.h"
 
 namespace hfta::fused {
 namespace {
@@ -29,14 +30,7 @@ ag::Variable probe_loss(const ag::Variable& y, const Tensor& probe) {
   return ag::sum_all(ag::mul(y, ag::constant(probe)));
 }
 
-void expect_same_bits(const Tensor& want, const Tensor& got,
-                      const std::string& tag) {
-  ASSERT_EQ(want.numel(), got.numel()) << tag;
-  EXPECT_EQ(std::memcmp(want.data(), got.data(),
-                        sizeof(float) * static_cast<size_t>(want.numel())),
-            0)
-      << tag;
-}
+using tests::expect_same_bits;
 
 // Copies `plain`'s state into model b's blocks of `fused`, an array of B.
 void load_model(const nn::Module& fused, int64_t B, int64_t b,
@@ -247,15 +241,17 @@ TEST_P(FusionB, StateTransferRejectsModelIndexOutsideArray) {
   Rng rng(660 + B);
   nn::Conv2d conv(B * 3, B * 4, 3, 1, 1, B, true, rng);
   nn::Conv2d plain_conv(3, 4, 3, 1, 1, 1, true, rng);
-  models::FusedBasicBlock block(B, 4, 8, 2, rng);
+  models::BasicBlock block(4, 8, 2, rng, B);
   models::BasicBlock plain_block(4, 8, 2, rng);
   for (const int64_t b : {int64_t{-1}, B}) {
     EXPECT_THROW(load_state(state_map(conv), B, b, plain_conv), Error)
         << "b = " << b;
     EXPECT_THROW(store_state(state_map(conv), B, b, plain_conv), Error)
         << "b = " << b;
-    EXPECT_THROW(block.load_model(b, plain_block), Error) << "b = " << b;
-    EXPECT_THROW(block.store_model(b, plain_block), Error) << "b = " << b;
+    EXPECT_THROW(load_state(state_map(block), B, b, plain_block), Error)
+        << "b = " << b;
+    EXPECT_THROW(store_state(state_map(block), B, b, plain_block), Error)
+        << "b = " << b;
   }
 }
 
@@ -355,8 +351,10 @@ TEST_P(FusionB, LayerNormPerModelAffine) {
     ag::Variable yb = plain[ub]->forward(xb);
     probe_loss(yb, probe.slice(0, b, b + 1).reshape({N, E})).backward();
     const std::string tag = "model " + std::to_string(b);
-    expect_same_bits(yb.value(), yf.value().slice(0, b, b + 1), tag + " y");
-    expect_same_bits(xb.grad(), xf.grad().slice(0, b, b + 1), tag + " x grad");
+    expect_same_bits(yb.value(), yf.value().slice(0, b, b + 1).reshape({N, E}),
+                     tag + " y");
+    expect_same_bits(xb.grad(), xf.grad().slice(0, b, b + 1).reshape({N, E}),
+                     tag + " x grad");
     expect_same_bits(plain[ub]->weight.grad(), gw_per[ub], tag + " w grad");
     expect_same_bits(plain[ub]->bias.grad(), gb_per[ub], tag + " b grad");
   }

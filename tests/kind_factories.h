@@ -1,8 +1,9 @@
 // Shared per-kind test fixtures: one congruent per-model module factory for
 // every kind in the LoweringRegistry, plus a matching training input. Used
-// by fusion_plan_test (state round-trips over the whole registry) and
-// step_program_test (capture/replay bit-exactness over the whole registry),
-// so a new lowering registration fails BOTH suites until covered here once.
+// by fusion_plan_test (fused == serial steps and state round-trips over the
+// whole registry) and step_program_test (capture/replay bit-exactness over
+// the whole registry), so a new lowering registration fails BOTH suites
+// until covered here once.
 #pragma once
 
 #include <functional>
@@ -89,10 +90,6 @@ inline std::map<std::string, KindFactory> kind_factories() {
     return make_shared<models::Bneck>(8, models::mobilenetv3_large_table()[3],
                                       models::MobileNetV3Config::tiny(), r);
   };
-  f["models::MobileNetV3"] = [](Rng& r) {
-    return make_shared<models::MobileNetV3>(models::MobileNetV3Config::tiny(),
-                                            r);
-  };
   f["models::BertModel"] = [](Rng& r) {
     return make_shared<models::BertModel>(models::BertConfig::tiny(), r);
   };
@@ -144,7 +141,6 @@ inline Tensor kind_input(const std::string& kind, int64_t n, Rng& rng) {
       {"models::TransformerEncoderLayer", {4, 8}},
       {"models::SqueezeExcite", {8, 4, 4}},
       {"models::Bneck", {8, 6, 6}},
-      {"models::MobileNetV3", {3, 16, 16}},
   };
   Shape shape = {n};
   const Shape& trailing = kTrailing.at(kind);

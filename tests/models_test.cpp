@@ -1,6 +1,6 @@
 // Model-level fusion equivalence: for every one of the paper's six model
 // families, the fused array of B models with distinct weights must produce
-// per-model outputs identical (to float tolerance) to the B plain models.
+// per-model outputs bitwise identical to the B plain models.
 #include <gtest/gtest.h>
 
 #include "hfta/fused_ops.h"
@@ -12,10 +12,13 @@
 #include "models/transformer.h"
 #include "tensor/ops.h"
 
+#include "same_bits.h"
+
 namespace hfta::models {
 namespace {
 
-constexpr float kTol = 2e-3f;
+using tests::expect_same_bits;
+
 constexpr int64_t kB = 3;
 
 // The planner-compiled array of the B per-model graphs, model-major output.
@@ -54,8 +57,8 @@ TEST(PointNetModel, FusedClsMatchesSerial) {
     Tensor yb = plain[static_cast<size_t>(b)]
                     ->forward(ag::Variable(xs[static_cast<size_t>(b)]))
                     .value();
-    Tensor yf_b = yf.slice(0, b, b + 1).reshape(yb.shape());
-    EXPECT_LT(ops::max_abs_diff(yf_b, yb), kTol) << "model " << b;
+    expect_same_bits(yb, yf.slice(0, b, b + 1).reshape(yb.shape()),
+                     "model " + std::to_string(b));
   }
 }
 
@@ -78,8 +81,8 @@ TEST(PointNetModel, FusedClsWithInputTransformMatchesSerial) {
     Tensor yb = plain[static_cast<size_t>(b)]
                     ->forward(ag::Variable(xs[static_cast<size_t>(b)]))
                     .value();
-    EXPECT_LT(ops::max_abs_diff(yf.slice(0, b, b + 1).reshape(yb.shape()), yb),
-              kTol);
+    expect_same_bits(yb, yf.slice(0, b, b + 1).reshape(yb.shape()),
+                     "model " + std::to_string(b));
   }
 }
 
@@ -101,7 +104,8 @@ TEST(PointNetModel, FusedSegMatchesSerial) {
     Tensor yb = plain[static_cast<size_t>(b)]
                     ->forward(ag::Variable(xs[static_cast<size_t>(b)]))
                     .value();
-    EXPECT_LT(ops::max_abs_diff(per[static_cast<size_t>(b)], yb), kTol);
+    expect_same_bits(yb, per[static_cast<size_t>(b)],
+                     "model " + std::to_string(b));
   }
 }
 
@@ -143,11 +147,10 @@ TEST(DCGANModel, FusedGeneratorAndDiscriminatorMatchSerial) {
   for (int64_t b = 0; b < kB; ++b) {
     const size_t ub = static_cast<size_t>(b);
     Tensor img_b = gens[ub]->forward(ag::Variable(zs[ub])).value();
-    EXPECT_LT(ops::max_abs_diff(img_per[ub], img_b), kTol);
+    expect_same_bits(img_b, img_per[ub], "generator " + std::to_string(b));
     Tensor logit_b = discs[ub]->forward(ag::Variable(img_b)).value();
-    EXPECT_LT(ops::max_abs_diff(logits.slice(0, b, b + 1).reshape({2}),
-                                logit_b),
-              kTol);
+    expect_same_bits(logit_b, logits.slice(0, b, b + 1).reshape({2}),
+                     "discriminator " + std::to_string(b));
   }
 }
 
@@ -177,8 +180,8 @@ TEST(ResNetModel, FusedMatchesSerial) {
   for (int64_t b = 0; b < kB; ++b) {
     const size_t ub = static_cast<size_t>(b);
     Tensor yb = plain[ub]->forward(ag::Variable(xs[ub])).value();
-    EXPECT_LT(ops::max_abs_diff(yf.slice(0, b, b + 1).reshape(yb.shape()), yb),
-              kTol);
+    expect_same_bits(yb, yf.slice(0, b, b + 1).reshape(yb.shape()),
+                     "model " + std::to_string(b));
   }
 }
 
@@ -206,8 +209,8 @@ TEST_P(PartialFusionTest, PartiallyUnfusedResNetMatchesSerial) {
   for (int64_t b = 0; b < kB; ++b) {
     const size_t ub = static_cast<size_t>(b);
     Tensor yb = plain[ub]->forward(ag::Variable(xs[ub])).value();
-    EXPECT_LT(ops::max_abs_diff(yf.slice(0, b, b + 1).reshape(yb.shape()), yb),
-              kTol);
+    expect_same_bits(yb, yf.slice(0, b, b + 1).reshape(yb.shape()),
+                     "model " + std::to_string(b));
   }
 }
 
@@ -223,25 +226,30 @@ TEST(MobileNetModel, ForwardShapesAndBlockCount) {
   EXPECT_EQ(model.forward(x).shape(), (Shape{2, cfg.num_classes}));
 }
 
-TEST(MobileNetModel, FusedMatchesSerial) {
-  Rng rng(11);
-  MobileNetV3Config cfg = MobileNetV3Config::tiny();
-  FusedMobileNetV3 fused(kB, cfg, rng);
+// B MobileNetV3 graphs of `cfg`, planner-compiled, vs the B plain models.
+void expect_mobilenet_fuses_exactly(const MobileNetV3Config& cfg, Rng& rng) {
   std::vector<std::shared_ptr<MobileNetV3>> plain;
+  std::vector<std::shared_ptr<nn::Module>> nets;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<MobileNetV3>(cfg, rng));
-    fused.load_model(b, *plain.back());
+    nets.push_back(plain.back()->net);
     xs.push_back(Tensor::randn({2, 3, cfg.image_size, cfg.image_size}, rng));
   }
+  auto fused = compile_model_major(nets, rng);
   Tensor yf =
-      fused.forward(ag::Variable(fused::pack_channel_fused(xs))).value();
+      fused->forward(ag::Variable(fused::pack_channel_fused(xs))).value();
   for (int64_t b = 0; b < kB; ++b) {
     const size_t ub = static_cast<size_t>(b);
     Tensor yb = plain[ub]->forward(ag::Variable(xs[ub])).value();
-    EXPECT_LT(ops::max_abs_diff(yf.slice(0, b, b + 1).reshape(yb.shape()), yb),
-              kTol);
+    expect_same_bits(yb, yf.slice(0, b, b + 1).reshape(yb.shape()),
+                     "model " + std::to_string(b));
   }
+}
+
+TEST(MobileNetModel, FusedMatchesSerial) {
+  Rng rng(11);
+  expect_mobilenet_fuses_exactly(MobileNetV3Config::tiny(), rng);
 }
 
 TEST(MobileNetModel, V2FusedMatchesSerial) {
@@ -250,22 +258,7 @@ TEST(MobileNetModel, V2FusedMatchesSerial) {
   Rng rng(30);
   MobileNetV3Config cfg = MobileNetV3Config::tiny_v2();
   EXPECT_EQ(cfg.version, 2);
-  FusedMobileNetV3 fused(kB, cfg, rng);
-  std::vector<std::shared_ptr<MobileNetV3>> plain;
-  std::vector<Tensor> xs;
-  for (int64_t b = 0; b < kB; ++b) {
-    plain.push_back(std::make_shared<MobileNetV3>(cfg, rng));
-    fused.load_model(b, *plain.back());
-    xs.push_back(Tensor::randn({2, 3, cfg.image_size, cfg.image_size}, rng));
-  }
-  Tensor yf =
-      fused.forward(ag::Variable(fused::pack_channel_fused(xs))).value();
-  for (int64_t b = 0; b < kB; ++b) {
-    const size_t ub = static_cast<size_t>(b);
-    Tensor yb = plain[ub]->forward(ag::Variable(xs[ub])).value();
-    EXPECT_LT(ops::max_abs_diff(yf.slice(0, b, b + 1).reshape(yb.shape()), yb),
-              kTol);
-  }
+  expect_mobilenet_fuses_exactly(cfg, rng);
 }
 
 TEST(MobileNetModel, V2AndV3AreDifferentArchitectures) {
@@ -336,8 +329,8 @@ TEST(TransformerModel, FusedMatchesSerial) {
   for (int64_t b = 0; b < kB; ++b) {
     const size_t ub = static_cast<size_t>(b);
     Tensor yb = plain[ub]->forward_tokens(toks[ub]).value();
-    EXPECT_LT(ops::max_abs_diff(yf.slice(0, b, b + 1).reshape(yb.shape()), yb),
-              kTol);
+    expect_same_bits(yb, yf.slice(0, b, b + 1).reshape(yb.shape()),
+                     "model " + std::to_string(b));
   }
 }
 
@@ -359,8 +352,8 @@ TEST(BertModel, FusedMatchesSerial) {
   for (int64_t b = 0; b < kB; ++b) {
     const size_t ub = static_cast<size_t>(b);
     Tensor yb = plain[ub]->forward_tokens(toks[ub]).value();
-    EXPECT_LT(ops::max_abs_diff(yf.slice(0, b, b + 1).reshape(yb.shape()), yb),
-              kTol);
+    expect_same_bits(yb, yf.slice(0, b, b + 1).reshape(yb.shape()),
+                     "model " + std::to_string(b));
   }
 }
 

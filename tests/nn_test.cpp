@@ -21,6 +21,7 @@
 #include "nn/norm.h"
 #include "nn/optim.h"
 #include "tensor/ops.h"
+#include "same_bits.h"
 
 namespace hfta::nn {
 namespace {
@@ -262,16 +263,7 @@ BnOut one_op_batch_norm(const BnCase& c, bool training, bool x_grad) {
   return out;
 }
 
-void expect_same_bits(const Tensor& want, const Tensor& got,
-                      const std::string& tag) {
-  ASSERT_EQ(want.defined(), got.defined()) << tag;
-  if (!want.defined()) return;
-  ASSERT_EQ(want.numel(), got.numel()) << tag;
-  EXPECT_EQ(std::memcmp(want.data(), got.data(),
-                        sizeof(float) * static_cast<size_t>(want.numel())),
-            0)
-      << tag;
-}
+using tests::expect_same_bits;
 
 // Random data with the edge cases folded in: channel 0 constant (variance
 // 0), channel 1 holding +0 and -0 (as do the weight and bias), and zeros
