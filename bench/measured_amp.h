@@ -62,20 +62,19 @@ struct FusedMlp : fused::FusedModule {
     for (int64_t d = 0; d < kDepth; ++d) {
       layers.push_back(register_module(
           "fc" + std::to_string(d),
-          std::make_shared<fused::FusedLinear>(B, prev, kHidden, true, rng)));
+          std::make_shared<nn::Linear>(prev, kHidden, true, rng, B)));
       prev = kHidden;
     }
     head = register_module(
-        "head",
-        std::make_shared<fused::FusedLinear>(B, prev, kClasses, true, rng));
+        "head", std::make_shared<nn::Linear>(prev, kClasses, true, rng, B));
   }
   ag::Variable forward(const ag::Variable& x) override {
     ag::Variable h = x;
     for (auto& l : layers) h = ag::relu(l->forward(h));
     return head->forward(h);
   }
-  std::vector<std::shared_ptr<fused::FusedLinear>> layers;
-  std::shared_ptr<fused::FusedLinear> head;
+  std::vector<std::shared_ptr<nn::Linear>> layers;
+  std::shared_ptr<nn::Linear> head;
 };
 
 // One precision's replayed training run; both sides start from the same

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "data/datasets.h"
-#include "hfta/fused_norm.h"
 #include "hfta/fused_optim.h"
 #include "hfta/fusion.h"
 #include "hfta/loss_scaling.h"
@@ -33,21 +32,21 @@ struct Mlp : nn::Module {
   std::shared_ptr<nn::Linear> fc1, fc2;
 };
 
-// The fused array of B such MLPs: same two lines, fused classes. Its child
-// names mirror Mlp's, so load_model/store_model move whole models.
+// The fused array of B such MLPs: the same two lines, each Linear built
+// with array size B. Its child names mirror Mlp's, so
+// load_model/store_model move whole models.
 struct FusedMlp : fused::FusedModule {
   FusedMlp(int64_t B, int64_t in, int64_t hidden, int64_t classes, Rng& rng)
       : fused::FusedModule(B) {
     fc1 = register_module(
-        "fc1", std::make_shared<fused::FusedLinear>(B, in, hidden, true, rng));
+        "fc1", std::make_shared<nn::Linear>(in, hidden, true, rng, B));
     fc2 = register_module(
-        "fc2",
-        std::make_shared<fused::FusedLinear>(B, hidden, classes, true, rng));
+        "fc2", std::make_shared<nn::Linear>(hidden, classes, true, rng, B));
   }
   ag::Variable forward(const ag::Variable& x) override {
     return fc2->forward(ag::relu(fc1->forward(x)));  // x: [B, N, in]
   }
-  std::shared_ptr<fused::FusedLinear> fc1, fc2;
+  std::shared_ptr<nn::Linear> fc1, fc2;
 };
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Autocast: scoped mixed-precision policy for the differentiable ops.
 //
 // Inside an AutocastGuard(kF16 / kBF16) scope, the GEMM/conv-class ops
-// (matmul, bmm, bmm_nt, linear, batched_linear, attention's GEMMs, conv*,
+// (matmul, bmm, bmm_nt, linear, attention's GEMMs, conv*,
 // conv_transpose*) round their tensor operands — NOT their biases — to the
 // autocast dtype before computing, and accumulate in f32, so the op class
 // runs "fp32-accumulate from low-precision inputs". Everything else is

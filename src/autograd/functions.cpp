@@ -354,55 +354,43 @@ Variable bmm_nt(const Variable& a, const Variable& b) {
                  });
 }
 
-Variable linear(const Variable& x, const Variable& w,
-                const Variable& b) {
+Variable linear(const Variable& x, const Variable& w, const Variable& b,
+                int64_t groups) {
   const DType q = gemm_quantize_dtype();
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
-  const Shape x_shape = xv.shape();
-  const int64_t in = wv.size(1);
-  const int64_t out = wv.size(0);
-  const int64_t rows = xv.numel() / in;
-  auto fwd = [xv, wv, bv, q](const Tensor& out) {
-    return ops::linear_forward(xv, wv, bv, q, q, out);
+  auto fwd = [xv, wv, bv, groups, q](const Tensor& out) {
+    return ops::linear_forward(xv, wv, bv, groups, q, q, out);
   };
   Tensor y = fwd({});
   std::vector<Variable> inputs = {x, w};
   if (b.defined()) inputs.push_back(b);
   const bool has_bias = b.defined();
+  const int64_t in = wv.size(1);
+  const int64_t out = wv.size(0) / groups;
+  const int64_t run = xv.numel() / in / groups;
   return make_op(
       "linear", y, fwd, std::move(inputs),
-      [xv, wv, x_shape, in, out, rows, has_bias,
+      [xv, wv, groups, in, out, run, has_bias,
        q](const Tensor& gy) -> std::vector<Tensor> {
-        Tensor gy2 = gy.reshape({rows, out});
-        Tensor x2 = xv.reshape({rows, in});
-        Tensor gx = ops::matmul(gy2, wv, DType::kF32, q).reshape(x_shape);
-        Tensor gw = ops::matmul_tn(gy2, x2, DType::kF32, q);  // [out, in]
-        std::vector<Tensor> grads = {gx, gw};
-        if (has_bias) grads.push_back(ops::sum(gy2, {0}, false));
-        return grads;
-      });
-}
-
-Variable batched_linear(const Variable& x, const Variable& w,
-                        const Variable& b) {
-  const DType q = gemm_quantize_dtype();
-  Tensor xv = x.value(), wv = w.value();
-  Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, q](const Tensor& out) {
-    return ops::batched_linear_forward(xv, wv, bv, q, q, out);
-  };
-  std::vector<Variable> inputs = {x, w};
-  if (b.defined()) inputs.push_back(b);
-  return make_op(
-      "batched_linear", fwd({}), fwd, std::move(inputs),
-      [xv, wv, bv, q](const Tensor& gy) -> std::vector<Tensor> {
-        // Per model block, linear's backward GEMMs: gx = gy @ w,
-        // gw = gy^T @ x.
-        std::vector<Tensor> grads = {ops::bmm(gy, wv, DType::kF32, q),
-                                     ops::bmm_tn(gy, xv, DType::kF32, q)};
-        if (bv.defined())
-          grads.push_back(ops::reduce_to_shape(gy, bv.shape()));
+        std::vector<Tensor> grads;
+        if (groups == 1) {
+          Tensor gy2 = gy.reshape({run, out});
+          grads = {ops::matmul(gy2, wv, DType::kF32, q).reshape(xv.shape()),
+                   ops::matmul_tn(gy2, xv.reshape({run, in}), DType::kF32, q)};
+          if (has_bias) grads.push_back(ops::sum(gy2, {0}, false));
+          return grads;
+        }
+        // Per block, the groups = 1 GEMMs: gx = gy @ w, gw = gy^T @ x.
+        Tensor gy3 = gy.reshape({groups, run, out});
+        Tensor w3 = wv.reshape({groups, out, in});
+        grads = {ops::bmm(gy3, w3, DType::kF32, q).reshape(xv.shape()),
+                 ops::bmm_tn(gy3, xv.reshape({groups, run, in}), DType::kF32,
+                             q)
+                     .reshape(wv.shape())};
+        if (has_bias)
+          grads.push_back(ops::reduce_to_shape(gy3, {groups, 1, out})
+                              .reshape({groups * out}));
         return grads;
       });
 }
@@ -410,11 +398,12 @@ Variable batched_linear(const Variable& x, const Variable& w,
 Variable attention(const Variable& qkv, int64_t heads, const Tensor& mask) {
   const DType q = gemm_quantize_dtype();
   Tensor xv = qkv.value();
-  HFTA_CHECK(xv.dim() == 3, "attention: qkv must be [R, S, 3E], got ",
+  HFTA_CHECK(xv.dim() >= 2, "attention: qkv must be [..., S, 3E], got ",
              shape_str(xv.shape()));
   // The probabilities, written by every run of the thunk (see layer_norm)
   // and read by the backward.
-  Tensor probs = Tensor::empty({xv.size(0) * heads, xv.size(1), xv.size(1)});
+  const int64_t S = xv.size(-2);
+  Tensor probs = Tensor::empty({xv.numel() / (S * xv.size(-1)) * heads, S, S});
   auto fwd = [xv, heads, mask, probs, q](const Tensor& out) mutable {
     return ops::attention_forward(xv, heads, mask, probs, q, out);
   };
@@ -938,17 +927,17 @@ Variable mse_loss(const Variable& x, const Tensor& target,
 }
 
 Variable embedding(const Tensor& indices, const Variable& weight,
-                   int64_t block_vocab) {
+                   int64_t groups) {
   Tensor wv = weight.value();
-  auto fwd = [indices, wv, block_vocab](const Tensor& out) {
-    return ops::embedding(indices, wv, block_vocab, out);
+  auto fwd = [indices, wv, groups](const Tensor& out) {
+    return ops::embedding(indices, wv, groups, out);
   };
   const int64_t vocab = weight.size(0);
   return make_op("embedding", fwd({}), fwd, {weight},
                  [indices, vocab,
-                  block_vocab](const Tensor& gy) -> std::vector<Tensor> {
+                  groups](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::embedding_backward(gy, indices, vocab,
-                                                   block_vocab)};
+                                                   groups)};
                  });
 }
 

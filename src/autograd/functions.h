@@ -48,15 +48,14 @@ Variable matmul(const Variable& a, const Variable& b);
 Variable bmm(const Variable& a, const Variable& b);
 /// a @ b with b transposed on its last two dims.
 Variable bmm_nt(const Variable& a, const Variable& b);
-/// x [.., in] @ w [out, in]^T + b [out] (b may be undefined).
-Variable linear(const Variable& x, const Variable& w, const Variable& b);
-/// B linears: x [B, N, in] @ w [B, out, in]^T + b [B, 1, out] (b may be
-/// undefined). Model block b runs linear's forward and backward GEMMs on
-/// x[b], w[b], b[b] (ops::batched_linear_forward).
-Variable batched_linear(const Variable& x, const Variable& w,
-                        const Variable& b);
+/// x [.., in] @ w [out, in]^T + b [out] (b may be undefined), `groups` of
+/// them at once (ops::linear_forward): x's rows split into `groups` equal
+/// runs, w is [groups*out, in] and b [groups*out], and run g uses block g.
+/// Per block the backward runs the groups = 1 GEMMs on that block alone.
+Variable linear(const Variable& x, const Variable& w, const Variable& b,
+                int64_t groups = 1);
 /// Multi-head self-attention off the input projection as one op
-/// (ops::attention_forward): qkv [R, S, 3E] -> merged context [R, S, E],
+/// (ops::attention_forward): qkv [..., S, 3E] -> merged context [..., S, E],
 /// softmax((q·kᵀ)/√Dh + mask)·v per head, mask [S, S] or undefined. Values
 /// and the qkv gradient are bit-identical to the composed chain (chunk,
 /// head-split permutes, bmm_nt, mul_scalar, add, softmax, bmm, merge
@@ -136,12 +135,12 @@ Variable mse_loss(const Variable& x, const Tensor& target,
                   Reduction reduction);
 
 // ---- embedding --------------------------------------------------------------------
-/// indices: integer-valued tensor (no grad); weight: [V, E]. block_vocab > 0
+/// indices: integer-valued tensor (no grad); weight: [V, E]. groups > 1
 /// looks up a stacked table of per-model blocks (see ops::embedding). The
 /// ids are read when the op runs, so a replayed step program sees whatever
 /// was staged into `indices`.
 Variable embedding(const Tensor& indices, const Variable& weight,
-                   int64_t block_vocab = 0);
+                   int64_t groups = 1);
 
 /// Elementwise multiply by a constant mask (dropout building block).
 Variable mul_mask(const Variable& x, const Tensor& mask);

@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "nn/init.h"
 #include "tensor/ops.h"
 
 namespace hfta::fused {
@@ -132,6 +131,11 @@ ag::Variable to_model_major(const ag::Variable& x, int64_t B) {
   const int64_t C = x.size(1) / B;
   Shape mid = {N, B, C};
   for (int64_t i = 2; i < x.dim(); ++i) mid.push_back(x.size(i));
+  // With one model the permute only moves a size-1 dim: a reshape.
+  if (B == 1) {
+    std::swap(mid[0], mid[1]);
+    return ag::reshape(x, mid);
+  }
   ag::Variable r = ag::reshape(x, mid);
   std::vector<int64_t> perm(static_cast<size_t>(r.dim()));
   perm[0] = 1;
@@ -142,6 +146,10 @@ ag::Variable to_model_major(const ag::Variable& x, int64_t B) {
 
 ag::Variable to_channel_fused(const ag::Variable& x) {
   HFTA_CHECK(x.dim() >= 3, "to_channel_fused: needs [B, N, C, ...]");
+  if (x.size(0) == 1) {
+    Shape out(x.shape().begin() + 1, x.shape().end());
+    return ag::reshape(x, out);
+  }
   std::vector<int64_t> perm(static_cast<size_t>(x.dim()));
   perm[0] = 1;
   perm[1] = 0;
@@ -168,49 +176,6 @@ Tensor pack_model_major(const std::vector<Tensor>& xs) {
   un.reserve(xs.size());
   for (const Tensor& t : xs) un.push_back(t.unsqueeze(0));
   return ops::concat(un, 0);
-}
-
-// ---- FusedLinear --------------------------------------------------------------------------
-
-FusedLinear::FusedLinear(int64_t B, int64_t in, int64_t out, bool has_bias,
-                         Rng& rng)
-    : FusedModule(B), in_features(in), out_features(out) {
-  weight =
-      register_parameter("weight", nn::init::kaiming_uniform({B, out, in},
-                                                             in, rng));
-  if (has_bias)
-    bias = register_parameter("bias",
-                              nn::init::kaiming_uniform({B, 1, out}, in, rng));
-}
-
-ag::Variable FusedLinear::forward(const ag::Variable& x) {
-  HFTA_CHECK(x.dim() == 3 && x.size(0) == array_size_ &&
-                 x.size(2) == in_features,
-             "FusedLinear: expected [", array_size_, ", N, ", in_features,
-             "], got ", shape_str(x.shape()));
-  return ag::batched_linear(x, weight, bias);
-}
-
-// ---- FusedEmbedding --------------------------------------------------------------------------
-
-FusedEmbedding::FusedEmbedding(int64_t B, int64_t vocab, int64_t dim, Rng& rng)
-    : FusedModule(B), vocab(vocab), dim(dim) {
-  weight = register_parameter(
-      "weight", nn::init::normal({B * vocab, dim}, 0.f, 1.f, rng));
-}
-
-ag::Variable FusedEmbedding::forward(const ag::Variable&) {
-  HFTA_CHECK(false, "FusedEmbedding: use lookup(indices)");
-  return ag::Variable();
-}
-
-ag::Variable FusedEmbedding::lookup(const Tensor& indices) {
-  // Appendix B: model b's ids index block b (rows offset by b*V) of the
-  // stacked table. The recorded op applies the offset itself, so a replayed
-  // step reads the ids staged for that step.
-  HFTA_CHECK(indices.dim() >= 1 && indices.size(0) == array_size_,
-             "FusedEmbedding: indices must be [B, ...]");
-  return ag::embedding(indices, weight, vocab);
 }
 
 }  // namespace hfta::fused

@@ -1,7 +1,6 @@
 // Horizontally fused operators — the paper's primary contribution
-// (Appendix B, Table 6). Fusing B instances of an nn:: layer is, for most
-// layers, mathematically the same layer at B x width, so the array runs
-// that nn:: layer itself:
+// (Appendix B, Table 6). Fusing B instances of an nn:: layer gives an
+// operator that already exists, so the array runs that nn:: layer itself:
 //
 //   Conv1d/2d, ConvTranspose1d/2d  B convs with G groups -> one nn:: conv
 //                 over B*in -> B*out channels with B*G groups
@@ -9,27 +8,29 @@
 //                   channel) statistics
 //   MaxPool2d / AdaptiveAvgPool2d / Dropout / Dropout2d  the nn:: layer,
 //                   unchanged, on the channel-fused layout
+//   Linear        nn::Linear with array size B: one GEMM per model block
+//                 (ag::linear with groups = B)
+//   LayerNorm     nn::LayerNorm with array size B: one ag::layer_norm whose
+//                 affine is grouped by model
+//   Embedding     nn::Embedding with array size B: one [B*V, E] table, model
+//                 b's ids read block b (ag::embedding with groups = B)
 //
-// A model block built only from those layers is, fused, the same block at
-// B x width: models::BasicBlock, Bneck and SqueezeExcite take the array
-// size B the way nn::Conv2d takes groups, and the planner lowers B of them
-// to one block built with that B.
-//
-// The layers below really differ from their nn:: counterpart:
-//
-//   FusedLinear   B linears -> one batched_linear(x [B,N,in], w [B,out,in],
-//                 b [B,1,out]): per model block, nn::Linear's own GEMMs
-//   FusedLayerNorm  normalize trailing dims, then per-model affine
-//   FusedEmbedding  index offsets b*V into a [B*V, E] table
+// A model built only from those layers is, fused, the same model at B:
+// models::BasicBlock, Bneck, SqueezeExcite, TransformerEncoderLayer,
+// TransformerLM, BertModel and PointNet's STN/PointNetTrunk/PointNetSeg
+// take the array size B the way nn::Conv2d takes groups, and the planner
+// lowers B of them to one built with that B. No hand-fused model class
+// remains.
 //
 // Layout conventions (see DESIGN.md §2):
 //   channel-fused  [N, B*C, H, W] / [N, B*C, L]  (conv/BN/pool family)
 //   model-major    [B, N, F] / [B, N, ...]       (linear/LayerNorm/attention)
 // to_model_major / to_channel_fused convert between them.
 //
-// Every fused module, leaf or composite, moves model b's state in and out
-// through one pair, FusedModule::load_model/store_model, which follows the
-// schema state_map() derives from the module tree (DESIGN.md §7).
+// Every fused module moves model b's state in and out through one pair,
+// load_state/store_state (FusedModule::load_model/store_model on the
+// array), which follows the schema state_map() derives from the module
+// tree (DESIGN.md §7).
 #pragma once
 
 #include "nn/layers.h"
@@ -145,30 +146,5 @@ Tensor pack_channel_fused(const std::vector<Tensor>& xs);
 std::vector<Tensor> unpack_channel_fused(const Tensor& x, int64_t B);
 /// Stacks B per-model tensors [N, ...] into model-major [B, N, ...].
 Tensor pack_model_major(const std::vector<Tensor>& xs);
-
-// ---- fused layers --------------------------------------------------------------
-
-class FusedLinear : public FusedModule {
- public:
-  FusedLinear(int64_t B, int64_t in, int64_t out, bool bias, Rng& rng);
-  /// x: [B, N, in] -> [B, N, out] via ag::batched_linear.
-  ag::Variable forward(const ag::Variable& x) override;
-
-  ag::Variable weight;  // [B, out, in]: block b is nn::Linear's [out, in]
-  ag::Variable bias;    // [B, 1, out]
-  int64_t in_features, out_features;
-};
-
-class FusedEmbedding : public FusedModule {
- public:
-  FusedEmbedding(int64_t B, int64_t vocab, int64_t dim, Rng& rng);
-  ag::Variable forward(const ag::Variable&) override;
-  /// indices: [B, ...] per-model integer ids -> [B, ..., E]. Replay-safe:
-  /// the per-model table offset is applied inside the recorded op.
-  ag::Variable lookup(const Tensor& indices);
-
-  ag::Variable weight;  // [B*V, E]
-  int64_t vocab, dim;
-};
 
 }  // namespace hfta::fused

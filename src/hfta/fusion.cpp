@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "hfta/fused_norm.h"
 #include "nn/layers.h"
 #include "nn/norm.h"
 #include "tensor/ops.h"
@@ -125,20 +124,22 @@ std::vector<std::string> LoweringRegistry::supported_kinds() const {
 
 LoweringRegistry::LoweringRegistry() {
   // -- model-major family ----------------------------------------------------
+  // B of these layers are the same nn:: layer built with array size B, on
+  // [B, N, ...]: per model block, the plain layer's own kernels.
   add(nn::layer_kind_name(nn::LayerKind::kLinear),
       [](const LoweringContext& ctx) {
         const nn::ModuleConfig c = ctx.reference().config();
-        auto m = std::make_shared<FusedLinear>(
-            ctx.array_size, c.get_int("in"), c.get_int("out"),
-            c.get_int("bias") != 0, *ctx.rng);
+        auto m = std::make_shared<nn::Linear>(
+            c.get_int("in"), c.get_int("out"), c.get_int("bias") != 0,
+            *ctx.rng, ctx.array_size);
         return Lowered{m, Layout::kModelMajor, Layout::kModelMajor};
       });
   add(nn::layer_kind_name(nn::LayerKind::kLayerNorm),
       [](const LoweringContext& ctx) {
         const nn::ModuleConfig c = ctx.reference().config();
-        auto m = std::make_shared<FusedLayerNorm>(
-            ctx.array_size, c.dims, static_cast<float>(c.get_float("eps")),
-            *ctx.rng);
+        auto m = std::make_shared<nn::LayerNorm>(
+            c.dims, static_cast<float>(c.get_float("eps")), *ctx.rng,
+            ctx.array_size);
         return Lowered{m, Layout::kModelMajor, Layout::kModelMajor};
       });
   add(nn::layer_kind_name(nn::LayerKind::kFlatten),

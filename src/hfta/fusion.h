@@ -9,8 +9,10 @@
 // shapes and topology — per-model hyper-parameters like learning rate live
 // in the fused optimizer, not the graph), reports unsupported combinations
 // as structured diagnostics, and lowers each layer through a per-kind
-// registry into fused operators (for the conv/BN/pool/dropout family and
-// the model blocks built from it, the layer or block itself at B x width),
+// registry into fused operators — for every stateful kind, the per-model
+// layer or block itself built for B models (B x width for the
+// conv/BN/pool/dropout family, array size B for Linear, LayerNorm and the
+// Transformer/PointNet blocks; fused_ops.h) —
 // inserting to_model_major/to_channel_fused layout conversions
 // automatically at family boundaries (DESIGN.md §2). Partial fusion is a
 // plan option (FusionOptions::fuse_mask) rather than bespoke per-model

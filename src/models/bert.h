@@ -24,11 +24,15 @@ struct BertConfig {
   }
 };
 
+/// Takes an array size B last, like models::TransformerLM: B > 1 is the
+/// fused form of B models on [B, N, S] tokens. Registers the custom
+/// lowering "models::BertModel".
 class BertModel : public nn::Module {
  public:
-  BertModel(const BertConfig& cfg, Rng& rng);
+  BertModel(const BertConfig& cfg, Rng& rng, int64_t B = 1);
   ag::Variable forward(const ag::Variable&) override;
-  /// tokens: [N, S] -> MLM logits [N, S, V].
+  /// tokens: [N, S] -> MLM logits [N, S, V] ([B, N, S] -> [B, N, S, V]
+  /// with B > 1).
   ag::Variable forward_tokens(const Tensor& tokens);
   std::shared_ptr<nn::Module> clone() const override;
   std::string kind_name() const override { return "models::BertModel"; }
@@ -38,21 +42,8 @@ class BertModel : public nn::Module {
   std::shared_ptr<nn::LayerNorm> embed_norm;
   std::vector<std::shared_ptr<TransformerEncoderLayer>> layers;
   std::shared_ptr<nn::Linear> mlm_head;
-  BertConfig cfg;
-};
-
-class FusedBertModel : public fused::FusedModule {
- public:
-  FusedBertModel(int64_t B, const BertConfig& cfg, Rng& rng);
-  ag::Variable forward(const ag::Variable&) override;
-  /// tokens: [B, N, S] -> [B, N, S, V].
-  ag::Variable forward_tokens(const Tensor& tokens);
-
-  std::shared_ptr<fused::FusedEmbedding> tok_embed, pos_embed;
-  std::shared_ptr<fused::FusedLayerNorm> embed_norm;
-  std::vector<std::shared_ptr<fused::FusedTransformerEncoderLayer>> layers;
-  std::shared_ptr<fused::FusedLinear> mlm_head;
-  BertConfig cfg;
+  BertConfig cfg;  // per model
+  int64_t array_size;
 };
 
 }  // namespace hfta::models

@@ -1,7 +1,5 @@
 #include "models/pointnet.h"
 
-#include "tensor/ops.h"
-
 namespace hfta::models {
 
 namespace {
@@ -15,62 +13,72 @@ Tensor flat_identity(int64_t C) {
 
 // ---- STN ----------------------------------------------------------------------
 
-STN::STN(int64_t channels, const PointNetConfig& cfg, Rng& rng)
-    : channels(channels) {
+STN::STN(int64_t channels, const PointNetConfig& cfg, Rng& rng, int64_t B)
+    : channels(channels), array_size(B) {
   conv1 = register_module("conv1", std::make_shared<nn::Conv1d>(
-                                       channels, cfg.w1, 1, 1, 0, 1, true, rng));
+                                       B * channels, B * cfg.w1, 1, 1, 0, B,
+                                       true, rng));
   conv2 = register_module("conv2", std::make_shared<nn::Conv1d>(
-                                       cfg.w1, cfg.w2, 1, 1, 0, 1, true, rng));
-  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm1d>(cfg.w1));
-  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm1d>(cfg.w2));
-  fc1 = register_module("fc1",
-                        std::make_shared<nn::Linear>(cfg.w2, cfg.fc1, true, rng));
+                                       B * cfg.w1, B * cfg.w2, 1, 1, 0, B,
+                                       true, rng));
+  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm1d>(B * cfg.w1));
+  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm1d>(B * cfg.w2));
+  fc1 = register_module(
+      "fc1", std::make_shared<nn::Linear>(cfg.w2, cfg.fc1, true, rng, B));
   fc2 = register_module(
       "fc2", std::make_shared<nn::Linear>(cfg.fc1, channels * channels, true,
-                                          rng));
+                                          rng, B));
 }
 
 ag::Variable STN::forward(const ag::Variable& x) {
   const int64_t N = x.size(0);
   ag::Variable h = ag::relu(bn1->forward(conv1->forward(x)));
   h = ag::relu(bn2->forward(conv2->forward(h)));
-  ag::Variable g = ag::global_max_pool1d(h);  // [N, w2]
+  ag::Variable g = fused::to_model_major(ag::global_max_pool1d(h),
+                                         array_size);  // [B, N, w2]
   h = ag::relu(fc1->forward(g));
-  h = fc2->forward(h);  // [N, C*C]
-  ag::Variable iden =
-      ag::constant(ops::stack_repeat(flat_identity(channels), N));
-  return ag::reshape(ag::add(h, iden), {N, channels, channels});
+  h = fc2->forward(h);  // [B, N, C*C]
+  h = ag::add(h, ag::constant(flat_identity(channels)));
+  return ag::reshape(h, {array_size * N, channels, channels});
 }
 
 // ---- trunk ---------------------------------------------------------------------
 
-PointNetTrunk::PointNetTrunk(const PointNetConfig& cfg, Rng& rng) : cfg(cfg) {
+PointNetTrunk::PointNetTrunk(const PointNetConfig& cfg, Rng& rng, int64_t B)
+    : cfg(cfg), array_size(B) {
   if (cfg.input_transform)
-    stn = register_module("stn", std::make_shared<STN>(3, cfg, rng));
-  conv1 = register_module(
-      "conv1", std::make_shared<nn::Conv1d>(3, cfg.w1, 1, 1, 0, 1, true, rng));
+    stn = register_module("stn", std::make_shared<STN>(3, cfg, rng, B));
+  conv1 = register_module("conv1", std::make_shared<nn::Conv1d>(
+                                       B * 3, B * cfg.w1, 1, 1, 0, B, true,
+                                       rng));
   conv2 = register_module("conv2", std::make_shared<nn::Conv1d>(
-                                       cfg.w1, cfg.w2, 1, 1, 0, 1, true, rng));
+                                       B * cfg.w1, B * cfg.w2, 1, 1, 0, B,
+                                       true, rng));
   conv3 = register_module("conv3", std::make_shared<nn::Conv1d>(
-                                       cfg.w2, cfg.w3, 1, 1, 0, 1, true, rng));
-  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm1d>(cfg.w1));
-  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm1d>(cfg.w2));
-  bn3 = register_module("bn3", std::make_shared<nn::BatchNorm1d>(cfg.w3));
+                                       B * cfg.w2, B * cfg.w3, 1, 1, 0, B,
+                                       true, rng));
+  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm1d>(B * cfg.w1));
+  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm1d>(B * cfg.w2));
+  bn3 = register_module("bn3", std::make_shared<nn::BatchNorm1d>(B * cfg.w3));
 }
 
 std::pair<ag::Variable, ag::Variable> PointNetTrunk::forward_both(
     const ag::Variable& x) {
+  const int64_t B = array_size, N = x.size(0), L = x.size(2);
   ag::Variable h = x;
   if (stn) {
-    // x' = T^T x, computed as (x^T T)^T — matches pointnet.pytorch.
-    ag::Variable t = stn->forward(x);                      // [N, 3, 3]
-    ag::Variable xt = ag::transpose(x, 1, 2);              // [N, L, 3]
-    h = ag::transpose(ag::bmm(xt, t), 1, 2);               // [N, 3, L]
+    // Per cloud, x' = T^T x, computed as (x^T T)^T — matches
+    // pointnet.pytorch.
+    ag::Variable t = stn->forward(x);  // [B*N, 3, 3]
+    ag::Variable xm =
+        ag::reshape(fused::to_model_major(x, B), {B * N, 3, L});
+    ag::Variable y = ag::transpose(ag::bmm(ag::transpose(xm, 1, 2), t), 1, 2);
+    h = fused::to_channel_fused(ag::reshape(y, {B, N, 3, L}));
   }
   ag::Variable pointfeat = ag::relu(bn1->forward(conv1->forward(h)));
   h = ag::relu(bn2->forward(conv2->forward(pointfeat)));
   h = bn3->forward(conv3->forward(h));
-  ag::Variable global = ag::global_max_pool1d(h);  // [N, w3]
+  ag::Variable global = ag::global_max_pool1d(h);  // [N, B*w3]
   return {pointfeat, global};
 }
 
@@ -90,19 +98,19 @@ nn::ModuleConfig PointNetTrunk::config() const {
 
 std::shared_ptr<nn::Module> PointNetTrunk::clone() const {
   Rng rng(0);
-  return cloned(*this, std::make_shared<PointNetTrunk>(cfg, rng));
+  return cloned(*this, std::make_shared<PointNetTrunk>(cfg, rng, array_size));
 }
 
-// The planner lowering for the trunk (B congruent trunks become one
-// FusedPointNetTrunk on the channel-fused layout). State transfer needs no
-// per-kind code: the fused trunk's child names mirror the per-model
-// trunk's, so the planner derives load/store from its StateMap.
+// The planner lowering for the trunk: B congruent trunks become one trunk
+// at B on the channel-fused layout. State transfer needs no per-kind code:
+// its paths are the per-model trunk's own, so the planner derives
+// load/store from its StateMap.
 static const fused::LoweringRegistrar kTrunkLowering(
     "models::PointNetTrunk",
     [](const fused::LoweringContext& ctx) {
       const auto& ref = static_cast<const PointNetTrunk&>(ctx.reference());
-      auto m = std::make_shared<FusedPointNetTrunk>(ctx.array_size, ref.cfg,
-                                                    *ctx.rng);
+      auto m =
+          std::make_shared<PointNetTrunk>(ref.cfg, *ctx.rng, ctx.array_size);
       return fused::Lowered{m, fused::Layout::kChannelFused,
                             fused::Layout::kChannelFused};
     });
@@ -140,122 +148,10 @@ std::shared_ptr<nn::Module> PointNetCls::clone() const {
 
 // ---- segmentation head ----------------------------------------------------------------
 
-PointNetSeg::PointNetSeg(const PointNetConfig& cfg, Rng& rng) : cfg(cfg) {
-  trunk = register_module("trunk", std::make_shared<PointNetTrunk>(cfg, rng));
-  conv1 = register_module(
-      "conv1", std::make_shared<nn::Conv1d>(cfg.w1 + cfg.w3, cfg.w2, 1, 1, 0,
-                                            1, true, rng));
-  conv2 = register_module("conv2", std::make_shared<nn::Conv1d>(
-                                       cfg.w2, cfg.w1, 1, 1, 0, 1, true, rng));
-  conv3 = register_module(
-      "conv3", std::make_shared<nn::Conv1d>(cfg.w1, cfg.num_parts, 1, 1, 0, 1,
-                                            true, rng));
-  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm1d>(cfg.w2));
-  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm1d>(cfg.w1));
-}
-
-ag::Variable PointNetSeg::forward(const ag::Variable& x) {
-  const int64_t L = x.size(2);
-  auto [pointfeat, global] = trunk->forward_both(x);
-  // Broadcast the global feature along the point dimension and concat.
-  ag::Variable g3 = ag::reshape(global, {global.size(0), global.size(1), 1});
-  ag::Variable gexp = ag::mul(g3, ag::constant(Tensor::ones({1, 1, L})));
-  ag::Variable h = ag::concat({pointfeat, gexp}, 1);  // [N, w1+w3, L]
-  h = ag::relu(bn1->forward(conv1->forward(h)));
-  h = ag::relu(bn2->forward(conv2->forward(h)));
-  return conv3->forward(h);  // [N, parts, L]
-}
-
-// ---- fused STN -----------------------------------------------------------------------
-
-FusedSTN::FusedSTN(int64_t B, int64_t channels, const PointNetConfig& cfg,
-                   Rng& rng)
-    : fused::FusedModule(B), channels(channels) {
-  conv1 = register_module("conv1", std::make_shared<nn::Conv1d>(
-                                       B * channels, B * cfg.w1, 1, 1, 0, B,
-                                       true, rng));
-  conv2 = register_module("conv2", std::make_shared<nn::Conv1d>(
-                                       B * cfg.w1, B * cfg.w2, 1, 1, 0, B,
-                                       true, rng));
-  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm1d>(B * cfg.w1));
-  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm1d>(B * cfg.w2));
-  fc1 = register_module(
-      "fc1", std::make_shared<fused::FusedLinear>(B, cfg.w2, cfg.fc1, true,
-                                                  rng));
-  fc2 = register_module(
-      "fc2", std::make_shared<fused::FusedLinear>(B, cfg.fc1,
-                                                  channels * channels, true,
-                                                  rng));
-}
-
-ag::Variable FusedSTN::forward(const ag::Variable& x) {
-  const int64_t N = x.size(0);
-  ag::Variable h = ag::relu(bn1->forward(conv1->forward(x)));
-  h = ag::relu(bn2->forward(conv2->forward(h)));
-  ag::Variable g = ag::global_max_pool1d(h);              // [N, B*w2]
-  ag::Variable mm = fused::to_model_major(g, array_size_);  // [B, N, w2]
-  h = ag::relu(fc1->forward(mm));
-  h = fc2->forward(h);  // [B, N, C*C]
-  Tensor iden = ops::stack_repeat(
-      ops::stack_repeat(flat_identity(channels), N), array_size_);
-  return ag::reshape(ag::add(h, ag::constant(iden)),
-                     {array_size_, N, channels, channels});
-}
-
-// ---- fused trunk ------------------------------------------------------------------------
-
-FusedPointNetTrunk::FusedPointNetTrunk(int64_t B, const PointNetConfig& cfg,
-                                       Rng& rng)
-    : fused::FusedModule(B), cfg(cfg) {
-  if (cfg.input_transform)
-    stn = register_module("stn", std::make_shared<FusedSTN>(B, 3, cfg, rng));
-  conv1 = register_module("conv1", std::make_shared<nn::Conv1d>(
-                                       B * 3, B * cfg.w1, 1, 1, 0, B, true,
-                                       rng));
-  conv2 = register_module("conv2", std::make_shared<nn::Conv1d>(
-                                       B * cfg.w1, B * cfg.w2, 1, 1, 0, B,
-                                       true, rng));
-  conv3 = register_module("conv3", std::make_shared<nn::Conv1d>(
-                                       B * cfg.w2, B * cfg.w3, 1, 1, 0, B,
-                                       true, rng));
-  bn1 = register_module("bn1", std::make_shared<nn::BatchNorm1d>(B * cfg.w1));
-  bn2 = register_module("bn2", std::make_shared<nn::BatchNorm1d>(B * cfg.w2));
-  bn3 = register_module("bn3", std::make_shared<nn::BatchNorm1d>(B * cfg.w3));
-}
-
-std::pair<ag::Variable, ag::Variable> FusedPointNetTrunk::forward_both(
-    const ag::Variable& x) {
-  const int64_t B = array_size_;
-  const int64_t N = x.size(0);
-  const int64_t L = x.size(2);
-  ag::Variable h = x;
-  if (stn) {
-    ag::Variable t = stn->forward(x);  // [B, N, 3, 3]
-    ag::Variable xm = fused::to_model_major(x, B);          // [B, N, 3, L]
-    ag::Variable xf = ag::reshape(xm, {B * N, 3, L});
-    ag::Variable tf = ag::reshape(t, {B * N, 3, 3});
-    ag::Variable xt = ag::transpose(xf, 1, 2);              // [B*N, L, 3]
-    ag::Variable y = ag::transpose(ag::bmm(xt, tf), 1, 2);  // [B*N, 3, L]
-    h = fused::to_channel_fused(ag::reshape(y, {B, N, 3, L}));
-  }
-  ag::Variable pointfeat = ag::relu(bn1->forward(conv1->forward(h)));
-  h = ag::relu(bn2->forward(conv2->forward(pointfeat)));
-  h = bn3->forward(conv3->forward(h));
-  ag::Variable global = ag::global_max_pool1d(h);  // [N, B*w3]
-  return {pointfeat, global};
-}
-
-ag::Variable FusedPointNetTrunk::forward(const ag::Variable& x) {
-  return forward_both(x).second;
-}
-
-// ---- fused segmentation ------------------------------------------------------------------------
-
-FusedPointNetSeg::FusedPointNetSeg(int64_t B, const PointNetConfig& cfg,
-                                   Rng& rng)
-    : fused::FusedModule(B), cfg(cfg) {
+PointNetSeg::PointNetSeg(const PointNetConfig& cfg, Rng& rng, int64_t B)
+    : cfg(cfg), array_size(B) {
   trunk = register_module("trunk",
-                          std::make_shared<FusedPointNetTrunk>(B, cfg, rng));
+                          std::make_shared<PointNetTrunk>(cfg, rng, B));
   conv1 = register_module(
       "conv1", std::make_shared<nn::Conv1d>(B * (cfg.w1 + cfg.w3), B * cfg.w2,
                                             1, 1, 0, B, true, rng));
@@ -269,17 +165,17 @@ FusedPointNetSeg::FusedPointNetSeg(int64_t B, const PointNetConfig& cfg,
   bn2 = register_module("bn2", std::make_shared<nn::BatchNorm1d>(B * cfg.w1));
 }
 
-ag::Variable FusedPointNetSeg::forward(const ag::Variable& x) {
-  const int64_t B = array_size_;
-  const int64_t L = x.size(2);
+ag::Variable PointNetSeg::forward(const ag::Variable& x) {
+  const int64_t B = array_size, N = x.size(0), L = x.size(2);
   auto [pointfeat, global] = trunk->forward_both(x);
-  // Broadcast global along points, then interleave per model so that each
-  // model's (w1 + w3) channels stay contiguous for the grouped conv.
-  ag::Variable g3 = ag::reshape(global, {global.size(0), global.size(1), 1});
-  ag::Variable gexp = ag::mul(g3, ag::constant(Tensor::ones({1, 1, L})));
-  ag::Variable pf_mm = fused::to_model_major(pointfeat, B);  // [B,N,w1,L]
-  ag::Variable g_mm = fused::to_model_major(gexp, B);        // [B,N,w3,L]
-  ag::Variable h = fused::to_channel_fused(ag::concat({pf_mm, g_mm}, 2));
+  // Broadcast the global feature along the points and concat it after
+  // each model's point features, so that model's (w1 + w3) channels stay
+  // contiguous for the grouped conv: [N,B,w1,L] ++ [N,B,w3,L] on dim 2.
+  ag::Variable g4 = ag::reshape(global, {N, B, cfg.w3, 1});
+  ag::Variable gexp = ag::mul(g4, ag::constant(Tensor::ones({1, 1, 1, L})));
+  ag::Variable pf = ag::reshape(pointfeat, {N, B, cfg.w1, L});
+  ag::Variable h = ag::reshape(ag::concat({pf, gexp}, 2),
+                               {N, B * (cfg.w1 + cfg.w3), L});
   h = ag::relu(bn1->forward(conv1->forward(h)));
   h = ag::relu(bn2->forward(conv2->forward(h)));
   return conv3->forward(h);  // [N, B*parts, L]

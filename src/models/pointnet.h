@@ -3,7 +3,7 @@
 // (fxia22/pointnet.pytorch): Conv1d(1x1) feature extractor with BatchNorm1d,
 // global max pooling, optional input spatial-transformer (STN), MLP heads.
 //
-// Plain and HFTA-fused builders share a PointNetConfig; `paper()` holds the
+// Plain and HFTA-fused builds share a PointNetConfig; `paper()` holds the
 // published shapes (2500 points, 1024-d global feature, ShapeNet's 16
 // classes / 50 part labels), `tiny()` a CPU-trainable reduction.
 #pragma once
@@ -29,17 +29,25 @@ struct PointNetConfig {
   }
 };
 
+// STN, PointNetTrunk and PointNetSeg take an array size `B` last, the way
+// models::BasicBlock does: B > 1 builds B independent models side by side
+// on the channel-fused layout [N, B*C, L], which is exactly the fused form
+// of B such models (paper Appendix B). Every conv runs at B x width with
+// B x groups, every BatchNorm over B x channels, and the STN's Linear head
+// is an nn::Linear at B on the model-major [B, N, F] view.
+
 /// Input spatial transformer: predicts a CxC alignment matrix per cloud.
 class STN : public nn::Module {
  public:
-  STN(int64_t channels, const PointNetConfig& cfg, Rng& rng);
-  /// x: [N, C, L] -> transform [N, C, C] (identity-initialized).
+  STN(int64_t channels, const PointNetConfig& cfg, Rng& rng, int64_t B = 1);
+  /// x: [N, B*C, L] -> transforms [B*N, C, C] (identity-initialized), model
+  /// b's cloud n at row b*N + n.
   ag::Variable forward(const ag::Variable& x) override;
 
   std::shared_ptr<nn::Conv1d> conv1, conv2;
   std::shared_ptr<nn::BatchNorm1d> bn1, bn2;
   std::shared_ptr<nn::Linear> fc1, fc2;
-  int64_t channels;
+  int64_t channels, array_size;
 };
 
 /// Shared trunk: 1x1 Conv1d stack -> per-point features + global feature.
@@ -47,11 +55,12 @@ class STN : public nn::Module {
 /// fuse any model built on it.
 class PointNetTrunk : public nn::Module {
  public:
-  PointNetTrunk(const PointNetConfig& cfg, Rng& rng);
+  PointNetTrunk(const PointNetConfig& cfg, Rng& rng, int64_t B = 1);
   ag::Variable forward(const ag::Variable& x) override;  // global feature
-  /// Returns {pointfeat [N, w1, L], global [N, w3]}.
+  /// x: [N, B*3, L] -> {pointfeat [N, B*w1, L], global [N, B*w3]}.
   std::pair<ag::Variable, ag::Variable> forward_both(const ag::Variable& x);
   std::string kind_name() const override { return "models::PointNetTrunk"; }
+  /// The per-model config, whatever B is.
   nn::ModuleConfig config() const override;
   std::shared_ptr<nn::Module> clone() const override;
 
@@ -59,6 +68,7 @@ class PointNetTrunk : public nn::Module {
   std::shared_ptr<nn::Conv1d> conv1, conv2, conv3;
   std::shared_ptr<nn::BatchNorm1d> bn1, bn2, bn3;
   PointNetConfig cfg;
+  int64_t array_size;
 };
 
 /// Classification head: logits over num_classes. Defined once as a
@@ -81,53 +91,15 @@ class PointNetCls : public nn::Module {
 /// Part-segmentation head: per-point logits.
 class PointNetSeg : public nn::Module {
  public:
-  PointNetSeg(const PointNetConfig& cfg, Rng& rng);
-  /// x: [N, 3, L] -> [N, num_parts, L].
+  PointNetSeg(const PointNetConfig& cfg, Rng& rng, int64_t B = 1);
+  /// x: [N, B*3, L] -> [N, B*num_parts, L].
   ag::Variable forward(const ag::Variable& x) override;
 
   std::shared_ptr<PointNetTrunk> trunk;
   std::shared_ptr<nn::Conv1d> conv1, conv2, conv3;
   std::shared_ptr<nn::BatchNorm1d> bn1, bn2;
   PointNetConfig cfg;
-};
-
-// ---- fused variants ------------------------------------------------------------
-
-class FusedSTN : public fused::FusedModule {
- public:
-  FusedSTN(int64_t B, int64_t channels, const PointNetConfig& cfg, Rng& rng);
-  /// x: [N, B*C, L] -> transforms [B, N, C, C].
-  ag::Variable forward(const ag::Variable& x) override;
-
-  std::shared_ptr<nn::Conv1d> conv1, conv2;  // at B x width
-  std::shared_ptr<nn::BatchNorm1d> bn1, bn2;
-  std::shared_ptr<fused::FusedLinear> fc1, fc2;
-  int64_t channels;
-};
-
-class FusedPointNetTrunk : public fused::FusedModule {
- public:
-  FusedPointNetTrunk(int64_t B, const PointNetConfig& cfg, Rng& rng);
-  ag::Variable forward(const ag::Variable& x) override;
-  /// x: [N, B*3, L] -> {pointfeat [N, B*w1, L], global [N, B*w3]}.
-  std::pair<ag::Variable, ag::Variable> forward_both(const ag::Variable& x);
-
-  std::shared_ptr<FusedSTN> stn;
-  std::shared_ptr<nn::Conv1d> conv1, conv2, conv3;  // at B x width
-  std::shared_ptr<nn::BatchNorm1d> bn1, bn2, bn3;
-  PointNetConfig cfg;
-};
-
-class FusedPointNetSeg : public fused::FusedModule {
- public:
-  FusedPointNetSeg(int64_t B, const PointNetConfig& cfg, Rng& rng);
-  /// x: [N, B*3, L] -> [N, B*num_parts, L] (channel-fused per-point logits).
-  ag::Variable forward(const ag::Variable& x) override;
-
-  std::shared_ptr<FusedPointNetTrunk> trunk;
-  std::shared_ptr<nn::Conv1d> conv1, conv2, conv3;  // at B x width
-  std::shared_ptr<nn::BatchNorm1d> bn1, bn2;
-  PointNetConfig cfg;
+  int64_t array_size;
 };
 
 }  // namespace hfta::models

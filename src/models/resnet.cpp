@@ -59,12 +59,12 @@ static const fused::LoweringRegistrar kBasicBlockLowering(
 
 ResNet18::ResNet18(const ResNetConfig& cfg, Rng& rng) : cfg(cfg) {
   net = register_module("net", std::make_shared<nn::Sequential>());
-  stem_conv = std::make_shared<nn::Conv2d>(cfg.in_channels, cfg.stage_width(0),
-                                           3, 1, 1, 1, false, rng);
-  stem_bn = std::make_shared<nn::BatchNorm2d>(cfg.stage_width(0));
   auto stem = std::make_shared<nn::Sequential>();
-  stem->push_back("conv", stem_conv);
-  stem->push_back("bn", stem_bn);
+  stem->push_back("conv",
+                  std::make_shared<nn::Conv2d>(cfg.in_channels,
+                                               cfg.stage_width(0), 3, 1, 1, 1,
+                                               false, rng));
+  stem->push_back("bn", std::make_shared<nn::BatchNorm2d>(cfg.stage_width(0)));
   stem->push_back("relu", std::make_shared<nn::ReLU>());
   net->push_back("stem", stem);
 
@@ -81,9 +81,8 @@ ResNet18::ResNet18(const ResNetConfig& cfg, Rng& rng) : cfg(cfg) {
   }
   net->push_back("pool", std::make_shared<nn::AdaptiveAvgPool2d>(1, 1));
   net->push_back("flatten", std::make_shared<nn::Flatten>());
-  fc = std::make_shared<nn::Linear>(cfg.stage_width(3), cfg.num_classes, true,
-                                    rng);
-  net->push_back("fc", fc);
+  net->push_back("fc", std::make_shared<nn::Linear>(
+                           cfg.stage_width(3), cfg.num_classes, true, rng));
 }
 
 ag::Variable ResNet18::forward(const ag::Variable& x) {

@@ -60,10 +60,7 @@ class ResNet18 : public nn::Module {
   std::shared_ptr<nn::Module> clone() const override;
 
   std::shared_ptr<nn::Sequential> net;  // the planner-walkable graph
-  std::shared_ptr<nn::Conv2d> stem_conv;
-  std::shared_ptr<nn::BatchNorm2d> stem_bn;
   std::vector<std::shared_ptr<BasicBlock>> blocks;  // 8
-  std::shared_ptr<nn::Linear> fc;
   ResNetConfig cfg;
 };
 

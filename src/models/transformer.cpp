@@ -7,15 +7,15 @@
 namespace hfta::models {
 
 MultiheadAttention::MultiheadAttention(int64_t embed_dim, int64_t num_heads,
-                                       Rng& rng)
+                                       Rng& rng, int64_t B)
     : embed_dim(embed_dim), num_heads(num_heads) {
   HFTA_CHECK(embed_dim % num_heads == 0, "embed_dim % num_heads != 0");
   in_proj = register_module(
       "in_proj", std::make_shared<nn::Linear>(embed_dim, 3 * embed_dim, true,
-                                              rng));
+                                              rng, B));
   out_proj = register_module(
       "out_proj", std::make_shared<nn::Linear>(embed_dim, embed_dim, true,
-                                               rng));
+                                               rng, B));
 }
 
 ag::Variable MultiheadAttention::forward(const ag::Variable& x) {
@@ -24,7 +24,9 @@ ag::Variable MultiheadAttention::forward(const ag::Variable& x) {
 
 ag::Variable MultiheadAttention::forward_masked(const ag::Variable& x,
                                                 const Tensor& mask) {
-  ag::Variable qkv = in_proj->forward(x);  // [N, S, 3E]
+  // With B > 1 the B*N sequences of the array are one attention problem:
+  // model b's sequence n is row (b, n) of the [B, N, S, 3E] projection.
+  ag::Variable qkv = in_proj->forward(x);  // [..., S, 3E]
   return out_proj->forward(ag::attention(qkv, num_heads, mask));
 }
 
@@ -33,19 +35,21 @@ TransformerEncoderLayer::TransformerEncoderLayer(int64_t embed_dim,
                                                  int64_t ff_dim,
                                                  float dropout_p,
                                                  const std::string& activation,
-                                                 Rng& rng)
-    : use_gelu(activation == "gelu") {
+                                                 Rng& rng, int64_t B)
+    : use_gelu(activation == "gelu"), array_size(B) {
+  HFTA_CHECK(activation == "relu" || activation == "gelu",
+             "activation must be relu or gelu, got ", activation);
   self_attn = register_module(
       "self_attn",
-      std::make_shared<MultiheadAttention>(embed_dim, num_heads, rng));
+      std::make_shared<MultiheadAttention>(embed_dim, num_heads, rng, B));
   linear1 = register_module(
-      "linear1", std::make_shared<nn::Linear>(embed_dim, ff_dim, true, rng));
+      "linear1", std::make_shared<nn::Linear>(embed_dim, ff_dim, true, rng, B));
   linear2 = register_module(
-      "linear2", std::make_shared<nn::Linear>(ff_dim, embed_dim, true, rng));
-  norm1 = register_module(
-      "norm1", std::make_shared<nn::LayerNorm>(Shape{embed_dim}, 1e-5f, rng));
-  norm2 = register_module(
-      "norm2", std::make_shared<nn::LayerNorm>(Shape{embed_dim}, 1e-5f, rng));
+      "linear2", std::make_shared<nn::Linear>(ff_dim, embed_dim, true, rng, B));
+  norm1 = register_module("norm1", std::make_shared<nn::LayerNorm>(
+                                       Shape{embed_dim}, 1e-5f, rng, B));
+  norm2 = register_module("norm2", std::make_shared<nn::LayerNorm>(
+                                       Shape{embed_dim}, 1e-5f, rng, B));
   drop = register_module("drop", std::make_shared<nn::Dropout>(dropout_p));
 }
 
@@ -73,27 +77,31 @@ nn::ModuleConfig TransformerEncoderLayer::config() const {
   return c;
 }
 
+namespace {
+// An encoder layer of config `c` (TransformerEncoderLayer::config()) at
+// array size B.
+std::shared_ptr<TransformerEncoderLayer> make_encoder_layer(
+    const nn::ModuleConfig& c, Rng& rng, int64_t B) {
+  return std::make_shared<TransformerEncoderLayer>(
+      c.get_int("embed_dim"), c.get_int("num_heads"), c.get_int("ff_dim"),
+      static_cast<float>(c.get_float("dropout_p")),
+      c.get_int("gelu") != 0 ? "gelu" : "relu", rng, B);
+}
+}  // namespace
+
 std::shared_ptr<nn::Module> TransformerEncoderLayer::clone() const {
-  const nn::ModuleConfig c = config();
   Rng rng(0);
-  return cloned(*this, std::make_shared<TransformerEncoderLayer>(
-                           c.get_int("embed_dim"), c.get_int("num_heads"),
-                           c.get_int("ff_dim"),
-                           static_cast<float>(c.get_float("dropout_p")),
-                           c.get_int("gelu") != 0 ? "gelu" : "relu", rng));
+  return cloned(*this, make_encoder_layer(config(), rng, array_size));
 }
 
-// Planner lowering: B congruent encoder layers -> one fused layer on the
-// model-major layout ([B, N, S, E]). Load/store both derive from the fused
-// layer's StateMap (child names mirror the per-model layer's).
+// Planner lowering: B congruent encoder layers -> one layer at B on the
+// model-major layout ([B, N, S, E]). Load/store both derive from its
+// StateMap, whose paths are the per-model layer's own.
 static const fused::LoweringRegistrar kEncoderLayerLowering(
     "models::TransformerEncoderLayer",
     [](const fused::LoweringContext& ctx) {
-      const nn::ModuleConfig c = ctx.reference().config();
-      auto m = std::make_shared<fused::FusedTransformerEncoderLayer>(
-          ctx.array_size, c.get_int("embed_dim"), c.get_int("num_heads"),
-          c.get_int("ff_dim"), static_cast<float>(c.get_float("dropout_p")),
-          c.get_int("gelu") != 0 ? "gelu" : "relu", *ctx.rng);
+      auto m = make_encoder_layer(ctx.reference().config(), *ctx.rng,
+                                  ctx.array_size);
       return fused::Lowered{m, fused::Layout::kModelMajor,
                             fused::Layout::kModelMajor};
     });
@@ -120,19 +128,20 @@ Tensor causal_mask(int64_t seq_len) {
   return m;
 }
 
-TransformerLM::TransformerLM(const TransformerConfig& cfg, Rng& rng)
-    : cfg(cfg) {
-  embed = register_module(
-      "embed", std::make_shared<nn::Embedding>(cfg.vocab, cfg.embed_dim, rng));
+TransformerLM::TransformerLM(const TransformerConfig& cfg, Rng& rng,
+                             int64_t B)
+    : cfg(cfg), array_size(B) {
+  embed = register_module("embed", std::make_shared<nn::Embedding>(
+                                       cfg.vocab, cfg.embed_dim, rng, B));
   for (int64_t l = 0; l < cfg.num_layers; ++l)
     layers.push_back(register_module(
         "layer" + std::to_string(l),
         std::make_shared<TransformerEncoderLayer>(cfg.embed_dim, cfg.num_heads,
                                                   cfg.ff_dim, cfg.dropout_p,
-                                                  "relu", rng)));
+                                                  "relu", rng, B)));
   decoder = register_module(
       "decoder",
-      std::make_shared<nn::Linear>(cfg.embed_dim, cfg.vocab, true, rng));
+      std::make_shared<nn::Linear>(cfg.embed_dim, cfg.vocab, true, rng, B));
 }
 
 ag::Variable TransformerLM::forward(const ag::Variable&) {
@@ -141,54 +150,18 @@ ag::Variable TransformerLM::forward(const ag::Variable&) {
 }
 
 ag::Variable TransformerLM::forward_tokens(const Tensor& tokens) {
-  const int64_t S = tokens.size(1);
-  ag::Variable h = embed->lookup(tokens);  // [N, S, E]
+  HFTA_CHECK(tokens.dim() == (array_size > 1 ? 3 : 2),
+             "TransformerLM: tokens must be ",
+             array_size > 1 ? "[B, N, S]" : "[N, S]", ", got ",
+             shape_str(tokens.shape()));
+  const int64_t S = tokens.size(-1);
+  ag::Variable h = embed->lookup(tokens);  // [..., S, E]
   h = ag::mul_scalar(h, std::sqrt(static_cast<float>(cfg.embed_dim)));
-  Tensor pe = sinusoidal_positions(S, cfg.embed_dim);
-  h = ag::add(h, ag::constant(pe.reshape({1, S, cfg.embed_dim})));
+  h = ag::add(h, ag::constant(sinusoidal_positions(S, cfg.embed_dim)));
   const Tensor mask = causal_mask(S);
   for (auto& l : layers) h = l->forward_masked(h, mask);
-  return decoder->forward(h);  // [N, S, V]
+  return decoder->forward(h);  // [..., S, V]
 }
-
-// Hand-fused LM, driven through forward_tokens rather than as a planner
-// chain. Its child names mirror TransformerLM's, so the derived StateMap
-// moves model b's weights (FusedModule::load_model/store_model).
-FusedTransformerLM::FusedTransformerLM(int64_t B, const TransformerConfig& cfg,
-                                       Rng& rng)
-    : fused::FusedModule(B), cfg(cfg) {
-  embed = register_module("embed", std::make_shared<fused::FusedEmbedding>(
-                                       B, cfg.vocab, cfg.embed_dim, rng));
-  for (int64_t l = 0; l < cfg.num_layers; ++l)
-    layers.push_back(register_module(
-        "layer" + std::to_string(l),
-        std::make_shared<fused::FusedTransformerEncoderLayer>(
-            B, cfg.embed_dim, cfg.num_heads, cfg.ff_dim, cfg.dropout_p, "relu",
-            rng)));
-  decoder = register_module(
-      "decoder", std::make_shared<fused::FusedLinear>(B, cfg.embed_dim,
-                                                      cfg.vocab, true, rng));
-}
-
-ag::Variable FusedTransformerLM::forward(const ag::Variable&) {
-  HFTA_CHECK(false, "FusedTransformerLM: use forward_tokens(tokens)");
-  return ag::Variable();
-}
-
-ag::Variable FusedTransformerLM::forward_tokens(const Tensor& tokens) {
-  HFTA_CHECK(tokens.dim() == 3 && tokens.size(0) == array_size_,
-             "FusedTransformerLM: tokens must be [B, N, S]");
-  const int64_t B = array_size_, N = tokens.size(1), S = tokens.size(2);
-  ag::Variable h = embed->lookup(tokens);  // [B, N, S, E]
-  h = ag::mul_scalar(h, std::sqrt(static_cast<float>(cfg.embed_dim)));
-  Tensor pe = sinusoidal_positions(S, cfg.embed_dim);
-  h = ag::add(h, ag::constant(pe.reshape({1, 1, S, cfg.embed_dim})));
-  const Tensor mask = causal_mask(S);
-  for (auto& l : layers) h = l->forward_masked(h, mask);
-  ag::Variable flat = ag::reshape(h, {B, N * S, cfg.embed_dim});
-  return ag::reshape(decoder->forward(flat), {B, N, S, cfg.vocab});
-}
-
 
 nn::ModuleConfig TransformerLM::config() const {
   nn::ModuleConfig c;
@@ -203,17 +176,17 @@ nn::ModuleConfig TransformerLM::config() const {
 
 std::shared_ptr<nn::Module> TransformerLM::clone() const {
   Rng rng(0);
-  return cloned(*this, std::make_shared<TransformerLM>(cfg, rng));
+  return cloned(*this, std::make_shared<TransformerLM>(cfg, rng, array_size));
 }
 
-// Planner lowering for the whole LM: the fused module is driven through
+// Planner lowering for the whole LM: the LM at B is driven through
 // forward_tokens, so the plan is a single unit rather than a chain.
 static const fused::LoweringRegistrar kTransformerLMLowering(
     "models::TransformerLM",
     [](const fused::LoweringContext& ctx) {
       const auto& ref = static_cast<const TransformerLM&>(ctx.reference());
-      auto m = std::make_shared<FusedTransformerLM>(ctx.array_size, ref.cfg,
-                                                    *ctx.rng);
+      auto m =
+          std::make_shared<TransformerLM>(ref.cfg, *ctx.rng, ctx.array_size);
       return fused::Lowered{m, fused::Layout::kAny, fused::Layout::kAny};
     });
 

@@ -5,17 +5,25 @@
 // sized), WikiText-2, batch = seq = 32.
 #pragma once
 
-#include "hfta/fused_attention.h"
 #include "hfta/fusion.h"
 #include "nn/norm.h"
 
 namespace hfta::models {
 
-/// Plain (unfused) multi-head self-attention over [N, S, E].
+// Every module here takes an array size `B` last, the way nn::Linear does
+// (nn/layers.h): B > 1 builds B independent models side by side on the
+// model-major layout [B, N, S, E], which is exactly the fused form of B
+// such models (paper Appendix B, "the fused multihead attention layer and
+// the fused Transformer encoder layer"). The forward is the same at every
+// B; config() reports the per-model constructor arguments.
+
+/// Multi-head self-attention over [N, S, E] ([B, N, S, E] with B > 1).
 class MultiheadAttention : public nn::Module {
  public:
-  MultiheadAttention(int64_t embed_dim, int64_t num_heads, Rng& rng);
+  MultiheadAttention(int64_t embed_dim, int64_t num_heads, Rng& rng,
+                     int64_t B = 1);
   ag::Variable forward(const ag::Variable& x) override;
+  /// Optional additive mask [S, S] (e.g. the causal mask).
   ag::Variable forward_masked(const ag::Variable& x, const Tensor& mask);
 
   std::shared_ptr<nn::Linear> in_proj;   // E -> 3E
@@ -23,14 +31,15 @@ class MultiheadAttention : public nn::Module {
   int64_t embed_dim, num_heads;
 };
 
-/// Plain post-norm encoder layer (same op order as the fused one).
-/// Registers the custom lowering "models::TransformerEncoderLayer": a
-/// model-major planner step, so stacks of encoder layers fuse automatically.
+/// Post-norm encoder layer (as nn.TransformerEncoderLayer). Registers the
+/// custom lowering "models::TransformerEncoderLayer": a model-major planner
+/// step, so stacks of encoder layers fuse automatically.
 class TransformerEncoderLayer : public nn::Module {
  public:
+  /// activation: "relu" or "gelu" (BERT).
   TransformerEncoderLayer(int64_t embed_dim, int64_t num_heads, int64_t ff_dim,
                           float dropout_p, const std::string& activation,
-                          Rng& rng);
+                          Rng& rng, int64_t B = 1);
   ag::Variable forward(const ag::Variable& x) override;
   ag::Variable forward_masked(const ag::Variable& x, const Tensor& mask);
   std::string kind_name() const override {
@@ -42,8 +51,9 @@ class TransformerEncoderLayer : public nn::Module {
   std::shared_ptr<MultiheadAttention> self_attn;
   std::shared_ptr<nn::Linear> linear1, linear2;
   std::shared_ptr<nn::LayerNorm> norm1, norm2;
-  std::shared_ptr<nn::Dropout> drop;
+  std::shared_ptr<nn::Dropout> drop;  // with B > 1, one mask stream
   bool use_gelu;
+  int64_t array_size;
 };
 
 struct TransformerConfig {
@@ -68,13 +78,14 @@ Tensor sinusoidal_positions(int64_t seq_len, int64_t embed_dim);
 Tensor causal_mask(int64_t seq_len);
 
 /// Registers the custom lowering "models::TransformerLM", so B per-model
-/// LMs compile to a single-step FusedArray holding a FusedTransformerLM
+/// LMs compile to a single-step FusedArray holding one TransformerLM at B
 /// (token input makes the LM a unit, not a chain).
 class TransformerLM : public nn::Module {
  public:
-  TransformerLM(const TransformerConfig& cfg, Rng& rng);
+  TransformerLM(const TransformerConfig& cfg, Rng& rng, int64_t B = 1);
   ag::Variable forward(const ag::Variable&) override;
-  /// tokens: [N, S] integer ids -> logits [N, S, V].
+  /// tokens: [N, S] integer ids -> logits [N, S, V] ([B, N, S] ->
+  /// [B, N, S, V] with B > 1).
   ag::Variable forward_tokens(const Tensor& tokens);
   std::string kind_name() const override { return "models::TransformerLM"; }
   nn::ModuleConfig config() const override;
@@ -83,20 +94,12 @@ class TransformerLM : public nn::Module {
   std::shared_ptr<nn::Embedding> embed;
   std::vector<std::shared_ptr<TransformerEncoderLayer>> layers;
   std::shared_ptr<nn::Linear> decoder;
-  TransformerConfig cfg;
+  TransformerConfig cfg;  // per model
+  int64_t array_size;
 };
 
-class FusedTransformerLM : public fused::FusedModule {
- public:
-  FusedTransformerLM(int64_t B, const TransformerConfig& cfg, Rng& rng);
-  ag::Variable forward(const ag::Variable&) override;
-  /// tokens: [B, N, S] -> logits [B, N, S, V].
-  ag::Variable forward_tokens(const Tensor& tokens);
-
-  std::shared_ptr<fused::FusedEmbedding> embed;
-  std::vector<std::shared_ptr<fused::FusedTransformerEncoderLayer>> layers;
-  std::shared_ptr<fused::FusedLinear> decoder;
-  TransformerConfig cfg;
-};
+// The end-to-end benchmark names the fused LM by this type; it goes with
+// the benchmark's next change.
+using FusedTransformerLM = TransformerLM;
 
 }  // namespace hfta::models

@@ -6,16 +6,29 @@
 
 namespace hfta::nn {
 
-Linear::Linear(int64_t in, int64_t out, bool has_bias, Rng& rng)
-    : in_features(in), out_features(out) {
+namespace {
+// With an array size B > 1, rejects an input that is not [B, ...] (`who`
+// names the module in the error).
+void check_array_input(const Shape& x, int64_t B, const char* who) {
+  if (B == 1) return;
+  HFTA_CHECK(!x.empty() && x[0] == B, who, ": expected [", B,
+             ", ...] for an array of ", B, ", got ", shape_str(x));
+}
+}  // namespace
+
+Linear::Linear(int64_t in, int64_t out, bool has_bias, Rng& rng, int64_t B)
+    : in_features(in), out_features(out), array_size(B) {
+  HFTA_CHECK(B >= 1, "Linear: array size must be >= 1, got ", B);
   weight = register_parameter(
-      "weight", init::kaiming_uniform({out, in}, in, rng));
+      "weight", init::kaiming_uniform({B * out, in}, in, rng));
   if (has_bias)
-    bias = register_parameter("bias", init::kaiming_uniform({out}, in, rng));
+    bias = register_parameter("bias",
+                              init::kaiming_uniform({B * out}, in, rng));
 }
 
 ag::Variable Linear::forward(const ag::Variable& x) {
-  return ag::linear(x, weight, bias);
+  check_array_input(x.shape(), array_size, "Linear");
+  return ag::linear(x, weight, bias, array_size);
 }
 
 Conv2d::Conv2d(int64_t in, int64_t out, int64_t kernel, int64_t stride,
@@ -83,10 +96,11 @@ ag::Variable ConvTranspose1d::forward(const ag::Variable& x) {
   return ag::conv_transpose1d(x, weight, bias, args);
 }
 
-Embedding::Embedding(int64_t vocab, int64_t dim, Rng& rng)
-    : vocab(vocab), dim(dim) {
+Embedding::Embedding(int64_t vocab, int64_t dim, Rng& rng, int64_t B)
+    : vocab(vocab), dim(dim), array_size(B) {
+  HFTA_CHECK(B >= 1, "Embedding: array size must be >= 1, got ", B);
   weight = register_parameter("weight",
-                              init::normal({vocab, dim}, 0.f, 1.f, rng));
+                              init::normal({B * vocab, dim}, 0.f, 1.f, rng));
 }
 
 ag::Variable Embedding::forward(const ag::Variable&) {
@@ -95,7 +109,8 @@ ag::Variable Embedding::forward(const ag::Variable&) {
 }
 
 ag::Variable Embedding::lookup(const Tensor& indices) {
-  return ag::embedding(indices, weight);
+  check_array_input(indices.shape(), array_size, "Embedding");
+  return ag::embedding(indices, weight, array_size);
 }
 
 MaxPool2d::MaxPool2d(int64_t kernel, int64_t stride, int64_t pad)
@@ -261,7 +276,8 @@ ModuleConfig Dropout2d::config() const {
 std::shared_ptr<Module> Linear::clone() const {
   Rng rng(0);
   return cloned(*this, std::make_shared<Linear>(in_features, out_features,
-                                                bias.defined(), rng));
+                                                bias.defined(), rng,
+                                                array_size));
 }
 
 std::shared_ptr<Module> Conv2d::clone() const {
@@ -306,7 +322,8 @@ std::shared_ptr<Module> ConvTranspose1d::clone() const {
 
 std::shared_ptr<Module> Embedding::clone() const {
   Rng rng(0);
-  return cloned(*this, std::make_shared<Embedding>(vocab, dim, rng));
+  return cloned(*this,
+                std::make_shared<Embedding>(vocab, dim, rng, array_size));
 }
 
 std::shared_ptr<Module> MaxPool2d::clone() const {

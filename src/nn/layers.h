@@ -8,18 +8,28 @@
 
 namespace hfta::nn {
 
+// Linear, Embedding and (in nn/norm.h) LayerNorm take an array size `B`
+// the way nn::Conv2d takes `groups`: B > 1 builds B independent layers side
+// by side, which is exactly the fused form of B such layers (paper
+// Appendix B). Every parameter is the per-model one with dim 0 scaled by B
+// (block b is model b's tensor, byte for byte), the input is read as B
+// equal runs of rows [B, ...], and config() reports the per-model
+// constructor arguments whatever B is.
+
 class Linear : public Module {
  public:
-  Linear(int64_t in, int64_t out, bool bias, Rng& rng);
+  Linear(int64_t in, int64_t out, bool bias, Rng& rng, int64_t B = 1);
+  /// x: [.., in] -> [.., out]; with B > 1, [B, .., in] -> [B, .., out].
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kLinear; }
   std::shared_ptr<Module> clone() const override;
   ModuleConfig config() const override;
 
-  ag::Variable weight;  // [out, in]
-  ag::Variable bias;    // [out] or undefined
+  ag::Variable weight;  // [B*out, in]
+  ag::Variable bias;    // [B*out] or undefined
   int64_t in_features;
   int64_t out_features;
+  int64_t array_size;
 };
 
 class Conv2d : public Module {
@@ -82,16 +92,19 @@ class ConvTranspose1d : public Module {
 
 class Embedding : public Module {
  public:
-  Embedding(int64_t vocab, int64_t dim, Rng& rng);
+  Embedding(int64_t vocab, int64_t dim, Rng& rng, int64_t B = 1);
   /// Not usable through the single-input interface; call lookup().
   ag::Variable forward(const ag::Variable&) override;
+  /// indices: per-model integer ids ([B, ...] with B > 1) -> [..., E].
+  /// Model b's ids read block b of the table; the offset is applied inside
+  /// the recorded op, so a replayed step reads the ids staged for it.
   ag::Variable lookup(const Tensor& indices);
   LayerKind kind() const override { return LayerKind::kEmbedding; }
   std::shared_ptr<Module> clone() const override;
   ModuleConfig config() const override;
 
-  ag::Variable weight;  // [V, E]
-  int64_t vocab, dim;
+  ag::Variable weight;  // [B*V, E]
+  int64_t vocab, dim, array_size;
 };
 
 class MaxPool2d : public Module {

@@ -67,27 +67,30 @@ ag::Variable BatchNorm1d::forward(const ag::Variable& x) {
   return normalize(x);
 }
 
-LayerNorm::LayerNorm(Shape shape, float eps, Rng&)
-    : normalized_shape(std::move(shape)), eps(eps) {
-  weight = register_parameter("weight", Tensor::ones(normalized_shape));
-  bias = register_parameter("bias", Tensor::zeros(normalized_shape));
-}
-
-void check_layer_norm_input(const Shape& x, const Shape& normalized_shape,
-                            int64_t lead, const char* who) {
-  const int64_t n = static_cast<int64_t>(normalized_shape.size());
-  const int64_t nd = static_cast<int64_t>(x.size());
-  HFTA_CHECK(nd >= n + lead, who, ": rank too small for ", shape_str(x));
-  for (int64_t i = 0; i < n; ++i)
-    HFTA_CHECK(x[static_cast<size_t>(nd - n + i)] ==
-                   normalized_shape[static_cast<size_t>(i)],
-               who, ": trailing shape mismatch at dim ", nd - n + i, " of ",
-               shape_str(x));
+LayerNorm::LayerNorm(Shape shape, float eps, Rng&, int64_t B)
+    : normalized_shape(std::move(shape)), eps(eps), array_size(B) {
+  HFTA_CHECK(B >= 1, "LayerNorm: array size must be >= 1, got ", B);
+  HFTA_CHECK(!normalized_shape.empty(), "LayerNorm: empty normalized shape");
+  Shape affine = normalized_shape;
+  affine[0] *= B;
+  weight = register_parameter("weight", Tensor::ones(affine));
+  bias = register_parameter("bias", Tensor::zeros(affine));
 }
 
 ag::Variable LayerNorm::forward(const ag::Variable& x) {
-  check_layer_norm_input(x.shape(), normalized_shape, 0, "LayerNorm");
-  return ag::layer_norm(x, weight, bias, /*groups=*/1, eps);
+  const int64_t B = array_size;
+  const Shape& xs = x.shape();
+  const size_t n = normalized_shape.size();
+  HFTA_CHECK(xs.size() >= n + (B > 1 ? 1 : 0) &&
+                 (B == 1 || xs[0] == B) &&
+                 Shape(xs.end() - static_cast<std::ptrdiff_t>(n), xs.end()) ==
+                     normalized_shape,
+             "LayerNorm: input ", shape_str(xs), " does not end in ",
+             shape_str(normalized_shape),
+             B > 1 ? " after a leading array dim of " : "",
+             B > 1 ? std::to_string(B) : "");
+  // Model b's rows are the b-th of B equal runs: groups = B.
+  return ag::layer_norm(x, weight, bias, B, eps);
 }
 
 namespace {
@@ -113,8 +116,8 @@ std::shared_ptr<Module> BatchNorm1d::clone() const {
 
 std::shared_ptr<Module> LayerNorm::clone() const {
   Rng rng(0);
-  return cloned(*this,
-                std::make_shared<LayerNorm>(normalized_shape, eps, rng));
+  return cloned(*this, std::make_shared<LayerNorm>(normalized_shape, eps, rng,
+                                                   array_size));
 }
 
 ModuleConfig LayerNorm::config() const {

@@ -46,24 +46,23 @@ class BatchNorm1d : public BatchNormBase {
   std::shared_ptr<Module> clone() const override;
 };
 
+/// LayerNorm over the trailing dims. With an array size B > 1 (see
+/// nn/layers.h) it is B LayerNorms on [B, ...]: one ag::layer_norm whose
+/// affine is grouped by model (row run b uses block b of weight and bias).
 class LayerNorm : public Module {
  public:
   /// normalized_shape: trailing dims E1..En to normalize over.
-  LayerNorm(Shape normalized_shape, float eps, Rng& rng);
+  LayerNorm(Shape normalized_shape, float eps, Rng& rng, int64_t B = 1);
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kLayerNorm; }
   ModuleConfig config() const override;
   std::shared_ptr<Module> clone() const override;
 
-  ag::Variable weight;  // [E1..En]
-  ag::Variable bias;    // [E1..En]
+  ag::Variable weight;  // [B*E1, E2..En]
+  ag::Variable bias;    // [B*E1, E2..En]
   Shape normalized_shape;
   float eps;
+  int64_t array_size;
 };
-
-/// Checks that x has `lead` dims before a trailing normalized_shape (`who`
-/// names the module in the error).
-void check_layer_norm_input(const Shape& x, const Shape& normalized_shape,
-                            int64_t lead, const char* who);
 
 }  // namespace hfta::nn

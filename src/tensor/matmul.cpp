@@ -169,14 +169,20 @@ struct AttentionDims {
   int64_t R, S, E, H, Dh;
 
   AttentionDims(const Tensor& qkv, int64_t heads) {
-    HFTA_CHECK(qkv.dim() == 3 && heads > 0 && qkv.size(2) % (3 * heads) == 0,
+    HFTA_CHECK(qkv.dim() >= 2 && heads > 0 && qkv.size(-1) % (3 * heads) == 0,
                "attention: qkv ", shape_str(qkv.shape()),
-               " is not [R, S, 3E] with E divisible by ", heads, " heads");
-    R = qkv.size(0);
-    S = qkv.size(1);
-    E = qkv.size(2) / 3;
+               " is not [..., S, 3E] with E divisible by ", heads, " heads");
+    S = qkv.size(-2);
+    E = qkv.size(-1) / 3;
+    R = qkv.numel() / (S * 3 * E);
     H = heads;
     Dh = E / H;
+  }
+  // The context's shape: qkv's, with E columns instead of 3E.
+  Shape ctx_shape(const Tensor& qkv) const {
+    Shape s = qkv.shape();
+    s.back() = E;
+    return s;
   }
   // Per-chunk GEMM packing scratch: every attention GEMM is S x S x Dh or
   // S x Dh x S.
@@ -196,7 +202,7 @@ Tensor attention_forward(const Tensor& qkv, int64_t heads, const Tensor& mask,
              shape_str(probs.shape()), " for ", shape_str(qkv.shape()));
   HFTA_CHECK(!mask.defined() || mask.shape() == (Shape{S, S}),
              "attention mask must be [S, S], got ", shape_str(mask.shape()));
-  Tensor ctx = Tensor::empty_or(out, {d.R, S, E});
+  Tensor ctx = Tensor::empty_or(out, d.ctx_shape(qkv));
   const float scale = d.scale();
   // GEMM scratch hoisted on the launching thread, one slot per chunk
   // (DESIGN §10), as in bmm_impl.
@@ -237,7 +243,7 @@ Tensor attention_backward(const Tensor& gctx, const Tensor& qkv,
   const AttentionDims d(qkv, heads);
   const int64_t S = d.S, E = d.E, H = d.H, Dh = d.Dh;
   const Shape probs_shape = {d.R * H, S, S};
-  HFTA_CHECK(gctx.shape() == (Shape{d.R, S, E}) &&
+  HFTA_CHECK(gctx.shape() == d.ctx_shape(qkv) &&
                  probs.shape() == probs_shape &&
                  (!score_grad.defined() || score_grad.shape() == probs_shape),
              "attention_backward: gctx ", shape_str(gctx.shape()), ", probs ",
@@ -306,35 +312,30 @@ void add_bias_rows(float* y, const float* bias, int64_t rows, int64_t cols,
 }  // namespace
 
 Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                      DType qx, DType qw, const Tensor& out) {
-  HFTA_CHECK(w.dim() == 2, "linear: weight must be [out, in]");
+                      int64_t groups, DType qx, DType qw, const Tensor& out) {
+  HFTA_CHECK(w.dim() == 2 && groups >= 1 && w.size(0) % groups == 0,
+             "linear: weight ", shape_str(w.shape()), " is not ", groups,
+             " blocks of [out, in]");
   const int64_t in = w.size(1);
-  const int64_t n_out = w.size(0);
+  const int64_t n_out = w.size(0) / groups;
   HFTA_CHECK(x.size(-1) == in, "linear: input feature ", x.size(-1),
              " != weight in ", in);
   const int64_t rows = x.numel() / in;
+  HFTA_CHECK(rows % groups == 0, "linear: ", rows, " rows of ",
+             shape_str(x.shape()), " do not split into ", groups, " groups");
+  const int64_t run = rows / groups;
   Shape out_shape = x.shape();
   out_shape.back() = n_out;
-  Tensor x2 = x.reshape({rows, in});
-  Tensor y = matmul_nt(x2, w, qx, qw,
-                       Tensor::empty_or(out, out_shape).reshape({rows, n_out}));
-  if (b.defined()) {
-    HFTA_CHECK(b.numel() == n_out, "linear: bias size mismatch");
-    add_bias_rows(y.data(), b.data(), rows, n_out, rows);
+  Tensor y = Tensor::empty_or(out, out_shape);
+  if (groups == 1) {
+    matmul_nt(x.reshape({rows, in}), w, qx, qw, y.reshape({rows, n_out}));
+  } else {
+    bmm_nt(x.reshape({groups, run, in}), w.reshape({groups, n_out, in}), qx,
+           qw, y.reshape({groups, run, n_out}));
   }
-  return y.reshape(out_shape);
-}
-
-Tensor batched_linear_forward(const Tensor& x, const Tensor& w,
-                              const Tensor& b, DType qx, DType qw,
-                              const Tensor& out) {
-  Tensor y = bmm_nt(x, w, qx, qw, out);
-  const int64_t B = y.size(0), n = y.size(1), n_out = y.size(2);
   if (b.defined()) {
-    HFTA_CHECK(b.shape() == (Shape{B, 1, n_out}), "batched_linear: bias ",
-               shape_str(b.shape()), " for a ", shape_str(y.shape()),
-               " product");
-    add_bias_rows(y.data(), b.data(), B * n, n_out, n);
+    HFTA_CHECK(b.numel() == groups * n_out, "linear: bias size mismatch");
+    add_bias_rows(y.data(), b.data(), rows, n_out, run);
   }
   return y;
 }

@@ -1,6 +1,6 @@
-// GEMM-family kernels: matmul, batched matmul, linear and its batched form
-// (the kernel the paper's fused Linear lowers to), and the raw gemm used by
-// the conv implementation.
+// GEMM-family kernels: matmul, batched matmul, linear (whose grouped form
+// is the kernel the paper's fused Linear lowers to), and the raw gemm used
+// by the conv implementation.
 #pragma once
 
 #include "tensor/dtype.h"
@@ -52,9 +52,9 @@ Tensor bmm_nt(const Tensor& a, const Tensor& b, DType qa = DType::kF32,
               DType qb = DType::kF32, const Tensor& out = Tensor());
 
 /// Multi-head scaled dot-product self-attention straight off the input
-/// projection: qkv [R, S, 3E] holds q, k and v side by side (each [R, S, E],
-/// head h in columns [h*Dh, (h+1)*Dh), Dh = E / heads) -> ctx [R, S, E],
-/// heads merged the same way. Per (r, h) it computes
+/// projection: qkv [..., S, 3E] holds q, k and v side by side (each
+/// [..., S, E], head h in columns [h*Dh, (h+1)*Dh), Dh = E / heads) -> ctx
+/// [..., S, E], heads merged the same way; the leading dims are R sequences. Per (r, h) it computes
 /// p = softmax((q·kᵀ)·(1/√Dh) + mask) and ctx = p·v, with the roundings
 /// of that composed chain (bmm_nt, mul_scalar, a broadcast add of `mask`,
 /// softmax, bmm): the GEMMs read each head's q, k and v in place through
@@ -67,9 +67,9 @@ Tensor attention_forward(const Tensor& qkv, int64_t heads, const Tensor& mask,
                          Tensor& probs, DType q = DType::kF32,
                          const Tensor& out = Tensor());
 
-/// Gradient of attention_forward with respect to qkv, given gctx [R, S, E]
+/// Gradient of attention_forward with respect to qkv, given gctx [..., S, E]
 /// and the probabilities that call left: dq, dk and dv are written straight
-/// into the [R, S, 3E] result, with the roundings of the composed chain's
+/// into the [..., S, 3E] result, with the roundings of the composed chain's
 /// backward (the operand policies are gctx·vᵀ (f32, q), pᵀ·gctx (q, f32),
 /// ds·k (f32, q) and dsᵀ·q (f32, q), ds the score gradient). When
 /// `score_grad` [R*heads, S, S] is defined, ds is left there for
@@ -79,19 +79,16 @@ Tensor attention_backward(const Tensor& gctx, const Tensor& qkv,
                           DType q = DType::kF32,
                           const Tensor& score_grad = Tensor());
 
-/// PyTorch-convention linear: x [.., in] @ w[out, in]^T + b[out].
-/// qx/qw quantize x and w; the bias add stays f32.
+/// PyTorch-convention linear, `groups` of them at once: x [.., in] is read
+/// as `groups` equal runs of rows and w [groups*out, in] (+ b [groups*out],
+/// which may be undefined) as `groups` [out, in] blocks; run g computes
+/// x_g @ w_g^T + b_g -> [.., out]. groups = 1 is one GEMM over all rows;
+/// groups > 1 is one GEMM per block (bmm_nt), so block g equals the
+/// groups = 1 result on run g alone, bit for bit. groups > 1 is the
+/// fused-Linear kernel of the paper (Appendix B, row Linear). qx/qw
+/// quantize x and w; the bias add stays f32.
 Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                      DType qx = DType::kF32, DType qw = DType::kF32,
-                      const Tensor& out = Tensor());
-
-/// B linears at once: x [B,N,in] @ w[B,out,in]^T (+ b [B,1,out], which may
-/// be undefined) -> [B,N,out]. Each model block runs linear_forward's own
-/// GEMM, so block b equals linear_forward(x[b], w[b], b[b]) bit for bit.
-/// This is the fused-Linear kernel of the paper (Appendix B, row Linear).
-Tensor batched_linear_forward(const Tensor& x, const Tensor& w,
-                              const Tensor& b, DType qx = DType::kF32,
-                              DType qw = DType::kF32,
-                              const Tensor& out = Tensor());
+                      int64_t groups = 1, DType qx = DType::kF32,
+                      DType qw = DType::kF32, const Tensor& out = Tensor());
 
 }  // namespace hfta::ops

@@ -906,29 +906,32 @@ NormGrads layer_norm_backward(const Tensor& gy, const Tensor& x,
 }
 
 namespace {
-// Table row read by entry i of `indices`: its id, plus b * block_vocab for
-// model b's slice of a stacked table (per_model entries per model). A
-// stacked id is checked against its own block, so an out-of-range id throws
-// (as the per-model table would) instead of reaching model b+1's rows.
-inline int64_t embedding_row(const float* pi, int64_t i, int64_t per_model,
-                             int64_t block_vocab) {
+// Table row read by entry i of `indices`: its id, plus g * block_vocab for
+// the g-th of `groups` equal runs of ids (per_run entries each), which reads
+// block g of a stacked table. A stacked id is checked against its own
+// block, so an out-of-range id throws (as the per-model table would)
+// instead of reaching model g+1's rows.
+inline int64_t embedding_row(const float* pi, int64_t i, int64_t per_run,
+                             int64_t block_vocab, int64_t groups) {
   const int64_t v = static_cast<int64_t>(pi[i]);
-  if (block_vocab == 0) return v;
+  if (groups == 1) return v;
   HFTA_CHECK(v >= 0 && v < block_vocab, "embedding: index ", v,
              " out of per-model vocab ", block_vocab);
-  return v + (i / per_model) * block_vocab;
+  return v + (i / per_run) * block_vocab;
 }
 
-int64_t embedding_per_model(const Tensor& indices, int64_t block_vocab) {
-  if (block_vocab == 0) return 1;
-  HFTA_CHECK(indices.dim() >= 1 && indices.size(0) > 0,
-             "embedding: stacked lookup needs [B, ...] indices");
-  return indices.numel() / indices.size(0);
+int64_t embedding_per_run(const Tensor& indices, int64_t vocab,
+                          int64_t groups) {
+  HFTA_CHECK(groups >= 1 && vocab % groups == 0 &&
+                 indices.numel() % groups == 0,
+             "embedding: ", groups, " groups for ", indices.numel(),
+             " ids and a table of ", vocab, " rows");
+  return indices.numel() / groups;
 }
 }  // namespace
 
-Tensor embedding(const Tensor& indices, const Tensor& weight,
-                 int64_t block_vocab, const Tensor& out) {
+Tensor embedding(const Tensor& indices, const Tensor& weight, int64_t groups,
+                 const Tensor& out) {
   HFTA_CHECK(weight.dim() == 2, "embedding weight must be [V, E]");
   const int64_t V = weight.size(0);
   const int64_t E = weight.size(1);
@@ -939,9 +942,9 @@ Tensor embedding(const Tensor& indices, const Tensor& weight,
   const float* pw = weight.data();
   float* po = y.data();
   const int64_t n = indices.numel();
-  const int64_t per_model = embedding_per_model(indices, block_vocab);
+  const int64_t per_run = embedding_per_run(indices, V, groups);
   for (int64_t i = 0; i < n; ++i) {
-    const int64_t v = embedding_row(pi, i, per_model, block_vocab);
+    const int64_t v = embedding_row(pi, i, per_run, V / groups, groups);
     HFTA_CHECK(v >= 0 && v < V, "embedding: index ", v, " out of vocab ", V);
     std::memcpy(po + i * E, pw + v * E, sizeof(float) * static_cast<size_t>(E));
   }
@@ -949,24 +952,27 @@ Tensor embedding(const Tensor& indices, const Tensor& weight,
 }
 
 Tensor embedding_backward(const Tensor& grad_out, const Tensor& indices,
-                          int64_t vocab, int64_t block_vocab) {
+                          int64_t vocab, int64_t groups) {
   const int64_t E = grad_out.size(-1);
   Tensor gw({vocab, E});
   const float* pg = grad_out.data();
   const float* pi = indices.data();
   float* pw = gw.data();
   const int64_t n = indices.numel();
-  const int64_t per_model = embedding_per_model(indices, block_vocab);
-  // Validate stacked ids here: parallel bodies must not throw.
-  if (block_vocab > 0)
-    for (int64_t i = 0; i < n; ++i)
-      embedding_row(pi, i, per_model, block_vocab);
+  const int64_t per_run = embedding_per_run(indices, vocab, groups);
+  const int64_t block_vocab = vocab / groups;
+  // Validate the ids here: parallel bodies must not throw.
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t v = embedding_row(pi, i, per_run, block_vocab, groups);
+    HFTA_CHECK(v >= 0 && v < vocab, "embedding: index ", v, " out of vocab ",
+               vocab);
+  }
   // Vocab-row-parallel scatter: each chunk owns rows [lo, hi) and scans the
   // whole index list, so no two chunks write the same row and every row's
   // adds happen in ascending i — the exact serial chain.
   parallel_for(Partition::rows(vocab), [&](int64_t lo, int64_t hi) {
     for (int64_t i = 0; i < n; ++i) {
-      const int64_t v = embedding_row(pi, i, per_model, block_vocab);
+      const int64_t v = embedding_row(pi, i, per_run, block_vocab, groups);
       if (v < lo || v >= hi) continue;
       float* row = pw + v * E;
       vec::binary(vec::BinOp::kAdd, row, pg + i * E, row, E);

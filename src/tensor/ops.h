@@ -160,15 +160,16 @@ NormGrads layer_norm_backward(const Tensor& gy, const Tensor& x,
 // ---- embedding -----------------------------------------------------------------
 
 /// indices: any shape, values must be integral; weight: [V, E].
-/// Returns [*indices.shape, E]. With block_vocab > 0 the table stacks B
-/// per-model blocks of block_vocab rows (B = indices.size(0)): model b's ids
-/// read rows b * block_vocab + id. The offset is applied here, so the ids
-/// tensor itself is never rewritten. Every row read must lie in [0, V).
+/// Returns [*indices.shape, E]. With groups > 1 the table stacks `groups`
+/// per-model blocks of V / groups rows and the ids are read as `groups`
+/// equal runs: run g's ids read rows g * (V / groups) + id. The offset is
+/// applied here, so the ids tensor itself is never rewritten. Every row
+/// read must lie in [0, V).
 Tensor embedding(const Tensor& indices, const Tensor& weight,
-                 int64_t block_vocab = 0, const Tensor& out = Tensor());
-/// Scatter-add of grad_out into grad_weight [V, E] (block_vocab as above).
+                 int64_t groups = 1, const Tensor& out = Tensor());
+/// Scatter-add of grad_out into grad_weight [V, E] (groups as above).
 Tensor embedding_backward(const Tensor& grad_out, const Tensor& indices,
-                          int64_t vocab, int64_t block_vocab = 0);
+                          int64_t vocab, int64_t groups = 1);
 
 // ---- comparisons / metrics -------------------------------------------------------
 

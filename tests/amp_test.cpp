@@ -33,15 +33,14 @@ struct FusedMlp : fused::FusedModule {
   FusedMlp(int64_t B, int64_t in, int64_t hidden, int64_t classes, Rng& rng)
       : fused::FusedModule(B) {
     fc1 = register_module(
-        "fc1", std::make_shared<fused::FusedLinear>(B, in, hidden, true, rng));
+        "fc1", std::make_shared<nn::Linear>(in, hidden, true, rng, B));
     fc2 = register_module(
-        "fc2",
-        std::make_shared<fused::FusedLinear>(B, hidden, classes, true, rng));
+        "fc2", std::make_shared<nn::Linear>(hidden, classes, true, rng, B));
   }
   ag::Variable forward(const ag::Variable& x) override {
     return fc2->forward(ag::relu(fc1->forward(x)));
   }
-  std::shared_ptr<fused::FusedLinear> fc1, fc2;
+  std::shared_ptr<nn::Linear> fc1, fc2;
 };
 
 struct Mlp : nn::Module {
@@ -347,8 +346,7 @@ TEST(Amp, FusedVsSerialBitExact) {
     for (int64_t b = 0; b < B; ++b) {
       serial_models.push_back(
           std::make_shared<Mlp>(in, hidden, classes, rng));
-      fused_model.fc1->load_model(b, *serial_models.back()->fc1);
-      fused_model.fc2->load_model(b, *serial_models.back()->fc2);
+      fused_model.load_model(b, *serial_models.back());
     }
     fused::FusedAdam fused_opt(
         fused::collect_fused_parameters(fused_model, B), B, {.lr = lrs});
@@ -389,10 +387,9 @@ TEST(Amp, FusedVsSerialBitExact) {
     }
     for (int64_t b = 0; b < B; ++b) {
       Rng probe_rng(1);
-      nn::Linear p1(in, hidden, true, probe_rng);
-      nn::Linear p2(hidden, classes, true, probe_rng);
-      fused_model.fc1->store_model(b, p1);
-      fused_model.fc2->store_model(b, p2);
+      Mlp probe(in, hidden, classes, probe_rng);
+      fused_model.store_model(b, probe);
+      const nn::Linear &p1 = *probe.fc1, &p2 = *probe.fc2;
       const auto& sm = serial_models[static_cast<size_t>(b)];
       expect_bits_equal(p1.weight.value().to_vector(),
                         sm->fc1->weight.value().to_vector(), "fc1.w");

@@ -47,13 +47,13 @@ TEST(AttentionTraining, TransformerLMStepsTrackSerial) {
   models::TransformerConfig cfg = models::TransformerConfig::tiny();
   data::TextDataset ds(2000, cfg.vocab, 3);
 
-  models::FusedTransformerLM fused_model(kB, cfg, rng);
+  models::TransformerLM fused_model(cfg, rng, kB);
   std::vector<std::shared_ptr<models::TransformerLM>> plain;
   std::vector<std::unique_ptr<nn::Adam>> opts;
   fused::HyperVec lrs = {1e-3, 3e-3};
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<models::TransformerLM>(cfg, rng));
-    fused_model.load_model(b, *plain.back());
+    fused::load_state(fused::state_map(fused_model), kB, b, *plain.back());
     opts.push_back(std::make_unique<nn::Adam>(
         plain.back()->parameters(),
         nn::Adam::Options{.lr = lrs[static_cast<size_t>(b)]}));
@@ -96,12 +96,12 @@ TEST(AttentionTraining, BertMlmStepTracksSerial) {
   data::TextDataset ds(2000, cfg.vocab, 5);
   Rng mask_rng(7);
 
-  models::FusedBertModel fused_model(kB, cfg, rng);
+  models::BertModel fused_model(cfg, rng, kB);
   std::vector<std::shared_ptr<models::BertModel>> plain;
   std::vector<std::unique_ptr<nn::Adadelta>> opts;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<models::BertModel>(cfg, rng));
-    fused_model.load_model(b, *plain.back());
+    fused::load_state(fused::state_map(fused_model), kB, b, *plain.back());
     opts.push_back(std::make_unique<nn::Adadelta>(
         plain.back()->parameters(), nn::Adadelta::Options{.lr = 0.5}));
   }
@@ -141,7 +141,7 @@ TEST(AttentionTraining, CausalSoftmaxHasExactZerosAndNoSubnormals) {
   Rng rng(4);
   models::TransformerConfig cfg = models::TransformerConfig::tiny();
   data::TextDataset ds(2000, cfg.vocab, 3);
-  models::FusedTransformerLM fused_model(kB, cfg, rng);
+  models::TransformerLM fused_model(cfg, rng, kB);
   auto [x, y] = ds.batch_lm(4, cfg.seq_len, 0);
   Tensor toks = fused::pack_model_major(std::vector<Tensor>(kB, x));
   Tensor labels = fused::pack_model_major(std::vector<Tensor>(kB, y));
@@ -165,8 +165,8 @@ TEST(AttentionTraining, CausalSoftmaxHasExactZerosAndNoSubnormals) {
   const int64_t S = cfg.seq_len, H = cfg.num_heads;
   const Tensor mask = models::causal_mask(S);
   for (ag::Variable& a : attentions) {
-    const Tensor qkv = a.node()->inputs[0].value();
-    Tensor p = Tensor::empty({qkv.size(0) * H, S, S});
+    const Tensor qkv = a.node()->inputs[0].value();  // [B, N, S, 3E]
+    Tensor p = Tensor::empty({qkv.numel() / (S * qkv.size(-1)) * H, S, S});
     const Tensor ctx = ops::attention_forward(qkv, H, mask, p);
     ASSERT_EQ(std::memcmp(ctx.data(), a.value().data(),
                           sizeof(float) * static_cast<size_t>(ctx.numel())),

@@ -177,16 +177,59 @@ TEST(AutogradGrad, BmmAndBmmNt) {
   }
 }
 
-TEST(AutogradGrad, BatchedLinear) {
-  Rng rng(11);
-  std::vector<Variable> inputs = {leaf({2, 4, 5}, rng), leaf({2, 3, 5}, rng),
-                                  leaf({2, 1, 3}, rng)};
-  auto res = gradcheck(
-      [](std::vector<Variable>& in) {
-        return sum_all(batched_linear(in[0], in[1], in[2]));
-      },
-      inputs, 1e-2f, 2e-2f);
-  EXPECT_TRUE(res.ok) << res.detail;
+// linear at groups G reads x [G, N, in] as G runs of rows against the G
+// [out, in] blocks of w [G*out, in] and b [G*out]. Checked two ways, at
+// groups 1 and 3: against the numerical gradient, and block by block
+// against groups = 1 on that block alone, bit for bit (output and the x, w
+// and b gradients), in f32 and under f16/bf16 autocast.
+TEST(AutogradGrad, GroupedLinear) {
+  const int64_t N = 4, in = 5, out = 3;
+  for (int64_t G : {1, 3}) {
+    Rng rng(static_cast<uint64_t>(11 + G));
+    std::vector<Variable> inputs = {leaf({G, N, in}, rng),
+                                    leaf({G * out, in}, rng),
+                                    leaf({G * out}, rng)};
+    auto res = gradcheck(
+        [G](std::vector<Variable>& in) {
+          return sum_all(linear(in[0], in[1], in[2], G));
+        },
+        inputs, 1e-2f, 2e-2f);
+    EXPECT_TRUE(res.ok) << "groups=" << G << ": " << res.detail;
+
+    const Tensor x = Tensor::randn({G, N, in}, rng);
+    const Tensor w = Tensor::randn({G * out, in}, rng);
+    const Tensor b = Tensor::randn({G * out}, rng);
+    const Tensor probe = Tensor::randn({G, N, out}, rng);
+    for (DType dt : {DType::kF32, DType::kF16, DType::kBF16}) {
+      AutocastGuard autocast(dt);  // kF32 turns autocast off
+      Variable xg(x.clone(), true), wg(w.clone(), true), bg(b.clone(), true);
+      Variable yg = linear(xg, wg, bg, G);
+      sum_all(mul(yg, constant(probe))).backward();
+      for (int64_t g = 0; g < G; ++g) {
+        const std::string tag = "groups=" + std::to_string(G) + " dtype=" +
+                                std::to_string(static_cast<int>(dt)) +
+                                " block " + std::to_string(g);
+        Variable x1(x.slice(0, g, g + 1).reshape({N, in}), true);
+        Variable w1(w.slice(0, g * out, (g + 1) * out), true);
+        Variable b1(b.slice(0, g * out, (g + 1) * out), true);
+        Variable y1 = linear(x1, w1, b1);
+        sum_all(mul(y1, constant(probe.slice(0, g, g + 1).reshape({N, out}))))
+            .backward();
+        tests::expect_same_bits(
+            y1.value(), yg.value().slice(0, g, g + 1).reshape({N, out}),
+            tag + " y");
+        tests::expect_same_bits(
+            x1.grad(), xg.grad().slice(0, g, g + 1).reshape({N, in}),
+            tag + " x grad");
+        tests::expect_same_bits(w1.grad(),
+                                wg.grad().slice(0, g * out, (g + 1) * out),
+                                tag + " w grad");
+        tests::expect_same_bits(b1.grad(),
+                                bg.grad().slice(0, g * out, (g + 1) * out),
+                                tag + " b grad");
+      }
+    }
+  }
 }
 
 TEST(AutogradGrad, Linear) {

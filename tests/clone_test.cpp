@@ -179,29 +179,45 @@ TEST(ModuleClone, BasicBlockClonesThroughTheBase) {
 }
 
 TEST(ModuleClone, BlocksAtBTimesWidthCloneAtTheSameWidth) {
-  // A block built with B > 1 is the fused form of B blocks (what the planner
-  // lowers B of them to). Its clone rebuilds at the same B, bit for bit, and
-  // both report the per-model block's config.
+  // A layer or block built with B > 1 is the fused form of B of them (what
+  // the planner lowers B of them to). Its clone rebuilds at the same B, bit
+  // for bit, and both report the per-model config.
   Rng rng(9);
   const int64_t B = 3;
   const models::MobileNetV3Config mcfg = models::MobileNetV3Config::tiny();
   const models::BneckSpec& se_row = models::mobilenetv3_large_table()[3];
   ASSERT_TRUE(se_row.se);
+  models::PointNetConfig pcfg = models::PointNetConfig::tiny();
+  pcfg.input_transform = true;
   struct Case {
     std::shared_ptr<Module> wide, plain;
-    Shape input;  // per-model [N, C, H, W]
+    Shape input;  // the wide module's input; empty = no forward
   };
   const std::vector<Case> cases = {
       {std::make_shared<models::BasicBlock>(4, 8, 2, rng, B),
-       std::make_shared<models::BasicBlock>(4, 8, 2, rng), {2, 4, 8, 8}},
+       std::make_shared<models::BasicBlock>(4, 8, 2, rng), {2, B * 4, 8, 8}},
       {std::make_shared<models::Bneck>(8, se_row, mcfg, rng, B),
-       std::make_shared<models::Bneck>(8, se_row, mcfg, rng), {2, 8, 6, 6}},
+       std::make_shared<models::Bneck>(8, se_row, mcfg, rng),
+       {2, B * 8, 6, 6}},
+      {std::make_shared<Linear>(4, 5, true, rng, B),
+       std::make_shared<Linear>(4, 5, true, rng), {B, 2, 4}},
+      {std::make_shared<LayerNorm>(Shape{6}, 1e-5f, rng, B),
+       std::make_shared<LayerNorm>(Shape{6}, 1e-5f, rng), {B, 2, 6}},
+      {std::make_shared<Embedding>(7, 4, rng, B),
+       std::make_shared<Embedding>(7, 4, rng), {}},
+      {std::make_shared<models::TransformerEncoderLayer>(8, 2, 16, 0.f, "gelu",
+                                                         rng, B),
+       std::make_shared<models::TransformerEncoderLayer>(8, 2, 16, 0.f, "gelu",
+                                                         rng),
+       {B, 2, 5, 8}},
+      {std::make_shared<models::PointNetTrunk>(pcfg, rng, B),
+       std::make_shared<models::PointNetTrunk>(pcfg, rng),
+       {2, B * 3, pcfg.num_points}},
   };
   for (const Case& c : cases) {
     const std::string kind = c.plain->kind_name();
-    Shape wide_input = c.input;
-    wide_input[1] *= B;
-    c.wide->forward(ag::Variable(Tensor::randn(wide_input, rng)));  // BN stats
+    if (!c.input.empty())  // BN stats
+      c.wide->forward(ag::Variable(Tensor::randn(c.input, rng)));
     std::shared_ptr<Module> copy = c.wide->clone();
     ASSERT_NE(copy, nullptr) << kind;
     EXPECT_EQ(copy->kind_name(), kind);
@@ -210,6 +226,7 @@ TEST(ModuleClone, BlocksAtBTimesWidthCloneAtTheSameWidth) {
     for (const Module* m : {c.wide.get(), copy.get()}) {
       EXPECT_EQ(m->config().ints, c.plain->config().ints) << kind;
       EXPECT_EQ(m->config().floats, c.plain->config().floats) << kind;
+      EXPECT_EQ(m->config().dims, c.plain->config().dims) << kind;
     }
     expect_independent(*copy, *c.wide);
   }

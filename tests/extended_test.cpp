@@ -174,8 +174,8 @@ TEST(Validation, AutogradErrors) {
 
 TEST(Validation, FusedApiErrors) {
   Rng rng(43);
-  EXPECT_THROW(fused::FusedLinear(0, 3, 2, true, rng), Error);  // B < 1
-  fused::FusedLinear lin(2, 3, 2, true, rng);
+  EXPECT_THROW(nn::Linear(3, 2, true, rng, 0), Error);  // B < 1
+  nn::Linear lin(3, 2, true, rng, 2);
   // model-major input with wrong leading B
   EXPECT_THROW(lin.forward(ag::Variable(Tensor::randn({3, 4, 3}, rng))),
                Error);

@@ -29,25 +29,20 @@ namespace {
 
 constexpr int64_t kB = 3;
 
-double rel_err(const Tensor& got, const Tensor& want) {
-  double scale = 1e-12;
-  for (int64_t i = 0; i < want.numel(); ++i)
-    scale = std::max(scale, static_cast<double>(std::fabs(want.data()[i])));
-  return ops::max_abs_diff(got, want) / scale;
-}
+using tests::expect_same_bits;
 
 // Forwards the fused array and every per-model net, then checks per-model
-// slices agree. Input xs[b]: one per-model batch; fused input is
-// channel-fused packing. Expects model-major output.
+// slices agree bit for bit. Input xs[b]: one per-model batch; fused input
+// is channel-fused packing. Expects model-major output.
 void expect_equivalent(FusedArray& array,
                        const std::vector<std::shared_ptr<nn::Module>>& nets,
-                       const std::vector<Tensor>& xs, double tol = 1e-4) {
+                       const std::vector<Tensor>& xs) {
   Tensor yf = array.forward(ag::Variable(pack_channel_fused(xs))).value();
   for (int64_t b = 0; b < kB; ++b) {
     const size_t ub = static_cast<size_t>(b);
     Tensor yb = nets[ub]->forward(ag::Variable(xs[ub])).value();
-    Tensor yf_b = yf.slice(0, b, b + 1).reshape(yb.shape());
-    EXPECT_LT(rel_err(yf_b, yb), tol) << "model " << b;
+    expect_same_bits(yb, yf.slice(0, b, b + 1).reshape(yb.shape()),
+                     "model " + std::to_string(b));
   }
 }
 
@@ -269,7 +264,7 @@ TEST(FusionPlan, FuseMaskPartialFusionRoundTrips) {
       EXPECT_EQ(partial->unit_fused(u), opts.fuse_mask[static_cast<size_t>(u)]);
     Tensor y_full = full->forward(ag::Variable(x)).value();
     Tensor y_part = partial->forward(ag::Variable(x)).value();
-    EXPECT_LT(rel_err(y_part, y_full), 1e-4) << "mask " << m;
+    expect_same_bits(y_full, y_part, "mask " + std::to_string(m));
   }
 }
 
@@ -456,7 +451,7 @@ TEST(FusionPlan, TransformerLMLowersThroughRegistry) {
     lms.push_back(std::make_shared<models::TransformerLM>(cfg, rng));
   auto array = FusionPlan(kB).compile(lms, rng);
   ASSERT_EQ(array->steps().size(), 1u);
-  auto fused_lm = std::dynamic_pointer_cast<models::FusedTransformerLM>(
+  auto fused_lm = std::dynamic_pointer_cast<models::TransformerLM>(
       array->steps()[0].module);
   ASSERT_NE(fused_lm, nullptr);
 
@@ -473,8 +468,8 @@ TEST(FusionPlan, TransformerLMLowersThroughRegistry) {
     Tensor yb = static_cast<models::TransformerLM&>(*lms[ub])
                     .forward_tokens(toks[ub])
                     .value();
-    EXPECT_LT(rel_err(yf.slice(0, b, b + 1).reshape(yb.shape()), yb), 1e-3)
-        << "model " << b;
+    expect_same_bits(yb, yf.slice(0, b, b + 1).reshape(yb.shape()),
+                     "model " + std::to_string(b));
   }
 }
 
@@ -493,7 +488,7 @@ TEST(FusionPlan, EncoderLayerStackLowersThroughRegistry) {
     xs.push_back(Tensor::randn({2, 5, E}, rng));  // [N, S, E]
   }
   auto array = FusionPlan(kB).compile(nets, rng);
-  expect_equivalent(*array, nets, xs, 1e-3);
+  expect_equivalent(*array, nets, xs);
 }
 
 // ---- store_model / repack ---------------------------------------------------
@@ -682,7 +677,6 @@ TEST(Repack, SurvivorsContinueBitExactlyAfterHalving) {
 // The per-kind factories live in kind_factories.h, shared with
 // step_program_test so every registered lowering is covered by BOTH the
 // state round-trip here and the capture/replay bit-exactness suite.
-using tests::expect_same_bits;
 using tests::KindFactory;
 using tests::kind_factories;
 

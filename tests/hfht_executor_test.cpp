@@ -164,8 +164,9 @@ TEST(FusedExecutor, DuplicateSurvivorsRepackIntoDistinctSlots) {
 }
 
 TEST(FusedExecutor, FeatureTransformGroupRepacksBitExactly) {
-  // feature_transform=1 routes through the STN: exercises FusedSTN's and
-  // the trunk's STN state slices across a halving repack.
+  // feature_transform=1 routes through the STN: exercises the STN at B
+  // (its Linear head at array size B) and its state slices across a
+  // halving repack.
   const ParamSet p = {1e-3, 0.90, 0.99, 0.05, 0.5, 10, 8, 1};
   const ParamSet q = {3e-3, 0.85, 0.99, 0.10, 0.5, 10, 8, 1};
   FusedTrainingExecutor exec(Task::kPointNet, sim::v100(),

@@ -3,8 +3,9 @@
 // For every fused operator, sweeping the array size B: the fused op applied
 // to the packed inputs of B models with distinct weights must equal the B
 // unfused ops applied per model — forward AND backward (input and parameter
-// gradients) — bitwise. For convs, BatchNorm, pooling and dropout the fused
-// op is the plain nn:: layer at B x width. This is the
+// gradients) — bitwise. The fused op is the plain nn:: layer itself: at
+// B x width for convs, BatchNorm, pooling and dropout, and built with array
+// size B for Linear, LayerNorm and Embedding. This is the
 // mathematical-equivalence guarantee HFTA's convergence claim rests on.
 #include <gtest/gtest.h>
 
@@ -12,11 +13,11 @@
 #include <cstring>
 #include <string>
 
-#include "hfta/fused_attention.h"
-#include "hfta/fused_norm.h"
 #include "hfta/fused_ops.h"
 #include "hfta/fusion.h"
 #include "models/resnet.h"
+#include "models/transformer.h"
+#include "nn/norm.h"
 #include "tensor/ops.h"
 #include "same_bits.h"
 
@@ -185,19 +186,20 @@ TEST_P(FusionB, ConvTranspose2dEquivalence) {
   }
 }
 
-// B linears fused into one batched_linear vs B plain ones. Block b of the
-// fused weight is the plain [out, in] weight, and each block runs the plain
-// layer's own GEMMs, so output and every gradient are bitwise equal.
-TEST_P(FusionB, LinearEquivalenceViaBatchedLinear) {
+// B linears fused into one nn::Linear at array size B vs B plain ones.
+// Block b of the fused weight is the plain [out, in] weight, and each block
+// runs the plain layer's own GEMMs, so output and every gradient are
+// bitwise equal.
+TEST_P(FusionB, LinearEquivalenceAtArraySize) {
   const int64_t B = GetParam();
   Rng rng(600 + B);
   const int64_t N = 4, in = 5, out = 3;
-  FusedLinear fused(B, in, out, true, rng);
+  nn::Linear fused(in, out, true, rng, B);
   std::vector<std::shared_ptr<nn::Linear>> plain;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < B; ++b) {
     plain.push_back(std::make_shared<nn::Linear>(in, out, true, rng));
-    fused.load_model(b, *plain.back());
+    load_model(fused, B, b, *plain.back());
     xs.push_back(Tensor::randn({N, in}, rng));
   }
   ag::Variable xf(pack_model_major(xs), /*requires_grad=*/true);
@@ -226,10 +228,10 @@ TEST_P(FusionB, LinearEquivalenceViaBatchedLinear) {
 TEST_P(FusionB, LinearWeightRoundTrip) {
   const int64_t B = GetParam();
   Rng rng(650 + B);
-  FusedLinear fused(B, 4, 3, true, rng);
+  nn::Linear fused(4, 3, true, rng, B);
   nn::Linear src(4, 3, true, rng), dst(4, 3, true, rng);
-  fused.load_model(B - 1, src);
-  fused.store_model(B - 1, dst);
+  load_model(fused, B, B - 1, src);
+  store_state(state_map(fused), B, B - 1, dst);
   EXPECT_EQ(ops::max_abs_diff(src.weight.value(), dst.weight.value()), 0.f);
   EXPECT_EQ(ops::max_abs_diff(src.bias.value(), dst.bias.value()), 0.f);
 }
@@ -329,14 +331,14 @@ TEST_P(FusionB, LayerNormPerModelAffine) {
   const int64_t B = GetParam();
   Rng rng(900 + B);
   const int64_t N = 3, E = 5;
-  FusedLayerNorm fused(B, {E}, 1e-5f, rng);
+  nn::LayerNorm fused(Shape{E}, 1e-5f, rng, B);
   std::vector<std::shared_ptr<nn::LayerNorm>> plain;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < B; ++b) {
     plain.push_back(std::make_shared<nn::LayerNorm>(Shape{E}, 1e-5f, rng));
     plain.back()->weight.mutable_value().copy_(Tensor::randn({E}, rng));
     plain.back()->bias.mutable_value().copy_(Tensor::randn({E}, rng));
-    fused.load_model(b, *plain.back());
+    load_model(fused, B, b, *plain.back());
     xs.push_back(Tensor::randn({N, E}, rng));
   }
   ag::Variable xf(pack_model_major(xs), /*requires_grad=*/true);
@@ -364,7 +366,7 @@ TEST_P(FusionB, LayerNormRejectsWrongTrailingShape) {
   // A [B, N, 1] input must not broadcast against normalized_shape {6}.
   const int64_t B = GetParam();
   Rng rng(950 + B);
-  FusedLayerNorm fused(B, {6}, 1e-5f, rng);
+  nn::LayerNorm fused(Shape{6}, 1e-5f, rng, B);
   EXPECT_THROW(fused.forward(ag::Variable(Tensor::randn({B, 3, 1}, rng))),
                Error);
   EXPECT_THROW(fused.forward(ag::Variable(Tensor::randn({B, 6, 5}, rng))),
@@ -376,12 +378,12 @@ TEST_P(FusionB, EmbeddingWithIndexOffsets) {
   const int64_t B = GetParam();
   Rng rng(1000 + B);
   const int64_t V = 7, E = 4, L = 5;
-  FusedEmbedding fused(B, V, E, rng);
+  nn::Embedding fused(V, E, rng, B);
   std::vector<std::shared_ptr<nn::Embedding>> plain;
   std::vector<Tensor> idxs;
   for (int64_t b = 0; b < B; ++b) {
     plain.push_back(std::make_shared<nn::Embedding>(V, E, rng));
-    fused.load_model(b, *plain.back());
+    load_model(fused, B, b, *plain.back());
     Tensor idx({L});
     for (int64_t i = 0; i < L; ++i)
       idx.data()[i] = static_cast<float>(rng.uniform_int(V));
@@ -408,7 +410,7 @@ TEST_P(FusionB, EmbeddingWithIndexOffsets) {
   EXPECT_THROW(plain[0]->lookup(Tensor::full({1}, static_cast<float>(V))),
                std::exception);
   EXPECT_THROW(fused.lookup(bad), std::exception);
-  EXPECT_THROW(ops::embedding_backward(Tensor::zeros({B, L, E}), bad, B * V, V),
+  EXPECT_THROW(ops::embedding_backward(Tensor::zeros({B, L, E}), bad, B * V, B),
                std::exception);
 }
 
@@ -499,7 +501,7 @@ INSTANTIATE_TEST_SUITE_P(ArraySizes, FusionB, ::testing::Values(1, 2, 3, 5, 8));
 ag::Variable plain_mha(const ag::Variable& x, const ag::Variable& wi,
                        const ag::Variable& bi, const ag::Variable& wo,
                        const ag::Variable& bo, int64_t H) {
-  // x: [N, S, E]; wi: [3E, E] (one fused block = nn::Linear's layout),
+  // x: [N, S, E]; wi: [3E, E] (one block of the fused weight),
   // bi: [3E].
   const int64_t N = x.size(0), S = x.size(1), E = x.size(2);
   const int64_t Dh = E / H;
@@ -526,20 +528,18 @@ TEST_P(FusionB, MultiheadAttentionEquivalence) {
   const int64_t B = GetParam();
   Rng rng(1500 + B);
   const int64_t N = 2, S = 4, E = 8, H = 2;
-  FusedMultiheadAttention fused(B, E, H, rng);
+  models::MultiheadAttention fused(E, H, rng, B);
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < B; ++b) xs.push_back(Tensor::randn({N, S, E}, rng));
   ag::Variable yf = fused.forward(ag::Variable(pack_model_major(xs)));
+  // Model b's projection weights are block b of the fused ones.
+  const auto wis = unfuse_blocks(fused.in_proj->weight.value(), B, {3 * E, E});
+  const auto bis = unfuse_blocks(fused.in_proj->bias.value(), B, {3 * E});
+  const auto wos = unfuse_blocks(fused.out_proj->weight.value(), B, {E, E});
+  const auto bos = unfuse_blocks(fused.out_proj->bias.value(), B, {E});
   for (int64_t b = 0; b < B; ++b) {
     const size_t ub = static_cast<size_t>(b);
-    // Extract model b's projection weights from the fused modules.
-    Tensor wi = fused.in_proj->weight.value().slice(0, b, b + 1)
-                    .reshape({3 * E, E});
-    Tensor bi = fused.in_proj->bias.value().slice(0, b, b + 1)
-                    .reshape({3 * E});
-    Tensor wo = fused.out_proj->weight.value().slice(0, b, b + 1)
-                    .reshape({E, E});
-    Tensor bo = fused.out_proj->bias.value().slice(0, b, b + 1).reshape({E});
+    const Tensor &wi = wis[ub], &bi = bis[ub], &wo = wos[ub], &bo = bos[ub];
     ag::Variable yb =
         plain_mha(ag::Variable(xs[ub]), ag::Variable(wi), ag::Variable(bi),
                   ag::Variable(wo), ag::Variable(bo), H);
@@ -555,7 +555,8 @@ TEST_P(FusionB, TransformerEncoderLayerRunsAndIsModelSeparable) {
   if (B < 2) GTEST_SKIP() << "needs at least two models";
   Rng rng(1600 + B);
   const int64_t N = 2, S = 3, E = 8;
-  FusedTransformerEncoderLayer layer(B, E, 2, 16, /*dropout=*/0.f, "relu", rng);
+  models::TransformerEncoderLayer layer(E, 2, 16, /*dropout=*/0.f, "relu", rng,
+                                       B);
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < B; ++b) xs.push_back(Tensor::randn({N, S, E}, rng));
   Tensor y1 = layer.forward(ag::Variable(pack_model_major(xs))).value();

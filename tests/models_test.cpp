@@ -89,12 +89,13 @@ TEST(PointNetModel, FusedClsWithInputTransformMatchesSerial) {
 TEST(PointNetModel, FusedSegMatchesSerial) {
   Rng rng(4);
   PointNetConfig cfg = PointNetConfig::tiny();
-  FusedPointNetSeg fused(kB, cfg, rng);
+  PointNetSeg fused(cfg, rng, kB);
   std::vector<std::shared_ptr<PointNetSeg>> plain;
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<PointNetSeg>(cfg, rng));
-    fused.load_model(b, *plain.back());
+    hfta::fused::load_state(hfta::fused::state_map(fused), kB, b,
+                            *plain.back());
     xs.push_back(Tensor::randn({2, 3, cfg.num_points}, rng));
   }
   Tensor yf =
@@ -314,12 +315,13 @@ TEST(TransformerModel, CausalMaskBlocksFuture) {
 TEST(TransformerModel, FusedMatchesSerial) {
   Rng rng(14);
   TransformerConfig cfg = TransformerConfig::tiny();
-  FusedTransformerLM fused(kB, cfg, rng);
+  TransformerLM fused(cfg, rng, kB);
   std::vector<std::shared_ptr<TransformerLM>> plain;
   std::vector<Tensor> toks;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<TransformerLM>(cfg, rng));
-    fused.load_model(b, *plain.back());
+    hfta::fused::load_state(hfta::fused::state_map(fused), kB, b,
+                            *plain.back());
     Tensor t({2, cfg.seq_len});
     for (int64_t i = 0; i < t.numel(); ++i)
       t.data()[i] = static_cast<float>(rng.uniform_int(cfg.vocab));
@@ -337,12 +339,13 @@ TEST(TransformerModel, FusedMatchesSerial) {
 TEST(BertModel, FusedMatchesSerial) {
   Rng rng(15);
   BertConfig cfg = BertConfig::tiny();
-  FusedBertModel fused(kB, cfg, rng);
+  BertModel fused(cfg, rng, kB);
   std::vector<std::shared_ptr<BertModel>> plain;
   std::vector<Tensor> toks;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<BertModel>(cfg, rng));
-    fused.load_model(b, *plain.back());
+    hfta::fused::load_state(hfta::fused::state_map(fused), kB, b,
+                            *plain.back());
     Tensor t({2, cfg.seq_len});
     for (int64_t i = 0; i < t.numel(); ++i)
       t.data()[i] = static_cast<float>(rng.uniform_int(cfg.vocab));

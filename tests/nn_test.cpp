@@ -10,8 +10,6 @@
 #include "core/parallel.h"
 #include "core/vec.h"
 
-#include "hfta/fused_attention.h"
-#include "hfta/fused_norm.h"
 #include "hfta/fused_optim.h"
 #include "hfta/fused_sched.h"
 #include "hfta/train.h"
@@ -332,7 +330,8 @@ TEST(Norm, BatchNormOpBitIdenticalToComposedChain) {
 // ---- LayerNorm as one op: bit-identity with the composed chain ---------------
 
 // One LayerNorm call: x [rows..., norm...] split into G equal row runs, the
-// affine ([norm...] for G = 1, else [G, norm...]) and the upstream gradient.
+// affine (norm... with its first dim scaled by G, as nn::LayerNorm at array
+// size G holds it) and the upstream gradient.
 struct LnCase {
   Shape norm;
   int64_t G;
@@ -345,10 +344,10 @@ struct LnOut {
 
 constexpr float kLnEps = 1e-5f;
 
-// The 9-op chain LayerNorm and FusedLayerNorm ran before ag::layer_norm
-// (mean, sub, mul, mean, add_scalar, pow_scalar, mul, mul, add; the fused
-// layer first views its [G, norm...] affine as [G, 1..., norm...]): the
-// reference the one-op kernel must match bit for bit.
+// The 9-op chain LayerNorm ran before ag::layer_norm (mean, sub, mul, mean,
+// add_scalar, pow_scalar, mul, mul, add; with G > 1 the affine is first
+// viewed as [G, 1..., norm...]): the reference the one-op kernel must match
+// bit for bit.
 LnOut composed_layer_norm(const LnCase& c) {
   const int64_t nd = c.x.dim();
   const int64_t n = static_cast<int64_t>(c.norm.size());
@@ -375,26 +374,17 @@ LnOut composed_layer_norm(const LnCase& c) {
   return {y.value(), x.grad(), w.grad(), b.grad()};
 }
 
-// The same step through the module: LayerNorm for G = 1, else
-// FusedLayerNorm (one ag::layer_norm with G affine groups).
-template <typename M>
-LnOut module_layer_norm(M& m, const LnCase& c) {
+// The same step through the module: LayerNorm at array size G (one
+// ag::layer_norm with G affine groups).
+LnOut one_op_layer_norm(const LnCase& c) {
+  Rng rng(0);
+  LayerNorm m(c.norm, kLnEps, rng, c.G);
   m.weight.mutable_value().copy_(c.w);
   m.bias.mutable_value().copy_(c.b);
   ag::Variable x(c.x.clone(), true);
   ag::Variable y = m.forward(x);
   y.backward(c.gy);
   return {y.value(), x.grad(), m.weight.grad(), m.bias.grad()};
-}
-
-LnOut one_op_layer_norm(const LnCase& c) {
-  Rng rng(0);
-  if (c.G == 1) {
-    LayerNorm ln(c.norm, kLnEps, rng);
-    return module_layer_norm(ln, c);
-  }
-  fused::FusedLayerNorm ln(c.G, c.norm, kLnEps, rng);
-  return module_layer_norm(ln, c);
 }
 
 // Random data with the edge cases folded in: row 0 constant (variance 0),
@@ -405,7 +395,7 @@ LnCase make_ln_case(const Shape& lead, const Shape& norm, int64_t G,
   Shape xs = lead;
   xs.insert(xs.end(), norm.begin(), norm.end());
   Shape ws = norm;
-  if (G > 1) ws.insert(ws.begin(), G);
+  ws[0] *= G;
   LnCase c{norm, G, Tensor::randn(xs, rng), Tensor::randn(ws, rng),
            Tensor::randn(ws, rng), Tensor::randn(xs, rng)};
   const int64_t E = c.w.numel() / G;
@@ -504,7 +494,7 @@ TEST(Norm, LayerNormReplayMatchesEagerOverTransformerSteps) {
   };
   auto fused_array = [&](bool capture) {
     Rng rng(9);
-    fused::FusedTransformerEncoderLayer layer(B, E, 2, 32, 0.f, "relu", rng);
+    models::TransformerEncoderLayer layer(E, 2, 32, 0.f, "relu", rng, B);
     fused::FusedSGD opt(fused::collect_fused_parameters(layer, B), B,
                         {.lr = {0.05}, .momentum = {0.9}});
     return train_encoder_layer(layer, opt, {B, N, S, E}, capture, kSteps);

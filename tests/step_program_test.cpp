@@ -320,14 +320,14 @@ struct TokenRun {
   TrainStep::Stats stats;
 };
 
-// Trains a fused token model (B models, stacked embedding tables) on a fresh
+// Trains a token model at array size B (stacked embedding tables) on a fresh
 // random token batch per step, staged in place, with capture on or off.
 template <typename Model, typename Config>
 TokenRun run_token_model(bool capture, int steps) {
   const int64_t B = 2, N = 2, S = 4;
   const Config cfg = Config::tiny();
   Rng rng(5);
-  Model model(B, cfg, rng);
+  Model model(cfg, rng, B);
   fused::FusedSGD opt(fused::collect_fused_parameters(model, B), B,
                       {.lr = {0.05}});
   TrainStep step;
@@ -354,9 +354,9 @@ TokenRun run_token_model(bool capture, int steps) {
 
 template <typename Model, typename Config>
 void expect_token_replay_matches_eager(const std::string& tag) {
-  // The stacked-table offset of FusedEmbedding lives inside the recorded
-  // embedding op, so every replay looks up the ids staged for its own step
-  // — replay IS the eager step, bit for bit.
+  // The stacked-table offset of an nn::Embedding at B lives inside the
+  // recorded embedding op, so every replay looks up the ids staged for its
+  // own step — replay IS the eager step, bit for bit.
   const int kSteps = 6;
   const TokenRun eager = run_token_model<Model, Config>(false, kSteps);
   const TokenRun replay = run_token_model<Model, Config>(true, kSteps);
@@ -372,11 +372,11 @@ void expect_token_replay_matches_eager(const std::string& tag) {
 }
 
 TEST(StepProgram, FusedTokenModelsReplayFreshStagedIds) {
-  expect_token_replay_matches_eager<models::FusedTransformerLM,
+  expect_token_replay_matches_eager<models::TransformerLM,
                                     models::TransformerConfig>(
-      "FusedTransformerLM");
-  expect_token_replay_matches_eager<models::FusedBertModel,
-                                    models::BertConfig>("FusedBertModel");
+      "TransformerLM at B");
+  expect_token_replay_matches_eager<models::BertModel, models::BertConfig>(
+      "BertModel at B");
 }
 
 }  // namespace

@@ -244,28 +244,35 @@ TEST(Matmul, BmmMatchesPerBatchMatmul) {
   }
 }
 
-TEST(Matmul, BatchedLinearIsPerModelLinear) {
-  // The paper's Linear fusion: batched_linear(x [B,N,in], w [B,out,in],
-  // b [B,1,out]). Block b runs linear_forward's own GEMM, so it matches the
-  // per-model linear bit for bit.
+TEST(Matmul, GroupedLinearIsPerBlockLinear) {
+  // The paper's Linear fusion: linear_forward(x [G,N,in], w [G*out,in],
+  // b [G*out], groups = G). Block g runs the groups = 1 GEMM on run g alone,
+  // so it matches that per-model linear bit for bit, with f32 operands and
+  // with f16/bf16-quantized ones.
   Rng rng(6);
-  const int64_t B = 3, N = 4, in = 5, out = 2;
-  Tensor bias = Tensor::randn({B, 1, out}, rng);
-  Tensor x = Tensor::randn({B, N, in}, rng);
-  Tensor w = Tensor::randn({B, out, in}, rng);
-  Tensor y = ops::batched_linear_forward(x, w, bias);
-  Tensor y_nobias = ops::batched_linear_forward(x, w, Tensor());
-  EXPECT_EQ(y.shape(), (Shape{B, N, out}));
-  for (int64_t bi = 0; bi < B; ++bi) {
-    Tensor xb = x.slice(0, bi, bi + 1).reshape({N, in});
-    Tensor wb = w.slice(0, bi, bi + 1).reshape({out, in});
-    Tensor yb = ops::linear_forward(xb, wb, bias.slice(0, bi, bi + 1)
-                                                .reshape({out}));
-    Tensor yb_nobias = ops::linear_forward(xb, wb, Tensor());
-    EXPECT_EQ(0, std::memcmp(y.data() + bi * N * out, yb.data(),
-                             sizeof(float) * N * out));
-    EXPECT_EQ(0, std::memcmp(y_nobias.data() + bi * N * out,
-                             yb_nobias.data(), sizeof(float) * N * out));
+  const int64_t N = 4, in = 5, out = 2;
+  for (int64_t G : {1, 3}) {
+    Tensor bias = Tensor::randn({G * out}, rng);
+    Tensor x = Tensor::randn({G, N, in}, rng);
+    Tensor w = Tensor::randn({G * out, in}, rng);
+    for (DType q : {DType::kF32, DType::kF16, DType::kBF16}) {
+      Tensor y = ops::linear_forward(x, w, bias, G, q, q);
+      Tensor y_nobias = ops::linear_forward(x, w, Tensor(), G, q, q);
+      EXPECT_EQ(y.shape(), (Shape{G, N, out}));
+      for (int64_t g = 0; g < G; ++g) {
+        Tensor xg = x.slice(0, g, g + 1).reshape({N, in});
+        Tensor wg = w.slice(0, g * out, (g + 1) * out);
+        Tensor yg = ops::linear_forward(
+            xg, wg, bias.slice(0, g * out, (g + 1) * out), 1, q, q);
+        Tensor yg_nobias = ops::linear_forward(xg, wg, Tensor(), 1, q, q);
+        EXPECT_EQ(0, std::memcmp(y.data() + g * N * out, yg.data(),
+                                 sizeof(float) * N * out))
+            << "groups " << G << " block " << g;
+        EXPECT_EQ(0, std::memcmp(y_nobias.data() + g * N * out,
+                                 yg_nobias.data(), sizeof(float) * N * out))
+            << "groups " << G << " block " << g;
+      }
+    }
   }
 }
 

@@ -26,15 +26,14 @@ struct FusedMlp : fused::FusedModule {
   FusedMlp(int64_t B, int64_t in, int64_t hidden, int64_t classes, Rng& rng)
       : fused::FusedModule(B) {
     fc1 = register_module(
-        "fc1", std::make_shared<fused::FusedLinear>(B, in, hidden, true, rng));
+        "fc1", std::make_shared<nn::Linear>(in, hidden, true, rng, B));
     fc2 = register_module(
-        "fc2",
-        std::make_shared<fused::FusedLinear>(B, hidden, classes, true, rng));
+        "fc2", std::make_shared<nn::Linear>(hidden, classes, true, rng, B));
   }
   ag::Variable forward(const ag::Variable& x) override {
     return fc2->forward(ag::relu(fc1->forward(x)));
   }
-  std::shared_ptr<fused::FusedLinear> fc1, fc2;
+  std::shared_ptr<nn::Linear> fc1, fc2;
 };
 
 // Trains a B=3 fused MLP for `steps` and returns every per-step loss vector
