@@ -1,13 +1,15 @@
 // Horizontally fused operators — the paper's primary contribution
 // (Appendix B, Table 6). Fusing B instances of an nn:: layer gives an
-// operator that already exists, so the array runs that nn:: layer itself:
+// operator that already exists, so the array runs that nn:: layer itself,
+// built by the layer's own nn::Module::make_array(B):
 //
 //   Conv1d/2d, ConvTranspose1d/2d  B convs with G groups -> one nn:: conv
 //                 over B*in -> B*out channels with B*G groups
 //   BatchNorm1d/2d  one nn:: BatchNorm over B*C channels: per-(model,
 //                   channel) statistics
-//   MaxPool2d / AdaptiveAvgPool2d / Dropout / Dropout2d  the nn:: layer,
-//                   unchanged, on the channel-fused layout
+//   MaxPool2d / AdaptiveAvgPool2d / Dropout / Dropout2d / Flatten  the nn::
+//                   layer, unchanged, on the channel-fused layout (Flatten
+//                   keeps each model's C*H*W block contiguous)
 //   Linear        nn::Linear with array size B: one GEMM per model block
 //                 (ag::linear with groups = B)
 //   LayerNorm     nn::LayerNorm with array size B: one ag::layer_norm whose
@@ -18,9 +20,8 @@
 // A model built only from those layers is, fused, the same model at B:
 // models::BasicBlock, Bneck, SqueezeExcite, TransformerEncoderLayer,
 // TransformerLM, BertModel and PointNet's STN/PointNetTrunk/PointNetSeg
-// take the array size B the way nn::Conv2d takes groups, and the planner
-// lowers B of them to one built with that B. No hand-fused model class
-// remains.
+// take the array size B the way nn::Conv2d takes groups, and their
+// make_array(B) builds one with that B. No hand-fused model class remains.
 //
 // Layout conventions (see DESIGN.md §2):
 //   channel-fused  [N, B*C, H, W] / [N, B*C, L]  (conv/BN/pool family)

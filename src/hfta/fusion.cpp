@@ -1,10 +1,7 @@
 #include "hfta/fusion.h"
 
+#include <map>
 #include <sstream>
-
-#include "nn/layers.h"
-#include "nn/norm.h"
-#include "tensor/ops.h"
 
 namespace hfta::fused {
 
@@ -21,7 +18,7 @@ UnfusedBlockAdapter::UnfusedBlockAdapter(
       // donor module cannot write through to anything.
       HFTA_CHECK(!nn::has_state(*donor),
                  "UnfusedBlockAdapter: stateful kind '", donor->kind_name(),
-                 "' has no clone support — override Module::clone()");
+                 "' has no clone support — override Module::make_array");
       owned = std::move(donor);
     }
     mods_.push_back(std::move(owned));
@@ -90,188 +87,6 @@ std::string FusionDiagnostic::str() const {
 
 FusionError::FusionError(FusionDiagnostic d)
     : std::runtime_error(d.str()), diagnostic(std::move(d)) {}
-
-// ---- registry --------------------------------------------------------------
-
-namespace {
-
-Lowered stateless(std::shared_ptr<nn::Module> m, Layout in = Layout::kAny,
-                  Layout out = Layout::kAny) {
-  return Lowered{std::move(m), in, out};
-}
-
-}  // namespace
-
-LoweringRegistry& LoweringRegistry::instance() {
-  static LoweringRegistry* reg = new LoweringRegistry();
-  return *reg;
-}
-
-void LoweringRegistry::add(const std::string& kind_name, LoweringFn fn) {
-  rules_[kind_name] = std::move(fn);
-}
-
-const LoweringFn* LoweringRegistry::find(const std::string& kind_name) const {
-  auto it = rules_.find(kind_name);
-  return it == rules_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> LoweringRegistry::supported_kinds() const {
-  std::vector<std::string> out;
-  for (const auto& [k, v] : rules_) out.push_back(k);
-  return out;
-}
-
-LoweringRegistry::LoweringRegistry() {
-  // -- model-major family ----------------------------------------------------
-  // B of these layers are the same nn:: layer built with array size B, on
-  // [B, N, ...]: per model block, the plain layer's own kernels.
-  add(nn::layer_kind_name(nn::LayerKind::kLinear),
-      [](const LoweringContext& ctx) {
-        const nn::ModuleConfig c = ctx.reference().config();
-        auto m = std::make_shared<nn::Linear>(
-            c.get_int("in"), c.get_int("out"), c.get_int("bias") != 0,
-            *ctx.rng, ctx.array_size);
-        return Lowered{m, Layout::kModelMajor, Layout::kModelMajor};
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kLayerNorm),
-      [](const LoweringContext& ctx) {
-        const nn::ModuleConfig c = ctx.reference().config();
-        auto m = std::make_shared<nn::LayerNorm>(
-            c.dims, static_cast<float>(c.get_float("eps")), *ctx.rng,
-            ctx.array_size);
-        return Lowered{m, Layout::kModelMajor, Layout::kModelMajor};
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kFlatten),
-      [](const LoweringContext& ctx) {
-        return stateless(std::make_shared<FusedFlatten>(ctx.array_size),
-                         Layout::kModelMajor, Layout::kModelMajor);
-      });
-
-  // -- channel-fused family --------------------------------------------------
-  // B of these layers are the same nn:: layer at B x width (B*in -> B*out
-  // channels, B*groups groups; BatchNorm over B*C channels): same weight
-  // shapes, fan_in, init draw order and kernels as B plain layers.
-  add(nn::layer_kind_name(nn::LayerKind::kConv2d),
-      [](const LoweringContext& ctx) {
-        const nn::ModuleConfig c = ctx.reference().config();
-        const int64_t B = ctx.array_size;
-        auto m = std::make_shared<nn::Conv2d>(
-            B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
-            c.get_int("stride"), c.get_int("pad"), B * c.get_int("groups"),
-            c.get_int("bias") != 0, *ctx.rng);
-        return Lowered{m, Layout::kChannelFused, Layout::kChannelFused};
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kConv1d),
-      [](const LoweringContext& ctx) {
-        const nn::ModuleConfig c = ctx.reference().config();
-        const int64_t B = ctx.array_size;
-        auto m = std::make_shared<nn::Conv1d>(
-            B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
-            c.get_int("stride"), c.get_int("pad"), B * c.get_int("groups"),
-            c.get_int("bias") != 0, *ctx.rng);
-        return Lowered{m, Layout::kChannelFused, Layout::kChannelFused};
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kConvTranspose2d),
-      [](const LoweringContext& ctx) {
-        const nn::ModuleConfig c = ctx.reference().config();
-        const int64_t B = ctx.array_size;
-        auto m = std::make_shared<nn::ConvTranspose2d>(
-            B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
-            c.get_int("stride"), c.get_int("pad"), c.get_int("out_pad"),
-            B * c.get_int("groups"), c.get_int("bias") != 0, *ctx.rng);
-        return Lowered{m, Layout::kChannelFused, Layout::kChannelFused};
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kConvTranspose1d),
-      [](const LoweringContext& ctx) {
-        const nn::ModuleConfig c = ctx.reference().config();
-        const int64_t B = ctx.array_size;
-        auto m = std::make_shared<nn::ConvTranspose1d>(
-            B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
-            c.get_int("stride"), c.get_int("pad"), c.get_int("out_pad"),
-            B * c.get_int("groups"), c.get_int("bias") != 0, *ctx.rng);
-        return Lowered{m, Layout::kChannelFused, Layout::kChannelFused};
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kBatchNorm2d),
-      [](const LoweringContext& ctx) {
-        const nn::ModuleConfig c = ctx.reference().config();
-        auto m = std::make_shared<nn::BatchNorm2d>(
-            ctx.array_size * c.get_int("channels"),
-            static_cast<float>(c.get_float("eps")),
-            static_cast<float>(c.get_float("momentum")));
-        return Lowered{m, Layout::kChannelFused, Layout::kChannelFused};
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kBatchNorm1d),
-      [](const LoweringContext& ctx) {
-        const nn::ModuleConfig c = ctx.reference().config();
-        auto m = std::make_shared<nn::BatchNorm1d>(
-            ctx.array_size * c.get_int("channels"),
-            static_cast<float>(c.get_float("eps")),
-            static_cast<float>(c.get_float("momentum")));
-        return Lowered{m, Layout::kChannelFused, Layout::kChannelFused};
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kMaxPool2d),
-      [](const LoweringContext& ctx) {
-        const nn::ModuleConfig c = ctx.reference().config();
-        return stateless(
-            std::make_shared<nn::MaxPool2d>(
-                c.get_int("kernel"), c.get_int("stride"), c.get_int("pad")),
-            Layout::kChannelFused, Layout::kChannelFused);
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kAdaptiveAvgPool2d),
-      [](const LoweringContext& ctx) {
-        const nn::ModuleConfig c = ctx.reference().config();
-        return stateless(std::make_shared<nn::AdaptiveAvgPool2d>(
-                             c.get_int("out_h"), c.get_int("out_w")),
-                         Layout::kChannelFused, Layout::kChannelFused);
-      });
-  // Fused dropout draws one mask stream over the whole fused tensor, from
-  // its own seed (not the B per-model streams).
-  add(nn::layer_kind_name(nn::LayerKind::kDropout2d),
-      [](const LoweringContext& ctx) {
-        const nn::ModuleConfig c = ctx.reference().config();
-        return stateless(std::make_shared<nn::Dropout2d>(
-                             static_cast<float>(c.get_float("p")), 0xd20),
-                         Layout::kChannelFused, Layout::kChannelFused);
-      });
-
-  // -- layout-agnostic steps -------------------------------------------------
-  add(nn::layer_kind_name(nn::LayerKind::kDropout),
-      [](const LoweringContext& ctx) {
-        const nn::ModuleConfig c = ctx.reference().config();
-        return stateless(std::make_shared<nn::Dropout>(
-            static_cast<float>(c.get_float("p")), 0xd0));
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kGlobalMaxPool1d),
-      [](const LoweringContext&) {
-        return stateless(std::make_shared<nn::GlobalMaxPool1d>());
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kReLU), [](const LoweringContext&) {
-    return stateless(std::make_shared<nn::ReLU>());
-  });
-  add(nn::layer_kind_name(nn::LayerKind::kReLU6), [](const LoweringContext&) {
-    return stateless(std::make_shared<nn::ReLU6>());
-  });
-  add(nn::layer_kind_name(nn::LayerKind::kLeakyReLU),
-      [](const LoweringContext& ctx) {
-        const auto& ref = static_cast<const nn::LeakyReLU&>(ctx.reference());
-        return stateless(std::make_shared<nn::LeakyReLU>(ref.slope));
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kTanh), [](const LoweringContext&) {
-    return stateless(std::make_shared<nn::Tanh>());
-  });
-  add(nn::layer_kind_name(nn::LayerKind::kSigmoid),
-      [](const LoweringContext&) {
-        return stateless(std::make_shared<nn::Sigmoid>());
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kHardswish),
-      [](const LoweringContext&) {
-        return stateless(std::make_shared<nn::Hardswish>());
-      });
-  add(nn::layer_kind_name(nn::LayerKind::kGELU), [](const LoweringContext&) {
-    return stateless(std::make_shared<nn::GELU>());
-  });
-}
 
 // ---- congruence ------------------------------------------------------------
 
@@ -487,7 +302,7 @@ FusedArray::Step make_adapter_step(
     throw FusionError(
         {path, -1,
          "unfused unit of stateful kind '" + reps[0]->kind_name() +
-             "' has no clone support — override Module::clone()"});
+             "' has no clone support — override Module::make_array"});
   }
   s.module = std::make_shared<UnfusedBlockAdapter>(B, std::move(reps));
   s.in = Layout::kChannelFused;
@@ -503,7 +318,7 @@ FusedArray::Step make_adapter_step(
 /// Derives the state schema of a lowered step's module and validates it
 /// against the per-model reference layer: every per-model parameter and
 /// buffer must be covered by exactly one entry, sized B x the per-model
-/// numel (block-size-checked again at transfer time). A lowering that
+/// numel (block-size-checked again at transfer time). An array form that
 /// misses part of the state, or leaves a child at per-model width, fails
 /// the compile with a structured diagnostic instead of surfacing as drift
 /// after a repack.
@@ -544,9 +359,9 @@ StateMap derive_step_state(const nn::Module& fused_mod, int64_t B,
     if (seen.count(n) == 0) {
       throw FusionError(
           {path, -1,
-           "lowering for kind '" + ref.kind_name() +
+           "array form of kind '" + ref.kind_name() +
                "' covers no state entry for per-model tensor '" + n +
-               "' — register it in the fused module under the same path"});
+               "' — register it in the array form under the same path"});
     }
   }
   return map;
@@ -567,26 +382,18 @@ void lower_into(int64_t B, Rng& rng, const std::string& path,
     }
     return;
   }
-  const LoweringFn* fn = LoweringRegistry::instance().find(ref.kind_name());
-  if (fn == nullptr) {
+  std::shared_ptr<nn::Module> m = ref.make_array(B, rng);
+  if (m == nullptr) {
     throw FusionError(
         {path, -1,
-         "no fusion rule registered for layer kind '" + ref.kind_name() +
-             "'; register a lowering, or turn this unit off in fuse_mask"});
+         "no fusion rule for layer kind '" + ref.kind_name() +
+             "': it has no array form — override Module::make_array, or "
+             "turn this unit off in fuse_mask"});
   }
-  LoweringContext ctx;
-  ctx.array_size = B;
-  for (const auto& r : reps) ctx.replicas.push_back(r.get());
-  ctx.rng = &rng;
-  ctx.path = path;
-  Lowered l = (*fn)(ctx);
-  HFTA_CHECK(l.module != nullptr, "lowering for '", ref.kind_name(),
-             "' returned no module");
   FusedArray::Step s;
-  s.state = derive_step_state(*l.module, B, ref, path);
-  s.module = std::move(l.module);
-  s.in = l.in;
-  s.out = l.out;
+  s.state = derive_step_state(*m, B, ref, path);
+  s.in = s.out = ref.array_layout();
+  s.module = std::move(m);
   s.path = path;
   s.kind = ref.kind_name();
   s.fused = true;
@@ -674,16 +481,6 @@ std::shared_ptr<FusedArray> FusionPlan::repack_multi(
     survivors.push_back(std::move(tree));
   }
   return compile(survivors, rng);
-}
-
-// ---- planner-support modules ------------------------------------------------
-
-ag::Variable FusedFlatten::forward(const ag::Variable& x) {
-  HFTA_CHECK(x.dim() >= 2 && x.size(0) == array_size_,
-             "FusedFlatten: expected model-major [B, N, ...], got ",
-             shape_str(x.shape()));
-  return ag::reshape(x, {x.size(0), x.size(1),
-                         x.numel() / (x.size(0) * x.size(1))});
 }
 
 }  // namespace hfta::fused

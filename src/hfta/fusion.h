@@ -8,19 +8,17 @@
 // that the B module trees are structurally congruent (same layer kinds,
 // shapes and topology — per-model hyper-parameters like learning rate live
 // in the fused optimizer, not the graph), reports unsupported combinations
-// as structured diagnostics, and lowers each layer through a per-kind
-// registry into fused operators — for every stateful kind, the per-model
-// layer or block itself built for B models (B x width for the
+// as structured diagnostics, and lowers each layer to its array form,
+// nn::Module::make_array(B) of the first model's layer: the per-model layer
+// or block itself built for B models (B x width for the
 // conv/BN/pool/dropout family, array size B for Linear, LayerNorm and the
-// Transformer/PointNet blocks; fused_ops.h) —
-// inserting to_model_major/to_channel_fused layout conversions
-// automatically at family boundaries (DESIGN.md §2). Partial fusion is a
-// plan option (FusionOptions::fuse_mask) rather than bespoke per-model
-// wiring.
+// Transformer/PointNet blocks; fused_ops.h). It inserts
+// to_model_major/to_channel_fused layout conversions automatically where
+// the kinds' array_layout() families meet (DESIGN.md §2). Partial fusion
+// is a plan option (FusionOptions::fuse_mask) rather than bespoke
+// per-model wiring.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <stdexcept>
 
@@ -60,9 +58,8 @@ std::vector<Tensor> unfuse_blocks(const Tensor& fused, int64_t B, Shape shape);
 
 // ---- planner ---------------------------------------------------------------
 
-/// The two fused data layouts of DESIGN.md §2. kAny marks layout-agnostic
-/// (elementwise) steps that run in whatever layout the data is in.
-enum class Layout { kChannelFused, kModelMajor, kAny };
+/// The fused data layouts of DESIGN.md §2 (see nn::ArrayLayout).
+using Layout = nn::ArrayLayout;
 const char* layout_name(Layout l);
 
 /// One structured planner diagnostic, in the spirit of MIOpen's
@@ -79,57 +76,6 @@ class FusionError : public std::runtime_error {
  public:
   explicit FusionError(FusionDiagnostic d);
   FusionDiagnostic diagnostic;
-};
-
-/// Everything a lowering rule may need: the array size, the B congruent
-/// per-model replicas (replicas[0] is the reference), an Rng for parameter
-/// allocation, and the path for diagnostics.
-struct LoweringContext {
-  int64_t array_size = 1;
-  std::vector<const nn::Module*> replicas;
-  Rng* rng = nullptr;
-  std::string path;
-
-  const nn::Module& reference() const { return *replicas[0]; }
-};
-
-/// Result of lowering one per-model layer: the fused module and the layout
-/// family it runs in. State transfer is NOT part of this contract any more:
-/// the planner derives bidirectional load/store (and state-congruence
-/// checking) from the module's StateMap schema (fused::state_map),
-/// so a registration cannot ship a loader while silently lacking store
-/// support — every stateful lowering is validated against the per-model
-/// reference layer at compile time.
-struct Lowered {
-  std::shared_ptr<nn::Module> module;
-  Layout in = Layout::kAny;
-  Layout out = Layout::kAny;
-};
-
-using LoweringFn = std::function<Lowered(const LoweringContext&)>;
-
-/// Per-layer-kind lowering rules. Built-in nn:: leaves are pre-registered;
-/// composite model blocks (e.g. "models::BasicBlock") register themselves so
-/// the planner can lower user-defined stacks without bespoke fused models.
-class LoweringRegistry {
- public:
-  static LoweringRegistry& instance();
-
-  void add(const std::string& kind_name, LoweringFn fn);
-  const LoweringFn* find(const std::string& kind_name) const;
-  std::vector<std::string> supported_kinds() const;
-
- private:
-  LoweringRegistry();
-  std::map<std::string, LoweringFn> rules_;
-};
-
-/// Registers `fn` at static-init time (file-scope object in the .cpp that
-/// defines the fused counterpart).
-struct LoweringRegistrar {
-  LoweringRegistrar(const std::string& kind_name, LoweringFn fn) {
-    LoweringRegistry::instance().add(kind_name, std::move(fn));
-  }
 };
 
 struct FusionOptions {
@@ -214,7 +160,7 @@ class FusionPlan {
   std::vector<FusionDiagnostic> analyze(
       const std::vector<const nn::Module*>& models) const;
 
-  /// Verifies congruence, lowers every layer through the registry, loads
+  /// Verifies congruence, lowers every layer to its array form, loads
   /// all B models' weights, and returns the fused array. Every unit —
   /// fused or masked off — gets its own copy of the weights;
   /// the donor modules are never aliased or mutated. Throws FusionError
@@ -243,16 +189,6 @@ class FusionPlan {
  private:
   int64_t array_size_;
   FusionOptions opts_;
-};
-
-// ---- planner-support fused modules ----------------------------------------
-
-/// Fused Flatten: [B, N, d1, ...] -> [B, N, d1*...] on the model-major
-/// layout (the per-model op is [N, d...] -> [N, prod]).
-class FusedFlatten : public FusedModule {
- public:
-  explicit FusedFlatten(int64_t B) : FusedModule(B) {}
-  ag::Variable forward(const ag::Variable& x) override;
 };
 
 }  // namespace hfta::fused

@@ -1,6 +1,5 @@
 #include "models/bert.h"
 
-#include "hfta/fusion.h"
 #include "tensor/ops.h"
 
 namespace hfta::models {
@@ -49,9 +48,9 @@ ag::Variable BertModel::forward_tokens(const Tensor& tokens) {
   return mlm_head->forward(h);
 }
 
-std::shared_ptr<nn::Module> BertModel::clone() const {
-  Rng rng(0);
-  return cloned(*this, std::make_shared<BertModel>(cfg, rng, array_size));
+// Token-driven, so a single planner unit, like models::TransformerLM.
+std::shared_ptr<nn::Module> BertModel::make_array(int64_t B, Rng& rng) const {
+  return std::make_shared<BertModel>(cfg, rng, B * array_size);
 }
 
 nn::ModuleConfig BertModel::config() const {
@@ -65,15 +64,5 @@ nn::ModuleConfig BertModel::config() const {
   c.set("dropout_p", static_cast<double>(cfg.dropout_p));
   return c;
 }
-
-// Planner lowering for the whole model (token-driven, so a single unit,
-// like models::TransformerLM); load/store derive from the model at B's
-// StateMap, whose paths are the per-model ones.
-static const fused::LoweringRegistrar kBertModelLowering(
-    "models::BertModel", [](const fused::LoweringContext& ctx) {
-      const auto& ref = static_cast<const BertModel&>(ctx.reference());
-      auto m = std::make_shared<BertModel>(ref.cfg, *ctx.rng, ctx.array_size);
-      return fused::Lowered{m, fused::Layout::kAny, fused::Layout::kAny};
-    });
 
 }  // namespace hfta::models

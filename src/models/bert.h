@@ -25,8 +25,7 @@ struct BertConfig {
 };
 
 /// Takes an array size B last, like models::TransformerLM: B > 1 is the
-/// fused form of B models on [B, N, S] tokens. Registers the custom
-/// lowering "models::BertModel".
+/// fused form of B models on [B, N, S] tokens (what make_array builds).
 class BertModel : public nn::Module {
  public:
   BertModel(const BertConfig& cfg, Rng& rng, int64_t B = 1);
@@ -34,7 +33,7 @@ class BertModel : public nn::Module {
   /// tokens: [N, S] -> MLM logits [N, S, V] ([B, N, S] -> [B, N, S, V]
   /// with B > 1).
   ag::Variable forward_tokens(const Tensor& tokens);
-  std::shared_ptr<nn::Module> clone() const override;
+  std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
   std::string kind_name() const override { return "models::BertModel"; }
   nn::ModuleConfig config() const override;
 

@@ -62,14 +62,14 @@ ag::Variable DCGANDiscriminator::forward(const ag::Variable& x) {
   return ag::reshape(logit, {logit.size(0)});
 }
 
-std::shared_ptr<nn::Module> DCGANGenerator::clone() const {
-  Rng rng(0);
-  return cloned(*this, std::make_shared<DCGANGenerator>(cfg, rng));
+std::shared_ptr<nn::Module> DCGANGenerator::make_array(int64_t B,
+                                                       Rng& rng) const {
+  return B == 1 ? std::make_shared<DCGANGenerator>(cfg, rng) : nullptr;
 }
 
-std::shared_ptr<nn::Module> DCGANDiscriminator::clone() const {
-  Rng rng(0);
-  return cloned(*this, std::make_shared<DCGANDiscriminator>(cfg, rng));
+std::shared_ptr<nn::Module> DCGANDiscriminator::make_array(int64_t B,
+                                                           Rng& rng) const {
+  return B == 1 ? std::make_shared<DCGANDiscriminator>(cfg, rng) : nullptr;
 }
 
 }  // namespace hfta::models

@@ -40,7 +40,7 @@ class DCGANGenerator : public nn::Module {
   DCGANGenerator(const DCGANConfig& cfg, Rng& rng);
   /// z: [N, nz, 1, 1] -> image [N, nc, S, S] in (-1, 1).
   ag::Variable forward(const ag::Variable& z) override;
-  std::shared_ptr<nn::Module> clone() const override;
+  std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
 
   std::shared_ptr<nn::Sequential> net;  // the planner-walkable graph
   DCGANConfig cfg;
@@ -51,7 +51,7 @@ class DCGANDiscriminator : public nn::Module {
   DCGANDiscriminator(const DCGANConfig& cfg, Rng& rng);
   /// x: [N, nc, S, S] -> logits [N] (BCEWithLogits outside).
   ag::Variable forward(const ag::Variable& x) override;
-  std::shared_ptr<nn::Module> clone() const override;
+  std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
 
   std::shared_ptr<nn::Sequential> net;
   DCGANConfig cfg;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "hfta/fusion.h"
-
 namespace hfta::models {
 
 const std::array<BneckSpec, 15>& mobilenetv3_large_table() {
@@ -123,10 +121,9 @@ Bneck::Bneck(int64_t in, const BneckSpec& spec, const MobileNetV3Config& cfg,
       "project_bn", std::make_shared<nn::BatchNorm2d>(B * out_c));
 }
 
-std::shared_ptr<nn::Module> SqueezeExcite::clone() const {
-  Rng rng(0);
-  return cloned(*this,
-                std::make_shared<SqueezeExcite>(channels, rng, array_size));
+std::shared_ptr<nn::Module> SqueezeExcite::make_array(int64_t B,
+                                                      Rng& rng) const {
+  return std::make_shared<SqueezeExcite>(channels, rng, B * array_size);
 }
 
 nn::ModuleConfig SqueezeExcite::config() const {
@@ -134,17 +131,6 @@ nn::ModuleConfig SqueezeExcite::config() const {
   c.set("channels", channels);
   return c;
 }
-
-// B congruent SE blocks lower to one SqueezeExcite at B x width on the
-// channel-fused layout; load/store derive from its StateMap.
-static const fused::LoweringRegistrar kSqueezeExciteLowering(
-    "models::SqueezeExcite", [](const fused::LoweringContext& ctx) {
-      const auto& ref = static_cast<const SqueezeExcite&>(ctx.reference());
-      auto m = std::make_shared<SqueezeExcite>(ref.channels, *ctx.rng,
-                                               ctx.array_size);
-      return fused::Lowered{m, fused::Layout::kChannelFused,
-                            fused::Layout::kChannelFused};
-    });
 
 ag::Variable Bneck::forward(const ag::Variable& x) {
   auto act = [this](const ag::Variable& v) {
@@ -159,10 +145,8 @@ ag::Variable Bneck::forward(const ag::Variable& x) {
   return residual ? ag::add(h, x) : h;
 }
 
-std::shared_ptr<nn::Module> Bneck::clone() const {
-  Rng rng(0);
-  return cloned(*this, std::make_shared<Bneck>(in_channels, spec, cfg, rng,
-                                               array_size));
+std::shared_ptr<nn::Module> Bneck::make_array(int64_t B, Rng& rng) const {
+  return std::make_shared<Bneck>(in_channels, spec, cfg, rng, B * array_size);
 }
 
 nn::ModuleConfig Bneck::config() const {
@@ -180,15 +164,6 @@ nn::ModuleConfig Bneck::config() const {
   c.set("width_mult", static_cast<double>(cfg.width_mult));
   return c;
 }
-
-static const fused::LoweringRegistrar kBneckLowering(
-    "models::Bneck", [](const fused::LoweringContext& ctx) {
-      const auto& ref = static_cast<const Bneck&>(ctx.reference());
-      auto m = std::make_shared<Bneck>(ref.in_channels, ref.spec, ref.cfg,
-                                       *ctx.rng, ctx.array_size);
-      return fused::Lowered{m, fused::Layout::kChannelFused,
-                            fused::Layout::kChannelFused};
-    });
 
 MobileNetV3::MobileNetV3(const MobileNetV3Config& cfg, Rng& rng) : cfg(cfg) {
   net = register_module("net", std::make_shared<nn::Sequential>());
@@ -227,9 +202,9 @@ ag::Variable MobileNetV3::forward(const ag::Variable& x) {
   return net->forward(x);  // [N, classes]
 }
 
-std::shared_ptr<nn::Module> MobileNetV3::clone() const {
-  Rng rng(0);
-  return cloned(*this, std::make_shared<MobileNetV3>(cfg, rng));
+std::shared_ptr<nn::Module> MobileNetV3::make_array(int64_t B,
+                                                    Rng& rng) const {
+  return B == 1 ? std::make_shared<MobileNetV3>(cfg, rng) : nullptr;
 }
 
 }  // namespace hfta::models

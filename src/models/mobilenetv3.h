@@ -62,7 +62,10 @@ class SqueezeExcite : public nn::Module {
  public:
   SqueezeExcite(int64_t channels, Rng& rng, int64_t B = 1);
   ag::Variable forward(const ag::Variable& x) override;
-  std::shared_ptr<nn::Module> clone() const override;
+  std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
+  nn::ArrayLayout array_layout() const override {
+    return nn::ArrayLayout::kChannelFused;
+  }
   std::string kind_name() const override { return "models::SqueezeExcite"; }
   nn::ModuleConfig config() const override;  // per-model, whatever B is
   std::shared_ptr<nn::Conv2d> fc1, fc2;  // 1x1 convs
@@ -78,7 +81,10 @@ class Bneck : public nn::Module {
   Bneck(int64_t in, const BneckSpec& spec, const MobileNetV3Config& cfg,
         Rng& rng, int64_t B = 1);
   ag::Variable forward(const ag::Variable& x) override;
-  std::shared_ptr<nn::Module> clone() const override;
+  std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
+  nn::ArrayLayout array_layout() const override {
+    return nn::ArrayLayout::kChannelFused;
+  }
   std::string kind_name() const override { return "models::Bneck"; }
   nn::ModuleConfig config() const override;  // per-model, whatever B is
 
@@ -86,7 +92,7 @@ class Bneck : public nn::Module {
   std::shared_ptr<nn::BatchNorm2d> expand_bn, dw_bn, project_bn;
   std::shared_ptr<SqueezeExcite> se;
   bool use_hswish, use_relu6, has_expand, residual;
-  int64_t in_channels;   // clone() reconstructs from these
+  int64_t in_channels;   // make_array reconstructs from these
   BneckSpec spec;
   MobileNetV3Config cfg;
   int64_t array_size;
@@ -95,13 +101,13 @@ class Bneck : public nn::Module {
 /// The whole network is a planner-walkable Sequential (`net`): stem (conv,
 /// bn, hard-swish), the bnecks, last (conv, bn, hard-swish), pool, flatten,
 /// fc1, hard-swish, fc2. The fused array is FusionPlan-compiled from B such
-/// `net`s; the planner puts the to_model_major conversion before Flatten.
+/// `net`s; the planner puts the to_model_major conversion after Flatten.
 class MobileNetV3 : public nn::Module {
  public:
   MobileNetV3(const MobileNetV3Config& cfg, Rng& rng);
   /// x: [N, 3, S, S] -> [N, num_classes].
   ag::Variable forward(const ag::Variable& x) override;
-  std::shared_ptr<nn::Module> clone() const override;
+  std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
 
   std::shared_ptr<nn::Sequential> net;  // the planner-walkable graph
   std::vector<std::shared_ptr<Bneck>> bnecks;

@@ -96,24 +96,10 @@ nn::ModuleConfig PointNetTrunk::config() const {
   return c;
 }
 
-std::shared_ptr<nn::Module> PointNetTrunk::clone() const {
-  Rng rng(0);
-  return cloned(*this, std::make_shared<PointNetTrunk>(cfg, rng, array_size));
+std::shared_ptr<nn::Module> PointNetTrunk::make_array(int64_t B,
+                                                      Rng& rng) const {
+  return std::make_shared<PointNetTrunk>(cfg, rng, B * array_size);
 }
-
-// The planner lowering for the trunk: B congruent trunks become one trunk
-// at B on the channel-fused layout. State transfer needs no per-kind code:
-// its paths are the per-model trunk's own, so the planner derives
-// load/store from its StateMap.
-static const fused::LoweringRegistrar kTrunkLowering(
-    "models::PointNetTrunk",
-    [](const fused::LoweringContext& ctx) {
-      const auto& ref = static_cast<const PointNetTrunk&>(ctx.reference());
-      auto m =
-          std::make_shared<PointNetTrunk>(ref.cfg, *ctx.rng, ctx.array_size);
-      return fused::Lowered{m, fused::Layout::kChannelFused,
-                            fused::Layout::kChannelFused};
-    });
 
 // ---- classification head ----------------------------------------------------------
 
@@ -141,9 +127,9 @@ ag::Variable PointNetCls::forward(const ag::Variable& x) {
   return net->forward(x);  // [N, classes]
 }
 
-std::shared_ptr<nn::Module> PointNetCls::clone() const {
-  Rng rng(0);
-  return cloned(*this, std::make_shared<PointNetCls>(cfg, rng));
+std::shared_ptr<nn::Module> PointNetCls::make_array(int64_t B,
+                                                    Rng& rng) const {
+  return B == 1 ? std::make_shared<PointNetCls>(cfg, rng) : nullptr;
 }
 
 // ---- segmentation head ----------------------------------------------------------------

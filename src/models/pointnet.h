@@ -51,8 +51,8 @@ class STN : public nn::Module {
 };
 
 /// Shared trunk: 1x1 Conv1d stack -> per-point features + global feature.
-/// Registers the custom lowering "models::PointNetTrunk" so the planner can
-/// fuse any model built on it.
+/// Its array form is the trunk at B, so the planner fuses any model built
+/// on it.
 class PointNetTrunk : public nn::Module {
  public:
   PointNetTrunk(const PointNetConfig& cfg, Rng& rng, int64_t B = 1);
@@ -62,7 +62,10 @@ class PointNetTrunk : public nn::Module {
   std::string kind_name() const override { return "models::PointNetTrunk"; }
   /// The per-model config, whatever B is.
   nn::ModuleConfig config() const override;
-  std::shared_ptr<nn::Module> clone() const override;
+  std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
+  nn::ArrayLayout array_layout() const override {
+    return nn::ArrayLayout::kChannelFused;
+  }
 
   std::shared_ptr<STN> stn;  // may be null
   std::shared_ptr<nn::Conv1d> conv1, conv2, conv3;
@@ -78,7 +81,7 @@ class PointNetCls : public nn::Module {
   PointNetCls(const PointNetConfig& cfg, Rng& rng);
   /// x: [N, 3, L] -> [N, num_classes].
   ag::Variable forward(const ag::Variable& x) override;
-  std::shared_ptr<nn::Module> clone() const override;
+  std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
 
   std::shared_ptr<nn::Sequential> net;  // the planner-walkable graph
   std::shared_ptr<PointNetTrunk> trunk;

@@ -37,25 +37,11 @@ nn::ModuleConfig BasicBlock::config() const {
   return c;
 }
 
-std::shared_ptr<nn::Module> BasicBlock::clone() const {
-  Rng rng(0);
-  return cloned(*this, std::make_shared<BasicBlock>(in_channels, out_channels,
-                                                    stride, rng, array_size));
+std::shared_ptr<nn::Module> BasicBlock::make_array(int64_t B,
+                                                   Rng& rng) const {
+  return std::make_shared<BasicBlock>(in_channels, out_channels, stride, rng,
+                                      B * array_size);
 }
-
-// B congruent BasicBlocks lower to one BasicBlock at B x width on the
-// channel-fused layout; load and store derive from its StateMap, whose
-// paths are the per-model block's own.
-static const fused::LoweringRegistrar kBasicBlockLowering(
-    "models::BasicBlock",
-    [](const fused::LoweringContext& ctx) {
-      const auto& ref = static_cast<const BasicBlock&>(ctx.reference());
-      auto m = std::make_shared<BasicBlock>(ref.in_channels, ref.out_channels,
-                                            ref.stride, *ctx.rng,
-                                            ctx.array_size);
-      return fused::Lowered{m, fused::Layout::kChannelFused,
-                            fused::Layout::kChannelFused};
-    });
 
 ResNet18::ResNet18(const ResNetConfig& cfg, Rng& rng) : cfg(cfg) {
   net = register_module("net", std::make_shared<nn::Sequential>());
@@ -89,9 +75,8 @@ ag::Variable ResNet18::forward(const ag::Variable& x) {
   return net->forward(x);
 }
 
-std::shared_ptr<nn::Module> ResNet18::clone() const {
-  Rng rng(0);
-  return cloned(*this, std::make_shared<ResNet18>(cfg, rng));
+std::shared_ptr<nn::Module> ResNet18::make_array(int64_t B, Rng& rng) const {
+  return B == 1 ? std::make_shared<ResNet18>(cfg, rng) : nullptr;
 }
 
 ResNetFusionMask ResNetFusionMask::partially_unfused(int64_t n) {

@@ -29,14 +29,14 @@ struct ResNetConfig {
   int64_t stage_width(int64_t s) const { return base_width << s; }
 };
 
-/// Standard two-conv residual block. Registers the custom lowering
-/// "models::BasicBlock" so the planner can fuse it.
+/// Standard two-conv residual block.
 ///
 /// `B` works like `groups` on nn::Conv2d: B > 1 builds B independent blocks
 /// side by side on the channel-fused layout — every conv over B*in -> B*out
 /// channels with B x groups, every BatchNorm over B*out channels — which is
-/// exactly the fused form of B such blocks (paper Appendix B). The planner
-/// lowers B congruent blocks to one block at B x width.
+/// exactly the fused form of B such blocks (paper Appendix B), and what
+/// make_array builds: the planner lowers B congruent blocks to one block at
+/// B x width.
 class BasicBlock : public nn::Module {
  public:
   BasicBlock(int64_t in, int64_t out, int64_t stride, Rng& rng,
@@ -45,7 +45,10 @@ class BasicBlock : public nn::Module {
   std::string kind_name() const override { return "models::BasicBlock"; }
   /// The per-model constructor arguments (in, out, stride), whatever B is.
   nn::ModuleConfig config() const override;
-  std::shared_ptr<nn::Module> clone() const override;
+  std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
+  nn::ArrayLayout array_layout() const override {
+    return nn::ArrayLayout::kChannelFused;
+  }
 
   std::shared_ptr<nn::Conv2d> conv1, conv2, down_conv;  // down_conv optional
   std::shared_ptr<nn::BatchNorm2d> bn1, bn2, down_bn;
@@ -57,7 +60,7 @@ class ResNet18 : public nn::Module {
   ResNet18(const ResNetConfig& cfg, Rng& rng);
   /// x: [N, 3, S, S] -> [N, num_classes].
   ag::Variable forward(const ag::Variable& x) override;
-  std::shared_ptr<nn::Module> clone() const override;
+  std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
 
   std::shared_ptr<nn::Sequential> net;  // the planner-walkable graph
   std::vector<std::shared_ptr<BasicBlock>> blocks;  // 8

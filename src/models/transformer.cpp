@@ -89,22 +89,12 @@ std::shared_ptr<TransformerEncoderLayer> make_encoder_layer(
 }
 }  // namespace
 
-std::shared_ptr<nn::Module> TransformerEncoderLayer::clone() const {
-  Rng rng(0);
-  return cloned(*this, make_encoder_layer(config(), rng, array_size));
+// B congruent encoder layers -> one layer at B on the model-major layout
+// ([B, N, S, E]).
+std::shared_ptr<nn::Module> TransformerEncoderLayer::make_array(
+    int64_t B, Rng& rng) const {
+  return make_encoder_layer(config(), rng, B * array_size);
 }
-
-// Planner lowering: B congruent encoder layers -> one layer at B on the
-// model-major layout ([B, N, S, E]). Load/store both derive from its
-// StateMap, whose paths are the per-model layer's own.
-static const fused::LoweringRegistrar kEncoderLayerLowering(
-    "models::TransformerEncoderLayer",
-    [](const fused::LoweringContext& ctx) {
-      auto m = make_encoder_layer(ctx.reference().config(), *ctx.rng,
-                                  ctx.array_size);
-      return fused::Lowered{m, fused::Layout::kModelMajor,
-                            fused::Layout::kModelMajor};
-    });
 
 Tensor sinusoidal_positions(int64_t seq_len, int64_t embed_dim) {
   Tensor pe({seq_len, embed_dim});
@@ -174,20 +164,11 @@ nn::ModuleConfig TransformerLM::config() const {
   return c;
 }
 
-std::shared_ptr<nn::Module> TransformerLM::clone() const {
-  Rng rng(0);
-  return cloned(*this, std::make_shared<TransformerLM>(cfg, rng, array_size));
+// The LM at B is driven through forward_tokens, so its plan is a single
+// unit rather than a chain.
+std::shared_ptr<nn::Module> TransformerLM::make_array(int64_t B,
+                                                      Rng& rng) const {
+  return std::make_shared<TransformerLM>(cfg, rng, B * array_size);
 }
-
-// Planner lowering for the whole LM: the LM at B is driven through
-// forward_tokens, so the plan is a single unit rather than a chain.
-static const fused::LoweringRegistrar kTransformerLMLowering(
-    "models::TransformerLM",
-    [](const fused::LoweringContext& ctx) {
-      const auto& ref = static_cast<const TransformerLM&>(ctx.reference());
-      auto m =
-          std::make_shared<TransformerLM>(ref.cfg, *ctx.rng, ctx.array_size);
-      return fused::Lowered{m, fused::Layout::kAny, fused::Layout::kAny};
-    });
 
 }  // namespace hfta::models

@@ -31,9 +31,9 @@ class MultiheadAttention : public nn::Module {
   int64_t embed_dim, num_heads;
 };
 
-/// Post-norm encoder layer (as nn.TransformerEncoderLayer). Registers the
-/// custom lowering "models::TransformerEncoderLayer": a model-major planner
-/// step, so stacks of encoder layers fuse automatically.
+/// Post-norm encoder layer (as nn.TransformerEncoderLayer). Its array form
+/// is a model-major planner step, so stacks of encoder layers fuse
+/// automatically.
 class TransformerEncoderLayer : public nn::Module {
  public:
   /// activation: "relu" or "gelu" (BERT).
@@ -46,7 +46,10 @@ class TransformerEncoderLayer : public nn::Module {
     return "models::TransformerEncoderLayer";
   }
   nn::ModuleConfig config() const override;
-  std::shared_ptr<nn::Module> clone() const override;
+  std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
+  nn::ArrayLayout array_layout() const override {
+    return nn::ArrayLayout::kModelMajor;
+  }
 
   std::shared_ptr<MultiheadAttention> self_attn;
   std::shared_ptr<nn::Linear> linear1, linear2;
@@ -77,9 +80,9 @@ Tensor sinusoidal_positions(int64_t seq_len, int64_t embed_dim);
 /// Causal attention mask [S, S]: 0 on/below diagonal, -1e9 above.
 Tensor causal_mask(int64_t seq_len);
 
-/// Registers the custom lowering "models::TransformerLM", so B per-model
-/// LMs compile to a single-step FusedArray holding one TransformerLM at B
-/// (token input makes the LM a unit, not a chain).
+/// Its array form is the LM at B, so B per-model LMs compile to a
+/// single-step FusedArray holding one TransformerLM at B (token input makes
+/// the LM a unit, not a chain).
 class TransformerLM : public nn::Module {
  public:
   TransformerLM(const TransformerConfig& cfg, Rng& rng, int64_t B = 1);
@@ -89,7 +92,7 @@ class TransformerLM : public nn::Module {
   ag::Variable forward_tokens(const Tensor& tokens);
   std::string kind_name() const override { return "models::TransformerLM"; }
   nn::ModuleConfig config() const override;
-  std::shared_ptr<nn::Module> clone() const override;
+  std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
 
   std::shared_ptr<nn::Embedding> embed;
   std::vector<std::shared_ptr<TransformerEncoderLayer>> layers;

@@ -266,73 +266,72 @@ ModuleConfig Dropout2d::config() const {
   return c;
 }
 
-// ---- cloning ---------------------------------------------------------------
+// ---- array forms -----------------------------------------------------------
 //
-// Each stateful leaf reconstructs itself from its structural configuration
-// (a throwaway Rng seeds the constructor's init, which cloned() immediately
-// overwrites with the source weights) — the per-kind counterpart of the
-// reflection surface the fusion planner walks.
+// B of these layers are the same layer at B x width (B*in -> B*out channels,
+// B*groups groups) or at B times the array size: same per-model weight
+// shapes, fan_in, init draw order and kernels as B plain layers. The pools
+// and dropouts run unchanged on the B x wide input.
 
-std::shared_ptr<Module> Linear::clone() const {
-  Rng rng(0);
-  return cloned(*this, std::make_shared<Linear>(in_features, out_features,
-                                                bias.defined(), rng,
-                                                array_size));
+std::shared_ptr<Module> Linear::make_array(int64_t B, Rng& rng) const {
+  return std::make_shared<Linear>(in_features, out_features, bias.defined(),
+                                  rng, B * array_size);
 }
 
-std::shared_ptr<Module> Conv2d::clone() const {
-  Rng rng(0);
+std::shared_ptr<Module> Conv2d::make_array(int64_t B, Rng& rng) const {
   const ModuleConfig c = config();
-  return cloned(*this, std::make_shared<Conv2d>(
-                           c.get_int("in"), c.get_int("out"),
-                           c.get_int("kernel"), c.get_int("stride"),
-                           c.get_int("pad"), c.get_int("groups"),
-                           c.get_int("bias") != 0, rng));
+  return std::make_shared<Conv2d>(
+      B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
+      c.get_int("stride"), c.get_int("pad"), B * c.get_int("groups"),
+      c.get_int("bias") != 0, rng);
 }
 
-std::shared_ptr<Module> Conv1d::clone() const {
-  Rng rng(0);
+std::shared_ptr<Module> Conv1d::make_array(int64_t B, Rng& rng) const {
   const ModuleConfig c = config();
-  return cloned(*this, std::make_shared<Conv1d>(
-                           c.get_int("in"), c.get_int("out"),
-                           c.get_int("kernel"), c.get_int("stride"),
-                           c.get_int("pad"), c.get_int("groups"),
-                           c.get_int("bias") != 0, rng));
+  return std::make_shared<Conv1d>(
+      B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
+      c.get_int("stride"), c.get_int("pad"), B * c.get_int("groups"),
+      c.get_int("bias") != 0, rng);
 }
 
-std::shared_ptr<Module> ConvTranspose2d::clone() const {
-  Rng rng(0);
+std::shared_ptr<Module> ConvTranspose2d::make_array(int64_t B,
+                                                    Rng& rng) const {
   const ModuleConfig c = config();
-  return cloned(*this, std::make_shared<ConvTranspose2d>(
-                           c.get_int("in"), c.get_int("out"),
-                           c.get_int("kernel"), c.get_int("stride"),
-                           c.get_int("pad"), c.get_int("out_pad"),
-                           c.get_int("groups"), c.get_int("bias") != 0, rng));
+  return std::make_shared<ConvTranspose2d>(
+      B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
+      c.get_int("stride"), c.get_int("pad"), c.get_int("out_pad"),
+      B * c.get_int("groups"), c.get_int("bias") != 0, rng);
 }
 
-std::shared_ptr<Module> ConvTranspose1d::clone() const {
-  Rng rng(0);
+std::shared_ptr<Module> ConvTranspose1d::make_array(int64_t B,
+                                                    Rng& rng) const {
   const ModuleConfig c = config();
-  return cloned(*this, std::make_shared<ConvTranspose1d>(
-                           c.get_int("in"), c.get_int("out"),
-                           c.get_int("kernel"), c.get_int("stride"),
-                           c.get_int("pad"), c.get_int("out_pad"),
-                           c.get_int("groups"), c.get_int("bias") != 0, rng));
+  return std::make_shared<ConvTranspose1d>(
+      B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
+      c.get_int("stride"), c.get_int("pad"), c.get_int("out_pad"),
+      B * c.get_int("groups"), c.get_int("bias") != 0, rng);
 }
 
-std::shared_ptr<Module> Embedding::clone() const {
-  Rng rng(0);
-  return cloned(*this,
-                std::make_shared<Embedding>(vocab, dim, rng, array_size));
+std::shared_ptr<Module> Embedding::make_array(int64_t B, Rng& rng) const {
+  return std::make_shared<Embedding>(vocab, dim, rng, B * array_size);
 }
 
-std::shared_ptr<Module> MaxPool2d::clone() const {
-  return cloned(*this, std::make_shared<MaxPool2d>(args.kernel, args.stride,
-                                                   args.pad));
+std::shared_ptr<Module> MaxPool2d::make_array(int64_t, Rng&) const {
+  return std::make_shared<MaxPool2d>(args.kernel, args.stride, args.pad);
 }
 
-std::shared_ptr<Module> AdaptiveAvgPool2d::clone() const {
-  return cloned(*this, std::make_shared<AdaptiveAvgPool2d>(out_h, out_w));
+std::shared_ptr<Module> AdaptiveAvgPool2d::make_array(int64_t, Rng&) const {
+  return std::make_shared<AdaptiveAvgPool2d>(out_h, out_w);
+}
+
+// A dropout array draws one mask stream over the whole fused tensor, from
+// its own seed (not the B per-model streams).
+std::shared_ptr<Module> Dropout::make_array(int64_t, Rng&) const {
+  return std::make_shared<Dropout>(p, 0xd0);
+}
+
+std::shared_ptr<Module> Dropout2d::make_array(int64_t, Rng&) const {
+  return std::make_shared<Dropout2d>(p, 0xd20);
 }
 
 // ---- structural leaves -----------------------------------------------------

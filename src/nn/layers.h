@@ -22,7 +22,10 @@ class Linear : public Module {
   /// x: [.., in] -> [.., out]; with B > 1, [B, .., in] -> [B, .., out].
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kLinear; }
-  std::shared_ptr<Module> clone() const override;
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
+  ArrayLayout array_layout() const override {
+    return ArrayLayout::kModelMajor;
+  }
   ModuleConfig config() const override;
 
   ag::Variable weight;  // [B*out, in]
@@ -38,7 +41,10 @@ class Conv2d : public Module {
          int64_t groups, bool bias, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kConv2d; }
-  std::shared_ptr<Module> clone() const override;
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
+  ArrayLayout array_layout() const override {
+    return ArrayLayout::kChannelFused;
+  }
   ModuleConfig config() const override;
 
   ag::Variable weight;  // [out, in/groups, k, k]
@@ -52,7 +58,10 @@ class Conv1d : public Module {
          int64_t groups, bool bias, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kConv1d; }
-  std::shared_ptr<Module> clone() const override;
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
+  ArrayLayout array_layout() const override {
+    return ArrayLayout::kChannelFused;
+  }
   ModuleConfig config() const override;
 
   ag::Variable weight;  // [out, in/groups, k]
@@ -67,7 +76,10 @@ class ConvTranspose2d : public Module {
                   Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kConvTranspose2d; }
-  std::shared_ptr<Module> clone() const override;
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
+  ArrayLayout array_layout() const override {
+    return ArrayLayout::kChannelFused;
+  }
   ModuleConfig config() const override;
 
   ag::Variable weight;  // [in, out/groups, k, k]
@@ -82,7 +94,10 @@ class ConvTranspose1d : public Module {
                   Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kConvTranspose1d; }
-  std::shared_ptr<Module> clone() const override;
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
+  ArrayLayout array_layout() const override {
+    return ArrayLayout::kChannelFused;
+  }
   ModuleConfig config() const override;
 
   ag::Variable weight;  // [in, out/groups, k]
@@ -100,7 +115,10 @@ class Embedding : public Module {
   /// the recorded op, so a replayed step reads the ids staged for it.
   ag::Variable lookup(const Tensor& indices);
   LayerKind kind() const override { return LayerKind::kEmbedding; }
-  std::shared_ptr<Module> clone() const override;
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
+  ArrayLayout array_layout() const override {
+    return ArrayLayout::kModelMajor;
+  }
   ModuleConfig config() const override;
 
   ag::Variable weight;  // [B*V, E]
@@ -112,7 +130,10 @@ class MaxPool2d : public Module {
   MaxPool2d(int64_t kernel, int64_t stride, int64_t pad = 0);
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kMaxPool2d; }
-  std::shared_ptr<Module> clone() const override;
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
+  ArrayLayout array_layout() const override {
+    return ArrayLayout::kChannelFused;
+  }
   ModuleConfig config() const override;
   ops::PoolArgs args;
 };
@@ -122,7 +143,10 @@ class AdaptiveAvgPool2d : public Module {
   AdaptiveAvgPool2d(int64_t out_h, int64_t out_w);
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kAdaptiveAvgPool2d; }
-  std::shared_ptr<Module> clone() const override;
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
+  ArrayLayout array_layout() const override {
+    return ArrayLayout::kChannelFused;
+  }
   ModuleConfig config() const override;
   int64_t out_h, out_w;
 };
@@ -133,6 +157,7 @@ class Dropout : public Module {
   Dropout(float p, uint64_t seed = 0x5eed);
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kDropout; }
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   /// Copy-based clone so the mask rng stream's current state carries over.
   std::shared_ptr<Module> clone() const override {
     return std::make_shared<Dropout>(*this);
@@ -150,6 +175,10 @@ class Dropout2d : public Module {
   Dropout2d(float p, uint64_t seed = 0x5eed2d);
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kDropout2d; }
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
+  ArrayLayout array_layout() const override {
+    return ArrayLayout::kChannelFused;
+  }
   /// Copy-based clone so the mask rng stream's current state carries over.
   std::shared_ptr<Module> clone() const override {
     return std::make_shared<Dropout2d>(*this);
@@ -167,8 +196,11 @@ class Flatten : public Module {
  public:
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kFlatten; }
-  std::shared_ptr<Module> clone() const override {
-    return cloned(*this, std::make_shared<Flatten>());
+  std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
+    return std::make_shared<Flatten>();
+  }
+  ArrayLayout array_layout() const override {
+    return ArrayLayout::kChannelFused;
   }
 };
 
@@ -178,8 +210,8 @@ class GlobalMaxPool1d : public Module {
  public:
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kGlobalMaxPool1d; }
-  std::shared_ptr<Module> clone() const override {
-    return cloned(*this, std::make_shared<GlobalMaxPool1d>());
+  std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
+    return std::make_shared<GlobalMaxPool1d>();
   }
 };
 
@@ -189,16 +221,16 @@ class ReLU : public Module {
  public:
   ag::Variable forward(const ag::Variable& x) override { return ag::relu(x); }
   LayerKind kind() const override { return LayerKind::kReLU; }
-  std::shared_ptr<Module> clone() const override {
-    return cloned(*this, std::make_shared<ReLU>());
+  std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
+    return std::make_shared<ReLU>();
   }
 };
 class ReLU6 : public Module {
  public:
   ag::Variable forward(const ag::Variable& x) override { return ag::relu6(x); }
   LayerKind kind() const override { return LayerKind::kReLU6; }
-  std::shared_ptr<Module> clone() const override {
-    return cloned(*this, std::make_shared<ReLU6>());
+  std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
+    return std::make_shared<ReLU6>();
   }
 };
 class LeakyReLU : public Module {
@@ -208,8 +240,8 @@ class LeakyReLU : public Module {
     return ag::leaky_relu(x, slope);
   }
   LayerKind kind() const override { return LayerKind::kLeakyReLU; }
-  std::shared_ptr<Module> clone() const override {
-    return cloned(*this, std::make_shared<LeakyReLU>(slope));
+  std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
+    return std::make_shared<LeakyReLU>(slope);
   }
   ModuleConfig config() const override {
     ModuleConfig c;
@@ -222,8 +254,8 @@ class Tanh : public Module {
  public:
   ag::Variable forward(const ag::Variable& x) override { return ag::tanh(x); }
   LayerKind kind() const override { return LayerKind::kTanh; }
-  std::shared_ptr<Module> clone() const override {
-    return cloned(*this, std::make_shared<Tanh>());
+  std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
+    return std::make_shared<Tanh>();
   }
 };
 class Sigmoid : public Module {
@@ -232,8 +264,8 @@ class Sigmoid : public Module {
     return ag::sigmoid(x);
   }
   LayerKind kind() const override { return LayerKind::kSigmoid; }
-  std::shared_ptr<Module> clone() const override {
-    return cloned(*this, std::make_shared<Sigmoid>());
+  std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
+    return std::make_shared<Sigmoid>();
   }
 };
 class Hardswish : public Module {
@@ -242,16 +274,16 @@ class Hardswish : public Module {
     return ag::hardswish(x);
   }
   LayerKind kind() const override { return LayerKind::kHardswish; }
-  std::shared_ptr<Module> clone() const override {
-    return cloned(*this, std::make_shared<Hardswish>());
+  std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
+    return std::make_shared<Hardswish>();
   }
 };
 class GELU : public Module {
  public:
   ag::Variable forward(const ag::Variable& x) override { return ag::gelu(x); }
   LayerKind kind() const override { return LayerKind::kGELU; }
-  std::shared_ptr<Module> clone() const override {
-    return cloned(*this, std::make_shared<GELU>());
+  std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
+    return std::make_shared<GELU>();
   }
 };
 

@@ -166,6 +166,16 @@ Tensor& Module::register_buffer(std::string name, Tensor value) {
   return buffers_.back().second;
 }
 
+std::shared_ptr<Module> Module::clone() const {
+  Rng rng(0);  // seeds an init that copy_state overwrites
+  std::shared_ptr<Module> m = make_array(1, rng);
+  if (m != nullptr) {
+    copy_state(*this, *m);
+    m->train(is_training());
+  }
+  return m;
+}
+
 Sequential::Sequential(std::vector<std::shared_ptr<Module>> mods) {
   for (size_t i = 0; i < mods.size(); ++i) push_back(mods[i]);
 }

@@ -10,13 +10,14 @@
 
 #include "autograd/functions.h"
 #include "autograd/variable.h"
+#include "core/rng.h"
 
 namespace hfta::nn {
 
 /// Layer-kind tag exposed by Module::kind(): the reflection surface the
 /// fusion planner walks. Leaf layers report their concrete kind; composite
-/// user modules stay kCustom and either register a custom lowering under
-/// their kind_name() or are run unfused behind an adapter.
+/// user modules stay kCustom and either build their own array form
+/// (Module::make_array) or are run unfused behind an adapter.
 enum class LayerKind {
   kCustom,
   kSequential,
@@ -45,6 +46,13 @@ enum class LayerKind {
 };
 
 const char* layer_kind_name(LayerKind kind);
+
+/// The two fused data layouts of DESIGN.md §2, the family an array form
+/// (Module::make_array) runs in: channel-fused [N, B*C, ...] for the
+/// conv/BatchNorm/pool family, model-major [B, N, ...] for Linear,
+/// LayerNorm and attention. kAny marks layout-agnostic (elementwise) kinds
+/// that run in whatever layout the data is in.
+enum class ArrayLayout { kChannelFused, kModelMajor, kAny };
 
 /// Structural + numeric hyper-parameters of a layer, reported by
 /// Module::config(). The fusion planner requires every field to match
@@ -76,17 +84,28 @@ class Module {
   virtual ag::Variable forward(const ag::Variable& x) = 0;
   ag::Variable operator()(const ag::Variable& x) { return forward(x); }
 
+  /// This kind's array form (paper Appendix B: B fused copies of an
+  /// operator are an operator that already exists): a freshly initialised
+  /// module of this kind for B times this module's models, its init drawn
+  /// from `rng` — B x width for the conv/BatchNorm/pool family, array size
+  /// B for Linear, LayerNorm, Embedding and the model blocks. The fusion
+  /// planner lowers B congruent modules to make_array(B) of the first.
+  /// nullptr = the kind has no such form (the default); root models build
+  /// only at B = 1.
+  virtual std::shared_ptr<Module> make_array(int64_t /*B*/,
+                                             Rng& /*rng*/) const {
+    return nullptr;
+  }
+  /// The layout family make_array's module reads and writes.
+  virtual ArrayLayout array_layout() const { return ArrayLayout::kAny; }
+
   /// Deep copy: structurally congruent, equal parameter/buffer values,
   /// independently owned storage (mutating the clone never touches the
-  /// original, and vice versa). Every clonable kind overrides this; the
-  /// default returns nullptr (no clone support).
-  virtual std::shared_ptr<Module> clone() const { return nullptr; }
-
-  /// Tail shared by every clone() implementation: copies
-  /// src's parameters, buffers, private rng streams, and train/eval mode
-  /// into the freshly constructed dst.
-  template <typename M>
-  static std::shared_ptr<M> cloned(const Module& src, std::shared_ptr<M> dst);
+  /// original, and vice versa). The default is make_array(1) with this
+  /// module's parameters, buffers, private rng streams and train/eval mode
+  /// copied in, so nullptr (no clone support) exactly when the kind has no
+  /// array form.
+  virtual std::shared_ptr<Module> clone() const;
 
   /// All trainable parameters, depth-first (this module's own first).
   std::vector<ag::Variable> parameters() const;
@@ -97,9 +116,9 @@ class Module {
 
   /// This layer's kind tag; kCustom for composite user modules.
   virtual LayerKind kind() const { return LayerKind::kCustom; }
-  /// Key into the fusion planner's lowering registry. Leaf layers use the
-  /// layer-kind name; composite modules that want planner support override
-  /// this (e.g. "models::BasicBlock") and register a custom lowering.
+  /// The kind's name in plans and diagnostics. Leaf layers use the
+  /// layer-kind name; composite modules override it (e.g.
+  /// "models::BasicBlock").
   virtual std::string kind_name() const { return layer_kind_name(kind()); }
   /// Structural/numeric hyper-parameters (must match across a fused array).
   virtual ModuleConfig config() const { return {}; }
@@ -197,12 +216,5 @@ void copy_state(const Module& src, Module& dst);
 
 /// True when the module tree holds any parameter or buffer storage.
 bool has_state(const Module& m);
-
-template <typename M>
-std::shared_ptr<M> Module::cloned(const Module& src, std::shared_ptr<M> dst) {
-  copy_state(src, *dst);
-  dst->train(src.is_training());
-  return dst;
-}
 
 }  // namespace hfta::nn

@@ -106,18 +106,19 @@ ModuleConfig batch_norm_config(const BatchNormBase& bn) {
 ModuleConfig BatchNorm2d::config() const { return batch_norm_config(*this); }
 ModuleConfig BatchNorm1d::config() const { return batch_norm_config(*this); }
 
-std::shared_ptr<Module> BatchNorm2d::clone() const {
-  return cloned(*this, std::make_shared<BatchNorm2d>(channels, eps, momentum));
+// B BatchNorms are one BatchNorm over B*C channels: per-(model, channel)
+// statistics.
+std::shared_ptr<Module> BatchNorm2d::make_array(int64_t B, Rng&) const {
+  return std::make_shared<BatchNorm2d>(B * channels, eps, momentum);
 }
 
-std::shared_ptr<Module> BatchNorm1d::clone() const {
-  return cloned(*this, std::make_shared<BatchNorm1d>(channels, eps, momentum));
+std::shared_ptr<Module> BatchNorm1d::make_array(int64_t B, Rng&) const {
+  return std::make_shared<BatchNorm1d>(B * channels, eps, momentum);
 }
 
-std::shared_ptr<Module> LayerNorm::clone() const {
-  Rng rng(0);
-  return cloned(*this, std::make_shared<LayerNorm>(normalized_shape, eps, rng,
-                                                   array_size));
+std::shared_ptr<Module> LayerNorm::make_array(int64_t B, Rng& rng) const {
+  return std::make_shared<LayerNorm>(normalized_shape, eps, rng,
+                                     B * array_size);
 }
 
 ModuleConfig LayerNorm::config() const {

@@ -12,6 +12,9 @@ namespace hfta::nn {
 class BatchNormBase : public Module {
  public:
   BatchNormBase(int64_t channels, float eps, float momentum);
+  ArrayLayout array_layout() const override {
+    return ArrayLayout::kChannelFused;
+  }
 
   ag::Variable weight;  // gamma [C]
   ag::Variable bias;    // beta [C]
@@ -34,7 +37,7 @@ class BatchNorm2d : public BatchNormBase {
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kBatchNorm2d; }
   ModuleConfig config() const override;
-  std::shared_ptr<Module> clone() const override;
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
 };
 
 class BatchNorm1d : public BatchNormBase {
@@ -43,7 +46,7 @@ class BatchNorm1d : public BatchNormBase {
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kBatchNorm1d; }
   ModuleConfig config() const override;
-  std::shared_ptr<Module> clone() const override;
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
 };
 
 /// LayerNorm over the trailing dims. With an array size B > 1 (see
@@ -56,7 +59,10 @@ class LayerNorm : public Module {
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kLayerNorm; }
   ModuleConfig config() const override;
-  std::shared_ptr<Module> clone() const override;
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
+  ArrayLayout array_layout() const override {
+    return ArrayLayout::kModelMajor;
+  }
 
   ag::Variable weight;  // [B*E1, E2..En]
   ag::Variable bias;    // [B*E1, E2..En]

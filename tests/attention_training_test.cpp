@@ -1,7 +1,7 @@
 // Training-step equivalence for the attention-based models (Transformer-LM
-// and BERT) — the fused encoder stack must track serial training through
-// softmax/LayerNorm/embedding gradients, not just match on the forward
-// pass. Also covers activation functions on fused layouts.
+// and BERT) — the fused encoder stack must equal serial training bit for
+// bit through softmax/LayerNorm/embedding gradients, not just match on the
+// forward pass. Also covers activation functions on fused layouts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +10,7 @@
 
 #include "data/datasets.h"
 #include "hfta/fused_optim.h"
+#include "hfta/fusion.h"
 #include "hfta/loss_scaling.h"
 #include "models/bert.h"
 #include "models/transformer.h"
@@ -17,29 +18,29 @@
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
 
+#include "same_bits.h"
+
 namespace hfta {
 namespace {
 
 constexpr int64_t kB = 2;
 
+// Every parameter block of model b in the fused model must equal model b's
+// serial parameter bit for bit.
 template <typename FusedModel, typename PlainModel>
-float divergence(FusedModel& fused_model,
-                 std::vector<std::shared_ptr<PlainModel>>& plain) {
-  float worst = 0.f;
-  auto fp = fused_model.named_parameters();
-  for (int64_t b = 0; b < kB; ++b) {
-    auto pp = plain[static_cast<size_t>(b)]->named_parameters();
+void expect_same_blocks(const FusedModel& fused_model,
+                        const std::vector<std::shared_ptr<PlainModel>>& plain) {
+  const auto fp = fused_model.named_parameters();
+  for (size_t b = 0; b < plain.size(); ++b) {
+    const auto pp = plain[b]->named_parameters();
+    ASSERT_EQ(fp.size(), pp.size());
     for (size_t i = 0; i < fp.size(); ++i) {
-      const Tensor& fv = fp[i].second.value();
       const Tensor& pv = pp[i].second.value();
-      const int64_t block = fv.numel() / kB;
-      Tensor fb({block});
-      std::copy(fv.data() + b * block, fv.data() + (b + 1) * block,
-                fb.data());
-      worst = std::max(worst, ops::max_abs_diff(fb, pv.reshape({block})));
+      tests::expect_same_bits(
+          pv, fused::unfuse_blocks(fp[i].second.value(), kB, pv.shape())[b],
+          fp[i].first + " model " + std::to_string(b));
     }
   }
-  return worst;
 }
 
 TEST(AttentionTraining, TransformerLMStepsTrackSerial) {
@@ -87,7 +88,7 @@ TEST(AttentionTraining, TransformerLMStepsTrackSerial) {
       opts[ub]->step();
     }
   }
-  EXPECT_LT(divergence(fused_model, plain), 5e-3f);
+  expect_same_blocks(fused_model, plain);
 }
 
 TEST(AttentionTraining, BertMlmStepTracksSerial) {
@@ -127,7 +128,7 @@ TEST(AttentionTraining, BertMlmStepTracksSerial) {
         .backward();
     opts[ub]->step();
   }
-  EXPECT_LT(divergence(fused_model, plain), 5e-3f);
+  expect_same_blocks(fused_model, plain);
 }
 
 // The causal mask's -1e9 logits must give probabilities of exactly +0: exp

@@ -7,11 +7,13 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <set>
 
 #include "hfta/fused_optim.h"
 #include "hfta/fusion.h"
 #include "hfta/loss_scaling.h"
 #include "models/bert.h"
+#include "models/dcgan.h"
 #include "models/mobilenetv3.h"
 #include "models/pointnet.h"
 #include "models/resnet.h"
@@ -191,7 +193,7 @@ TEST(FusionPlan, RejectsTopologyMismatch) {
   EXPECT_NE(diags[0].reason.find("submodule count"), std::string::npos);
 }
 
-// A composite custom module without a registered lowering.
+// A composite custom module without an array form.
 class Doubler : public nn::Module {
  public:
   ag::Variable forward(const ag::Variable& x) override {
@@ -211,7 +213,7 @@ TEST(FusionPlan, UnsupportedKindYieldsStructuredDiagnostic) {
   }
   try {
     FusionPlan(kB).compile(nets, rng);
-    FAIL() << "compile must throw on an unregistered kind";
+    FAIL() << "compile must throw on a kind without an array form";
   } catch (const FusionError& e) {
     EXPECT_EQ(e.diagnostic.path, "dbl");
     EXPECT_NE(e.diagnostic.reason.find("no fusion rule"), std::string::npos);
@@ -376,7 +378,7 @@ TEST(FusionPlan, UnfusedUnitsOwnClonedReplicas) {
   expect_equivalent(*array, fresh, xs);
 }
 
-// A stateful composite without lowering OR clone support.
+// A stateful composite without an array form OR clone support.
 class StatefulOpaque : public nn::Module {
  public:
   explicit StatefulOpaque(Rng& rng) {
@@ -412,9 +414,9 @@ TEST(FusionPlan, StatefulUncloneableUnfusedUnitIsDiagnosed) {
 }
 
 TEST(FusionPlan, FallbackSharesStatelessKinds) {
-  // An unregistered stateless kind in a masked-off unit may be shared
-  // rather than cloned — nothing to write through — and the compile still
-  // round-trips.
+  // A stateless kind without an array form in a masked-off unit may be
+  // shared rather than cloned — nothing to write through — and the compile
+  // still round-trips.
   Rng rng(23);
   std::vector<std::shared_ptr<nn::Module>> nets;
   std::vector<Tensor> xs;
@@ -443,7 +445,7 @@ TEST(FusionPlan, FallbackSharesStatelessKinds) {
   expect_equivalent(*array, nets, xs);
 }
 
-TEST(FusionPlan, TransformerLMLowersThroughRegistry) {
+TEST(FusionPlan, TransformerLMLowersToItsArrayForm) {
   Rng rng(13);
   models::TransformerConfig cfg = models::TransformerConfig::tiny();
   std::vector<std::shared_ptr<nn::Module>> lms;
@@ -473,7 +475,7 @@ TEST(FusionPlan, TransformerLMLowersThroughRegistry) {
   }
 }
 
-TEST(FusionPlan, EncoderLayerStackLowersThroughRegistry) {
+TEST(FusionPlan, EncoderLayerStackLowersToItsArrayForm) {
   Rng rng(14);
   const int64_t E = 8, H = 2, FF = 16;
   std::vector<std::shared_ptr<nn::Module>> nets;
@@ -672,11 +674,11 @@ TEST(Repack, SurvivorsContinueBitExactlyAfterHalving) {
   }
 }
 
-// ---- registry-parameterized state round-trip --------------------------------
+// ---- per-kind state round-trip ------------------------------------------------
 
 // The per-kind factories live in kind_factories.h, shared with
-// step_program_test so every registered lowering is covered by BOTH the
-// state round-trip here and the capture/replay bit-exactness suite.
+// step_program_test so every kind with an array form is covered by BOTH
+// the state round-trip here and the capture/replay bit-exactness suite.
 using tests::KindFactory;
 using tests::kind_factories;
 
@@ -687,6 +689,7 @@ using tests::kind_factories;
 void expect_step_matches_donors(
     const std::string& kind, FusedArray& array,
     const std::vector<std::shared_ptr<nn::Module>>& donors, Rng& rng) {
+  const int64_t B = static_cast<int64_t>(donors.size());
   if (kind == "Dropout" || kind == "Dropout2d") {
     // A fused dropout draws one mask stream over the fused tensor, not the
     // B per-model streams, so only its eval-mode identity is comparable.
@@ -694,14 +697,14 @@ void expect_step_matches_donors(
     for (const auto& d : donors) d->eval();
   }
   std::vector<Tensor> xs;
-  for (int64_t b = 0; b < kB; ++b)
+  for (int64_t b = 0; b < B; ++b)
     xs.push_back(tests::kind_input(kind, 2, rng));
   ag::Variable xf(pack_channel_fused(xs), /*requires_grad=*/true);
   ag::Variable yf = array.forward(xf);
   const Tensor probe = Tensor::randn(yf.shape(), rng);
   ag::sum_all(ag::mul(yf, ag::constant(probe))).backward();
-  const auto gx_per = unpack_channel_fused(xf.grad(), kB);
-  for (int64_t b = 0; b < kB; ++b) {
+  const auto gx_per = unpack_channel_fused(xf.grad(), B);
+  for (int64_t b = 0; b < B; ++b) {
     const size_t ub = static_cast<size_t>(b);
     const std::string tag = kind + " model " + std::to_string(b);
     ag::Variable xb(xs[ub], /*requires_grad=*/true);
@@ -724,84 +727,158 @@ void expect_step_matches_donors(
         ag::Variable p = want.at(path), fused_p = e.fused_param;
         ASSERT_TRUE(fused_p.grad().defined()) << tag << " " << path;
         expect_same_bits(p.grad(),
-                         unfuse_blocks(fused_p.grad(), kB, p.shape())[ub],
+                         unfuse_blocks(fused_p.grad(), B, p.shape())[ub],
                          tag + " " + path + " grad");
       }
     }
   }
 }
 
+// One module of every leaf nn::LayerKind; nullptr for the two non-leaf
+// tags. The switch has no default, so -Wswitch flags a new LayerKind until
+// it is listed here.
+std::shared_ptr<nn::Module> leaf_of_kind(nn::LayerKind k, Rng& r) {
+  using nn::LayerKind;
+  using std::make_shared;
+  switch (k) {
+    case LayerKind::kCustom:
+    case LayerKind::kSequential: return nullptr;
+    case LayerKind::kLinear: return make_shared<nn::Linear>(4, 3, true, r);
+    case LayerKind::kConv1d:
+      return make_shared<nn::Conv1d>(3, 4, 1, 1, 0, 1, true, r);
+    case LayerKind::kConv2d:
+      return make_shared<nn::Conv2d>(3, 4, 3, 1, 1, 1, true, r);
+    case LayerKind::kConvTranspose1d:
+      return make_shared<nn::ConvTranspose1d>(4, 3, 4, 2, 1, 0, 1, true, r);
+    case LayerKind::kConvTranspose2d:
+      return make_shared<nn::ConvTranspose2d>(4, 3, 4, 2, 1, 0, 1, true, r);
+    case LayerKind::kEmbedding: return make_shared<nn::Embedding>(7, 4, r);
+    case LayerKind::kBatchNorm1d: return make_shared<nn::BatchNorm1d>(4);
+    case LayerKind::kBatchNorm2d: return make_shared<nn::BatchNorm2d>(4);
+    case LayerKind::kLayerNorm:
+      return make_shared<nn::LayerNorm>(Shape{5}, 1e-5f, r);
+    case LayerKind::kMaxPool2d: return make_shared<nn::MaxPool2d>(2, 2);
+    case LayerKind::kAdaptiveAvgPool2d:
+      return make_shared<nn::AdaptiveAvgPool2d>(1, 1);
+    case LayerKind::kDropout: return make_shared<nn::Dropout>(0.5f);
+    case LayerKind::kDropout2d: return make_shared<nn::Dropout2d>(0.5f);
+    case LayerKind::kFlatten: return make_shared<nn::Flatten>();
+    case LayerKind::kGlobalMaxPool1d:
+      return make_shared<nn::GlobalMaxPool1d>();
+    case LayerKind::kReLU: return make_shared<nn::ReLU>();
+    case LayerKind::kReLU6: return make_shared<nn::ReLU6>();
+    case LayerKind::kLeakyReLU: return make_shared<nn::LeakyReLU>(0.2f);
+    case LayerKind::kTanh: return make_shared<nn::Tanh>();
+    case LayerKind::kSigmoid: return make_shared<nn::Sigmoid>();
+    case LayerKind::kHardswish: return make_shared<nn::Hardswish>();
+    case LayerKind::kGELU: return make_shared<nn::GELU>();
+  }
+  return nullptr;
+}
+
+// Adds the kind_name() of every module in `m`'s tree that has an array
+// form at B = 2.
+void collect_array_kinds(const nn::Module& m, Rng& rng,
+                         std::set<std::string>* kinds) {
+  if (m.make_array(2, rng) != nullptr) kinds->insert(m.kind_name());
+  for (const auto& [name, child] : m.named_children())
+    collect_array_kinds(*child, rng, kinds);
+}
+
 TEST(StateSchema, EveryRegisteredKindRoundTripsSaveLoadBitExactly) {
-  // Parameterized over the ENTIRE LoweringRegistry: compile B congruent
-  // replicas of each kind, train one step of the array and of each donor
-  // side by side (fused == serial, forward and backward, bit for bit), then
-  // save every model back out into a scrambled clone and demand bit
-  // equality for all parameters and buffers. The companion guarantee is at
-  // compile time — a lowering whose StateMap misses any per-model tensor
-  // throws a structured FusionError — so a future registration cannot
-  // silently ship without (complete) state transfer. The factory-coverage
-  // check below makes the same registration fail THIS test until it is
-  // added here. The token kinds take ids, not features; models_test and
-  // attention_training_test cover their fused == serial steps.
+  // Parameterized over every kind with an array form, at B = 1 (where
+  // make_array doubles as clone() and the tuner compiles one-model arrays)
+  // and at kB: compile B congruent replicas of each kind, train one step of
+  // the array and of each donor side by side (fused == serial, forward and
+  // backward, bit for bit), then save every model back out into a
+  // scrambled clone and demand bit equality for all parameters and
+  // buffers. The companion guarantee is at compile time — an array form
+  // whose StateMap misses any per-model tensor throws a structured
+  // FusionError (IncompleteStateMapFailsTheCompile). The coverage guard
+  // below makes a kind that gains an array form fail THIS test until a
+  // factory is added: it collects every leaf LayerKind and every module of
+  // the library's models whose make_array(2) is non-null. The token kinds
+  // take ids, not features; models_test and attention_training_test cover
+  // their fused == serial steps.
   const std::map<std::string, KindFactory> factories = kind_factories();
-  for (const std::string& kind :
-       LoweringRegistry::instance().supported_kinds()) {
-    // "test::" kinds are deliberately-broken fixtures other tests register
-    // into the process-wide registry (IncompleteStateMapFailsTheCompile);
-    // order-independence demands they be excluded, not covered.
-    if (kind.rfind("test::", 0) == 0) continue;
-    ASSERT_TRUE(factories.count(kind))
-        << "kind '" << kind
-        << "' is registered but has no round-trip factory — add one to "
-           "kind_factories()";
+  {
+    Rng rng(3);
+    std::set<std::string> kinds;
+    for (int k = 0; k <= static_cast<int>(nn::LayerKind::kGELU); ++k) {
+      const auto kind = static_cast<nn::LayerKind>(k);
+      std::shared_ptr<nn::Module> leaf = leaf_of_kind(kind, rng);
+      if (leaf == nullptr) continue;
+      ASSERT_EQ(leaf->kind(), kind) << nn::layer_kind_name(kind);
+      collect_array_kinds(*leaf, rng, &kinds);
+    }
+    const std::vector<std::shared_ptr<nn::Module>> models = {
+        std::make_shared<models::ResNet18>(models::ResNetConfig::tiny(), rng),
+        std::make_shared<models::MobileNetV3>(
+            models::MobileNetV3Config::tiny(), rng),
+        std::make_shared<models::PointNetCls>(models::PointNetConfig::tiny(),
+                                              rng),
+        std::make_shared<models::DCGANGenerator>(models::DCGANConfig::tiny(),
+                                                 rng),
+        std::make_shared<models::DCGANDiscriminator>(
+            models::DCGANConfig::tiny(), rng),
+        std::make_shared<models::TransformerLM>(
+            models::TransformerConfig::tiny(), rng),
+        std::make_shared<models::BertModel>(models::BertConfig::tiny(), rng),
+    };
+    for (const auto& m : models) collect_array_kinds(*m, rng, &kinds);
+    for (const std::string& kind : kinds) {
+      EXPECT_TRUE(factories.count(kind))
+          << "kind '" << kind
+          << "' has an array form but no round-trip factory — add one to "
+             "kind_factories()";
+    }
   }
   Rng rng(77);
   FusionOptions opts;
   opts.output_layout = Layout::kModelMajor;
-  for (const auto& [kind, make] : factories) {
-    ASSERT_NE(LoweringRegistry::instance().find(kind), nullptr)
-        << "factory for '" << kind << "' has no registered lowering";
-    std::vector<std::shared_ptr<nn::Module>> donors;
-    for (int64_t b = 0; b < kB; ++b) donors.push_back(make(rng));
-    std::shared_ptr<FusedArray> array;
-    ASSERT_NO_THROW(array = FusionPlan(kB, opts).compile(donors, rng))
-        << "kind " << kind;
-    if (kind != "models::TransformerLM" && kind != "models::BertModel")
-      expect_step_matches_donors(kind, *array, donors, rng);
-    for (int64_t b = 0; b < kB; ++b) {
-      const size_t ub = static_cast<size_t>(b);
-      std::shared_ptr<nn::Module> out = donors[ub]->clone();
-      ASSERT_NE(out, nullptr) << "kind " << kind << " has no clone support";
-      for (auto& [name, p] : out->named_parameters())
-        p.mutable_value().fill_(-7.5f);
-      for (auto& [name, t] : nn::named_buffers_recursive(*out)) {
-        Tensor handle = t;
-        handle.fill_(-7.5f);
+  for (const int64_t B : {int64_t{1}, kB}) {
+    for (const auto& [kind, make] : factories) {
+      const std::string tag = kind + " B=" + std::to_string(B);
+      std::vector<std::shared_ptr<nn::Module>> donors;
+      for (int64_t b = 0; b < B; ++b) donors.push_back(make(rng));
+      std::shared_ptr<FusedArray> array;
+      ASSERT_NO_THROW(array = FusionPlan(B, opts).compile(donors, rng))
+          << tag;
+      if (!tests::takes_tokens(kind))
+        expect_step_matches_donors(kind, *array, donors, rng);
+      for (int64_t b = 0; b < B; ++b) {
+        const size_t ub = static_cast<size_t>(b);
+        std::shared_ptr<nn::Module> out = donors[ub]->clone();
+        ASSERT_NE(out, nullptr) << tag << " has no clone support";
+        for (auto& [name, p] : out->named_parameters())
+          p.mutable_value().fill_(-7.5f);
+        for (auto& [name, t] : nn::named_buffers_recursive(*out)) {
+          Tensor handle = t;
+          handle.fill_(-7.5f);
+        }
+        array->store_model(b, *out);
+        const std::string model = " model " + std::to_string(b);
+        const auto wp = donors[ub]->named_parameters();
+        const auto gp = out->named_parameters();
+        ASSERT_EQ(wp.size(), gp.size()) << tag;
+        for (size_t i = 0; i < wp.size(); ++i)
+          expect_same_bits(wp[i].second.value(), gp[i].second.value(),
+                           tag + " param " + wp[i].first + model);
+        const auto wb = nn::named_buffers_recursive(*donors[ub]);
+        const auto gb = nn::named_buffers_recursive(*out);
+        ASSERT_EQ(wb.size(), gb.size()) << tag;
+        for (size_t i = 0; i < wb.size(); ++i)
+          expect_same_bits(wb[i].second, gb[i].second,
+                           tag + " buffer " + wb[i].first + model);
       }
-      array->store_model(b, *out);
-      const auto wp = donors[ub]->named_parameters();
-      const auto gp = out->named_parameters();
-      ASSERT_EQ(wp.size(), gp.size()) << kind;
-      for (size_t i = 0; i < wp.size(); ++i)
-        expect_same_bits(wp[i].second.value(), gp[i].second.value(),
-                         kind + " param " + wp[i].first + " model " +
-                             std::to_string(b));
-      const auto wb = nn::named_buffers_recursive(*donors[ub]);
-      const auto gb = nn::named_buffers_recursive(*out);
-      ASSERT_EQ(wb.size(), gb.size()) << kind;
-      for (size_t i = 0; i < wb.size(); ++i)
-        expect_same_bits(wb[i].second, gb[i].second,
-                         kind + " buffer " + wb[i].first + " model " +
-                             std::to_string(b));
     }
   }
 }
 
 TEST(StateSchema, IncompleteStateMapFailsTheCompile) {
-  // A kind whose fused module leaves part of its state at per-model width
+  // A kind whose array form leaves part of its state at per-model width
   // (a child built without B) must be rejected at lowering time with a
-  // structured diagnostic — this is the auto-fail that replaced the
-  // trailing-nullptr store footgun.
+  // structured diagnostic.
   struct HalfMapped : FusedModule {
     ag::Variable w;
     explicit HalfMapped(int64_t B) : FusedModule(B) {
@@ -813,18 +890,10 @@ TEST(StateSchema, IncompleteStateMapFailsTheCompile) {
     PlainPair() { register_parameter("w", Tensor::zeros({2})); }
     ag::Variable forward(const ag::Variable& x) override { return x; }
     std::string kind_name() const override { return "test::PlainPair"; }
+    std::shared_ptr<nn::Module> make_array(int64_t B, Rng&) const override {
+      return std::make_shared<HalfMapped>(B);
+    }
   };
-  // Register exactly once: the registry is a process-wide singleton, so
-  // re-registering under --gtest_repeat would be harmless but sloppy.
-  static const bool registered = [] {
-    LoweringRegistry::instance().add(
-        "test::PlainPair", [](const LoweringContext& ctx) {
-          return Lowered{std::make_shared<HalfMapped>(ctx.array_size),
-                         Layout::kAny, Layout::kAny};
-        });
-    return true;
-  }();
-  (void)registered;
   Rng rng(5);
   std::vector<std::shared_ptr<nn::Module>> nets;
   for (int64_t b = 0; b < kB; ++b) nets.push_back(std::make_shared<PlainPair>());

@@ -1,9 +1,10 @@
 // Shared per-kind test fixtures: one congruent per-model module factory for
-// every kind in the LoweringRegistry, plus a matching training input. Used
-// by fusion_plan_test (fused == serial steps and state round-trips over the
-// whole registry) and step_program_test (capture/replay bit-exactness over
-// the whole registry), so a new lowering registration fails BOTH suites
-// until covered here once.
+// every kind with an array form (nn::Module::make_array), plus a matching
+// training input. Used by fusion_plan_test (fused == serial steps and state
+// round-trips over every such kind), step_program_test (capture/replay
+// bit-exactness) and thread_invariance_test (1 vs 8 threads).
+// fusion_plan_test fails when a kind of the library's models or layers
+// gains an array form without a factory here.
 #pragma once
 
 #include <functional>
@@ -23,7 +24,7 @@
 
 namespace hfta::tests {
 
-// One congruent per-model module per registered kind (fresh weights per
+// One congruent per-model module per array-capable kind (fresh weights per
 // call, so B calls give B distinct-but-congruent replicas).
 using KindFactory = std::function<std::shared_ptr<nn::Module>(Rng&)>;
 
@@ -35,6 +36,7 @@ inline std::map<std::string, KindFactory> kind_factories() {
     return make_shared<nn::LayerNorm>(Shape{5}, 1e-5f, r);
   };
   f["Flatten"] = [](Rng&) { return make_shared<nn::Flatten>(); };
+  f["Embedding"] = [](Rng& r) { return make_shared<nn::Embedding>(7, 4, r); };
   f["Conv2d"] = [](Rng& r) {
     return make_shared<nn::Conv2d>(3, 4, 3, 1, 1, 1, true, r);
   };
@@ -96,9 +98,16 @@ inline std::map<std::string, KindFactory> kind_factories() {
   return f;
 }
 
+// The kinds that read integer ids through lookup()/forward_tokens() rather
+// than features through forward().
+inline bool takes_tokens(const std::string& kind) {
+  return kind == "Embedding" || kind == "models::TransformerLM" ||
+         kind == "models::BertModel";
+}
+
 // A per-model training batch of `n` samples whose trailing dims match the
-// factory's module configuration above. Token models (TransformerLM, Bert)
-// get integer ids in [0, vocab); everything else gets gaussian features.
+// factory's module configuration above. Token kinds get integer ids in
+// [0, vocab); everything else gets gaussian features.
 inline Tensor kind_input(const std::string& kind, int64_t n, Rng& rng) {
   auto ids = [&](int64_t seq, int64_t vocab) {
     Tensor t({n, seq});
@@ -106,6 +115,7 @@ inline Tensor kind_input(const std::string& kind, int64_t n, Rng& rng) {
       t.data()[i] = static_cast<float>(rng.uniform_int(vocab));
     return t;
   };
+  if (kind == "Embedding") return ids(3, 7);
   if (kind == "models::TransformerLM") {
     const models::TransformerConfig cfg = models::TransformerConfig::tiny();
     return ids(cfg.seq_len, cfg.vocab);
@@ -148,10 +158,11 @@ inline Tensor kind_input(const std::string& kind, int64_t n, Rng& rng) {
   return Tensor::randn(shape, rng);
 }
 
-// forward() for ordinary modules; the token models route through
+// forward() for ordinary modules; the token kinds route through lookup or
 // forward_tokens (their Variable overload deliberately throws).
 inline ag::Variable kind_forward(nn::Module& m, const std::string& kind,
                                  const Tensor& x) {
+  if (kind == "Embedding") return static_cast<nn::Embedding&>(m).lookup(x);
   if (kind == "models::TransformerLM")
     return static_cast<models::TransformerLM&>(m).forward_tokens(x);
   if (kind == "models::BertModel")

@@ -1,5 +1,5 @@
 // Step-program capture/replay: a capture-enabled TrainStep must train
-// bit-identically to an eager one — for EVERY kind in the LoweringRegistry
+// bit-identically to an eager one — for EVERY kind with an array form
 // (fresh data staged each step, parameters/buffers compared to the last
 // bit), across recaptures forced by shape, array-size, and fuse-mask
 // changes, and with learning-rate schedules flowing through replay without

@@ -111,7 +111,7 @@ TEST_F(ThreadInvarianceTest, RepresentativeKindsBitIdenticalAt1248Threads) {
 }
 
 TEST_F(ThreadInvarianceTest, EveryRegisteredKindBitIdenticalAt1Vs8Threads) {
-  // The whole LoweringRegistry at the endpoints: a new lowering whose
+  // Every kind with an array form at the endpoints: a new kind whose
   // kernel splits an accumulation chain fails here until fixed.
   for (const auto& [kind, make] : tests::kind_factories()) {
     const RunOut one = run_kind(kind, make, 1);
