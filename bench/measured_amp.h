@@ -54,10 +54,10 @@ constexpr int kSlice = 50;
 constexpr int kStepsPerB = 360;
 constexpr int kRounds = kStepsPerB / kSlice;
 
-// Deep-narrow MLP array: many small fused ops per step, the regime where
-// AMP's per-op extra work is the largest share of the step.
-struct FusedMlp : fused::FusedModule {
-  FusedMlp(int64_t B, Rng& rng) : fused::FusedModule(B) {
+// Deep-narrow MLP, built as an array of B: many small fused ops per step,
+// the regime where AMP's per-op extra work is the largest share of the step.
+struct DeepMlp : nn::Module {
+  DeepMlp(Rng& rng, int64_t B) {
     int64_t prev = kIn;
     for (int64_t d = 0; d < kDepth; ++d) {
       layers.push_back(register_module(
@@ -82,7 +82,7 @@ struct FusedMlp : fused::FusedModule {
 struct Side {
   Side(int64_t B, bool amp) {
     Rng rng(1);
-    model = std::make_unique<FusedMlp>(B, rng);
+    model = std::make_unique<DeepMlp>(rng, B);
     opt = std::make_unique<fused::FusedAdam>(
         fused::collect_fused_parameters(*model, B), B,
         fused::FusedAdam::Options{.lr = {1e-3}});
@@ -110,7 +110,7 @@ struct Side {
       });
     }
   }
-  std::unique_ptr<FusedMlp> model;
+  std::unique_ptr<DeepMlp> model;
   std::unique_ptr<fused::FusedAdam> opt;
   Tensor x, labels;
   TrainStep step;

@@ -20,15 +20,14 @@ using Clock = std::chrono::steady_clock;
 
 static double time_steps(fused::FusedArray& model, const Tensor& x,
                          int steps) {
-  // Optimizer-free TrainStep: zero_grad -> forward -> loss -> backward per
-  // iteration, with the engine scratch and pooled storage reused across
-  // all of them.
+  // Optimizer-free: zero_grad -> forward -> loss -> backward per
+  // iteration, with one TrainStep's engine scratch reused across all of
+  // them.
   TrainStep step;
   const auto t0 = Clock::now();
   for (int s = 0; s < steps; ++s) {
-    step.run(model, [&] {
-      return ag::sum_all(model.forward(ag::Variable(x)));
-    });
+    model.zero_grad();
+    step.backward(ag::sum_all(model.forward(ag::Variable(x))));
   }
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }

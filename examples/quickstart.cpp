@@ -18,33 +18,19 @@ using namespace hfta;
 
 namespace {
 
-// A 2-layer MLP classifier: Linear -> ReLU -> Linear.
+// A 2-layer MLP classifier: Linear -> ReLU -> Linear. Built with an array
+// size B, as nn::Linear is, it is the fused array of B such MLPs: the same
+// two lines over x [B, N, in], with each parameter holding model b in
+// dim-0 block b, so fused::load_model/store_model move whole models.
 struct Mlp : nn::Module {
-  Mlp(int64_t in, int64_t hidden, int64_t classes, Rng& rng) {
-    fc1 = register_module("fc1",
-                          std::make_shared<nn::Linear>(in, hidden, true, rng));
-    fc2 = register_module(
-        "fc2", std::make_shared<nn::Linear>(hidden, classes, true, rng));
-  }
-  ag::Variable forward(const ag::Variable& x) override {
-    return fc2->forward(ag::relu(fc1->forward(x)));
-  }
-  std::shared_ptr<nn::Linear> fc1, fc2;
-};
-
-// The fused array of B such MLPs: the same two lines, each Linear built
-// with array size B. Its child names mirror Mlp's, so
-// load_model/store_model move whole models.
-struct FusedMlp : fused::FusedModule {
-  FusedMlp(int64_t B, int64_t in, int64_t hidden, int64_t classes, Rng& rng)
-      : fused::FusedModule(B) {
+  Mlp(int64_t in, int64_t hidden, int64_t classes, Rng& rng, int64_t B = 1) {
     fc1 = register_module(
         "fc1", std::make_shared<nn::Linear>(in, hidden, true, rng, B));
     fc2 = register_module(
         "fc2", std::make_shared<nn::Linear>(hidden, classes, true, rng, B));
   }
   ag::Variable forward(const ag::Variable& x) override {
-    return fc2->forward(ag::relu(fc1->forward(x)));  // x: [B, N, in]
+    return fc2->forward(ag::relu(fc1->forward(x)));
   }
   std::shared_ptr<nn::Linear> fc1, fc2;
 };
@@ -57,12 +43,12 @@ int main() {
   Rng rng(1);
 
   // Three models with their own weights + their own learning rates.
-  FusedMlp fused_model(B, in, hidden, classes, rng);
+  Mlp fused_model(in, hidden, classes, rng, B);
   std::vector<std::shared_ptr<Mlp>> serial_models;
   const fused::HyperVec lrs = {1e-3, 3e-3, 1e-2};
   for (int64_t b = 0; b < B; ++b) {
     serial_models.push_back(std::make_shared<Mlp>(in, hidden, classes, rng));
-    fused_model.load_model(b, *serial_models.back());
+    fused::load_model(fused_model, B, b, *serial_models.back());
   }
   fused::FusedAdam fused_opt(fused::collect_fused_parameters(fused_model, B),
                              B, {.lr = lrs});
@@ -134,7 +120,7 @@ int main() {
   float max_diff = 0;
   for (int64_t b = 0; b < B; ++b) {
     Mlp probe(in, hidden, classes, rng);
-    fused_model.store_model(b, probe);
+    fused::store_model(fused_model, B, b, probe);
     const Mlp& sm = *serial_models[static_cast<size_t>(b)];
     max_diff = std::max(max_diff, ops::max_abs_diff(probe.fc1->weight.value(),
                                                     sm.fc1->weight.value()));
@@ -156,13 +142,13 @@ int main() {
   std::printf("\n--- mixed precision (bf16 autocast + dynamic loss "
               "scaling) ---\n");
   Rng rng2(11);
-  FusedMlp amp_fused(B, in, hidden, classes, rng2);
-  FusedMlp ref_fused(B, in, hidden, classes, rng2);
+  Mlp amp_fused(in, hidden, classes, rng2, B);
+  Mlp ref_fused(in, hidden, classes, rng2, B);
   std::vector<std::shared_ptr<Mlp>> amp_serial;
   for (int64_t b = 0; b < B; ++b) {
     amp_serial.push_back(std::make_shared<Mlp>(in, hidden, classes, rng2));
-    amp_fused.load_model(b, *amp_serial.back());
-    ref_fused.load_model(b, *amp_serial.back());
+    fused::load_model(amp_fused, B, b, *amp_serial.back());
+    fused::load_model(ref_fused, B, b, *amp_serial.back());
   }
   fused::FusedAdam amp_opt(fused::collect_fused_parameters(amp_fused, B), B,
                            {.lr = lrs});
@@ -180,7 +166,7 @@ int main() {
   ref_step.enable_capture();
   amp_step.enable_amp();         // bf16, scale 2^16
   amp_serial_step.enable_amp();  // the twins run the same policy
-  auto fused_loss = [&](fused::FusedModule& m) {
+  auto fused_loss = [&](Mlp& m) {
     ag::Variable logits = m.forward(
         ag::Variable(fused::pack_model_major(std::vector<Tensor>(B, x))));
     return fused::fused_cross_entropy(logits, fused_labels,
@@ -200,8 +186,8 @@ int main() {
   float amp_diff = 0, amp_gap = 0;
   for (int64_t b = 0; b < B; ++b) {
     Mlp probe(in, hidden, classes, rng), ref(in, hidden, classes, rng);
-    amp_fused.store_model(b, probe);
-    ref_fused.store_model(b, ref);
+    fused::store_model(amp_fused, B, b, probe);
+    fused::store_model(ref_fused, B, b, ref);
     const Mlp& sm = *amp_serial[static_cast<size_t>(b)];
     amp_diff = std::max(amp_diff, ops::max_abs_diff(probe.fc1->weight.value(),
                                                     sm.fc1->weight.value()));

@@ -462,14 +462,10 @@ void FusedTrainingExecutor::train(Group& g, int64_t delta_epochs,
       train_step_.run(*g.opt, [&] {
         ag::Variable logits = g.array->forward(ag::Variable(g.staged_x));
         g.logits_hold = logits;
-        // Per-model mean CE built as (1/N) * sum: its backward scales every
-        // row by the same float(1/N) the serial kMean loss uses, so the
-        // gradients match the B serial runs bit-for-bit regardless of how
-        // float(1/(B*N)) * B would round (Appendix C, Eq. 5 route).
-        return ag::mul_scalar(
-            fused::fused_cross_entropy(logits, g.staged_labels,
-                                       ag::Reduction::kSum),
-            1.f / static_cast<float>(N));
+        // Per-model mean CE: the gradients match the B serial kMean runs
+        // bit for bit (loss_scaling.h).
+        return fused::fused_cross_entropy(logits, g.staged_labels,
+                                          ag::Reduction::kMean);
       });
       // Only the serial-verification audit reads the per-model losses —
       // skip the extra softmax pass on plain tuning runs. Runs after the

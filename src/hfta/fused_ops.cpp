@@ -8,104 +8,59 @@ namespace hfta::fused {
 
 namespace {
 
-// Writes `src` into the b-th of B equal blocks along dim 0 of `dst`.
-void copy_into_block(Tensor& dst, const Tensor& src, int64_t b, int64_t B) {
-  const int64_t block = dst.numel() / B;
-  HFTA_CHECK(src.numel() == block, "fused block copy: numel mismatch ",
-             src.numel(), " vs ", block);
-  std::copy(src.data(), src.data() + block, dst.data() + b * block);
-}
-
-void copy_from_block(const Tensor& src, Tensor& dst, int64_t b, int64_t B) {
-  const int64_t block = src.numel() / B;
-  HFTA_CHECK(dst.numel() == block, "fused block copy: numel mismatch ",
-             dst.numel(), " vs ", block);
-  std::copy(src.data() + b * block, src.data() + (b + 1) * block, dst.data());
-}
-
-}  // namespace
-
-// ---- state schema -----------------------------------------------------------
-
-StateMap state_map(const nn::Module& fused) {
-  StateMap out;
-  for (const auto& [name, var] : fused.named_parameters())
-    out.push_back(param_entry(name, var));
-  for (const auto& [name, buf] : nn::named_buffers_recursive(fused))
-    out.push_back(buffer_entry(name, buf));
-  return out;
-}
-
-void FusedModule::load_model(int64_t b, const nn::Module& m) {
-  load_state(state_map(*this), array_size_, b, m);
-}
-
-void FusedModule::store_model(int64_t b, nn::Module& m) const {
-  store_state(state_map(*this), array_size_, b, m);
-}
-
-namespace {
-
-/// One pass over the per-model tree: every parameter and buffer as a
-/// storage-sharing handle keyed by dotted path. Built once per
-/// load_state/store_state call so whole-model schemas (MobileNet, BERT:
-/// 100+ entries) stay O(T), not O(T^2).
-std::map<std::string, Tensor> collect_per_model_tensors(
-    const nn::Module& root) {
+/// Every parameter and buffer of `m` as a storage-sharing handle keyed by
+/// dotted path. Built once per transfer, so a whole model (MobileNet, BERT:
+/// 100+ tensors) moves in O(T), not O(T^2).
+std::map<std::string, Tensor> named_tensors(const nn::Module& m) {
   std::map<std::string, Tensor> out;
-  for (const auto& [name, var] : root.named_parameters())
+  for (const auto& [name, var] : m.named_parameters())
     out.emplace(name, var.value());
-  for (const auto& [name, t] : nn::named_buffers_recursive(root))
+  for (const auto& [name, t] : nn::named_buffers_recursive(m))
     out.emplace(name, t);
   return out;
 }
 
-Tensor find_per_model_tensor(const std::map<std::string, Tensor>& tensors,
-                             const std::string& path) {
-  const auto it = tensors.find(path);
-  HFTA_CHECK(it != tensors.end(), "state transfer: per-model tensor '", path,
-             "' not found in the per-model tree");
-  return it->second;
-}
-
-/// Moves model b's block between the fused tensor and the per-model one,
-/// in either direction.
-void transfer_slice(const StateEntry& e, int64_t B, int64_t b,
-                    Tensor per_model, bool to_fused) {
-  // StateEntry holds handles; copying re-opens mutable access to storage.
-  Tensor fused = e.is_buffer() ? e.fused_buffer
-                               : ag::Variable(e.fused_param).mutable_value();
-  if (to_fused) {
-    copy_into_block(fused, per_model, b, B);
-  } else {
-    copy_from_block(fused, per_model, b, B);
-  }
-}
-
-void check_model_index(int64_t B, int64_t b) {
+/// Calls copy(array block b, per-model tensor, block numel) for every
+/// parameter and buffer of `array`, after the checks load_model/store_model
+/// document.
+template <typename Copy>
+void for_each_block(const nn::Module& array, int64_t B, int64_t b,
+                    const nn::Module& per_model, const Copy& copy) {
   HFTA_CHECK(b >= 0 && b < B, "state transfer: model index ", b,
              " outside [0, ", B, ")");
+  const std::map<std::string, Tensor> per = named_tensors(per_model);
+  auto visit = [&](const std::string& path, Tensor arr) {
+    const auto it = per.find(path);
+    HFTA_CHECK(it != per.end(), "state transfer: per-model tensor '", path,
+               "' not found in the per-model tree");
+    Tensor pm = it->second;
+    HFTA_CHECK(arr.numel() == B * pm.numel(), "state transfer: '", path,
+               "' holds ", arr.numel(), " elements, not B(", B,
+               ") x per-model ", pm.numel());
+    copy(arr.data() + b * pm.numel(), pm.data(), pm.numel());
+  };
+  for (const auto& [path, var] : array.named_parameters())
+    visit(path, var.value());
+  for (const auto& [path, t] : nn::named_buffers_recursive(array))
+    visit(path, t);
 }
 
 }  // namespace
 
-void load_state(const StateMap& map, int64_t B, int64_t b,
-                const nn::Module& src) {
-  check_model_index(B, b);
-  if (map.empty()) return;
-  const std::map<std::string, Tensor> tensors = collect_per_model_tensors(src);
-  for (const StateEntry& e : map)
-    transfer_slice(e, B, b, find_per_model_tensor(tensors, e.path),
-                   /*to_fused=*/true);
+void load_model(nn::Module& array, int64_t B, int64_t b,
+                const nn::Module& per_model) {
+  for_each_block(array, B, b, per_model,
+                 [](float* block, const float* pm, int64_t n) {
+                   std::copy(pm, pm + n, block);
+                 });
 }
 
-void store_state(const StateMap& map, int64_t B, int64_t b, nn::Module& dst) {
-  check_model_index(B, b);
-  if (map.empty()) return;
-  const std::map<std::string, Tensor> tensors = collect_per_model_tensors(dst);
-  for (const StateEntry& e : map)
-    transfer_slice(e, B, b, find_per_model_tensor(tensors, e.path),
-                   /*to_fused=*/false);
+void store_model(const nn::Module& array, int64_t B, int64_t b,
+                 nn::Module& per_model) {
+  for_each_block(array, B, b, per_model,
+                 [](const float* block, float* pm, int64_t n) {
+                   std::copy(block, block + n, pm);
+                 });
 }
 
 std::vector<FusedParam> collect_fused_parameters(nn::Module& root,

@@ -28,10 +28,10 @@
 //   model-major    [B, N, F] / [B, N, ...]       (linear/LayerNorm/attention)
 // to_model_major / to_channel_fused convert between them.
 //
-// Every fused module moves model b's state in and out through one pair,
-// load_state/store_state (FusedModule::load_model/store_model on the
-// array), which follows the schema state_map() derives from the module
-// tree (DESIGN.md §7).
+// Model b's state in any array is block b along dim 0 of the tensor at the
+// same path as in the per-model module, so one free pair,
+// load_model/store_model, moves a whole model in and out of any array
+// (DESIGN.md §7).
 #pragma once
 
 #include "nn/layers.h"
@@ -49,41 +49,6 @@ struct FusedParam {
   int64_t per_model_numel() const { return var.numel() / array_size; }
 };
 
-// ---- state schema -----------------------------------------------------------
-
-/// One entry of a fused module's state schema: which per-model tensor
-/// (dotted path relative to the per-model layer) lives where inside the
-/// fused module. Every fused tensor packs B per-model blocks contiguously
-/// along dim 0, each laid out exactly like the per-model tensor, so model
-/// b's slice is block b (fused numel = B * per-model numel). Exactly one of
-/// fused_param / fused_buffer is defined. load_model, store_model and the
-/// planner's state-congruence check all derive from these entries
-/// (DESIGN.md §7).
-struct StateEntry {
-  std::string path;          // per-model tensor path, e.g. "weight"
-  ag::Variable fused_param;  // trainable state lives in a parameter...
-  Tensor fused_buffer;       // ...non-trainable state (running stats) here
-
-  bool is_buffer() const { return fused_buffer.defined(); }
-};
-
-/// Ordered per-kind state schema (order follows registration order, which
-/// matches the per-model module's own parameter/buffer order).
-using StateMap = std::vector<StateEntry>;
-
-inline StateEntry param_entry(std::string path, const ag::Variable& v) {
-  StateEntry e;
-  e.path = std::move(path);
-  e.fused_param = v;
-  return e;
-}
-inline StateEntry buffer_entry(std::string path, const Tensor& t) {
-  StateEntry e;
-  e.path = std::move(path);
-  e.fused_buffer = t;
-  return e;
-}
-
 /// One survivor of a multi-source repack: model `model` of the `source`-th
 /// donor. FusionPlan::repack_multi (arrays) and
 /// FusedOptimizer::repack_state_from (optimizer state) share this pick type
@@ -93,45 +58,20 @@ struct RepackPick {
   int64_t model = 0;
 };
 
-/// Base for all fused modules: tracks B and moves per-model state.
-class FusedModule : public nn::Module {
- public:
-  explicit FusedModule(int64_t array_size) : array_size_(array_size) {
-    HFTA_CHECK(array_size >= 1, "FusedModule: array size must be >= 1");
-  }
-  int64_t array_size() const { return array_size_; }
+/// Copies model b's parameters and buffers from `per_model` into `array`,
+/// an array of B such models: every tensor of `array` is B dim-0 blocks,
+/// and block b takes the per-model tensor at the same dotted path. Throws
+/// unless 0 <= b < B, every array path exists in `per_model`, and every
+/// array tensor holds B x the per-model numel.
+void load_model(nn::Module& array, int64_t B, int64_t b,
+                const nn::Module& per_model);
+/// The inverse: copies block b of every array tensor out into the
+/// per-model tensor at the same path, under the same checks.
+void store_model(const nn::Module& array, int64_t B, int64_t b,
+                 nn::Module& per_model);
 
-  /// Copies model b's parameters and buffers from `m`, the per-model
-  /// module this one fuses (load_state over state_map(*this)). Throws
-  /// unless 0 <= b < B.
-  virtual void load_model(int64_t b, const nn::Module& m);
-  /// The inverse: extracts model b's slices into `m` (store_state over
-  /// state_map(*this)).
-  virtual void store_model(int64_t b, nn::Module& m) const;
-
- protected:
-  int64_t array_size_;
-};
-
-/// The per-model state schema of a fused module tree: every registered
-/// parameter and buffer, under its dotted path, as one dim-0 block per
-/// model. A fused module's children are named as in the per-model module,
-/// so each path is also the per-model tensor's path; plain nn:: children
-/// run at B x width, and a composite's schema is its children's schemas
-/// under their names.
-StateMap state_map(const nn::Module& fused);
-
-/// Copies model b's state from the congruent per-model module `src` into
-/// the fused tensors of `map`. `B` is the fused array size; b outside
-/// [0, B) throws.
-void load_state(const StateMap& map, int64_t B, int64_t b,
-                const nn::Module& src);
-/// The inverse: extracts model b's slices out of the fused tensors into
-/// the per-model module `dst`.
-void store_state(const StateMap& map, int64_t B, int64_t b, nn::Module& dst);
-
-/// Collects FusedParams of every fused module in a module tree given the
-/// tree's (uniform) array size; non-fused parameters are rejected.
+/// Collects every parameter of an array as a FusedParam of the array size
+/// B; a parameter whose numel B does not divide is rejected.
 std::vector<FusedParam> collect_fused_parameters(nn::Module& root,
                                                  int64_t array_size);
 

@@ -6,8 +6,7 @@
 namespace hfta::fused {
 
 UnfusedBlockAdapter::UnfusedBlockAdapter(
-    int64_t B, std::vector<std::shared_ptr<nn::Module>> mods)
-    : FusedModule(B) {
+    int64_t B, std::vector<std::shared_ptr<nn::Module>> mods) {
   HFTA_CHECK(static_cast<int64_t>(mods.size()) == B,
              "UnfusedBlockAdapter: need exactly B replicas");
   mods_.reserve(mods.size());
@@ -28,7 +27,8 @@ UnfusedBlockAdapter::UnfusedBlockAdapter(
 }
 
 ag::Variable UnfusedBlockAdapter::forward(const ag::Variable& x) {
-  std::vector<ag::Variable> chunks = ag::chunk(x, array_size_, 1);
+  std::vector<ag::Variable> chunks =
+      ag::chunk(x, static_cast<int64_t>(mods_.size()), 1);
   std::vector<ag::Variable> outs;
   outs.reserve(chunks.size());
   for (size_t b = 0; b < chunks.size(); ++b)
@@ -183,7 +183,7 @@ void check_congruent(const std::string& path,
 // ---- FusedArray ------------------------------------------------------------
 
 FusedArray::FusedArray(int64_t B, FusionOptions opts)
-    : FusedModule(B), opts_(std::move(opts)) {}
+    : array_size_(B), opts_(std::move(opts)) {}
 
 ag::Variable FusedArray::forward(const ag::Variable& x) {
   ag::Variable h = x;
@@ -206,7 +206,6 @@ ag::Variable FusedArray::forward(const ag::Variable& x) {
 void FusedArray::load_model(int64_t b, const nn::Module& per_model_root) {
   HFTA_CHECK(b >= 0 && b < array_size_, "FusedArray::load_model: bad index");
   for (Step& s : steps_) {
-    if (s.fused && s.state.empty()) continue;  // stateless step
     const nn::Module* src = per_model_root.find(s.path);
     HFTA_CHECK(src != nullptr, "FusedArray::load_model: path '", s.path,
                "' not found in the per-model tree");
@@ -214,7 +213,7 @@ void FusedArray::load_model(int64_t b, const nn::Module& per_model_root) {
       auto& adapter = static_cast<UnfusedBlockAdapter&>(*s.module);
       nn::copy_state(*src, *adapter.replicas()[static_cast<size_t>(b)]);
     } else {
-      load_state(s.state, array_size_, b, *src);
+      fused::load_model(*s.module, array_size_, b, *src);
     }
   }
 }
@@ -222,7 +221,6 @@ void FusedArray::load_model(int64_t b, const nn::Module& per_model_root) {
 void FusedArray::store_model(int64_t b, nn::Module& per_model_root) const {
   HFTA_CHECK(b >= 0 && b < array_size_, "FusedArray::store_model: bad index");
   for (const Step& s : steps_) {
-    if (s.fused && s.state.empty()) continue;  // stateless step
     nn::Module* dst = per_model_root.find(s.path);
     HFTA_CHECK(dst != nullptr, "FusedArray::store_model: path '", s.path,
                "' not found in the per-model tree");
@@ -231,7 +229,7 @@ void FusedArray::store_model(int64_t b, nn::Module& per_model_root) const {
           static_cast<const UnfusedBlockAdapter&>(*s.module);
       nn::copy_state(*adapter.replicas()[static_cast<size_t>(b)], *dst);
     } else {
-      store_state(s.state, array_size_, b, *dst);
+      fused::store_model(*s.module, array_size_, b, *dst);
     }
   }
 }
@@ -308,63 +306,62 @@ FusedArray::Step make_adapter_step(
   s.in = Layout::kChannelFused;
   s.out = Layout::kChannelFused;
   s.path = path;
-  // No StateMap: adapter replicas are whole per-model modules, transferred
-  // by nn::copy_state in FusedArray::{load,store}_model.
+  // Adapter replicas are whole per-model modules, transferred by
+  // nn::copy_state in FusedArray::{load,store}_model.
   s.fused = false;
   s.unit = unit;
   return s;
 }
 
-/// Derives the state schema of a lowered step's module and validates it
-/// against the per-model reference layer: every per-model parameter and
-/// buffer must be covered by exactly one entry, sized B x the per-model
-/// numel (block-size-checked again at transfer time). An array form that
-/// misses part of the state, or leaves a child at per-model width, fails
-/// the compile with a structured diagnostic instead of surfacing as drift
-/// after a repack.
-StateMap derive_step_state(const nn::Module& fused_mod, int64_t B,
-                           const nn::Module& ref, const std::string& path) {
-  const StateMap map = state_map(fused_mod);
+/// Checks a lowered step's array form against the per-model reference
+/// layer: every per-model parameter and buffer must appear exactly once in
+/// the array form under the same path, sized B x the per-model numel (and
+/// block-size-checked again at transfer time). An array form that misses
+/// part of the state, or leaves a child at per-model width, fails the
+/// compile with a structured diagnostic instead of surfacing as drift after
+/// a repack.
+void check_step_state(const nn::Module& array_form, int64_t B,
+                      const nn::Module& ref, const std::string& path) {
   std::map<std::string, int64_t> want;  // per-model tensor path -> numel
   for (const auto& [n, v] : ref.named_parameters()) want.emplace(n, v.numel());
   for (const auto& [n, t] : nn::named_buffers_recursive(ref))
     want.emplace(n, t.numel());
   std::map<std::string, int64_t> seen;
-  for (const StateEntry& e : map) {
-    if (++seen[e.path] > 1) {
+  auto check = [&](const std::string& n, int64_t numel) {
+    if (++seen[n] > 1) {
       throw FusionError({path, -1,
-                         "state schema for kind '" + ref.kind_name() +
-                             "' lists '" + e.path + "' twice"});
+                         "array form of kind '" + ref.kind_name() +
+                             "' holds state '" + n + "' twice"});
     }
-    const auto it = want.find(e.path);
+    const auto it = want.find(n);
     if (it == want.end()) {
       throw FusionError({path, -1,
-                         "state schema entry '" + e.path +
+                         "array state '" + n +
                              "' has no per-model counterpart in kind '" +
                              ref.kind_name() + "'"});
     }
-    const int64_t fused_numel =
-        e.is_buffer() ? e.fused_buffer.numel() : e.fused_param.numel();
-    if (fused_numel != B * it->second) {
+    if (numel != B * it->second) {
       throw FusionError(
           {path, -1,
-           "state entry '" + e.path + "' of kind '" + ref.kind_name() +
-               "': fused numel " + std::to_string(fused_numel) + " != B(" +
+           "array state '" + n + "' of kind '" + ref.kind_name() +
+               "': fused numel " + std::to_string(numel) + " != B(" +
                std::to_string(B) + ") x per-model numel " +
                std::to_string(it->second)});
     }
-  }
+  };
+  for (const auto& [n, v] : array_form.named_parameters()) check(n, v.numel());
+  for (const auto& [n, t] : nn::named_buffers_recursive(array_form))
+    check(n, t.numel());
   for (const auto& [n, numel] : want) {
     (void)numel;
     if (seen.count(n) == 0) {
       throw FusionError(
           {path, -1,
            "array form of kind '" + ref.kind_name() +
-               "' covers no state entry for per-model tensor '" + n +
+               "' holds no state for per-model tensor '" + n +
                "' — register it in the array form under the same path"});
     }
   }
-  return map;
 }
 
 void lower_into(int64_t B, Rng& rng, const std::string& path,
@@ -390,8 +387,8 @@ void lower_into(int64_t B, Rng& rng, const std::string& path,
              "': it has no array form — override Module::make_array, or "
              "turn this unit off in fuse_mask"});
   }
+  check_step_state(*m, B, ref, path);
   FusedArray::Step s;
-  s.state = derive_step_state(*m, B, ref, path);
   s.in = s.out = ref.array_layout();
   s.module = std::move(m);
   s.path = path;

@@ -33,12 +33,12 @@ namespace hfta::fused {
 /// fusion (and its efficiency) is gone.
 ///
 /// The adapter OWNS its replicas: each donor passed to the constructor is
-/// deep-copied via Module::clone(), so neither load_model nor training ever
-/// writes through to the donor modules. Stateless kinds without clone
-/// support (no parameters, no buffers) are shared as-is — there is no
-/// storage to write through; a stateful kind without clone support is
-/// rejected.
-class UnfusedBlockAdapter : public FusedModule {
+/// deep-copied via Module::clone(), so neither FusedArray::load_model nor
+/// training ever writes through to the donor modules. Stateless kinds
+/// without clone support (no parameters, no buffers) are shared as-is —
+/// there is no storage to write through; a stateful kind without clone
+/// support is rejected.
+class UnfusedBlockAdapter : public nn::Module {
  public:
   UnfusedBlockAdapter(int64_t B, std::vector<std::shared_ptr<nn::Module>> mods);
   ag::Variable forward(const ag::Variable& x) override;
@@ -95,7 +95,7 @@ struct FusionOptions {
 /// layout conversions inserted automatically between the channel-fused
 /// (conv/BN/pool) and model-major (linear/LayerNorm) families. Input is
 /// channel-fused [N, B*C, ...] (pack_channel_fused).
-class FusedArray : public FusedModule {
+class FusedArray : public nn::Module {
  public:
   struct Step {
     std::shared_ptr<nn::Module> module;
@@ -103,34 +103,32 @@ class FusedArray : public FusedModule {
     Layout out = Layout::kAny;
     std::string path;  // dotted path into the per-model tree
     std::string kind;  // the per-model layer kind this step lowers
-    /// Schema of the step's per-model state, derived once at lowering time
-    /// and validated against the per-model reference layer; load_model and
-    /// store_model both walk it (empty = stateless step). Unfused adapter
-    /// steps transfer via nn::copy_state on their owned replicas instead.
-    StateMap state;
     bool fused = true;
     int64_t unit = 0;  // top-level fusion-unit index
   };
 
   ag::Variable forward(const ag::Variable& x) override;
 
-  /// Copies model b's parameters from a per-model tree congruent with the
-  /// compiled one (the planner walks the same paths it lowered). Always
-  /// copies INTO the array — unfused units own cloned replicas, so neither
-  /// this nor training ever mutates the compile-time donors.
-  void load_model(int64_t b, const nn::Module& per_model_root) override;
+  int64_t array_size() const { return array_size_; }
+
+  /// Copies model b's parameters and buffers from a per-model tree
+  /// congruent with the compiled one: fused::load_model on each fused
+  /// step's module, with the per-model layer at the step's path, and
+  /// nn::copy_state into replica b of each unfused step. Always copies INTO
+  /// the array — unfused units own cloned replicas, so neither this nor
+  /// training ever mutates the compile-time donors.
+  void load_model(int64_t b, const nn::Module& per_model_root);
 
   /// The inverse of load_model: extracts model b's parameters and buffers
   /// out of the array into a congruent per-model tree, walking the same
-  /// per-step paths — fused slices and unfused owned replicas alike. Store
-  /// support is universal: it is derived from each step's StateMap, so
-  /// every kind that loads also stores.
+  /// per-step paths — fused blocks (fused::store_model) and unfused owned
+  /// replicas alike, so every kind that loads also stores.
   /// Scope: parameters and buffers only. Private rng stream positions of
   /// stateless-random steps (a fused nn::Dropout draws ONE stream over
   /// the fused tensor, not the B per-model streams) are neither extracted
   /// nor part of the fused/serial equivalence contract to begin with; a
   /// repacked array restarts those streams.
-  void store_model(int64_t b, nn::Module& per_model_root) const override;
+  void store_model(int64_t b, nn::Module& per_model_root) const;
 
   const std::vector<Step>& steps() const { return steps_; }
   /// Number of top-level fusion units (granularity of fuse_mask).
@@ -145,6 +143,7 @@ class FusedArray : public FusedModule {
   friend class FusionPlan;
   FusedArray(int64_t B, FusionOptions opts);
 
+  int64_t array_size_;
   std::vector<Step> steps_;
   FusionOptions opts_;
   int64_t num_units_ = 0;

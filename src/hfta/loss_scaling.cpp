@@ -29,6 +29,21 @@ bool LossScaler::unscale_finite(Tensor& grad, double inv_scale) {
   return !found_inf.load(std::memory_order_relaxed);
 }
 
+namespace {
+
+// kMean is built as the kSum loss times float(1/per_model): the per-model
+// mean rule of loss_scaling.h.
+ag::Reduction summed(ag::Reduction r) {
+  return r == ag::Reduction::kMean ? ag::Reduction::kSum : r;
+}
+ag::Variable per_model_mean(const ag::Variable& loss, ag::Reduction r,
+                            int64_t per_model) {
+  if (r != ag::Reduction::kMean) return loss;
+  return ag::mul_scalar(loss, 1.f / static_cast<float>(per_model));
+}
+
+}  // namespace
+
 ag::Variable fused_cross_entropy(const ag::Variable& logits,
                                  const Tensor& labels,
                                  ag::Reduction reduction) {
@@ -38,27 +53,19 @@ ag::Variable fused_cross_entropy(const ag::Variable& logits,
   const int64_t C = logits.size(2);
   ag::Variable flat = ag::reshape(logits, {B * N, C});
   ag::Variable loss =
-      ag::cross_entropy(flat, labels.reshape({B * N}), reduction);
-  return scale_fused_loss(loss, B, reduction);
-}
-
-ag::Variable fused_nll_loss(const ag::Variable& log_probs,
-                            const Tensor& labels, ag::Reduction reduction) {
-  HFTA_CHECK(log_probs.dim() == 3, "fused_nll_loss: log_probs must be [B,N,C]");
-  const int64_t B = log_probs.size(0);
-  const int64_t N = log_probs.size(1);
-  const int64_t C = log_probs.size(2);
-  ag::Variable flat = ag::reshape(log_probs, {B * N, C});
-  ag::Variable loss = ag::nll_loss(flat, labels.reshape({B * N}), reduction);
-  return scale_fused_loss(loss, B, reduction);
+      ag::cross_entropy(flat, labels.reshape({B * N}), summed(reduction));
+  return per_model_mean(loss, reduction, N);
 }
 
 ag::Variable fused_bce_with_logits(const ag::Variable& logits,
                                    const Tensor& targets,
                                    ag::Reduction reduction,
                                    int64_t array_size) {
-  ag::Variable loss = ag::bce_with_logits(logits, targets, reduction);
-  return scale_fused_loss(loss, array_size, reduction);
+  HFTA_CHECK(logits.numel() % array_size == 0,
+             "fused_bce_with_logits: numel not divisible by B");
+  ag::Variable loss =
+      ag::bce_with_logits(logits, targets, summed(reduction));
+  return per_model_mean(loss, reduction, logits.numel() / array_size);
 }
 
 std::vector<double> per_model_cross_entropy(const Tensor& logits,

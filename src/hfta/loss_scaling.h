@@ -2,10 +2,14 @@
 //
 // When each model's loss is a *mean* over its mini-batch, the naive fused
 // loss L = (1/B) sum_b l_b under-scales every model's gradients by 1/B
-// (Eq. 2); scaling the fused loss by B reconstructs the exact per-model
-// gradients (Eq. 3). Sum (or no) reduction needs no scaling (Eq. 5).
+// (Eq. 2). The fused kMean losses here are instead the sum over the B
+// models of each model's own mean (Eq. 3): the kSum loss times float(1/N),
+// N the per-model element count. Its backward scales every element by the
+// same float(1/N) the serial kMean loss uses, so the gradients equal the B
+// serial runs bit for bit (B * float(1/(B*N)) can round differently). Sum
+// (or no) reduction needs no scaling (Eq. 5).
 //
-// The dynamic LossScaler is orthogonal to that rule: Appendix-C scaling is
+// The dynamic LossScaler is orthogonal to that rule: the per-model mean is
 // part of the loss VALUE (a recorded mul_scalar op), while the AMP scale S
 // multiplies the backward seed — d(S*L)/dw == S * dL/dw, so seeding the
 // engine with S instead of 1 scales every gradient without touching the
@@ -77,26 +81,14 @@ class LossScaler {
   int64_t overflow_skips_ = 0;
 };
 
-/// Applies the Appendix-C scaling rule to a fused loss.
-inline ag::Variable scale_fused_loss(const ag::Variable& fused_loss,
-                                     int64_t array_size,
-                                     ag::Reduction reduction) {
-  if (reduction == ag::Reduction::kMean)
-    return ag::mul_scalar(fused_loss, static_cast<float>(array_size));
-  return fused_loss;  // sum / none: already equivalent
-}
-
 /// Fused cross-entropy for model-major logits [B, N, C] and labels [B, N]:
-/// one loss op over all B*N rows, then the Appendix-C scaling.
+/// one loss op over all B*N rows; kMean is the per-model mean rule above.
 ag::Variable fused_cross_entropy(const ag::Variable& logits,
                                  const Tensor& labels,
                                  ag::Reduction reduction);
 
-/// Fused NLL for model-major log-probs [B, N, C] / labels [B, N].
-ag::Variable fused_nll_loss(const ag::Variable& log_probs,
-                            const Tensor& labels, ag::Reduction reduction);
-
-/// Fused BCE-with-logits over any fused layout (targets same shape).
+/// Fused BCE-with-logits over any fused layout (targets same shape): the
+/// per-model element count is numel / array_size.
 ag::Variable fused_bce_with_logits(const ag::Variable& logits,
                                    const Tensor& targets,
                                    ag::Reduction reduction, int64_t array_size);

@@ -47,38 +47,21 @@ void TrainStep::finish_stats(const IterationScope& scope) {
   stats_.last_node_constructions = s.node_constructions;
 }
 
-template <typename ZeroFn, typename StepFn>
-ag::Variable TrainStep::run_impl(const ZeroFn& zero, const StepFn& step,
-                                 const LossFn& loss_fn, bool autocast,
-                                 Tensor seed) {
+ag::Variable TrainStep::run_eager(nn::Optimizer& opt, const LossFn& loss_fn) {
   IterationScope scope;
-  zero();
+  opt.zero_grad();
   ag::Variable loss;
   {
     // kF32 pins autocast OFF for fp32 steps, regardless of ambient guards.
-    ag::AutocastGuard guard(autocast ? amp_dtype_ : DType::kF32);
+    ag::AutocastGuard guard(amp_ ? amp_dtype_ : DType::kF32);
     loss = loss_fn();
   }
-  engine_.run(loss, std::move(seed));
-  step();
+  engine_.run(loss, backward_seed());
+  amp_step(opt);
   ++stats_.steps;
   stats_.last_was_replay = false;
   finish_stats(scope);
   return loss;
-}
-
-template <typename ZeroFn, typename StepFn>
-std::vector<ag::Variable> TrainStep::run_multi_impl(
-    const ZeroFn& zero, const StepFn& step, const MultiLossFn& loss_fn) {
-  IterationScope scope;
-  zero();
-  std::vector<ag::Variable> losses = loss_fn();
-  for (const ag::Variable& loss : losses) engine_.run(loss);
-  step();
-  ++stats_.steps;
-  stats_.last_was_replay = false;
-  finish_stats(scope);
-  return losses;
 }
 
 ag::Variable TrainStep::run_cached(nn::Optimizer& opt, const LossFn& loss_fn) {
@@ -119,8 +102,7 @@ ag::Variable TrainStep::run_cached(nn::Optimizer& opt, const LossFn& loss_fn) {
 
   if (!slot.warm) {
     slot.warm = true;
-    return run_impl([&] { opt.zero_grad(); }, [&] { amp_step(opt); }, loss_fn,
-                    amp_, backward_seed());
+    return run_eager(opt, loss_fn);
   }
 
   // Capture run: a full training step (eager kernels, the real backward)
@@ -250,22 +232,22 @@ void TrainStep::amp_step(nn::Optimizer& opt) {
 
 ag::Variable TrainStep::run(nn::Optimizer& opt, const LossFn& loss_fn) {
   if (capture_) return run_cached(opt, loss_fn);
-  return run_impl([&] { opt.zero_grad(); }, [&] { amp_step(opt); }, loss_fn,
-                  amp_, backward_seed());
+  return run_eager(opt, loss_fn);
 }
 
 std::vector<ag::Variable> TrainStep::run(nn::Optimizer& opt,
                                          const MultiLossFn& loss_fn) {
   HFTA_CHECK(!amp_, "multi-loss run() does not support AMP (each loss would "
              "need its own scale bookkeeping)");
-  return run_multi_impl([&] { opt.zero_grad(); }, [&] { opt.step(); },
-                        loss_fn);
-}
-
-ag::Variable TrainStep::run(nn::Module& model, const LossFn& loss_fn) {
-  // Autocast applies (AMP numerics for probes/eval) but the seed does not:
-  // with no optimizer step to protect, scaled gradients would just leak.
-  return run_impl([&] { model.zero_grad(); }, [] {}, loss_fn, amp_, Tensor());
+  IterationScope scope;
+  opt.zero_grad();
+  std::vector<ag::Variable> losses = loss_fn();
+  for (const ag::Variable& loss : losses) engine_.run(loss);
+  opt.step();
+  ++stats_.steps;
+  stats_.last_was_replay = false;
+  finish_stats(scope);
+  return losses;
 }
 
 void TrainStep::backward(const ag::Variable& loss, Tensor seed) {

@@ -63,12 +63,9 @@ class TrainStep {
   std::vector<ag::Variable> run(nn::Optimizer& opt,
                                 const MultiLossFn& loss_fn);
 
-  /// Optimizer-free iteration (timing probes, gradient checks): the
-  /// model's grads are zeroed instead and no step is taken.
-  ag::Variable run(nn::Module& model, const LossFn& loss_fn);
-
   /// Backward through the reusable engine, for hand-assembled iterations
-  /// that cannot use run() (seeded backward, interleaved updates).
+  /// that cannot use run() (optimizer-free timing probes, seeded backward,
+  /// interleaved updates).
   void backward(const ag::Variable& loss, Tensor seed = Tensor());
 
   // ---- mixed precision (autocast + dynamic loss scaling) ----------------
@@ -91,9 +88,7 @@ class TrainStep {
   // BackwardTape's seed SHARES the persistent seed tensor's storage (a
   // scale change is an in-place refresh, not a recapture), and the AMP
   // mode + dtype are mixed into each program's fingerprint so toggling
-  // precision recaptures. The optimizer-free run(Module&) overload
-  // autocasts but does not scale (there is no step to protect); the
-  // multi-loss overloads reject AMP.
+  // precision recaptures. The multi-loss overloads reject AMP.
 
   struct AmpOptions {
     DType dtype = DType::kBF16;
@@ -162,13 +157,9 @@ class TrainStep {
     ag::StepProgram program;
   };
 
-  template <typename ZeroFn, typename StepFn>
-  ag::Variable run_impl(const ZeroFn& zero, const StepFn& step,
-                        const LossFn& loss_fn, bool autocast, Tensor seed);
-  template <typename ZeroFn, typename StepFn>
-  std::vector<ag::Variable> run_multi_impl(const ZeroFn& zero,
-                                           const StepFn& step,
-                                           const MultiLossFn& loss_fn);
+  /// One eager step of `opt`: zero_grad, the loss under autocast when AMP
+  /// is on, backward with the AMP seed, amp_step.
+  ag::Variable run_eager(nn::Optimizer& opt, const LossFn& loss_fn);
   ag::Variable run_cached(nn::Optimizer& opt, const LossFn& loss_fn);
   void finish_stats(const IterationScope& scope);
   void evict_lru();

@@ -131,17 +131,11 @@ class Module {
   const std::vector<std::pair<std::string, Tensor>>& named_buffers() const {
     return buffers_;
   }
-  /// This module's own parameters (not recursive), in registration order
-  /// (the fusion layer derives per-kind state schemas from these).
-  const std::vector<std::pair<std::string, ag::Variable>>& own_named_parameters()
-      const {
-    return params_;
-  }
   /// Resolves a dotted child path ("trunk.conv1"); "" is this module itself.
   /// Returns nullptr when the path does not exist.
   const Module* find(const std::string& path) const;
-  /// Mutable overload (used by FusedArray::store_model to write a model's
-  /// state back into a per-model tree).
+  /// Mutable overload (FusedArray::store_model resolves each step's path in
+  /// the per-model tree it writes model b's state into).
   Module* find(const std::string& path);
 
   /// Total number of trainable scalars.

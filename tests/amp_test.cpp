@@ -28,27 +28,14 @@
 namespace hfta {
 namespace {
 
-// The quickstart-scale fused MLP array: B models of Linear-ReLU-Linear.
-struct FusedMlp : fused::FusedModule {
-  FusedMlp(int64_t B, int64_t in, int64_t hidden, int64_t classes, Rng& rng)
-      : fused::FusedModule(B) {
+// The quickstart-scale MLP, Linear-ReLU-Linear; built with array size B it
+// is the fused array of B of them.
+struct Mlp : nn::Module {
+  Mlp(int64_t in, int64_t hidden, int64_t classes, Rng& rng, int64_t B = 1) {
     fc1 = register_module(
         "fc1", std::make_shared<nn::Linear>(in, hidden, true, rng, B));
     fc2 = register_module(
         "fc2", std::make_shared<nn::Linear>(hidden, classes, true, rng, B));
-  }
-  ag::Variable forward(const ag::Variable& x) override {
-    return fc2->forward(ag::relu(fc1->forward(x)));
-  }
-  std::shared_ptr<nn::Linear> fc1, fc2;
-};
-
-struct Mlp : nn::Module {
-  Mlp(int64_t in, int64_t hidden, int64_t classes, Rng& rng) {
-    fc1 = register_module("fc1",
-                          std::make_shared<nn::Linear>(in, hidden, true, rng));
-    fc2 = register_module(
-        "fc2", std::make_shared<nn::Linear>(hidden, classes, true, rng));
   }
   ag::Variable forward(const ag::Variable& x) override {
     return fc2->forward(ag::relu(fc1->forward(x)));
@@ -79,7 +66,7 @@ AmpRun run_amp_mlp(bool capture, bool amp, DType dt, double init_scale,
                    int steps, int64_t growth_interval = 2000) {
   const int64_t B = 3, in = 8, hidden = 16, classes = 4, N = 8;
   Rng rng(42);
-  FusedMlp model(B, in, hidden, classes, rng);
+  Mlp model(in, hidden, classes, rng, B);
   fused::FusedAdam opt(fused::collect_fused_parameters(model, B), B,
                        {.lr = {1e-3, 3e-3, 1e-2}});
   Rng data_rng(7);
@@ -340,13 +327,13 @@ TEST(Amp, FusedVsSerialBitExact) {
   for (DType dt : {DType::kBF16, DType::kF16}) {
     const int64_t B = 3, in = 8, hidden = 16, classes = 4, N = 8;
     Rng rng(42);
-    FusedMlp fused_model(B, in, hidden, classes, rng);
+    Mlp fused_model(in, hidden, classes, rng, B);
     std::vector<std::shared_ptr<Mlp>> serial_models;
     const fused::HyperVec lrs = {1e-3, 3e-3, 1e-2};
     for (int64_t b = 0; b < B; ++b) {
       serial_models.push_back(
           std::make_shared<Mlp>(in, hidden, classes, rng));
-      fused_model.load_model(b, *serial_models.back());
+      fused::load_model(fused_model, B, b, *serial_models.back());
     }
     fused::FusedAdam fused_opt(
         fused::collect_fused_parameters(fused_model, B), B, {.lr = lrs});
@@ -388,7 +375,7 @@ TEST(Amp, FusedVsSerialBitExact) {
     for (int64_t b = 0; b < B; ++b) {
       Rng probe_rng(1);
       Mlp probe(in, hidden, classes, probe_rng);
-      fused_model.store_model(b, probe);
+      fused::store_model(fused_model, B, b, probe);
       const nn::Linear &p1 = *probe.fc1, &p2 = *probe.fc2;
       const auto& sm = serial_models[static_cast<size_t>(b)];
       expect_bits_equal(p1.weight.value().to_vector(),
@@ -483,7 +470,7 @@ TEST(Amp, OverflowSkipsStepBacksOffAndRecovers) {
 TEST(Amp, PrecisionChangeForcesRecapture) {
   const int64_t B = 2, in = 4, hidden = 8, classes = 2, N = 4;
   Rng rng(9);
-  FusedMlp model(B, in, hidden, classes, rng);
+  Mlp model(in, hidden, classes, rng, B);
   fused::FusedAdam opt(fused::collect_fused_parameters(model, B), B,
                        {.lr = {1e-3, 1e-3}});
   Rng data_rng(3);
@@ -520,7 +507,7 @@ TEST(Amp, ScalerStateSurvivesRepackStyleOptimizerSwap) {
   // the TrainStep, which persists — backoff history must carry over.
   const int64_t B = 2, in = 4, hidden = 8, classes = 2, N = 4;
   Rng rng(9);
-  FusedMlp model(B, in, hidden, classes, rng);
+  Mlp model(in, hidden, classes, rng, B);
   Rng data_rng(3);
   Tensor x = Tensor::randn({N, in}, data_rng);
   Tensor labels({B, N});

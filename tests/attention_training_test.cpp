@@ -54,7 +54,7 @@ TEST(AttentionTraining, TransformerLMStepsTrackSerial) {
   fused::HyperVec lrs = {1e-3, 3e-3};
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<models::TransformerLM>(cfg, rng));
-    fused::load_state(fused::state_map(fused_model), kB, b, *plain.back());
+    fused::load_model(fused_model, kB, b, *plain.back());
     opts.push_back(std::make_unique<nn::Adam>(
         plain.back()->parameters(),
         nn::Adam::Options{.lr = lrs[static_cast<size_t>(b)]}));
@@ -102,7 +102,7 @@ TEST(AttentionTraining, BertMlmStepTracksSerial) {
   std::vector<std::unique_ptr<nn::Adadelta>> opts;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<models::BertModel>(cfg, rng));
-    fused::load_state(fused::state_map(fused_model), kB, b, *plain.back());
+    fused::load_model(fused_model, kB, b, *plain.back());
     opts.push_back(std::make_unique<nn::Adadelta>(
         plain.back()->parameters(), nn::Adadelta::Options{.lr = 0.5}));
   }

@@ -34,7 +34,7 @@ TEST_P(ConvT1dFusionB, FusedMatchesSerialForwardAndBackward) {
   for (int64_t b = 0; b < B; ++b) {
     plain.push_back(std::make_shared<nn::ConvTranspose1d>(Cin, Cout, 4, 2, 1,
                                                           0, 1, true, rng));
-    fused::load_state(fused::state_map(fused_layer), B, b, *plain.back());
+    fused::load_model(fused_layer, B, b, *plain.back());
     xs.push_back(Tensor::randn({2, Cin, L}, rng));
   }
   ag::Variable yf =

@@ -549,11 +549,11 @@ TEST(SaveModel, TrainSaveReloadRoundTripIsBitExact) {
   EXPECT_DOUBLE_EQ(ops::max_abs_diff(y1, y2), 0.0);
 }
 
-TEST(SaveModel, CompositeEncoderLayerStoreIsDerivedFromStateMap) {
+TEST(SaveModel, CompositeEncoderLayerStoresLikeEveryKind) {
   // Store support used to be a per-kind hand-written lambda, and the
-  // encoder layer shipped without one ("no store support"). Under the
-  // schema-derived transfer it works like every other kind: store_model
-  // round-trips every parameter bit-exactly.
+  // encoder layer shipped without one ("no store support"). With one
+  // path-driven transfer for every array it works like every other kind:
+  // store_model round-trips every parameter bit-exactly.
   Rng rng(22);
   const int64_t E = 8, H = 2, FF = 16;
   std::vector<std::shared_ptr<nn::Module>> nets;
@@ -720,11 +720,9 @@ void expect_step_matches_donors(
     for (const auto& [name, p] : donors[ub]->named_parameters())
       want.emplace(name, p);
     for (const FusedArray::Step& s : array.steps()) {
-      for (const StateEntry& e : s.state) {
-        if (e.is_buffer()) continue;
-        const std::string path =
-            s.path.empty() ? e.path : s.path + "." + e.path;
-        ag::Variable p = want.at(path), fused_p = e.fused_param;
+      for (const auto& [name, fused_param] : s.module->named_parameters()) {
+        const std::string path = s.path.empty() ? name : s.path + "." + name;
+        ag::Variable p = want.at(path), fused_p = fused_param;
         ASSERT_TRUE(fused_p.grad().defined()) << tag << " " << path;
         expect_same_bits(p.grad(),
                          unfuse_blocks(fused_p.grad(), B, p.shape())[ub],
@@ -785,7 +783,7 @@ void collect_array_kinds(const nn::Module& m, Rng& rng,
     collect_array_kinds(*child, rng, kinds);
 }
 
-TEST(StateSchema, EveryRegisteredKindRoundTripsSaveLoadBitExactly) {
+TEST(ArrayState, EveryRegisteredKindRoundTripsSaveLoadBitExactly) {
   // Parameterized over every kind with an array form, at B = 1 (where
   // make_array doubles as clone() and the tuner compiles one-model arrays)
   // and at kB: compile B congruent replicas of each kind, train one step of
@@ -793,8 +791,8 @@ TEST(StateSchema, EveryRegisteredKindRoundTripsSaveLoadBitExactly) {
   // backward, bit for bit), then save every model back out into a
   // scrambled clone and demand bit equality for all parameters and
   // buffers. The companion guarantee is at compile time — an array form
-  // whose StateMap misses any per-model tensor throws a structured
-  // FusionError (IncompleteStateMapFailsTheCompile). The coverage guard
+  // that misses any per-model tensor throws a structured FusionError
+  // (IncompleteArrayStateFailsTheCompile). The coverage guard
   // below makes a kind that gains an array form fail THIS test until a
   // factory is added: it collects every leaf LayerKind and every module of
   // the library's models whose make_array(2) is non-null. The token kinds
@@ -875,13 +873,13 @@ TEST(StateSchema, EveryRegisteredKindRoundTripsSaveLoadBitExactly) {
   }
 }
 
-TEST(StateSchema, IncompleteStateMapFailsTheCompile) {
+TEST(ArrayState, IncompleteArrayStateFailsTheCompile) {
   // A kind whose array form leaves part of its state at per-model width
   // (a child built without B) must be rejected at lowering time with a
   // structured diagnostic.
-  struct HalfMapped : FusedModule {
+  struct HalfMapped : nn::Module {
     ag::Variable w;
-    explicit HalfMapped(int64_t B) : FusedModule(B) {
+    HalfMapped() {
       w = register_parameter("w", Tensor::zeros({2}));  // forgets B
     }
     ag::Variable forward(const ag::Variable& x) override { return x; }
@@ -890,8 +888,8 @@ TEST(StateSchema, IncompleteStateMapFailsTheCompile) {
     PlainPair() { register_parameter("w", Tensor::zeros({2})); }
     ag::Variable forward(const ag::Variable& x) override { return x; }
     std::string kind_name() const override { return "test::PlainPair"; }
-    std::shared_ptr<nn::Module> make_array(int64_t B, Rng&) const override {
-      return std::make_shared<HalfMapped>(B);
+    std::shared_ptr<nn::Module> make_array(int64_t, Rng&) const override {
+      return std::make_shared<HalfMapped>();
     }
   };
   Rng rng(5);

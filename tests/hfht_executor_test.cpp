@@ -271,7 +271,7 @@ TEST(FusedExecutor, MobileNetTrialsTrainForRealBitExactly) {
 
 TEST(FusedExecutor, MobileNetSurvivorRepacksBitExactly) {
   // Halving on a live MobileNet array: the survivor's weights, BN running
-  // stats, and Adam state carry over through the schema-derived store.
+  // stats, and Adam state carry over through store_model.
   const ParamSet p = {1e-3, 0.90, 0.99, 0.05, 0.5, 10, 4, 3, 0.25};
   const ParamSet q = {2e-3, 0.85, 0.99, 0.10, 0.5, 10, 4, 3, 0.25};
   FusedTrainingExecutor exec(Task::kMobileNet, sim::v100(),

@@ -33,12 +33,6 @@ ag::Variable probe_loss(const ag::Variable& y, const Tensor& probe) {
 
 using tests::expect_same_bits;
 
-// Copies `plain`'s state into model b's blocks of `fused`, an array of B.
-void load_model(const nn::Module& fused, int64_t B, int64_t b,
-                const nn::Module& plain) {
-  load_state(state_map(fused), B, b, plain);
-}
-
 TEST_P(FusionB, LayoutRoundTrip) {
   const int64_t B = GetParam();
   Rng rng(100 + B);
@@ -231,7 +225,7 @@ TEST_P(FusionB, LinearWeightRoundTrip) {
   nn::Linear fused(4, 3, true, rng, B);
   nn::Linear src(4, 3, true, rng), dst(4, 3, true, rng);
   load_model(fused, B, B - 1, src);
-  store_state(state_map(fused), B, B - 1, dst);
+  store_model(fused, B, B - 1, dst);
   EXPECT_EQ(ops::max_abs_diff(src.weight.value(), dst.weight.value()), 0.f);
   EXPECT_EQ(ops::max_abs_diff(src.bias.value(), dst.bias.value()), 0.f);
 }
@@ -246,15 +240,57 @@ TEST_P(FusionB, StateTransferRejectsModelIndexOutsideArray) {
   models::BasicBlock block(4, 8, 2, rng, B);
   models::BasicBlock plain_block(4, 8, 2, rng);
   for (const int64_t b : {int64_t{-1}, B}) {
-    EXPECT_THROW(load_state(state_map(conv), B, b, plain_conv), Error)
+    EXPECT_THROW(load_model(conv, B, b, plain_conv), Error)
         << "b = " << b;
-    EXPECT_THROW(store_state(state_map(conv), B, b, plain_conv), Error)
+    EXPECT_THROW(store_model(conv, B, b, plain_conv), Error)
         << "b = " << b;
-    EXPECT_THROW(load_state(state_map(block), B, b, plain_block), Error)
+    EXPECT_THROW(load_model(block, B, b, plain_block), Error)
         << "b = " << b;
-    EXPECT_THROW(store_state(state_map(block), B, b, plain_block), Error)
+    EXPECT_THROW(store_model(block, B, b, plain_block), Error)
         << "b = " << b;
   }
+}
+
+// Runs `transfer`, expecting an Error whose message names `path`.
+template <typename Fn>
+void expect_error_naming(const Fn& transfer, const std::string& path) {
+  try {
+    transfer();
+    ADD_FAILURE() << "expected an Error naming '" << path << "'";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + path + "'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StateTransfer, RejectsAChildLeftAtPerModelWidth) {
+  // A hand-built array of B = 3 whose fc2 was built without B: its tensors
+  // hold one model's numel, not B x, so no block b exists to copy.
+  const int64_t B = 3;
+  Rng rng(670);
+  nn::Sequential array, model;
+  array.push_back("fc1", std::make_shared<nn::Linear>(4, 5, true, rng, B));
+  array.push_back("fc2", std::make_shared<nn::Linear>(5, 3, true, rng));
+  model.push_back("fc1", std::make_shared<nn::Linear>(4, 5, true, rng));
+  model.push_back("fc2", std::make_shared<nn::Linear>(5, 3, true, rng));
+  for (const int64_t b : {int64_t{0}, B - 1}) {
+    expect_error_naming([&] { load_model(array, B, b, model); },
+                        "fc2.weight");
+    expect_error_naming([&] { store_model(array, B, b, model); },
+                        "fc2.weight");
+  }
+}
+
+TEST(StateTransfer, RejectsAPerModelTreeMissingAnArrayPath) {
+  const int64_t B = 3;
+  Rng rng(680);
+  nn::Sequential array, model;
+  array.push_back("fc1", std::make_shared<nn::Linear>(4, 5, true, rng, B));
+  array.push_back("fc2", std::make_shared<nn::Linear>(5, 3, true, rng, B));
+  model.push_back("fc1", std::make_shared<nn::Linear>(4, 5, true, rng));
+  expect_error_naming([&] { load_model(array, B, 1, model); }, "fc2.weight");
+  expect_error_naming([&] { store_model(array, B, 1, model); }, "fc2.weight");
 }
 
 // B BatchNorms fused as one over B*C channels vs B plain ones, one training

@@ -15,6 +15,7 @@
 #include "hfta/fused_sched.h"
 #include "hfta/fusion.h"
 #include "hfta/loss_scaling.h"
+#include "same_bits.h"
 #include "tensor/ops.h"
 
 namespace hfta::fused {
@@ -251,10 +252,11 @@ TEST(FusedSched, RejectsDegenerateSchedules) {
 
 // ---- loss scaling (Appendix C) ------------------------------------------------
 
-TEST(LossScaling, MeanReductionNeedsBTimesScale) {
+TEST(LossScaling, MeanReductionSumsPerModelMeans) {
   // Two "models", each a 1-param linear y = w*x; loss = mean over batch.
-  // Fused loss = mean over both models' samples; Appendix C says scaling by
-  // B reconstructs each model's own gradient exactly.
+  // The fused kMean rule (loss_scaling.h) is the sum of the B per-model
+  // means, built as the kSum loss times float(1/N): each model's gradient
+  // equals its serial one bit for bit.
   const int64_t B = 2, N = 4;
   Rng rng(9);
   Tensor x = Tensor::randn({B, N, 1}, rng);
@@ -272,16 +274,17 @@ TEST(LossScaling, MeanReductionNeedsBTimesScale) {
     serial_grads.push_back(w.grad().item());
   }
 
-  // Fused gradient with the scaling rule.
+  // Fused gradient under the per-model mean rule.
   ag::Variable wf(Tensor::full({B, 1, 1}, 0.7f), true);
   ag::Variable y = ag::mul(ag::constant(x), wf);
-  ag::Variable fused_loss = ag::mse_loss(y, t, ag::Reduction::kMean);
-  scale_fused_loss(fused_loss, B, ag::Reduction::kMean).backward();
+  ag::mul_scalar(ag::mse_loss(y, t, ag::Reduction::kSum),
+                 1.f / static_cast<float>(N))
+      .backward();
   for (int64_t b = 0; b < B; ++b)
-    EXPECT_NEAR(wf.grad().data()[b], serial_grads[static_cast<size_t>(b)],
-                1e-5f);
+    EXPECT_EQ(wf.grad().data()[b], serial_grads[static_cast<size_t>(b)]);
 
-  // Without scaling the gradients are 1/B of the serial ones (Eq. 2).
+  // The naive mean over all B*N samples under-scales every model's
+  // gradient by 1/B (Eq. 2).
   ag::Variable wf2(Tensor::full({B, 1, 1}, 0.7f), true);
   ag::Variable y2 = ag::mul(ag::constant(x), wf2);
   ag::mse_loss(y2, t, ag::Reduction::kMean).backward();
@@ -304,11 +307,9 @@ TEST(LossScaling, SumReductionNeedsNoScale) {
   }
   ag::Variable wf(Tensor::full({B, 1, 1}, -0.3f), true);
   ag::Variable y = ag::mul(ag::constant(x), wf);
-  ag::Variable fused_loss = ag::mse_loss(y, t, ag::Reduction::kSum);
-  scale_fused_loss(fused_loss, B, ag::Reduction::kSum).backward();
+  ag::mse_loss(y, t, ag::Reduction::kSum).backward();
   for (int64_t b = 0; b < B; ++b)
-    EXPECT_NEAR(wf.grad().data()[b], serial_grads[static_cast<size_t>(b)],
-                1e-4f);
+    EXPECT_EQ(wf.grad().data()[b], serial_grads[static_cast<size_t>(b)]);
 }
 
 TEST(LossScaling, FusedCrossEntropyMatchesPerModel) {
@@ -326,8 +327,9 @@ TEST(LossScaling, FusedCrossEntropyMatchesPerModel) {
     ag::cross_entropy(lb, labels.slice(0, b, b + 1).reshape({N}),
                       ag::Reduction::kMean)
         .backward();
-    Tensor gf = lf.grad().slice(0, b, b + 1).reshape({N, C});
-    EXPECT_LT(ops::max_abs_diff(gf, lb.grad()), 1e-5f);
+    tests::expect_same_bits(lb.grad(),
+                            lf.grad().slice(0, b, b + 1).reshape({N, C}),
+                            "model " + std::to_string(b));
   }
   // Per-model loss reporting matches direct computation.
   auto per = per_model_cross_entropy(logits, labels);
@@ -339,6 +341,28 @@ TEST(LossScaling, FusedCrossEntropyMatchesPerModel) {
     for (int64_t n = 0; n < N; ++n)
       acc -= lp.at({n, static_cast<int64_t>(labels.at({b, n}))});
     EXPECT_NEAR(per[static_cast<size_t>(b)], acc / N, 1e-5);
+  }
+}
+
+TEST(LossScaling, FusedBceWithLogitsMatchesPerModel) {
+  // B * N = 12 is not a power of two: float(1/12) * 3 and float(1/4) round
+  // apart, so only the per-model mean rule gives the serial gradients.
+  const int64_t B = 3, N = 4;
+  Rng rng(12);
+  Tensor logits = Tensor::randn({B, N}, rng);
+  Tensor targets({B, N});
+  for (int64_t i = 0; i < targets.numel(); ++i)
+    targets.data()[i] = static_cast<float>(rng.uniform_int(2));
+  ag::Variable lf(logits.clone(), true);
+  fused_bce_with_logits(lf, targets, ag::Reduction::kMean, B).backward();
+  for (int64_t b = 0; b < B; ++b) {
+    ag::Variable lb(logits.slice(0, b, b + 1).reshape({N}), true);
+    ag::bce_with_logits(lb, targets.slice(0, b, b + 1).reshape({N}),
+                        ag::Reduction::kMean)
+        .backward();
+    tests::expect_same_bits(lb.grad(),
+                            lf.grad().slice(0, b, b + 1).reshape({N}),
+                            "model " + std::to_string(b));
   }
 }
 

@@ -94,8 +94,7 @@ TEST(PointNetModel, FusedSegMatchesSerial) {
   std::vector<Tensor> xs;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<PointNetSeg>(cfg, rng));
-    hfta::fused::load_state(hfta::fused::state_map(fused), kB, b,
-                            *plain.back());
+    hfta::fused::load_model(fused, kB, b, *plain.back());
     xs.push_back(Tensor::randn({2, 3, cfg.num_points}, rng));
   }
   Tensor yf =
@@ -320,8 +319,7 @@ TEST(TransformerModel, FusedMatchesSerial) {
   std::vector<Tensor> toks;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<TransformerLM>(cfg, rng));
-    hfta::fused::load_state(hfta::fused::state_map(fused), kB, b,
-                            *plain.back());
+    hfta::fused::load_model(fused, kB, b, *plain.back());
     Tensor t({2, cfg.seq_len});
     for (int64_t i = 0; i < t.numel(); ++i)
       t.data()[i] = static_cast<float>(rng.uniform_int(cfg.vocab));
@@ -344,8 +342,7 @@ TEST(BertModel, FusedMatchesSerial) {
   std::vector<Tensor> toks;
   for (int64_t b = 0; b < kB; ++b) {
     plain.push_back(std::make_shared<BertModel>(cfg, rng));
-    hfta::fused::load_state(hfta::fused::state_map(fused), kB, b,
-                            *plain.back());
+    hfta::fused::load_model(fused, kB, b, *plain.back());
     Tensor t({2, cfg.seq_len});
     for (int64_t i = 0; i < t.numel(); ++i)
       t.data()[i] = static_cast<float>(rng.uniform_int(cfg.vocab));

@@ -21,10 +21,10 @@
 namespace hfta {
 namespace {
 
-// A quickstart-scale fused MLP array: B models of Linear-ReLU-Linear.
-struct FusedMlp : fused::FusedModule {
-  FusedMlp(int64_t B, int64_t in, int64_t hidden, int64_t classes, Rng& rng)
-      : fused::FusedModule(B) {
+// A quickstart-scale MLP, Linear-ReLU-Linear; built with array size B it is
+// the fused array of B of them.
+struct Mlp : nn::Module {
+  Mlp(int64_t in, int64_t hidden, int64_t classes, Rng& rng, int64_t B = 1) {
     fc1 = register_module(
         "fc1", std::make_shared<nn::Linear>(in, hidden, true, rng, B));
     fc2 = register_module(
@@ -51,7 +51,7 @@ RunResult train_fused_mlp(bool use_train_step, bool pool_on, int steps) {
   StoragePool::instance().trim();
   const int64_t B = 3, in = 8, hidden = 16, classes = 4, N = 8;
   Rng rng(42);
-  FusedMlp model(B, in, hidden, classes, rng);
+  Mlp model(in, hidden, classes, rng, B);
   fused::FusedAdam opt(fused::collect_fused_parameters(model, B), B,
                        {.lr = {1e-3, 3e-3, 1e-2}});
   Rng data_rng(7);
@@ -152,7 +152,7 @@ TEST(TrainEngine, SteadyStateStepsMakeZeroHeapAllocations) {
   StoragePool::instance().trim();
   const int64_t B = 3, in = 8, hidden = 16, classes = 4, N = 8;
   Rng rng(42);
-  FusedMlp model(B, in, hidden, classes, rng);
+  Mlp model(in, hidden, classes, rng, B);
   fused::FusedAdam opt(fused::collect_fused_parameters(model, B), B,
                        {.lr = {1e-3}});
   Rng data_rng(7);
