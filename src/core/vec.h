@@ -170,9 +170,8 @@ void sgd(const SgdArgs& s, float* p, const float* grad, float* buf /*nullable*/,
 
 /// True iff every g[i] * inv_scale is finite — the AMP overflow check as a
 /// READ-ONLY scan (grads stay scaled in memory; the optimizer folds 1/S via
-/// grad_scale). Same multiply as the in-place unscale, so the verdict is
-/// identical to LossScaler::unscale_finite's on every input, and it is a
-/// pure OR over elements: order- and backend-independent.
+/// grad_scale, the same multiply). The verdict is a pure OR over elements:
+/// order- and backend-independent.
 bool finite_scaled(const float* g, float inv_scale, int64_t n);
 
 // -- row reductions (fixed 8-lane strip + tree semantics) ---------------------

@@ -10,6 +10,7 @@
 #include "core/storage_pool.h"
 #include "data/loader.h"
 #include "hfta/fused_optim.h"
+#include "hfta/fused_sched.h"
 #include "hfta/fusion.h"
 #include "hfta/loss_scaling.h"
 #include "models/mobilenetv3.h"
@@ -84,6 +85,7 @@ struct FusedTrainingExecutor::Group {
   std::shared_ptr<nn::Module> tmpl;
   std::shared_ptr<fused::FusedArray> array;
   std::unique_ptr<fused::FusedAdam> opt;
+  std::unique_ptr<fused::FusedStepLR> sched;  // per-trial StepLR over opt
   std::unique_ptr<data::BatchSampler> sampler;
   int64_t epochs_trained = 0;
   bool ever_repacked = false;
@@ -216,16 +218,22 @@ std::unique_ptr<data::BatchSampler> FusedTrainingExecutor::make_sampler(
   return s;
 }
 
-std::unique_ptr<fused::FusedAdam> FusedTrainingExecutor::make_optimizer(
-    const Group& g) const {
+void FusedTrainingExecutor::make_optimizer(Group& g) const {
   const int64_t B = g.B();
-  return std::make_unique<fused::FusedAdam>(
+  g.opt = std::make_unique<fused::FusedAdam>(
       fused::collect_fused_parameters(*g.array, B), B,
       fused::FusedAdam::Options{g.hyper(space_, "lr"),
                                 g.hyper(space_, "adam_beta1"),
                                 g.hyper(space_, "adam_beta2"),
                                 {1e-8},
                                 g.hyper(space_, "weight_decay")});
+  // The decay periods are integers, so the scheduler's integer epoch
+  // division is exactly floor(epoch / period).
+  std::vector<int64_t> period;
+  for (double p : g.hyper(space_, "lr_decay_period"))
+    period.push_back(static_cast<int64_t>(p));
+  g.sched = std::make_unique<fused::FusedStepLR>(
+      *g.opt, std::move(period), g.hyper(space_, "lr_decay_factor"));
 }
 
 FusedTrainingExecutor::Group* FusedTrainingExecutor::repack_groups(
@@ -263,7 +271,7 @@ FusedTrainingExecutor::Group* FusedTrainingExecutor::repack_groups(
   merged->batch_size = groups_[gidx[0]]->batch_size;
   merged->tmpl = groups_[gidx[0]]->tmpl;
   merged->array = plan.repack_multi(arrays, rp, *merged->tmpl, rng_);
-  merged->opt = make_optimizer(*merged);
+  make_optimizer(*merged);
   merged->opt->repack_state_from(opt_srcs, rp);
   merged->epochs_trained = src_epochs;
   // Every source belongs to the same infusible partition and epoch count,
@@ -396,7 +404,7 @@ FusedTrainingExecutor::Group* FusedTrainingExecutor::find_or_create(
   fused::FusionOptions fopts;
   fopts.output_layout = fused::Layout::kModelMajor;
   g->array = fused::FusionPlan(B, fopts).compile(nets, rng_);
-  g->opt = make_optimizer(*g);
+  make_optimizer(*g);
   g->retired.assign(static_cast<size_t>(B), false);
   g->sampler = make_sampler(*g);
   if (opts_.verify_against_serial) {
@@ -431,19 +439,10 @@ void FusedTrainingExecutor::train(Group& g, int64_t delta_epochs,
   if (g.sampler == nullptr) g.sampler = make_sampler(g);
   const int64_t B = g.B();
   const int64_t N = g.batch_size;
-  const fused::HyperVec base_lr = g.hyper(space_, "lr");
-  const fused::HyperVec decay = g.hyper(space_, "lr_decay_factor");
-  const fused::HyperVec period = g.hyper(space_, "lr_decay_period");
   for (int64_t e = 0; e < delta_epochs; ++e) {
     // Per-trial StepLR, computed once in double and fed to both the fused
     // lr vector and the serial twins so the float paths are identical.
-    const int64_t epoch = g.epochs_trained + e;
-    fused::HyperVec lrs(static_cast<size_t>(B));
-    for (int64_t b = 0; b < B; ++b) {
-      const size_t ub = static_cast<size_t>(b);
-      const double k = std::floor(static_cast<double>(epoch) / period[ub]);
-      lrs[ub] = base_lr[ub] * std::pow(decay[ub], k);
-    }
+    const fused::HyperVec lrs = g.sched->lr_at(g.epochs_trained + e);
     g.opt->set_lr(lrs);
     for (size_t b = 0; b < g.serial_opts.size(); ++b)
       g.serial_opts[b]->set_lr({lrs[b]});

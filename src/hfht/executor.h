@@ -66,8 +66,8 @@ class SyntheticExecutor : public TrialExecutor {
 ///
 /// Each infusible partition (same batch size / structural params) compiles
 /// into one FusedArray via the planner; per-trial lr/beta1/beta2/weight
-/// decay ride in the FusedAdam's HyperVecs and the per-trial StepLR decay
-/// is applied epoch-wise to the lr vector. Scores come from per-model
+/// decay ride in the FusedAdam's HyperVecs, and a FusedStepLR over it
+/// applies each trial's StepLR decay epoch-wise. Scores come from per-model
 /// cross-entropy on a held-out batch, mapped to 1/(1+loss). Cost is priced
 /// by simulating the group's REAL kernel trace (the trial's batch size and
 /// widths) on the device model.
@@ -150,7 +150,8 @@ class FusedTrainingExecutor : public TrialExecutor {
   /// pure function of the infusible values, so a repack that finds every
   /// source sampler already moved can rebuild and fast-forward it).
   std::unique_ptr<data::BatchSampler> make_sampler(const Group& g) const;
-  std::unique_ptr<fused::FusedAdam> make_optimizer(const Group& g) const;
+  /// Builds the group's FusedAdam and its per-trial StepLR over it.
+  void make_optimizer(Group& g) const;
   void train(Group& g, int64_t delta_epochs, CostReport* cost);
   /// Drops the step programs keyed by a dying group's optimizers (they
   /// would otherwise pin the captured graph until LRU eviction).

@@ -5,6 +5,11 @@
 //
 // All fused parameters pack their B model blocks contiguously along dim 0
 // (FusedParam), so "broadcast over model b's slice" is a strided loop.
+// Optimizer state has the same layout: every state tensor is shaped like
+// its parameter, so model b's state is dim-0 block b. Each rule declares
+// its state families once (SGD: momentum; Adam: m, v; Adadelta:
+// square_avg, acc_delta) and the FusedOptimizer base owns them, which lets
+// one repack_state_from carry any rule's per-model state into a new array.
 //
 // Each update rule exists once, here, applied per model block. The serial
 // optimizers at the bottom of this file (nn::SGD / nn::Adam / nn::Adadelta)
@@ -13,7 +18,6 @@
 // by construction.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/vec.h"
@@ -25,14 +29,8 @@ namespace hfta::fused {
 /// Per-model hyper-parameter vector: size B, or size 1 (shared by all).
 using HyperVec = std::vector<double>;
 
-/// Selects entries of a size-B (or size-1, broadcast) hyper-vector for the
-/// surviving models of a repacked array: out[j] = v[keep[j]].
-HyperVec select_hyper(const HyperVec& v, const std::vector<int64_t>& keep);
-
 class FusedOptimizer : public nn::Optimizer {
  public:
-  FusedOptimizer(std::vector<FusedParam> params, int64_t array_size);
-
   int64_t array_size() const { return array_size_; }
   /// Per-model learning rates (always size B).
   const HyperVec& lr() const { return lr_; }
@@ -42,45 +40,41 @@ class FusedOptimizer : public nn::Optimizer {
 
   /// Carries optimizer state across a FusionPlan::repack_multi: this
   /// optimizer (freshly built over the repacked array's parameters, array
-  /// size = picks.size()) receives model picks[j].model's state slice
-  /// (momentum / Adam moments / step count) from sources[picks[j].source]
-  /// as its model-j slice, so every survivor's next step is bit-identical
-  /// to the step its source array would have taken. Parameters must align
-  /// index-wise across all sources (the planner emits steps — and
-  /// therefore fused parameters — in the same order for the same model
-  /// graph); all sources must be this concrete optimizer type and agree on
-  /// shared scalar state (Adam's step count).
-  virtual void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
-                                 const std::vector<RepackPick>& picks) = 0;
+  /// size = picks.size()) receives model picks[j].model's block of every
+  /// state tensor from sources[picks[j].source] as its model-j block, and
+  /// the sources' step count, so every survivor's next step is
+  /// bit-identical to the step its source array would have taken.
+  /// Parameters must align index-wise across all sources (the planner
+  /// emits steps — and therefore fused parameters — in the same order for
+  /// the same model graph). Every source must run this optimizer's update
+  /// rule and have taken as many steps (survivors of one rung trained
+  /// equally), and each state tensor must be defined in all sources or in
+  /// none.
+  void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
+                         const std::vector<RepackPick>& picks);
 
  protected:
-  /// Shared repack_state_from validation: array/param-count alignment,
-  /// per-model block sizes, pick ranges.
-  void check_repack(const std::vector<const FusedOptimizer*>& sources,
-                   const std::vector<RepackPick>& picks) const;
-  /// Gathers per-model blocks of one state tensor family across sources:
-  /// dst[i] model-j block = sources[picks[j].source]'s state_of() tensor i,
-  /// block picks[j].model. Defined-ness must agree across sources (all
-  /// lazily uninitialized -> dst stays undefined, preserving lazy-init
-  /// flags; mixed defined-ness is a step-count mismatch and rejected).
-  void gather_state(
-      const std::function<const std::vector<Tensor>&(const FusedOptimizer&)>&
-          state_of,
-      std::vector<Tensor>* dst_state,
-      const std::vector<const FusedOptimizer*>& sources,
-      const std::vector<RepackPick>& picks);
+  /// `rule` names the update rule (a repack's sources must share it);
+  /// `state` names its per-parameter state families, in the order state()
+  /// indexes them. Both are string literals.
+  FusedOptimizer(std::vector<FusedParam> params, int64_t array_size,
+                 const char* rule, std::vector<const char*> state);
+  /// State family f of parameter i, zero-filled on first use: a zero
+  /// buffer makes every rule's first step the plain first-step formula.
+  Tensor& state(size_t f, size_t i);
   /// Numel of one model's block of parameter i.
   int64_t per_model_numel(size_t i) const {
     return params_[i].numel() / array_size_;
-  }
-  /// Resolves v[b] for vectors of size B or 1.
-  static double at(const HyperVec& v, int64_t b) {
-    return v.size() == 1 ? v[0] : v[static_cast<size_t>(b)];
   }
   HyperVec expand(HyperVec v) const;
 
   int64_t array_size_;
   HyperVec lr_;
+
+ private:
+  const char* rule_;
+  std::vector<const char*> state_names_;
+  std::vector<std::vector<Tensor>> state_;  // [family][param], lazily defined
 };
 
 /// Fused SGD with per-model lr / momentum / weight decay.
@@ -92,13 +86,10 @@ class FusedSGD : public FusedOptimizer {
     HyperVec weight_decay = {0.0};
   };
   FusedSGD(std::vector<FusedParam> params, int64_t array_size, Options opt);
-  void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
-                         const std::vector<RepackPick>& picks) override;
 
  private:
   void step_impl(float grad_scale) override;
   HyperVec momentum_, weight_decay_;
-  std::vector<Tensor> momentum_buf_;
 };
 
 /// Fused Adam with per-model lr / beta1 / beta2 / eps / weight decay.
@@ -112,14 +103,10 @@ class FusedAdam : public FusedOptimizer {
     HyperVec weight_decay = {0.0};
   };
   FusedAdam(std::vector<FusedParam> params, int64_t array_size, Options opt);
-  void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
-                         const std::vector<RepackPick>& picks) override;
 
  private:
   void step_impl(float grad_scale) override;
   HyperVec beta1_, beta2_, eps_, weight_decay_;
-  std::vector<Tensor> m_, v_;
-  int64_t t_ = 0;
   std::vector<vec::AdamArgs> args_;  // per-model step constants
 };
 
@@ -134,13 +121,10 @@ class FusedAdadelta : public FusedOptimizer {
   };
   FusedAdadelta(std::vector<FusedParam> params, int64_t array_size,
                 Options opt);
-  void repack_state_from(const std::vector<const FusedOptimizer*>& sources,
-                         const std::vector<RepackPick>& picks) override;
 
  private:
   void step_impl(float grad_scale) override;
   HyperVec rho_, eps_, weight_decay_;
-  std::vector<Tensor> square_avg_, acc_delta_;
 };
 
 }  // namespace hfta::fused

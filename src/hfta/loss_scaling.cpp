@@ -1,33 +1,8 @@
 #include "hfta/loss_scaling.h"
 
-#include <atomic>
-#include <cmath>
-
-#include "core/parallel.h"
 #include "tensor/ops.h"
 
 namespace hfta::fused {
-
-bool LossScaler::unscale_finite(Tensor& grad, double inv_scale) {
-  const float inv = static_cast<float>(inv_scale);
-  float* p = grad.data();
-  const int64_t n = grad.numel();
-  // Chunks write disjoint elements; the overflow verdict is an OR, which is
-  // associative and commutative, so neither the partition nor the lane
-  // schedule can change any output bit. Relaxed ordering suffices — the
-  // parallel_for join publishes the flag.
-  std::atomic<bool> found_inf{false};
-  parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
-    bool local_inf = false;
-    for (int64_t i = lo; i < hi; ++i) {
-      const float v = p[i] * inv;
-      p[i] = v;
-      local_inf |= !std::isfinite(v);
-    }
-    if (local_inf) found_inf.store(true, std::memory_order_relaxed);
-  });
-  return !found_inf.load(std::memory_order_relaxed);
-}
 
 namespace {
 

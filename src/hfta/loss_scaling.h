@@ -13,12 +13,12 @@
 // part of the loss VALUE (a recorded mul_scalar op), while the AMP scale S
 // multiplies the backward seed — d(S*L)/dw == S * dL/dw, so seeding the
 // engine with S instead of 1 scales every gradient without touching the
-// printed loss. TrainStep unscales gradients (×1/S) before the optimizer
-// and skips the step when any gradient is non-finite. Scales are kept to
-// powers of two: scaling and unscaling are then exact exponent shifts, so
-// an AMP run with scale S produces bit-identical weights to the same AMP
-// run with scale 1 (absent overflow), and fused-vs-serial exactness
-// survives loss scaling.
+// printed loss. TrainStep skips the step when any gradient times 1/S is
+// non-finite; otherwise the optimizer folds 1/S into its gradient reads.
+// Scales are kept to powers of two: scaling and unscaling are then exact
+// exponent shifts, so an AMP run with scale S produces bit-identical
+// weights to the same AMP run with scale 1 (absent overflow), and
+// fused-vs-serial exactness survives loss scaling.
 #pragma once
 
 #include <cstdint>
@@ -66,13 +66,6 @@ class LossScaler {
       growth_streak_ = 0;
     }
   }
-
-  /// In-place grad *= inv_scale, returning false if any element is
-  /// non-finite (inf/nan). Allocation-free (writes through the existing
-  /// buffer) and order-independent (the verdict is an OR over elements),
-  /// so it is bit-identical at any thread count. Defined in the .cpp so it
-  /// can use the parallel runtime.
-  static bool unscale_finite(Tensor& grad, double inv_scale);
 
  private:
   Options opts_;

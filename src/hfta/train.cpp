@@ -183,8 +183,8 @@ Tensor TrainStep::backward_seed() {
 
 namespace {
 
-// Read-only finiteness scan of one gradient: the same 1/S multiply the old
-// in-place unscale performed, but only the verdict survives (the buffer is
+// Read-only finiteness scan of one gradient: the verdict on g * 1/S, the
+// multiply the optimizer folds into its gradient reads (the buffer is
 // untouched — zero_grad wipes it next iteration anyway). The verdict is an
 // OR over elements, so neither the partition nor the lane schedule can
 // change it.

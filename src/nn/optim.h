@@ -21,8 +21,12 @@ class Optimizer {
   /// buffers first — bit-identical (one f32 multiply either way), but
   /// gradients stay scaled in memory. grad_scale == 1 skips the multiply.
   void step(double grad_scale = 1.0) {
+    ++steps_;
     step_impl(static_cast<float>(grad_scale));
   }
+  /// step() calls so far: Adam's bias correction reads it, and a repack
+  /// carries it into the new array's optimizer.
+  int64_t steps() const { return steps_; }
   void zero_grad() {
     for (ag::Variable& p : params_) p.zero_grad();
   }
@@ -38,6 +42,7 @@ class Optimizer {
   virtual void step_impl(float grad_scale) = 0;
 
   std::vector<ag::Variable> params_;
+  int64_t steps_ = 0;
 };
 
 }  // namespace hfta::nn

@@ -128,22 +128,6 @@ TEST(LossScaler, GrowthBackoffAndInterval) {
   EXPECT_EQ(s.growth_streak(), 0);
 }
 
-TEST(LossScaler, UnscaleFiniteScalesInPlaceAndDetectsInfNan) {
-  Tensor g = Tensor::from_data({4}, {2.0f, -8.0f, 0.5f, 0.0f});
-  EXPECT_TRUE(fused::LossScaler::unscale_finite(g, 0.25));
-  const std::vector<float> v = g.to_vector();
-  EXPECT_EQ(v[0], 0.5f);
-  EXPECT_EQ(v[1], -2.0f);
-  EXPECT_EQ(v[2], 0.125f);
-  EXPECT_EQ(v[3], 0.0f);
-
-  Tensor bad = Tensor::from_data(
-      {3}, {1.0f, std::numeric_limits<float>::infinity(), 2.0f});
-  EXPECT_FALSE(fused::LossScaler::unscale_finite(bad, 0.5));
-  Tensor nan_grad = Tensor::from_data({2}, {std::nanf(""), 1.0f});
-  EXPECT_FALSE(fused::LossScaler::unscale_finite(nan_grad, 1.0));
-}
-
 // ---- autocast policy --------------------------------------------------------
 
 // f32 copy of `t` rounded elementwise to `dt` — the autocast definition of

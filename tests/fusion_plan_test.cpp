@@ -611,11 +611,7 @@ TEST(Repack, SurvivorsContinueBitExactlyAfterHalving) {
     for (int s = 0; s < steps; ++s) {
       o.zero_grad();
       ag::Variable logits = a.forward(ag::Variable(pack_channel_fused(xb)));
-      // (1/N) * sum-CE: backward scales rows by the exact float(1/N) the
-      // serial kMean loss uses — bit-exact for any B (see executor.cpp).
-      ag::mul_scalar(fused_cross_entropy(logits, lb, ag::Reduction::kSum),
-                     1.f / 5.f)
-          .backward();
+      fused_cross_entropy(logits, lb, ag::Reduction::kMean).backward();
       o.step();
     }
   };
@@ -639,7 +635,7 @@ TEST(Repack, SurvivorsContinueBitExactlyAfterHalving) {
   auto array2 = plan2.repack_multi({array.get()}, picks, *nets[0], rng);
   auto opt2 = std::make_unique<FusedAdam>(
       collect_fused_parameters(*array2, 2), 2,
-      FusedAdam::Options{.lr = select_hyper(lrs, keep)});
+      FusedAdam::Options{.lr = {lrs[2], lrs[0]}});
   opt2->repack_state_from({opt.get()}, picks);
 
   train_fused(*array2, *opt2, 2, 3);
@@ -654,23 +650,19 @@ TEST(Repack, SurvivorsContinueBitExactlyAfterHalving) {
   for (size_t j = 0; j < keep.size(); ++j) {
     const size_t b = static_cast<size_t>(keep[j]);
     Tensor yb = serial[b]->forward(ag::Variable(x)).value();
-    EXPECT_DOUBLE_EQ(
-        ops::max_abs_diff(
-            yf.slice(0, static_cast<int64_t>(j), static_cast<int64_t>(j) + 1)
-                .reshape(yb.shape()),
-            yb),
-        0.0)
-        << "survivor " << j;
+    expect_same_bits(
+        yb,
+        yf.slice(0, static_cast<int64_t>(j), static_cast<int64_t>(j) + 1)
+            .reshape(yb.shape()),
+        "survivor " + std::to_string(j));
     auto tree = nets[0]->clone();
     array2->store_model(static_cast<int64_t>(j), *tree);
     const auto got = tree->named_parameters();
     const auto want = serial[b]->named_parameters();
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i)
-      EXPECT_DOUBLE_EQ(
-          ops::max_abs_diff(got[i].second.value(), want[i].second.value()),
-          0.0)
-          << got[i].first;
+      expect_same_bits(want[i].second.value(), got[i].second.value(),
+                       got[i].first);
   }
 }
 
@@ -941,9 +933,7 @@ TEST(RepackMulti, SurvivorsFromTwoArraysMergeAndContinueBitExactly) {
     for (int s = 0; s < steps; ++s) {
       o.zero_grad();
       ag::Variable logits = a.forward(ag::Variable(pack_channel_fused(xb)));
-      ag::mul_scalar(fused_cross_entropy(logits, lb, ag::Reduction::kSum),
-                     1.f / 5.f)
-          .backward();
+      fused_cross_entropy(logits, lb, ag::Reduction::kMean).backward();
       o.step();
     }
   };
@@ -983,23 +973,19 @@ TEST(RepackMulti, SurvivorsFromTwoArraysMergeAndContinueBitExactly) {
   for (size_t j = 0; j < 2; ++j) {
     const size_t b = survivors[j];
     Tensor yb = serial[b]->forward(ag::Variable(x)).value();
-    EXPECT_DOUBLE_EQ(
-        ops::max_abs_diff(
-            yf.slice(0, static_cast<int64_t>(j), static_cast<int64_t>(j) + 1)
-                .reshape(yb.shape()),
-            yb),
-        0.0)
-        << "survivor " << j;
+    expect_same_bits(
+        yb,
+        yf.slice(0, static_cast<int64_t>(j), static_cast<int64_t>(j) + 1)
+            .reshape(yb.shape()),
+        "survivor " + std::to_string(j));
     auto tree = nets[0]->clone();
     merged->store_model(static_cast<int64_t>(j), *tree);
     const auto got = tree->named_parameters();
     const auto want = serial[b]->named_parameters();
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i)
-      EXPECT_DOUBLE_EQ(
-          ops::max_abs_diff(got[i].second.value(), want[i].second.value()),
-          0.0)
-          << got[i].first;
+      expect_same_bits(want[i].second.value(), got[i].second.value(),
+                       got[i].first);
   }
 }
 
@@ -1024,9 +1010,7 @@ TEST(RepackMulti, AdamRejectsSourcesWithMismatchedStepCounts) {
     o.zero_grad();
     ag::Variable logits =
         a.forward(ag::Variable(pack_channel_fused({x, x})));
-    ag::mul_scalar(fused_cross_entropy(logits, lb, ag::Reduction::kSum),
-                   1.f / 3.f)
-        .backward();
+    fused_cross_entropy(logits, lb, ag::Reduction::kMean).backward();
     o.step();
   };
   step(*arrayA, *optA);
@@ -1042,6 +1026,208 @@ TEST(RepackMulti, AdamRejectsSourcesWithMismatchedStepCounts) {
                               std::vector<RepackPick>{{0, 0}, {1, 1}}),
       Error);
 }
+
+// ---- optimizer-state repack, every update rule ------------------------------
+
+// One update rule, as a fused optimizer over B models and as the serial
+// optimizer of one model. SGD runs with momentum so that it has state to
+// carry.
+struct RepackRule {
+  std::string name;
+  double base_lr;
+  std::function<std::unique_ptr<FusedOptimizer>(std::vector<FusedParam>,
+                                                int64_t, HyperVec)>
+      fused;
+  std::function<std::unique_ptr<FusedOptimizer>(std::vector<ag::Variable>,
+                                                double)>
+      serial;
+};
+
+void PrintTo(const RepackRule& rule, std::ostream* os) { *os << rule.name; }
+
+std::vector<RepackRule> repack_rules() {
+  return {
+      {"SGD", 0.05,
+       [](std::vector<FusedParam> p, int64_t B, HyperVec lr)
+           -> std::unique_ptr<FusedOptimizer> {
+         return std::make_unique<FusedSGD>(
+             std::move(p), B,
+             FusedSGD::Options{.lr = std::move(lr), .momentum = {0.9}});
+       },
+       [](std::vector<ag::Variable> p,
+          double lr) -> std::unique_ptr<FusedOptimizer> {
+         return std::make_unique<nn::SGD>(
+             std::move(p), nn::SGD::Options{.lr = lr, .momentum = 0.9});
+       }},
+      {"Adam", 1e-2,
+       [](std::vector<FusedParam> p, int64_t B, HyperVec lr)
+           -> std::unique_ptr<FusedOptimizer> {
+         return std::make_unique<FusedAdam>(
+             std::move(p), B, FusedAdam::Options{.lr = std::move(lr)});
+       },
+       [](std::vector<ag::Variable> p,
+          double lr) -> std::unique_ptr<FusedOptimizer> {
+         return std::make_unique<nn::Adam>(std::move(p),
+                                           nn::Adam::Options{.lr = lr});
+       }},
+      {"Adadelta", 1.0,
+       [](std::vector<FusedParam> p, int64_t B, HyperVec lr)
+           -> std::unique_ptr<FusedOptimizer> {
+         return std::make_unique<FusedAdadelta>(
+             std::move(p), B, FusedAdadelta::Options{.lr = std::move(lr)});
+       },
+       [](std::vector<ag::Variable> p,
+          double lr) -> std::unique_ptr<FusedOptimizer> {
+         return std::make_unique<nn::Adadelta>(
+             std::move(p), nn::Adadelta::Options{.lr = lr});
+       }},
+  };
+}
+
+class RepackState : public ::testing::TestWithParam<RepackRule> {
+ protected:
+  // One training step of a fused array on the shared batch: the fused
+  // per-model-mean CE, so each model's gradient equals its serial twin's.
+  void step(FusedArray& a, FusedOptimizer& o) {
+    const int64_t B = o.array_size();
+    Tensor lb({B, 5});
+    for (int64_t b = 0; b < B; ++b)
+      for (int64_t n = 0; n < 5; ++n) lb.at({b, n}) = y_.at({n});
+    o.zero_grad();
+    ag::Variable logits = a.forward(ag::Variable(
+        pack_channel_fused(std::vector<Tensor>(static_cast<size_t>(B), x_))));
+    fused_cross_entropy(logits, lb, ag::Reduction::kMean).backward();
+    o.step();
+  }
+  void step(nn::Module& net, FusedOptimizer& o) {
+    o.zero_grad();
+    ag::cross_entropy(net.forward(ag::Variable(x_)), y_, ag::Reduction::kMean)
+        .backward();
+    o.step();
+  }
+  std::unique_ptr<FusedOptimizer> fused(const RepackRule& rule,
+                                        FusedArray& a, HyperVec lr) {
+    const int64_t B = static_cast<int64_t>(lr.size());
+    return rule.fused(collect_fused_parameters(a, B), B, std::move(lr));
+  }
+
+  Rng rng_{53};
+  Tensor x_ = Tensor::randn({5, 6}, rng_);
+  Tensor y_ = Tensor::from_data({5}, {0.f, 3.f, 1.f, 2.f, 1.f});
+  FusionOptions opts_ = [] {
+    FusionOptions o;
+    o.output_layout = Layout::kModelMajor;
+    return o;
+  }();
+};
+
+// The chunked-rung merge for every rule: two B = 3 arrays train, three
+// survivors from both merge into one array through repack_multi and
+// repack_state_from, and the merged array keeps training bit-exactly
+// against the six serial twins.
+TEST_P(RepackState, SurvivorsOfTwoArraysContinueBitExactly) {
+  const RepackRule& rule = GetParam();
+  std::vector<std::shared_ptr<nn::Module>> nets, serial;
+  std::vector<std::unique_ptr<FusedOptimizer>> serial_opts;
+  HyperVec lrs;
+  for (size_t b = 0; b < 6; ++b) {
+    lrs.push_back(rule.base_lr * static_cast<double>(b + 1) / 6.0);
+    nets.push_back(mlp(6, 10, 4, rng_));
+    serial.push_back(nets.back()->clone());
+    serial_opts.push_back(rule.serial(serial.back()->parameters(), lrs[b]));
+  }
+  auto arrayA =
+      FusionPlan(kB, opts_).compile({nets[0], nets[1], nets[2]}, rng_);
+  auto arrayB =
+      FusionPlan(kB, opts_).compile({nets[3], nets[4], nets[5]}, rng_);
+  auto optA = fused(rule, *arrayA, {lrs[0], lrs[1], lrs[2]});
+  auto optB = fused(rule, *arrayB, {lrs[3], lrs[4], lrs[5]});
+  for (int s = 0; s < 4; ++s) {
+    step(*arrayA, *optA);
+    step(*arrayB, *optB);
+    for (size_t b = 0; b < 6; ++b) step(*serial[b], *serial_opts[b]);
+  }
+
+  // Survivors: models 2 and 1 of array B around model 0 of array A.
+  const std::vector<RepackPick> picks = {{1, 2}, {0, 0}, {1, 1}};
+  const size_t survivors[3] = {5, 0, 4};
+  auto merged = FusionPlan(kB, opts_).repack_multi(
+      {arrayA.get(), arrayB.get()}, picks, *nets[0], rng_);
+  auto opt2 = fused(rule, *merged, {lrs[5], lrs[0], lrs[4]});
+  opt2->repack_state_from({optA.get(), optB.get()}, picks);
+  EXPECT_EQ(opt2->steps(), 4);
+
+  for (int s = 0; s < 3; ++s) {
+    step(*merged, *opt2);
+    for (size_t b : survivors) step(*serial[b], *serial_opts[b]);
+  }
+  for (size_t j = 0; j < 3; ++j) {
+    auto tree = nets[0]->clone();
+    merged->store_model(static_cast<int64_t>(j), *tree);
+    const auto got = tree->named_parameters();
+    const auto want = serial[survivors[j]]->named_parameters();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+      expect_same_bits(want[i].second.value(), got[i].second.value(),
+                       "survivor " + std::to_string(j) + " " + got[i].first);
+  }
+}
+
+// Sources that cannot merge are rejected: another update rule, unequal step
+// counts, and state defined in one source but not in the other.
+TEST_P(RepackState, RejectsSourcesThatCannotMerge) {
+  const RepackRule& rule = GetParam();
+  std::vector<std::shared_ptr<nn::Module>> netsA, netsB;
+  for (int64_t b = 0; b < 2; ++b) {
+    netsA.push_back(mlp(6, 10, 4, rng_));
+    netsB.push_back(mlp(6, 10, 4, rng_));
+  }
+  auto arrayA = FusionPlan(2, opts_).compile(netsA, rng_);
+  auto arrayB = FusionPlan(2, opts_).compile(netsB, rng_);
+  const HyperVec lr = {rule.base_lr};
+  const std::vector<RepackPick> picks = {{0, 0}, {1, 1}};
+  auto merged = FusionPlan(2, opts_).repack_multi(
+      {arrayA.get(), arrayB.get()}, picks, *netsA[0], rng_);
+  auto expect_rejected = [&](const FusedOptimizer& a, const FusedOptimizer& b,
+                             const std::string& why) {
+    auto dst = fused(rule, *merged, {lr[0], lr[0]});
+    try {
+      dst->repack_state_from({&a, &b}, picks);
+      FAIL() << "expected a repack error: " << why;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+
+  auto optA = fused(rule, *arrayA, {lr[0], lr[0]});
+  step(*arrayA, *optA);
+  for (const RepackRule& other : repack_rules()) {
+    if (other.name == rule.name) continue;
+    auto optB = fused(other, *arrayB, {other.base_lr, other.base_lr});
+    step(*arrayB, *optB);
+    expect_rejected(*optA, *optB, "source runs " + other.name);
+  }
+
+  auto ahead = fused(rule, *arrayB, {lr[0], lr[0]});
+  step(*arrayB, *ahead);
+  step(*arrayB, *ahead);
+  expect_rejected(*optA, *ahead, "step count");
+
+  // A step without gradients counts but leaves every state lazy.
+  auto fresh = FusionPlan(2, opts_).compile(netsB, rng_);
+  auto lazy = fused(rule, *fresh, {lr[0], lr[0]});
+  lazy->zero_grad();
+  lazy->step();
+  ASSERT_EQ(lazy->steps(), optA->steps());
+  expect_rejected(*optA, *lazy, "defined in some sources only");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRule, RepackState, ::testing::ValuesIn(repack_rules()),
+    [](const ::testing::TestParamInfo<RepackRule>& info) {
+      return info.param.name;
+    });
 
 TEST(FusionPlan, DescribeListsUnitsAndLayouts) {
   Rng rng(15);

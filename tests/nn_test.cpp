@@ -15,7 +15,6 @@
 #include "hfta/train.h"
 #include "models/transformer.h"
 #include "nn/layers.h"
-#include "nn/losses.h"
 #include "nn/norm.h"
 #include "nn/optim.h"
 #include "tensor/ops.h"
