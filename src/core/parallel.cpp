@@ -15,6 +15,8 @@ constexpr int kMaxThreads = 64;
 
 thread_local bool in_parallel_region = false;
 
+std::atomic<int64_t> launches{0};
+
 // One launch in flight. Lives on parallel_for's stack; the pool waits for
 // every participant to leave before returning, so the pointer never dangles.
 struct Job {
@@ -162,8 +164,13 @@ void parallel_for(const Partition& p,
     fn(p.begin, p.end);
     return;
   }
+  launches.fetch_add(1, std::memory_order_relaxed);
   Job job{&fn, p.begin, p.end, p.chunk, nchunks};
   pool().run(job);
+}
+
+int64_t parallel_launches() {
+  return launches.load(std::memory_order_relaxed);
 }
 
 }  // namespace hfta

@@ -1,10 +1,16 @@
 // Shared thread pool + deterministic parallel_for used by the tensor kernels.
 //
-// Kernels do not guess a `grain` anymore. They build a Partition — a chunked
-// view of an index range whose boundaries are a PURE FUNCTION of the problem
-// size (never of the worker count) — and launch it:
+// Kernels do not guess a `grain`. They state the work of one index and build
+// a Partition — a chunked view of an index range whose boundaries are a PURE
+// FUNCTION of the problem size (never of the worker count) — and launch it:
 //
-//   parallel_for(Partition::rows(m), [&](int64_t lo, int64_t hi) { ... });
+//   parallel_for(Partition::work(rows, cols), [&](int64_t lo, int64_t hi) {
+//     ...
+//   });
+//
+// A chunk carries at least Partition::kWorkFloor units of that work, so a
+// problem whose whole work is under the floor is one chunk and runs inline:
+// a launch costs microseconds, and it has to pay for itself.
 //
 // Workers claim whole chunks from an atomic cursor, so scheduling is dynamic
 // but the *work decomposition* is fixed: the same problem always splits at
@@ -34,9 +40,9 @@
 namespace hfta {
 
 /// A fixed decomposition of [begin, end) into equal-width chunks. The chunk
-/// width depends only on the range and the requested minimum work per chunk
-/// — NOT on the number of worker threads — so two runs over the same problem
-/// always see the same boundaries.
+/// width depends only on the range and the work per index — NOT on the
+/// number of worker threads — so two runs over the same problem always see
+/// the same boundaries.
 struct Partition {
   int64_t begin = 0;
   int64_t end = 0;
@@ -47,19 +53,33 @@ struct Partition {
   /// while keeping per-launch cursor traffic trivial.
   static constexpr int64_t kTargetChunks = 32;
 
+  /// Least work one chunk carries, in the units its call site states: one
+  /// element visited by one pass, or one vector FMA in the GEMM. Below it a
+  /// launch costs more than it saves, so a partition whose whole work is
+  /// under it is one chunk.
+  static constexpr int64_t kWorkFloor = int64_t{1} << 14;
+
   int64_t range() const { return end - begin; }
   int64_t num_chunks() const {
     const int64_t n = range();
     return n <= 0 ? 0 : (n + chunk - 1) / chunk;
   }
 
-  /// Decomposition for coarse units of work (GEMM rows, batch entries,
-  /// pooling planes): any unit may stand alone in a chunk.
-  static Partition rows(int64_t n) { return range(0, n, 1); }
+  /// Decomposition of [0, n) where one index costs `per_index` units of
+  /// work: each chunk holds at least kWorkFloor units, at most
+  /// kTargetChunks chunks.
+  static Partition work(int64_t n, int64_t per_index) {
+    if (per_index < 1) per_index = 1;
+    return range(0, n, (kWorkFloor + per_index - 1) / per_index);
+  }
 
-  /// Decomposition for fine elementwise work: chunks hold at least ~16k
-  /// elements so the launch overhead never dominates.
-  static Partition elems(int64_t n) { return range(0, n, int64_t{1} << 14); }
+  /// Units that each carry a launch's worth of work on their own (conv
+  /// samples and groups, bmm batches, pooling planes): any unit may stand
+  /// alone in a chunk.
+  static Partition rows(int64_t n) { return work(n, kWorkFloor); }
+
+  /// Elementwise work: one unit per element.
+  static Partition elems(int64_t n) { return work(n, 1); }
 
   /// General form: chunks of at least `min_per_chunk` indices, at most
   /// kTargetChunks chunks.
@@ -91,5 +111,9 @@ void set_num_threads(int n);
 /// only one lane is configured, or the caller is already inside a
 /// parallel_for.
 void parallel_for(const Partition& p, FunctionRef<void(int64_t, int64_t)> fn);
+
+/// Launches that reached the thread pool since the process started (one
+/// relaxed atomic increment each); inline runs are not counted.
+int64_t parallel_launches();
 
 }  // namespace hfta

@@ -18,11 +18,13 @@
 // scalar otherwise. All entry points take plain pointers, so no vector types
 // cross the TU boundary.
 //
-// Threading: vec::gemm launches its own parallel_for over row blocks (and
-// therefore must NOT be called from inside a parallel body without passing
-// `scratch` — see GemmArgs). All other kernels are range-based and
-// single-threaded by design: callers keep their own Partition loops and call
-// these on [lo, hi) slices, preserving the existing chunk decompositions.
+// Threading: vec::gemm runs each k panel's row blocks through one
+// parallel_for, stating a block's work as kMR·kc·n / kLanes vector FMAs, so
+// a GEMM whose blocks sum to less than Partition::kWorkFloor runs inline on
+// the calling thread. It must NOT be called from inside a parallel body
+// without passing `scratch` — see GemmArgs. All other kernels are
+// range-based and single-threaded by design: callers keep their own
+// Partition loops and call these on [lo, hi) slices.
 #pragma once
 
 #include <cstdint>

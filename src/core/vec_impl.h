@@ -340,7 +340,9 @@ struct Kern {
       const int64_t kc = std::min<int64_t>(kcp, k - k0);
       pack_b_dispatch(g, ldb, k0, kc, pb);
       const bool first = (k0 == 0);
-      parallel_for(Partition::rows(mb), [&](int64_t lo, int64_t hi) {
+      // One row block is kMR x kc x n FMAs, kLanes to a vector FMA.
+      parallel_for(Partition::work(mb, kMR * kc * n / kLanes),
+                   [&](int64_t lo, int64_t hi) {
         for (int64_t ib = lo; ib < hi; ++ib) {
           const int64_t i0 = ib * kMR;
           const int64_t ir = std::min<int64_t>(kMR, m - i0);

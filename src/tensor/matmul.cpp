@@ -303,7 +303,7 @@ namespace {
 // any result bit.
 void add_bias_rows(float* y, const float* bias, int64_t rows, int64_t cols,
                    int64_t per_bias) {
-  parallel_for(Partition::rows(rows), [&](int64_t lo, int64_t hi) {
+  parallel_for(Partition::work(rows, cols), [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r)
       vec::binary(vec::BinOp::kAdd, y + r * cols, bias + (r / per_bias) * cols,
                   y + r * cols, cols);

@@ -289,7 +289,8 @@ Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim,
       for (int64_t i = dprev < 0 ? d0 + 1 : dprev + 1; i < nd; ++i)
         inner *= a.size(i);
       if (inner > 1) {
-        parallel_for(Partition::rows(outer), [&](int64_t lo, int64_t hi) {
+        parallel_for(Partition::work(outer, red_count * inner),
+                     [&](int64_t lo, int64_t hi) {
           for (int64_t o = lo; o < hi; ++o)
             vec::col_sum(pa + o * red_count * inner, po + o * inner, red_count,
                          inner, /*accumulate=*/false);
@@ -302,7 +303,7 @@ Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim,
   // chain that visits its inputs in ascending flat order — the same order
   // the old serial flat walk used — so no chain is ever split and the
   // result is bit-identical at every thread count.
-  parallel_for(Partition::rows(out_n), [&](int64_t lo, int64_t hi) {
+  parallel_for(Partition::work(out_n, red_count), [&](int64_t lo, int64_t hi) {
     const size_t nk = kept_size.size();
     const size_t nr = red_size.size();
     for (int64_t of = lo; of < hi; ++of) {
@@ -504,7 +505,8 @@ Tensor stack_repeat(const Tensor& t, int64_t reps) {
 
 namespace {
 // Applies fn(off, n, st) over the rows of a's [outer, n, inner] view along
-// dim: row element i sits at flat offset off + i * st (st == inner).
+// dim: row element i sits at flat offset off + i * st (st == inner). The row
+// bodies visit each element in up to three passes (max, exp-sum, scale).
 template <typename Fn>
 void rowwise(const Tensor& a, int64_t dim, Fn fn) {
   const int64_t nd = a.dim();
@@ -512,7 +514,7 @@ void rowwise(const Tensor& a, int64_t dim, Fn fn) {
   const int64_t n = a.size(dim);
   for (int64_t i = 0; i < dim; ++i) outer *= a.size(i);
   for (int64_t i = dim + 1; i < nd; ++i) inner *= a.size(i);
-  parallel_for(Partition::range(0, outer * inner, 64),
+  parallel_for(Partition::work(outer * inner, 3 * n),
                [&](int64_t lo, int64_t hi) {
     for (int64_t oi = lo; oi < hi; ++oi) {
       const int64_t o = oi / inner;
@@ -651,7 +653,10 @@ Tensor batch_norm_forward(const Tensor& x, const Tensor& weight,
   float* pm = mean.data();
   float* pv = var.data();
   float* py = y.data();
-  parallel_for(Partition::rows(cv.C), [&](int64_t lo, int64_t hi) {
+  // Training makes three passes over a channel (sum, variance, y), eval one.
+  const int64_t passes = training ? 3 : 1;
+  parallel_for(Partition::work(cv.C, passes * cv.N * cv.S),
+               [&](int64_t lo, int64_t hi) {
     for (int64_t c = lo; c < hi; ++c) {
       if (training) {
         float s1 = 0.f;
@@ -702,8 +707,9 @@ NormGrads batch_norm_backward(const Tensor& gy, const Tensor& x,
   // v, sum(d * d), d * d, the first d, the second d, m, sum(x). Every
   // "0.f +" below is the engine's first write of a gradient (x + 0) (or
   // sum's add(zeros, g) broadcast), every sum a chain from +0 in (n, s)
-  // order.
-  parallel_for(Partition::rows(cv.C), [&](int64_t lo, int64_t hi) {
+  // order. Three passes over each channel.
+  parallel_for(Partition::work(cv.C, 3 * cv.N * cv.S),
+               [&](int64_t lo, int64_t hi) {
     for (int64_t c = lo; c < hi; ++c) {
       const float m = pm[c];
       const float a = pv[c] + eps;
@@ -796,7 +802,8 @@ Tensor layer_norm_forward(const Tensor& x, const Tensor& weight,
   float* pm = mean.data();
   float* pv = var.data();
   float* py = y.data();
-  parallel_for(Partition::rows(rg.rows), [&](int64_t lo, int64_t hi) {
+  // Three passes over each row (sum, variance, y).
+  parallel_for(Partition::work(rg.rows, 3 * E), [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
       const float* xr = px + r * E;
       float s1 = 0.f;
@@ -849,8 +856,9 @@ NormGrads layer_norm_backward(const Tensor& gy, const Tensor& x,
   // sum(c * c), c * c, c, m, sum(x). c collects three contributions (from
   // xhat, then twice from c * c) and x two (from c, then from sum(x)).
   // Every "0.f +" is the engine's first write of a gradient (x + 0) (or
-  // sum's add(zeros, g) broadcast), every row sum a chain from +0.
-  parallel_for(Partition::rows(rg.rows), [&](int64_t lo, int64_t hi) {
+  // sum's add(zeros, g) broadcast), every row sum a chain from +0. Three
+  // passes over each row.
+  parallel_for(Partition::work(rg.rows, 3 * E), [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
       const float* gr = pg + r * E;
       const float* xr = px + r * E;
@@ -884,7 +892,7 @@ NormGrads layer_norm_backward(const Tensor& gy, const Tensor& x,
   });
   // weight/bias: per group and column, one ascending-row chain from +0 (the
   // order of reduce_to_shape's col_sum) over gy and (0 + gy) * xhat.
-  parallel_for(Partition::rows(rg.G), [&](int64_t lo, int64_t hi) {
+  parallel_for(Partition::work(rg.G, rg.per * E), [&](int64_t lo, int64_t hi) {
     for (int64_t gi = lo; gi < hi; ++gi) {
       float* gw = pgw + gi * E;
       float* gb = pgb + gi * E;
@@ -969,8 +977,10 @@ Tensor embedding_backward(const Tensor& grad_out, const Tensor& indices,
   }
   // Vocab-row-parallel scatter: each chunk owns rows [lo, hi) and scans the
   // whole index list, so no two chunks write the same row and every row's
-  // adds happen in ascending i — the exact serial chain.
-  parallel_for(Partition::rows(vocab), [&](int64_t lo, int64_t hi) {
+  // adds happen in ascending i — the exact serial chain. A row's work is its
+  // share of the n x E adds.
+  parallel_for(Partition::work(vocab, n * E / std::max<int64_t>(vocab, 1)),
+               [&](int64_t lo, int64_t hi) {
     for (int64_t i = 0; i < n; ++i) {
       const int64_t v = embedding_row(pi, i, per_run, block_vocab, groups);
       if (v < lo || v >= hi) continue;

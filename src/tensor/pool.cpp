@@ -211,7 +211,7 @@ std::pair<Tensor, Tensor> max_pool1d_global(const Tensor& x,
   const float* px = x.data();
   float* py = y.data();
   float* pi = idx.data();
-  parallel_for(Partition::range(0, N * C, 64), [&](int64_t lo, int64_t hi) {
+  parallel_for(Partition::work(N * C, L), [&](int64_t lo, int64_t hi) {
     for (int64_t nc = lo; nc < hi; ++nc) {
       const float* row = px + nc * L;
       float best = row[0];
@@ -237,7 +237,7 @@ Tensor max_pool1d_global_backward(const Tensor& gy, const Tensor& indices,
   const float* pi = indices.data();
   float* px = gx.data();
   // One scatter write per [nc] row — rows never alias across chunks.
-  parallel_for(Partition::range(0, NC, 64), [&](int64_t lo, int64_t hi) {
+  parallel_for(Partition::work(NC, 1), [&](int64_t lo, int64_t hi) {
     for (int64_t nc = lo; nc < hi; ++nc)
       px[nc * L + static_cast<int64_t>(pi[nc])] += pg[nc];
   });

@@ -896,137 +896,6 @@ TEST(ArrayState, IncompleteArrayStateFailsTheCompile) {
   }
 }
 
-TEST(RepackMulti, SurvivorsFromTwoArraysMergeAndContinueBitExactly) {
-  Rng rng(41);
-  // Six independent serial trainings; the fused side trains them as TWO
-  // B=3 arrays (the chunked-rung case), then merges one survivor of each
-  // into a single B=2 array that must continue bit-exactly.
-  std::vector<std::shared_ptr<nn::Module>> nets;
-  std::vector<std::shared_ptr<nn::Module>> serial;
-  std::vector<std::unique_ptr<nn::Adam>> serial_opts;
-  const HyperVec lrs = {1e-2, 2e-2, 3e-2, 4e-3, 5e-3, 6e-3};
-  for (size_t b = 0; b < 6; ++b) {
-    nets.push_back(mlp(6, 10, 4, rng));
-    serial.push_back(nets.back()->clone());
-    serial_opts.push_back(std::make_unique<nn::Adam>(
-        serial.back()->parameters(), nn::Adam::Options{.lr = lrs[b]}));
-  }
-  FusionOptions opts;
-  opts.output_layout = Layout::kModelMajor;
-  auto arrayA = FusionPlan(kB, opts).compile(
-      {nets[0], nets[1], nets[2]}, rng);
-  auto arrayB = FusionPlan(kB, opts).compile(
-      {nets[3], nets[4], nets[5]}, rng);
-  auto optA = std::make_unique<FusedAdam>(
-      collect_fused_parameters(*arrayA, kB), kB,
-      FusedAdam::Options{.lr = {lrs[0], lrs[1], lrs[2]}});
-  auto optB = std::make_unique<FusedAdam>(
-      collect_fused_parameters(*arrayB, kB), kB,
-      FusedAdam::Options{.lr = {lrs[3], lrs[4], lrs[5]}});
-
-  Tensor x = Tensor::randn({5, 6}, rng);
-  Tensor y({5});  // class-0 labels
-  auto train_fused = [&](FusedArray& a, FusedOptimizer& o, int64_t B,
-                         int steps) {
-    std::vector<Tensor> xb(static_cast<size_t>(B), x);
-    Tensor lb({B, 5});
-    for (int s = 0; s < steps; ++s) {
-      o.zero_grad();
-      ag::Variable logits = a.forward(ag::Variable(pack_channel_fused(xb)));
-      fused_cross_entropy(logits, lb, ag::Reduction::kMean).backward();
-      o.step();
-    }
-  };
-  auto train_serial = [&](size_t b, int steps) {
-    for (int s = 0; s < steps; ++s) {
-      serial_opts[b]->zero_grad();
-      ag::cross_entropy(serial[b]->forward(ag::Variable(x)), y,
-                        ag::Reduction::kMean)
-          .backward();
-      serial_opts[b]->step();
-    }
-  };
-
-  train_fused(*arrayA, *optA, kB, 4);
-  train_fused(*arrayB, *optB, kB, 4);
-  for (size_t b = 0; b < 6; ++b) train_serial(b, 4);
-
-  // Survivors: model 1 of array A and model 2 of array B.
-  const std::vector<RepackPick> picks = {{0, 1}, {1, 2}};
-  const FusionPlan plan2(2, opts);
-  auto merged = plan2.repack_multi({arrayA.get(), arrayB.get()}, picks,
-                                   *nets[0], rng);
-  auto opt2 = std::make_unique<FusedAdam>(
-      collect_fused_parameters(*merged, 2), 2,
-      FusedAdam::Options{.lr = {lrs[1], lrs[5]}});
-  opt2->repack_state_from({optA.get(), optB.get()}, picks);
-
-  train_fused(*merged, *opt2, 2, 3);
-  train_serial(1, 3);
-  train_serial(5, 3);
-
-  const size_t survivors[2] = {1, 5};
-  Tensor yf = merged
-                  ->forward(ag::Variable(
-                      pack_channel_fused(std::vector<Tensor>(2, x))))
-                  .value();
-  for (size_t j = 0; j < 2; ++j) {
-    const size_t b = survivors[j];
-    Tensor yb = serial[b]->forward(ag::Variable(x)).value();
-    expect_same_bits(
-        yb,
-        yf.slice(0, static_cast<int64_t>(j), static_cast<int64_t>(j) + 1)
-            .reshape(yb.shape()),
-        "survivor " + std::to_string(j));
-    auto tree = nets[0]->clone();
-    merged->store_model(static_cast<int64_t>(j), *tree);
-    const auto got = tree->named_parameters();
-    const auto want = serial[b]->named_parameters();
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i)
-      expect_same_bits(want[i].second.value(), got[i].second.value(),
-                       got[i].first);
-  }
-}
-
-TEST(RepackMulti, AdamRejectsSourcesWithMismatchedStepCounts) {
-  Rng rng(43);
-  std::vector<std::shared_ptr<nn::Module>> netsA, netsB;
-  for (int64_t b = 0; b < 2; ++b) {
-    netsA.push_back(mlp(4, 6, 2, rng));
-    netsB.push_back(mlp(4, 6, 2, rng));
-  }
-  FusionOptions opts;
-  opts.output_layout = Layout::kModelMajor;
-  auto arrayA = FusionPlan(2, opts).compile(netsA, rng);
-  auto arrayB = FusionPlan(2, opts).compile(netsB, rng);
-  auto optA = std::make_unique<FusedAdam>(
-      collect_fused_parameters(*arrayA, 2), 2, FusedAdam::Options{});
-  auto optB = std::make_unique<FusedAdam>(
-      collect_fused_parameters(*arrayB, 2), 2, FusedAdam::Options{});
-  Tensor x = Tensor::randn({3, 4}, rng);
-  Tensor lb({2, 3});
-  auto step = [&](FusedArray& a, FusedAdam& o) {
-    o.zero_grad();
-    ag::Variable logits =
-        a.forward(ag::Variable(pack_channel_fused({x, x})));
-    fused_cross_entropy(logits, lb, ag::Reduction::kMean).backward();
-    o.step();
-  };
-  step(*arrayA, *optA);
-  step(*arrayB, *optB);
-  step(*arrayB, *optB);  // B is one step ahead of A
-
-  auto merged = FusionPlan(2, opts).repack_multi(
-      {arrayA.get(), arrayB.get()}, {{0, 0}, {1, 1}}, *netsA[0], rng);
-  auto opt2 = std::make_unique<FusedAdam>(
-      collect_fused_parameters(*merged, 2), 2, FusedAdam::Options{});
-  EXPECT_THROW(
-      opt2->repack_state_from({optA.get(), optB.get()},
-                              std::vector<RepackPick>{{0, 0}, {1, 1}}),
-      Error);
-}
-
 // ---- optimizer-state repack, every update rule ------------------------------
 
 // One update rule, as a fused optimizer over B models and as the serial
@@ -1121,10 +990,10 @@ class RepackState : public ::testing::TestWithParam<RepackRule> {
   }();
 };
 
-// The chunked-rung merge for every rule: two B = 3 arrays train, three
-// survivors from both merge into one array through repack_multi and
+// The chunked-rung merge for every rule: two B = 3 arrays train, four
+// survivors from both merge into one B = 4 array through repack_multi and
 // repack_state_from, and the merged array keeps training bit-exactly
-// against the six serial twins.
+// against the six serial twins: its logits and every parameter.
 TEST_P(RepackState, SurvivorsOfTwoArraysContinueBitExactly) {
   const RepackRule& rule = GetParam();
   std::vector<std::shared_ptr<nn::Module>> nets, serial;
@@ -1148,12 +1017,14 @@ TEST_P(RepackState, SurvivorsOfTwoArraysContinueBitExactly) {
     for (size_t b = 0; b < 6; ++b) step(*serial[b], *serial_opts[b]);
   }
 
-  // Survivors: models 2 and 1 of array B around model 0 of array A.
-  const std::vector<RepackPick> picks = {{1, 2}, {0, 0}, {1, 1}};
-  const size_t survivors[3] = {5, 0, 4};
-  auto merged = FusionPlan(kB, opts_).repack_multi(
+  // Survivors: models 2 and 1 of array B interleaved with models 0 and 2
+  // of array A, in an array of another size than either source.
+  const std::vector<RepackPick> picks = {{1, 2}, {0, 0}, {1, 1}, {0, 2}};
+  const std::vector<size_t> survivors = {5, 0, 4, 2};
+  const int64_t B2 = static_cast<int64_t>(picks.size());
+  auto merged = FusionPlan(B2, opts_).repack_multi(
       {arrayA.get(), arrayB.get()}, picks, *nets[0], rng_);
-  auto opt2 = fused(rule, *merged, {lrs[5], lrs[0], lrs[4]});
+  auto opt2 = fused(rule, *merged, {lrs[5], lrs[0], lrs[4], lrs[2]});
   opt2->repack_state_from({optA.get(), optB.get()}, picks);
   EXPECT_EQ(opt2->steps(), 4);
 
@@ -1161,9 +1032,18 @@ TEST_P(RepackState, SurvivorsOfTwoArraysContinueBitExactly) {
     step(*merged, *opt2);
     for (size_t b : survivors) step(*serial[b], *serial_opts[b]);
   }
-  for (size_t j = 0; j < 3; ++j) {
+  const Tensor logits =
+      merged
+          ->forward(ag::Variable(pack_channel_fused(
+              std::vector<Tensor>(static_cast<size_t>(B2), x_))))
+          .value();
+  for (size_t j = 0; j < survivors.size(); ++j) {
+    const int64_t jb = static_cast<int64_t>(j);
+    const Tensor yb = serial[survivors[j]]->forward(ag::Variable(x_)).value();
+    expect_same_bits(yb, logits.slice(0, jb, jb + 1).reshape(yb.shape()),
+                     "survivor " + std::to_string(j) + " logits");
     auto tree = nets[0]->clone();
-    merged->store_model(static_cast<int64_t>(j), *tree);
+    merged->store_model(jb, *tree);
     const auto got = tree->named_parameters();
     const auto want = serial[survivors[j]]->named_parameters();
     ASSERT_EQ(got.size(), want.size());

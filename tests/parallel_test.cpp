@@ -1,16 +1,19 @@
 // The redesigned parallel runtime: Partition boundaries as a pure function
-// of problem size, exact-once coverage under dynamic chunk claiming, inline
-// nesting, the runtime thread-count override, and bit-identical kernel
-// results at every thread count.
+// of problem size, the work floor under which a launch runs inline,
+// exact-once coverage under dynamic chunk claiming, inline nesting, the
+// runtime thread-count override, and bit-identical kernel results at every
+// thread count and on both SIMD backends.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "core/vec.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -60,6 +63,153 @@ TEST_F(ParallelTest, PartitionRespectsMinPerChunkAndTargetCap) {
   bool called = false;
   parallel_for(empty, [&](int64_t, int64_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+TEST_F(ParallelTest, WorkFloorBoundariesIgnoreThreadCount) {
+  // Around the floor (total work one unit under, at and over it, and around
+  // two floors) the decomposition is the same at every lane count, and a
+  // partition whose whole work is under the floor is one chunk.
+  constexpr int64_t kFloor = Partition::kWorkFloor;
+  std::vector<std::pair<int64_t, int64_t>> cases;  // (n, per_index)
+  for (int64_t per : {int64_t{1}, int64_t{3}, int64_t{768}, kFloor - 1,
+                      kFloor, 5 * kFloor}) {
+    for (int64_t total : {kFloor - 1, kFloor, kFloor + 1, 2 * kFloor - 1,
+                          2 * kFloor, 2 * kFloor + 1, 40 * kFloor}) {
+      cases.emplace_back(total / per, per);
+      cases.emplace_back(total / per + 1, per);
+    }
+  }
+  std::vector<Partition> ref;
+  for (int nt : {1, 2, 3, 4, 8}) {
+    set_num_threads(nt);
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const auto [n, per] = cases[i];
+      const Partition p = Partition::work(n, per);
+      if (nt == 1) {
+        ref.push_back(p);
+        if (n * per < kFloor) {
+          EXPECT_LE(p.num_chunks(), 1) << n << "x" << per;
+        }
+        if (p.num_chunks() > 1) {
+          EXPECT_GE(p.chunk * per, kFloor) << n << "x" << per;
+        }
+        EXPECT_LE(p.num_chunks(), Partition::kTargetChunks);
+        continue;
+      }
+      EXPECT_EQ(p.begin, ref[i].begin) << n << "x" << per << " at " << nt;
+      EXPECT_EQ(p.end, ref[i].end) << n << "x" << per << " at " << nt;
+      EXPECT_EQ(p.chunk, ref[i].chunk) << n << "x" << per << " at " << nt;
+    }
+  }
+  // Two floors of work split in two; rows() lets every index stand alone.
+  EXPECT_EQ(Partition::work(2 * kFloor, 1).num_chunks(), 2);
+  EXPECT_EQ(Partition::work(kFloor - 1, 1).num_chunks(), 1);
+  EXPECT_EQ(Partition::rows(7).num_chunks(), 7);
+}
+
+// Runs one row-major m x n x k f32 GEMM through vec::gemm.
+void run_gemm(const std::vector<float>& a, const std::vector<float>& b,
+              std::vector<float>& c, int64_t m, int64_t n, int64_t k) {
+  vec::GemmArgs g;
+  g.a = a.data();
+  g.b = b.data();
+  g.c = c.data();
+  g.m = m;
+  g.n = n;
+  g.k = k;
+  vec::gemm(g);
+}
+
+TEST_F(ParallelTest, GemmLaunchesOnlyOverTheWorkFloor) {
+  // 30 x 16 x 64: five row blocks of 6 * 64 * 16 / 8 = 768 vector FMAs,
+  // 3840 in all, under the floor: no launch at 4 lanes. 256 x 256 x 300:
+  // two k panels (256 and 44), each far over the floor: one launch per
+  // panel at 4 lanes, none at one lane. 48 x 260: the first panel's blocks
+  // hold 9216 vector FMAs, so 3 blocks (m = 18) stay one chunk and 4
+  // (m = 19) make two; the second panel (kc = 4) never launches.
+  Rng rng(11);
+  auto launches = [&](int64_t m, int64_t n, int64_t k, int lanes) {
+    const auto a = Tensor::randn({m, k}, rng).to_vector();
+    const auto b = Tensor::randn({k, n}, rng).to_vector();
+    std::vector<float> c(static_cast<size_t>(m * n));
+    set_num_threads(lanes);
+    const int64_t before = parallel_launches();
+    run_gemm(a, b, c, m, n, k);
+    return parallel_launches() - before;
+  };
+  EXPECT_EQ(launches(30, 16, 64, 4), 0);
+  EXPECT_EQ(launches(256, 256, 300, 4), 2);
+  EXPECT_EQ(launches(256, 256, 300, 1), 0);
+  EXPECT_EQ(launches(18, 48, 260, 4), 0);
+  EXPECT_EQ(launches(19, 48, 260, 4), 1);
+}
+
+TEST_F(ParallelTest, GemmsStraddlingTheWorkFloorMatchOneThreadScalarBitwise) {
+  // m = 1..64 rows against (n, k) shapes whose row blocks never fill two
+  // chunks (5 x 7), or first launch at m = 43 (32 x 200) or m = 55
+  // (130 x 40), and one (48 x 260) whose first k panel launches from m = 19
+  // while its second (kc = 4) always runs inline. Each GEMM runs through
+  // vec::gemm, bmm (2 batches), and linear at groups 1 and 3, at 1/2/3/4/8
+  // lanes on both SIMD backends, and is memcmp'd against the 1-lane scalar
+  // result.
+  const bool simd_was_on = vec::simd_active();
+  struct Shape3 {
+    int64_t n, k;
+  };
+  const std::vector<Shape3> shapes = {{5, 7}, {48, 260}, {32, 200}, {130, 40}};
+  struct Case {
+    Tensor a, b, a3, w3, bias3;  // gemm/bmm operands; linear x, w, bias
+  };
+  std::vector<Case> cases;
+  Rng rng(13);
+  for (const Shape3& s : shapes)
+    for (int64_t m = 1; m <= 64; ++m)
+      cases.push_back({Tensor::randn({2, m, s.k}, rng),
+                       Tensor::randn({2, s.k, s.n}, rng),
+                       Tensor::randn({3 * m, s.k}, rng),
+                       Tensor::randn({3 * s.n, s.k}, rng),
+                       Tensor::randn({3 * s.n}, rng)});
+  auto run_all = [&](const Case& c) {
+    const int64_t m = c.a.size(1), k = c.a.size(2), n = c.b.size(2);
+    std::vector<std::vector<float>> out;
+    const auto a0 = c.a.to_vector();
+    const auto b0 = c.b.to_vector();
+    std::vector<float> y(static_cast<size_t>(m * n));
+    run_gemm(a0, b0, y, m, n, k);  // batch 0 of a and b
+    out.push_back(y);
+    out.push_back(ops::bmm(c.a, c.b).to_vector());
+    const int64_t n_out = c.w3.size(0) / 3;
+    out.push_back(ops::linear_forward(c.a3, c.w3.slice(0, 0, n_out),
+                                      c.bias3.slice(0, 0, n_out))
+                      .to_vector());
+    out.push_back(ops::linear_forward(c.a3, c.w3, c.bias3, 3).to_vector());
+    return out;
+  };
+  set_num_threads(1);
+  vec::set_simd_enabled(false);
+  std::vector<std::vector<std::vector<float>>> ref;
+  for (const Case& c : cases) ref.push_back(run_all(c));
+  const char* names[] = {"vec::gemm", "bmm", "linear g1", "linear g3"};
+  for (bool simd : {true, false}) {
+    vec::set_simd_enabled(simd);
+    for (int nt : {1, 2, 3, 4, 8}) {
+      if (!simd && nt == 1) continue;  // the reference itself
+      set_num_threads(nt);
+      for (size_t i = 0; i < cases.size(); ++i) {
+        const auto got = run_all(cases[i]);
+        for (size_t j = 0; j < got.size(); ++j) {
+          ASSERT_EQ(got[j].size(), ref[i][j].size());
+          ASSERT_EQ(std::memcmp(got[j].data(), ref[i][j].data(),
+                                got[j].size() * sizeof(float)),
+                    0)
+              << names[j] << " m=" << cases[i].a.size(1)
+              << " n=" << cases[i].b.size(2) << " k=" << cases[i].a.size(2)
+              << " threads=" << nt << " simd=" << simd;
+        }
+      }
+    }
+  }
+  vec::set_simd_enabled(simd_was_on);
 }
 
 TEST_F(ParallelTest, EveryIndexCoveredExactlyOnce) {
