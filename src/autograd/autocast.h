@@ -1,8 +1,8 @@
 // Autocast: scoped mixed-precision policy for the differentiable ops.
 //
 // Inside an AutocastGuard(kF16 / kBF16) scope, the GEMM/conv-class ops
-// (matmul, bmm, bmm_nt, linear, attention's GEMMs, conv*,
-// conv_transpose*) round their tensor operands — NOT their biases — to the
+// (matmul, linear, attention's GEMMs, conv and conv_transpose at either
+// rank) round their tensor operands — NOT their biases — to the
 // autocast dtype before computing, and accumulate in f32, so the op class
 // runs "fp32-accumulate from low-precision inputs". Everything else is
 // untouched: elementwise and pooling ops run native on the (f32) activations

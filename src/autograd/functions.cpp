@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "autograd/autocast.h"
 #include "autograd/step_program.h"
@@ -314,44 +315,22 @@ DType gemm_quantize_dtype() {
 }
 }  // namespace
 
-Variable matmul(const Variable& a, const Variable& b) {
+Variable matmul(const Variable& a, const Variable& b, bool trans_b) {
   const DType q = gemm_quantize_dtype();
   Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv, q](const Tensor& out) {
-    return ops::matmul(av, bv, q, q, out);
+  auto fwd = [av, bv, trans_b, q](const Tensor& out) {
+    return ops::matmul(av, bv, false, trans_b, q, q, out);
   };
-  return make_op("matmul", fwd({}), fwd, {a, b},
-                 [av, bv, q](const Tensor& gy) -> std::vector<Tensor> {
-                   return {ops::matmul_nt(gy, bv, DType::kF32, q),
-                           ops::matmul_tn(av, gy, q, DType::kF32)};
-                 });
-}
-
-Variable bmm(const Variable& a, const Variable& b) {
-  const DType q = gemm_quantize_dtype();
-  Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv, q](const Tensor& out) {
-    return ops::bmm(av, bv, q, q, out);
-  };
-  return make_op("bmm", fwd({}), fwd, {a, b},
-                 [av, bv, q](const Tensor& gy) -> std::vector<Tensor> {
-                   return {ops::bmm_nt(gy, bv, DType::kF32, q),
-                           ops::bmm_tn(av, gy, q, DType::kF32)};
-                 });
-}
-
-Variable bmm_nt(const Variable& a, const Variable& b) {
-  const DType q = gemm_quantize_dtype();
-  Tensor av = a.value(), bv = b.value();
-  auto fwd = [av, bv, q](const Tensor& out) {
-    return ops::bmm_nt(av, bv, q, q, out);
-  };
-  return make_op("bmm_nt", fwd({}), fwd, {a, b},
-                 [av, bv, q](const Tensor& gy) -> std::vector<Tensor> {
-                   // y = a @ b^T: ga = gy @ b; gb = gy^T @ a.
-                   return {ops::bmm(gy, bv, DType::kF32, q),
-                           ops::bmm_tn(gy, av, DType::kF32, q)};
-                 });
+  return make_op(
+      "matmul", fwd({}), fwd, {a, b},
+      [av, bv, trans_b, q](const Tensor& gy) -> std::vector<Tensor> {
+        const DType f32 = DType::kF32;
+        // y = a·b: ga = gy·bᵀ, gb = aᵀ·gy. y = a·bᵀ: ga = gy·b, gb = gyᵀ·a.
+        Tensor ga = ops::matmul(gy, bv, false, !trans_b, f32, q);
+        Tensor gb = trans_b ? ops::matmul(gy, av, true, false, f32, q)
+                            : ops::matmul(av, gy, true, false, q, f32);
+        return {ga, gb};
+      });
 }
 
 Variable linear(const Variable& x, const Variable& w, const Variable& b,
@@ -373,24 +352,18 @@ Variable linear(const Variable& x, const Variable& w, const Variable& b,
       "linear", y, fwd, std::move(inputs),
       [xv, wv, groups, in, out, run, has_bias,
        q](const Tensor& gy) -> std::vector<Tensor> {
-        std::vector<Tensor> grads;
-        if (groups == 1) {
-          Tensor gy2 = gy.reshape({run, out});
-          grads = {ops::matmul(gy2, wv, DType::kF32, q).reshape(xv.shape()),
-                   ops::matmul_tn(gy2, xv.reshape({run, in}), DType::kF32, q)};
-          if (has_bias) grads.push_back(ops::sum(gy2, {0}, false));
-          return grads;
-        }
-        // Per block, the groups = 1 GEMMs: gx = gy @ w, gw = gy^T @ x.
+        // Per block, the plain linear's GEMMs: gx = gy·w, gw = gyᵀ·x.
+        const DType f32 = DType::kF32;
         Tensor gy3 = gy.reshape({groups, run, out});
-        Tensor w3 = wv.reshape({groups, out, in});
-        grads = {ops::bmm(gy3, w3, DType::kF32, q).reshape(xv.shape()),
-                 ops::bmm_tn(gy3, xv.reshape({groups, run, in}), DType::kF32,
-                             q)
-                     .reshape(wv.shape())};
+        std::vector<Tensor> grads = {
+            ops::matmul(gy3, wv.reshape({groups, out, in}), false, false, f32,
+                        q)
+                .reshape(xv.shape()),
+            ops::matmul(gy3, xv.reshape({groups, run, in}), true, false, f32,
+                        q)
+                .reshape(wv.shape())};
         if (has_bias)
-          grads.push_back(ops::reduce_to_shape(gy3, {groups, 1, out})
-                              .reshape({groups * out}));
+          grads.push_back(ops::sum(gy3, {1}, false).reshape({groups * out}));
         return grads;
       });
 }
@@ -416,106 +389,117 @@ Variable attention(const Variable& qkv, int64_t heads, const Tensor& mask) {
 // ---- convolution ----------------------------------------------------------------
 
 // Operand policies: forward (x:q, w:q); grad_input (gy:f32, w:q);
-// grad_weight (gy:f32, x:q). The transposed convs keep the same roles.
+// grad_weight (gy:f32, x:q). The transposed conv keeps the same roles.
 
-Variable conv2d(const Variable& x, const Variable& w, const Variable& b,
-                const ops::ConvArgs& args) {
-  const DType q = gemm_quantize_dtype();
-  Tensor xv = x.value(), wv = w.value();
-  Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, args, q](const Tensor& out) {
-    return ops::conv2d(xv, wv, bv, args, q, q, out);
-  };
-  Tensor y = fwd({});
-  std::vector<Variable> inputs = {x, w};
-  if (b.defined()) inputs.push_back(b);
-  const bool has_bias = b.defined();
-  return make_op(
-      "conv2d", y, fwd, std::move(inputs),
-      [xv, wv, args, has_bias, q](const Tensor& gy) -> std::vector<Tensor> {
-        std::vector<Tensor> grads = {
-            ops::conv2d_grad_input(gy, wv, xv.shape(), args, DType::kF32, q),
-            ops::conv2d_grad_weight(gy, xv, wv.shape(), args, DType::kF32,
-                                    q)};
-        if (has_bias) grads.push_back(ops::conv2d_grad_bias(gy));
-        return grads;
-      });
+namespace {
+// A conv operand in the 2-D kernels' terms: rank 4 passes through, and a
+// rank-3 [N, C, L] operand (an activation, or a [Co, Ci/g, k] weight) is
+// viewed as [N, C, 1, L]. An undefined tensor stays undefined.
+Tensor as_2d(const Tensor& t) {
+  if (!t.defined() || t.dim() != 3) return t;
+  return t.reshape({t.size(0), t.size(1), 1, t.size(2)});
 }
 
-Variable conv1d(const Variable& x, const Variable& w, const Variable& b,
-                int64_t stride, int64_t pad, int64_t groups) {
-  const DType q = gemm_quantize_dtype();
-  Tensor xv = x.value(), wv = w.value();
-  Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, stride, pad, groups, q](const Tensor& out) {
-    return ops::conv1d(xv, wv, bv, stride, pad, groups, q, out);
-  };
-  Tensor y = fwd({});
-  std::vector<Variable> inputs = {x, w};
-  if (b.defined()) inputs.push_back(b);
-  const bool has_bias = b.defined();
-  return make_op(
-      "conv1d", y, fwd, std::move(inputs),
-      [xv, wv, stride, pad, groups, has_bias,
-       q](const Tensor& gy) -> std::vector<Tensor> {
-        std::vector<Tensor> grads = {
-            ops::conv1d_grad_input(gy, wv, xv.shape(), stride, pad, groups,
-                                   q),
-            ops::conv1d_grad_weight(gy, xv, wv.shape(), stride, pad, groups,
-                                    q)};
-        if (has_bias) {
-          // bias grad: sum gy over batch and length.
-          grads.push_back(ops::sum(gy, {0, 2}, false));
-        }
-        return grads;
-      });
+// A 2-D kernel's result viewed at the op's rank: [N, C, 1, L] -> [N, C, L]
+// for rank 3.
+Tensor from_2d(const Tensor& y, int64_t rank) {
+  if (rank == 4) return y;
+  return y.reshape({y.size(0), y.size(1), y.size(3)});
 }
 
-Variable conv_transpose2d(const Variable& x, const Variable& w,
-                          const Variable& b,
-                          const ops::ConvTransposeArgs& args) {
-  const DType q = gemm_quantize_dtype();
-  Tensor xv = x.value(), wv = w.value();
-  Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, args, q](const Tensor& out) {
-    return ops::conv_transpose2d(xv, wv, bv, args, q, out);
-  };
-  Tensor y = fwd({});
-  std::vector<Variable> inputs = {x, w};
-  if (b.defined()) inputs.push_back(b);
-  const bool has_bias = b.defined();
-  return make_op(
-      "conv_transpose2d", y, fwd, std::move(inputs),
-      [xv, wv, args, has_bias, q](const Tensor& gy) -> std::vector<Tensor> {
-        std::vector<Tensor> grads = {
-            ops::conv_transpose2d_grad_input(gy, wv, args, q),
-            ops::conv_transpose2d_grad_weight(gy, xv, wv.shape(), args, q)};
-        if (has_bias) grads.push_back(ops::conv2d_grad_bias(gy));
-        return grads;
-      });
+// Checks that x and w are both rank 3 or both rank 4, and returns the 2-D
+// kernels' args: a 1-D conv has stride 1 and pad 0 on H.
+ops::ConvArgs args_2d(const Tensor& x, const Tensor& w, ops::ConvArgs a,
+                      const char* who) {
+  HFTA_CHECK((x.dim() == 3 || x.dim() == 4) && w.dim() == x.dim(), who,
+             ": x ", shape_str(x.shape()), " and w ", shape_str(w.shape()),
+             " must both be [N,C,L]-style or both [N,C,H,W]-style");
+  if (x.dim() == 3) {
+    a.stride_h = 1;
+    a.pad_h = 0;
+  }
+  return a;
 }
 
-Variable conv_transpose1d(const Variable& x, const Variable& w,
-                          const Variable& b,
-                          const ops::ConvTransposeArgs& args) {
-  const DType q = gemm_quantize_dtype();
-  Tensor xv = x.value(), wv = w.value();
-  Tensor bv = b.defined() ? b.value() : Tensor();
-  auto fwd = [xv, wv, bv, args, q](const Tensor& out) {
-    return ops::conv_transpose1d(xv, wv, bv, args, q, out);
-  };
-  Tensor y = fwd({});
+// The bias gradient of every conv: gy summed over all dims but dim 1.
+Tensor channel_sum(const Tensor& gy) {
+  std::vector<int64_t> dims = {0};
+  for (int64_t d = 2; d < gy.dim(); ++d) dims.push_back(d);
+  return ops::sum(gy, dims, false);
+}
+
+// Records the conv op `name` with forward thunk `fwd`; `grads_xw` returns
+// the x and w gradients for gy viewed as 2-D, and the bias gradient (when
+// b is defined) is channel_sum(gy).
+template <typename Fwd, typename GradXW>
+Variable make_conv_op(const char* name, const Fwd& fwd, const Variable& x,
+                      const Variable& w, const Variable& b,
+                      GradXW grads_xw) {
   std::vector<Variable> inputs = {x, w};
   if (b.defined()) inputs.push_back(b);
   const bool has_bias = b.defined();
-  return make_op(
-      "conv_transpose1d", y, fwd, std::move(inputs),
-      [xv, wv, args, has_bias, q](const Tensor& gy) -> std::vector<Tensor> {
-        std::vector<Tensor> grads = {
-            ops::conv_transpose1d_grad_input(gy, wv, args, q),
-            ops::conv_transpose1d_grad_weight(gy, xv, wv.shape(), args, q)};
-        if (has_bias) grads.push_back(ops::sum(gy, {0, 2}, false));
-        return grads;
+  const Shape xs = x.shape(), ws = w.shape();
+  return make_op(name, fwd({}), fwd, std::move(inputs),
+                 [grads_xw, has_bias, xs, ws](const Tensor& gy) {
+                   std::pair<Tensor, Tensor> g = grads_xw(as_2d(gy));
+                   std::vector<Tensor> grads = {g.first.reshape(xs),
+                                                g.second.reshape(ws)};
+                   if (has_bias) grads.push_back(channel_sum(gy));
+                   return grads;
+                 });
+}
+}  // namespace
+
+Variable conv(const Variable& x, const Variable& w, const Variable& b,
+              const ops::ConvArgs& args) {
+  const DType q = gemm_quantize_dtype();
+  const ops::ConvArgs a = args_2d(x.value(), w.value(), args, "conv");
+  const int64_t rank = x.dim();
+  Tensor xv = as_2d(x.value()), wv = as_2d(w.value());
+  Tensor bv = b.defined() ? b.value() : Tensor();
+  auto fwd = [xv, wv, bv, a, q, rank](const Tensor& out) {
+    return from_2d(ops::conv2d(xv, wv, bv, a, q, q, as_2d(out)), rank);
+  };
+  return make_conv_op("conv", fwd, x, w, b, [xv, wv, a, q](const Tensor& gy) {
+    const DType f32 = DType::kF32;
+    return std::make_pair(
+        ops::conv2d_grad_input(gy, wv, Tensor(), xv.shape(), a, f32, q),
+        ops::conv2d_grad_weight(gy, xv, wv.shape(), a, f32, q));
+  });
+}
+
+Variable conv_transpose(const Variable& x, const Variable& w,
+                        const Variable& b,
+                        const ops::ConvTransposeArgs& t) {
+  HFTA_CHECK(t.out_pad < t.stride, "conv_transpose: out_pad ", t.out_pad,
+             " must be < stride ", t.stride);
+  const DType q = gemm_quantize_dtype();
+  const ops::ConvArgs a =
+      args_2d(x.value(), w.value(),
+              {t.stride, t.stride, t.pad, t.pad, t.groups}, "conv_transpose");
+  const int64_t rank = x.dim();
+  Tensor xv = as_2d(x.value()), wv = as_2d(w.value());
+  Tensor bv = b.defined() ? b.value() : Tensor();
+  // convT(x, w) is conv2d_grad_input with x as the gradient of the conv
+  // that maps y [N, Cout, Ho, Wo] to x's shape; a 1-D y has Ho = 1.
+  const Shape ys = {
+      xv.size(0), wv.size(1) * t.groups,
+      ops::conv_transpose_out_size(xv.size(2), wv.size(2), a.stride_h, a.pad_h,
+                                   rank == 3 ? 0 : t.out_pad),
+      ops::conv_transpose_out_size(xv.size(3), wv.size(3), a.stride_w, a.pad_w,
+                                   t.out_pad)};
+  auto fwd = [xv, wv, bv, ys, a, q, rank](const Tensor& out) {
+    return from_2d(
+        ops::conv2d_grad_input(xv, wv, bv, ys, a, q, q, as_2d(out)), rank);
+  };
+  return make_conv_op(
+      "conv_transpose", fwd, x, w, b, [xv, wv, a, q](const Tensor& gy) {
+        // The adjoint of conv2d_grad_input is conv2d; for the weight, x
+        // plays the conv's output gradient and gy the conv's input.
+        const DType f32 = DType::kF32;
+        return std::make_pair(
+            ops::conv2d(gy, wv, Tensor(), a, f32, q),
+            ops::conv2d_grad_weight(xv, gy, wv.shape(), a, q, f32));
       });
 }
 

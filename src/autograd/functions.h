@@ -44,10 +44,9 @@ Variable hardsigmoid(const Variable& a);
 Variable gelu(const Variable& a);
 
 // ---- matmul family ---------------------------------------------------------
-Variable matmul(const Variable& a, const Variable& b);
-Variable bmm(const Variable& a, const Variable& b);
-/// a @ b with b transposed on its last two dims.
-Variable bmm_nt(const Variable& a, const Variable& b);
+/// a @ b, or a @ bᵀ with `trans_b` (b transposed on its last two dims), on
+/// rank-2 or rank-3 (batched) operands (ops::matmul).
+Variable matmul(const Variable& a, const Variable& b, bool trans_b = false);
 /// x [.., in] @ w [out, in]^T + b [out] (b may be undefined), `groups` of
 /// them at once (ops::linear_forward): x's rows split into `groups` equal
 /// runs, w is [groups*out, in] and b [groups*out], and run g uses block g.
@@ -58,21 +57,25 @@ Variable linear(const Variable& x, const Variable& w, const Variable& b,
 /// (ops::attention_forward): qkv [..., S, 3E] -> merged context [..., S, E],
 /// softmax((q·kᵀ)/√Dh + mask)·v per head, mask [S, S] or undefined. Values
 /// and the qkv gradient are bit-identical to the composed chain (chunk,
-/// head-split permutes, bmm_nt, mul_scalar, add, softmax, bmm, merge
-/// permute); under autocast its GEMMs take bmm_nt's and bmm's policies.
+/// head-split permutes, matmul with trans_b, mul_scalar, add, softmax,
+/// matmul, merge permute); under autocast its GEMMs take those matmuls'
+/// policies.
 Variable attention(const Variable& qkv, int64_t heads, const Tensor& mask);
 
 // ---- convolution -------------------------------------------------------------
-Variable conv2d(const Variable& x, const Variable& w, const Variable& b,
-                const ops::ConvArgs& args);
-Variable conv1d(const Variable& x, const Variable& w, const Variable& b,
-                int64_t stride, int64_t pad, int64_t groups);
-Variable conv_transpose2d(const Variable& x, const Variable& w,
-                          const Variable& b,
-                          const ops::ConvTransposeArgs& args);
-Variable conv_transpose1d(const Variable& x, const Variable& w,
-                          const Variable& b,
-                          const ops::ConvTransposeArgs& args);
+/// Convolution of x [N, Cin, L] or [N, Cin, H, W] by w [Cout, Cin/g, k] or
+/// [Cout, Cin/g, kh, kw], plus the optional b [Cout]. A 1-D conv runs the
+/// 2-D kernels on [N, Cin, 1, L] with stride 1 and pad 0 on H, so only
+/// args' W stride and pad apply to it.
+Variable conv(const Variable& x, const Variable& w, const Variable& b,
+              const ops::ConvArgs& args);
+/// Transposed convolution of x [N, Cin, L] or [N, Cin, H, W] by w
+/// [Cin, Cout/g, k] or [Cin, Cout/g, kh, kw], plus the optional b [Cout]:
+/// the conv/conv-grad duality on the 2-D kernels, 1-D viewed as in conv.
+/// Rejects out_pad >= stride.
+Variable conv_transpose(const Variable& x, const Variable& w,
+                        const Variable& b,
+                        const ops::ConvTransposeArgs& args);
 
 // ---- pooling ---------------------------------------------------------------
 Variable max_pool2d(const Variable& x, const ops::PoolArgs& args);

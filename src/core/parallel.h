@@ -74,8 +74,8 @@ struct Partition {
   }
 
   /// Units that each carry a launch's worth of work on their own (conv
-  /// samples and groups, bmm batches, pooling planes): any unit may stand
-  /// alone in a chunk.
+  /// samples and groups, batched matmul entries, pooling planes): any unit
+  /// may stand alone in a chunk.
   static Partition rows(int64_t n) { return work(n, kWorkFloor); }
 
   /// Elementwise work: one unit per element.

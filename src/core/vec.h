@@ -116,7 +116,6 @@ enum class BinOp : uint8_t {
   kSub,
   kMul,
   kDiv,
-  kMax,      // (a > b) ? a : b  (NaN in either operand -> b)
   kReluBwd,  // a * ((b > 0) ? 1 : 0) — gy masked by the relu input
 };
 void binary(BinOp op, const float* a, const float* b, float* o, int64_t n);
@@ -125,7 +124,6 @@ enum class UnOp : uint8_t {
   kRelu = 0,   // (x > 0) ? x : 0
   kLeakyRelu,  // (x > 0) ? x : p0*x
   kNeg,
-  kAbs,
   kAddScalar,  // x + p0
   kMulScalar,  // x * p0
   kClamp,      // min(max(x, p0), p1) with (a<b)?a:b / (a>b)?a:b semantics

@@ -62,9 +62,6 @@ struct Avx2Traits {
   static V neg(V a) {
     return _mm256_xor_ps(a, _mm256_set1_ps(-0.f));
   }
-  static V abs(V a) {
-    return _mm256_andnot_ps(_mm256_set1_ps(-0.f), a);
-  }
   static V floor(V a) { return _mm256_floor_ps(a); }
   static V scale_pow2(V y, V fx) {
     __m256i k = _mm256_cvttps_epi32(fx);

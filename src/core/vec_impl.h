@@ -393,9 +393,6 @@ struct Kern {
       case BinOp::kDiv:
         map2(a, b, o, n, [](V x, V y) { return T::div(x, y); });
         break;
-      case BinOp::kMax:
-        map2(a, b, o, n, [](V x, V y) { return T::max(x, y); });
-        break;
       case BinOp::kReluBwd:
         // gy * ((x > 0) ? 1 : 0): the mask-then-multiply composition the
         // autograd backward used as two passes, in one pass (signed zeros in
@@ -424,9 +421,6 @@ struct Kern {
         break;
       case UnOp::kNeg:
         map1(a, o, n, [](V x) { return T::neg(x); });
-        break;
-      case UnOp::kAbs:
-        map1(a, o, n, [](V x) { return T::abs(x); });
         break;
       case UnOp::kAddScalar:
         map1(a, o, n, [p0](V x) { return T::add(x, T::set1(p0)); });

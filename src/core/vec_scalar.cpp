@@ -112,11 +112,6 @@ struct ScalarTraits {
     for (int i = 0; i < kLanes; ++i) v.l[i] = -a.l[i];
     return v;
   }
-  static V abs(V a) {
-    V v;
-    for (int i = 0; i < kLanes; ++i) v.l[i] = std::fabs(a.l[i]);
-    return v;
-  }
   static V floor(V a) {
     V v;
     for (int i = 0; i < kLanes; ++i) v.l[i] = std::floor(a.l[i]);

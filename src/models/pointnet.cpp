@@ -72,7 +72,8 @@ std::pair<ag::Variable, ag::Variable> PointNetTrunk::forward_both(
     ag::Variable t = stn->forward(x);  // [B*N, 3, 3]
     ag::Variable xm =
         ag::reshape(fused::to_model_major(x, B), {B * N, 3, L});
-    ag::Variable y = ag::transpose(ag::bmm(ag::transpose(xm, 1, 2), t), 1, 2);
+    ag::Variable y =
+        ag::transpose(ag::matmul(ag::transpose(xm, 1, 2), t), 1, 2);
     h = fused::to_channel_fused(ag::reshape(y, {B, N, 3, L}));
   }
   ag::Variable pointfeat = ag::relu(bn1->forward(conv1->forward(h)));

@@ -44,12 +44,12 @@ Conv2d::Conv2d(int64_t in, int64_t out, int64_t kernel, int64_t stride,
 }
 
 ag::Variable Conv2d::forward(const ag::Variable& x) {
-  return ag::conv2d(x, weight, bias, args);
+  return ag::conv(x, weight, bias, args);
 }
 
 Conv1d::Conv1d(int64_t in, int64_t out, int64_t kernel, int64_t stride,
                int64_t pad, int64_t groups, bool has_bias, Rng& rng)
-    : stride(stride), pad(pad), groups(groups) {
+    : args(ops::ConvArgs::make(stride, pad, groups)) {
   const int64_t fan_in = (in / groups) * kernel;
   weight = register_parameter(
       "weight", init::kaiming_uniform({out, in / groups, kernel}, fan_in, rng));
@@ -59,7 +59,7 @@ Conv1d::Conv1d(int64_t in, int64_t out, int64_t kernel, int64_t stride,
 }
 
 ag::Variable Conv1d::forward(const ag::Variable& x) {
-  return ag::conv1d(x, weight, bias, stride, pad, groups);
+  return ag::conv(x, weight, bias, args);
 }
 
 ConvTranspose2d::ConvTranspose2d(int64_t in, int64_t out, int64_t kernel,
@@ -76,7 +76,7 @@ ConvTranspose2d::ConvTranspose2d(int64_t in, int64_t out, int64_t kernel,
 }
 
 ag::Variable ConvTranspose2d::forward(const ag::Variable& x) {
-  return ag::conv_transpose2d(x, weight, bias, args);
+  return ag::conv_transpose(x, weight, bias, args);
 }
 
 ConvTranspose1d::ConvTranspose1d(int64_t in, int64_t out, int64_t kernel,
@@ -93,7 +93,7 @@ ConvTranspose1d::ConvTranspose1d(int64_t in, int64_t out, int64_t kernel,
 }
 
 ag::Variable ConvTranspose1d::forward(const ag::Variable& x) {
-  return ag::conv_transpose1d(x, weight, bias, args);
+  return ag::conv_transpose(x, weight, bias, args);
 }
 
 Embedding::Embedding(int64_t vocab, int64_t dim, Rng& rng, int64_t B)
@@ -196,12 +196,12 @@ ModuleConfig Conv2d::config() const {
 
 ModuleConfig Conv1d::config() const {
   ModuleConfig c;
-  c.set("in", weight.size(1) * groups);
+  c.set("in", weight.size(1) * args.groups);
   c.set("out", weight.size(0));
   c.set("kernel", weight.size(2));
-  c.set("stride", stride);
-  c.set("pad", pad);
-  c.set("groups", groups);
+  c.set("stride", args.stride_w);
+  c.set("pad", args.pad_w);
+  c.set("groups", args.groups);
   c.set("bias", static_cast<int64_t>(bias.defined()));
   return c;
 }

@@ -66,7 +66,7 @@ class Conv1d : public Module {
 
   ag::Variable weight;  // [out, in/groups, k]
   ag::Variable bias;
-  int64_t stride, pad, groups;
+  ops::ConvArgs args;  // the W stride and pad apply (ag::conv)
 };
 
 class ConvTranspose2d : public Module {

@@ -100,12 +100,23 @@ ConvDims check_conv(const Shape& x_shape, const Shape& w_shape,
   return d;
 }
 
+// The bias epilogue of both forward kernels, run on one (sample, group)
+// block once its last write is done: adds b[c0 + c] to each of the
+// `spatial` elements of the block's channel c (one rounding per element).
+// A null b is no bias.
+void add_bias(float* y, const float* b, int64_t c0, int64_t C,
+              int64_t spatial) {
+  if (b == nullptr) return;
+  for (int64_t c = 0; c < C; ++c)
+    vec::unary(vec::UnOp::kAddScalar, b[c0 + c], 0.f, y + c * spatial,
+               y + c * spatial, spatial);
+}
+
 }  // namespace
 
-// The three 2-D entry points below hand their quantize policies to the
-// im2col GEMMs, which round those operands during packing and accumulate in
-// f32 (the AMP compute policy); the 1-D and transposed variants all funnel
-// through them.
+// The three kernels below hand their quantize policies to the im2col GEMMs,
+// which round those operands during packing and accumulate in f32 (the AMP
+// compute policy).
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
               const ConvArgs& a, DType qx, DType qw, const Tensor& out) {
   const ConvDims d = check_conv(x.shape(), w.shape(), a);
@@ -141,26 +152,22 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b,
         // [Coutg, col_rows] @ [col_rows, spatial]
         gemm(pw + g * d.Coutg * col_rows, cols, yg, d.Coutg, spatial,
              col_rows, false, false, 1.f, 0.f, gs, qw, qx);
-        if (pb) {
-          for (int64_t c = 0; c < d.Coutg; ++c) {
-            float* row = yg + c * spatial;
-            vec::unary(vec::UnOp::kAddScalar, pb[g * d.Coutg + c], 0.f, row,
-                       row, spatial);
-          }
-        }
+        add_bias(yg, pb, g * d.Coutg, d.Coutg, spatial);
       }
     }
   });
   return y;
 }
 
-Tensor conv2d_grad_input(const Tensor& gy, const Tensor& w,
+Tensor conv2d_grad_input(const Tensor& gy, const Tensor& w, const Tensor& b,
                          const Shape& x_shape, const ConvArgs& a, DType qgy,
                          DType qw, const Tensor& out) {
   const ConvDims d = check_conv(x_shape, w.shape(), a);
-  HFTA_CHECK(gy.size(0) == d.N && gy.size(1) == d.Cout && gy.size(2) == d.Ho &&
-                 gy.size(3) == d.Wo,
+  HFTA_CHECK(gy.shape() == (Shape{d.N, d.Cout, d.Ho, d.Wo}),
              "conv2d_grad_input: gy shape ", shape_str(gy.shape()));
+  if (b.defined())
+    HFTA_CHECK(b.numel() == d.Cin, "conv2d_grad_input: bias numel ",
+               b.numel(), " != ", d.Cin);
   // col2im accumulates, so the result starts from zeros.
   Tensor gx = Tensor::empty_or(out, x_shape);
   gx.zero_();
@@ -168,6 +175,7 @@ Tensor conv2d_grad_input(const Tensor& gy, const Tensor& w,
   const int64_t spatial = d.Ho * d.Wo;
   const float* pgy = gy.data();
   const float* pw = w.data();
+  const float* pb = b.defined() ? b.data() : nullptr;
   float* pgx = gx.data();
 
   // All scratch is acquired here, on the launching thread: per-chunk slots
@@ -191,6 +199,7 @@ Tensor conv2d_grad_input(const Tensor& gy, const Tensor& w,
         float* xg = pgx + (n * d.Cin + g * d.Cing) * d.H * d.W;
         col2im(cols, d.Cing, d.H, d.W, d.kh, d.kw, a.stride_h,
                a.stride_w, a.pad_h, a.pad_w, d.Ho, d.Wo, xg);
+        add_bias(xg, pb, g * d.Cing, d.Cing, d.H * d.W);
       }
     }
   });
@@ -235,176 +244,6 @@ Tensor conv2d_grad_weight(const Tensor& gy, const Tensor& x,
     }
   });
   return gw;
-}
-
-Tensor conv2d_grad_bias(const Tensor& gy) {
-  const int64_t N = gy.size(0);
-  const int64_t C = gy.size(1);
-  const int64_t spatial = gy.numel() / (N * C);
-  Tensor gb = Tensor::empty({C});
-  const float* p = gy.data();
-  float* pb = gb.data();
-  // Output-channel parallel. Each channel's accumulation chain — a
-  // per-plane partial (s ascending) folded in for n ascending — is exactly
-  // the serial one, so the result is bit-identical at any thread count.
-  parallel_for(Partition::rows(C), [&](int64_t lo, int64_t hi) {
-    for (int64_t c = lo; c < hi; ++c) {
-      float total = 0.f;
-      for (int64_t n = 0; n < N; ++n) {
-        const float* row = p + (n * C + c) * spatial;
-        float acc = 0.f;
-        for (int64_t s = 0; s < spatial; ++s) acc += row[s];
-        total += acc;
-      }
-      pb[c] = total;
-    }
-  });
-  return gb;
-}
-
-// ---- conv1d (lowered to conv2d with H = 1) ---------------------------------
-
-namespace {
-Shape as4d_x(const Shape& s) { return {s[0], s[1], 1, s[2]}; }
-Shape as4d_w(const Shape& s) { return {s[0], s[1], 1, s[2]}; }
-Shape as3d(const Shape& s) { return {s[0], s[1], s[3]}; }
-// A 1-D kernel's destination viewed as the 2-D kernel's (undefined stays
-// undefined).
-Tensor out4d(const Tensor& out) {
-  return out.defined() ? out.reshape(as4d_x(out.shape())) : Tensor();
-}
-}  // namespace
-
-Tensor conv1d(const Tensor& x, const Tensor& w, const Tensor& b,
-              int64_t stride, int64_t pad, int64_t groups, DType q,
-              const Tensor& out) {
-  HFTA_CHECK(x.dim() == 3 && w.dim() == 3, "conv1d: x [N,C,L], w [Co,Ci/g,k]");
-  ConvArgs a{1, stride, 0, pad, groups};
-  Tensor y = conv2d(x.reshape(as4d_x(x.shape())), w.reshape(as4d_w(w.shape())),
-                    b, a, q, q, out4d(out));
-  return y.reshape(as3d(y.shape()));
-}
-
-Tensor conv1d_grad_input(const Tensor& gy, const Tensor& w,
-                         const Shape& x_shape, int64_t stride, int64_t pad,
-                         int64_t groups, DType q) {
-  ConvArgs a{1, stride, 0, pad, groups};
-  Tensor gx = conv2d_grad_input(gy.reshape(as4d_x(gy.shape())),
-                                w.reshape(as4d_w(w.shape())),
-                                as4d_x(x_shape), a, DType::kF32, q);
-  return gx.reshape(as3d(gx.shape()));
-}
-
-Tensor conv1d_grad_weight(const Tensor& gy, const Tensor& x,
-                          const Shape& w_shape, int64_t stride, int64_t pad,
-                          int64_t groups, DType q) {
-  ConvArgs a{1, stride, 0, pad, groups};
-  Tensor gw = conv2d_grad_weight(gy.reshape(as4d_x(gy.shape())),
-                                 x.reshape(as4d_x(x.shape())),
-                                 as4d_w(w_shape), a, DType::kF32, q);
-  return gw.reshape(w_shape);
-}
-
-// ---- conv_transpose2d (via conv/conv-grad duality) ---------------------------
-
-Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
-                        const ConvTransposeArgs& t, DType q,
-                        const Tensor& out) {
-  HFTA_CHECK(x.dim() == 4 && w.dim() == 4,
-             "conv_transpose2d: x [N,Ci,H,W], w [Ci,Co/g,kh,kw]");
-  HFTA_CHECK(t.out_pad < t.stride, "conv_transpose2d: out_pad must be < stride");
-  const int64_t N = x.size(0);
-  const int64_t Cin = x.size(1);
-  HFTA_CHECK(w.size(0) == Cin, "conv_transpose2d: w Cin mismatch");
-  const int64_t Cout = w.size(1) * t.groups;
-  const int64_t kh = w.size(2);
-  const int64_t kw = w.size(3);
-  const int64_t Ho = conv_transpose_out_size(x.size(2), kh, t.stride, t.pad,
-                                             t.out_pad);
-  const int64_t Wo = conv_transpose_out_size(x.size(3), kw, t.stride, t.pad,
-                                             t.out_pad);
-  // convT(x, w) == conv_grad_input treating x as the conv's output gradient:
-  // the underlying conv maps [N, Cout, Ho, Wo] -> [N, Cin, H, W].
-  const ConvArgs a{t.stride, t.stride, t.pad, t.pad, t.groups};
-  Tensor y = conv2d_grad_input(x, w, {N, Cout, Ho, Wo}, a, q, q, out);
-  if (b.defined()) {
-    HFTA_CHECK(b.numel() == Cout, "conv_transpose2d: bias mismatch");
-    float* py = y.data();
-    const float* pb = b.data();
-    const int64_t spatial = Ho * Wo;
-    for (int64_t n = 0; n < N; ++n)
-      for (int64_t c = 0; c < Cout; ++c) {
-        float* row = py + (n * Cout + c) * spatial;
-        for (int64_t s = 0; s < spatial; ++s) row[s] += pb[c];
-      }
-  }
-  return y;
-}
-
-Tensor conv_transpose2d_grad_input(const Tensor& gy, const Tensor& w,
-                                   const ConvTransposeArgs& t, DType q) {
-  // Adjoint of conv_grad_input is conv forward.
-  const ConvArgs a{t.stride, t.stride, t.pad, t.pad, t.groups};
-  return conv2d(gy, w, Tensor(), a, DType::kF32, q);
-}
-
-Tensor conv_transpose2d_grad_weight(const Tensor& gy, const Tensor& x,
-                                    const Shape& w_shape,
-                                    const ConvTransposeArgs& t, DType q) {
-  // Roles swap: the convT input x plays the conv's grad_output, the convT
-  // output gradient gy plays the conv's input.
-  const ConvArgs a{t.stride, t.stride, t.pad, t.pad, t.groups};
-  return conv2d_grad_weight(x, gy, w_shape, a, q, DType::kF32);
-}
-
-// The 1-D lowering keeps the dummy H axis at stride 1 / pad 0, so it goes
-// through the conv/conv-grad duality directly rather than through
-// conv_transpose2d (whose scalar stride/pad apply to both axes).
-Tensor conv_transpose1d(const Tensor& x, const Tensor& w, const Tensor& b,
-                        const ConvTransposeArgs& t, DType q,
-                        const Tensor& out) {
-  HFTA_CHECK(x.dim() == 3 && w.dim() == 3,
-             "conv_transpose1d: x [N,Ci,L], w [Ci,Co/g,k]");
-  HFTA_CHECK(t.out_pad < t.stride, "conv_transpose1d: out_pad must be < stride");
-  const int64_t N = x.size(0);
-  const int64_t Cout = w.size(1) * t.groups;
-  const int64_t k = w.size(2);
-  const int64_t Lo =
-      conv_transpose_out_size(x.size(2), k, t.stride, t.pad, t.out_pad);
-  const ConvArgs a{1, t.stride, 0, t.pad, t.groups};
-  Tensor y = conv2d_grad_input(x.reshape(as4d_x(x.shape())),
-                               w.reshape(as4d_w(w.shape())),
-                               {N, Cout, 1, Lo}, a, q, q, out4d(out));
-  y = y.reshape(as3d(y.shape()));
-  if (b.defined()) {
-    HFTA_CHECK(b.numel() == Cout, "conv_transpose1d: bias mismatch");
-    float* py = y.data();
-    const float* pb = b.data();
-    for (int64_t n = 0; n < N; ++n)
-      for (int64_t c = 0; c < Cout; ++c) {
-        float* row = py + (n * Cout + c) * Lo;
-        for (int64_t l = 0; l < Lo; ++l) row[l] += pb[c];
-      }
-  }
-  return y;
-}
-
-Tensor conv_transpose1d_grad_input(const Tensor& gy, const Tensor& w,
-                                   const ConvTransposeArgs& t, DType q) {
-  const ConvArgs a{1, t.stride, 0, t.pad, t.groups};
-  Tensor gx = conv2d(gy.reshape(as4d_x(gy.shape())),
-                     w.reshape(as4d_w(w.shape())), Tensor(), a, DType::kF32, q);
-  return gx.reshape(as3d(gx.shape()));
-}
-
-Tensor conv_transpose1d_grad_weight(const Tensor& gy, const Tensor& x,
-                                    const Shape& w_shape,
-                                    const ConvTransposeArgs& t, DType q) {
-  const ConvArgs a{1, t.stride, 0, t.pad, t.groups};
-  Tensor gw = conv2d_grad_weight(x.reshape(as4d_x(x.shape())),
-                                 gy.reshape(as4d_x(gy.shape())),
-                                 as4d_w(w_shape), a, q, DType::kF32);
-  return gw.reshape(w_shape);
 }
 
 }  // namespace hfta::ops

@@ -10,10 +10,10 @@
 
 namespace hfta::ops {
 
-// Every GEMM variant in the repo — matmul / matmul_tn / matmul_nt, the bmm
-// family, and the raw gemm the conv kernels drive — lowers onto the ONE
-// packed cache-blocked kernel in core/vec: transposes are absorbed by the
-// packing (no materialized transpose-copies anywhere), and each output
+// Every GEMM in the repo — matmul (plain, transposed or batched), the
+// attention GEMMs, and the raw gemm the conv kernels drive — lowers onto
+// the ONE packed cache-blocked kernel in core/vec: transposes are absorbed
+// by the packing (no materialized transpose-copies anywhere), and each output
 // element is a single k-ascending fma chain seeded with its beta term. The
 // plain layers reduce through exactly the same kernel as their fused
 // counterparts, which is what keeps fused training bit-equal to the B
@@ -48,55 +48,25 @@ int64_t gemm_scratch_floats(int64_t m, int64_t n, int64_t k) {
   return vec::gemm_scratch_floats(m, n, k);
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b, DType qa, DType qb,
-              const Tensor& out) {
-  HFTA_CHECK(a.dim() == 2 && b.dim() == 2 && a.size(1) == b.size(0),
+Tensor matmul(const Tensor& a, const Tensor& b, bool ta, bool tb, DType qa,
+              DType qb, const Tensor& out) {
+  const bool batched = a.dim() == 3;
+  HFTA_CHECK((a.dim() == 2 || batched) && b.dim() == a.dim() &&
+                 (!batched || a.size(0) == b.size(0)),
              "matmul: ", shape_str(a.shape()), " @ ", shape_str(b.shape()));
-  Tensor c = Tensor::empty_or(out, {a.size(0), b.size(1)});
-  gemm(a.data(), b.data(), c.data(), a.size(0), b.size(1), a.size(1), false,
-       false, 1.f, 0.f, nullptr, qa, qb);
-  return c;
-}
-
-Tensor matmul_tn(const Tensor& a, const Tensor& b, DType qa, DType qb) {
-  HFTA_CHECK(a.dim() == 2 && b.dim() == 2 && a.size(0) == b.size(0),
-             "matmul_tn: ", shape_str(a.shape()), " @ ", shape_str(b.shape()));
-  Tensor c = Tensor::empty({a.size(1), b.size(1)});
-  gemm(a.data(), b.data(), c.data(), a.size(1), b.size(1), a.size(0), true,
-       false, 1.f, 0.f, nullptr, qa, qb);
-  return c;
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b, DType qa, DType qb,
-                 const Tensor& out) {
-  HFTA_CHECK(a.dim() == 2 && b.dim() == 2 && a.size(1) == b.size(1),
-             "matmul_nt: ", shape_str(a.shape()), " @ ", shape_str(b.shape()));
-  Tensor c = Tensor::empty_or(out, {a.size(0), b.size(0)});
-  gemm(a.data(), b.data(), c.data(), a.size(0), b.size(0), a.size(1), false,
-       true, 1.f, 0.f, nullptr, qa, qb);
-  return c;
-}
-
-namespace {
-Tensor bmm_impl(const Tensor& a, const Tensor& b, bool ta, bool tb, DType qa,
-                DType qb, const Tensor& out) {
-  HFTA_CHECK(a.dim() == 3 && b.dim() == 3 && a.size(0) == b.size(0),
-             "bmm: ", shape_str(a.shape()), " @ ", shape_str(b.shape()));
-  const int64_t B = a.size(0);
-  const int64_t m = ta ? a.size(2) : a.size(1);
-  const int64_t ka = ta ? a.size(1) : a.size(2);
-  const int64_t kb = tb ? b.size(2) : b.size(1);
-  const int64_t n = tb ? b.size(1) : b.size(2);
-  HFTA_CHECK(ka == kb, "bmm: inner dim mismatch ", ka, " vs ", kb);
-  Tensor c = Tensor::empty_or(out, {B, m, n});
-  const int64_t a_size = a.size(1) * a.size(2);
-  const int64_t b_size = b.size(1) * b.size(2);
+  const int64_t B = batched ? a.size(0) : 1;
+  const int64_t m = ta ? a.size(-1) : a.size(-2);
+  const int64_t ka = ta ? a.size(-2) : a.size(-1);
+  const int64_t kb = tb ? b.size(-1) : b.size(-2);
+  const int64_t n = tb ? b.size(-2) : b.size(-1);
+  HFTA_CHECK(ka == kb, "matmul: inner dim mismatch ", ka, " vs ", kb, " in ",
+             shape_str(a.shape()), " @ ", shape_str(b.shape()));
+  Tensor c = Tensor::empty_or(out, batched ? Shape{B, m, n} : Shape{m, n});
   // One packing-scratch slot per partition chunk, acquired HERE on the
   // launching thread (DESIGN §10): entries within a chunk run serially and
   // reuse their chunk's slot, so the slab size is a pure function of the
   // problem size and warm-pool state cannot depend on scheduling. The
-  // packed-panel path also absorbs both transposes — the old per-batch
-  // materialized aT slab is gone.
+  // packed-panel path absorbs both transposes.
   const Partition part = Partition::rows(B);
   const int64_t slot = vec::gemm_scratch_floats(m, n, ka);
   PooledBuffer scratch(part.num_chunks() * slot);
@@ -112,32 +82,21 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, bool ta, bool tb, DType qa,
   g.m = m;
   g.n = n;
   g.k = ka;
-  // Parallelize across batch entries; the per-matrix gemm runs inline when
-  // called from the pool (no nested parallelism).
+  // Parallel across batch entries; a chunk's GEMMs run inline when called
+  // from the pool (no nested parallelism). One entry is one chunk, which
+  // parallel_for runs inline without entering a parallel region, so a
+  // rank-2 GEMM partitions its own row blocks.
   parallel_for(part, [&](int64_t lo, int64_t hi) {
     vec::GemmArgs gi = g;
     gi.scratch = ps + part.chunk_index(lo) * slot;
     for (int64_t i = lo; i < hi; ++i) {
-      gi.a = pa + i * a_size;
-      gi.b = pb + i * b_size;
+      gi.a = pa + i * m * ka;
+      gi.b = pb + i * ka * n;
       gi.c = pc + i * m * n;
       vec::gemm(gi);
     }
   });
   return c;
-}
-}  // namespace
-
-Tensor bmm(const Tensor& a, const Tensor& b, DType qa, DType qb,
-           const Tensor& out) {
-  return bmm_impl(a, b, false, false, qa, qb, out);
-}
-Tensor bmm_tn(const Tensor& a, const Tensor& b, DType qa, DType qb) {
-  return bmm_impl(a, b, true, false, qa, qb, Tensor());
-}
-Tensor bmm_nt(const Tensor& a, const Tensor& b, DType qa, DType qb,
-              const Tensor& out) {
-  return bmm_impl(a, b, false, true, qa, qb, out);
 }
 
 namespace {
@@ -205,7 +164,7 @@ Tensor attention_forward(const Tensor& qkv, int64_t heads, const Tensor& mask,
   Tensor ctx = Tensor::empty_or(out, d.ctx_shape(qkv));
   const float scale = d.scale();
   // GEMM scratch hoisted on the launching thread, one slot per chunk
-  // (DESIGN §10), as in bmm_impl.
+  // (DESIGN §10), as in matmul.
   const Partition part = Partition::rows(d.R * H);
   const int64_t slot = d.gemm_slot();
   PooledBuffer scratch(part.num_chunks() * slot);
@@ -276,7 +235,7 @@ Tensor attention_backward(const Tensor& gctx, const Tensor& qkv,
       const float* gc = pg + r * S * E + h * Dh;
       const float* p = pp + i * S * S;
       float* g = psg != nullptr ? psg + i * S * S : own;
-      // dp = gctx·vᵀ and dv = pᵀ·gctx (bmm's backward).
+      // dp = gctx·vᵀ and dv = pᵀ·gctx (the backward of p·v).
       head_gemm(gc, E, false, f32, vh, 3 * E, true, q, g, S, S, S, Dh, ws);
       head_gemm(p, S, true, q, gc, E, false, f32, po + off + 2 * E, 3 * E, S,
                 Dh, S, ws);
@@ -286,7 +245,7 @@ Tensor attention_backward(const Tensor& gctx, const Tensor& qkv,
         softmax_backward_row(row, p + s * S, row, S, 1);
         vec::unary(vec::UnOp::kMulScalar, scale, 0.f, row, row, S);
       }
-      // dq = ds·k and dk = dsᵀ·q (bmm_nt's backward).
+      // dq = ds·k and dk = dsᵀ·q (the backward of q·kᵀ).
       head_gemm(g, S, false, f32, kh, 3 * E, false, q, po + off, 3 * E, S, Dh,
                 S, ws);
       head_gemm(g, S, true, f32, qh, 3 * E, false, q, po + off + E, 3 * E, S,
@@ -327,12 +286,8 @@ Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
   Shape out_shape = x.shape();
   out_shape.back() = n_out;
   Tensor y = Tensor::empty_or(out, out_shape);
-  if (groups == 1) {
-    matmul_nt(x.reshape({rows, in}), w, qx, qw, y.reshape({rows, n_out}));
-  } else {
-    bmm_nt(x.reshape({groups, run, in}), w.reshape({groups, n_out, in}), qx,
-           qw, y.reshape({groups, run, n_out}));
-  }
+  matmul(x.reshape({groups, run, in}), w.reshape({groups, n_out, in}), false,
+         true, qx, qw, y.reshape({groups, run, n_out}));
   if (b.defined()) {
     HFTA_CHECK(b.numel() == groups * n_out, "linear: bias size mismatch");
     add_bias_rows(y.data(), b.data(), rows, n_out, run);

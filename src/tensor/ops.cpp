@@ -157,11 +157,6 @@ Tensor div(const Tensor& a, const Tensor& b, const Tensor& out) {
   return binary_vec(a, b, vec::BinOp::kDiv,
                     [](float x, float y) { return x / y; }, out);
 }
-Tensor maximum(const Tensor& a, const Tensor& b) {
-  return binary_vec(a, b, vec::BinOp::kMax,
-                    [](float x, float y) { return x > y ? x : y; });
-}
-
 Tensor reduce_to_shape(const Tensor& grad, const Shape& shape) {
   if (grad.shape() == shape) return grad;
   const int64_t nd = grad.dim();
@@ -229,7 +224,6 @@ Tensor leaky_relu(const Tensor& a, float slope, const Tensor& out) {
 Tensor pow_scalar(const Tensor& a, float p, const Tensor& out) {
   return unary(a, [p](float x) { return std::pow(x, p); }, out);
 }
-Tensor abs(const Tensor& a) { return unary_vec(a, vec::UnOp::kAbs, 0.f); }
 
 Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim,
            const Tensor& out) {
@@ -465,42 +459,6 @@ std::vector<Tensor> chunk(const Tensor& t, int64_t chunks, int64_t dim) {
              " not divisible by ", chunks);
   return split(t, std::vector<int64_t>(static_cast<size_t>(chunks),
                                        t.size(d) / chunks), d);
-}
-
-Tensor index_select(const Tensor& t, int64_t dim,
-                    const std::vector<int64_t>& indices) {
-  const int64_t nd = t.dim();
-  if (dim < 0) dim += nd;
-  Shape out_shape = t.shape();
-  out_shape[static_cast<size_t>(dim)] = static_cast<int64_t>(indices.size());
-  Tensor out = Tensor::empty(out_shape);
-  int64_t outer = 1, inner = 1;
-  const int64_t n = t.size(dim);
-  for (int64_t i = 0; i < dim; ++i) outer *= t.size(i);
-  for (int64_t i = dim + 1; i < nd; ++i) inner *= t.size(i);
-  const float* src = t.data();
-  float* dst = out.data();
-  const int64_t rows = static_cast<int64_t>(indices.size());
-  for (int64_t o = 0; o < outer; ++o) {
-    for (int64_t r = 0; r < rows; ++r) {
-      const int64_t i = indices[static_cast<size_t>(r)];
-      HFTA_CHECK(i >= 0 && i < n, "index_select: index ", i, " out of range");
-      std::memcpy(dst + (o * rows + r) * inner, src + (o * n + i) * inner,
-                  sizeof(float) * static_cast<size_t>(inner));
-    }
-  }
-  return out;
-}
-
-Tensor stack_repeat(const Tensor& t, int64_t reps) {
-  Shape out_shape = t.shape();
-  out_shape.insert(out_shape.begin(), reps);
-  Tensor out = Tensor::empty(out_shape);
-  float* dst = out.data();
-  for (int64_t r = 0; r < reps; ++r)
-    std::memcpy(dst + r * t.numel(), t.data(),
-                sizeof(float) * static_cast<size_t>(t.numel()));
-  return out;
 }
 
 namespace {
@@ -1011,13 +969,6 @@ float max_abs_diff(const Tensor& a, const Tensor& b) {
   for (int64_t i = 0; i < a.numel(); ++i)
     m = std::max(m, std::fabs(pa[i] - pb[i]));
   return m;
-}
-
-bool allclose(const Tensor& a, const Tensor& b, float rtol, float atol) {
-  const float* pb = b.data();
-  float scale = 0.f;
-  for (int64_t i = 0; i < b.numel(); ++i) scale = std::max(scale, std::fabs(pb[i]));
-  return max_abs_diff(a, b) <= atol + rtol * scale;
 }
 
 }  // namespace hfta::ops

@@ -31,7 +31,6 @@ Tensor add(const Tensor& a, const Tensor& b, const Tensor& out = Tensor());
 Tensor sub(const Tensor& a, const Tensor& b, const Tensor& out = Tensor());
 Tensor mul(const Tensor& a, const Tensor& b, const Tensor& out = Tensor());
 Tensor div(const Tensor& a, const Tensor& b, const Tensor& out = Tensor());
-Tensor maximum(const Tensor& a, const Tensor& b);
 
 /// Sums `grad` down to `shape` (inverse of broadcasting) — used by the
 /// backward of broadcasting binary ops.
@@ -58,7 +57,6 @@ Tensor clamp(const Tensor& a, float lo, float hi,
              const Tensor& out = Tensor());
 Tensor leaky_relu(const Tensor& a, float slope, const Tensor& out = Tensor());
 Tensor pow_scalar(const Tensor& a, float p, const Tensor& out = Tensor());
-Tensor abs(const Tensor& a);
 
 // ---- reductions -------------------------------------------------------------
 
@@ -84,11 +82,6 @@ std::vector<Tensor> split(const Tensor& t, const std::vector<int64_t>& sizes,
                           int64_t dim);
 /// Split into `chunks` equal pieces along `dim` (must divide evenly).
 std::vector<Tensor> chunk(const Tensor& t, int64_t chunks, int64_t dim);
-/// Gather rows along `dim` by integer indices.
-Tensor index_select(const Tensor& t, int64_t dim,
-                    const std::vector<int64_t>& indices);
-/// Repeats the whole tensor `reps` times along a new leading dim.
-Tensor stack_repeat(const Tensor& t, int64_t reps);
 
 // ---- softmax family -----------------------------------------------------------
 
@@ -178,8 +171,5 @@ double accuracy(const Tensor& logits, const Tensor& labels);
 
 /// Max |a - b| over all elements (shapes must match).
 float max_abs_diff(const Tensor& a, const Tensor& b);
-/// True when max_abs_diff <= atol + rtol * max|b|.
-bool allclose(const Tensor& a, const Tensor& b, float rtol = 1e-5f,
-              float atol = 1e-6f);
 
 }  // namespace hfta::ops

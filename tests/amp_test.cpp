@@ -242,23 +242,25 @@ TEST(Autocast, ConvFamilyEqualsF32OnQuantizedOperands) {
     ConvFn f;
   };
   const Case cases[] = {
-      {"conv2d", {2, 4, 7, 7}, {6, 2, 3, 3}, {6},
+      {"conv [N,C,H,W]", {2, 4, 7, 7}, {6, 2, 3, 3}, {6},
        [](const ag::Variable& x, const ag::Variable& w,
           const ag::Variable& b) {
-         return ag::conv2d(x, w, b, ops::ConvArgs::make(2, 1, 2));
+         return ag::conv(x, w, b, ops::ConvArgs::make(2, 1, 2));
        }},
-      {"conv1d", {2, 4, 9}, {6, 2, 3}, {6},
-       [](const ag::Variable& x, const ag::Variable& w,
-          const ag::Variable& b) { return ag::conv1d(x, w, b, 2, 1, 2); }},
-      {"conv_transpose2d", {2, 4, 5, 5}, {4, 2, 3, 3}, {4},
+      {"conv [N,C,L]", {2, 4, 9}, {6, 2, 3}, {6},
        [](const ag::Variable& x, const ag::Variable& w,
           const ag::Variable& b) {
-         return ag::conv_transpose2d(x, w, b, ops::ConvTransposeArgs{2, 1, 1, 2});
+         return ag::conv(x, w, b, ops::ConvArgs::make(2, 1, 2));
        }},
-      {"conv_transpose1d", {2, 4, 6}, {4, 3, 3}, {3},
+      {"conv_transpose [N,C,H,W]", {2, 4, 5, 5}, {4, 2, 3, 3}, {4},
        [](const ag::Variable& x, const ag::Variable& w,
           const ag::Variable& b) {
-         return ag::conv_transpose1d(x, w, b, ops::ConvTransposeArgs{2, 1, 1, 1});
+         return ag::conv_transpose(x, w, b, ops::ConvTransposeArgs{2, 1, 1, 2});
+       }},
+      {"conv_transpose [N,C,L]", {2, 4, 6}, {4, 3, 3}, {3},
+       [](const ag::Variable& x, const ag::Variable& w,
+          const ag::Variable& b) {
+         return ag::conv_transpose(x, w, b, ops::ConvTransposeArgs{2, 1, 1, 1});
        }},
   };
   for (DType dt : {DType::kF16, DType::kBF16}) {

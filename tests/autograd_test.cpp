@@ -157,12 +157,12 @@ TEST(AutogradGrad, Matmul) {
   EXPECT_TRUE(res.ok) << res.detail;
 }
 
-TEST(AutogradGrad, BmmAndBmmNt) {
+TEST(AutogradGrad, BatchedMatmulPlainAndTransposedB) {
   Rng rng(10);
   {
     std::vector<Variable> inputs = {leaf({2, 3, 4}, rng), leaf({2, 4, 2}, rng)};
     auto res = gradcheck(
-        [](std::vector<Variable>& in) { return sum_all(bmm(in[0], in[1])); },
+        [](std::vector<Variable>& in) { return sum_all(matmul(in[0], in[1])); },
         inputs, 1e-2f, 2e-2f);
     EXPECT_TRUE(res.ok) << res.detail;
   }
@@ -170,7 +170,7 @@ TEST(AutogradGrad, BmmAndBmmNt) {
     std::vector<Variable> inputs = {leaf({2, 3, 4}, rng), leaf({2, 5, 4}, rng)};
     auto res = gradcheck(
         [](std::vector<Variable>& in) {
-          return sum_all(bmm_nt(in[0], in[1]));
+          return sum_all(matmul(in[0], in[1], true));
         },
         inputs, 1e-2f, 2e-2f);
     EXPECT_TRUE(res.ok) << res.detail;
@@ -251,7 +251,7 @@ TEST(AutogradGrad, Conv2dGrouped) {
   auto res = gradcheck(
       [](std::vector<Variable>& in) {
         return sum_all(
-            conv2d(in[0], in[1], in[2], ops::ConvArgs::make(1, 1, 2)));
+            conv(in[0], in[1], in[2], ops::ConvArgs::make(1, 1, 2)));
       },
       inputs, 1e-2f, 3e-2f);
   EXPECT_TRUE(res.ok) << res.detail;
@@ -263,7 +263,7 @@ TEST(AutogradGrad, Conv1d) {
                                   leaf({4}, rng)};
   auto res = gradcheck(
       [](std::vector<Variable>& in) {
-        return sum_all(conv1d(in[0], in[1], in[2], 1, 1, 1));
+        return sum_all(conv(in[0], in[1], in[2], ops::ConvArgs::make(1, 1)));
       },
       inputs, 1e-2f, 3e-2f);
   EXPECT_TRUE(res.ok) << res.detail;
@@ -275,8 +275,8 @@ TEST(AutogradGrad, ConvTranspose2d) {
                                   leaf({4, 3, 4, 4}, rng), leaf({3}, rng)};
   auto res = gradcheck(
       [](std::vector<Variable>& in) {
-        return sum_all(conv_transpose2d(in[0], in[1], in[2],
-                                        ops::ConvTransposeArgs{2, 1, 0, 1}));
+        return sum_all(conv_transpose(in[0], in[1], in[2],
+                                      ops::ConvTransposeArgs{2, 1, 0, 1}));
       },
       inputs, 1e-2f, 3e-2f);
   EXPECT_TRUE(res.ok) << res.detail;
@@ -466,11 +466,11 @@ Variable composed_attention(const Variable& qkv, int64_t H, const Tensor& mask,
     Variable r = permute(reshape(t, {R, S, H, Dh}), {0, 2, 1, 3});
     return reshape(r, {R * H, S, Dh});
   };
-  Variable scores = mul_scalar(bmm_nt(heads(parts[0]), heads(parts[1])),
+  Variable scores = mul_scalar(matmul(heads(parts[0]), heads(parts[1]), true),
                                1.f / std::sqrt(static_cast<float>(Dh)));
   if (mask.defined()) scores = add(scores, constant(mask));
   *probs = softmax(scores, -1);
-  Variable ctx = bmm(*probs, heads(parts[2]));
+  Variable ctx = matmul(*probs, heads(parts[2]));
   ctx = permute(reshape(ctx, {R, H, S, Dh}), {0, 2, 1, 3});
   return reshape(ctx, {R, S, E});
 }
@@ -507,6 +507,149 @@ TEST(Attention, EqualsComposedChainBitwise) {
           expect_same_bits(probs.value(), p, tag + " probs");
           expect_same_bits(xc.grad(), xa.grad(), tag + " qkv grad");
         }
+}
+
+// ---- one op per kernel family ----------------------------------------------
+
+// The output of f(x, w, b) and the gradients of x, w and b through
+// sum(y * r), so the op's output gradient is r itself. An undefined b
+// stands for no bias.
+struct OpRun {
+  Tensor y, gx, gw, gb;
+};
+template <typename F>
+OpRun run_op(F f, const Tensor& x, const Tensor& w, const Tensor& b,
+             const Tensor& r) {
+  Variable xv(x.clone(), true), wv(w.clone(), true), bv;
+  if (b.defined()) bv = Variable(b.clone(), true);
+  Variable y = f(xv, wv, bv);
+  sum_all(mul(y, constant(r.reshape(y.shape())))).backward();
+  return {y.value(), xv.grad(), wv.grad(), b.defined() ? bv.grad() : Tensor()};
+}
+
+// [N, C, L] viewed as [N, C, 1, L], the 2-D kernels' form of a 1-D operand.
+Tensor h1(const Tensor& t) {
+  return t.reshape({t.size(0), t.size(1), 1, t.size(2)});
+}
+
+// A 1-D conv is the 2-D one on the H = 1 view with stride 1 and pad 0 on
+// H: y and every gradient, bit for bit, plain and transposed, at groups 2,
+// stride 2, pad 1 (and out_pad 1).
+TEST(OneOpPerFamily, Conv1dIsConv2dOnTheHeightOneView) {
+  Rng rng(31);
+  const Tensor x = Tensor::randn({2, 4, 9}, rng);
+  const Tensor w = Tensor::randn({6, 2, 3}, rng);
+  const Tensor b = Tensor::randn({6}, rng);
+  const Tensor r = Tensor::randn({2, 6, 5}, rng);  // y's size: (9+2-3)/2+1
+  const OpRun one = run_op(
+      [](const Variable& x, const Variable& w, const Variable& b) {
+        return conv(x, w, b, ops::ConvArgs::make(2, 1, 2));
+      },
+      x, w, b, r);
+  const OpRun two = run_op(
+      [](const Variable& x, const Variable& w, const Variable& b) {
+        return conv(x, w, b, ops::ConvArgs{1, 2, 0, 1, 2});
+      },
+      h1(x), h1(w), b, r);
+  EXPECT_EQ(one.y.shape(), (Shape{2, 6, 5}));
+  expect_same_bits(two.y, h1(one.y), "conv y");
+  expect_same_bits(two.gx, h1(one.gx), "conv x.grad");
+  expect_same_bits(two.gw, h1(one.gw), "conv w.grad");
+  expect_same_bits(two.gb, one.gb, "conv b.grad");
+}
+
+TEST(OneOpPerFamily, ConvTranspose1dIsTheDualKernelsOnTheHeightOneView) {
+  // A 2-D transposed op applies its stride and pad to H as well, so the
+  // reference is the 2-D kernels themselves in their dual roles.
+  Rng rng(32);
+  const Tensor x = Tensor::randn({2, 4, 6}, rng);
+  const Tensor w = Tensor::randn({4, 3, 3}, rng);
+  const Tensor b = Tensor::randn({6}, rng);
+  // L_out = (6-1)*2 - 2*1 + 3 + 1 = 12.
+  const Tensor r = Tensor::randn({2, 6, 12}, rng);
+  const OpRun one = run_op(
+      [](const Variable& x, const Variable& w, const Variable& b) {
+        return conv_transpose(x, w, b, ops::ConvTransposeArgs{2, 1, 1, 2});
+      },
+      x, w, b, r);
+  const ops::ConvArgs a{1, 2, 0, 1, 2};
+  const Tensor r4 = h1(r);
+  expect_same_bits(ops::conv2d_grad_input(h1(x), h1(w), b, r4.shape(), a),
+                   h1(one.y), "convT y");
+  expect_same_bits(ops::conv2d(r4, h1(w), Tensor(), a), h1(one.gx),
+                   "convT x.grad");
+  expect_same_bits(ops::conv2d_grad_weight(h1(x), r4, h1(w).shape(), a),
+                   h1(one.gw), "convT w.grad");
+  expect_same_bits(ops::sum(r4, {0, 2, 3}, false), one.gb, "convT b.grad");
+}
+
+// Rank 2 is one batch entry of rank 3: the same bits for every transpose
+// pair, forward and backward, below and above the GEMM's work floor.
+TEST(OneOpPerFamily, MatmulRankTwoIsRankThreeAtBatchOne) {
+  struct Dims {
+    int64_t m, k, n;
+  };
+  Rng rng(33);
+  for (const Dims d : {Dims{7, 19, 5}, Dims{70, 300, 64}})
+    for (bool ta : {false, true})
+      for (bool tb : {false, true}) {
+        const std::string tag = "m=" + std::to_string(d.m) +
+                                " ta=" + std::to_string(ta) +
+                                " tb=" + std::to_string(tb);
+        const Tensor a = ta ? Tensor::randn({d.k, d.m}, rng)
+                            : Tensor::randn({d.m, d.k}, rng);
+        const Tensor bm = tb ? Tensor::randn({d.n, d.k}, rng)
+                             : Tensor::randn({d.k, d.n}, rng);
+        const Tensor r = Tensor::randn({d.m, d.n}, rng);
+        auto batch1 = [](const Tensor& t) {
+          return t.reshape({1, t.size(0), t.size(1)});
+        };
+        expect_same_bits(
+            batch1(ops::matmul(a, bm, ta, tb)),
+            ops::matmul(batch1(a), batch1(bm), ta, tb), tag + " ops");
+        // ag::matmul transposes only b; a transposed a goes through
+        // ag::transpose of its last two dims.
+        auto f = [ta, tb](const Variable& a, const Variable& b,
+                          const Variable&) {
+          const int64_t r = a.dim();
+          return matmul(ta ? transpose(a, r - 2, r - 1) : a, b, tb);
+        };
+        const OpRun two = run_op(f, a, bm, Tensor(), r);
+        const OpRun three = run_op(f, batch1(a), batch1(bm), Tensor(), r);
+        expect_same_bits(batch1(two.y), three.y, tag + " y");
+        expect_same_bits(batch1(two.gx), three.gx, tag + " a.grad");
+        expect_same_bits(batch1(two.gw), three.gw, tag + " b.grad");
+      }
+}
+
+// Every conv's bias gradient is ops::sum over all dims but the channel dim.
+// At spatial size 1 (MobileNet's squeeze-excite convs on pooled maps) that
+// equals the per-plane partial the channel sum used to fold in sample by
+// sample.
+TEST(OneOpPerFamily, ConvBiasGradAtSpatialSizeOneIsThePerPlaneChain) {
+  Rng rng(34);
+  const int64_t N = 5, C = 8, Cout = 12;
+  const Tensor x = Tensor::randn({N, C, 1, 1}, rng);
+  const Tensor w = Tensor::randn({Cout, C / 2, 1, 1}, rng);
+  const Tensor b = Tensor::randn({Cout}, rng);
+  const Tensor r = Tensor::randn({N, Cout, 1, 1}, rng);
+  const OpRun run = run_op(
+      [](const Variable& x, const Variable& w, const Variable& b) {
+        return conv(x, w, b, ops::ConvArgs::make(1, 0, 2));
+      },
+      x, w, b, r);
+  Tensor want = Tensor::empty({Cout});
+  const float* pr = r.data();
+  for (int64_t c = 0; c < Cout; ++c) {
+    float total = 0.f;
+    for (int64_t n = 0; n < N; ++n) {
+      float plane = 0.f;
+      plane += pr[n * Cout + c];
+      total += plane;
+    }
+    want.data()[c] = total;
+  }
+  expect_same_bits(want, run.gb, "b.grad");
 }
 
 }  // namespace

@@ -263,7 +263,7 @@ TEST(ModuleClone, DeepNestedModelsClone) {
             0.f);
   expect_independent(*rc, resnet);
 
-  // PointNet trunk: input-transform STN plus the conv1d/BN stack.
+  // PointNet trunk: input-transform STN plus the Conv1d/BN stack.
   models::PointNetConfig pcfg = models::PointNetConfig::tiny();
   pcfg.input_transform = true;
   models::PointNetTrunk trunk(pcfg, rng);

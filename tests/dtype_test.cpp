@@ -181,7 +181,7 @@ TEST(DTypeTest, MatmulQuantizePolicyMatchesQuantizedInputs) {
   };
   for (DType dt : {DType::kF16, DType::kBF16}) {
     Tensor ref = ops::matmul(quantized(a, dt), quantized(b, dt));
-    Tensor out = ops::matmul(a, b, dt, dt);
+    Tensor out = ops::matmul(a, b, false, false, dt, dt);
     const std::vector<float> rs = ref.to_vector();
     const std::vector<float> os = out.to_vector();
     for (size_t i = 0; i < rs.size(); ++i) EXPECT_EQ(bits_of(os[i]), bits_of(rs[i]));

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 
+#include "autograd/functions.h"
 #include "hfta/fused_optim.h"
 #include "hfta/fused_sched.h"
 #include "hfta/fusion.h"
@@ -134,6 +135,8 @@ TEST(Validation, TensorShapeErrors) {
   Tensor a = Tensor::randn({2, 3}, rng);
   Tensor b = Tensor::randn({4, 2}, rng);
   EXPECT_THROW(ops::matmul(a, b), Error);             // inner dim mismatch
+  EXPECT_THROW(ops::matmul(a, b, false, true), Error);  // ... of bᵀ
+  EXPECT_THROW(ops::matmul(a, b.reshape({1, 4, 2})), Error);  // rank mismatch
   EXPECT_THROW(ops::concat({a, b}, 0), Error);        // off-dim mismatch
   EXPECT_THROW(a.reshape({7}), Error);                // numel mismatch
   EXPECT_THROW(a.slice(0, 1, 5), Error);              // out of range
@@ -156,10 +159,19 @@ TEST(Validation, ConvArgumentErrors) {
   EXPECT_THROW(ops::conv2d(x, w_ok, Tensor::ones({5}),
                            ops::ConvArgs::make(1, 1, 1)),
                Error);
-  // out_pad >= stride is invalid for transposed conv
+  // out_pad >= stride is invalid for transposed conv, 2-D and 1-D
   Tensor wt = Tensor::randn({4, 2, 3, 3}, rng);
-  EXPECT_THROW(ops::conv_transpose2d(x, wt, Tensor(),
-                                     ops::ConvTransposeArgs{1, 0, 1, 1}),
+  const ag::Variable none;
+  EXPECT_THROW(ag::conv_transpose(ag::constant(x), ag::constant(wt), none,
+                                  ops::ConvTransposeArgs{1, 0, 1, 1}),
+               Error);
+  EXPECT_THROW(ag::conv_transpose(ag::constant(x.reshape({1, 4, 25})),
+                                  ag::constant(wt.reshape({4, 2, 9})), none,
+                                  ops::ConvTransposeArgs{2, 0, 2, 1}),
+               Error);
+  // x and w must have the same rank, 3 or 4
+  EXPECT_THROW(ag::conv(ag::constant(x), ag::constant(w.reshape({6, 2, 9})),
+                        none, ops::ConvArgs::make(1, 1, 2)),
                Error);
 }
 

@@ -551,8 +551,8 @@ ag::Variable plain_mha(const ag::Variable& x, const ag::Variable& wi,
   };
   ag::Variable q = heads(parts[0]), k = heads(parts[1]), v = heads(parts[2]);
   ag::Variable scores = ag::mul_scalar(
-      ag::bmm_nt(q, k), 1.f / std::sqrt(static_cast<float>(Dh)));
-  ag::Variable ctx = ag::bmm(ag::softmax(scores, -1), v);
+      ag::matmul(q, k, true), 1.f / std::sqrt(static_cast<float>(Dh)));
+  ag::Variable ctx = ag::matmul(ag::softmax(scores, -1), v);
   ctx = ag::reshape(ctx, {N, H, S, Dh});
   ctx = ag::permute(ctx, {0, 2, 1, 3});
   ctx = ag::reshape(ctx, {N * S, E});

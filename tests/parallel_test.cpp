@@ -149,16 +149,16 @@ TEST_F(ParallelTest, GemmsStraddlingTheWorkFloorMatchOneThreadScalarBitwise) {
   // chunks (5 x 7), or first launch at m = 43 (32 x 200) or m = 55
   // (130 x 40), and one (48 x 260) whose first k panel launches from m = 19
   // while its second (kc = 4) always runs inline. Each GEMM runs through
-  // vec::gemm, bmm (2 batches), and linear at groups 1 and 3, at 1/2/3/4/8
-  // lanes on both SIMD backends, and is memcmp'd against the 1-lane scalar
-  // result.
+  // vec::gemm, a batched matmul (2 batches), and linear at groups 1 and 3,
+  // at 1/2/3/4/8 lanes on both SIMD backends, and is memcmp'd against the
+  // 1-lane scalar result.
   const bool simd_was_on = vec::simd_active();
   struct Shape3 {
     int64_t n, k;
   };
   const std::vector<Shape3> shapes = {{5, 7}, {48, 260}, {32, 200}, {130, 40}};
   struct Case {
-    Tensor a, b, a3, w3, bias3;  // gemm/bmm operands; linear x, w, bias
+    Tensor a, b, a3, w3, bias3;  // gemm/matmul operands; linear x, w, bias
   };
   std::vector<Case> cases;
   Rng rng(13);
@@ -177,7 +177,7 @@ TEST_F(ParallelTest, GemmsStraddlingTheWorkFloorMatchOneThreadScalarBitwise) {
     std::vector<float> y(static_cast<size_t>(m * n));
     run_gemm(a0, b0, y, m, n, k);  // batch 0 of a and b
     out.push_back(y);
-    out.push_back(ops::bmm(c.a, c.b).to_vector());
+    out.push_back(ops::matmul(c.a, c.b).to_vector());
     const int64_t n_out = c.w3.size(0) / 3;
     out.push_back(ops::linear_forward(c.a3, c.w3.slice(0, 0, n_out),
                                       c.bias3.slice(0, 0, n_out))
@@ -189,7 +189,8 @@ TEST_F(ParallelTest, GemmsStraddlingTheWorkFloorMatchOneThreadScalarBitwise) {
   vec::set_simd_enabled(false);
   std::vector<std::vector<std::vector<float>>> ref;
   for (const Case& c : cases) ref.push_back(run_all(c));
-  const char* names[] = {"vec::gemm", "bmm", "linear g1", "linear g3"};
+  const char* names[] = {"vec::gemm", "batched matmul", "linear g1",
+                         "linear g3"};
   for (bool simd : {true, false}) {
     vec::set_simd_enabled(simd);
     for (int nt : {1, 2, 3, 4, 8}) {

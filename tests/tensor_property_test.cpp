@@ -110,7 +110,7 @@ TEST_P(TensorProps, ConvAdjointIdentity) {
   Tensor y = ops::conv2d(x, w, Tensor(), args);
   Tensor probe = Tensor::randn(y.shape(), rng);
   const float lhs = ops::sum_all(ops::mul(y, probe)).item();
-  Tensor gx = ops::conv2d_grad_input(probe, w, x.shape(), args);
+  Tensor gx = ops::conv2d_grad_input(probe, w, Tensor(), x.shape(), args);
   const float rhs = ops::sum_all(ops::mul(x, gx)).item();
   EXPECT_NEAR(lhs, rhs, std::fabs(lhs) * 1e-3f + 1e-2f);
 }

@@ -6,14 +6,18 @@
 #include <cmath>
 #include <cstring>
 
+#include "autograd/functions.h"
 #include "tensor/conv.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
 #include "tensor/tensor.h"
+#include "same_bits.h"
 
 namespace hfta {
 namespace {
+
+using tests::expect_same_bits;
 
 TEST(Tensor, ConstructionAndMetadata) {
   Tensor t({2, 3, 4});
@@ -225,17 +229,19 @@ TEST(Matmul, TransposedVariantsAgree) {
   Tensor a = Tensor::randn({5, 3}, rng);
   Tensor b = Tensor::randn({3, 4}, rng);
   Tensor ref = ops::matmul(a, b);
-  Tensor tn = ops::matmul_tn(a.transpose(0, 1), b);
-  Tensor nt = ops::matmul_nt(a, b.transpose(0, 1));
+  Tensor tn = ops::matmul(a.transpose(0, 1), b, true, false);
+  Tensor nt = ops::matmul(a, b.transpose(0, 1), false, true);
+  Tensor tt = ops::matmul(a.transpose(0, 1), b.transpose(0, 1), true, true);
   EXPECT_LT(ops::max_abs_diff(ref, tn), 1e-5f);
   EXPECT_LT(ops::max_abs_diff(ref, nt), 1e-5f);
+  EXPECT_LT(ops::max_abs_diff(ref, tt), 1e-5f);
 }
 
-TEST(Matmul, BmmMatchesPerBatchMatmul) {
+TEST(Matmul, BatchedMatchesPerBatchMatmul) {
   Rng rng(5);
   Tensor a = Tensor::randn({3, 4, 5}, rng);
   Tensor b = Tensor::randn({3, 5, 2}, rng);
-  Tensor c = ops::bmm(a, b);
+  Tensor c = ops::matmul(a, b);
   for (int64_t i = 0; i < 3; ++i) {
     Tensor ci = ops::matmul(a.slice(0, i, i + 1).reshape({4, 5}),
                             b.slice(0, i, i + 1).reshape({5, 2}));
@@ -347,7 +353,7 @@ TEST_P(ConvParamTest, GradInputMatchesNumerical) {
   const auto args = ops::ConvArgs::make(c.stride, c.pad, c.groups);
   Tensor y = ops::conv2d(x, w, Tensor(), args);
   Tensor gy = Tensor::randn(y.shape(), rng);
-  Tensor gx = ops::conv2d_grad_input(gy, w, x.shape(), args);
+  Tensor gx = ops::conv2d_grad_input(gy, w, Tensor(), x.shape(), args);
   // Check a handful of coordinates by central differences on sum(y * gy).
   const float eps = 1e-2f;
   for (int64_t probe = 0; probe < 5; ++probe) {
@@ -421,7 +427,9 @@ TEST(Conv, Conv1dMatchesManual) {
   Tensor x = Tensor::randn({2, 3, 10}, rng);
   Tensor w = Tensor::randn({4, 3, 3}, rng);
   Tensor b = Tensor::randn({4}, rng);
-  Tensor y = ops::conv1d(x, w, b, 1, 1, 1);
+  Tensor y = ag::conv(ag::constant(x), ag::constant(w), ag::constant(b),
+                      ops::ConvArgs::make(1, 1))
+                 .value();
   EXPECT_EQ(y.shape(), (Shape{2, 4, 10}));
   // Spot check one output.
   float acc = b.at({1});
@@ -433,6 +441,22 @@ TEST(Conv, Conv1dMatchesManual) {
   EXPECT_NEAR(y.at({0, 1, 4}), acc, 1e-4f);
 }
 
+// The transposed conv on the ag op: its forward and its x and w gradients
+// (one backward through sum(convT(x) * gy), whose output gradient is gy).
+struct ConvTransposeRun {
+  Tensor y, gx, gw;
+};
+ConvTransposeRun conv_transpose_run(const Tensor& x, const Tensor& w,
+                                    const Tensor& b, const Tensor& gy,
+                                    const ops::ConvTransposeArgs& t) {
+  ag::Variable xv(x, true), wv(w, true);
+  ag::Variable y =
+      ag::conv_transpose(xv, wv, b.defined() ? ag::constant(b) : ag::Variable(),
+                         t);
+  if (gy.defined()) ag::sum_all(ag::mul(y, ag::constant(gy))).backward();
+  return {y.value(), xv.grad(), wv.grad()};
+}
+
 TEST(Conv, ConvTransposeShapeAndAdjoint) {
   // DCGAN generator shape: stride-2 upsampling.
   Rng rng(16);
@@ -441,15 +465,17 @@ TEST(Conv, ConvTransposeShapeAndAdjoint) {
   Tensor w = Tensor::randn({Cin, Cout, k, k}, rng);
   Tensor b = Tensor::randn({Cout}, rng);
   ops::ConvTransposeArgs t{2, 1, 0, 1};
-  Tensor y = ops::conv_transpose2d(x, w, b, t);
+  Tensor y = conv_transpose_run(x, w, b, Tensor(), t).y;
   EXPECT_EQ(y.size(2), ops::conv_transpose_out_size(H, k, 2, 1, 0));
   // Adjoint identity: <convT(x), gy> == <x, conv(gy)> (bias excluded).
-  Tensor y_nob = ops::conv_transpose2d(x, w, Tensor(), t);
   Tensor gy = Tensor::randn(y.shape(), rng);
-  const float lhs = ops::sum_all(ops::mul(y_nob, gy)).item();
-  Tensor gx = ops::conv_transpose2d_grad_input(gy, w, t);
-  const float rhs = ops::sum_all(ops::mul(x, gx)).item();
+  ConvTransposeRun nob = conv_transpose_run(x, w, Tensor(), gy, t);
+  const float lhs = ops::sum_all(ops::mul(nob.y, gy)).item();
+  const float rhs = ops::sum_all(ops::mul(x, nob.gx)).item();
   EXPECT_NEAR(lhs, rhs, std::fabs(lhs) * 1e-3f + 1e-2f);
+  // Duality: the x gradient is the plain conv of gy by the same weight.
+  expect_same_bits(ops::conv2d(gy, w, Tensor(), ops::ConvArgs::make(2, 1)),
+                   nob.gx, "convT x.grad == conv2d(gy)");
 }
 
 TEST(Conv, ConvTransposeGradWeightNumerical) {
@@ -458,20 +484,22 @@ TEST(Conv, ConvTransposeGradWeightNumerical) {
   Tensor x = Tensor::randn({N, Cin, H, H}, rng);
   Tensor w = Tensor::randn({Cin, Cout / 1, k, k}, rng);
   ops::ConvTransposeArgs t{2, 1, 1, 1};
-  Tensor y = ops::conv_transpose2d(x, w, Tensor(), t);
+  Tensor y = conv_transpose_run(x, w, Tensor(), Tensor(), t).y;
   Tensor gy = Tensor::randn(y.shape(), rng);
-  Tensor gw = ops::conv_transpose2d_grad_weight(gy, x, w.shape(), t);
+  Tensor gw = conv_transpose_run(x, w, Tensor(), gy, t).gw;
   const float eps = 1e-2f;
   for (int64_t probe = 0; probe < 5; ++probe) {
     const int64_t i = rng.uniform_int(w.numel());
     const float orig = w.data()[i];
     w.data()[i] = orig + eps;
     const float up =
-        ops::sum_all(ops::mul(ops::conv_transpose2d(x, w, Tensor(), t), gy))
+        ops::sum_all(ops::mul(conv_transpose_run(x, w, Tensor(), Tensor(), t).y,
+                              gy))
             .item();
     w.data()[i] = orig - eps;
     const float dn =
-        ops::sum_all(ops::mul(ops::conv_transpose2d(x, w, Tensor(), t), gy))
+        ops::sum_all(ops::mul(conv_transpose_run(x, w, Tensor(), Tensor(), t).y,
+                              gy))
             .item();
     w.data()[i] = orig;
     EXPECT_NEAR(gw.data()[i], (up - dn) / (2 * eps), 2e-2f);

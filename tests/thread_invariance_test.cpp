@@ -96,8 +96,8 @@ class ThreadInvarianceTest : public ::testing::Test {
 
 TEST_F(ThreadInvarianceTest, RepresentativeKindsBitIdenticalAt1248Threads) {
   // Full 1/2/4/8 sweep on kinds that exercise the heavy parallel kernels:
-  // conv (im2col gemm + channel-reduced grad_bias), attention (bmm,
-  // softmax, layernorm), pooling, and the channel-parallel BatchNorm.
+  // conv (im2col gemm + channel-reduced bias gradient), attention (its
+  // GEMMs, softmax, layernorm), pooling, and the channel-parallel BatchNorm.
   const auto factories = tests::kind_factories();
   for (const std::string kind :
        {"Conv2d", "models::TransformerEncoderLayer", "MaxPool2d",
