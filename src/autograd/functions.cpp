@@ -507,33 +507,17 @@ Variable conv_transpose(const Variable& x, const Variable& w,
 
 Variable max_pool2d(const Variable& x, const ops::PoolArgs& args) {
   Tensor xv = x.value();
-  // The argmax indices are forward state the backward needs. A replayed
-  // step recomputes them for the staged data, so the backward closure
-  // reads them through a shared box the thunk refreshes — the same
-  // pinned-state pattern as op outputs, for non-output state.
-  auto idx_box = std::make_shared<Tensor>();
-  auto fwd = [xv, args, idx_box](const Tensor& out) {
-    auto [y, idx] = ops::max_pool2d(xv, args, out);
-    *idx_box = idx;
-    return y;
+  // The argmax indices are forward state the backward needs: the op keeps
+  // the ones its eager run produced and every replay rewrites them in
+  // place (see layer_norm).
+  auto [y, idx] = ops::max_pool2d(xv, args);
+  auto fwd = [xv, args, idx](const Tensor& out) {
+    return ops::max_pool2d(xv, args, out, idx).first;
   };
-  Tensor y = fwd({});
   const Shape x_shape = x.shape();
   return make_op("max_pool2d", y, fwd, {x},
-                 [idx_box, x_shape](const Tensor& gy) -> std::vector<Tensor> {
-                   return {ops::max_pool2d_backward(gy, *idx_box, x_shape)};
-                 });
-}
-
-Variable avg_pool2d(const Variable& x, const ops::PoolArgs& args) {
-  Tensor xv = x.value();
-  auto fwd = [xv, args](const Tensor& out) {
-    return ops::avg_pool2d(xv, args, out);
-  };
-  const Shape x_shape = x.shape();
-  return make_op("avg_pool2d", fwd({}), fwd, {x},
-                 [x_shape, args](const Tensor& gy) -> std::vector<Tensor> {
-                   return {ops::avg_pool2d_backward(gy, x_shape, args)};
+                 [idx, x_shape](const Tensor& gy) -> std::vector<Tensor> {
+                   return {ops::max_pool2d_backward(gy, idx, x_shape)};
                  });
 }
 
@@ -551,18 +535,14 @@ Variable adaptive_avg_pool2d(const Variable& x, int64_t oh, int64_t ow) {
 
 Variable global_max_pool1d(const Variable& x) {
   Tensor xv = x.value();
-  auto idx_box = std::make_shared<Tensor>();  // see max_pool2d
-  auto fwd = [xv, idx_box](const Tensor& out) {
-    auto [y, idx] = ops::max_pool1d_global(xv, out);
-    *idx_box = idx;
-    return y;
+  auto [y, idx] = ops::max_pool1d_global(xv);  // indices as in max_pool2d
+  auto fwd = [xv, idx](const Tensor& out) {
+    return ops::max_pool1d_global(xv, out, idx).first;
   };
-  Tensor y = fwd({});
   const Shape x_shape = x.shape();
   return make_op("global_max_pool1d", y, fwd, {x},
-                 [idx_box, x_shape](const Tensor& gy) -> std::vector<Tensor> {
-                   return {
-                       ops::max_pool1d_global_backward(gy, *idx_box, x_shape)};
+                 [idx, x_shape](const Tensor& gy) -> std::vector<Tensor> {
+                   return {ops::max_pool1d_global_backward(gy, idx, x_shape)};
                  });
 }
 
@@ -704,15 +684,36 @@ Variable mean_all(const Variable& x) {
 // ---- normalization -----------------------------------------------------------------
 
 Variable batch_norm(const Variable& x, const Variable& weight,
-                    const Variable& bias, Tensor mean, Tensor var,
-                    bool training, float eps) {
+                    const Variable& bias, Tensor running_mean,
+                    Tensor running_var, bool training, float momentum,
+                    float eps) {
   Tensor xv = x.value(), wv = weight.value(), bv = bias.value();
-  // mutable: the thunk writes the batch statistics through its own handles
-  // on mean/var (shared storage), so a replay refreshes what the backward
-  // closure and the caller's running-stat update read.
-  auto fwd = [xv, wv, bv, mean, var, training,
-              eps](const Tensor& out) mutable {
-    return ops::batch_norm_forward(xv, wv, bv, mean, var, training, eps, out);
+  // In training the statistics are the batch's: forward state the backward
+  // and the running-stat update read, allocated once and written by every
+  // run of the thunk (see layer_norm). Eval reads the running stats.
+  const int64_t C = xv.size(1);
+  Tensor mean = training ? Tensor::empty({C}) : running_mean;
+  Tensor var = training ? Tensor::empty({C}) : running_var;
+  Tensor scratch = training ? Tensor(Shape{C}) : Tensor();
+  // PyTorch's running variance takes the unbiased batch variance.
+  const int64_t count = xv.numel() / C;
+  const float unbias =
+      count > 1 ? static_cast<float>(count) / static_cast<float>(count - 1)
+                : 1.f;
+  auto fwd = [xv, wv, bv, mean, var, training, eps, rm = running_mean,
+              rv = running_var, scratch, momentum,
+              unbias](const Tensor& out) mutable {
+    Tensor y =
+        ops::batch_norm_forward(xv, wv, bv, mean, var, training, eps, out);
+    if (training) {
+      rm.mul_(1.f - momentum);
+      rm.add_(mean, momentum);
+      rv.mul_(1.f - momentum);
+      scratch.copy_(var);
+      scratch.mul_(unbias);
+      rv.add_(scratch, momentum);
+    }
+    return y;
   };
   return make_op("batch_norm", fwd({}), fwd, {x, weight, bias},
                  [xv, wv, mean, var, training,
@@ -729,8 +730,8 @@ Variable layer_norm(const Variable& x, const Variable& weight,
   HFTA_CHECK(groups > 0 && wv.numel() >= groups, "layer_norm: ", groups,
              " groups for a weight of ", wv.numel(), " elements");
   const int64_t rows = xv.numel() / (wv.numel() / groups);
-  // The row statistics, written by every run of the thunk (see batch_norm)
-  // and read by the backward.
+  // The row statistics: forward state the backward needs, allocated once
+  // and written by every run of the thunk, replays included.
   Tensor mean = Tensor::empty({rows}), var = Tensor::empty({rows});
   auto fwd = [xv, wv, bv, groups, mean, var, eps](const Tensor& out) mutable {
     return ops::layer_norm_forward(xv, wv, bv, groups, mean, var, eps, out);
@@ -925,10 +926,25 @@ Variable embedding(const Tensor& indices, const Variable& weight,
                  });
 }
 
-Variable mul_mask(const Variable& x, const Tensor& mask) {
+Variable dropout(const Variable& x, float p, Rng& rng, int64_t block) {
   Tensor xv = x.value();
-  auto fwd = [xv, mask](const Tensor& out) { return ops::mul(xv, mask, out); };
-  return make_op("mul_mask", fwd({}), fwd, {x},
+  HFTA_CHECK(block > 0 && xv.numel() % block == 0, "dropout: block ", block,
+             " does not divide ", xv.numel(), " elements");
+  // The mask is forward state the backward needs (see layer_norm). The
+  // draw advances `rng`, so a replay draws at the stream position the
+  // eager step would have.
+  Tensor mask(xv.shape());
+  const float scale = 1.f / (1.f - p);
+  auto fwd = [xv, mask, p, scale, block,
+              rng = &rng](const Tensor& out) mutable {
+    float* m = mask.data();
+    for (int64_t i = 0; i < mask.numel(); i += block) {
+      const float v = rng->bernoulli(p) ? 0.f : scale;
+      for (int64_t j = 0; j < block; ++j) m[i + j] = v;
+    }
+    return ops::mul(xv, mask, out);
+  };
+  return make_op("dropout", fwd({}), fwd, {x},
                  [mask](const Tensor& gy) -> std::vector<Tensor> {
                    return {ops::mul(gy, mask)};
                  });

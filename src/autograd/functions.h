@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "autograd/variable.h"
+#include "core/rng.h"
 #include "tensor/conv.h"
 #include "tensor/pool.h"
 
@@ -78,10 +79,13 @@ Variable conv_transpose(const Variable& x, const Variable& w,
                         const ops::ConvTransposeArgs& args);
 
 // ---- pooling ---------------------------------------------------------------
+/// Max pooling of x [N, C, H, W] (ops::max_pool2d). The op allocates its
+/// argmax indices once, and every run of it, replays included, rewrites
+/// them for the backward's scatter.
 Variable max_pool2d(const Variable& x, const ops::PoolArgs& args);
-Variable avg_pool2d(const Variable& x, const ops::PoolArgs& args);
 Variable adaptive_avg_pool2d(const Variable& x, int64_t oh, int64_t ow);
-/// [N, C, L] -> [N, C] max over L (PointNet global feature).
+/// [N, C, L] -> [N, C] max over L (PointNet global feature); its indices
+/// are kept as max_pool2d keeps them.
 Variable global_max_pool1d(const Variable& x);
 
 // ---- shape ----------------------------------------------------------------
@@ -99,15 +103,20 @@ Variable sum_all(const Variable& x);
 Variable mean_all(const Variable& x);
 
 // ---- normalization -----------------------------------------------------------
-/// BatchNorm over dim 1 of x [N, C, *] as one op (ops::batch_norm_forward):
-/// per channel, (x - mean) * (var + eps)^-0.5 * weight + bias. With
-/// `training` the op writes the batch mean and biased variance into `mean`
-/// and `var` ([C]) every time it runs, replays included; otherwise it reads
-/// them. Gradients flow to x, weight and bias, bit-identical to the
-/// composed mean/sub/mul/pow chain when x has no other consumer.
+/// BatchNorm over dim 1 of x [N, C, *] as one op (ops::batch_norm_forward),
+/// as torch.nn.functional.batch_norm: per channel, (x - mean) *
+/// (var + eps)^-0.5 * weight + bias. With `training` the mean and biased
+/// variance are the batch's, held in [C] tensors the op allocates once,
+/// and after the kernel every run of the op, replays included, updates the
+/// running buffers in place: r = r * (1 - momentum) + stat * momentum, the
+/// variance's stat unbiased by count / (count - 1). Otherwise it reads
+/// `running_mean` and `running_var`. Gradients flow to x, weight and bias,
+/// bit-identical to the composed mean/sub/mul/pow chain when x has no other
+/// consumer.
 Variable batch_norm(const Variable& x, const Variable& weight,
-                    const Variable& bias, Tensor mean, Tensor var,
-                    bool training, float eps);
+                    const Variable& bias, Tensor running_mean,
+                    Tensor running_var, bool training, float momentum,
+                    float eps);
 
 /// LayerNorm over the trailing weight.numel() / groups elements of x as one
 /// op (ops::layer_norm_forward): per row, (x - mean) * (var + eps)^-0.5 *
@@ -145,7 +154,11 @@ Variable mse_loss(const Variable& x, const Tensor& target,
 Variable embedding(const Tensor& indices, const Variable& weight,
                    int64_t groups = 1);
 
-/// Elementwise multiply by a constant mask (dropout building block).
-Variable mul_mask(const Variable& x, const Tensor& mask);
+/// Dropout: x times a mask of 0 and 1/(1 - p). Every run of the op,
+/// replays included, draws the mask from `rng` (which must outlive any step
+/// program that records the op): one Bernoulli(p) drop per `block`
+/// consecutive elements, in ascending order, so block = 1 drops elements
+/// and block = H*W drops whole [N, C] planes of [N, C, H, W].
+Variable dropout(const Variable& x, float p, Rng& rng, int64_t block = 1);
 
 }  // namespace hfta::ag

@@ -21,16 +21,7 @@ StepProgram* StepProgram::recording() { return g_recording; }
 
 void StepProgram::record_op(const Tensor& out,
                             std::function<Tensor(const Tensor&)> recompute) {
-  Slot s;
-  s.out = out;
-  s.compute = std::move(recompute);
-  slots_.push_back(std::move(s));
-}
-
-void StepProgram::record_effect(std::function<void()> effect) {
-  Slot s;
-  s.effect = std::move(effect);
-  slots_.push_back(std::move(s));
+  slots_.push_back({out, std::move(recompute)});
 }
 
 void StepProgram::finish_capture(Engine& engine, const Variable& root,
@@ -45,10 +36,6 @@ void StepProgram::finish_capture(Engine& engine, const Variable& root,
 void StepProgram::replay() {
   HFTA_CHECK(captured_, "StepProgram::replay() before finish_capture()");
   for (Slot& s : slots_) {
-    if (s.effect) {
-      s.effect();
-      continue;
-    }
     const Tensor r = s.compute(s.out);
     HFTA_CHECK(r.shares_storage_with(s.out),
                "a replayed op wrote its result outside its pinned output");
@@ -56,26 +43,10 @@ void StepProgram::replay() {
   tape_.replay();
 }
 
-int64_t StepProgram::op_count() const {
-  int64_t n = 0;
-  for (const Slot& s : slots_) n += s.compute ? 1 : 0;
-  return n;
-}
-
-int64_t StepProgram::effect_count() const {
-  return static_cast<int64_t>(slots_.size()) - op_count();
-}
-
 void StepProgram::clear() {
   slots_.clear();
   tape_.clear();
   captured_ = false;
-}
-
-bool capturing() { return g_recording != nullptr; }
-
-void record_side_effect(std::function<void()> effect) {
-  if (g_recording != nullptr) g_recording->record_effect(std::move(effect));
 }
 
 }  // namespace hfta::ag

@@ -21,11 +21,12 @@
 //     including backward closures that captured input/output tensors —
 //     sees fresh values with zero Node or closure construction, and no
 //     pass beyond the kernels themselves.
-//   - Side effects outside the tape (BatchNorm running-stat updates,
-//     dropout mask draws from a module's RNG stream) are recorded via
-//     record_side_effect() at their position in the op stream, so replay
-//     re-runs them in eager order and RNG streams stay aligned with an
-//     eager twin.
+//   - Forward state lives in the op that produces it: statistics, argmax
+//     indices and dropout masks are tensors the op allocates once and its
+//     thunk rewrites, and the thunk itself applies what a step does beyond
+//     its output (ag::batch_norm's running-stat update, ag::dropout's draw
+//     from the module's RNG stream). A slot is thus {out, compute} and
+//     nothing else, and replay keeps every draw and update in eager order.
 //   - Backward: finish_capture() drives the engine once with a
 //     BackwardTape sink (autograd/engine.h), freezing the executed node
 //     schedule and every gradient buffer for in-place replay.
@@ -64,15 +65,13 @@ class StepProgram {
   };
 
   /// The program currently recording on this thread (null outside any
-  /// CaptureGuard). make_op and side-effect hooks consult this.
+  /// CaptureGuard). make_op consults this.
   static StepProgram* recording();
 
   /// Appends one op: `out` is the pinned output buffer, `recompute` the
   /// kernel thunk replay calls with `out` as its destination.
   void record_op(const Tensor& out,
                  std::function<Tensor(const Tensor&)> recompute);
-  /// Appends one non-tape side effect at its position in the op stream.
-  void record_effect(std::function<void()> effect);
 
   /// Freezes the backward half: runs `engine` from `root` with a capture
   /// sink (this IS the step's real backward pass, not an extra one).
@@ -80,37 +79,25 @@ class StepProgram {
                       Tensor seed = Tensor());
 
   bool captured() const { return captured_; }
-  /// Re-executes the captured step: forward thunks + side effects in
-  /// recorded order, then the backward tape. Zero Node constructions,
-  /// zero closure constructions, zero topo sorts.
+  /// Re-executes the captured step: forward thunks in recorded order, then
+  /// the backward tape. Zero Node constructions, zero closure
+  /// constructions, zero topo sorts.
   void replay();
   /// The captured loss variable; its pinned value is refreshed by every
   /// replay().
   const Variable& loss() const { return tape_.root; }
 
-  /// Op slots a replay runs (views record none).
-  int64_t op_count() const;
-  int64_t effect_count() const;
   void clear();
 
  private:
   struct Slot {
-    Tensor out;  // pinned output (ops only)
-    std::function<Tensor(const Tensor&)> compute;  // null for effect slots
-    std::function<void()> effect;                  // null for op slots
+    Tensor out;  // pinned output
+    std::function<Tensor(const Tensor&)> compute;
   };
 
   std::vector<Slot> slots_;
   BackwardTape tape_;
   bool captured_ = false;
 };
-
-/// True while a CaptureGuard is active on this thread. Modules with
-/// non-tape per-step state (dropout masks, batch-norm running stats) check
-/// this to record their side effects.
-bool capturing();
-
-/// Records `effect` into the recording program; no-op when not capturing.
-void record_side_effect(std::function<void()> effect);
 
 }  // namespace hfta::ag

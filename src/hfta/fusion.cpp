@@ -36,18 +36,6 @@ ag::Variable UnfusedBlockAdapter::forward(const ag::Variable& x) {
   return ag::concat(outs, 1);
 }
 
-Tensor fuse_blocks(const std::vector<Tensor>& per_model) {
-  HFTA_CHECK(!per_model.empty(), "fuse_blocks: empty");
-  const int64_t block = per_model[0].numel();
-  Tensor out({static_cast<int64_t>(per_model.size()) * block});
-  for (size_t b = 0; b < per_model.size(); ++b) {
-    HFTA_CHECK(per_model[b].numel() == block, "fuse_blocks: numel mismatch");
-    std::copy(per_model[b].data(), per_model[b].data() + block,
-              out.data() + static_cast<int64_t>(b) * block);
-  }
-  return out;
-}
-
 std::vector<Tensor> unfuse_blocks(const Tensor& fused, int64_t B, Shape shape) {
   const int64_t block = shape_numel(shape);
   HFTA_CHECK(fused.numel() == B * block, "unfuse_blocks: numel mismatch");

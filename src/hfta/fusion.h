@@ -51,8 +51,6 @@ class UnfusedBlockAdapter : public nn::Module {
   std::vector<std::shared_ptr<nn::Module>> mods_;
 };
 
-/// Fuses B per-model parameter tensors into the dim-0-block layout.
-Tensor fuse_blocks(const std::vector<Tensor>& per_model);
 /// Splits a dim-0-block fused tensor into B per-model tensors of `shape`.
 std::vector<Tensor> unfuse_blocks(const Tensor& fused, int64_t B, Shape shape);
 

@@ -40,28 +40,34 @@ uint64_t fingerprint(const nn::Optimizer& opt) {
 
 }  // namespace
 
-void TrainStep::finish_stats(const IterationScope& scope) {
+template <typename Body>
+auto TrainStep::step(nn::Optimizer& opt, StepKind kind, const Body& body) {
+  IterationScope scope;
+  opt.zero_grad();
+  auto result = body();
+  amp_step(opt);
+  ++stats_.steps;
+  if (kind == StepKind::kCapture) ++stats_.captures;
+  if (kind == StepKind::kReplay) ++stats_.replays;
+  stats_.last_was_replay = kind == StepKind::kReplay;
   const IterationScope::Stats s = scope.stats();
   stats_.last_heap_allocs = s.heap_allocs;
   stats_.last_pool_hits = s.pool_hits;
   stats_.last_node_constructions = s.node_constructions;
+  return result;
 }
 
 ag::Variable TrainStep::run_eager(nn::Optimizer& opt, const LossFn& loss_fn) {
-  IterationScope scope;
-  opt.zero_grad();
-  ag::Variable loss;
-  {
-    // kF32 pins autocast OFF for fp32 steps, regardless of ambient guards.
-    ag::AutocastGuard guard(amp_ ? amp_dtype_ : DType::kF32);
-    loss = loss_fn();
-  }
-  engine_.run(loss, backward_seed());
-  amp_step(opt);
-  ++stats_.steps;
-  stats_.last_was_replay = false;
-  finish_stats(scope);
-  return loss;
+  return step(opt, StepKind::kEager, [&] {
+    ag::Variable loss;
+    {
+      // kF32 pins autocast OFF for fp32 steps, regardless of ambient guards.
+      ag::AutocastGuard guard(amp_ ? amp_dtype_ : DType::kF32);
+      loss = loss_fn();
+    }
+    engine_.run(loss, backward_seed());
+    return loss;
+  });
 }
 
 ag::Variable TrainStep::run_cached(nn::Optimizer& opt, const LossFn& loss_fn) {
@@ -74,30 +80,24 @@ ag::Variable TrainStep::run_cached(nn::Optimizer& opt, const LossFn& loss_fn) {
     fp = fnv_mix(fp, 0x9e3779b97f4a7c15ull);
     fp = fnv_mix(fp, static_cast<uint64_t>(amp_dtype_));
   }
-  if (slot.fingerprinted && slot.fingerprint != fp) {
+  if (slot.warm && slot.fingerprint != fp) {
     // Same optimizer address, different structure (e.g. a repacked group
     // reusing a slot): the captured graph is stale.
     slot.program.clear();
     slot.warm = false;
   }
   slot.fingerprint = fp;
-  slot.fingerprinted = true;
   slot.last_used = ++use_clock_;
 
   if (slot.program.captured()) {
-    IterationScope scope;
-    opt.zero_grad();
-    // The tape's seed shares amp_seed_'s storage; refreshing it in place
-    // is how a scale change reaches every cached program without
-    // recapture.
-    if (amp_) refresh_amp_seed();
-    slot.program.replay();
-    amp_step(opt);
-    ++stats_.steps;
-    ++stats_.replays;
-    finish_stats(scope);
-    stats_.last_was_replay = true;
-    return slot.program.loss();
+    return step(opt, StepKind::kReplay, [&] {
+      // The tape's seed shares amp_seed_'s storage; refreshing it in place
+      // is how a scale change reaches every cached program without
+      // recapture.
+      if (amp_) refresh_amp_seed();
+      slot.program.replay();
+      return slot.program.loss();
+    });
   }
 
   if (!slot.warm) {
@@ -108,20 +108,16 @@ ag::Variable TrainStep::run_cached(nn::Optimizer& opt, const LossFn& loss_fn) {
   // Capture run: a full training step (eager kernels, the real backward)
   // recorded along the way. Only the forward/loss build runs under the
   // guards; finish_capture freezes the backward it then executes.
-  IterationScope scope;
-  opt.zero_grad();
-  ag::Variable loss;
-  {
-    ag::StepProgram::CaptureGuard guard(slot.program);
-    ag::AutocastGuard amp_guard(amp_ ? amp_dtype_ : DType::kF32);
-    loss = loss_fn();
-  }
-  slot.program.finish_capture(engine_, loss, backward_seed());
-  amp_step(opt);
-  ++stats_.steps;
-  ++stats_.captures;
-  stats_.last_was_replay = false;
-  finish_stats(scope);
+  ag::Variable loss = step(opt, StepKind::kCapture, [&] {
+    ag::Variable captured;
+    {
+      ag::StepProgram::CaptureGuard guard(slot.program);
+      ag::AutocastGuard amp_guard(amp_ ? amp_dtype_ : DType::kF32);
+      captured = loss_fn();
+    }
+    slot.program.finish_capture(engine_, captured, backward_seed());
+    return captured;
+  });
   evict_lru();
   return loss;
 }
@@ -239,15 +235,11 @@ std::vector<ag::Variable> TrainStep::run(nn::Optimizer& opt,
                                          const MultiLossFn& loss_fn) {
   HFTA_CHECK(!amp_, "multi-loss run() does not support AMP (each loss would "
              "need its own scale bookkeeping)");
-  IterationScope scope;
-  opt.zero_grad();
-  std::vector<ag::Variable> losses = loss_fn();
-  for (const ag::Variable& loss : losses) engine_.run(loss);
-  opt.step();
-  ++stats_.steps;
-  stats_.last_was_replay = false;
-  finish_stats(scope);
-  return losses;
+  return step(opt, StepKind::kEager, [&] {
+    std::vector<ag::Variable> losses = loss_fn();
+    for (const ag::Variable& loss : losses) engine_.run(loss);
+    return losses;
+  });
 }
 
 void TrainStep::backward(const ag::Variable& loss, Tensor seed) {

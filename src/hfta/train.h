@@ -151,17 +151,21 @@ class TrainStep {
  private:
   struct ProgramSlot {
     uint64_t fingerprint = 0;
-    bool fingerprinted = false;
     bool warm = false;       // the warm-up eager step has run
     int64_t last_used = 0;   // LRU clock value
     ag::StepProgram program;
   };
 
-  /// One eager step of `opt`: zero_grad, the loss under autocast when AMP
-  /// is on, backward with the AMP seed, amp_step.
+  enum class StepKind { kEager, kCapture, kReplay };
+  /// The envelope every step runs in: an IterationScope around zero_grad,
+  /// `body` (forward and backward, or a replay), then amp_step and the
+  /// stats. Returns what `body` returns.
+  template <typename Body>
+  auto step(nn::Optimizer& opt, StepKind kind, const Body& body);
+  /// One eager step of `opt`: the loss under autocast when AMP is on, and
+  /// backward with the AMP seed.
   ag::Variable run_eager(nn::Optimizer& opt, const LossFn& loss_fn);
   ag::Variable run_cached(nn::Optimizer& opt, const LossFn& loss_fn);
-  void finish_stats(const IterationScope& scope);
   void evict_lru();
 
   /// Rewrites the persistent scalar seed tensor with the current scale

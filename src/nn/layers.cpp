@@ -1,6 +1,5 @@
 #include "nn/layers.h"
 
-#include "autograd/step_program.h"
 #include "nn/init.h"
 #include "tensor/ops.h"
 
@@ -133,19 +132,7 @@ Dropout::Dropout(float p, uint64_t seed) : p(p), rng_(seed) {
 
 ag::Variable Dropout::forward(const ag::Variable& x) {
   if (!is_training() || p == 0.f) return x;
-  Tensor mask(x.shape());
-  const float scale = 1.f / (1.f - p);
-  // The mask draw mutates this module's RNG stream, so a replayed step must
-  // re-run it at the same stream position — recorded before mul_mask so
-  // replay refreshes the (shared-storage) mask ahead of the product thunk.
-  auto draw = [mask, scale, p = p, rng = &rng_]() mutable {
-    float* m = mask.data();
-    for (int64_t i = 0; i < mask.numel(); ++i)
-      m[i] = rng->bernoulli(p) ? 0.f : scale;
-  };
-  draw();
-  if (ag::capturing()) ag::record_side_effect(draw);
-  return ag::mul_mask(x, mask);
+  return ag::dropout(x, p, rng_);
 }
 
 Dropout2d::Dropout2d(float p, uint64_t seed) : p(p), rng_(seed) {
@@ -155,22 +142,8 @@ Dropout2d::Dropout2d(float p, uint64_t seed) : p(p), rng_(seed) {
 ag::Variable Dropout2d::forward(const ag::Variable& x) {
   if (!is_training() || p == 0.f) return x;
   HFTA_CHECK(x.dim() == 4, "Dropout2d expects [N, C, H, W]");
-  const int64_t N = x.size(0), C = x.size(1);
-  const int64_t spatial = x.numel() / (N * C);
-  Tensor mask(x.shape());
-  const float scale = 1.f / (1.f - p);
-  auto draw = [mask, scale, N, C, spatial, p = p, rng = &rng_]() mutable {
-    float* m = mask.data();
-    for (int64_t nc = 0; nc < N * C; ++nc) {
-      const float v = rng->bernoulli(p) ? 0.f : scale;
-      for (int64_t s = 0; s < spatial; ++s) m[nc * spatial + s] = v;
-    }
-  };
-  draw();
-  if (ag::capturing()) ag::record_side_effect(draw);
-  return ag::mul_mask(x, mask);
+  return ag::dropout(x, p, rng_, x.size(2) * x.size(3));
 }
-
 
 // ---- reflection ------------------------------------------------------------
 

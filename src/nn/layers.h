@@ -158,10 +158,6 @@ class Dropout : public Module {
   ag::Variable forward(const ag::Variable& x) override;
   LayerKind kind() const override { return LayerKind::kDropout; }
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
-  /// Copy-based clone so the mask rng stream's current state carries over.
-  std::shared_ptr<Module> clone() const override {
-    return std::make_shared<Dropout>(*this);
-  }
   ModuleConfig config() const override;
   float p;
 
@@ -178,10 +174,6 @@ class Dropout2d : public Module {
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   ArrayLayout array_layout() const override {
     return ArrayLayout::kChannelFused;
-  }
-  /// Copy-based clone so the mask rng stream's current state carries over.
-  std::shared_ptr<Module> clone() const override {
-    return std::make_shared<Dropout2d>(*this);
   }
   ModuleConfig config() const override;
   float p;

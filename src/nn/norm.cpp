@@ -1,7 +1,5 @@
 #include "nn/norm.h"
 
-#include "autograd/step_program.h"
-#include "tensor/ops.h"
 
 namespace hfta::nn {
 
@@ -14,37 +12,8 @@ BatchNormBase::BatchNormBase(int64_t channels, float eps, float momentum)
 }
 
 ag::Variable BatchNormBase::normalize(const ag::Variable& x) {
-  if (!is_training())
-    return ag::batch_norm(x, weight, bias, running_mean, running_var,
-                          /*training=*/false, eps);
-  // The op writes this step's batch statistics into batch_mean/batch_var
-  // whenever it runs, eagerly or in a step program's replay, so the update
-  // below always reads current values.
-  Tensor batch_mean = Tensor::empty({channels});
-  Tensor batch_var = Tensor::empty({channels});
-  ag::Variable y = ag::batch_norm(x, weight, bias, batch_mean, batch_var,
-                                  /*training=*/true, eps);
-  // Update running stats outside the tape (PyTorch uses the unbiased
-  // variance for the running buffer). The scratch tensor replaces eager's
-  // per-step clone so replay stays allocation-free; copy_ + mul_ is
-  // bit-identical to clone + mul_.
-  const int64_t count = x.numel() / channels;
-  const float unbias =
-      count > 1 ? static_cast<float>(count) / static_cast<float>(count - 1)
-                : 1.f;
-  auto update = [rm = running_mean, rv = running_var, batch_mean, batch_var,
-                 scratch = Tensor(Shape{channels}), m = momentum,
-                 unbias]() mutable {
-    rm.mul_(1.f - m);
-    rm.add_(batch_mean, m);
-    rv.mul_(1.f - m);
-    scratch.copy_(batch_var);
-    scratch.mul_(unbias);
-    rv.add_(scratch, m);
-  };
-  update();
-  if (ag::capturing()) ag::record_side_effect(update);
-  return y;
+  return ag::batch_norm(x, weight, bias, running_mean, running_var,
+                        is_training(), momentum, eps);
 }
 
 BatchNorm2d::BatchNorm2d(int64_t channels, float eps, float momentum)

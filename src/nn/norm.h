@@ -26,8 +26,8 @@ class BatchNormBase : public Module {
 
  protected:
   /// One ag::batch_norm over x's dim 1 (statistics over all other dims):
-  /// batch statistics in training, followed by the running-stat update
-  /// (also recorded into a capturing step program); running stats in eval.
+  /// batch statistics and the running-stat update in training, running
+  /// statistics in eval.
   ag::Variable normalize(const ag::Variable& x);
 };
 

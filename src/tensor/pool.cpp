@@ -8,7 +8,7 @@
 namespace hfta::ops {
 
 std::pair<Tensor, Tensor> max_pool2d(const Tensor& x, const PoolArgs& a,
-                                     const Tensor& out) {
+                                     const Tensor& out, const Tensor& indices) {
   HFTA_CHECK(x.dim() == 4, "max_pool2d: x must be [N,C,H,W]");
   const int64_t N = x.size(0), C = x.size(1), H = x.size(2), W = x.size(3);
   const int64_t s = a.effective_stride();
@@ -16,7 +16,7 @@ std::pair<Tensor, Tensor> max_pool2d(const Tensor& x, const PoolArgs& a,
   const int64_t Wo = (W + 2 * a.pad - a.kernel) / s + 1;
   HFTA_CHECK(Ho > 0 && Wo > 0, "max_pool2d: empty output");
   Tensor y = Tensor::empty_or(out, {N, C, Ho, Wo});
-  Tensor idx = Tensor::empty({N, C, Ho, Wo});
+  Tensor idx = Tensor::empty_or(indices, {N, C, Ho, Wo});
   const float* px = x.data();
   float* py = y.data();
   float* pi = idx.data();
@@ -138,76 +138,13 @@ Tensor adaptive_avg_pool2d_backward(const Tensor& gy, const Shape& x_shape) {
   return gx;
 }
 
-Tensor avg_pool2d(const Tensor& x, const PoolArgs& a, const Tensor& out) {
-  HFTA_CHECK(x.dim() == 4, "avg_pool2d: x must be [N,C,H,W]");
-  const int64_t N = x.size(0), C = x.size(1), H = x.size(2), W = x.size(3);
-  const int64_t s = a.effective_stride();
-  const int64_t Ho = (H + 2 * a.pad - a.kernel) / s + 1;
-  const int64_t Wo = (W + 2 * a.pad - a.kernel) / s + 1;
-  Tensor y = Tensor::empty_or(out, {N, C, Ho, Wo});
-  const float* px = x.data();
-  float* py = y.data();
-  const float inv = 1.f / static_cast<float>(a.kernel * a.kernel);
-  parallel_for(Partition::rows(N * C), [&](int64_t lo, int64_t hi) {
-    for (int64_t nc = lo; nc < hi; ++nc) {
-      const float* plane = px + nc * H * W;
-      float* yp = py + nc * Ho * Wo;
-      for (int64_t oh = 0; oh < Ho; ++oh)
-        for (int64_t ow = 0; ow < Wo; ++ow) {
-          float acc = 0.f;
-          for (int64_t i = 0; i < a.kernel; ++i) {
-            const int64_t ih = oh * s - a.pad + i;
-            if (ih < 0 || ih >= H) continue;
-            for (int64_t j = 0; j < a.kernel; ++j) {
-              const int64_t iw = ow * s - a.pad + j;
-              if (iw >= 0 && iw < W) acc += plane[ih * W + iw];
-            }
-          }
-          yp[oh * Wo + ow] = acc * inv;
-        }
-    }
-  });
-  return y;
-}
-
-Tensor avg_pool2d_backward(const Tensor& gy, const Shape& x_shape,
-                           const PoolArgs& a) {
-  const int64_t N = x_shape[0], C = x_shape[1], H = x_shape[2], W = x_shape[3];
-  const int64_t Ho = gy.size(2), Wo = gy.size(3);
-  const int64_t s = a.effective_stride();
-  Tensor gx(x_shape);
-  const float* pg = gy.data();
-  float* px = gx.data();
-  const float inv = 1.f / static_cast<float>(a.kernel * a.kernel);
-  // Plane-parallel: overlapping windows only overlap within a plane, and
-  // each plane belongs to exactly one chunk.
-  parallel_for(Partition::rows(N * C), [&](int64_t lo, int64_t hi) {
-    for (int64_t nc = lo; nc < hi; ++nc) {
-      float* plane = px + nc * H * W;
-      const float* g = pg + nc * Ho * Wo;
-      for (int64_t oh = 0; oh < Ho; ++oh)
-        for (int64_t ow = 0; ow < Wo; ++ow) {
-          const float gv = g[oh * Wo + ow] * inv;
-          for (int64_t i = 0; i < a.kernel; ++i) {
-            const int64_t ih = oh * s - a.pad + i;
-            if (ih < 0 || ih >= H) continue;
-            for (int64_t j = 0; j < a.kernel; ++j) {
-              const int64_t iw = ow * s - a.pad + j;
-              if (iw >= 0 && iw < W) plane[ih * W + iw] += gv;
-            }
-          }
-        }
-    }
-  });
-  return gx;
-}
-
 std::pair<Tensor, Tensor> max_pool1d_global(const Tensor& x,
-                                            const Tensor& out) {
+                                            const Tensor& out,
+                                            const Tensor& indices) {
   HFTA_CHECK(x.dim() == 3, "max_pool1d_global: x must be [N,C,L]");
   const int64_t N = x.size(0), C = x.size(1), L = x.size(2);
   Tensor y = Tensor::empty_or(out, {N, C});
-  Tensor idx = Tensor::empty({N, C});
+  Tensor idx = Tensor::empty_or(indices, {N, C});
   const float* px = x.data();
   float* py = y.data();
   float* pi = idx.data();

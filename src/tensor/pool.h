@@ -1,6 +1,8 @@
 // Pooling kernels: MaxPool2d (with saved argmax indices for the backward)
 // and AdaptiveAvgPool2d, matching PyTorch semantics. The forward kernels
-// take an optional destination `out` for their values (see tensor/ops.h).
+// take an optional destination `out` for their values (see tensor/ops.h);
+// the max pools also take an optional `indices` destination for their
+// argmax, so a replayed op rewrites the indices its backward reads.
 #pragma once
 
 #include <utility>
@@ -19,7 +21,8 @@ struct PoolArgs {
 
 /// x: [N, C, H, W] -> {values [N,C,Ho,Wo], flat argmax indices into H*W}.
 std::pair<Tensor, Tensor> max_pool2d(const Tensor& x, const PoolArgs& args,
-                                     const Tensor& out = Tensor());
+                                     const Tensor& out = Tensor(),
+                                     const Tensor& indices = Tensor());
 /// Scatters gy back through the saved indices.
 Tensor max_pool2d_backward(const Tensor& gy, const Tensor& indices,
                            const Shape& x_shape);
@@ -29,16 +32,11 @@ Tensor adaptive_avg_pool2d(const Tensor& x, int64_t out_h, int64_t out_w,
                            const Tensor& out = Tensor());
 Tensor adaptive_avg_pool2d_backward(const Tensor& gy, const Shape& x_shape);
 
-/// Plain average pooling.
-Tensor avg_pool2d(const Tensor& x, const PoolArgs& args,
-                  const Tensor& out = Tensor());
-Tensor avg_pool2d_backward(const Tensor& gy, const Shape& x_shape,
-                           const PoolArgs& args);
-
 /// Max over the last dim of [N, C, L] -> {values [N,C], indices [N,C]}.
 /// (PointNet's global feature max.)
 std::pair<Tensor, Tensor> max_pool1d_global(const Tensor& x,
-                                            const Tensor& out = Tensor());
+                                            const Tensor& out = Tensor(),
+                                            const Tensor& indices = Tensor());
 Tensor max_pool1d_global_backward(const Tensor& gy, const Tensor& indices,
                                   const Shape& x_shape);
 

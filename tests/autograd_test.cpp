@@ -440,16 +440,26 @@ TEST(AutogradGrad, Embedding) {
   EXPECT_TRUE(res.ok) << res.detail;
 }
 
-TEST(AutogradGrad, MulMaskDropoutBuildingBlock) {
+TEST(AutogradGrad, Dropout) {
+  // The op draws its mask on every run, so the stream is reseeded before
+  // each evaluation: every one of gradcheck's evaluations draws the same
+  // mask, whose entries here are both 0 and 1/(1 - p).
   Rng rng(23);
-  Tensor mask = Tensor::from_data({2, 2}, {0.f, 2.f, 2.f, 0.f});
-  std::vector<Variable> inputs = {leaf({2, 2}, rng)};
+  std::vector<Variable> inputs = {leaf({3, 4}, rng)};
+  Tensor y;
   auto res = gradcheck(
       [&](std::vector<Variable>& in) {
-        return sum_all(mul_mask(in[0], mask));
+        Rng stream(0xd0);
+        Variable out = dropout(in[0], 0.5f, stream);
+        y = out.value();
+        return sum_all(mul(out, in[0]));
       },
       inputs, 1e-3f, 1e-2f);
   EXPECT_TRUE(res.ok) << res.detail;
+  int64_t dropped = 0;
+  for (int64_t i = 0; i < y.numel(); ++i) dropped += y.data()[i] == 0.f;
+  EXPECT_GT(dropped, 0);
+  EXPECT_LT(dropped, y.numel());
 }
 
 // ---- attention as one op ---------------------------------------------------

@@ -4,6 +4,9 @@
 // composite kinds the fusion planner lowers, cloned through the Module base.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "hfta/fusion.h"
 #include "models/bert.h"
 #include "models/mobilenetv3.h"
@@ -119,18 +122,22 @@ TEST(ModuleClone, EvalModeCarriesOver) {
 }
 
 TEST(ModuleClone, DropoutCloneReplaysTheSameMaskStream) {
-  // Dropout's clone copies the mask rng's CURRENT state, so clone and
+  // A dropout's clone copies the mask rng's CURRENT state, so clone and
   // source draw identical masks from the clone point on.
-  Dropout src(0.5f);
-  src.forward(ag::Variable(Tensor::ones({4, 4})));  // advance the stream
-  auto c = src.clone();
-  ASSERT_NE(c, nullptr);
-  Tensor x = Tensor::ones({8, 8});
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(ops::max_abs_diff(src.forward(ag::Variable(x)).value(),
-                                c->forward(ag::Variable(x)).value()),
-              0.f)
-        << "draw " << i;
+  Dropout drop(0.5f);
+  Dropout2d drop2d(0.5f);
+  for (Module* src : std::vector<Module*>{&drop, &drop2d}) {
+    const std::string kind = src->kind_name();
+    src->forward(ag::Variable(Tensor::ones({2, 4, 2, 2})));  // advance
+    auto c = src->clone();
+    ASSERT_NE(c, nullptr) << kind;
+    Tensor x = Tensor::ones({2, 8, 4, 4});
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(ops::max_abs_diff(src->forward(ag::Variable(x)).value(),
+                                  c->forward(ag::Variable(x)).value()),
+                0.f)
+          << kind << " draw " << i;
+    }
   }
 }
 

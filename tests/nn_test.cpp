@@ -114,6 +114,40 @@ TEST(Layers, Dropout2dDropsWholeChannels) {
     }
 }
 
+// ag::dropout at block = H*W is Dropout2d's channel dropout, written out
+// here as the per-plane loop: one Bernoulli draw per [n, c] plane,
+// broadcast over the plane, then x * mask; the gradient is gy * mask,
+// written into the fresh leaf gradient as (gy * mask) + 0 (Engine).
+TEST(Layers, DropoutAtPlaneBlocksMatchesThePerPlaneLoop) {
+  Rng data(81);
+  const int64_t N = 2, C = 5, HW = 3 * 4;
+  const float p = 0.3f;
+  Tensor x = Tensor::randn({N, C, 3, 4}, data);
+  Tensor gy = Tensor::randn({N, C, 3, 4}, data);
+
+  Rng ref_rng(0x5eed2d);
+  Tensor mask(x.shape());
+  const float scale = 1.f / (1.f - p);
+  for (int64_t nc = 0; nc < N * C; ++nc) {
+    const float v = ref_rng.bernoulli(p) ? 0.f : scale;
+    for (int64_t s = 0; s < HW; ++s) mask.data()[nc * HW + s] = v;
+  }
+  const Tensor want_y = ops::mul(x, mask);
+  const Tensor want_gx = ops::add_scalar(ops::mul(gy, mask), 0.f);
+
+  Rng op_rng(0x5eed2d);
+  ag::Variable xv(x.clone(), true);
+  ag::Variable y = ag::dropout(xv, p, op_rng, HW);
+  y.backward(gy);
+  tests::expect_same_bits(want_y, y.value(), "ag::dropout y");
+  tests::expect_same_bits(want_gx, xv.grad(), "ag::dropout gx");
+  EXPECT_EQ(op_rng.next_u64(), ref_rng.next_u64()) << "stream position";
+
+  Dropout2d drop(p);  // seeded 0x5eed2d, the reference's stream
+  tests::expect_same_bits(want_y, drop.forward(ag::Variable(x)).value(),
+                          "Dropout2d y");
+}
+
 TEST(Norm, BatchNorm2dNormalizesBatch) {
   Rng rng(9);
   BatchNorm2d bn(4);
@@ -226,8 +260,9 @@ BnOut composed_batch_norm(const BnCase& c, bool training, bool x_grad) {
   return out;
 }
 
-// The same step through the module (one ag::batch_norm op plus its
-// running-stat update); the batch statistics come from a direct op call.
+// The same step through the module (one ag::batch_norm op, which runs the
+// running-stat update after its kernel); the batch statistics come from a
+// direct kernel call.
 BnOut one_op_batch_norm(const BnCase& c, bool training, bool x_grad) {
   const int64_t C = c.x.size(1);
   std::shared_ptr<BatchNormBase> bn;
@@ -254,8 +289,8 @@ BnOut one_op_batch_norm(const BnCase& c, bool training, bool x_grad) {
   if (training) {
     out.mean = Tensor::empty({C});
     out.var = Tensor::empty({C});
-    ag::batch_norm(ag::constant(c.x), ag::constant(c.w), ag::constant(c.b),
-                   out.mean, out.var, /*training=*/true, kBnEps);
+    ops::batch_norm_forward(c.x, c.w, c.b, out.mean, out.var,
+                            /*training=*/true, kBnEps);
   }
   return out;
 }
