@@ -10,7 +10,9 @@
 //
 // A chunk carries at least Partition::kWorkFloor units of that work, so a
 // problem whose whole work is under the floor is one chunk and runs inline:
-// a launch costs microseconds, and it has to pay for itself.
+// a launch has to pay for itself. It costs about a microsecond while the
+// workers still poll from the last one (they do for ~100 us after a job),
+// and a few more when they have parked and must be woken (DESIGN §10).
 //
 // Workers claim whole chunks from an atomic cursor, so scheduling is dynamic
 // but the *work decomposition* is fixed: the same problem always splits at

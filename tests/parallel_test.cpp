@@ -1,13 +1,18 @@
 // The redesigned parallel runtime: Partition boundaries as a pure function
 // of problem size, the work floor under which a launch runs inline,
-// exact-once coverage under dynamic chunk claiming, inline nesting, the
-// runtime thread-count override, and bit-identical kernel results at every
-// thread count and on both SIMD backends.
+// exact-once coverage under dynamic chunk claiming (back to back, and after
+// the workers have parked), inline nesting, the runtime thread-count
+// override and the excess lanes it parks, and bit-identical kernel results
+// at every thread count and on both SIMD backends.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -278,6 +283,79 @@ TEST_F(ParallelTest, SetNumThreadsRoundTripsAndClamps) {
     total.fetch_add(hi - lo, std::memory_order_relaxed);
   });
   EXPECT_EQ(total.load(), 5000);
+}
+
+TEST_F(ParallelTest, BackToBackLaunchBurstCoversEveryIndexOnce) {
+  // Launches closer together than the workers' poll window: workers pick
+  // up each job without parking, and one that saw a launch late may load
+  // the next launch's Job, which lives in the same stack slot.
+  constexpr int64_t kLaunches = 20000, kChunks = 4;
+  for (int lanes : {4, 8}) {
+    set_num_threads(lanes);
+    std::unique_ptr<std::atomic<int>[]> hits(
+        new std::atomic<int>[kLaunches * kChunks]);
+    for (int64_t i = 0; i < kLaunches * kChunks; ++i)
+      hits[i].store(0, std::memory_order_relaxed);
+    const Partition p = Partition::rows(kChunks);
+    ASSERT_EQ(p.num_chunks(), kChunks);
+    const int64_t before = parallel_launches();
+    for (int64_t l = 0; l < kLaunches; ++l) {
+      parallel_for(p, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i)
+          hits[l * kChunks + i].fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    EXPECT_EQ(parallel_launches() - before, kLaunches) << lanes << " lanes";
+    for (int64_t i = 0; i < kLaunches * kChunks; ++i)
+      ASSERT_EQ(hits[i].load(std::memory_order_relaxed), 1)
+          << "launch " << i / kChunks << " chunk " << i % kChunks << " at "
+          << lanes << " lanes";
+  }
+}
+
+TEST_F(ParallelTest, LaunchesAfterIdleGapsWakeParkedWorkers) {
+  // Each launch follows an idle gap longer than the poll window, so the
+  // workers have parked and must be woken. Chunks sleep long enough that a
+  // woken worker takes some of them.
+  constexpr int kLaunches = 50;
+  constexpr int64_t kChunks = 16;
+  set_num_threads(4);
+  const std::thread::id launcher = std::this_thread::get_id();
+  int64_t off_launcher = 0;
+  for (int l = 0; l < kLaunches; ++l) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::atomic<int64_t> covered{0}, elsewhere{0};
+    parallel_for(Partition::rows(kChunks), [&](int64_t lo, int64_t hi) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      covered.fetch_add(hi - lo, std::memory_order_relaxed);
+      if (std::this_thread::get_id() != launcher)
+        elsewhere.fetch_add(hi - lo, std::memory_order_relaxed);
+    });
+    ASSERT_EQ(covered.load(), kChunks) << "launch " << l;
+    off_launcher += elsewhere.load();
+  }
+  EXPECT_GT(off_launcher, 0) << "no parked worker ever woke for a launch";
+}
+
+TEST_F(ParallelTest, ExcessLanesStayParkedAfterLoweringTheCount) {
+  // Raising to 64 lanes spawns 63 workers; lowering to 2 leaves one worker
+  // in the lanes. The other 62 must never claim a chunk, spinning or not.
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  for (int round = 0; round < 10; ++round) {
+    // A launch at 64 lanes leaves every worker polling when the count
+    // drops, so some may see the next launch after it has dropped.
+    set_num_threads(64);
+    parallel_for(Partition::rows(64), [](int64_t, int64_t) {});
+    set_num_threads(2);
+    for (int l = 0; l < 100; ++l) {
+      parallel_for(Partition::rows(8), [&](int64_t, int64_t) {
+        std::lock_guard<std::mutex> lk(mu);
+        ids.insert(std::this_thread::get_id());
+      });
+    }
+  }
+  EXPECT_LE(ids.size(), 2u);
 }
 
 // Bitwise comparison helper: float vectors produced by the same math at
