@@ -15,23 +15,23 @@ std::atomic<uint64_t> g_run_counter{0};
 }  // namespace
 
 void Engine::accumulate(Variable::Impl* target, const Tensor& x,
-                        uint64_t pass, bool overwrite) {
+                        uint64_t run, uint64_t first_run) {
   Tensor& g = target->grad;
   const bool fresh = !g.defined();
   if (fresh) g = Tensor::empty(target->value.shape());
   HFTA_CHECK(x.numel() == g.numel(), "gradient of ", g.numel(),
              " elements given a contribution of ", x.numel());
-  if (fresh || (overwrite && target->grad_mark != pass)) {
+  if (fresh || target->grad_mark < (target->node ? run : first_run)) {
     vec::unary(vec::UnOp::kAddScalar, 0.f, 0.f, x.data(), g.data(),
                g.numel());
   } else {
     g.add_(x);
   }
-  target->grad_mark = pass;
+  target->grad_mark = run;
 }
 
-void Engine::backward_node(Variable::Impl* impl, uint64_t pass,
-                           bool overwrite) {
+void Engine::backward_node(Variable::Impl* impl, uint64_t run,
+                           uint64_t first_run) {
   std::vector<Tensor> gin = impl->node->backward(impl->grad);
   HFTA_CHECK(gin.size() == impl->node->inputs.size(),
              "backward of ", impl->node->name, " returned ", gin.size(),
@@ -40,7 +40,7 @@ void Engine::backward_node(Variable::Impl* impl, uint64_t pass,
     const Variable& in = impl->node->inputs[i];
     if (!in.defined() || !gin[i].defined()) continue;
     if (!in.impl_->requires_grad && !in.impl_->node) continue;
-    accumulate(in.impl_.get(), gin[i], pass, overwrite);
+    accumulate(in.impl_.get(), gin[i], run, first_run);
   }
 }
 
@@ -81,37 +81,41 @@ void Engine::run(const Variable& root, Tensor seed, BackwardTape* capture) {
     }
   }
 
-  if (capture != nullptr) {
-    capture->clear();
-    capture->root = root;
-    capture->seed = seed.reshape(root.shape());
-  }
+  if (capture != nullptr)
+    capture->runs.push_back({root, seed.reshape(root.shape())});
 
-  // Seed and propagate in reverse topological order.
-  accumulate(root_impl, seed, mark, /*overwrite=*/false);
+  // Seed and propagate in reverse topological order, through the nodes
+  // this run reached (a gradient left by an earlier run is not this run's).
+  accumulate(root_impl, seed, mark, /*first_run=*/0);
   for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
     Variable::Impl* impl = *it;
-    if (!impl->node || !impl->grad.defined()) continue;
+    if (!impl->node || impl->grad_mark != mark) continue;
     if (capture != nullptr) capture->schedule.push_back(impl);
-    backward_node(impl, mark, /*overwrite=*/false);
+    backward_node(impl, mark, /*first_run=*/0);
   }
+  if (capture != nullptr) capture->runs.back().end = capture->schedule.size();
   ++runs_;
 }
 
 void BackwardTape::replay() const {
-  HFTA_CHECK(captured(), "BackwardTape::replay() before any capture");
-  // A fresh pass stamp: every pinned gradient buffer's first contribution
-  // of this pass overwrites it (the seed first, at the root), then the
-  // captured schedule runs in the captured accumulation order.
-  const uint64_t pass = ++g_run_counter;
-  Engine::accumulate(root.impl_.get(), seed, pass, /*overwrite=*/true);
-  for (Variable::Impl* impl : schedule)
-    Engine::backward_node(impl, pass, /*overwrite=*/true);
+  // Each run gets a fresh stamp, so a non-leaf's first contribution of its
+  // run overwrites it; a leaf's first contribution since the replay's first
+  // run does (the seed first, at each root). The captured schedule runs in
+  // the captured accumulation order.
+  uint64_t first_run = 0;
+  size_t begin = 0;
+  for (const Run& r : runs) {
+    const uint64_t run = ++g_run_counter;
+    if (first_run == 0) first_run = run;
+    Engine::accumulate(r.root.impl_.get(), r.seed, run, first_run);
+    for (size_t i = begin; i < r.end; ++i)
+      Engine::backward_node(schedule[i], run, first_run);
+    begin = r.end;
+  }
 }
 
 void BackwardTape::clear() {
-  root = Variable();
-  seed = Tensor();
+  runs.clear();
   schedule.clear();
 }
 

@@ -20,31 +20,39 @@
 
 namespace hfta::ag {
 
-/// The backward half of a captured step program: the exact node schedule
-/// one Engine::run executed, flattened for replay. `schedule` holds the
-/// reverse-topological node order the eager pass propagated through, so
-/// replay() can re-seed the root and re-run the recorded backward closures
-/// — no topo sort, no visited stamps, no Node or closure construction, and
-/// (once warm) no allocation: every gradient lands in the same pinned pool
-/// buffer the capture run resolved.
+/// The backward half of a captured step program: the Engine::run calls of
+/// one training step, in order, flattened for replay. A step with one
+/// loss is one run; a multi-loss step (a GAN discriminator's real and fake
+/// terms) is one run per loss. `schedule` holds every run's
+/// reverse-topological node order back to back, run i's nodes ending at
+/// runs[i].end, so replay() can re-seed each root and re-run the recorded
+/// backward closures — no topo sort, no visited stamps, no Node or closure
+/// construction, and (once warm) no allocation: every gradient lands in the
+/// same pinned pool buffer the capture run resolved.
 ///
 /// Bit-exactness contract: replay() visits nodes and accumulates per-input
-/// gradients in exactly the captured order. Each gradient's first
-/// contribution of the pass overwrites its buffer as `x + 0` (what the
+/// gradients in exactly the captured order, under the engine's gradient
+/// rule (see Engine::accumulate): a non-leaf's gradient holds only its own
+/// run's contributions, a leaf's sums every run of the step. Each
+/// gradient's first contribution of its span (the run for a non-leaf, the
+/// whole replay for a leaf) overwrites its buffer as `x + 0` (what the
 /// buffer held before — last step's gradient, or optimizer zeros — is
-/// never read), later ones add_() on top: the roundings of eager's fresh
-/// buffer, so a replayed backward is bit-identical to the eager pass it
-/// recorded.
+/// never read), later ones add_() on top: the roundings of eager's fresh or
+/// zeroed buffer, so a replayed backward is bit-identical to the eager runs
+/// it recorded.
 ///
-/// Lifetime: `root` keeps the whole captured graph (and therefore every
-/// raw Impl pointer here) alive; the tape must be cleared or discarded
-/// before the graph it captured is mutated structurally.
+/// Lifetime: each run's `root` keeps its captured graph (and therefore
+/// every raw Impl pointer here) alive; the tape must be cleared or
+/// discarded before a graph it captured is mutated structurally.
 struct BackwardTape {
-  Variable root;    // capture root; owns the graph the raw pointers walk
-  Tensor seed;      // root seed, already reshaped to root's shape
-  std::vector<Variable::Impl*> schedule;  // nodes, reverse-topo order
+  struct Run {
+    Variable root;  // owns the graph the run's raw pointers walk
+    Tensor seed;    // root seed, already reshaped to root's shape
+    size_t end = 0; // one past the run's last node in `schedule`
+  };
+  std::vector<Run> runs;
+  std::vector<Variable::Impl*> schedule;  // nodes, reverse-topo per run
 
-  bool captured() const { return root.defined(); }
   void replay() const;
   void clear();
 };
@@ -58,8 +66,8 @@ class Engine {
   /// Runs backpropagation from `root` (same contract as
   /// Variable::backward: an undefined seed requires a scalar root and
   /// seeds with ones). Safe to call repeatedly, on unrelated graphs.
-  /// When `capture` is non-null the executed schedule is recorded into it
-  /// (replacing any previous capture) for tape-free replay.
+  /// When `capture` is non-null the executed schedule is appended to it as
+  /// one more run, for tape-free replay.
   void run(const Variable& root, Tensor seed = Tensor(),
            BackwardTape* capture = nullptr);
 
@@ -76,17 +84,20 @@ class Engine {
   /// One node's backward step, shared by run() and BackwardTape::replay():
   /// runs the node's closure and accumulates each on-tape input's gradient
   /// into that input's grad buffer, in input order (see accumulate()).
-  static void backward_node(Variable::Impl* impl, uint64_t pass,
-                            bool overwrite);
-  /// Adds contribution `x` to `target`'s gradient during backward pass
-  /// `pass`. A gradient without a buffer gets one, written as `x + 0` in
-  /// one pass — bit-identical to adding `x` into fresh zeros, −0 → +0
-  /// included. With `overwrite` (replay), a buffer not yet written in this
-  /// pass (its grad_mark stamp is stale) is written the same way; every
-  /// other contribution is add_()ed, so eager still accumulates into
-  /// gradients that exist before the pass (parameters, multi-loss steps).
+  static void backward_node(Variable::Impl* impl, uint64_t run,
+                            uint64_t first_run);
+  /// Adds contribution `x` to `target`'s gradient during backward run
+  /// `run`. A non-leaf's gradient holds only its own run's contributions
+  /// (PyTorch's rule): its first contribution of the run overwrites it. A
+  /// leaf's gradient sums every run of the step: it is overwritten only
+  /// when no run since `first_run` wrote it — the first run of a replay,
+  /// or 0 in eager, where a leaf accumulates into the gradient it holds
+  /// (parameters after zero_grad, earlier losses of a multi-loss step).
+  /// An overwrite, like a gradient without a buffer (which gets one), is
+  /// written as `x + 0` in one pass — bit-identical to adding `x` into
+  /// fresh zeros, −0 → +0 included; every other contribution is add_()ed.
   static void accumulate(Variable::Impl* target, const Tensor& x,
-                         uint64_t pass, bool overwrite);
+                         uint64_t run, uint64_t first_run);
 
   // Traversal scratch, reused across runs (capacity persists).
   std::vector<Variable::Impl*> topo_;

@@ -10,9 +10,9 @@ namespace {
 thread_local StepProgram* g_recording = nullptr;
 }  // namespace
 
-StepProgram::CaptureGuard::CaptureGuard(StepProgram& p) : prev_(g_recording) {
-  p.clear();
-  g_recording = &p;
+StepProgram::CaptureGuard::CaptureGuard(StepProgram* p) : prev_(g_recording) {
+  if (p != nullptr) p->clear();
+  g_recording = p;
 }
 
 StepProgram::CaptureGuard::~CaptureGuard() { g_recording = prev_; }
@@ -24,12 +24,14 @@ void StepProgram::record_op(const Tensor& out,
   slots_.push_back({out, std::move(recompute)});
 }
 
-void StepProgram::finish_capture(Engine& engine, const Variable& root,
-                                 Tensor seed) {
+void StepProgram::finish_capture(Engine& engine,
+                                 const std::vector<Variable>& roots,
+                                 const Tensor& seed) {
   HFTA_CHECK(g_recording != this,
              "finish_capture inside this program's own CaptureGuard — end "
              "the guard (forward capture) before freezing the backward");
-  engine.run(root, std::move(seed), &tape_);
+  for (const Variable& root : roots) engine.run(root, seed, &tape_);
+  losses_ = roots;
   captured_ = true;
 }
 
@@ -45,6 +47,7 @@ void StepProgram::replay() {
 
 void StepProgram::clear() {
   slots_.clear();
+  losses_.clear();
   tape_.clear();
   captured_ = false;
 }

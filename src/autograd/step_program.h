@@ -27,9 +27,10 @@
 //     its output (ag::batch_norm's running-stat update, ag::dropout's draw
 //     from the module's RNG stream). A slot is thus {out, compute} and
 //     nothing else, and replay keeps every draw and update in eager order.
-//   - Backward: finish_capture() drives the engine once with a
-//     BackwardTape sink (autograd/engine.h), freezing the executed node
-//     schedule and every gradient buffer for in-place replay.
+//   - Backward: finish_capture() drives the engine once per loss with a
+//     BackwardTape sink (autograd/engine.h), freezing each run's executed
+//     node schedule and every gradient buffer for in-place replay. A
+//     single-loss step is the one-loss case of a multi-loss step.
 //
 // Replay contract (the CUDA-graphs static-input discipline): the loss
 // builder is NOT called again, so all per-step data must be staged in
@@ -52,10 +53,10 @@ class StepProgram {
  public:
   /// Activates recording into `p` for the guard's scope (thread-local;
   /// nesting restores the previous recorder). Entering a guard clears any
-  /// prior capture in `p`.
+  /// prior capture in `p`; a null `p` pins recording off (an eager step).
   class CaptureGuard {
    public:
-    explicit CaptureGuard(StepProgram& p);
+    explicit CaptureGuard(StepProgram* p);
     ~CaptureGuard();
     CaptureGuard(const CaptureGuard&) = delete;
     CaptureGuard& operator=(const CaptureGuard&) = delete;
@@ -73,19 +74,20 @@ class StepProgram {
   void record_op(const Tensor& out,
                  std::function<Tensor(const Tensor&)> recompute);
 
-  /// Freezes the backward half: runs `engine` from `root` with a capture
-  /// sink (this IS the step's real backward pass, not an extra one).
-  void finish_capture(Engine& engine, const Variable& root,
-                      Tensor seed = Tensor());
+  /// Freezes the backward half: runs `engine` from each of `roots` in
+  /// order, every run seeded with `seed`, with a capture sink (these ARE
+  /// the step's real backward passes, not extra ones).
+  void finish_capture(Engine& engine, const std::vector<Variable>& roots,
+                      const Tensor& seed = Tensor());
 
   bool captured() const { return captured_; }
   /// Re-executes the captured step: forward thunks in recorded order, then
   /// the backward tape. Zero Node constructions, zero closure
   /// constructions, zero topo sorts.
   void replay();
-  /// The captured loss variable; its pinned value is refreshed by every
-  /// replay().
-  const Variable& loss() const { return tape_.root; }
+  /// The captured loss variables, in backward order; their pinned values
+  /// are refreshed by every replay().
+  const std::vector<Variable>& losses() const { return losses_; }
 
   void clear();
 
@@ -96,6 +98,7 @@ class StepProgram {
   };
 
   std::vector<Slot> slots_;
+  std::vector<Variable> losses_;
   BackwardTape tape_;
   bool captured_ = false;
 };

@@ -41,10 +41,10 @@ uint64_t fingerprint(const nn::Optimizer& opt) {
 }  // namespace
 
 template <typename Body>
-auto TrainStep::step(nn::Optimizer& opt, StepKind kind, const Body& body) {
+void TrainStep::step(nn::Optimizer& opt, StepKind kind, const Body& body) {
   IterationScope scope;
   opt.zero_grad();
-  auto result = body();
+  body();
   amp_step(opt);
   ++stats_.steps;
   if (kind == StepKind::kCapture) ++stats_.captures;
@@ -54,72 +54,65 @@ auto TrainStep::step(nn::Optimizer& opt, StepKind kind, const Body& body) {
   stats_.last_heap_allocs = s.heap_allocs;
   stats_.last_pool_hits = s.pool_hits;
   stats_.last_node_constructions = s.node_constructions;
-  return result;
 }
 
-ag::Variable TrainStep::run_eager(nn::Optimizer& opt, const LossFn& loss_fn) {
-  return step(opt, StepKind::kEager, [&] {
-    ag::Variable loss;
-    {
-      // kF32 pins autocast OFF for fp32 steps, regardless of ambient guards.
-      ag::AutocastGuard guard(amp_ ? amp_dtype_ : DType::kF32);
-      loss = loss_fn();
+const TrainStep::Losses& TrainStep::run_step(nn::Optimizer& opt,
+                                             LossesFn loss_fn,
+                                             Losses& losses) {
+  // The capture run is the eager step with `opt`'s program attached.
+  ag::StepProgram* program = nullptr;
+  if (capture_) {
+    ProgramSlot& slot = programs_[static_cast<const void*>(&opt)];
+    uint64_t fp = fingerprint(opt);
+    if (amp_) {
+      // Precision is structural: an AMP program's GEMM/conv thunks carry
+      // the quantize policy by value, so toggling AMP (or changing its
+      // dtype) must recapture, not replay a stale-precision graph.
+      fp = fnv_mix(fp, 0x9e3779b97f4a7c15ull);
+      fp = fnv_mix(fp, static_cast<uint64_t>(amp_dtype_));
     }
-    engine_.run(loss, backward_seed());
-    return loss;
-  });
-}
+    if (slot.warm && slot.fingerprint != fp) {
+      // Same optimizer address, different structure (e.g. a repacked group
+      // reusing a slot): the captured graph is stale.
+      slot.program.clear();
+      slot.warm = false;
+    }
+    slot.fingerprint = fp;
+    slot.last_used = ++use_clock_;
 
-ag::Variable TrainStep::run_cached(nn::Optimizer& opt, const LossFn& loss_fn) {
-  ProgramSlot& slot = programs_[static_cast<const void*>(&opt)];
-  uint64_t fp = fingerprint(opt);
-  if (amp_) {
-    // Precision is structural: an AMP program's GEMM/conv thunks carry the
-    // quantize policy by value, so toggling AMP (or changing its dtype) must
-    // recapture, not replay a stale-precision graph.
-    fp = fnv_mix(fp, 0x9e3779b97f4a7c15ull);
-    fp = fnv_mix(fp, static_cast<uint64_t>(amp_dtype_));
-  }
-  if (slot.warm && slot.fingerprint != fp) {
-    // Same optimizer address, different structure (e.g. a repacked group
-    // reusing a slot): the captured graph is stale.
-    slot.program.clear();
-    slot.warm = false;
-  }
-  slot.fingerprint = fp;
-  slot.last_used = ++use_clock_;
-
-  if (slot.program.captured()) {
-    return step(opt, StepKind::kReplay, [&] {
-      // The tape's seed shares amp_seed_'s storage; refreshing it in place
-      // is how a scale change reaches every cached program without
-      // recapture.
-      if (amp_) refresh_amp_seed();
-      slot.program.replay();
-      return slot.program.loss();
-    });
-  }
-
-  if (!slot.warm) {
+    if (slot.program.captured()) {
+      step(opt, StepKind::kReplay, [&] {
+        // Every tape run's seed shares amp_seed_'s storage; refreshing it
+        // in place is how a scale change reaches every cached program
+        // without recapture.
+        if (amp_) refresh_amp_seed();
+        slot.program.replay();
+      });
+      return slot.program.losses();
+    }
+    // The first step runs eagerly, so the pool is warm before the next
+    // one, the capture run, pins its buffers.
+    if (slot.warm) program = &slot.program;
     slot.warm = true;
-    return run_eager(opt, loss_fn);
   }
 
-  // Capture run: a full training step (eager kernels, the real backward)
-  // recorded along the way. Only the forward/loss build runs under the
-  // guards; finish_capture freezes the backward it then executes.
-  ag::Variable loss = step(opt, StepKind::kCapture, [&] {
-    ag::Variable captured;
+  step(opt, program ? StepKind::kCapture : StepKind::kEager, [&] {
     {
-      ag::StepProgram::CaptureGuard guard(slot.program);
-      ag::AutocastGuard amp_guard(amp_ ? amp_dtype_ : DType::kF32);
-      captured = loss_fn();
+      // A null program pins recording off; kF32 pins autocast OFF for fp32
+      // steps, regardless of ambient guards.
+      ag::StepProgram::CaptureGuard capture(program);
+      ag::AutocastGuard amp(amp_ ? amp_dtype_ : DType::kF32);
+      losses = loss_fn();
     }
-    slot.program.finish_capture(engine_, captured, backward_seed());
-    return captured;
+    const Tensor seed = backward_seed();
+    if (program) {
+      program->finish_capture(engine_, losses, seed);
+    } else {
+      for (const ag::Variable& loss : losses) engine_.run(loss, seed);
+    }
   });
-  evict_lru();
-  return loss;
+  if (program) evict_lru();
+  return losses;
 }
 
 void TrainStep::stage(Tensor* dst, const Tensor& src) {
@@ -227,19 +220,14 @@ void TrainStep::amp_step(nn::Optimizer& opt) {
 }
 
 ag::Variable TrainStep::run(nn::Optimizer& opt, const LossFn& loss_fn) {
-  if (capture_) return run_cached(opt, loss_fn);
-  return run_eager(opt, loss_fn);
+  Losses losses;
+  return run_step(opt, [&] { return Losses{loss_fn()}; }, losses).front();
 }
 
 std::vector<ag::Variable> TrainStep::run(nn::Optimizer& opt,
                                          const MultiLossFn& loss_fn) {
-  HFTA_CHECK(!amp_, "multi-loss run() does not support AMP (each loss would "
-             "need its own scale bookkeeping)");
-  return step(opt, StepKind::kEager, [&] {
-    std::vector<ag::Variable> losses = loss_fn();
-    for (const ag::Variable& loss : losses) engine_.run(loss);
-    return losses;
-  });
+  Losses losses;
+  return run_step(opt, loss_fn, losses);
 }
 
 void TrainStep::backward(const ag::Variable& loss, Tensor seed) {

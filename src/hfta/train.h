@@ -20,6 +20,7 @@
 #include "autograd/autocast.h"
 #include "autograd/engine.h"
 #include "autograd/step_program.h"
+#include "core/function_ref.h"
 #include "core/storage_pool.h"
 #include "hfta/fused_optim.h"
 #include "hfta/loss_scaling.h"
@@ -32,7 +33,8 @@ namespace hfta {
 /// data). Runs inside the step's pooled iteration scope.
 using LossFn = std::function<ag::Variable()>;
 /// Multi-loss variant (e.g. a GAN discriminator's real and fake terms):
-/// each loss runs backward, in order, before the single optimizer step.
+/// each loss runs backward, in order, before the single optimizer step. A
+/// LossFn step is the one-loss case of this one.
 using MultiLossFn = std::function<std::vector<ag::Variable>()>;
 
 /// One training iteration: zero_grad -> forward/loss -> backward (through
@@ -59,7 +61,8 @@ class TrainStep {
   /// serial optimizer alike — a serial optimizer is the one-model array.
   ag::Variable run(nn::Optimizer& opt, const LossFn& loss_fn);
 
-  /// Multi-loss iteration (losses run backward in order, one step).
+  /// Multi-loss iteration (losses run backward in order, one step; leaf
+  /// gradients sum every loss's contributions).
   std::vector<ag::Variable> run(nn::Optimizer& opt,
                                 const MultiLossFn& loss_fn);
 
@@ -70,11 +73,13 @@ class TrainStep {
 
   // ---- mixed precision (autocast + dynamic loss scaling) ----------------
   //
-  // With AMP enabled, the single-loss run() overloads build the loss under
-  // an AutocastGuard (GEMM/conv-class ops take low-precision inputs and
-  // accumulate f32; see autograd/autocast.h) and apply dynamic loss
-  // scaling through the backward SEED: seeding backward with the scale S
-  // computes d(S*L)/dw without touching the loss value that run() returns.
+  // With AMP enabled, run() builds the losses under an AutocastGuard
+  // (GEMM/conv-class ops take low-precision inputs and accumulate f32; see
+  // autograd/autocast.h) and applies dynamic loss scaling through the
+  // backward SEED: seeding backward with the scale S computes d(S*L)/dw
+  // without touching the loss value that run() returns. Every loss of a
+  // multi-loss step is seeded with the same S, so the leaf gradients hold
+  // S*(g1 + g2 + ...) and the one scan and unscale below cover them.
   // Before the optimizer step, every gradient is scanned READ-ONLY for
   // inf/nan after the 1/S multiply (allocation-free); when all are finite
   // the optimizer folds 1/S into its update via step(grad_scale) — bit-
@@ -84,11 +89,11 @@ class TrainStep {
   // fused-vs-serial bit-exactness survives.
   //
   // Capture/replay compatible: the quantize policy rides by value in the
-  // recorded GEMM/conv thunks, the captured
-  // BackwardTape's seed SHARES the persistent seed tensor's storage (a
+  // recorded GEMM/conv thunks, every captured
+  // BackwardTape run's seed SHARES the persistent seed tensor's storage (a
   // scale change is an in-place refresh, not a recapture), and the AMP
   // mode + dtype are mixed into each program's fingerprint so toggling
-  // precision recaptures. The multi-loss overloads reject AMP.
+  // precision recaptures.
 
   struct AmpOptions {
     DType dtype = DType::kBF16;
@@ -109,10 +114,11 @@ class TrainStep {
   // ---- step-program capture & replay ---------------------------------
   //
   // Opt-in (a data-varying loss builder would silently train on stale
-  // data): once enabled, the single-loss optimizer overloads of run()
-  // drive one eager step per optimizer, capture the next step into
-  // an ag::StepProgram, and replay it thereafter — no Node construction,
-  // no closure allocation, no topo sort, and (warm) no heap allocation.
+  // data): once enabled, both run() overloads drive one eager step per
+  // optimizer, capture the next step into an ag::StepProgram (the eager
+  // step with a recorder attached; one backward run per loss), and replay
+  // it thereafter — no Node construction, no closure allocation, no topo
+  // sort, and (warm) no heap allocation.
   //
   // Static-input discipline: during replay the loss builder is NOT
   // called, so per-step data must be staged in place into the tensors the
@@ -128,7 +134,6 @@ class TrainStep {
   /// Enables capture on this TrainStep. Each optimizer's first step runs
   /// eagerly so the pool is warm before a program pins its buffers.
   void enable_capture() { capture_ = true; }
-  bool capture_enabled() const { return capture_; }
 
   /// Stages per-step data into `*dst` (a tensor the captured graph
   /// reads): same-shape sources are copied in place so replays observe
@@ -146,7 +151,6 @@ class TrainStep {
   }
 
   const Stats& stats() const { return stats_; }
-  ag::Engine& engine() { return engine_; }
 
  private:
   struct ProgramSlot {
@@ -156,16 +160,21 @@ class TrainStep {
     ag::StepProgram program;
   };
 
+  using Losses = std::vector<ag::Variable>;
+  using LossesFn = FunctionRef<Losses()>;
   enum class StepKind { kEager, kCapture, kReplay };
   /// The envelope every step runs in: an IterationScope around zero_grad,
   /// `body` (forward and backward, or a replay), then amp_step and the
-  /// stats. Returns what `body` returns.
+  /// stats.
   template <typename Body>
-  auto step(nn::Optimizer& opt, StepKind kind, const Body& body);
-  /// One eager step of `opt`: the loss under autocast when AMP is on, and
-  /// backward with the AMP seed.
-  ag::Variable run_eager(nn::Optimizer& opt, const LossFn& loss_fn);
-  ag::Variable run_cached(nn::Optimizer& opt, const LossFn& loss_fn);
+  void step(nn::Optimizer& opt, StepKind kind, const Body& body);
+  /// One step of `opt`: eager (the losses `loss_fn` builds into `losses`,
+  /// under autocast when AMP is on, then one backward per loss with the
+  /// AMP seed), the same step recorded into `opt`'s program, or a replay
+  /// of that program. Returns `losses`, or after a replay the program's
+  /// pinned losses (by reference: a replayed step copies no vector).
+  const Losses& run_step(nn::Optimizer& opt, LossesFn loss_fn,
+                         Losses& losses);
   void evict_lru();
 
   /// Rewrites the persistent scalar seed tensor with the current scale

@@ -1,9 +1,10 @@
 // Mixed precision end to end: the autocast policy on the GEMM/conv op
 // class, the dynamic LossScaler (overflow skip, backoff, growth interval,
 // state surviving a repack-style optimizer swap), power-of-two scale
-// exactness, AMP fused-vs-serial bit-exactness, and zero-alloc tape-free
-// replay of AMP step programs (drawing exactly the fp32 replay's pool
-// buffers) with precision changes forcing recapture — under f16 and bf16.
+// exactness (single- and multi-loss steps), AMP fused-vs-serial
+// bit-exactness, and zero-alloc tape-free replay of AMP step programs
+// (drawing exactly the fp32 replay's pool buffers) with precision changes
+// forcing recapture — under f16 and bf16.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -545,15 +546,67 @@ TEST(Amp, ParameterWithoutGradientIsNotStepped) {
   EXPECT_TRUE(used.has_grad());
 }
 
-TEST(Amp, MultiLossRunRejectsAmp) {
+// Trains the B=3 fused MLP with a two-loss step (two batches, the GAN
+// pattern: the losses share parameters, not activations) under AMP at a
+// fixed scale, and reports per-step losses and final fc1 weights.
+AmpRun run_amp_multi_loss(bool capture, DType dt, double scale, int steps) {
+  const int64_t B = 3, in = 8, hidden = 16, classes = 4, N = 8;
+  Rng rng(42);
+  Mlp model(in, hidden, classes, rng, B);
+  fused::FusedAdam opt(fused::collect_fused_parameters(model, B), B,
+                       {.lr = {1e-3, 3e-3, 1e-2}});
+  Rng data_rng(7);
+  const Tensor x1 = Tensor::randn({N, in}, data_rng);
+  const Tensor x2 = Tensor::randn({N, in}, data_rng);
+  Tensor labels({B, N});
+  for (int64_t b = 0; b < B; ++b)
+    for (int64_t n = 0; n < N; ++n)
+      labels.at({b, n}) = static_cast<float>((n + b) % classes);
   TrainStep step;
-  step.enable_amp();
-  Rng rng(2);
-  Mlp model(4, 8, 2, rng);
-  nn::Adam opt(model.parameters(), nn::Adam::Options{});
-  EXPECT_THROW(step.run(opt,
-                        [&]() -> std::vector<ag::Variable> { return {}; }),
-               Error);
+  if (capture) step.enable_capture();
+  TrainStep::AmpOptions ao;
+  ao.dtype = dt;
+  ao.scaler.init_scale = scale;
+  ao.scaler.growth_interval = 1 << 30;
+  step.enable_amp(ao);
+  auto loss_of = [&](const Tensor& x) {
+    ag::Variable logits = model.forward(
+        ag::Variable(fused::pack_model_major(std::vector<Tensor>(B, x))));
+    return fused::fused_cross_entropy(logits, labels, ag::Reduction::kMean);
+  };
+  AmpRun out;
+  for (int s = 0; s < steps; ++s) {
+    const std::vector<ag::Variable> losses =
+        step.run(opt, [&]() -> std::vector<ag::Variable> {
+          return {loss_of(x1), loss_of(x2)};
+        });
+    for (const ag::Variable& l : losses) out.losses.push_back(l.value().item());
+  }
+  out.weights = model.fc1->weight.value().to_vector();
+  out.stats = step.stats();
+  out.overflow_skips = step.scaler().overflow_skips();
+  return out;
+}
+
+TEST(Amp, MultiLossStepAtPowerOfTwoScaleMatchesScaleOne) {
+  // Each loss of a multi-loss step is seeded with the same S, so the
+  // gradients hold S*(g1 + g2) and the one scan and folded 1/S unscale
+  // them: the step at S = 2^16 is the step at S = 1, bit for bit, eager
+  // and replayed.
+  const int steps = 6;
+  for (DType dt : {DType::kF16, DType::kBF16}) {
+    for (bool capture : {false, true}) {
+      const std::string tag =
+          std::string(dtype_name(dt)) + (capture ? " replay" : " eager");
+      const AmpRun s1 = run_amp_multi_loss(capture, dt, 1.0, steps);
+      const AmpRun s65536 = run_amp_multi_loss(capture, dt, 65536.0, steps);
+      expect_bits_equal(s1.losses, s65536.losses, tag + " losses");
+      expect_bits_equal(s1.weights, s65536.weights, tag + " weights");
+      EXPECT_EQ(s1.overflow_skips, 0) << tag;
+      EXPECT_EQ(s65536.overflow_skips, 0) << tag;
+      EXPECT_EQ(s65536.stats.replays, capture ? steps - 2 : 0) << tag;
+    }
+  }
 }
 
 }  // namespace

@@ -48,6 +48,21 @@ TEST(Autograd, BackwardTwiceAccumulatesIntoLeaves) {
   EXPECT_NEAR(x.grad().item(), 7.f, 1e-5f);
 }
 
+TEST(Autograd, SecondBackwardOverOneGraphKeepsNonLeafGradientsPerRun) {
+  // L = (w*w)^2 at w = 1: dL/dw = 4 per run. A non-leaf's gradient holds
+  // only its own run's contributions, so a second backward over the same
+  // graph adds exactly 4 more into the leaf: 8, not the 20 a carried-over
+  // interior gradient would give.
+  Variable w(Tensor::full({1}, 1.f), true);
+  Variable u = mul(w, w);
+  Variable loss = sum_all(mul(u, u));
+  loss.backward();
+  EXPECT_EQ(w.grad().item(), 4.f);
+  loss.backward();
+  EXPECT_EQ(w.grad().item(), 8.f);
+  EXPECT_EQ(u.grad().item(), 2.f);  // dL/du of the second run alone
+}
+
 TEST(Autograd, DetachCutsTape) {
   Variable x(Tensor::full({1}, 2.f), true);
   Variable y = mul_scalar(x, 3.f);

@@ -6,7 +6,8 @@
 // recapture. Replay itself must be silent: zero tensor-storage heap
 // allocations and zero autograd Node constructions per replayed step.
 // Replay writes gradients instead of zero-filling them, so the sign of a
-// -0 first contribution is pinned too.
+// -0 first contribution is pinned too. A GAN's multi-loss discriminator
+// step captures and replays like a single-loss step, in fp32 and AMP.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,12 +23,14 @@
 #include "hfta/fusion.h"
 #include "hfta/train.h"
 #include "models/bert.h"
+#include "models/dcgan.h"
 #include "models/transformer.h"
 #include "nn/layers.h"
 #include "nn/optim.h"
 #include "tensor/ops.h"
 
 #include "kind_factories.h"
+#include "same_bits.h"
 
 namespace hfta {
 namespace {
@@ -159,11 +162,11 @@ TEST(StepProgram, FirstGradientContributionOfNegativeZeroLandsAsPositiveZero) {
 
   ag::StepProgram program;
   {
-    ag::StepProgram::CaptureGuard guard(program);
+    ag::StepProgram::CaptureGuard guard(&program);
     build();
   }
   ag::Engine engine;
-  program.finish_capture(engine, loss);
+  program.finish_capture(engine, {loss});
   // Replay overwrites whatever the buffers hold: adding -0 into -0 would
   // leave -0.
   h.grad().fill_(-0.f);
@@ -171,6 +174,101 @@ TEST(StepProgram, FirstGradientContributionOfNegativeZeroLandsAsPositiveZero) {
   program.replay();
   EXPECT_TRUE(all_positive_zero(h.grad())) << "replay, interior node";
   EXPECT_TRUE(all_positive_zero(v.grad())) << "replay, leaf";
+}
+
+// A GAN trained for `steps` on fresh staged data: the discriminator step
+// is multi-loss (real up, fake down) and runs the generator's forward
+// inside it, detached; the generator step is single-loss and reaches the
+// discriminator's parameters too. Both optimizers share one TrainStep.
+struct GanRun {
+  std::vector<float> losses;   // D real, D fake, G, per step
+  std::vector<Tensor> state;   // every parameter and buffer at the end
+  TrainStep::Stats stats;
+  uint64_t replayed_node_constructions = 0;  // summed over replayed steps
+};
+
+GanRun run_gan(bool capture, const TrainStep::AmpOptions* amp, int steps) {
+  const models::DCGANConfig cfg = models::DCGANConfig::tiny();
+  const int64_t N = 2;
+  Rng rng(21);
+  models::DCGANGenerator gen(cfg, rng);
+  models::DCGANDiscriminator disc(cfg, rng);
+  nn::Adam g_opt(gen.parameters(), {.lr = 2e-3});
+  nn::Adam d_opt(disc.parameters(), {.lr = 2e-3});
+  TrainStep step;
+  if (capture) step.enable_capture();
+  if (amp != nullptr) step.enable_amp(*amp);
+  const Tensor ones = Tensor::ones({N}), zeros = Tensor::zeros({N});
+  Tensor z, real;
+  Rng data(5);
+  GanRun out;
+  auto note_replay = [&] {
+    if (step.stats().last_was_replay)
+      out.replayed_node_constructions += step.stats().last_node_constructions;
+  };
+  for (int s = 0; s < steps; ++s) {
+    step.stage(&z, Tensor::randn({N, cfg.nz, 1, 1}, data));
+    step.stage(&real, Tensor::randn(
+                          {N, cfg.nc, cfg.image_size, cfg.image_size}, data));
+    const std::vector<ag::Variable> d =
+        step.run(d_opt, [&]() -> std::vector<ag::Variable> {
+          const ag::Variable fake(gen.forward(ag::Variable(z)).value());
+          return {ag::bce_with_logits(disc.forward(ag::Variable(real)), ones,
+                                      ag::Reduction::kMean),
+                  ag::bce_with_logits(disc.forward(fake), zeros,
+                                      ag::Reduction::kMean)};
+        });
+    note_replay();
+    const ag::Variable g = step.run(g_opt, [&] {
+      return ag::bce_with_logits(disc.forward(gen.forward(ag::Variable(z))),
+                                 ones, ag::Reduction::kMean);
+    });
+    note_replay();
+    out.losses.push_back(d[0].value().item());
+    out.losses.push_back(d[1].value().item());
+    out.losses.push_back(g.value().item());
+  }
+  for (nn::Module* m : {static_cast<nn::Module*>(&gen),
+                        static_cast<nn::Module*>(&disc)}) {
+    for (const auto& [name, p] : m->named_parameters())
+      out.state.push_back(p.value().clone());
+    for (const auto& [name, b] : nn::named_buffers_recursive(*m))
+      out.state.push_back(b.clone());
+  }
+  out.stats = step.stats();
+  return out;
+}
+
+void expect_gan_replays_as_eager(const TrainStep::AmpOptions* amp,
+                                 const std::string& tag) {
+  const int kSteps = 8;
+  const GanRun eager = run_gan(false, amp, kSteps);
+  const GanRun replay = run_gan(true, amp, kSteps);
+  ASSERT_EQ(eager.losses.size(), replay.losses.size()) << tag;
+  EXPECT_EQ(std::memcmp(eager.losses.data(), replay.losses.data(),
+                        sizeof(float) * eager.losses.size()),
+            0)
+      << tag << " losses";
+  ASSERT_EQ(eager.state.size(), replay.state.size()) << tag;
+  for (size_t i = 0; i < eager.state.size(); ++i)
+    tests::expect_same_bits(eager.state[i], replay.state[i],
+                            tag + " state " + std::to_string(i));
+  // Each optimizer: 1 warm-up step, 1 capture, the rest replayed.
+  EXPECT_EQ(replay.stats.captures, 2) << tag;
+  EXPECT_EQ(replay.stats.replays, 2 * (kSteps - 2)) << tag;
+  EXPECT_EQ(replay.replayed_node_constructions, 0u) << tag;
+  EXPECT_EQ(eager.stats.amp_overflow_skips, replay.stats.amp_overflow_skips)
+      << tag;
+}
+
+TEST(StepProgram, GanMultiLossStepReplaysAsEager) {
+  expect_gan_replays_as_eager(nullptr, "fp32");
+  // f16 AMP at a pinned scale: every loss of the D step is seeded with S.
+  TrainStep::AmpOptions amp;
+  amp.dtype = DType::kF16;
+  amp.scaler.init_scale = 1024.0;
+  amp.scaler.growth_interval = 1 << 30;
+  expect_gan_replays_as_eager(&amp, "f16 AMP");
 }
 
 TEST(StepProgram, BatchShapeChangeInvalidatesAndRecaptures) {

@@ -208,5 +208,53 @@ TEST(TrainEngine, MultiLossRunsEveryBackwardBeforeTheStep) {
     EXPECT_NEAR(two_losses[i], summed[i], 1e-6f);
 }
 
+TEST(TrainEngine, SharedTrunkMultiLossEqualsTheSummedLoss) {
+  // Two heads over one shared intermediate h: sum(h*h) and sum(h) as two
+  // losses must train exactly as their sum. h's gradient holds only its
+  // own run's contributions (2h, then 1), and the parameters sum both
+  // runs. Small integer data and weights and a power-of-two learning rate
+  // keep every sum exact, so the check is equality, eager and under replay.
+  const int64_t N = 4, in = 3, out = 2;
+  auto train = [&](bool multi, bool capture) {
+    Rng rng(1);
+    nn::Linear lin(in, out, true, rng);
+    for (int64_t i = 0; i < out * in; ++i)
+      lin.weight.mutable_value().data()[i] = static_cast<float>(i % 3 - 1);
+    lin.bias.mutable_value().fill_(0.f);
+    Tensor x({N, in});
+    for (int64_t i = 0; i < N * in; ++i)
+      x.data()[i] = static_cast<float>((i * 5) % 3 - 1);
+    nn::SGD opt(lin.parameters(), {.lr = 1.0 / 16});
+    TrainStep step;
+    if (capture) step.enable_capture();
+    std::vector<std::vector<float>> weights;
+    for (int s = 0; s < 4; ++s) {
+      if (multi) {
+        step.run(opt, [&]() -> std::vector<ag::Variable> {
+          const ag::Variable h = lin.forward(ag::Variable(x));
+          return {ag::sum_all(ag::mul(h, h)), ag::sum_all(h)};
+        });
+      } else {
+        step.run(opt, [&] {
+          const ag::Variable h = lin.forward(ag::Variable(x));
+          return ag::add(ag::sum_all(ag::mul(h, h)), ag::sum_all(h));
+        });
+      }
+      weights.push_back(lin.weight.value().to_vector());
+      weights.push_back(lin.bias.value().to_vector());
+    }
+    EXPECT_EQ(step.stats().replays, capture ? 2 : 0);
+    return weights;
+  };
+  for (bool capture : {false, true}) {
+    const auto two_losses = train(true, capture);
+    const auto summed = train(false, capture);
+    ASSERT_EQ(two_losses.size(), summed.size());
+    for (size_t i = 0; i < summed.size(); ++i)
+      EXPECT_EQ(two_losses[i], summed[i])
+          << (capture ? "replay" : "eager") << ", entry " << i;
+  }
+}
+
 }  // namespace
 }  // namespace hfta
