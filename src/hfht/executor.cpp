@@ -74,9 +74,10 @@ ExecutionReport SyntheticExecutor::run(const std::vector<Trial>& batch) {
 // ---- FusedTrainingExecutor -------------------------------------------------
 
 /// One live fused array: the planner-compiled trials of one infusible
-/// partition, with the optimizer, the data-shuffle stream (kept so rung
-/// survivors resume mid-stream), and — under verify_against_serial — the B
-/// independently trained twin models the array must match bit-for-bit.
+/// partition, with the optimizer, the epoch count its shuffle stream is
+/// rebuilt at (so rung survivors resume mid-stream), and — under
+/// verify_against_serial — the B independently trained twin models the
+/// array must match bit-for-bit.
 struct FusedTrainingExecutor::Group {
   std::vector<ParamSet> members;  // slot b trains members[b]
   int64_t batch_size = 0;
@@ -86,7 +87,6 @@ struct FusedTrainingExecutor::Group {
   std::shared_ptr<fused::FusedArray> array;
   std::unique_ptr<fused::FusedAdam> opt;
   std::unique_ptr<fused::FusedStepLR> sched;  // per-trial StepLR over opt
-  std::unique_ptr<data::BatchSampler> sampler;
   int64_t epochs_trained = 0;
   bool ever_repacked = false;
   bool ever_merged = false;  // lineage crossed a chunk boundary
@@ -199,22 +199,20 @@ std::pair<Tensor, Tensor> FusedTrainingExecutor::train_batch(
                                   : image_ds_->batch(idx);
 }
 
-std::unique_ptr<data::BatchSampler> FusedTrainingExecutor::make_sampler(
-    const Group& g) const {
+data::BatchSampler FusedTrainingExecutor::make_sampler(const Group& g) const {
   // The shuffle stream is a pure function of the partition's infusible
-  // values, so it can always be reconstructed and fast-forwarded to the
-  // group's epoch count — this is what lets a repack take ANY source's
-  // sampler (or none, when every source already handed its sampler to an
-  // earlier merge) and still draw the exact batches the serial reruns do.
+  // values, so it is rebuilt and fast-forwarded to the group's epoch count
+  // whenever the group trains — a repacked group, whose sources all sat at
+  // the same epoch of the same stream, draws the exact batches the serial
+  // reruns do without any sampler being kept or moved.
   std::vector<double> inf_vals;
   for (size_t i : space_.infusible_indices())
     inf_vals.push_back(g.members[0][i]);
   const int64_t ds_size =
       task_ == Task::kPointNet ? cloud_ds_->size() : image_ds_->size();
-  auto s = std::make_unique<data::BatchSampler>(
-      ds_size, g.batch_size, /*shuffle=*/true,
-      param_key(inf_vals, opts_.seed ^ 0xDA7A));
-  for (int64_t e = 0; e < g.epochs_trained; ++e) s->epoch();  // fast-forward
+  data::BatchSampler s(ds_size, g.batch_size, /*shuffle=*/true,
+                       param_key(inf_vals, opts_.seed ^ 0xDA7A));
+  for (int64_t e = 0; e < g.epochs_trained; ++e) s.epoch();  // fast-forward
   return s;
 }
 
@@ -274,18 +272,6 @@ FusedTrainingExecutor::Group* FusedTrainingExecutor::repack_groups(
   make_optimizer(*merged);
   merged->opt->repack_state_from(opt_srcs, rp);
   merged->epochs_trained = src_epochs;
-  // Every source belongs to the same infusible partition and epoch count,
-  // so all samplers sit at the same position of the same shuffle stream —
-  // continuing any of them continues them all. A source may have handed
-  // its sampler to an earlier merge already; reconstruct deterministically
-  // when none is left.
-  for (size_t gi : gidx) {
-    if (groups_[gi]->sampler != nullptr) {
-      merged->sampler = std::move(groups_[gi]->sampler);
-      break;
-    }
-  }
-  if (merged->sampler == nullptr) merged->sampler = make_sampler(*merged);
   merged->ever_repacked = true;
   merged->ever_merged = gidx.size() > 1;
   for (size_t gi : gidx) merged->ever_merged |= groups_[gi]->ever_merged;
@@ -406,7 +392,6 @@ FusedTrainingExecutor::Group* FusedTrainingExecutor::find_or_create(
   g->array = fused::FusionPlan(B, fopts).compile(nets, rng_);
   make_optimizer(*g);
   g->retired.assign(static_cast<size_t>(B), false);
-  g->sampler = make_sampler(*g);
   if (opts_.verify_against_serial) {
     for (int64_t b = 0; b < B; ++b) {
       const size_t ub = static_cast<size_t>(b);
@@ -436,7 +421,7 @@ FusedTrainingExecutor::Group* FusedTrainingExecutor::find_or_create(
 
 void FusedTrainingExecutor::train(Group& g, int64_t delta_epochs,
                                   CostReport* cost) {
-  if (g.sampler == nullptr) g.sampler = make_sampler(g);
+  data::BatchSampler sampler = make_sampler(g);
   const int64_t B = g.B();
   const int64_t N = g.batch_size;
   for (int64_t e = 0; e < delta_epochs; ++e) {
@@ -447,7 +432,7 @@ void FusedTrainingExecutor::train(Group& g, int64_t delta_epochs,
     for (size_t b = 0; b < g.serial_opts.size(); ++b)
       g.serial_opts[b]->set_lr({lrs[b]});
 
-    for (const auto& bidx : g.sampler->epoch()) {
+    for (const auto& bidx : sampler.epoch()) {
       auto [x, y] = train_batch(bidx);
       std::vector<Tensor> xs(static_cast<size_t>(B), x);
       Tensor labels({B, N});

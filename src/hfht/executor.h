@@ -146,10 +146,10 @@ class FusedTrainingExecutor : public TrialExecutor {
   std::shared_ptr<nn::Module> build_trial_net(const ParamSet& p) const;
   sim::IterationTrace build_group_trace(const Group& g, int64_t B) const;
   std::pair<Tensor, Tensor> train_batch(const std::vector<int64_t>& idx) const;
-  /// The group's shuffle stream, reconstructed at its current epoch (a
-  /// pure function of the infusible values, so a repack that finds every
-  /// source sampler already moved can rebuild and fast-forward it).
-  std::unique_ptr<data::BatchSampler> make_sampler(const Group& g) const;
+  /// The group's shuffle stream, rebuilt at its current epoch (a pure
+  /// function of the infusible values and epochs_trained, so no group
+  /// stores one).
+  data::BatchSampler make_sampler(const Group& g) const;
   /// Builds the group's FusedAdam and its per-trial StepLR over it.
   void make_optimizer(Group& g) const;
   void train(Group& g, int64_t delta_epochs, CostReport* cost);

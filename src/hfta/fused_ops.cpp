@@ -1,73 +1,27 @@
 #include "hfta/fused_ops.h"
 
-#include <map>
-
+#include "hfta/fusion.h"
 #include "tensor/ops.h"
 
 namespace hfta::fused {
-
-namespace {
-
-/// Every parameter and buffer of `m` as a storage-sharing handle keyed by
-/// dotted path. Built once per transfer, so a whole model (MobileNet, BERT:
-/// 100+ tensors) moves in O(T), not O(T^2).
-std::map<std::string, Tensor> named_tensors(const nn::Module& m) {
-  std::map<std::string, Tensor> out;
-  for (const auto& [name, var] : m.named_parameters())
-    out.emplace(name, var.value());
-  for (const auto& [name, t] : nn::named_buffers_recursive(m))
-    out.emplace(name, t);
-  return out;
-}
-
-/// Calls copy(array block b, per-model tensor, block numel) for every
-/// parameter and buffer of `array`, after the checks load_model/store_model
-/// document.
-template <typename Copy>
-void for_each_block(const nn::Module& array, int64_t B, int64_t b,
-                    const nn::Module& per_model, const Copy& copy) {
-  HFTA_CHECK(b >= 0 && b < B, "state transfer: model index ", b,
-             " outside [0, ", B, ")");
-  const std::map<std::string, Tensor> per = named_tensors(per_model);
-  auto visit = [&](const std::string& path, Tensor arr) {
-    const auto it = per.find(path);
-    HFTA_CHECK(it != per.end(), "state transfer: per-model tensor '", path,
-               "' not found in the per-model tree");
-    Tensor pm = it->second;
-    HFTA_CHECK(arr.numel() == B * pm.numel(), "state transfer: '", path,
-               "' holds ", arr.numel(), " elements, not B(", B,
-               ") x per-model ", pm.numel());
-    copy(arr.data() + b * pm.numel(), pm.data(), pm.numel());
-  };
-  for (const auto& [path, var] : array.named_parameters())
-    visit(path, var.value());
-  for (const auto& [path, t] : nn::named_buffers_recursive(array))
-    visit(path, t);
-}
-
-}  // namespace
-
-void load_model(nn::Module& array, int64_t B, int64_t b,
-                const nn::Module& per_model) {
-  for_each_block(array, B, b, per_model,
-                 [](float* block, const float* pm, int64_t n) {
-                   std::copy(pm, pm + n, block);
-                 });
-}
-
-void store_model(const nn::Module& array, int64_t B, int64_t b,
-                 nn::Module& per_model) {
-  for_each_block(array, B, b, per_model,
-                 [](const float* block, float* pm, int64_t n) {
-                   std::copy(block, block + n, pm);
-                 });
-}
 
 std::vector<FusedParam> collect_fused_parameters(nn::Module& root,
                                                  int64_t array_size) {
   // All fused modules pack model blocks along dim 0, so any parameter in the
   // tree can be treated as a FusedParam of the tree's array size as long as
-  // its numel divides evenly — validated here.
+  // its numel divides evenly — validated here. A masked-off unit's replicas
+  // are not fused: each belongs to one model, so reading one as B blocks
+  // would step parts of it with the other models' hyper-parameters.
+  const auto* array = dynamic_cast<const FusedArray*>(&root);
+  if (array != nullptr && array_size > 1) {
+    for (const FusedArray::Step& s : array->steps()) {
+      HFTA_CHECK(s.fused, "collect_fused_parameters: unit ", s.unit, " ('",
+                 s.path, "') is masked off, so its parameters are not fused "
+                 "over B=", array_size, " — step this array with a one-model "
+                 "optimizer over parameters() (uniform hyper-parameters), "
+                 "or fuse the unit");
+    }
+  }
   std::vector<FusedParam> out;
   for (auto& [name, p] : root.named_parameters()) {
     HFTA_CHECK(p.numel() % array_size == 0, "parameter ", name, " (numel ",

@@ -30,8 +30,10 @@
 //
 // Model b's state in any array is block b along dim 0 of the tensor at the
 // same path as in the per-model module, so one free pair,
-// load_model/store_model, moves a whole model in and out of any array
-// (DESIGN.md §7).
+// load_model/store_model, moves a whole model in and out of any array. The
+// pair is nn::'s one state walk, re-exported here; it checks both
+// directions, and clone(), copy_state and FusedArray's load and store all
+// go through it (DESIGN.md §7).
 #pragma once
 
 #include "nn/layers.h"
@@ -58,20 +60,17 @@ struct RepackPick {
   int64_t model = 0;
 };
 
-/// Copies model b's parameters and buffers from `per_model` into `array`,
-/// an array of B such models: every tensor of `array` is B dim-0 blocks,
-/// and block b takes the per-model tensor at the same dotted path. Throws
-/// unless 0 <= b < B, every array path exists in `per_model`, and every
-/// array tensor holds B x the per-model numel.
-void load_model(nn::Module& array, int64_t B, int64_t b,
-                const nn::Module& per_model);
-/// The inverse: copies block b of every array tensor out into the
-/// per-model tensor at the same path, under the same checks.
-void store_model(const nn::Module& array, int64_t B, int64_t b,
-                 nn::Module& per_model);
+/// The one state walk (nn/module.h): load_model copies model b's
+/// parameters and buffers from a per-model tree into block b of every
+/// array tensor at the same path, store_model copies them back out, and
+/// both throw, naming the path, unless the two trees pair up both ways.
+using nn::load_model;
+using nn::store_model;
 
 /// Collects every parameter of an array as a FusedParam of the array size
-/// B; a parameter whose numel B does not divide is rejected.
+/// B; a parameter whose numel B does not divide is rejected, and so, for
+/// B > 1, is a FusedArray root with a masked-off unit (its replicas each
+/// belong to one model; the error names the unit).
 std::vector<FusedParam> collect_fused_parameters(nn::Module& root,
                                                  int64_t array_size);
 

@@ -1,6 +1,5 @@
 #include "hfta/fusion.h"
 
-#include <map>
 #include <sstream>
 
 namespace hfta::fused {
@@ -200,8 +199,14 @@ void FusedArray::load_model(int64_t b, const nn::Module& per_model_root) {
     if (!s.fused) {
       auto& adapter = static_cast<UnfusedBlockAdapter&>(*s.module);
       nn::copy_state(*src, *adapter.replicas()[static_cast<size_t>(b)]);
-    } else {
-      fused::load_model(*s.module, array_size_, b, *src);
+      continue;
+    }
+    try {
+      nn::load_model(*s.module, array_size_, b, *src);
+    } catch (const Error& e) {
+      // An array form that does not hold exactly the per-model state at B x
+      // width fails here, so FusionPlan::compile reports it per step.
+      throw FusionError({s.path, b, s.kind + " array form: " + e.what()});
     }
   }
 }
@@ -217,7 +222,7 @@ void FusedArray::store_model(int64_t b, nn::Module& per_model_root) const {
           static_cast<const UnfusedBlockAdapter&>(*s.module);
       nn::copy_state(*adapter.replicas()[static_cast<size_t>(b)], *dst);
     } else {
-      fused::store_model(*s.module, array_size_, b, *dst);
+      nn::store_model(*s.module, array_size_, b, *dst);
     }
   }
 }
@@ -295,61 +300,11 @@ FusedArray::Step make_adapter_step(
   s.out = Layout::kChannelFused;
   s.path = path;
   // Adapter replicas are whole per-model modules, transferred by
-  // nn::copy_state in FusedArray::{load,store}_model.
+  // nn::copy_state (the state walk at B = 1) in
+  // FusedArray::{load,store}_model.
   s.fused = false;
   s.unit = unit;
   return s;
-}
-
-/// Checks a lowered step's array form against the per-model reference
-/// layer: every per-model parameter and buffer must appear exactly once in
-/// the array form under the same path, sized B x the per-model numel (and
-/// block-size-checked again at transfer time). An array form that misses
-/// part of the state, or leaves a child at per-model width, fails the
-/// compile with a structured diagnostic instead of surfacing as drift after
-/// a repack.
-void check_step_state(const nn::Module& array_form, int64_t B,
-                      const nn::Module& ref, const std::string& path) {
-  std::map<std::string, int64_t> want;  // per-model tensor path -> numel
-  for (const auto& [n, v] : ref.named_parameters()) want.emplace(n, v.numel());
-  for (const auto& [n, t] : nn::named_buffers_recursive(ref))
-    want.emplace(n, t.numel());
-  std::map<std::string, int64_t> seen;
-  auto check = [&](const std::string& n, int64_t numel) {
-    if (++seen[n] > 1) {
-      throw FusionError({path, -1,
-                         "array form of kind '" + ref.kind_name() +
-                             "' holds state '" + n + "' twice"});
-    }
-    const auto it = want.find(n);
-    if (it == want.end()) {
-      throw FusionError({path, -1,
-                         "array state '" + n +
-                             "' has no per-model counterpart in kind '" +
-                             ref.kind_name() + "'"});
-    }
-    if (numel != B * it->second) {
-      throw FusionError(
-          {path, -1,
-           "array state '" + n + "' of kind '" + ref.kind_name() +
-               "': fused numel " + std::to_string(numel) + " != B(" +
-               std::to_string(B) + ") x per-model numel " +
-               std::to_string(it->second)});
-    }
-  };
-  for (const auto& [n, v] : array_form.named_parameters()) check(n, v.numel());
-  for (const auto& [n, t] : nn::named_buffers_recursive(array_form))
-    check(n, t.numel());
-  for (const auto& [n, numel] : want) {
-    (void)numel;
-    if (seen.count(n) == 0) {
-      throw FusionError(
-          {path, -1,
-           "array form of kind '" + ref.kind_name() +
-               "' holds no state for per-model tensor '" + n +
-               "' — register it in the array form under the same path"});
-    }
-  }
 }
 
 void lower_into(int64_t B, Rng& rng, const std::string& path,
@@ -375,7 +330,6 @@ void lower_into(int64_t B, Rng& rng, const std::string& path,
              "': it has no array form — override Module::make_array, or "
              "turn this unit off in fuse_mask"});
   }
-  check_step_state(*m, B, ref, path);
   FusedArray::Step s;
   s.in = s.out = ref.array_layout();
   s.module = std::move(m);

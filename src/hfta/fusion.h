@@ -110,17 +110,21 @@ class FusedArray : public nn::Module {
   int64_t array_size() const { return array_size_; }
 
   /// Copies model b's parameters and buffers from a per-model tree
-  /// congruent with the compiled one: fused::load_model on each fused
-  /// step's module, with the per-model layer at the step's path, and
-  /// nn::copy_state into replica b of each unfused step. Always copies INTO
-  /// the array — unfused units own cloned replicas, so neither this nor
-  /// training ever mutates the compile-time donors.
+  /// congruent with the compiled one, through the one state walk:
+  /// nn::load_model(step, B, b, layer) on each fused step's module, with
+  /// the per-model layer at the step's path, and nn::copy_state (the walk
+  /// at B = 1) into replica b of each unfused step. A fused step's walk
+  /// failure is rethrown as FusionError{step path, b, reason}, which is how
+  /// FusionPlan::compile rejects an array form that does not hold exactly
+  /// the per-model state. Always copies INTO the array — unfused units own
+  /// cloned replicas, so neither this nor training ever mutates the
+  /// compile-time donors.
   void load_model(int64_t b, const nn::Module& per_model_root);
 
   /// The inverse of load_model: extracts model b's parameters and buffers
   /// out of the array into a congruent per-model tree, walking the same
-  /// per-step paths — fused blocks (fused::store_model) and unfused owned
-  /// replicas alike, so every kind that loads also stores.
+  /// per-step paths — fused blocks (nn::store_model) and unfused owned
+  /// replicas (nn::copy_state) alike, so every kind that loads also stores.
   /// Scope: parameters and buffers only. Private rng stream positions of
   /// stateless-random steps (a fused nn::Dropout draws ONE stream over
   /// the fused tensor, not the B per-model streams) are neither extracted

@@ -59,6 +59,9 @@ void TrainStep::step(nn::Optimizer& opt, StepKind kind, const Body& body) {
 const TrainStep::Losses& TrainStep::run_step(nn::Optimizer& opt,
                                              LossesFn loss_fn,
                                              Losses& losses) {
+  // The last multi-loss step's graphs go before this step builds its own,
+  // so holding them costs no pool memory.
+  multi_losses_.clear();
   // The capture run is the eager step with `opt`'s program attached.
   ag::StepProgram* program = nullptr;
   if (capture_) {
@@ -224,10 +227,9 @@ ag::Variable TrainStep::run(nn::Optimizer& opt, const LossFn& loss_fn) {
   return run_step(opt, [&] { return Losses{loss_fn()}; }, losses).front();
 }
 
-std::vector<ag::Variable> TrainStep::run(nn::Optimizer& opt,
-                                         const MultiLossFn& loss_fn) {
-  Losses losses;
-  return run_step(opt, loss_fn, losses);
+const std::vector<ag::Variable>& TrainStep::run(nn::Optimizer& opt,
+                                                const MultiLossFn& loss_fn) {
+  return run_step(opt, loss_fn, multi_losses_);
 }
 
 void TrainStep::backward(const ag::Variable& loss, Tensor seed) {

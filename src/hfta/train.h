@@ -62,9 +62,12 @@ class TrainStep {
   ag::Variable run(nn::Optimizer& opt, const LossFn& loss_fn);
 
   /// Multi-loss iteration (losses run backward in order, one step; leaf
-  /// gradients sum every loss's contributions).
-  std::vector<ag::Variable> run(nn::Optimizer& opt,
-                                const MultiLossFn& loss_fn);
+  /// gradients sum every loss's contributions). A replay returns the
+  /// program's pinned losses and an eager or capture step a vector this
+  /// TrainStep owns, so the reference holds until the next run or program
+  /// drop on this TrainStep.
+  const std::vector<ag::Variable>& run(nn::Optimizer& opt,
+                                       const MultiLossFn& loss_fn);
 
   /// Backward through the reusable engine, for hand-assembled iterations
   /// that cannot use run() (optimizer-free timing probes, seeded backward,
@@ -195,6 +198,9 @@ class TrainStep {
   ag::Engine engine_;
   Stats stats_;
   std::unordered_map<const void*, ProgramSlot> programs_;
+  // The last eager or capture multi-loss step's losses, released when the
+  // next step of any kind starts, before it builds its own losses.
+  Losses multi_losses_;
   bool capture_ = false;
   int64_t use_clock_ = 0;
   bool amp_ = false;

@@ -1,5 +1,8 @@
 #include "nn/module.h"
 
+#include <algorithm>
+#include <map>
+
 #include "nn/layers.h"
 
 namespace hfta::nn {
@@ -80,23 +83,78 @@ void sync_mask_streams(const Module& src, Module& dst) {
     sync_mask_streams(*sc[i].second, *dc[i].second);
 }
 
+[[noreturn]] void transfer_error(const std::string& path,
+                                 const std::string& why) {
+  throw Error("state transfer: '" + path + "' " + why);
+}
+
+/// The one state walk (load_model/store_model): pairs block b of every
+/// array tensor with the per-model tensor at the same path, checks both
+/// directions, then calls copy(array block b, per-model tensor, numel) for
+/// each pair. The path map is built once per call, so a whole model
+/// (MobileNet, BERT: 100+ tensors) moves in O(T log T), not O(T^2).
+template <typename Copy>
+void walk_blocks(const Module& array, int64_t B, int64_t b,
+                 const Module& per_model, const Copy& copy) {
+  HFTA_CHECK(b >= 0 && b < B, "state transfer: model index ", b,
+             " outside [0, ", B, ")");
+  struct Twin {
+    Tensor tensor;
+    bool visited = false;
+  };
+  std::map<std::string, Twin> twins;
+  for (const auto& [path, var] : per_model.named_parameters())
+    twins.emplace(path, Twin{var.value()});
+  for (const auto& [path, t] : named_buffers_recursive(per_model))
+    twins.emplace(path, Twin{t});
+
+  std::vector<std::pair<Tensor, Tensor>> pairs;  // (array, per-model)
+  auto visit = [&](const std::string& path, const Tensor& arr) {
+    const auto it = twins.find(path);
+    if (it == twins.end())
+      transfer_error(path, "is in the array but not in the per-model tree");
+    Twin& twin = it->second;
+    if (twin.visited) transfer_error(path, "is visited twice in the array");
+    twin.visited = true;
+    if (arr.numel() != B * twin.tensor.numel()) {
+      transfer_error(path, "holds " + std::to_string(arr.numel()) +
+                               " elements, not B(" + std::to_string(B) +
+                               ") x per-model " +
+                               std::to_string(twin.tensor.numel()));
+    }
+    pairs.emplace_back(arr, twin.tensor);
+  };
+  for (const auto& [path, var] : array.named_parameters())
+    visit(path, var.value());
+  for (const auto& [path, t] : named_buffers_recursive(array)) visit(path, t);
+  for (const auto& [path, twin] : twins)
+    if (!twin.visited)
+      transfer_error(path, "is in the per-model tree but not in the array");
+
+  for (auto& [arr, pm] : pairs)
+    copy(arr.data() + b * pm.numel(), pm.data(), pm.numel());
+}
+
 }  // namespace
 
+void load_model(Module& array, int64_t B, int64_t b,
+                const Module& per_model) {
+  walk_blocks(array, B, b, per_model,
+              [](float* block, float* pm, int64_t n) {
+                std::copy(pm, pm + n, block);
+              });
+}
+
+void store_model(const Module& array, int64_t B, int64_t b,
+                 Module& per_model) {
+  walk_blocks(array, B, b, per_model,
+              [](float* block, float* pm, int64_t n) {
+                std::copy(block, block + n, pm);
+              });
+}
+
 void copy_state(const Module& src, Module& dst) {
-  auto s = src.named_parameters();
-  auto d = dst.named_parameters();
-  HFTA_CHECK(s.size() == d.size(), "copy_state: parameter-count mismatch (",
-             s.size(), " vs ", d.size(), ")");
-  for (size_t i = 0; i < s.size(); ++i) {
-    HFTA_CHECK(s[i].second.numel() == d[i].second.numel(),
-               "copy_state: shape mismatch at ", s[i].first);
-    d[i].second.mutable_value().copy_(s[i].second.value());
-  }
-  auto sb = named_buffers_recursive(src);
-  auto db = named_buffers_recursive(dst);
-  HFTA_CHECK(sb.size() == db.size(), "copy_state: buffer-count mismatch (",
-             sb.size(), " vs ", db.size(), ")");
-  for (size_t i = 0; i < sb.size(); ++i) db[i].second.copy_(sb[i].second);
+  load_model(dst, 1, 0, src);
   sync_mask_streams(src, dst);
 }
 

@@ -1,6 +1,12 @@
 // Module base class: owns parameters and child modules, exposes recursive
 // parameter collection, train/eval mode, and zero_grad — the PyTorch
 // nn.Module contract scaled down to what the paper's models need.
+//
+// Model state moves between trees through one path-keyed walk,
+// load_model/store_model: block b of every tensor of an array of B models
+// pairs with the per-model tensor at the same dotted path, and both
+// directions are checked (DESIGN.md §7). copy_state, and so clone(), is
+// that walk at B = 1.
 #pragma once
 
 #include <memory>
@@ -102,9 +108,9 @@ class Module {
   /// Deep copy: structurally congruent, equal parameter/buffer values,
   /// independently owned storage (mutating the clone never touches the
   /// original, and vice versa). The default is make_array(1) with this
-  /// module's parameters, buffers, private rng streams and train/eval mode
-  /// copied in, so nullptr (no clone support) exactly when the kind has no
-  /// array form.
+  /// module's parameters, buffers and private rng streams copied in by
+  /// copy_state and its train/eval mode set, so nullptr (no clone support)
+  /// exactly when the kind has no array form.
   virtual std::shared_ptr<Module> clone() const;
 
   /// All trainable parameters, depth-first (this module's own first).
@@ -204,8 +210,23 @@ class Sequential : public Module {
 std::vector<std::pair<std::string, Tensor>> named_buffers_recursive(
     const Module& m);
 
-/// Copies every parameter and buffer of `src` into the structurally
-/// congruent module `dst` (pairwise shapes must match).
+/// Copies model b's parameters and buffers from `per_model` into `array`,
+/// an array of B such models: every tensor of `array` is B dim-0 blocks,
+/// and block b takes the per-model tensor at the same dotted path. The
+/// walk consumes each per-model tensor exactly once and throws, naming
+/// the path, unless 0 <= b < B and the two trees pair up both ways: every
+/// array tensor has a per-model twin holding 1/B of its numel, no path is
+/// visited twice, and no per-model tensor is left over. It checks every
+/// pair before it copies, so a rejected transfer writes nothing.
+void load_model(Module& array, int64_t B, int64_t b, const Module& per_model);
+/// The inverse: copies block b of every array tensor out into the
+/// per-model tensor at the same path, under the same checks.
+void store_model(const Module& array, int64_t B, int64_t b,
+                 Module& per_model);
+
+/// Copies every parameter and buffer of `src` into `dst`, a tree with the
+/// same paths and shapes: load_model(dst, 1, 0, src). Also carries each
+/// Dropout's current mask stream over (neither a parameter nor a buffer).
 void copy_state(const Module& src, Module& dst);
 
 /// True when the module tree holds any parameter or buffer storage.

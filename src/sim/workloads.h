@@ -47,9 +47,10 @@ IterationTrace build_pointnet_cls_trace(const PointNetTraceSpec& spec,
 
 /// Structural hyper-parameters of one MobileNet (V3-Large or V2) training
 /// job, after width scaling: the shapes the HFHT real executor actually
-/// trains. Defaults are the paper scale (the canned kMobileNetV3 trace);
-/// the executor fills in each trial's batch size and scaled bneck rows so
-/// MobileNet jobs are priced from their real trace too.
+/// trains. Defaults are the paper scale: build_trace(kMobileNetV3, B) is
+/// build_mobilenet_trace(MobileNetTraceSpec{}, B). The executor fills in
+/// each trial's batch size and scaled bneck rows so MobileNet jobs are
+/// priced from their real trace too.
 struct MobileNetTraceSpec {
   struct Row {
     int64_t kernel;

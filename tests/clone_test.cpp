@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hfta/fusion.h"
@@ -342,6 +343,37 @@ TEST(ModuleClone, UnsupportedStatefulKindReturnsNull) {
   Opaque m(rng);
   EXPECT_EQ(m.clone(), nullptr);
   EXPECT_TRUE(has_state(m));
+}
+
+// A tensor "a" and one more whose name the caller picks.
+class NamedPair : public Module {
+ public:
+  NamedPair(const std::string& name, float value) {
+    register_parameter("a", Tensor::full({2}, value));
+    register_parameter(name, Tensor::full({3}, value));
+  }
+  ag::Variable forward(const ag::Variable& x) override { return x; }
+};
+
+TEST(ModuleClone, CopyStateRejectsTreesThatDifferInOnePath) {
+  // Same counts and shapes, one path renamed: a positional copy would pair
+  // 'w' with 'v' silently. copy_state is the path walk at B = 1, so it
+  // throws naming the tensor without a twin, in both directions, and
+  // writes nothing.
+  NamedPair src("w", 1.f), dst("v", 2.f);
+  for (const auto& [from, to, name] :
+       {std::make_tuple(&src, &dst, "v"), std::make_tuple(&dst, &src, "w")}) {
+    try {
+      copy_state(*from, *to);
+      ADD_FAILURE() << "expected an Error naming '" << name << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + name + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(src.named_parameters()[0].second.value().at({0}), 1.f);
+  EXPECT_EQ(dst.named_parameters()[0].second.value().at({0}), 2.f);
 }
 
 }  // namespace

@@ -284,6 +284,31 @@ TEST(FusionPlan, FuseMaskSizeMismatchIsDiagnosed) {
   }
 }
 
+TEST(FusionPlan, FusedOptimizerRejectsAMaskedOffUnit) {
+  // A masked-off unit's replicas each belong to one model. Reading a
+  // replica parameter as B blocks would step half of model 1's fc2 with
+  // model 0's lr (at lrs {0.1, 0} it moved), or, for a numel B does not
+  // divide, fail with a confusing "not fused over B" error. The collector
+  // refuses the array and names the unit instead.
+  Rng rng(16);
+  std::vector<std::shared_ptr<nn::Module>> nets;
+  for (int64_t b = 0; b < 2; ++b) nets.push_back(mlp(4, 4, 4, rng));
+  FusionOptions opts;
+  opts.fuse_mask = {true, true, false};
+  opts.output_layout = Layout::kModelMajor;
+  auto array = FusionPlan(2, opts).compile(nets, rng);
+  try {
+    FusedSGD opt(collect_fused_parameters(*array, 2), 2, {.lr = {0.1, 0.0}});
+    FAIL() << "collect_fused_parameters must reject a masked-off unit";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unit 2 ('fc2')"), std::string::npos)
+        << e.what();
+  }
+  // The same models fully fused still collect.
+  auto full = FusionPlan(2).compile(nets, rng);
+  EXPECT_EQ(collect_fused_parameters(*full, 2).size(), 4u);
+}
+
 TEST(FusionPlan, LoadModelReloadsFromNewDonors) {
   // Every fuse mask, so fused steps and unfused (cloned-replica) units are
   // reloaded in every combination.

@@ -293,6 +293,23 @@ TEST(StateTransfer, RejectsAPerModelTreeMissingAnArrayPath) {
   expect_error_naming([&] { store_model(array, B, 1, model); }, "fc2.weight");
 }
 
+TEST(StateTransfer, RejectsAPerModelTensorMissingFromTheArray) {
+  // The mirror case: the per-model tree holds a tensor (bias) that the
+  // array has no path for. A one-way walk would drop it on load and leave
+  // it stale on store; the walk consumes every per-model tensor, so both
+  // directions throw, name it, and write nothing.
+  const int64_t B = 2;
+  Rng rng(690);
+  nn::Linear array(4, 3, /*bias=*/false, rng, B);
+  nn::Linear model(4, 3, /*bias=*/true, rng);
+  const Tensor array_before = array.weight.value().clone();
+  const Tensor model_before = model.weight.value().clone();
+  expect_error_naming([&] { load_model(array, B, 1, model); }, "bias");
+  expect_error_naming([&] { store_model(array, B, 1, model); }, "bias");
+  EXPECT_EQ(ops::max_abs_diff(array.weight.value(), array_before), 0.f);
+  EXPECT_EQ(ops::max_abs_diff(model.weight.value(), model_before), 0.f);
+}
+
 // B BatchNorms fused as one over B*C channels vs B plain ones, one training
 // step then one eval step. Per model, the output, the x, weight and bias
 // grads and the running stats must be bitwise equal: fused BN runs each

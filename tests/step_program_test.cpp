@@ -337,7 +337,7 @@ std::shared_ptr<nn::Sequential> mlp(Rng& rng) {
 // optimizer address cannot collide through stack reuse.
 struct FusedCfg {
   std::shared_ptr<fused::FusedArray> array_c, array_e;
-  std::unique_ptr<fused::FusedSGD> opt_c, opt_e;
+  std::unique_ptr<fused::FusedOptimizer> opt_c, opt_e;
   Tensor x;
 };
 
@@ -349,12 +349,21 @@ FusedCfg make_cfg(int64_t B, fused::FusionOptions fopts) {
   Rng crng(1), erng(1);
   c.array_c = fused::FusionPlan(B, fopts).compile(donors, crng);
   c.array_e = fused::FusionPlan(B, fopts).compile(donors, erng);
-  const fused::FusedSGD::Options sopts{
-      .lr = fused::HyperVec(static_cast<size_t>(B), 0.05)};
-  c.opt_c = std::make_unique<fused::FusedSGD>(
-      fused::collect_fused_parameters(*c.array_c, B), B, sopts);
-  c.opt_e = std::make_unique<fused::FusedSGD>(
-      fused::collect_fused_parameters(*c.array_e, B), B, sopts);
+  // A masked-off unit's replicas are not fused over B, so a masked array
+  // steps with one-model SGD over all its parameters: at a uniform lr that
+  // is the same elementwise update.
+  auto make_opt = [&](fused::FusedArray& a)
+      -> std::unique_ptr<fused::FusedOptimizer> {
+    if (!fopts.fuse_mask.empty())
+      return std::make_unique<nn::SGD>(a.parameters(),
+                                       nn::SGD::Options{.lr = 0.05});
+    return std::make_unique<fused::FusedSGD>(
+        fused::collect_fused_parameters(a, B), B,
+        fused::FusedSGD::Options{
+            .lr = fused::HyperVec(static_cast<size_t>(B), 0.05)});
+  };
+  c.opt_c = make_opt(*c.array_c);
+  c.opt_e = make_opt(*c.array_e);
   Rng drng(31);
   c.x = fused::pack_channel_fused(
       std::vector<Tensor>(static_cast<size_t>(B), Tensor::randn({kN, 4}, drng)));

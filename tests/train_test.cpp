@@ -256,5 +256,51 @@ TEST(TrainEngine, SharedTrunkMultiLossEqualsTheSummedLoss) {
   }
 }
 
+TEST(TrainEngine, ReplayedMultiLossStepsReturnOneVector) {
+  // A replayed multi-loss step returns the program's pinned losses by
+  // reference instead of copying them: two consecutive replays hand back
+  // the same vector object, and it holds each step's current values.
+  Rng rng(3);
+  nn::Linear lin(4, 2, true, rng);
+  nn::SGD opt(lin.parameters(), {.lr = 0.1});
+  Rng data_rng(5);
+  const Tensor x = Tensor::randn({6, 4}, data_rng);
+  TrainStep step;
+  step.enable_capture();
+  auto losses_fn = [&]() -> std::vector<ag::Variable> {
+    const ag::Variable h = lin.forward(ag::Variable(x));
+    return {ag::sum_all(h), ag::sum_all(ag::mul(h, h))};
+  };
+  step.run(opt, losses_fn);  // eager warm-up
+  step.run(opt, losses_fn);  // capture
+  const std::vector<ag::Variable>& first = step.run(opt, losses_fn);
+  ASSERT_EQ(first.size(), 2u);
+  const float first_loss = first[0].value().item();
+  const std::vector<ag::Variable>& second = step.run(opt, losses_fn);
+  EXPECT_EQ(step.stats().replays, 2);
+  EXPECT_EQ(&first, &second);
+  EXPECT_NE(second[0].value().item(), first_loss);  // weights moved between
+}
+
+TEST(TrainEngine, NextStepReleasesTheLastMultiLossStepsLosses) {
+  // An eager multi-loss step's losses stay with the TrainStep only until
+  // the next step of any kind starts: a GAN's generator step must not
+  // build its graph while the discriminator step's graphs are still held,
+  // or the pool's peak grows.
+  Rng rng(4);
+  nn::Linear lin(4, 2, true, rng);
+  nn::SGD opt(lin.parameters(), {.lr = 0.1});
+  const Tensor x = Tensor::randn({6, 4}, rng);
+  TrainStep step;
+  const std::vector<ag::Variable>& losses =
+      step.run(opt, [&]() -> std::vector<ag::Variable> {
+        return {ag::sum_all(lin.forward(ag::Variable(x))),
+                ag::sum_all(lin.forward(ag::Variable(x)))};
+      });
+  EXPECT_EQ(losses.size(), 2u);
+  step.run(opt, [&] { return ag::sum_all(lin.forward(ag::Variable(x))); });
+  EXPECT_TRUE(losses.empty());
+}
+
 }  // namespace
 }  // namespace hfta
