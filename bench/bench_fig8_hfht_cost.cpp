@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
         const TuneResult r =
             run_tuning(task, algo, kinds[k], dev,
                        static_cast<uint64_t>(seed), trials_override);
-        row.hours[k] = r.total_gpu_hours;
+        row.hours[k] = r.total_device_hours;
         row.trials = r.total_trials;
       }
       std::printf("%-10s %-14s %11.1fh %11.1fh %11.1fh %11.1fh %8.2fx\n",

@@ -12,9 +12,11 @@
 // from per-model cross-entropy on held-out data, and rung survivors are
 // gathered — across every chunked array they trained in — into a smaller
 // live array (FusionPlan::repack_multi + multi-source optimizer-state
-// gather) that continues training bit-exactly. The executor also trains
-// every model serially and prints the max per-model loss deviation:
-// 0.00e+00, including across halving/repack and chunk-merge boundaries.
+// gather) that continues training bit-exactly. The tuning bill is measured:
+// the wall time of the fused steps times the pool's lane count, in
+// core-seconds. The executor also trains every model serially and prints
+// the max per-model loss deviation: 0.00e+00, including across
+// halving/repack and chunk-merge boundaries.
 //
 //   build/examples/hfht_tuning
 //   build/examples/hfht_tuning --task mobilenet
@@ -23,6 +25,7 @@
 #include <cstring>
 #include <string>
 
+#include "core/parallel.h"
 #include "hfht/executor.h"
 
 using namespace hfta::hfht;
@@ -58,11 +61,11 @@ void synthetic_act(const hfta::sim::DeviceSpec& dev) {
     for (Mode sched :
          {Mode::kSerial, Mode::kConcurrent, Mode::kMps, Mode::kHfta}) {
       const TuneResult r = run_tuning(Task::kPointNet, algo, sched, dev, 99);
-      if (sched == Mode::kSerial) serial_hours = r.total_gpu_hours;
+      if (sched == Mode::kSerial) serial_hours = r.total_device_hours;
       std::printf("  %-11s %7.1f GPU-hours (%.2fx cheaper), best accuracy "
                   "%.3f over %ld trials\n",
-                  hfta::sim::mode_name(sched), r.total_gpu_hours,
-                  serial_hours / r.total_gpu_hours, r.best_accuracy,
+                  hfta::sim::mode_name(sched), r.total_device_hours,
+                  serial_hours / r.total_device_hours, r.best_accuracy,
                   r.total_trials);
     }
     // The winning configuration (identical across schedulers by design).
@@ -78,6 +81,7 @@ struct RealActResult {
   TuneResult tune;
   int64_t compiled = 0, repacked = 0, merged_repacks = 0, merged_arrays = 0;
   int64_t post_repack = 0, post_merge = 0;
+  int pool_lanes = 1;
   double max_diff = 0;
 };
 
@@ -116,12 +120,12 @@ RealActResult real_act(const hfta::sim::DeviceSpec& dev, Task task,
   RealActResult out;
   out.tune = run_tuning(hb, exec);
 
-  std::printf("  %ld trials over %ld rounds: %.2f simulated GPU-seconds "
-              "(priced from the\n  actual tiny-%s traces, not the canned "
-              "paper-scale ones)\n",
+  out.pool_lanes = hfta::num_threads();
+  std::printf("  %ld trials over %ld rounds: %.2f measured core-seconds "
+              "(fused-step wall time\n  x %d pool lanes; the serial audit "
+              "and scoring are not billed)\n",
               out.tune.total_trials, out.tune.iterations,
-              out.tune.total_gpu_hours * 3600.0,
-              task == Task::kPointNet ? "PointNet" : "MobileNet");
+              out.tune.total_device_hours * 3600.0, out.pool_lanes);
   std::printf("  arrays compiled: %ld, halving repacks: %ld\n",
               exec.arrays_compiled(), exec.arrays_repacked());
   std::printf("  cross-chunk continuations: %ld multi-source repacks "
@@ -164,7 +168,8 @@ void write_json(const char* path, Task task, int64_t max_array_size,
       "  \"max_array_size\": %ld,\n"
       "  \"trials\": %ld,\n"
       "  \"rounds\": %ld,\n"
-      "  \"gpu_hours\": %.6e,\n"
+      "  \"device_hours\": %.6e,\n"
+      "  \"pool_lanes\": %d,\n"
       "  \"best_score\": %.6f,\n"
       "  \"arrays_compiled\": %ld,\n"
       "  \"halving_repacks\": %ld,\n"
@@ -175,8 +180,8 @@ void write_json(const char* path, Task task, int64_t max_array_size,
       "  \"max_fused_vs_serial_diff\": %.3e\n"
       "}\n",
       task == Task::kPointNet ? "pointnet" : "mobilenet", max_array_size,
-      r.tune.total_trials, r.tune.iterations, r.tune.total_gpu_hours,
-      r.tune.best_accuracy, r.compiled, r.repacked, r.merged_repacks,
+      r.tune.total_trials, r.tune.iterations, r.tune.total_device_hours,
+      r.pool_lanes, r.tune.best_accuracy, r.compiled, r.repacked, r.merged_repacks,
       r.merged_arrays, r.post_repack, r.post_merge, r.max_diff);
   std::fclose(f);
   std::printf("\n  stats written to %s\n", path);

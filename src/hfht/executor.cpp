@@ -1,12 +1,14 @@
 #include "hfht/executor.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <set>
 #include <tuple>
 
 #include "core/check.h"
+#include "core/parallel.h"
 #include "core/storage_pool.h"
 #include "data/loader.h"
 #include "hfta/fused_optim.h"
@@ -16,13 +18,10 @@
 #include "models/mobilenetv3.h"
 #include "models/pointnet.h"
 #include "nn/optim.h"
-#include "sim/execution.h"
 
 namespace hfta::hfht {
 
 namespace {
-
-constexpr double kUsPerHour = 3.6e9;
 
 // Exact (bit-pattern) hash of a parameter set, used to derive each trial's
 // deterministic weight-init stream and each group's data-shuffle stream.
@@ -126,10 +125,9 @@ struct FusedTrainingExecutor::Pick {
   int64_t slot = 0;
 };
 
-FusedTrainingExecutor::FusedTrainingExecutor(Task task, sim::DeviceSpec dev,
+FusedTrainingExecutor::FusedTrainingExecutor(Task task, sim::DeviceSpec,
                                              Options opts)
     : task_(task),
-      dev_(dev),
       opts_(opts),
       space_(task == Task::kPointNet ? SearchSpace::pointnet()
                                      : SearchSpace::mobilenet()),
@@ -420,10 +418,14 @@ FusedTrainingExecutor::Group* FusedTrainingExecutor::find_or_create(
 }
 
 void FusedTrainingExecutor::train(Group& g, int64_t delta_epochs,
-                                  CostReport* cost) {
+                                  CostReport& cost) {
+  using Clock = std::chrono::steady_clock;
   data::BatchSampler sampler = make_sampler(g);
   const int64_t B = g.B();
   const int64_t N = g.batch_size;
+  // The bill's clock: batch build + staging + the fused step, never the
+  // serial verification twins or their audit.
+  Clock::duration fused_time{0};
   for (int64_t e = 0; e < delta_epochs; ++e) {
     // Per-trial StepLR, computed once in double and fed to both the fused
     // lr vector and the serial twins so the float paths are identical.
@@ -433,6 +435,7 @@ void FusedTrainingExecutor::train(Group& g, int64_t delta_epochs,
       g.serial_opts[b]->set_lr({lrs[b]});
 
     for (const auto& bidx : sampler.epoch()) {
+      const Clock::time_point t0 = Clock::now();
       auto [x, y] = train_batch(bidx);
       std::vector<Tensor> xs(static_cast<size_t>(B), x);
       Tensor labels({B, N});
@@ -451,6 +454,7 @@ void FusedTrainingExecutor::train(Group& g, int64_t delta_epochs,
         return fused::fused_cross_entropy(logits, g.staged_labels,
                                           ag::Reduction::kMean);
       });
+      fused_time += Clock::now() - t0;
       // Only the serial-verification audit reads the per-model losses —
       // skip the extra softmax pass on plain tuning runs. Runs after the
       // step (not inside the loss builder, which replay skips): the logits
@@ -487,7 +491,13 @@ void FusedTrainingExecutor::train(Group& g, int64_t delta_epochs,
       }
     }
   }
-  price(g, delta_epochs, cost);
+  if (delta_epochs > 0) {
+    // Every pool lane is billed for the whole step, as a GPU-hour bills the
+    // whole device however little of it one job uses.
+    cost.device_hours += std::chrono::duration<double>(fused_time).count() *
+                         num_threads() / 3600.0;
+    ++cost.jobs_launched;
+  }
   g.epochs_trained += delta_epochs;
 }
 
@@ -518,58 +528,6 @@ std::vector<double> FusedTrainingExecutor::score(Group& g) {
   return scores;
 }
 
-sim::IterationTrace FusedTrainingExecutor::build_group_trace(
-    const Group& g, int64_t B) const {
-  if (task_ == Task::kPointNet) {
-    models::PointNetConfig cfg = models::PointNetConfig::tiny();
-    cfg.input_transform =
-        space_.get(g.members[0], "feature_transform") != 0.0;
-    sim::PointNetTraceSpec spec;
-    spec.batch = g.batch_size;
-    spec.points = cfg.num_points;
-    spec.w1 = cfg.w1;
-    spec.w2 = cfg.w2;
-    spec.w3 = cfg.w3;
-    spec.fc1 = cfg.fc1;
-    spec.fc2 = cfg.fc2;
-    spec.num_classes = cfg.num_classes;
-    spec.input_transform = cfg.input_transform;
-    return sim::build_pointnet_cls_trace(spec, B);
-  }
-  const models::MobileNetV3Config cfg = mobilenet_config(space_, g.members[0]);
-  sim::MobileNetTraceSpec spec;
-  spec.batch = g.batch_size;
-  spec.image = cfg.image_size;
-  spec.stem = cfg.scaled(cfg.stem_channels());
-  for (const models::BneckSpec& r : cfg.rows())
-    spec.rows.push_back(sim::MobileNetTraceSpec::Row{
-        r.kernel, cfg.scaled(r.expand), cfg.scaled(r.out), r.stride, r.se});
-  spec.last = cfg.scaled(cfg.rows().back().expand);
-  spec.head = cfg.head_dim;
-  spec.num_classes = cfg.num_classes;
-  return sim::build_mobilenet_trace(spec, B);
-}
-
-void FusedTrainingExecutor::price(const Group& g, int64_t delta_epochs,
-                                  CostReport* cost) const {
-  if (cost == nullptr || delta_epochs <= 0) return;
-  // Price the trace the group actually ran — its batch size, widths, and
-  // structure — instead of the canned paper-scale traces.
-  const int64_t B = g.B();
-  const sim::IterationTrace single = build_group_trace(g, 1);
-  const sim::IterationTrace fused_tr =
-      B == 1 ? single : build_group_trace(g, B);
-  const sim::RunResult r = sim::simulate_traces(
-      dev_, single, fused_tr, B == 1 ? sim::Mode::kSerial : sim::Mode::kHfta,
-      B, sim::Precision::kFP32);
-  const int64_t ds_size =
-      task_ == Task::kPointNet ? cloud_ds_->size() : image_ds_->size();
-  const int64_t iters = ds_size / g.batch_size;
-  cost->gpu_hours += static_cast<double>(delta_epochs) *
-                     static_cast<double>(iters) * r.round_us / kUsPerHour;
-  ++cost->jobs_launched;
-}
-
 ExecutionReport FusedTrainingExecutor::run(const std::vector<Trial>& batch) {
   ExecutionReport rep;
   rep.scores.assign(batch.size(), 0.0);
@@ -595,7 +553,7 @@ ExecutionReport FusedTrainingExecutor::run(const std::vector<Trial>& batch) {
       }
       Group* g = find_or_create(members, epochs);
       if (epochs > g->epochs_trained)
-        train(*g, epochs - g->epochs_trained, &rep.cost);
+        train(*g, epochs - g->epochs_trained, rep.cost);
       const std::vector<double> s = score(*g);
       for (size_t j = 0; j < chunk.size(); ++j) rep.scores[chunk[j]] = s[j];
     }

@@ -45,7 +45,7 @@ CostReport schedule_cost(const std::vector<Trial>& trials,
     const sim::RunResult r =
         sim::simulate(dev, w, sim::Mode::kSerial, 1, sim::Precision::kFP32);
     for (const Trial& t : trials) {
-      report.gpu_hours += static_cast<double>(t.epochs) *
+      report.device_hours += static_cast<double>(t.epochs) *
                           static_cast<double>(iters) * r.round_us / kUsPerHour;
       ++report.jobs_launched;
     }
@@ -71,7 +71,7 @@ CostReport schedule_cost(const std::vector<Trial>& trials,
       std::vector<int64_t> epochs;
       for (size_t i = start; i < start + n; ++i)
         epochs.push_back(trials[i].epochs);
-      report.gpu_hours += group_hours(epochs, r.round_us, iters);
+      report.device_hours += group_hours(epochs, r.round_us, iters);
       report.jobs_launched += static_cast<int64_t>(n);
       start += n;
     }
@@ -96,7 +96,7 @@ CostReport schedule_cost(const std::vector<Trial>& trials,
       std::vector<int64_t> epochs;
       for (size_t i = start; i < start + n; ++i)
         epochs.push_back(trials[members[i]].epochs);
-      report.gpu_hours += group_hours(epochs, r.round_us, iters);
+      report.device_hours += group_hours(epochs, r.round_us, iters);
       ++report.jobs_launched;
       start += n;
     }

@@ -11,7 +11,10 @@
 namespace hfta::hfht {
 
 struct CostReport {
-  double gpu_hours = 0;
+  /// Hours for which trials held their device: a simulated GPU for
+  /// schedule_cost and the SyntheticExecutor, this host's pool lanes for
+  /// the FusedTrainingExecutor.
+  double device_hours = 0;
   int64_t jobs_launched = 0;  // processes (or fused jobs) started
 };
 

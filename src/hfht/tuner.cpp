@@ -77,7 +77,7 @@ TuneResult run_tuning(TuningAlgorithm& algorithm, TrialExecutor& executor) {
     HFTA_CHECK(rep.scores.size() == batch.size(),
                "run_tuning: executor returned ", rep.scores.size(),
                " scores for ", batch.size(), " trials");
-    result.total_gpu_hours += rep.cost.gpu_hours;
+    result.total_device_hours += rep.cost.device_hours;
     algorithm.update(batch, rep.scores);
   }
   result.best_accuracy = algorithm.best_accuracy();

@@ -14,7 +14,7 @@ const char* task_name(Task t);
 const char* algorithm_name(AlgorithmKind a);
 
 struct TuneResult {
-  double total_gpu_hours = 0;
+  double total_device_hours = 0;  // sum of the rounds' CostReport bills
   double best_accuracy = 0;
   int64_t total_trials = 0;
   int64_t iterations = 0;  // Algorithm-1 loop iterations

@@ -21,10 +21,4 @@ Tensor normal(Shape shape, float mean, float stddev, Rng& rng) {
   return t;
 }
 
-Tensor xavier_uniform(Shape shape, int64_t fan_in, int64_t fan_out, Rng& rng) {
-  const float bound =
-      std::sqrt(6.f / static_cast<float>(fan_in + fan_out));
-  return uniform(std::move(shape), bound, rng);
-}
-
 }  // namespace hfta::nn::init

@@ -16,7 +16,4 @@ Tensor uniform(Shape shape, float bound, Rng& rng);
 /// N(mean, std) — DCGAN's initializer.
 Tensor normal(Shape shape, float mean, float stddev, Rng& rng);
 
-/// Xavier/Glorot uniform: U(+-sqrt(6/(fan_in+fan_out))).
-Tensor xavier_uniform(Shape shape, int64_t fan_in, int64_t fan_out, Rng& rng);
-
 }  // namespace hfta::nn::init

@@ -256,6 +256,64 @@ IterationTrace resnet18(int64_t B) {
   return b.finish();
 }
 
+// ---- MobileNetV3-Large (CIFAR-10, batch 1024) ---------------------------------
+
+IterationTrace mobilenetv3(int64_t B) {
+  const int64_t N = 1024, S = 32, stem = 16, last = 960, head = 1280;
+  struct Row {
+    int64_t kernel, expand, out, stride;
+    bool se;
+  };
+  // The published V3-Large bneck table at width 1.0.
+  const Row rows[] = {{3, 16, 16, 1, false},  {3, 64, 24, 2, false},
+                      {3, 72, 24, 1, false},  {5, 72, 40, 2, true},
+                      {5, 120, 40, 1, true},  {5, 120, 40, 1, true},
+                      {3, 240, 80, 2, false}, {3, 200, 80, 1, false},
+                      {3, 184, 80, 1, false}, {3, 184, 80, 1, false},
+                      {3, 480, 112, 1, true}, {3, 672, 112, 1, true},
+                      {5, 672, 160, 2, true}, {5, 960, 160, 1, true},
+                      {5, 960, 160, 1, true}};
+  Builder b(B, N, /*host_us=*/35000, /*stash=*/4.5, /*gap_scale=*/0.3);
+  int64_t sz = S / 2;  // stride-2 stem
+  b.conv2d(N, 3, S, S, stem, 3, 2);
+  b.batchnorm(static_cast<double>(N) * stem * sz * sz);
+  b.activation(static_cast<double>(N) * stem * sz * sz);
+  int64_t in = stem;
+  for (const Row& r : rows) {
+    const int64_t so = sz / r.stride;
+    if (r.expand != in) {
+      b.conv2d(N, in, sz, sz, r.expand, 1, 1);
+      b.batchnorm(static_cast<double>(N) * r.expand * sz * sz);
+      b.activation(static_cast<double>(N) * r.expand * sz * sz);
+    }
+    // depthwise: per-model groups = expand channels
+    b.conv2d(N, r.expand, sz, sz, r.expand, r.kernel, r.stride, /*g=*/r.expand);
+    b.batchnorm(static_cast<double>(N) * r.expand * so * so);
+    b.activation(static_cast<double>(N) * r.expand * so * so);
+    if (r.se) {
+      const int64_t squeeze = std::max<int64_t>(4, r.expand / 4);
+      b.pool(static_cast<double>(N) * r.expand * so * so);
+      b.linear(N, r.expand, squeeze);
+      b.linear(N, squeeze, r.expand);
+      b.activation(static_cast<double>(N) * r.expand * so * so);
+    }
+    b.conv2d(N, r.expand, so, so, r.out, 1, 1);
+    b.batchnorm(static_cast<double>(N) * r.out * so * so);
+    if (r.stride == 1 && in == r.out)
+      b.residual_add(static_cast<double>(N) * r.out * so * so);
+    in = r.out;
+    sz = so;
+  }
+  b.conv2d(N, in, sz, sz, last, 1, 1);
+  b.batchnorm(static_cast<double>(N) * last * sz * sz);
+  b.activation(static_cast<double>(N) * last * sz * sz);
+  b.pool(static_cast<double>(N) * last * sz * sz);
+  b.linear(N, last, head);
+  b.activation(static_cast<double>(N) * head);
+  b.linear(N, head, 10);
+  return b.finish();
+}
+
 // ---- Transformer-LM (2 layers, 2 heads, d=128, batch=seq=32, WikiText-2) ---------
 
 void encoder_layer(Builder& b, int64_t tokens, int64_t E, int64_t H,
@@ -315,109 +373,6 @@ const char* workload_name(Workload w) {
   return "?";
 }
 
-IterationTrace build_pointnet_cls_trace(const PointNetTraceSpec& s,
-                                        int64_t B) {
-  HFTA_CHECK(B >= 1, "build_pointnet_cls_trace: B must be >= 1");
-  const int64_t N = s.batch, L = s.points;
-  // Host work tracks the input pipeline (linear in the batch); cache-stash
-  // and framework-gap factors are the calibrated kPointNetCls ones.
-  Builder b(B, static_cast<double>(N), /*host_us=*/1500.0 * N / 32.0,
-            /*stash=*/6.0, /*gap_scale=*/3.5);
-  auto bn_act = [&](int64_t C, bool act) {
-    b.batchnorm(static_cast<double>(N) * C * L);
-    if (act) b.activation(static_cast<double>(N) * C * L);
-  };
-  if (s.input_transform) {
-    // STN: conv 3->w1->w2, global max pool, fc w2->fc1->9, apply transform.
-    b.conv1d(N, 3, L, s.w1);
-    bn_act(s.w1, true);
-    b.conv1d(N, s.w1, L, s.w2);
-    bn_act(s.w2, true);
-    b.pool(static_cast<double>(N) * s.w2 * L);
-    b.linear(N, s.w2, s.fc1);
-    b.linear(N, s.fc1, 9);
-    b.gather(static_cast<double>(N) * 3 * L);  // x' = T^T x
-  }
-  // trunk: conv 3->w1->w2->w3, global max pool
-  b.conv1d(N, 3, L, s.w1);
-  bn_act(s.w1, true);
-  b.conv1d(N, s.w1, L, s.w2);
-  bn_act(s.w2, true);
-  b.conv1d(N, s.w2, L, s.w3);
-  bn_act(s.w3, false);
-  b.pool(static_cast<double>(N) * s.w3 * L);
-  // classifier MLP: w3->fc1->fc2->classes with BN+ReLU between
-  b.linear(N, s.w3, s.fc1);
-  b.batchnorm(static_cast<double>(N) * s.fc1);
-  b.activation(static_cast<double>(N) * s.fc1);
-  b.linear(N, s.fc1, s.fc2);
-  b.batchnorm(static_cast<double>(N) * s.fc2);
-  b.activation(static_cast<double>(N) * s.fc2);
-  b.linear(N, s.fc2, s.num_classes);
-  return b.finish();
-}
-
-IterationTrace build_mobilenet_trace(const MobileNetTraceSpec& s, int64_t B) {
-  HFTA_CHECK(B >= 1, "build_mobilenet_trace: B must be >= 1");
-  const int64_t N = s.batch;
-  // Default rows: the published V3-Large table at width 1.0, so a
-  // default-constructed spec prices paper scale (build_trace's
-  // kMobileNetV3: MobileNetV3-Large on CIFAR-10, batch 1024).
-  std::vector<MobileNetTraceSpec::Row> rows = s.rows;
-  if (rows.empty()) {
-    rows = {{3, 16, 16, 1, false},  {3, 64, 24, 2, false},
-            {3, 72, 24, 1, false},  {5, 72, 40, 2, true},
-            {5, 120, 40, 1, true},  {5, 120, 40, 1, true},
-            {3, 240, 80, 2, false}, {3, 200, 80, 1, false},
-            {3, 184, 80, 1, false}, {3, 184, 80, 1, false},
-            {3, 480, 112, 1, true}, {3, 672, 112, 1, true},
-            {5, 672, 160, 2, true}, {5, 960, 160, 1, true},
-            {5, 960, 160, 1, true}};
-  }
-  // Host work tracks the input pipeline (linear in the batch); cache-stash
-  // and framework-gap factors are the calibrated kMobileNetV3 ones.
-  Builder b(B, static_cast<double>(N), /*host_us=*/35000.0 * N / 1024.0,
-            /*stash=*/4.5, /*gap_scale=*/0.3);
-  int64_t sz = std::max<int64_t>(1, s.image / 2);  // stride-2 stem
-  b.conv2d(N, 3, s.image, s.image, s.stem, 3, 2);
-  b.batchnorm(static_cast<double>(N) * s.stem * sz * sz);
-  b.activation(static_cast<double>(N) * s.stem * sz * sz);
-  int64_t in = s.stem;
-  for (const MobileNetTraceSpec::Row& r : rows) {
-    const int64_t so = std::max<int64_t>(1, sz / r.stride);
-    if (r.expand != in) {
-      b.conv2d(N, in, sz, sz, r.expand, 1, 1);
-      b.batchnorm(static_cast<double>(N) * r.expand * sz * sz);
-      b.activation(static_cast<double>(N) * r.expand * sz * sz);
-    }
-    // depthwise: per-model groups = expand channels
-    b.conv2d(N, r.expand, sz, sz, r.expand, r.kernel, r.stride, /*g=*/r.expand);
-    b.batchnorm(static_cast<double>(N) * r.expand * so * so);
-    b.activation(static_cast<double>(N) * r.expand * so * so);
-    if (r.se) {
-      const int64_t squeeze = std::max<int64_t>(4, r.expand / 4);
-      b.pool(static_cast<double>(N) * r.expand * so * so);
-      b.linear(N, r.expand, squeeze);
-      b.linear(N, squeeze, r.expand);
-      b.activation(static_cast<double>(N) * r.expand * so * so);
-    }
-    b.conv2d(N, r.expand, so, so, r.out, 1, 1);
-    b.batchnorm(static_cast<double>(N) * r.out * so * so);
-    if (r.stride == 1 && in == r.out)
-      b.residual_add(static_cast<double>(N) * r.out * so * so);
-    in = r.out;
-    sz = so;
-  }
-  b.conv2d(N, in, sz, sz, s.last, 1, 1);
-  b.batchnorm(static_cast<double>(N) * s.last * sz * sz);
-  b.activation(static_cast<double>(N) * s.last * sz * sz);
-  b.pool(static_cast<double>(N) * s.last * sz * sz);
-  b.linear(N, s.last, s.head);
-  b.activation(static_cast<double>(N) * s.head);
-  b.linear(N, s.head, s.num_classes);
-  return b.finish();
-}
-
 IterationTrace build_trace(Workload w, int64_t B) {
   HFTA_CHECK(B >= 1, "build_trace: B must be >= 1");
   switch (w) {
@@ -425,8 +380,7 @@ IterationTrace build_trace(Workload w, int64_t B) {
     case Workload::kPointNetSeg: return pointnet_seg(B);
     case Workload::kDCGAN: return dcgan(B);
     case Workload::kResNet18: return resnet18(B);
-    case Workload::kMobileNetV3:
-      return build_mobilenet_trace(MobileNetTraceSpec{}, B);
+    case Workload::kMobileNetV3: return mobilenetv3(B);
     case Workload::kTransformer: return transformer(B);
     case Workload::kBertMedium: return bert_medium(B);
   }

@@ -106,8 +106,8 @@ TEST(HfhtMig, MigSchedulerCostsBetweenSerialAndHfta) {
   const auto hfta_cost = hfht::schedule_cost(trials, space,
                                              sim::Workload::kPointNetCls,
                                              a100, sim::Mode::kHfta);
-  EXPECT_LT(mig.gpu_hours, serial.gpu_hours);
-  EXPECT_LT(hfta_cost.gpu_hours, serial.gpu_hours);
+  EXPECT_LT(mig.device_hours, serial.device_hours);
+  EXPECT_LT(hfta_cost.device_hours, serial.device_hours);
   // With 21 random sets over 6 infusible combos, HFTA's partitions are
   // small (~3-4 models), so MIG's 7-at-a-time process sharing can compete —
   // the same fusion-opportunity effect the paper notes for Hyperband.
@@ -125,7 +125,7 @@ TEST(HfhtMig, FallsBackToSerialWithoutMigSupport) {
   const auto serial = hfht::schedule_cost(trials, space,
                                           sim::Workload::kPointNetCls, v100,
                                           sim::Mode::kSerial);
-  EXPECT_NEAR(mig.gpu_hours, serial.gpu_hours, 1e-9);
+  EXPECT_NEAR(mig.device_hours, serial.device_hours, 1e-9);
 }
 
 // ---- failure injection: the library must reject malformed use, loudly -----

@@ -58,7 +58,7 @@ TEST(SyntheticExecutorSeam, MatchesAccuracySurfaceAndCostModel) {
   const CostReport want = schedule_cost(batch, space,
                                         sim::Workload::kPointNetCls, dev,
                                         sim::Mode::kHfta);
-  EXPECT_DOUBLE_EQ(rep.cost.gpu_hours, want.gpu_hours);
+  EXPECT_DOUBLE_EQ(rep.cost.device_hours, want.device_hours);
   EXPECT_EQ(rep.cost.jobs_launched, want.jobs_launched);
 }
 
@@ -70,7 +70,8 @@ TEST(SyntheticExecutorSeam, RunTuningWrapperIsUnchanged) {
   auto algo = make_algorithm(AlgorithmKind::kRandomSearch, Task::kPointNet, 42);
   SyntheticExecutor exec(Task::kPointNet, sim::Mode::kHfta, dev);
   const TuneResult via_seam = run_tuning(*algo, exec);
-  EXPECT_DOUBLE_EQ(via_seam.total_gpu_hours, via_wrapper.total_gpu_hours);
+  EXPECT_DOUBLE_EQ(via_seam.total_device_hours,
+                   via_wrapper.total_device_hours);
   EXPECT_DOUBLE_EQ(via_seam.best_accuracy, via_wrapper.best_accuracy);
   EXPECT_EQ(via_seam.total_trials, via_wrapper.total_trials);
 }
@@ -86,7 +87,7 @@ TEST(FusedExecutor, OneFusedGroupEqualsSerialTrainingsBitExactly) {
   EXPECT_EQ(exec.arrays_repacked(), 0);
   EXPECT_GT(r.best_accuracy, 0.0);            // real losses, real scores
   EXPECT_LE(r.best_accuracy, 1.0);
-  EXPECT_GT(r.total_gpu_hours, 0.0);          // priced from the real trace
+  EXPECT_GT(r.total_device_hours, 0.0);       // measured fused-step time
   // The fused run IS the serial runs: not one float bit of loss drift.
   EXPECT_EQ(exec.max_fused_vs_serial_diff(), 0.0);
 }
@@ -188,6 +189,28 @@ TEST(FusedExecutor, OversizedPartitionIsChunked) {
   EXPECT_EQ(exec.arrays_compiled(), 3);  // 2 + 2 + 1
 }
 
+TEST(FusedExecutor, BillsEachTrainedChunkOnceAndNothingForNoWork) {
+  // The bill is measured fused-step time: each chunk that trains is one
+  // job, and re-proposing trials already trained to their budget runs no
+  // step, so it bills exactly nothing (the serial audit and scoring are
+  // never billed).
+  const SearchSpace space = single_partition_space();
+  Rng rng(3);
+  std::vector<Trial> batch;
+  for (int i = 0; i < 3; ++i) batch.push_back({space.sample(rng), 1});
+  FusedTrainingExecutor::Options o = tiny_options(/*verify=*/true);
+  o.max_array_size = 2;
+  FusedTrainingExecutor exec(Task::kPointNet, sim::v100(), o);
+  const ExecutionReport first = exec.run(batch);
+  EXPECT_EQ(first.cost.jobs_launched, 2);  // chunks of 2 + 1
+  EXPECT_GT(first.cost.device_hours, 0.0);
+  const ExecutionReport again = exec.run(batch);
+  EXPECT_EQ(again.cost.jobs_launched, 0);
+  EXPECT_EQ(again.cost.device_hours, 0.0);
+  EXPECT_EQ(again.scores, first.scores);
+  EXPECT_EQ(exec.arrays_compiled(), 2);
+}
+
 TEST(FusedExecutor, SurvivorsSpanningChunksMergeAndContinueBitExactly) {
   // Four trials with max_array_size=2 land in two chunked arrays (the
   // paper-scale bracket case: rung > device cap); the surviving pair draws
@@ -265,7 +288,7 @@ TEST(FusedExecutor, MobileNetTrialsTrainForRealBitExactly) {
   EXPECT_EQ(exec.arrays_compiled(), 1);
   EXPECT_GT(r.best_accuracy, 0.0);
   EXPECT_LE(r.best_accuracy, 1.0);
-  EXPECT_GT(r.total_gpu_hours, 0.0);  // priced from the real MobileNet trace
+  EXPECT_GT(r.total_device_hours, 0.0);  // measured fused-step time
   EXPECT_EQ(exec.max_fused_vs_serial_diff(), 0.0);
 }
 

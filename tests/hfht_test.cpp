@@ -145,7 +145,7 @@ TEST(Scheduler, HftaCheaperThanSerialOnABatch) {
                                     dev, sim::Mode::kSerial);
   const auto hfta = schedule_cost(trials, space, sim::Workload::kPointNetCls,
                                   dev, sim::Mode::kHfta);
-  EXPECT_GT(serial.gpu_hours, hfta.gpu_hours * 1.5);
+  EXPECT_GT(serial.device_hours, hfta.device_hours * 1.5);
   EXPECT_LT(hfta.jobs_launched, serial.jobs_launched);
 }
 
@@ -158,7 +158,7 @@ TEST(Scheduler, SingleTrialCostsTheSameEverywhere) {
                                sim::Mode::kSerial);
   const auto b = schedule_cost(one, space, sim::Workload::kPointNetCls, dev,
                                sim::Mode::kHfta);
-  EXPECT_NEAR(a.gpu_hours, b.gpu_hours, 1e-9);
+  EXPECT_NEAR(a.device_hours, b.device_hours, 1e-9);
 }
 
 TEST(EndToEnd, Fig8CostOrderingAndSavings) {
@@ -170,7 +170,7 @@ TEST(EndToEnd, Fig8CostOrderingAndSavings) {
           run_tuning(task, algo, sim::Mode::kSerial, dev, 42);
       const auto hfta = run_tuning(task, algo, sim::Mode::kHfta, dev, 42);
       // HFTA always cheapest (Fig. 8); savings can reach ~5x.
-      EXPECT_LT(hfta.total_gpu_hours, serial.total_gpu_hours)
+      EXPECT_LT(hfta.total_device_hours, serial.total_device_hours)
           << task_name(task) << "/" << algorithm_name(algo);
       // identical tuning decisions (same seed, same algorithm)
       EXPECT_DOUBLE_EQ(hfta.best_accuracy, serial.best_accuracy);
@@ -194,8 +194,10 @@ TEST(EndToEnd, RandomSearchBenefitsMoreThanHyperband) {
                                     sim::Mode::kSerial, dev, 11);
   const auto hb_hfta = run_tuning(Task::kPointNet, AlgorithmKind::kHyperband,
                                   sim::Mode::kHfta, dev, 11);
-  const double rs_saving = rs_serial.total_gpu_hours / rs_hfta.total_gpu_hours;
-  const double hb_saving = hb_serial.total_gpu_hours / hb_hfta.total_gpu_hours;
+  const double rs_saving =
+      rs_serial.total_device_hours / rs_hfta.total_device_hours;
+  const double hb_saving =
+      hb_serial.total_device_hours / hb_hfta.total_device_hours;
   EXPECT_GT(rs_saving, hb_saving);
   EXPECT_GT(rs_saving, 2.0);  // paper: up to 5.10x
 }
