@@ -646,13 +646,14 @@ Variable sum(const Variable& x, std::vector<int64_t> dims, bool keepdim) {
   // Normalize dims and remember the keepdim-style shape for the backward.
   std::vector<int64_t> nd;
   for (int64_t d : dims) nd.push_back(d < 0 ? d + x.dim() : d);
-  Shape keep_shape = x_shape;
-  for (int64_t d : nd) keep_shape[static_cast<size_t>(d)] = 1;
   Tensor xv = x.value();
   auto fwd = [xv, nd, keepdim](const Tensor& out) {
     return ops::sum(xv, nd, keepdim, out);
   };
-  return make_op("sum", fwd({}), fwd, {x},
+  Tensor y = fwd({});  // rejects a dim out of range or named twice
+  Shape keep_shape = x_shape;
+  for (int64_t d : nd) keep_shape[static_cast<size_t>(d)] = 1;
+  return make_op("sum", std::move(y), fwd, {x},
                  [x_shape, keep_shape](const Tensor& gy) -> std::vector<Tensor> {
                    Tensor g = gy.reshape(keep_shape);
                    // broadcast up to the input shape

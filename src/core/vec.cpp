@@ -122,6 +122,12 @@ void col_sum(const float* src, float* dst, int64_t rows, int64_t cols,
              bool accumulate) {
   active()->col_sum(src, dst, rows, cols, accumulate);
 }
+void channel_reduce(ChanReduce op, const ChannelBlock& b, float* sums) {
+  active()->channel_reduce(op, b, sums);
+}
+void channel_map(ChanMap op, const ChannelBlock& b) {
+  active()->channel_map(op, b);
+}
 
 // -- shared reference exp + strided-row fallbacks -----------------------------
 // Strided rows (softmax over a non-innermost dim) use this single compiled

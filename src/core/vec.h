@@ -209,6 +209,57 @@ float exp_approx(float x);
 void col_sum(const float* src, float* dst, int64_t rows, int64_t cols,
              bool accumulate);
 
+// -- per-channel kernels (one channel per lane) -------------------------------
+//
+// x (and gy, where an op reads it) is an [N, C, S] view: channel c is N runs
+// of S contiguous floats, run n starting at (n * C + c) * S. One call covers
+// the channel block [c0, c0 + nc), nc = min(kLanes, C - c0), lane l holding
+// channel c0 + l. A lane's reduction is ONE chain from +0 over its channel's
+// elements in ascending (n, s) order — the order of a scalar per-channel
+// loop and of ops::sum's flat walk — so the lanes run independent chains
+// and no sum is reassociated. With S == 1 a position's nc channels are one
+// (masked) load; with S > 1 the block's nc rows are loaded eight positions
+// at a time and transposed in registers, so vector j of a tile holds
+// position s0 + j of every channel. Positions past S are never added;
+// channels past C are dead lanes, never stored.
+
+/// One channel block. Lane parameters point at nc floats (lane l reads
+/// [l]); an op reads only the ones its comment names.
+struct ChannelBlock {
+  const float* x = nullptr;   // [N, C, S]
+  const float* gy = nullptr;  // [N, C, S]
+  float* out = nullptr;       // [N, C, S], written by channel_map
+  int64_t N = 0, C = 0, S = 0;
+  int64_t c0 = 0;
+  const float* mean = nullptr;
+  const float* rstd = nullptr;
+  const float* weight = nullptr;
+  const float* bias = nullptr;
+  const float* g_sq = nullptr;  // BatchNorm backward's per-channel factors
+  const float* g_s1 = nullptr;
+};
+
+/// Channel reductions. Each writes kLanes floats per sum to
+/// sums[k * kLanes + l] (dead lanes hold unspecified values). With
+/// d = x - mean and gxh = 0 + (0 + gy) * weight:
+enum class ChanReduce : uint8_t {
+  kSum = 0,   // sums[0] = Σ x
+  kSqDev,     // sums[0] = Σ d * d
+  kBnGrads,   // Σ gy, Σ (0 + gy) * (d * rstd), Σ gxh * d,
+              // Σ -(0 + gxh * rstd)
+  kBnGradM1,  // Σ -((0 + t) + t), t = g_sq * d
+};
+void channel_reduce(ChanReduce op, const ChannelBlock& b, float* sums);
+
+/// Channel elementwise maps into b.out, one vector along s per run (S > 1,
+/// lane parameters broadcast) or across the block's channels (S == 1):
+enum class ChanMap : uint8_t {
+  kBnY = 0,    // ((x - mean) * rstd) * weight + bias
+  kBnGxEval,   // g_c2 = 0 + (0 + (0 + gy) * weight) * rstd
+  kBnGxTrain,  // ((0 + g_c1) + g_c2) + (0 + g_s1), g_c1 = (0 + t) + t
+};
+void channel_map(ChanMap op, const ChannelBlock& b);
+
 // -- backend table (internal: implemented by vec_scalar.cpp / vec_avx2.cpp) ---
 
 struct VecOps {
@@ -223,6 +274,8 @@ struct VecOps {
   float (*row_max)(const float*, int64_t, int64_t);
   float (*row_sumexp)(const float*, int64_t, int64_t, float, float*);
   void (*col_sum)(const float*, float*, int64_t, int64_t, bool);
+  void (*channel_reduce)(ChanReduce, const ChannelBlock&, float*);
+  void (*channel_map)(ChanMap, const ChannelBlock&);
 };
 
 /// Always available.

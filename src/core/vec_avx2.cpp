@@ -128,6 +128,34 @@ struct Avx2Traits {
     return _mm256_castsi256_ps(_mm256_blendv_epi8(rne, nanv, isnan));
   }
 
+  /// 8x8 transpose in registers: unpack pairs, shuffle quads, swap halves.
+  static void transpose8(V* r) {
+    const V t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    const V t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    const V t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    const V t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    const V t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    const V t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    const V t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    const V t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    const V u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+    const V u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+    const V u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    const V u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    const V u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+    const V u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+    const V u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+    const V u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+    r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+    r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+    r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+    r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+    r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+    r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+    r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+    r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+  }
+
   static V or_(V a, V b) { return _mm256_or_ps(a, b); }
 
   /// Per-lane mask: all-ones where the lane is inf/NaN (exponent field all

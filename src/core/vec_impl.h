@@ -16,6 +16,7 @@
 //   zero set1 load store maskload maskstore lanemask select
 //   add sub mul div sqrt fma min max neg abs floor scale_pow2
 //   tree_add tree_max quantize_f16 quantize_bf16 any_nonfinite
+//   transpose8 (in place: lane l of V[j] <-> lane j of V[l]; moves bits only)
 #pragma once
 
 #include <algorithm>
@@ -632,6 +633,179 @@ struct Kern {
     }
   }
 
+  // ==== per-channel kernels (one channel per lane; see vec.h) ================
+
+  static inline int64_t lanes_of(const ChannelBlock& b) {
+    return std::min<int64_t>(kLanes, b.C - b.c0);
+  }
+
+  /// Rows c0..c0+nc of run n at positions [s0, s0 + rem), transposed: lane
+  /// l of t[j] is channel c0 + l at position s0 + j. Dead rows load 0.
+  static inline void load_tile(const ChannelBlock& b, const float* x, int64_t n,
+                               int64_t s0, int64_t rem, int64_t nc, V* t) {
+    const float* row = x + (n * b.C + b.c0) * b.S + s0;
+    for (int64_t l = 0; l < kLanes; ++l)
+      t[l] = l < nc ? load_cols(row + l * b.S, rem) : T::zero();
+    T::transpose8(t);
+  }
+
+  /// Calls f(x, gy) once per position of block b, in ascending (n, s), lane
+  /// l holding channel c0 + l; gy is read only when GY (zero otherwise).
+  template <bool GY, class F>
+  static inline void visit(const ChannelBlock& b, F f) {
+    const int64_t nc = lanes_of(b);
+    if (b.S == 1) {
+      for (int64_t n = 0; n < b.N; ++n) {
+        const int64_t off = n * b.C + b.c0;
+        f(load_cols(b.x + off, nc),
+          GY ? load_cols(b.gy + off, nc) : T::zero());
+      }
+      return;
+    }
+    V xt[kLanes], gt[kLanes];
+    for (int64_t n = 0; n < b.N; ++n) {
+      for (int64_t s0 = 0; s0 < b.S; s0 += kLanes) {
+        const int64_t rem = std::min<int64_t>(kLanes, b.S - s0);
+        load_tile(b, b.x, n, s0, rem, nc, xt);
+        if constexpr (GY) load_tile(b, b.gy, n, s0, rem, nc, gt);
+        for (int64_t j = 0; j < rem; ++j)
+          f(xt[j], GY ? gt[j] : T::zero());
+      }
+    }
+  }
+
+  /// A lane parameter as a vector (lane l = p[l]; dead lanes 0).
+  static inline V lanes_param(const float* p, int64_t nc) {
+    return p != nullptr ? load_cols(p, nc) : T::zero();
+  }
+
+  static void channel_reduce(ChanReduce op, const ChannelBlock& b,
+                             float* sums) {
+    const int64_t nc = lanes_of(b);
+    const V z = T::zero();
+    const V m = lanes_param(b.mean, nc);
+    switch (op) {
+      case ChanReduce::kSum: {
+        V acc = z;
+        visit<false>(b, [&](V x, V) { acc = T::add(acc, x); });
+        T::store(sums, acc);
+        break;
+      }
+      case ChanReduce::kSqDev: {
+        V acc = z;
+        visit<false>(b, [&](V x, V) {
+          const V d = T::sub(x, m);
+          acc = T::add(acc, T::mul(d, d));
+        });
+        T::store(sums, acc);
+        break;
+      }
+      case ChanReduce::kBnGrads: {
+        const V r = lanes_param(b.rstd, nc);
+        const V w = lanes_param(b.weight, nc);
+        V gb = z, gw = z, gr = z, gm2 = z;
+        visit<true>(b, [&](V x, V g) {
+          const V d = T::sub(x, m);
+          const V gt = T::add(z, g);
+          const V gxh = T::add(z, T::mul(gt, w));
+          gb = T::add(gb, g);
+          gw = T::add(gw, T::mul(gt, T::mul(d, r)));
+          gr = T::add(gr, T::mul(gxh, d));
+          gm2 = T::add(gm2, T::neg(T::add(z, T::mul(gxh, r))));
+        });
+        T::store(sums, gb);
+        T::store(sums + kLanes, gw);
+        T::store(sums + 2 * kLanes, gr);
+        T::store(sums + 3 * kLanes, gm2);
+        break;
+      }
+      case ChanReduce::kBnGradM1: {
+        const V gsq = lanes_param(b.g_sq, nc);
+        V acc = z;
+        visit<false>(b, [&](V x, V) {
+          const V t = T::mul(gsq, T::sub(x, m));
+          acc = T::add(acc, T::neg(T::add(T::add(z, t), t)));
+        });
+        T::store(sums, acc);
+        break;
+      }
+    }
+  }
+
+  // Lane parameters of a map, as vectors.
+  struct MapParams {
+    V m, r, w, b, gsq, gs1;
+  };
+
+  /// out = f(p, x, gy) over block b: across the block's channels when
+  /// S == 1, else along each channel's runs with its parameters broadcast.
+  template <bool GY, class F>
+  static inline void map_block(const ChannelBlock& b, F f) {
+    const int64_t nc = lanes_of(b);
+    const V z = T::zero();
+    if (b.S == 1) {
+      const MapParams p{lanes_param(b.mean, nc),   lanes_param(b.rstd, nc),
+                        lanes_param(b.weight, nc), lanes_param(b.bias, nc),
+                        lanes_param(b.g_sq, nc),   lanes_param(b.g_s1, nc)};
+      for (int64_t n = 0; n < b.N; ++n) {
+        const int64_t off = n * b.C + b.c0;
+        store_cols(b.out + off, nc,
+                   f(p, load_cols(b.x + off, nc),
+                     GY ? load_cols(b.gy + off, nc) : z));
+      }
+      return;
+    }
+    const int64_t S = b.S;
+    for (int64_t l = 0; l < nc; ++l) {
+      const auto bc = [l](const float* q) {
+        return q != nullptr ? T::set1(q[l]) : T::zero();
+      };
+      const MapParams p{bc(b.mean), bc(b.rstd), bc(b.weight),
+                        bc(b.bias), bc(b.g_sq), bc(b.g_s1)};
+      for (int64_t n = 0; n < b.N; ++n) {
+        const int64_t base = (n * b.C + b.c0 + l) * S;
+        const float* x = b.x + base;
+        const float* g = GY ? b.gy + base : nullptr;
+        float* o = b.out + base;
+        int64_t s = 0;
+        for (; s + kLanes <= S; s += kLanes)
+          T::store(o + s, f(p, T::load(x + s), GY ? T::load(g + s) : z));
+        if (s < S)
+          T::maskstore(o + s, S - s,
+                       f(p, T::maskload(x + s, S - s),
+                         GY ? T::maskload(g + s, S - s) : z));
+      }
+    }
+  }
+
+  static void channel_map(ChanMap op, const ChannelBlock& b) {
+    const V z = T::zero();
+    // BatchNorm's g_c2 = 0 + (0 + (0 + gy) * w) * r.
+    const auto g_c2 = [z](const MapParams& p, V g) {
+      return T::add(z, T::mul(T::add(z, T::mul(T::add(z, g), p.w)), p.r));
+    };
+    switch (op) {
+      case ChanMap::kBnY:
+        map_block<false>(b, [](const MapParams& p, V x, V) {
+          return T::add(T::mul(T::mul(T::sub(x, p.m), p.r), p.w), p.b);
+        });
+        break;
+      case ChanMap::kBnGxEval:
+        map_block<true>(b, [&](const MapParams& p, V, V g) {
+          return g_c2(p, g);
+        });
+        break;
+      case ChanMap::kBnGxTrain:
+        map_block<true>(b, [&](const MapParams& p, V x, V g) {
+          const V t = T::mul(p.gsq, T::sub(x, p.m));
+          const V g_c1 = T::add(T::add(z, t), t);
+          return T::add(T::add(T::add(z, g_c1), g_c2(p, g)),
+                        T::add(z, p.gs1));
+        });
+        break;
+    }
+  }
+
   static constexpr float kInf = __builtin_huge_valf();
 
   /// A VecOps table of this instantiation's kernels.
@@ -648,6 +822,8 @@ struct Kern {
     o.row_max = &Kern::row_max;
     o.row_sumexp = &Kern::row_sumexp;
     o.col_sum = &Kern::col_sum;
+    o.channel_reduce = &Kern::channel_reduce;
+    o.channel_map = &Kern::channel_map;
     return o;
   }
 };

@@ -8,6 +8,7 @@
 // expected to be fast.
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "core/half.h"
 #include "core/vec.h"
@@ -154,6 +155,11 @@ struct ScalarTraits {
     for (int i = 0; i < kLanes; ++i)
       v.l[i] = bf16_bits_to_f32(f32_to_bf16_bits(a.l[i]));
     return v;
+  }
+
+  static void transpose8(V* r) {
+    for (int i = 0; i < kLanes; ++i)
+      for (int j = 0; j < i; ++j) std::swap(r[i].l[j], r[j].l[i]);
   }
 
   static V or_(V a, V b) {

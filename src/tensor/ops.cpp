@@ -69,6 +69,48 @@ Tensor unary_vec(const Tensor& a, vec::UnOp op, float p0, float p1 = 0.f,
   return y;
 }
 
+// x viewed as [N, C, S] (channel c is N runs of S contiguous floats, run n
+// starting at (n * C + c) * S), walked in blocks of vec::kLanes channels:
+// block k is channels [k * kLanes, k * kLanes + lanes(k)). Each vec channel
+// kernel runs one chain per channel in ascending (n, s) order from +0 —
+// the order ops::sum reduces a channel in.
+struct ChannelView {
+  int64_t N, C, S;
+
+  explicit ChannelView(const Tensor& x)
+      : N(x.dim() >= 2 ? x.size(0) : 0),
+        C(x.dim() >= 2 ? x.size(1) : 0),
+        S(N * C > 0 ? x.numel() / (N * C) : 0) {
+    HFTA_CHECK(x.dim() >= 2 && N * S > 0,
+               "expected a non-empty [N, C, *] tensor, got ",
+               shape_str(x.shape()));
+  }
+
+  int64_t blocks() const { return (C + vec::kLanes - 1) / vec::kLanes; }
+  int64_t lanes(int64_t k) const {
+    return std::min<int64_t>(vec::kLanes, C - k * vec::kLanes);
+  }
+  /// Block k of x (and gy) as a vec::ChannelBlock, lane parameters unset.
+  vec::ChannelBlock block(int64_t k, const float* x,
+                          const float* gy = nullptr,
+                          float* out = nullptr) const {
+    vec::ChannelBlock b;
+    b.x = x;
+    b.gy = gy;
+    b.out = out;
+    b.N = N;
+    b.C = C;
+    b.S = S;
+    b.c0 = k * vec::kLanes;
+    return b;
+  }
+  /// Partition over blocks; a block's work is `passes` visits of each of
+  /// its kLanes channels' N * S elements.
+  Partition partition(int64_t passes) const {
+    return Partition::work(blocks(), vec::kLanes * passes * N * S);
+  }
+};
+
 }  // namespace
 
 Shape broadcast_shapes(const Shape& a, const Shape& b) {
@@ -230,8 +272,12 @@ Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim,
   const int64_t nd = a.dim();
   std::vector<bool> reduce(static_cast<size_t>(nd), false);
   for (int64_t d : dims) {
+    const int64_t named = d;
     if (d < 0) d += nd;
-    HFTA_CHECK(d >= 0 && d < nd, "sum: dim out of range");
+    HFTA_CHECK(d >= 0 && d < nd, "sum: dim ", named, " out of range for ",
+               shape_str(a.shape()));
+    HFTA_CHECK(!reduce[static_cast<size_t>(d)], "sum: dim ", d,
+               " is named twice (as ", named, ")");
     reduce[static_cast<size_t>(d)] = true;
   }
   Shape out_shape;
@@ -242,6 +288,25 @@ Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim,
   }
   HFTA_CHECK(nd <= kMaxRank, "sum: rank ", nd, " exceeds ", kMaxRank);
   Tensor y = Tensor::empty_or(out, out_shape);
+  const float* pa = a.data();
+  float* po = y.data();
+  // Every dim but dim 1 (every conv's bias gradient): a per-channel sum of
+  // an [N, C, S] view, one chain per channel in ascending (n, s) — the flat
+  // order of the generic walk below — run a block of channels per vector.
+  const bool all_but_1 =
+      nd >= 3 && a.numel() > 0 && !reduce[1] &&
+      std::count(reduce.begin(), reduce.end(), true) == nd - 1;
+  if (all_but_1) {
+    const ChannelView cv(a);
+    parallel_for(cv.partition(1), [&](int64_t lo, int64_t hi) {
+      for (int64_t k = lo; k < hi; ++k) {
+        float s[vec::kLanes];
+        vec::channel_reduce(vec::ChanReduce::kSum, cv.block(k, pa), s);
+        std::copy(s, s + cv.lanes(k), po + k * vec::kLanes);
+      }
+    });
+    return y;
+  }
   // Row-major strides of the input, then split dims into kept / reduced
   // (original order preserved in both lists).
   std::vector<int64_t> in_strides(static_cast<size_t>(nd), 1);
@@ -260,8 +325,6 @@ Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim,
       kept_stride.push_back(in_strides[static_cast<size_t>(i)]);
     }
   }
-  const float* pa = a.data();
-  float* po = y.data();
   const int64_t out_n = y.numel();
   // Fast path: when the reduced dims form one contiguous block, the input is
   // a [outer, red_count, inner] view with unit-stride inner, and each output
@@ -338,13 +401,10 @@ Tensor sum_all(const Tensor& a, const Tensor& out) {
 }
 
 Tensor mean(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
+  // sum first: it rejects a dim out of range or named twice.
+  Tensor s = sum(a, dims, keepdim);
   int64_t count = 1;
-  const int64_t nd = a.dim();
-  for (int64_t d : dims) {
-    if (d < 0) d += nd;
-    count *= a.size(d);
-  }
-  Tensor s = sum(a, std::move(dims), keepdim);
+  for (int64_t d : dims) count *= a.size(d);
   s.mul_(1.f / static_cast<float>(count));
   return s;
 }
@@ -565,30 +625,6 @@ Tensor softmax_backward(const Tensor& gy, const Tensor& y, int64_t dim) {
 }
 
 namespace {
-// x viewed as [N, C, S]: channel c is N runs of S contiguous floats, run n
-// starting at (n * C + c) * S. each() visits them in ascending (n, s) — the
-// flat order ops::sum and vec::col_sum reduce the channel's elements in.
-struct ChannelView {
-  int64_t N, C, S;
-
-  explicit ChannelView(const Tensor& x)
-      : N(x.dim() >= 2 ? x.size(0) : 0),
-        C(x.dim() >= 2 ? x.size(1) : 0),
-        S(N * C > 0 ? x.numel() / (N * C) : 0) {
-    HFTA_CHECK(x.dim() >= 2 && N * S > 0,
-               "batch_norm: expected non-empty [N, C, *], got ",
-               shape_str(x.shape()));
-  }
-
-  template <typename Fn>
-  void each(int64_t c, Fn&& fn) const {
-    for (int64_t n = 0; n < N; ++n) {
-      const int64_t base = (n * C + c) * S;
-      for (int64_t s = 0; s < S; ++s) fn(base + s);
-    }
-  }
-};
-
 void check_per_channel(const ChannelView& v,
                        std::initializer_list<const Tensor*> ts) {
   for (const Tensor* t : ts)
@@ -612,27 +648,26 @@ Tensor batch_norm_forward(const Tensor& x, const Tensor& weight,
   float* pv = var.data();
   float* py = y.data();
   // Training makes three passes over a channel (sum, variance, y), eval one.
-  const int64_t passes = training ? 3 : 1;
-  parallel_for(Partition::work(cv.C, passes * cv.N * cv.S),
-               [&](int64_t lo, int64_t hi) {
-    for (int64_t c = lo; c < hi; ++c) {
+  parallel_for(cv.partition(training ? 3 : 1), [&](int64_t lo, int64_t hi) {
+    for (int64_t k = lo; k < hi; ++k) {
+      vec::ChannelBlock b = cv.block(k, px, nullptr, py);
+      const int64_t c0 = b.c0, nc = cv.lanes(k);
       if (training) {
-        float s1 = 0.f;
-        cv.each(c, [&](int64_t i) { s1 += px[i]; });
-        const float m = s1 * inv;
-        float s2 = 0.f;
-        cv.each(c, [&](int64_t i) {
-          const float d = px[i] - m;
-          s2 += d * d;
-        });
-        pm[c] = m;
-        pv[c] = s2 * inv;
+        float s[vec::kLanes];
+        vec::channel_reduce(vec::ChanReduce::kSum, b, s);
+        for (int64_t l = 0; l < nc; ++l) pm[c0 + l] = s[l] * inv;
+        b.mean = pm + c0;
+        vec::channel_reduce(vec::ChanReduce::kSqDev, b, s);
+        for (int64_t l = 0; l < nc; ++l) pv[c0 + l] = s[l] * inv;
       }
-      const float m = pm[c];
-      const float r = std::pow(pv[c] + eps, -0.5f);
-      const float w = pw[c];
-      const float b = pb[c];
-      cv.each(c, [&](int64_t i) { py[i] = ((px[i] - m) * r) * w + b; });
+      float r[vec::kLanes];
+      for (int64_t l = 0; l < nc; ++l)
+        r[l] = std::pow(pv[c0 + l] + eps, -0.5f);
+      b.mean = pm + c0;
+      b.rstd = r;
+      b.weight = pw + c0;
+      b.bias = pb + c0;
+      vec::channel_map(vec::ChanMap::kBnY, b);
     }
   });
   return y;
@@ -663,53 +698,51 @@ NormGrads batch_norm_backward(const Tensor& gy, const Tensor& x,
   //   r = pow(v + eps, -0.5), y = ((d * r) * w) + b,
   // whose backward visits y, b, t = xhat * w, w, xhat = d * r, r, v + eps,
   // v, sum(d * d), d * d, the first d, the second d, m, sum(x). Every
-  // "0.f +" below is the engine's first write of a gradient (x + 0) (or
-  // sum's add(zeros, g) broadcast), every sum a chain from +0 in (n, s)
-  // order. Three passes over each channel.
-  parallel_for(Partition::work(cv.C, 3 * cv.N * cv.S),
-               [&](int64_t lo, int64_t hi) {
-    for (int64_t c = lo; c < hi; ++c) {
-      const float m = pm[c];
-      const float a = pv[c] + eps;
-      const float r = std::pow(a, -0.5f);
-      const float w = pw[c];
-      // Grad of the second sub's output: through y, t and xhat.
-      auto g_c2 = [&](int64_t i) {
-        return 0.f + (0.f + (0.f + pg[i]) * w) * r;
-      };
-      float sum_gb = 0.f, sum_gw = 0.f, sum_gr = 0.f, sum_gm2 = 0.f;
-      cv.each(c, [&](int64_t i) {
-        const float d = px[i] - m;
-        const float gt = 0.f + pg[i];
-        const float gxh = 0.f + gt * w;
-        sum_gb += pg[i];
-        sum_gw += gt * (d * r);
-        sum_gr += gxh * d;
-        sum_gm2 += -(0.f + gxh * r);
-      });
-      pgb[c] = 0.f + sum_gb;
-      pgw[c] = 0.f + sum_gw;
+  // "0 +" in the vec kernels and below is the engine's first write of a
+  // gradient (x + 0) (or sum's add(zeros, g) broadcast), every sum a chain
+  // from +0 in (n, s) order. Three passes over each channel: kBnGrads,
+  // kBnGradM1 and kBnGxTrain (eval: kBnGrads and kBnGxEval).
+  parallel_for(cv.partition(3), [&](int64_t lo, int64_t hi) {
+    for (int64_t k = lo; k < hi; ++k) {
+      vec::ChannelBlock b = cv.block(k, px, pg, pgx);
+      const int64_t c0 = b.c0, nc = cv.lanes(k);
+      float a[vec::kLanes], r[vec::kLanes];
+      for (int64_t l = 0; l < nc; ++l) {
+        a[l] = pv[c0 + l] + eps;
+        r[l] = std::pow(a[l], -0.5f);
+      }
+      b.mean = pm + c0;
+      b.rstd = r;
+      b.weight = pw + c0;
+      // Per channel: sum of gy, of gy * xhat, of r's grad terms and of
+      // m's grad through the second sub (sums[0..3][l]).
+      float sums[4][vec::kLanes];
+      vec::channel_reduce(vec::ChanReduce::kBnGrads, b, sums[0]);
+      for (int64_t l = 0; l < nc; ++l) {
+        pgb[c0 + l] = 0.f + sums[0][l];
+        pgw[c0 + l] = 0.f + sums[1][l];
+      }
       if (!training) {
         // Running stats are constants: x's only path is the second sub.
-        cv.each(c, [&](int64_t i) { pgx[i] = g_c2(i); });
+        vec::channel_map(vec::ChanMap::kBnGxEval, b);
         continue;
       }
       // r's grad through pow_scalar(-0.5), add_scalar, mul_scalar(inv) and
-      // sum's broadcast reaches d * d as one per-channel value.
-      const float g_a = 0.f + (0.f + sum_gr) * (std::pow(a, -1.5f) * -0.5f);
-      const float g_s2 = 0.f + (0.f + g_a) * inv;
-      const float g_sq = 0.f + (0.f + g_s2);
-      // d * d's backward adds g_sq * d twice into the first sub's grad.
-      auto g_c1 = [&](int64_t i) {
-        const float t = g_sq * (px[i] - m);
-        return (0.f + t) + t;
-      };
-      float sum_gm1 = 0.f;
-      cv.each(c, [&](int64_t i) { sum_gm1 += -g_c1(i); });
-      const float g_s1 = 0.f + ((0.f + sum_gm1) + sum_gm2) * inv;
-      cv.each(c, [&](int64_t i) {
-        pgx[i] = ((0.f + g_c1(i)) + g_c2(i)) + (0.f + g_s1);
-      });
+      // sum's broadcast reaches d * d as one per-channel value g_sq; d * d's
+      // backward adds g_sq * d twice into the first sub's grad.
+      float g_sq[vec::kLanes], g_s1[vec::kLanes], sum_gm1[vec::kLanes];
+      for (int64_t l = 0; l < nc; ++l) {
+        const float g_a =
+            0.f + (0.f + sums[2][l]) * (std::pow(a[l], -1.5f) * -0.5f);
+        const float g_s2 = 0.f + (0.f + g_a) * inv;
+        g_sq[l] = 0.f + (0.f + g_s2);
+      }
+      b.g_sq = g_sq;
+      vec::channel_reduce(vec::ChanReduce::kBnGradM1, b, sum_gm1);
+      for (int64_t l = 0; l < nc; ++l)
+        g_s1[l] = 0.f + ((0.f + sum_gm1[l]) + sums[3][l]) * inv;
+      b.g_s1 = g_s1;
+      vec::channel_map(vec::ChanMap::kBnGxTrain, b);
     }
   });
   return g;

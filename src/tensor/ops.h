@@ -60,11 +60,17 @@ Tensor pow_scalar(const Tensor& a, float p, const Tensor& out = Tensor());
 
 // ---- reductions -------------------------------------------------------------
 
-/// Sum over `dims` (each in [0, rank)); keepdim keeps size-1 dims.
+/// Sum over `dims` (each in [-rank, rank), negative counting from the end;
+/// naming a dim twice throws); keepdim keeps size-1 dims. Each output is
+/// one chain from +0 over its inputs in ascending flat order. Every dim
+/// but dim 1 of a rank >= 3 tensor (a conv's bias gradient) runs the vec
+/// channel kernels, eight channels to a vector; a contiguous run of
+/// reduced dims with a trailing kept dim runs vec::col_sum.
 Tensor sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim,
            const Tensor& out = Tensor());
 /// Sum of everything -> scalar tensor (shape {}).
 Tensor sum_all(const Tensor& a, const Tensor& out = Tensor());
+/// sum(a, dims) times 1 / (product of the named dims' sizes).
 Tensor mean(const Tensor& a, std::vector<int64_t> dims, bool keepdim);
 Tensor mean_all(const Tensor& a);
 /// Max over one dim; returns {values, indices} (indices stored as floats).
@@ -107,8 +113,10 @@ void softmax_backward_row(const float* gy, const float* y, float* gx,
 /// y = (x - mean) * (var + eps)^-0.5 * weight + bias. With `training` the
 /// batch statistics (biased variance) are first written into `mean` and
 /// `var` ([C]); otherwise `mean` and `var` are read (running statistics).
-/// Parallel over channels; each channel's sums are one ascending
-/// (n, spatial) chain from +0, so results are thread-count invariant.
+/// Parallel over blocks of eight channels, one channel per vec lane (the
+/// vec channel kernels): each channel's sums are one ascending (n, spatial)
+/// chain from +0, and y is one elementwise pass, so results are invariant
+/// to the thread count and the vec backend.
 Tensor batch_norm_forward(const Tensor& x, const Tensor& weight,
                           const Tensor& bias, Tensor& mean, Tensor& var,
                           bool training, float eps,
@@ -123,7 +131,9 @@ struct NormGrads {
 /// Gradients of batch_norm_forward (mean/var as that call left them). Each
 /// element takes the roundings, and each sum the accumulation order, of the
 /// composed autograd chain (sum, mul_scalar, sub, mul, ..., add), so the
-/// result is bit-identical to differentiating that chain.
+/// result is bit-identical to differentiating that chain. Runs as
+/// batch_norm_forward does: per block of eight channels, two reduction
+/// passes (one in eval) and one elementwise pass for the x gradient.
 NormGrads batch_norm_backward(const Tensor& gy, const Tensor& x,
                               const Tensor& weight, const Tensor& mean,
                               const Tensor& var, bool training, float eps);

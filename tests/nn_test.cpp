@@ -320,6 +320,37 @@ BnCase make_bn_case(const Shape& shape, Rng& rng) {
   return c;
 }
 
+// Per-channel sum, mean and biased variance of x as plain loops: one chain
+// from +0 per channel in ascending (n, s), mean = sum * (1/count), the
+// variance a chain of squared deviations.
+struct PlainStats {
+  Tensor sum, mean, var;
+};
+
+PlainStats plain_channel_stats(const Tensor& x) {
+  const int64_t N = x.size(0), C = x.size(1), S = x.numel() / (N * C);
+  const float inv = 1.f / static_cast<float>(N * S);
+  PlainStats p{Tensor::empty({C}), Tensor::empty({C}), Tensor::empty({C})};
+  const float* px = x.data();
+  for (int64_t c = 0; c < C; ++c) {
+    float s1 = 0.f;
+    for (int64_t n = 0; n < N; ++n)
+      for (int64_t s = 0; s < S; ++s) s1 += px[(n * C + c) * S + s];
+    const float m = s1 * inv;
+    float s2 = 0.f;
+    for (int64_t n = 0; n < N; ++n) {
+      for (int64_t s = 0; s < S; ++s) {
+        const float d = px[(n * C + c) * S + s] - m;
+        s2 += d * d;
+      }
+    }
+    p.sum.data()[c] = s1;
+    p.mean.data()[c] = m;
+    p.var.data()[c] = s2 * inv;
+  }
+  return p;
+}
+
 TEST(Norm, BatchNormOpBitIdenticalToComposedChain) {
   const int saved_threads = num_threads();
   Rng rng(2024);
@@ -334,30 +365,54 @@ TEST(Norm, BatchNormOpBitIdenticalToComposedChain) {
     shapes.push_back({draw(1, 4), draw(1, 7), draw(1, 9)});
     shapes.push_back({draw(1, 3), draw(1, 6), draw(1, 5), draw(1, 5)});
   }
+  // Full and partial vec::kLanes channel blocks, at spatial sizes with and
+  // without a partial tile of positions: [N, C] for S = 1, [N, C, L] for 3
+  // and 13, [N, C, H, W] for 8 and 64 (N from 1 to 3).
+  for (int64_t C : {8, 9, 16, 17, 64}) {
+    const int64_t N = 1 + C % 3;
+    shapes.push_back({N, C});
+    for (int64_t L : {3, 13}) shapes.push_back({N, C, L});
+    shapes.push_back({N, C, 2, 4});
+    shapes.push_back({N, C, 8, 8});
+  }
   for (const Shape& shape : shapes) {
     const BnCase c = make_bn_case(shape, rng);
-    for (int nt : {1, 4}) {
+    const PlainStats plain = plain_channel_stats(c.x);
+    std::vector<int64_t> all_but_1 = {0};
+    for (int64_t d = 2; d < c.x.dim(); ++d) all_but_1.push_back(d);
+    for (int nt : {1, 3, 4, 8}) {
       set_num_threads(nt);
-      for (bool training : {true, false}) {
-        for (bool x_grad : {true, false}) {
-          const std::string tag = shape_str(shape) + " nt=" +
-                                  std::to_string(nt) +
-                                  (training ? " train" : " eval") +
-                                  (x_grad ? "" : " x-const");
-          const BnOut want = composed_batch_norm(c, training, x_grad);
-          const BnOut got = one_op_batch_norm(c, training, x_grad);
-          expect_same_bits(want.y, got.y, tag + " y");
-          expect_same_bits(want.mean, got.mean, tag + " batch mean");
-          expect_same_bits(want.var, got.var, tag + " batch var");
-          expect_same_bits(want.rm, got.rm, tag + " running_mean");
-          expect_same_bits(want.rv, got.rv, tag + " running_var");
-          expect_same_bits(want.gx, got.gx, tag + " x grad");
-          expect_same_bits(want.gw, got.gw, tag + " weight grad");
-          expect_same_bits(want.gb, got.gb, tag + " bias grad");
+      for (bool simd : {false, true}) {
+        vec::set_simd_enabled(simd);
+        const std::string run = shape_str(shape) + " nt=" +
+                                std::to_string(nt) + " simd=" +
+                                std::to_string(simd);
+        expect_same_bits(plain.sum, ops::sum(c.x, all_but_1, false),
+                         run + " channel sum");
+        for (bool training : {true, false}) {
+          for (bool x_grad : {true, false}) {
+            const std::string tag = run + (training ? " train" : " eval") +
+                                    (x_grad ? "" : " x-const");
+            const BnOut want = composed_batch_norm(c, training, x_grad);
+            const BnOut got = one_op_batch_norm(c, training, x_grad);
+            expect_same_bits(want.y, got.y, tag + " y");
+            expect_same_bits(want.mean, got.mean, tag + " batch mean");
+            expect_same_bits(want.var, got.var, tag + " batch var");
+            if (training) {
+              expect_same_bits(plain.mean, got.mean, tag + " plain mean");
+              expect_same_bits(plain.var, got.var, tag + " plain var");
+            }
+            expect_same_bits(want.rm, got.rm, tag + " running_mean");
+            expect_same_bits(want.rv, got.rv, tag + " running_var");
+            expect_same_bits(want.gx, got.gx, tag + " x grad");
+            expect_same_bits(want.gw, got.gw, tag + " weight grad");
+            expect_same_bits(want.gb, got.gb, tag + " bias grad");
+          }
         }
       }
     }
   }
+  vec::set_simd_enabled(true);
   set_num_threads(saved_threads);
 }
 

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "autograd/functions.h"
 #include "tensor/conv.h"
@@ -129,6 +131,31 @@ TEST(Ops, SumOverDims) {
   EXPECT_EQ(s.at({0}), 60.f);
   Tensor sk = ops::sum(t, {0, 2}, true);
   EXPECT_EQ(sk.shape(), (Shape{1, 3, 1}));
+}
+
+TEST(Ops, SumRejectsADimNamedTwiceSoMeanCountsEachDimOnce) {
+  const Tensor t = Tensor::ones({2, 4});
+  try {
+    ops::sum(t, {1, -1}, false);
+    FAIL() << "sum over {1, -1} of a rank-2 tensor must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("dim 1 is named twice (as -1)"),
+              std::string::npos)
+        << e.what();
+  }
+  // A repeated dim must not reach mean's count: reduced once but counted
+  // twice, the mean of ones would read 0.25.
+  EXPECT_THROW(ops::mean(t, {1, -1}, false), Error);
+  EXPECT_THROW(ag::mean(ag::Variable(t.clone(), true), {0, -2}, true),
+               Error);
+  for (const std::vector<int64_t>& dims :
+       {std::vector<int64_t>{1}, {-1}, {0, 1}, {-1, 0}}) {
+    const Tensor m = ops::mean(t, dims, false);
+    for (int64_t i = 0; i < m.numel(); ++i) EXPECT_EQ(m.data()[i], 1.f);
+    const Tensor am = ag::mean(ag::Variable(t.clone(), true), dims, false)
+                          .value();
+    for (int64_t i = 0; i < am.numel(); ++i) EXPECT_EQ(am.data()[i], 1.f);
+  }
 }
 
 TEST(Ops, MeanAll) {

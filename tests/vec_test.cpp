@@ -11,9 +11,11 @@
 // exhaustively, plus property-tested rounding of hand-built halfway cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -533,6 +535,93 @@ TEST(VecReduce, RowMaxRowSumexpColSumMatchBitwise) {
             << "col_sum rows=" << rows << " cols=" << cols << " acc=" << acc;
       }
     }
+}
+
+// ---- per-channel kernels ----------------------------------------------------
+
+// The channel kernels on both backends, over every channel block of [N, C, S]
+// views with partial blocks (C % 8 != 0) and partial position tiles
+// (S % 8 != 0). Channel 0 is constant (its deviations are exact zeros),
+// channel 1 holds only +0 and -0, and every third gy is zero, so signed
+// zeros reach every "0 +" and every product. Reductions are compared on
+// their live lanes; maps on the whole output, which starts as a NaN
+// sentinel so a write outside the block shows too.
+TEST(VecChannel, ChannelReduceAndMapMatchBitwiseAcrossTails) {
+  REQUIRE_SIMD();
+  using vec::ChanMap;
+  using vec::ChanReduce;
+  const float sentinel = std::numeric_limits<float>::quiet_NaN();
+  for (int64_t N : {1, 3})
+    for (int64_t C : {1, 7, 8, 9, 17})
+      for (int64_t S : {1, 3, 8, 13, 16}) {
+        Lcg rng;
+        const int64_t numel = N * C * S;
+        auto x = rng.vec(numel);
+        auto gy = rng.vec(numel);
+        for (int64_t n = 0; n < N; ++n)
+          for (int64_t s = 0; s < S; ++s) {
+            x[static_cast<size_t>(n * C * S + s)] = 0.75f;
+            if (C > 1)
+              x[static_cast<size_t>((n * C + 1) * S + s)] =
+                  (n + s) % 2 == 0 ? 0.f : -0.f;
+          }
+        for (int64_t i = 0; i < numel; i += 3) gy[static_cast<size_t>(i)] = 0.f;
+        const auto mean = rng.vec(C), rstd = rng.vec(C), weight = rng.vec(C),
+                   bias = rng.vec(C), g_sq = rng.vec(C), g_s1 = rng.vec(C);
+        for (int64_t c0 = 0; c0 < C; c0 += vec::kLanes) {
+          const int64_t nc = std::min<int64_t>(vec::kLanes, C - c0);
+          vec::ChannelBlock b;
+          b.x = x.data();
+          b.gy = gy.data();
+          b.N = N;
+          b.C = C;
+          b.S = S;
+          b.c0 = c0;
+          b.mean = mean.data() + c0;
+          b.rstd = rstd.data() + c0;
+          b.weight = weight.data() + c0;
+          b.bias = bias.data() + c0;
+          b.g_sq = g_sq.data() + c0;
+          b.g_s1 = g_s1.data() + c0;
+          const std::string where = "N=" + std::to_string(N) +
+                                    " C=" + std::to_string(C) +
+                                    " S=" + std::to_string(S) +
+                                    " c0=" + std::to_string(c0);
+          for (ChanReduce op : {ChanReduce::kSum, ChanReduce::kSqDev,
+                                ChanReduce::kBnGrads, ChanReduce::kBnGradM1}) {
+            const int64_t k = op == ChanReduce::kBnGrads ? 4 : 1;
+            auto [simd, scalar] = both_backends(k * nc, [&](float* o) {
+              float sums[4 * vec::kLanes];
+              vec::channel_reduce(op, b, sums);
+              for (int64_t j = 0; j < k; ++j)
+                std::memcpy(o + j * nc, sums + j * vec::kLanes,
+                            static_cast<size_t>(nc) * sizeof(float));
+            });
+            EXPECT_TRUE(bits_equal(simd, scalar))
+                << "channel_reduce op=" << static_cast<int>(op) << " "
+                << where;
+          }
+          for (ChanMap op :
+               {ChanMap::kBnY, ChanMap::kBnGxEval, ChanMap::kBnGxTrain}) {
+            auto [simd, scalar] = both_backends(numel, [&](float* o) {
+              std::fill(o, o + numel, sentinel);
+              vec::ChannelBlock mb = b;
+              mb.out = o;
+              vec::channel_map(op, mb);
+            });
+            EXPECT_TRUE(bits_equal(simd, scalar))
+                << "channel_map op=" << static_cast<int>(op) << " " << where;
+            for (int64_t n = 0; n < N; ++n)
+              for (int64_t c = 0; c < C; ++c) {
+                const bool in_block = c >= c0 && c < c0 + nc;
+                const float v = simd[static_cast<size_t>((n * C + c) * S)];
+                EXPECT_EQ(std::isnan(v), !in_block)
+                    << "channel_map op=" << static_cast<int>(op) << " "
+                    << where << " n=" << n << " c=" << c;
+              }
+          }
+        }
+      }
 }
 
 // ---- quantize round trip ----------------------------------------------------
