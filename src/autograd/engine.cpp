@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "core/check.h"
+#include "core/parallel.h"
 #include "core/vec.h"
 
 namespace hfta::ag {
@@ -22,8 +23,13 @@ void Engine::accumulate(Variable::Impl* target, const Tensor& x,
   HFTA_CHECK(x.numel() == g.numel(), "gradient of ", g.numel(),
              " elements given a contribution of ", x.numel());
   if (fresh || target->grad_mark < (target->node ? run : first_run)) {
-    vec::unary(vec::UnOp::kAddScalar, 0.f, 0.f, x.data(), g.data(),
-               g.numel());
+    // x + 0, not a copy: it maps -0 to +0, the rounding of adding x into
+    // zeros. One operation per element, so the split cannot move a bit.
+    const float* px = x.data();
+    float* pg = g.data();
+    parallel_for(Partition::elems(g.numel()), [&](int64_t lo, int64_t hi) {
+      vec::unary(vec::UnOp::kAddScalar, 0.f, 0.f, px + lo, pg + lo, hi - lo);
+    });
   } else {
     g.add_(x);
   }

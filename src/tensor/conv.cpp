@@ -168,9 +168,8 @@ Tensor conv2d_grad_input(const Tensor& gy, const Tensor& w, const Tensor& b,
   if (b.defined())
     HFTA_CHECK(b.numel() == d.Cin, "conv2d_grad_input: bias numel ",
                b.numel(), " != ", d.Cin);
-  // col2im accumulates, so the result starts from zeros.
+  // col2im accumulates, so each chunk zeroes the samples it then writes.
   Tensor gx = Tensor::empty_or(out, x_shape);
-  gx.zero_();
   const int64_t col_rows = d.Cing * d.kh * d.kw;
   const int64_t spatial = d.Ho * d.Wo;
   const float* pgy = gy.data();
@@ -190,6 +189,7 @@ Tensor conv2d_grad_input(const Tensor& gy, const Tensor& w, const Tensor& b,
   parallel_for(part, [&](int64_t lo, int64_t hi) {
     float* cols = pcols + part.chunk_index(lo) * scratch;
     float* gs = cols + col_rows * spatial;
+    vec::fill(0.f, pgx + lo * d.Cin * d.H * d.W, (hi - lo) * d.Cin * d.H * d.W);
     for (int64_t n = lo; n < hi; ++n) {
       for (int64_t g = 0; g < a.groups; ++g) {
         const float* gyg = pgy + (n * d.Cout + g * d.Coutg) * spatial;

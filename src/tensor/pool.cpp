@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "core/parallel.h"
+#include "core/vec.h"
 
 namespace hfta::ops {
 
@@ -53,7 +54,7 @@ std::pair<Tensor, Tensor> max_pool2d(const Tensor& x, const PoolArgs& a,
 
 Tensor max_pool2d_backward(const Tensor& gy, const Tensor& indices,
                            const Shape& x_shape) {
-  Tensor gx(x_shape);
+  Tensor gx = Tensor::empty(x_shape);
   const int64_t N = x_shape[0], C = x_shape[1], H = x_shape[2], W = x_shape[3];
   const int64_t spatial_out = gy.numel() / (N * C);
   const float* pg = gy.data();
@@ -61,8 +62,9 @@ Tensor max_pool2d_backward(const Tensor& gy, const Tensor& indices,
   float* px = gx.data();
   // Plane-parallel scatter: every index points inside its own [H, W] plane,
   // so chunks never write the same element and the per-plane add order is
-  // the serial one.
+  // the serial one. Each chunk zeroes its own planes first.
   parallel_for(Partition::rows(N * C), [&](int64_t lo, int64_t hi) {
+    vec::fill(0.f, px + lo * H * W, (hi - lo) * H * W);
     for (int64_t nc = lo; nc < hi; ++nc) {
       float* plane = px + nc * H * W;
       const float* g = pg + nc * spatial_out;
@@ -113,12 +115,14 @@ Tensor adaptive_avg_pool2d(const Tensor& x, int64_t out_h, int64_t out_w,
 Tensor adaptive_avg_pool2d_backward(const Tensor& gy, const Shape& x_shape) {
   const int64_t N = x_shape[0], C = x_shape[1], H = x_shape[2], W = x_shape[3];
   const int64_t out_h = gy.size(2), out_w = gy.size(3);
-  Tensor gx(x_shape);
+  Tensor gx = Tensor::empty(x_shape);
   const float* pg = gy.data();
   float* px = gx.data();
-  // Plane-parallel: all writes stay inside the chunk's own planes and the
-  // per-plane accumulation order matches the serial loop exactly.
+  // Plane-parallel: all writes stay inside the chunk's own planes (zeroed
+  // here first) and the per-plane accumulation order matches the serial
+  // loop exactly.
   parallel_for(Partition::rows(N * C), [&](int64_t lo, int64_t hi) {
+    vec::fill(0.f, px + lo * H * W, (hi - lo) * H * W);
     for (int64_t nc = lo; nc < hi; ++nc) {
       float* plane = px + nc * H * W;
       const float* g = pg + nc * out_h * out_w;
@@ -167,14 +171,16 @@ std::pair<Tensor, Tensor> max_pool1d_global(const Tensor& x,
 
 Tensor max_pool1d_global_backward(const Tensor& gy, const Tensor& indices,
                                   const Shape& x_shape) {
-  Tensor gx(x_shape);
+  Tensor gx = Tensor::empty(x_shape);
   const int64_t L = x_shape[2];
   const int64_t NC = x_shape[0] * x_shape[1];
   const float* pg = gy.data();
   const float* pi = indices.data();
   float* px = gx.data();
-  // One scatter write per [nc] row — rows never alias across chunks.
-  parallel_for(Partition::work(NC, 1), [&](int64_t lo, int64_t hi) {
+  // Per [nc] row: zero its L elements, then one scatter write (0 + g, the
+  // rounding of adding into zeros). Rows never alias across chunks.
+  parallel_for(Partition::work(NC, L), [&](int64_t lo, int64_t hi) {
+    vec::fill(0.f, px + lo * L, (hi - lo) * L);
     for (int64_t nc = lo; nc < hi; ++nc)
       px[nc * L + static_cast<int64_t>(pi[nc])] += pg[nc];
   });

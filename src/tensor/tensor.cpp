@@ -5,6 +5,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "core/parallel.h"
 #include "core/storage_pool.h"
 #include "core/vec.h"
 
@@ -197,19 +198,30 @@ Tensor Tensor::permute(const std::vector<int64_t>& perm,
   Tensor y = empty_or(out, out_shape);
   const float* src = data();
   float* dst = y.data();
-  std::vector<int64_t> idx(static_cast<size_t>(nd), 0);
-  for (int64_t flat = 0; flat < numel_; ++flat) {
-    int64_t src_off = 0;
-    for (int64_t i = 0; i < nd; ++i)
-      src_off += idx[static_cast<size_t>(i)] *
-                 src_strides[static_cast<size_t>(perm[static_cast<size_t>(i)])];
-    dst[flat] = src[src_off];
-    // increment mixed-radix index over out_shape
-    for (int64_t i = nd - 1; i >= 0; --i) {
-      if (++idx[static_cast<size_t>(i)] < out_shape[static_cast<size_t>(i)]) break;
-      idx[static_cast<size_t>(i)] = 0;
+  // Each chunk derives its start as a mixed-radix index over out_shape,
+  // then walks its outputs in order (one copy each). The index slots are
+  // allocated here, one per chunk, so the body allocates nothing.
+  const Partition part = Partition::elems(numel_);
+  std::vector<int64_t> idx_all(static_cast<size_t>(part.num_chunks() * nd));
+  parallel_for(part, [&](int64_t lo, int64_t hi) {
+    int64_t* idx = idx_all.data() + part.chunk_index(lo) * nd;
+    for (int64_t i = nd - 1, rest = lo; i >= 0; --i) {
+      idx[i] = rest % out_shape[static_cast<size_t>(i)];
+      rest /= out_shape[static_cast<size_t>(i)];
     }
-  }
+    for (int64_t flat = lo; flat < hi; ++flat) {
+      int64_t src_off = 0;
+      for (int64_t i = 0; i < nd; ++i)
+        src_off += idx[i] * src_strides[static_cast<size_t>(
+                                perm[static_cast<size_t>(i)])];
+      dst[flat] = src[src_off];
+      // increment mixed-radix index over out_shape
+      for (int64_t i = nd - 1; i >= 0; --i) {
+        if (++idx[i] < out_shape[static_cast<size_t>(i)]) break;
+        idx[i] = 0;
+      }
+    }
+  });
   return y;
 }
 
@@ -249,23 +261,40 @@ Tensor Tensor::slice(int64_t d, int64_t start, int64_t end,
   return y;
 }
 
-void Tensor::fill_(float v) { vec::fill(v, data(), numel_); }
+// The in-place ops are elementwise maps, one operation per element, run
+// over the same size-only partition as ops::unary: no split moves a bit.
+void Tensor::fill_(float v) {
+  float* p = data();
+  parallel_for(Partition::elems(numel_), [&](int64_t lo, int64_t hi) {
+    vec::fill(v, p + lo, hi - lo);
+  });
+}
 
 void Tensor::add_(const Tensor& other, float alpha) {
   HFTA_CHECK(numel_ == other.numel_, "add_: numel mismatch ", numel_, " vs ",
              other.numel_);
   // p[i] += alpha * o[i], separate mul + add (vec::axpy's exact contract).
-  vec::axpy(alpha, other.data(), data(), numel_);
+  const float* po = other.data();
+  float* p = data();
+  parallel_for(Partition::elems(numel_), [&](int64_t lo, int64_t hi) {
+    vec::axpy(alpha, po + lo, p + lo, hi - lo);
+  });
 }
 
 void Tensor::mul_(float s) {
-  vec::unary(vec::UnOp::kMulScalar, s, 0.f, data(), data(), numel_);
+  float* p = data();
+  parallel_for(Partition::elems(numel_), [&](int64_t lo, int64_t hi) {
+    vec::unary(vec::UnOp::kMulScalar, s, 0.f, p + lo, p + lo, hi - lo);
+  });
 }
 
 void Tensor::copy_(const Tensor& other) {
   HFTA_CHECK(numel_ == other.numel_, "copy_: numel mismatch");
-  std::memcpy(storage_.data(), other.storage_.data(),
-              sizeof(float) * static_cast<size_t>(numel_));
+  const float* po = other.data();
+  float* p = data();
+  parallel_for(Partition::elems(numel_), [&](int64_t lo, int64_t hi) {
+    std::memcpy(p + lo, po + lo, sizeof(float) * static_cast<size_t>(hi - lo));
+  });
 }
 
 std::vector<float> Tensor::to_vector() const {

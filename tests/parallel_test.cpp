@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -16,11 +18,15 @@
 #include <utility>
 #include <vector>
 
+#include "autograd/engine.h"
+#include "autograd/functions.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "core/vec.h"
+#include "tensor/conv.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
+#include "tensor/pool.h"
 #include "tensor/tensor.h"
 
 namespace hfta {
@@ -404,6 +410,181 @@ TEST_F(ParallelTest, KernelsBitIdenticalAcrossThreadCounts) {
       expect_bits_equal(bcast_ref, bc, "broadcast add");
     }
   }
+}
+
+// n floats, mostly N(0, 1), with -0, +-inf, NaN and +-subnormals strewn
+// through every chunk.
+Tensor edge_values(int64_t n, Rng& rng) {
+  Tensor t = Tensor::randn({n}, rng);
+  float* p = t.data();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {-0.f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            sub * 3,
+                            -sub * 1000,
+                            std::numeric_limits<float>::min() / 2};
+  for (int64_t i = 0; i < n; i += 5) p[i] = specials[(i / 5) % 7];
+  return t;
+}
+
+constexpr int64_t kUneven = 3 * Partition::kWorkFloor + 5;  // 4 chunks
+
+TEST_F(ParallelTest, GradientHandOffBitIdenticalAcrossLanes) {
+  // x feeds two consumers, so its gradient is first overwritten (x + 0)
+  // and then added to. a's gradient is one contribution, the seed itself,
+  // so a -0 in the seed lands there as +0.
+  Rng rng(5);
+  const Tensor seed = edge_values(kUneven, rng);
+  const Tensor x0 = Tensor::randn({kUneven}, rng);
+  auto run = [&] {
+    ag::Variable x(x0.clone(), /*requires_grad=*/true);
+    ag::Variable a = ag::add_scalar(x, 1.f);
+    ag::Variable root = ag::add(a, ag::mul_scalar(x, 2.f));
+    ag::Engine engine;
+    engine.run(root, seed);
+    return std::make_pair(x.grad().to_vector(), a.grad().to_vector());
+  };
+  set_num_threads(1);
+  const auto ref = run();
+  for (int64_t i = 0; i < kUneven; i += 35) {  // every seed -0
+    ASSERT_TRUE(seed.data()[i] == 0.f && std::signbit(seed.data()[i]));
+    EXPECT_FALSE(std::signbit(ref.second[static_cast<size_t>(i)]))
+        << "a -0 first contribution must land as +0 at " << i;
+  }
+  for (int nt : {2, 3, 4, 8}) {
+    set_num_threads(nt);
+    const auto got = run();
+    expect_bits_equal(ref.first, got.first, "two-consumer leaf grad");
+    expect_bits_equal(ref.second, got.second, "one-contribution grad");
+  }
+}
+
+TEST_F(ParallelTest, InPlaceOpsAndPermuteBitIdenticalAcrossLanes) {
+  Rng rng(6);
+  const Tensor a = edge_values(kUneven, rng);
+  const Tensor b = edge_values(kUneven, rng);
+  const Tensor t3 = edge_values(5 * 97 * 131, rng).reshape({5, 97, 131});
+  auto run = [&] {
+    std::vector<std::vector<float>> out;
+    Tensor t = Tensor::empty({kUneven});
+    t.fill_(-0.f);
+    out.push_back(t.to_vector());
+    t.zero_();
+    out.push_back(t.to_vector());
+    t.copy_(a);
+    out.push_back(t.to_vector());
+    t.add_(b, 0.37f);
+    out.push_back(t.to_vector());
+    t.mul_(-3.f);
+    out.push_back(t.to_vector());
+    out.push_back(t3.permute({2, 0, 1}).to_vector());
+    return out;
+  };
+  set_num_threads(1);
+  const auto ref = run();
+  // The permute against its definition: y[k, i, j] = t3[i, j, k].
+  const float* src = t3.data();
+  for (int64_t k = 0; k < 131; ++k)
+    for (int64_t i = 0; i < 5; ++i)
+      for (int64_t j = 0; j < 97; ++j) {
+        const float want = src[(i * 97 + j) * 131 + k];
+        const float got = ref[5][static_cast<size_t>((k * 5 + i) * 97 + j)];
+        ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+            << k << ", " << i << ", " << j;
+      }
+  const char* names[] = {"fill_", "zero_", "copy_", "add_", "mul_",
+                         "permute"};
+  for (int nt : {2, 3, 4, 8}) {
+    set_num_threads(nt);
+    const auto got = run();
+    for (size_t j = 0; j < got.size(); ++j)
+      expect_bits_equal(ref[j], got[j], names[j]);
+  }
+}
+
+TEST_F(ParallelTest, ZeroingBackwardsBitIdenticalAcrossLanes) {
+  // Each backward zeroes its own rows inside its chunks. Before every call
+  // a NaN-filled buffer of the result's size goes back to the pool, which
+  // hands it to the kernel, so a row a chunk fails to zero shows up.
+  Rng rng(7);
+  const Shape x1{3, 37, 300};  // 111 rows of 300: three chunks
+  const Tensor gy1 = edge_values(3 * 37, rng).reshape({3, 37});
+  const Tensor idx1 = ops::max_pool1d_global(Tensor::randn(x1, rng)).second;
+  const Shape x2{2, 5, 12, 12};  // ten planes
+  const Tensor idx2 =
+      ops::max_pool2d(Tensor::randn(x2, rng), ops::PoolArgs{2, 2, 0}).second;
+  const Tensor gy2 = Tensor::randn(idx2.shape(), rng);
+  const Shape x3{2, 5, 7, 7};
+  const Tensor gy3 = Tensor::randn({2, 5, 3, 3}, rng);
+  const Shape x4{5, 6, 9, 9};  // five samples
+  const ops::ConvArgs ca = ops::ConvArgs::make(1, 1, 2);
+  const Tensor w4 = Tensor::randn({4, 3, 3, 3}, rng);
+  const Tensor gy4 = Tensor::randn({5, 4, 9, 9}, rng);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  auto dirty = [&](const Shape& s) { Tensor::full(s, nan); };
+  auto run = [&] {
+    std::vector<std::vector<float>> out;
+    dirty(x1);
+    out.push_back(
+        ops::max_pool1d_global_backward(gy1, idx1, x1).to_vector());
+    dirty(x2);
+    out.push_back(ops::max_pool2d_backward(gy2, idx2, x2).to_vector());
+    dirty(x3);
+    out.push_back(ops::adaptive_avg_pool2d_backward(gy3, x3).to_vector());
+    out.push_back(ops::conv2d_grad_input(gy4, w4, Tensor(), x4, ca,
+                                         DType::kF32, DType::kF32,
+                                         Tensor::full(x4, nan))
+                      .to_vector());
+    return out;
+  };
+  set_num_threads(1);
+  const auto ref = run();
+  // One scatter write per max_pool1d_global row, +0 everywhere else.
+  for (int64_t r = 0; r < 3 * 37; ++r)
+    for (int64_t l = 0; l < 300; ++l) {
+      const float got = ref[0][static_cast<size_t>(r * 300 + l)];
+      const float want = l == static_cast<int64_t>(idx1.data()[r])
+                             ? 0.f + gy1.data()[r]
+                             : 0.f;
+      ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0) << r << ", " << l;
+    }
+  // The other three read finite gradients: a NaN is an unzeroed element.
+  for (size_t j = 1; j < ref.size(); ++j)
+    for (size_t i = 0; i < ref[j].size(); ++i)
+      ASSERT_FALSE(std::isnan(ref[j][i])) << "backward " << j << " at " << i;
+  const char* names[] = {"max_pool1d_global_backward", "max_pool2d_backward",
+                         "adaptive_avg_pool2d_backward", "conv2d_grad_input"};
+  for (int nt : {2, 3, 4, 8}) {
+    set_num_threads(nt);
+    const auto got = run();
+    for (size_t j = 0; j < got.size(); ++j)
+      expect_bits_equal(ref[j], got[j], names[j]);
+  }
+}
+
+TEST_F(ParallelTest, GradientHandOffLaunchesOnlyOverTheWorkFloor) {
+  // A root leaf's backward is the hand-off alone: the first run
+  // overwrites its gradient, the second adds to it. 2^16 floats are four
+  // chunks, one launch per run at 4 lanes; a serial model's 2^13 run
+  // inline.
+  Rng rng(8);
+  auto launches = [&](int64_t n) {
+    ag::Variable x(Tensor::randn({n}, rng), /*requires_grad=*/true);
+    const Tensor seed = Tensor::randn({n}, rng);
+    ag::Engine engine;
+    std::vector<int64_t> per_run;
+    for (int r = 0; r < 2; ++r) {
+      const int64_t before = parallel_launches();
+      engine.run(x, seed);
+      per_run.push_back(parallel_launches() - before);
+    }
+    return per_run;
+  };
+  set_num_threads(4);
+  EXPECT_EQ(launches(int64_t{1} << 16), (std::vector<int64_t>{1, 1}));
+  EXPECT_EQ(launches(int64_t{1} << 13), (std::vector<int64_t>{0, 0}));
 }
 
 }  // namespace
