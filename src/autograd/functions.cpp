@@ -6,6 +6,8 @@
 
 #include "autograd/autocast.h"
 #include "autograd/step_program.h"
+#include "core/parallel.h"
+#include "core/vec.h"
 #include "tensor/matmul.h"
 #include "tensor/ops.h"
 
@@ -607,8 +609,7 @@ Variable slice(const Variable& x, int64_t dim, int64_t start, int64_t end) {
   };
   return make_op("slice", fwd({}), fwd, {x},
                  [x_shape, d, start](const Tensor& gy) -> std::vector<Tensor> {
-                   Tensor gx = Tensor::zeros(x_shape);
-                   // Scatter gy into the slice range along d.
+                   Tensor gx = Tensor::empty(x_shape);
                    int64_t outer = 1, inner = 1;
                    const int64_t n = x_shape[static_cast<size_t>(d)];
                    for (int64_t i = 0; i < d; ++i)
@@ -619,11 +620,19 @@ Variable slice(const Variable& x, int64_t dim, int64_t start, int64_t end) {
                    const int64_t len = gy.size(d);
                    const float* src = gy.data();
                    float* dst = gx.data();
-                   for (int64_t o = 0; o < outer; ++o) {
-                     std::copy(src + o * len * inner,
-                               src + (o + 1) * len * inner,
-                               dst + (o * n + start) * inner);
-                   }
+                   // Per outer row of n * inner: zero it, then copy gy's
+                   // len * inner run into the slice range along d. Rows
+                   // never alias across chunks.
+                   parallel_for(
+                       Partition::work(outer, n * inner),
+                       [&](int64_t lo, int64_t hi) {
+                         vec::fill(0.f, dst + lo * n * inner,
+                                   (hi - lo) * n * inner);
+                         for (int64_t o = lo; o < hi; ++o)
+                           std::copy(src + o * len * inner,
+                                     src + (o + 1) * len * inner,
+                                     dst + (o * n + start) * inner);
+                       });
                    return {gx};
                  });
 }

@@ -1,5 +1,8 @@
 #include "hfta/fusion.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <sstream>
 
 namespace hfta::fused {
@@ -83,6 +86,21 @@ std::string join_path(const std::string& a, const std::string& b) {
   return a.empty() ? b : a + "." + b;
 }
 
+// Config entry i as "'name' = value" (an integral value exactly, any other
+// to float round trip), or "nothing" past the list's end.
+std::string entry_str(const std::vector<std::pair<std::string, double>>& e,
+                      size_t i) {
+  if (i >= e.size()) return "nothing";
+  const double v = e[i].second;
+  char buf[32];
+  if (v == std::trunc(v) && std::fabs(v) < 0x1p53) {
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buf, sizeof buf, "%.9g", v);
+  }
+  return "'" + e[i].first + "' = " + buf;
+}
+
 void check_congruent(const std::string& path,
                      const std::vector<const nn::Module*>& mods,
                      std::vector<FusionDiagnostic>* out) {
@@ -97,40 +115,17 @@ void check_congruent(const std::string& path,
                           mods[b]->kind_name() + "'"});
       return;  // no point comparing configs/children of different kinds
     }
+    // One loop over the longer list; a missing entry reads "nothing".
     const nn::ModuleConfig cfg = mods[b]->config();
-    if (cfg.ints.size() != ref_cfg.ints.size() ||
-        cfg.floats.size() != ref_cfg.floats.size()) {
+    const auto& want = ref_cfg.entries;
+    const auto& got = cfg.entries;
+    for (size_t i = 0; i < std::max(want.size(), got.size()); ++i) {
+      const bool both = i < want.size() && i < got.size();
+      if (both && want[i] == got[i]) continue;
       out->push_back({path, static_cast<int64_t>(b),
-                      "config arity mismatch for '" + ref_kind + "'"});
-      continue;
-    }
-    for (size_t i = 0; i < ref_cfg.ints.size(); ++i) {
-      if (cfg.ints[i].second != ref_cfg.ints[i].second) {
-        out->push_back(
-            {path, static_cast<int64_t>(b),
-             "structural hyper-parameter '" + ref_cfg.ints[i].first +
-                 "' differs: model 0 has " +
-                 std::to_string(ref_cfg.ints[i].second) + ", model " +
-                 std::to_string(b) + " has " +
-                 std::to_string(cfg.ints[i].second)});
-      }
-    }
-    for (size_t i = 0; i < ref_cfg.floats.size(); ++i) {
-      if (cfg.floats[i].second != ref_cfg.floats[i].second) {
-        out->push_back(
-            {path, static_cast<int64_t>(b),
-             "hyper-parameter '" + ref_cfg.floats[i].first +
-                 "' differs: model 0 has " +
-                 std::to_string(ref_cfg.floats[i].second) + ", model " +
-                 std::to_string(b) + " has " +
-                 std::to_string(cfg.floats[i].second)});
-      }
-    }
-    if (cfg.dims != ref_cfg.dims) {
-      out->push_back({path, static_cast<int64_t>(b),
-                      "shape hyper-parameter differs: " +
-                          shape_str(ref_cfg.dims) + " vs " +
-                          shape_str(cfg.dims)});
+                      "config of '" + ref_kind + "' differs: model 0 has " +
+                          entry_str(want, i) + ", model " +
+                          std::to_string(b) + " has " + entry_str(got, i)});
     }
   }
 

@@ -21,6 +21,7 @@
 // fused-vs-serial exactness survives loss scaling.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "autograd/functions.h"
@@ -29,20 +30,26 @@ namespace hfta::fused {
 
 /// Dynamic loss-scale controller (the amp_scaler "GradScaler" recipe):
 /// start high, halve on overflow (skipping that step), double after a
-/// clean streak of `growth_interval` steps. Pure bookkeeping — TrainStep
-/// owns one and applies its scale via the backward seed; it survives
-/// Hyperband repacks because the executor's TrainStep persists across them.
+/// clean streak of `growth_interval` steps. The factors are fixed at 2 and
+/// 1/2 and the initial scale must be a positive power of two, so every
+/// scale it holds is one (the exact-scaling contract above). Pure
+/// bookkeeping — TrainStep owns one and applies its scale via the backward
+/// seed; it survives Hyperband repacks because the executor's TrainStep
+/// persists across them.
 class LossScaler {
  public:
   struct Options {
-    double init_scale = 65536.0;   // 2^16
-    double growth_factor = 2.0;    // on a clean streak
-    double backoff_factor = 0.5;   // on overflow
+    double init_scale = 65536.0;     // 2^16; a positive power of two
     int64_t growth_interval = 2000;  // clean steps between growths
   };
 
   LossScaler() : LossScaler(Options{}) {}
-  explicit LossScaler(const Options& o) : opts_(o), scale_(o.init_scale) {}
+  explicit LossScaler(const Options& o) : opts_(o), scale_(o.init_scale) {
+    int exp = 0;
+    HFTA_CHECK(o.init_scale > 0 && std::frexp(o.init_scale, &exp) == 0.5,
+               "LossScaler: init_scale ", o.init_scale,
+               " is not a positive power of two");
+  }
 
   double scale() const { return scale_; }
   const Options& options() const { return opts_; }
@@ -56,13 +63,13 @@ class LossScaler {
   /// finiteness verdict and (when clean) the optimizer step.
   void update(bool found_inf) {
     if (found_inf) {
-      scale_ *= opts_.backoff_factor;
+      scale_ *= 0.5;
       growth_streak_ = 0;
       ++overflow_skips_;
       return;
     }
     if (++growth_streak_ >= opts_.growth_interval) {
-      scale_ *= opts_.growth_factor;
+      scale_ *= 2.0;
       growth_streak_ = 0;
     }
   }

@@ -106,21 +106,19 @@ std::shared_ptr<nn::Module> PointNetTrunk::make_array(int64_t B,
 
 PointNetCls::PointNetCls(const PointNetConfig& cfg, Rng& rng) : cfg(cfg) {
   net = register_module("net", std::make_shared<nn::Sequential>());
-  trunk = std::make_shared<PointNetTrunk>(cfg, rng);
-  fc1 = std::make_shared<nn::Linear>(cfg.w3, cfg.fc1, true, rng);
-  fc2 = std::make_shared<nn::Linear>(cfg.fc1, cfg.fc2, true, rng);
-  fc3 = std::make_shared<nn::Linear>(cfg.fc2, cfg.num_classes, true, rng);
-  bn1 = std::make_shared<nn::BatchNorm1d>(cfg.fc1);
-  bn2 = std::make_shared<nn::BatchNorm1d>(cfg.fc2);
-  drop = std::make_shared<nn::Dropout>(cfg.dropout_p);
+  // The trunk and the three Linears draw their init from rng in this order.
+  auto trunk = std::make_shared<PointNetTrunk>(cfg, rng);
+  auto fc1 = std::make_shared<nn::Linear>(cfg.w3, cfg.fc1, true, rng);
+  auto fc2 = std::make_shared<nn::Linear>(cfg.fc1, cfg.fc2, true, rng);
+  auto fc3 = std::make_shared<nn::Linear>(cfg.fc2, cfg.num_classes, true, rng);
   net->push_back("trunk", trunk);
   net->push_back("fc1", fc1);
-  net->push_back("bn1", bn1);
+  net->push_back("bn1", std::make_shared<nn::BatchNorm1d>(cfg.fc1));
   net->push_back("relu1", std::make_shared<nn::ReLU>());
   net->push_back("fc2", fc2);
-  net->push_back("bn2", bn2);
+  net->push_back("bn2", std::make_shared<nn::BatchNorm1d>(cfg.fc2));
   net->push_back("relu2", std::make_shared<nn::ReLU>());
-  net->push_back("drop", drop);
+  net->push_back("drop", std::make_shared<nn::Dropout>(cfg.dropout_p));
   net->push_back("fc3", fc3);
 }
 

@@ -84,10 +84,6 @@ class PointNetCls : public nn::Module {
   std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
 
   std::shared_ptr<nn::Sequential> net;  // the planner-walkable graph
-  std::shared_ptr<PointNetTrunk> trunk;
-  std::shared_ptr<nn::Linear> fc1, fc2, fc3;
-  std::shared_ptr<nn::BatchNorm1d> bn1, bn2;
-  std::shared_ptr<nn::Dropout> drop;
   PointNetConfig cfg;
 };
 

@@ -77,23 +77,13 @@ nn::ModuleConfig TransformerEncoderLayer::config() const {
   return c;
 }
 
-namespace {
-// An encoder layer of config `c` (TransformerEncoderLayer::config()) at
-// array size B.
-std::shared_ptr<TransformerEncoderLayer> make_encoder_layer(
-    const nn::ModuleConfig& c, Rng& rng, int64_t B) {
-  return std::make_shared<TransformerEncoderLayer>(
-      c.get_int("embed_dim"), c.get_int("num_heads"), c.get_int("ff_dim"),
-      static_cast<float>(c.get_float("dropout_p")),
-      c.get_int("gelu") != 0 ? "gelu" : "relu", rng, B);
-}
-}  // namespace
-
 // B congruent encoder layers -> one layer at B on the model-major layout
 // ([B, N, S, E]).
 std::shared_ptr<nn::Module> TransformerEncoderLayer::make_array(
     int64_t B, Rng& rng) const {
-  return make_encoder_layer(config(), rng, B * array_size);
+  return std::make_shared<TransformerEncoderLayer>(
+      self_attn->embed_dim, self_attn->num_heads, linear1->out_features,
+      drop->p, use_gelu ? "gelu" : "relu", rng, B * array_size);
 }
 
 Tensor sinusoidal_positions(int64_t seq_len, int64_t embed_dim) {

@@ -30,68 +30,43 @@ ag::Variable Linear::forward(const ag::Variable& x) {
   return ag::linear(x, weight, bias, array_size);
 }
 
-Conv2d::Conv2d(int64_t in, int64_t out, int64_t kernel, int64_t stride,
-               int64_t pad, int64_t groups, bool has_bias, Rng& rng)
+// Weight [out, in/groups, k...] (Conv) or [in, out/groups, k...]
+// (ConvTranspose) with R kernel dims; both draw with fan-in = the numel of
+// one dim-0 slice.
+template <int R>
+Conv<R>::Conv(int64_t in, int64_t out, int64_t kernel, int64_t stride,
+              int64_t pad, int64_t groups, bool has_bias, Rng& rng)
     : args(ops::ConvArgs::make(stride, pad, groups)) {
-  const int64_t fan_in = (in / groups) * kernel * kernel;
-  weight = register_parameter(
-      "weight",
-      init::kaiming_uniform({out, in / groups, kernel, kernel}, fan_in, rng));
+  Shape w = {out, in / groups};
+  w.resize(2 + R, kernel);
+  const int64_t fan_in = shape_numel(w) / out;
+  weight = register_parameter("weight", init::kaiming_uniform(w, fan_in, rng));
   if (has_bias)
     bias = register_parameter("bias",
                               init::kaiming_uniform({out}, fan_in, rng));
 }
 
-ag::Variable Conv2d::forward(const ag::Variable& x) {
+template <int R>
+ag::Variable Conv<R>::forward(const ag::Variable& x) {
   return ag::conv(x, weight, bias, args);
 }
 
-Conv1d::Conv1d(int64_t in, int64_t out, int64_t kernel, int64_t stride,
-               int64_t pad, int64_t groups, bool has_bias, Rng& rng)
-    : args(ops::ConvArgs::make(stride, pad, groups)) {
-  const int64_t fan_in = (in / groups) * kernel;
-  weight = register_parameter(
-      "weight", init::kaiming_uniform({out, in / groups, kernel}, fan_in, rng));
-  if (has_bias)
-    bias = register_parameter("bias",
-                              init::kaiming_uniform({out}, fan_in, rng));
-}
-
-ag::Variable Conv1d::forward(const ag::Variable& x) {
-  return ag::conv(x, weight, bias, args);
-}
-
-ConvTranspose2d::ConvTranspose2d(int64_t in, int64_t out, int64_t kernel,
-                                 int64_t stride, int64_t pad, int64_t out_pad,
-                                 int64_t groups, bool has_bias, Rng& rng)
+template <int R>
+ConvTranspose<R>::ConvTranspose(int64_t in, int64_t out, int64_t kernel,
+                                int64_t stride, int64_t pad, int64_t out_pad,
+                                int64_t groups, bool has_bias, Rng& rng)
     : args{stride, pad, out_pad, groups} {
-  const int64_t fan_in = (out / groups) * kernel * kernel;
-  weight = register_parameter(
-      "weight",
-      init::kaiming_uniform({in, out / groups, kernel, kernel}, fan_in, rng));
+  Shape w = {in, out / groups};
+  w.resize(2 + R, kernel);
+  const int64_t fan_in = shape_numel(w) / in;
+  weight = register_parameter("weight", init::kaiming_uniform(w, fan_in, rng));
   if (has_bias)
     bias = register_parameter("bias",
                               init::kaiming_uniform({out}, fan_in, rng));
 }
 
-ag::Variable ConvTranspose2d::forward(const ag::Variable& x) {
-  return ag::conv_transpose(x, weight, bias, args);
-}
-
-ConvTranspose1d::ConvTranspose1d(int64_t in, int64_t out, int64_t kernel,
-                                 int64_t stride, int64_t pad, int64_t out_pad,
-                                 int64_t groups, bool has_bias, Rng& rng)
-    : args{stride, pad, out_pad, groups} {
-  const int64_t fan_in = (out / groups) * kernel;
-  weight = register_parameter(
-      "weight",
-      init::kaiming_uniform({in, out / groups, kernel}, fan_in, rng));
-  if (has_bias)
-    bias = register_parameter("bias",
-                              init::kaiming_uniform({out}, fan_in, rng));
-}
-
-ag::Variable ConvTranspose1d::forward(const ag::Variable& x) {
+template <int R>
+ag::Variable ConvTranspose<R>::forward(const ag::Variable& x) {
   return ag::conv_transpose(x, weight, bias, args);
 }
 
@@ -151,23 +126,12 @@ ModuleConfig Linear::config() const {
   ModuleConfig c;
   c.set("in", in_features);
   c.set("out", out_features);
-  c.set("bias", static_cast<int64_t>(bias.defined()));
+  c.set("bias", bias.defined());
   return c;
 }
 
-ModuleConfig Conv2d::config() const {
-  ModuleConfig c;
-  c.set("in", weight.size(1) * args.groups);
-  c.set("out", weight.size(0));
-  c.set("kernel", weight.size(2));
-  c.set("stride", args.stride_h);
-  c.set("pad", args.pad_h);
-  c.set("groups", args.groups);
-  c.set("bias", static_cast<int64_t>(bias.defined()));
-  return c;
-}
-
-ModuleConfig Conv1d::config() const {
+template <int R>
+ModuleConfig Conv<R>::config() const {
   ModuleConfig c;
   c.set("in", weight.size(1) * args.groups);
   c.set("out", weight.size(0));
@@ -175,11 +139,12 @@ ModuleConfig Conv1d::config() const {
   c.set("stride", args.stride_w);
   c.set("pad", args.pad_w);
   c.set("groups", args.groups);
-  c.set("bias", static_cast<int64_t>(bias.defined()));
+  c.set("bias", bias.defined());
   return c;
 }
 
-ModuleConfig ConvTranspose2d::config() const {
+template <int R>
+ModuleConfig ConvTranspose<R>::config() const {
   ModuleConfig c;
   c.set("in", weight.size(0));
   c.set("out", weight.size(1) * args.groups);
@@ -188,20 +153,7 @@ ModuleConfig ConvTranspose2d::config() const {
   c.set("pad", args.pad);
   c.set("out_pad", args.out_pad);
   c.set("groups", args.groups);
-  c.set("bias", static_cast<int64_t>(bias.defined()));
-  return c;
-}
-
-ModuleConfig ConvTranspose1d::config() const {
-  ModuleConfig c;
-  c.set("in", weight.size(0));
-  c.set("out", weight.size(1) * args.groups);
-  c.set("kernel", weight.size(2));
-  c.set("stride", args.stride);
-  c.set("pad", args.pad);
-  c.set("out_pad", args.out_pad);
-  c.set("groups", args.groups);
-  c.set("bias", static_cast<int64_t>(bias.defined()));
+  c.set("bias", bias.defined());
   return c;
 }
 
@@ -251,38 +203,20 @@ std::shared_ptr<Module> Linear::make_array(int64_t B, Rng& rng) const {
                                   rng, B * array_size);
 }
 
-std::shared_ptr<Module> Conv2d::make_array(int64_t B, Rng& rng) const {
-  const ModuleConfig c = config();
-  return std::make_shared<Conv2d>(
-      B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
-      c.get_int("stride"), c.get_int("pad"), B * c.get_int("groups"),
-      c.get_int("bias") != 0, rng);
+template <int R>
+std::shared_ptr<Module> Conv<R>::make_array(int64_t B, Rng& rng) const {
+  return std::make_shared<Conv<R>>(
+      B * weight.size(1) * args.groups, B * weight.size(0), weight.size(2),
+      args.stride_w, args.pad_w, B * args.groups, bias.defined(), rng);
 }
 
-std::shared_ptr<Module> Conv1d::make_array(int64_t B, Rng& rng) const {
-  const ModuleConfig c = config();
-  return std::make_shared<Conv1d>(
-      B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
-      c.get_int("stride"), c.get_int("pad"), B * c.get_int("groups"),
-      c.get_int("bias") != 0, rng);
-}
-
-std::shared_ptr<Module> ConvTranspose2d::make_array(int64_t B,
-                                                    Rng& rng) const {
-  const ModuleConfig c = config();
-  return std::make_shared<ConvTranspose2d>(
-      B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
-      c.get_int("stride"), c.get_int("pad"), c.get_int("out_pad"),
-      B * c.get_int("groups"), c.get_int("bias") != 0, rng);
-}
-
-std::shared_ptr<Module> ConvTranspose1d::make_array(int64_t B,
-                                                    Rng& rng) const {
-  const ModuleConfig c = config();
-  return std::make_shared<ConvTranspose1d>(
-      B * c.get_int("in"), B * c.get_int("out"), c.get_int("kernel"),
-      c.get_int("stride"), c.get_int("pad"), c.get_int("out_pad"),
-      B * c.get_int("groups"), c.get_int("bias") != 0, rng);
+template <int R>
+std::shared_ptr<Module> ConvTranspose<R>::make_array(int64_t B,
+                                                     Rng& rng) const {
+  return std::make_shared<ConvTranspose<R>>(
+      B * weight.size(0), B * weight.size(1) * args.groups, weight.size(2),
+      args.stride, args.pad, args.out_pad, B * args.groups, bias.defined(),
+      rng);
 }
 
 std::shared_ptr<Module> Embedding::make_array(int64_t B, Rng& rng) const {
@@ -316,5 +250,10 @@ ag::Variable Flatten::forward(const ag::Variable& x) {
 ag::Variable GlobalMaxPool1d::forward(const ag::Variable& x) {
   return ag::global_max_pool1d(x);
 }
+
+template class Conv<1>;
+template class Conv<2>;
+template class ConvTranspose<1>;
+template class ConvTranspose<2>;
 
 }  // namespace hfta::nn

@@ -1,5 +1,8 @@
 // Standard (unfused) layers — the per-job operators that HFTA fuses.
-// Each class mirrors its PyTorch namesake's constructor and semantics.
+// Each class mirrors its PyTorch namesake's constructor and semantics; an
+// operator that PyTorch splits by spatial rank (Conv1d/Conv2d,
+// ConvTranspose1d/2d) is one class template over the rank R, and the
+// torch names are aliases of its two instances.
 #pragma once
 
 #include "nn/module.h"
@@ -35,75 +38,57 @@ class Linear : public Module {
   int64_t array_size;
 };
 
-class Conv2d : public Module {
+// The conv family over R spatial dims: R = 1 reads [N, C, L] (torch's
+// Conv1d/ConvTranspose1d), R = 2 reads [N, C, H, W]. R sets only the
+// kernel's shape ([.., k] or [.., k, k]), the fan-in and the kind; both
+// ranks run the one op pair ag::conv / ag::conv_transpose, which also
+// checks that the input's rank matches the weight's. Stride and pad
+// apply to every spatial dim.
+
+template <int R>
+class Conv : public Module {
  public:
-  Conv2d(int64_t in, int64_t out, int64_t kernel, int64_t stride, int64_t pad,
-         int64_t groups, bool bias, Rng& rng);
+  Conv(int64_t in, int64_t out, int64_t kernel, int64_t stride, int64_t pad,
+       int64_t groups, bool bias, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kConv2d; }
+  LayerKind kind() const override {
+    return R == 1 ? LayerKind::kConv1d : LayerKind::kConv2d;
+  }
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   ArrayLayout array_layout() const override {
     return ArrayLayout::kChannelFused;
   }
   ModuleConfig config() const override;
 
-  ag::Variable weight;  // [out, in/groups, k, k]
-  ag::Variable bias;
+  ag::Variable weight;  // [out, in/groups, k] or [out, in/groups, k, k]
+  ag::Variable bias;    // [out] or undefined
   ops::ConvArgs args;
 };
+using Conv1d = Conv<1>;
+using Conv2d = Conv<2>;
 
-class Conv1d : public Module {
+template <int R>
+class ConvTranspose : public Module {
  public:
-  Conv1d(int64_t in, int64_t out, int64_t kernel, int64_t stride, int64_t pad,
-         int64_t groups, bool bias, Rng& rng);
+  ConvTranspose(int64_t in, int64_t out, int64_t kernel, int64_t stride,
+                int64_t pad, int64_t out_pad, int64_t groups, bool bias,
+                Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kConv1d; }
+  LayerKind kind() const override {
+    return R == 1 ? LayerKind::kConvTranspose1d : LayerKind::kConvTranspose2d;
+  }
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   ArrayLayout array_layout() const override {
     return ArrayLayout::kChannelFused;
   }
   ModuleConfig config() const override;
 
-  ag::Variable weight;  // [out, in/groups, k]
-  ag::Variable bias;
-  ops::ConvArgs args;  // the W stride and pad apply (ag::conv)
-};
-
-class ConvTranspose2d : public Module {
- public:
-  ConvTranspose2d(int64_t in, int64_t out, int64_t kernel, int64_t stride,
-                  int64_t pad, int64_t out_pad, int64_t groups, bool bias,
-                  Rng& rng);
-  ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kConvTranspose2d; }
-  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
-  ArrayLayout array_layout() const override {
-    return ArrayLayout::kChannelFused;
-  }
-  ModuleConfig config() const override;
-
-  ag::Variable weight;  // [in, out/groups, k, k]
-  ag::Variable bias;
+  ag::Variable weight;  // [in, out/groups, k] or [in, out/groups, k, k]
+  ag::Variable bias;    // [out] or undefined
   ops::ConvTransposeArgs args;
 };
-
-class ConvTranspose1d : public Module {
- public:
-  ConvTranspose1d(int64_t in, int64_t out, int64_t kernel, int64_t stride,
-                  int64_t pad, int64_t out_pad, int64_t groups, bool bias,
-                  Rng& rng);
-  ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kConvTranspose1d; }
-  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
-  ArrayLayout array_layout() const override {
-    return ArrayLayout::kChannelFused;
-  }
-  ModuleConfig config() const override;
-
-  ag::Variable weight;  // [in, out/groups, k]
-  ag::Variable bias;
-  ops::ConvTransposeArgs args;
-};
+using ConvTranspose1d = ConvTranspose<1>;
+using ConvTranspose2d = ConvTranspose<2>;
 
 class Embedding : public Module {
  public:

@@ -37,18 +37,6 @@ const char* layer_kind_name(LayerKind kind) {
   return "Unknown";
 }
 
-int64_t ModuleConfig::get_int(const std::string& name, int64_t fallback) const {
-  for (const auto& [k, v] : ints)
-    if (k == name) return v;
-  return fallback;
-}
-
-double ModuleConfig::get_float(const std::string& name, double fallback) const {
-  for (const auto& [k, v] : floats)
-    if (k == name) return v;
-  return fallback;
-}
-
 std::vector<std::pair<std::string, Tensor>> named_buffers_recursive(
     const Module& m) {
   std::vector<std::pair<std::string, Tensor>> out;

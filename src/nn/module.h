@@ -61,23 +61,19 @@ const char* layer_kind_name(LayerKind kind);
 enum class ArrayLayout { kChannelFused, kModelMajor, kAny };
 
 /// Structural + numeric hyper-parameters of a layer, reported by
-/// Module::config(). The fusion planner requires every field to match
-/// across the B models of an array (per-model hyper-parameters the paper
-/// allows to differ — learning rate, betas, weight decay — live in the
-/// fused optimizer, not in the module graph).
+/// Module::config(): one ordered list of named values. Integers are held
+/// exactly (every structural value is far below 2^53), and a shape-valued
+/// parameter is one entry per dim. The fusion planner compares the list
+/// entry by entry and requires every entry to match across the B models of
+/// an array (per-model hyper-parameters the paper allows to differ —
+/// learning rate, betas, weight decay — live in the fused optimizer, not in
+/// the module graph).
 struct ModuleConfig {
-  std::vector<std::pair<std::string, int64_t>> ints;
-  std::vector<std::pair<std::string, double>> floats;
-  std::vector<int64_t> dims;  // shape-valued config (LayerNorm)
+  std::vector<std::pair<std::string, double>> entries;
 
-  void set(std::string name, int64_t v) {
-    ints.emplace_back(std::move(name), v);
-  }
   void set(std::string name, double v) {
-    floats.emplace_back(std::move(name), v);
+    entries.emplace_back(std::move(name), v);
   }
-  int64_t get_int(const std::string& name, int64_t fallback = 0) const;
-  double get_float(const std::string& name, double fallback = 0) const;
 };
 
 class Module {

@@ -1,9 +1,9 @@
 #include "nn/norm.h"
 
-
 namespace hfta::nn {
 
-BatchNormBase::BatchNormBase(int64_t channels, float eps, float momentum)
+template <int R>
+BatchNorm<R>::BatchNorm(int64_t channels, float eps, float momentum)
     : channels(channels), eps(eps), momentum(momentum) {
   weight = register_parameter("weight", Tensor::ones({channels}));
   bias = register_parameter("bias", Tensor::zeros({channels}));
@@ -11,30 +11,35 @@ BatchNormBase::BatchNormBase(int64_t channels, float eps, float momentum)
   running_var = register_buffer("running_var", Tensor::ones({channels}));
 }
 
-ag::Variable BatchNormBase::normalize(const ag::Variable& x) {
+template <int R>
+ag::Variable BatchNorm<R>::forward(const ag::Variable& x) {
+  HFTA_CHECK((x.dim() == R + 2 || (R == 1 && x.dim() == 2)) &&
+                 x.size(1) == channels,
+             kind_name(), ": expected ",
+             R == 1 ? "[N, C] or [N, C, L]" : "[N, C, H, W]", " with C = ",
+             channels, ", got ", shape_str(x.shape()));
   return ag::batch_norm(x, weight, bias, running_mean, running_var,
                         is_training(), momentum, eps);
 }
 
-BatchNorm2d::BatchNorm2d(int64_t channels, float eps, float momentum)
-    : BatchNormBase(channels, eps, momentum) {}
-
-ag::Variable BatchNorm2d::forward(const ag::Variable& x) {
-  HFTA_CHECK(x.dim() == 4 && x.size(1) == channels,
-             "BatchNorm2d: expected [N, ", channels, ", H, W], got ",
-             shape_str(x.shape()));
-  return normalize(x);
+template <int R>
+ModuleConfig BatchNorm<R>::config() const {
+  ModuleConfig c;
+  c.set("channels", channels);
+  c.set("eps", eps);
+  c.set("momentum", momentum);
+  return c;
 }
 
-BatchNorm1d::BatchNorm1d(int64_t channels, float eps, float momentum)
-    : BatchNormBase(channels, eps, momentum) {}
-
-ag::Variable BatchNorm1d::forward(const ag::Variable& x) {
-  HFTA_CHECK((x.dim() == 2 || x.dim() == 3) && x.size(1) == channels,
-             "BatchNorm1d: expected [N, ", channels, "] or [N, ", channels,
-             ", L], got ", shape_str(x.shape()));
-  return normalize(x);
+// B BatchNorms are one BatchNorm over B*C channels: per-(model, channel)
+// statistics.
+template <int R>
+std::shared_ptr<Module> BatchNorm<R>::make_array(int64_t B, Rng&) const {
+  return std::make_shared<BatchNorm<R>>(B * channels, eps, momentum);
 }
+
+template class BatchNorm<1>;
+template class BatchNorm<2>;
 
 LayerNorm::LayerNorm(Shape shape, float eps, Rng&, int64_t B)
     : normalized_shape(std::move(shape)), eps(eps), array_size(B) {
@@ -62,29 +67,6 @@ ag::Variable LayerNorm::forward(const ag::Variable& x) {
   return ag::layer_norm(x, weight, bias, B, eps);
 }
 
-namespace {
-ModuleConfig batch_norm_config(const BatchNormBase& bn) {
-  ModuleConfig c;
-  c.set("channels", bn.channels);
-  c.set("eps", static_cast<double>(bn.eps));
-  c.set("momentum", static_cast<double>(bn.momentum));
-  return c;
-}
-}  // namespace
-
-ModuleConfig BatchNorm2d::config() const { return batch_norm_config(*this); }
-ModuleConfig BatchNorm1d::config() const { return batch_norm_config(*this); }
-
-// B BatchNorms are one BatchNorm over B*C channels: per-(model, channel)
-// statistics.
-std::shared_ptr<Module> BatchNorm2d::make_array(int64_t B, Rng&) const {
-  return std::make_shared<BatchNorm2d>(B * channels, eps, momentum);
-}
-
-std::shared_ptr<Module> BatchNorm1d::make_array(int64_t B, Rng&) const {
-  return std::make_shared<BatchNorm1d>(B * channels, eps, momentum);
-}
-
 std::shared_ptr<Module> LayerNorm::make_array(int64_t B, Rng& rng) const {
   return std::make_shared<LayerNorm>(normalized_shape, eps, rng,
                                      B * array_size);
@@ -92,8 +74,10 @@ std::shared_ptr<Module> LayerNorm::make_array(int64_t B, Rng& rng) const {
 
 ModuleConfig LayerNorm::config() const {
   ModuleConfig c;
-  c.set("eps", static_cast<double>(eps));
-  c.dims = normalized_shape;
+  c.set("eps", eps);
+  for (size_t i = 0; i < normalized_shape.size(); ++i)
+    c.set("normalized_shape[" + std::to_string(i) + "]",
+          static_cast<double>(normalized_shape[i]));
   return c;
 }
 

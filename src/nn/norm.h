@@ -1,17 +1,28 @@
 // Normalization layers. BatchNorm keeps running statistics (buffers) and
 // switches between batch stats (training) and running stats (eval), exactly
-// like torch.nn.BatchNorm*. LayerNorm normalizes over trailing dims.
+// like torch.nn.BatchNorm*; it is one class template over the spatial rank
+// R, with torch's BatchNorm1d/2d as aliases of its two instances. LayerNorm
+// normalizes over trailing dims.
 #pragma once
 
 #include "nn/module.h"
 
 namespace hfta::nn {
 
-/// Shared BatchNorm math for the 1d ([N,C] / [N,C,L]) and 2d ([N,C,H,W])
-/// variants.
-class BatchNormBase : public Module {
+/// One ag::batch_norm over x's dim 1 (statistics over all other dims):
+/// batch statistics and the running-stat update in training, running
+/// statistics in eval. R sets only the accepted input ranks ([N, C] or
+/// [N, C, L] at R = 1, [N, C, H, W] at R = 2) and the kind.
+template <int R>
+class BatchNorm : public Module {
  public:
-  BatchNormBase(int64_t channels, float eps, float momentum);
+  BatchNorm(int64_t channels, float eps = 1e-5f, float momentum = 0.1f);
+  ag::Variable forward(const ag::Variable& x) override;
+  LayerKind kind() const override {
+    return R == 1 ? LayerKind::kBatchNorm1d : LayerKind::kBatchNorm2d;
+  }
+  ModuleConfig config() const override;
+  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   ArrayLayout array_layout() const override {
     return ArrayLayout::kChannelFused;
   }
@@ -23,31 +34,9 @@ class BatchNormBase : public Module {
   int64_t channels;
   float eps;
   float momentum;
-
- protected:
-  /// One ag::batch_norm over x's dim 1 (statistics over all other dims):
-  /// batch statistics and the running-stat update in training, running
-  /// statistics in eval.
-  ag::Variable normalize(const ag::Variable& x);
 };
-
-class BatchNorm2d : public BatchNormBase {
- public:
-  BatchNorm2d(int64_t channels, float eps = 1e-5f, float momentum = 0.1f);
-  ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kBatchNorm2d; }
-  ModuleConfig config() const override;
-  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
-};
-
-class BatchNorm1d : public BatchNormBase {
- public:
-  BatchNorm1d(int64_t channels, float eps = 1e-5f, float momentum = 0.1f);
-  ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kBatchNorm1d; }
-  ModuleConfig config() const override;
-  std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
-};
+using BatchNorm1d = BatchNorm<1>;
+using BatchNorm2d = BatchNorm<2>;
 
 /// LayerNorm over the trailing dims. With an array size B > 1 (see
 /// nn/layers.h) it is B LayerNorms on [B, ...]: one ag::layer_norm whose

@@ -39,13 +39,58 @@ std::vector<int64_t> broadcast_strides(const Shape& padded, const Shape& out) {
   return strides;
 }
 
+// The broadcast walk of an elementwise binary op (binary_vec takes every
+// same-shape pair).
+Tensor broadcast_binary(const Tensor& a, const Tensor& b,
+                        float (*fn)(float, float), const Tensor& out) {
+  const Shape out_shape = broadcast_shapes(a.shape(), b.shape());
+  const int64_t nd = static_cast<int64_t>(out_shape.size());
+  HFTA_CHECK(nd <= kMaxRank, "binary op: rank ", nd, " exceeds ", kMaxRank);
+  const auto sa = broadcast_strides(pad_shape(a.shape(), nd), out_shape);
+  const auto sb = broadcast_strides(pad_shape(b.shape(), nd), out_shape);
+  Tensor y = Tensor::empty_or(out, out_shape);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = y.data();
+  const int64_t n = y.numel();
+  // Pure map: each output element reads fixed source offsets, so chunks are
+  // independent. Each chunk seeds the mixed-radix counter from its first
+  // flat index and then walks exactly like the old serial loop.
+  parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
+    int64_t idx[kMaxRank] = {0};
+    int64_t oa = 0, ob = 0;
+    int64_t rem = lo;
+    for (int64_t d = nd - 1; d >= 0; --d) {
+      const size_t ud = static_cast<size_t>(d);
+      idx[ud] = rem % out_shape[ud];
+      rem /= out_shape[ud];
+      oa += idx[ud] * sa[ud];
+      ob += idx[ud] * sb[ud];
+    }
+    for (int64_t flat = lo; flat < hi; ++flat) {
+      po[flat] = fn(pa[oa], pb[ob]);
+      for (int64_t d = nd - 1; d >= 0; --d) {
+        const size_t ud = static_cast<size_t>(d);
+        oa += sa[ud];
+        ob += sb[ud];
+        if (++idx[ud] < out_shape[ud]) break;
+        idx[ud] = 0;
+        oa -= sa[ud] * out_shape[ud];
+        ob -= sb[ud] * out_shape[ud];
+      }
+    }
+  });
+  return y;
+}
+
 // Same-shape fast path through the vec layer: contiguous [lo, hi) slices of
 // one elementwise map, chunked exactly like the scalar loop it replaces.
 // These ops are single-rounding IEEE maps, so vectorization cannot change
 // any output bit. Broadcast shapes fall back to the generic strided walk.
 Tensor binary_vec(const Tensor& a, const Tensor& b, vec::BinOp op,
                   float (*fn)(float, float), const Tensor& out = Tensor()) {
-  if (a.defined() && b.defined() && a.shape() == b.shape()) {
+  HFTA_CHECK(a.defined() && b.defined(), "binary op on undefined tensor");
+  if (a.shape() == b.shape()) {
     Tensor y = Tensor::empty_or(out, a.shape());
     const float* pa = a.data();
     const float* pb = b.data();
@@ -55,7 +100,7 @@ Tensor binary_vec(const Tensor& a, const Tensor& b, vec::BinOp op,
     });
     return y;
   }
-  return binary(a, b, fn, out);
+  return broadcast_binary(a, b, fn, out);
 }
 
 Tensor unary_vec(const Tensor& a, vec::UnOp op, float p0, float p1 = 0.f,
@@ -126,61 +171,6 @@ Shape broadcast_shapes(const Shape& a, const Shape& b) {
     out[ui] = std::max(pa[ui], pb[ui]);
   }
   return out;
-}
-
-Tensor binary(const Tensor& a, const Tensor& b, float (*fn)(float, float),
-              const Tensor& out) {
-  HFTA_CHECK(a.defined() && b.defined(), "binary op on undefined tensor");
-  // Fast path: identical shapes.
-  if (a.shape() == b.shape()) {
-    Tensor y = Tensor::empty_or(out, a.shape());
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = y.data();
-    const int64_t n = y.numel();
-    parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) po[i] = fn(pa[i], pb[i]);
-    });
-    return y;
-  }
-  const Shape out_shape = broadcast_shapes(a.shape(), b.shape());
-  const int64_t nd = static_cast<int64_t>(out_shape.size());
-  HFTA_CHECK(nd <= kMaxRank, "binary: rank ", nd, " exceeds ", kMaxRank);
-  const auto sa = broadcast_strides(pad_shape(a.shape(), nd), out_shape);
-  const auto sb = broadcast_strides(pad_shape(b.shape(), nd), out_shape);
-  Tensor y = Tensor::empty_or(out, out_shape);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = y.data();
-  const int64_t n = y.numel();
-  // Pure map: each output element reads fixed source offsets, so chunks are
-  // independent. Each chunk seeds the mixed-radix counter from its first
-  // flat index and then walks exactly like the old serial loop.
-  parallel_for(Partition::elems(n), [&](int64_t lo, int64_t hi) {
-    int64_t idx[kMaxRank] = {0};
-    int64_t oa = 0, ob = 0;
-    int64_t rem = lo;
-    for (int64_t d = nd - 1; d >= 0; --d) {
-      const size_t ud = static_cast<size_t>(d);
-      idx[ud] = rem % out_shape[ud];
-      rem /= out_shape[ud];
-      oa += idx[ud] * sa[ud];
-      ob += idx[ud] * sb[ud];
-    }
-    for (int64_t flat = lo; flat < hi; ++flat) {
-      po[flat] = fn(pa[oa], pb[ob]);
-      for (int64_t d = nd - 1; d >= 0; --d) {
-        const size_t ud = static_cast<size_t>(d);
-        oa += sa[ud];
-        ob += sb[ud];
-        if (++idx[ud] < out_shape[ud]) break;
-        idx[ud] = 0;
-        oa -= sa[ud] * out_shape[ud];
-        ob -= sb[ud] * out_shape[ud];
-      }
-    }
-  });
-  return y;
 }
 
 Tensor add(const Tensor& a, const Tensor& b, const Tensor& out) {

@@ -23,10 +23,7 @@ namespace hfta::ops {
 /// Broadcast result shape of a and b; throws on incompatibility.
 Shape broadcast_shapes(const Shape& a, const Shape& b);
 
-/// Elementwise binary op with broadcasting.
-Tensor binary(const Tensor& a, const Tensor& b, float (*fn)(float, float),
-              const Tensor& out = Tensor());
-
+/// Elementwise binary ops with broadcasting.
 Tensor add(const Tensor& a, const Tensor& b, const Tensor& out = Tensor());
 Tensor sub(const Tensor& a, const Tensor& b, const Tensor& out = Tensor());
 Tensor mul(const Tensor& a, const Tensor& b, const Tensor& out = Tensor());

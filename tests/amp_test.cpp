@@ -129,6 +129,29 @@ TEST(LossScaler, GrowthBackoffAndInterval) {
   EXPECT_EQ(s.growth_streak(), 0);
 }
 
+TEST(LossScaler, RejectsAnInitialScaleThatIsNotAPowerOfTwo) {
+  // Scaling by a power of two is an exact exponent shift; any other scale
+  // rounds gradients, so the constructor refuses it and names the value.
+  for (double bad : {3.0, 1000.0}) {
+    fused::LossScaler::Options o;
+    o.init_scale = bad;
+    try {
+      fused::LossScaler s(o);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(
+                    static_cast<int>(bad))),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (double good : {1.0, 16.0, 65536.0, std::ldexp(1.0, 130)}) {
+    fused::LossScaler::Options o;
+    o.init_scale = good;
+    EXPECT_EQ(fused::LossScaler(o).scale(), good);
+  }
+}
+
 // ---- autocast policy --------------------------------------------------------
 
 // f32 copy of `t` rounded elementwise to `dt` — the autocast definition of

@@ -175,6 +175,34 @@ TEST(FusionPlan, RejectsLayerKindMismatch) {
   EXPECT_EQ(diags[0].path, "act");
   EXPECT_EQ(diags[0].model_index, 2);
   EXPECT_NE(diags[0].reason.find("kind mismatch"), std::string::npos);
+
+  // The 1-D and 2-D instances of one rank template, with equal configs:
+  // only the kind tells them apart. At kernel 1 the conv weights [4, 3, 1]
+  // and [4, 3, 1, 1] hold the same numel, so the state walk would accept
+  // either one.
+  const std::vector<std::pair<std::shared_ptr<nn::Module>,
+                              std::shared_ptr<nn::Module>>>
+      pairs = {
+          {std::make_shared<nn::Conv1d>(3, 4, 1, 1, 0, 1, true, rng),
+           std::make_shared<nn::Conv2d>(3, 4, 1, 1, 0, 1, true, rng)},
+          {std::make_shared<nn::ConvTranspose1d>(3, 4, 1, 1, 0, 0, 1, true,
+                                                 rng),
+           std::make_shared<nn::ConvTranspose2d>(3, 4, 1, 1, 0, 0, 1, true,
+                                                 rng)},
+          {std::make_shared<nn::BatchNorm1d>(4),
+           std::make_shared<nn::BatchNorm2d>(4)},
+      };
+  for (const auto& [one_d, two_d] : pairs) {
+    const std::string kind = two_d->kind_name();
+    EXPECT_EQ(one_d->config().entries, two_d->config().entries) << kind;
+    EXPECT_EQ(one_d->num_parameters(), two_d->num_parameters()) << kind;
+    std::vector<FusionDiagnostic> d =
+        FusionPlan(kB).analyze({one_d.get(), one_d.get(), two_d.get()});
+    ASSERT_EQ(d.size(), 1u) << kind;
+    EXPECT_EQ(d[0].model_index, 2) << kind;
+    EXPECT_NE(d[0].reason.find("kind mismatch"), std::string::npos)
+        << d[0].reason;
+  }
 }
 
 TEST(FusionPlan, RejectsTopologyMismatch) {

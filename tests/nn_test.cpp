@@ -263,14 +263,10 @@ BnOut composed_batch_norm(const BnCase& c, bool training, bool x_grad) {
 // The same step through the module (one ag::batch_norm op, which runs the
 // running-stat update after its kernel); the batch statistics come from a
 // direct kernel call.
-BnOut one_op_batch_norm(const BnCase& c, bool training, bool x_grad) {
+template <int R>
+BnOut one_op_batch_norm_at(const BnCase& c, bool training, bool x_grad) {
   const int64_t C = c.x.size(1);
-  std::shared_ptr<BatchNormBase> bn;
-  if (c.x.dim() == 4) {
-    bn = std::make_shared<BatchNorm2d>(C, kBnEps, kBnMomentum);
-  } else {
-    bn = std::make_shared<BatchNorm1d>(C, kBnEps, kBnMomentum);
-  }
+  auto bn = std::make_shared<BatchNorm<R>>(C, kBnEps, kBnMomentum);
   bn->weight.mutable_value().copy_(c.w);
   bn->bias.mutable_value().copy_(c.b);
   bn->running_mean.copy_(c.rm);
@@ -293,6 +289,11 @@ BnOut one_op_batch_norm(const BnCase& c, bool training, bool x_grad) {
                             /*training=*/true, kBnEps);
   }
   return out;
+}
+
+BnOut one_op_batch_norm(const BnCase& c, bool training, bool x_grad) {
+  return c.x.dim() == 4 ? one_op_batch_norm_at<2>(c, training, x_grad)
+                        : one_op_batch_norm_at<1>(c, training, x_grad);
 }
 
 using tests::expect_same_bits;
@@ -375,6 +376,9 @@ TEST(Norm, BatchNormOpBitIdenticalToComposedChain) {
     shapes.push_back({N, C, 2, 4});
     shapes.push_back({N, C, 8, 8});
   }
+  // Eight channel blocks of 8 * 16 * 64 elements each: more work than
+  // Partition::kWorkFloor, so the kernels run the blocks in several chunks.
+  shapes.push_back({16, 64, 64});
   for (const Shape& shape : shapes) {
     const BnCase c = make_bn_case(shape, rng);
     const PlainStats plain = plain_channel_stats(c.x);

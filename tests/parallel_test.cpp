@@ -522,6 +522,11 @@ TEST_F(ParallelTest, ZeroingBackwardsBitIdenticalAcrossLanes) {
   const ops::ConvArgs ca = ops::ConvArgs::make(1, 1, 2);
   const Tensor w4 = Tensor::randn({4, 3, 3, 3}, rng);
   const Tensor gy4 = Tensor::randn({5, 4, 9, 9}, rng);
+  // ag::slice along dim 1 (as ag::chunk cuts a fused tensor): 37 outer rows
+  // of 8 * 300, six chunks. Its output and seed sit in a smaller pool
+  // bucket than its input, so the NaN buffer goes to the backward.
+  const Tensor x5 = Tensor::randn({37, 8, 300}, rng);
+  const Tensor gy5 = Tensor::randn({37, 3, 300}, rng);
   const float nan = std::numeric_limits<float>::quiet_NaN();
   auto dirty = [&](const Shape& s) { Tensor::full(s, nan); };
   auto run = [&] {
@@ -537,6 +542,11 @@ TEST_F(ParallelTest, ZeroingBackwardsBitIdenticalAcrossLanes) {
                                          DType::kF32, DType::kF32,
                                          Tensor::full(x4, nan))
                       .to_vector());
+    ag::Variable v5(x5, /*requires_grad=*/true);
+    ag::Variable y5 = ag::slice(v5, 1, 2, 5);
+    dirty(x5.shape());
+    y5.backward(gy5);
+    out.push_back(v5.grad().to_vector());
     return out;
   };
   set_num_threads(1);
@@ -550,12 +560,13 @@ TEST_F(ParallelTest, ZeroingBackwardsBitIdenticalAcrossLanes) {
                              : 0.f;
       ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0) << r << ", " << l;
     }
-  // The other three read finite gradients: a NaN is an unzeroed element.
+  // The others read finite gradients: a NaN is an unzeroed element.
   for (size_t j = 1; j < ref.size(); ++j)
     for (size_t i = 0; i < ref[j].size(); ++i)
       ASSERT_FALSE(std::isnan(ref[j][i])) << "backward " << j << " at " << i;
   const char* names[] = {"max_pool1d_global_backward", "max_pool2d_backward",
-                         "adaptive_avg_pool2d_backward", "conv2d_grad_input"};
+                         "adaptive_avg_pool2d_backward", "conv2d_grad_input",
+                         "slice backward"};
   for (int nt : {2, 3, 4, 8}) {
     set_num_threads(nt);
     const auto got = run();
