@@ -21,19 +21,17 @@
 // its structural fingerprint, so toggling precision recaptures instead of
 // replaying a stale-precision program.
 //
-// The policy flag is thread_local. Guards are used on the launching thread
-// (graph construction is single-threaded here); worker threads never build
-// graphs.
+// The policy is one thread_local dtype, kF32 meaning off. Guards are used
+// on the launching thread (graph construction is single-threaded here);
+// worker threads never build graphs.
 #pragma once
 
 #include "tensor/dtype.h"
 
 namespace hfta::ag {
 
-/// True inside an AutocastGuard scope with a 16-bit dtype.
-bool autocast_enabled();
-
-/// The active autocast dtype (meaningful only when autocast_enabled()).
+/// The active autocast dtype: kF16 or kBF16 inside an AutocastGuard scope
+/// with that dtype, kF32 (autocast off) otherwise.
 DType autocast_dtype();
 
 /// RAII scope. Passing kF32 DISABLES autocast within the scope — that is how
@@ -47,7 +45,6 @@ class AutocastGuard {
   AutocastGuard& operator=(const AutocastGuard&) = delete;
 
  private:
-  bool prev_enabled_;
   DType prev_dtype_;
 };
 

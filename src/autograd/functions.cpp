@@ -307,18 +307,11 @@ Variable gelu(const Variable& a) {
 // f32, gradients stay f32, and the backward quantizes only the SAVED operand
 // of each product; the incoming gradient is never quantized. The policy
 // rides inside the fwd/backward closures, so a captured step program
-// replays it with no autocast state involved.
-
-namespace {
-// The quantize policy for GEMM operands under the ambient autocast scope:
-// the autocast dtype when active, kF32 (pack verbatim) otherwise.
-DType gemm_quantize_dtype() {
-  return autocast_enabled() ? autocast_dtype() : DType::kF32;
-}
-}  // namespace
+// replays it with no autocast state involved. The GEMM operands' policy is
+// the ambient autocast_dtype(); kF32 packs them verbatim.
 
 Variable matmul(const Variable& a, const Variable& b, bool trans_b) {
-  const DType q = gemm_quantize_dtype();
+  const DType q = autocast_dtype();
   Tensor av = a.value(), bv = b.value();
   auto fwd = [av, bv, trans_b, q](const Tensor& out) {
     return ops::matmul(av, bv, false, trans_b, q, q, out);
@@ -337,7 +330,7 @@ Variable matmul(const Variable& a, const Variable& b, bool trans_b) {
 
 Variable linear(const Variable& x, const Variable& w, const Variable& b,
                 int64_t groups) {
-  const DType q = gemm_quantize_dtype();
+  const DType q = autocast_dtype();
   Tensor xv = x.value(), wv = w.value();
   Tensor bv = b.defined() ? b.value() : Tensor();
   auto fwd = [xv, wv, bv, groups, q](const Tensor& out) {
@@ -371,7 +364,7 @@ Variable linear(const Variable& x, const Variable& w, const Variable& b,
 }
 
 Variable attention(const Variable& qkv, int64_t heads, const Tensor& mask) {
-  const DType q = gemm_quantize_dtype();
+  const DType q = autocast_dtype();
   Tensor xv = qkv.value();
   HFTA_CHECK(xv.dim() >= 2, "attention: qkv must be [..., S, 3E], got ",
              shape_str(xv.shape()));
@@ -454,7 +447,7 @@ Variable make_conv_op(const char* name, const Fwd& fwd, const Variable& x,
 
 Variable conv(const Variable& x, const Variable& w, const Variable& b,
               const ops::ConvArgs& args) {
-  const DType q = gemm_quantize_dtype();
+  const DType q = autocast_dtype();
   const ops::ConvArgs a = args_2d(x.value(), w.value(), args, "conv");
   const int64_t rank = x.dim();
   Tensor xv = as_2d(x.value()), wv = as_2d(w.value());
@@ -475,7 +468,7 @@ Variable conv_transpose(const Variable& x, const Variable& w,
                         const ops::ConvTransposeArgs& t) {
   HFTA_CHECK(t.out_pad < t.stride, "conv_transpose: out_pad ", t.out_pad,
              " must be < stride ", t.stride);
-  const DType q = gemm_quantize_dtype();
+  const DType q = autocast_dtype();
   const ops::ConvArgs a =
       args_2d(x.value(), w.value(),
               {t.stride, t.stride, t.pad, t.pad, t.groups}, "conv_transpose");

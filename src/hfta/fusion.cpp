@@ -306,7 +306,7 @@ void lower_into(int64_t B, Rng& rng, const std::string& path,
                 const std::vector<std::shared_ptr<nn::Module>>& reps,
                 int64_t unit, std::vector<FusedArray::Step>* steps) {
   const nn::Module& ref = *reps[0];
-  if (ref.kind() == nn::LayerKind::kSequential) {
+  if (dynamic_cast<const nn::Sequential*>(&ref) != nullptr) {
     const auto& ref_children = ref.named_children();
     for (size_t i = 0; i < ref_children.size(); ++i) {
       std::vector<std::shared_ptr<nn::Module>> child_reps;
@@ -348,7 +348,7 @@ std::shared_ptr<FusedArray> FusionPlan::compile(
   // itself. This is the granularity of fuse_mask (paper Fig. 17).
   std::vector<std::pair<std::string, std::vector<std::shared_ptr<nn::Module>>>>
       units;
-  if (models[0]->kind() == nn::LayerKind::kSequential) {
+  if (dynamic_cast<const nn::Sequential*>(models[0].get()) != nullptr) {
     const auto& ref_children = models[0]->named_children();
     for (size_t i = 0; i < ref_children.size(); ++i) {
       std::vector<std::shared_ptr<nn::Module>> reps;

@@ -67,7 +67,7 @@ const TrainStep::Losses& TrainStep::run_step(nn::Optimizer& opt,
   if (capture_) {
     ProgramSlot& slot = programs_[static_cast<const void*>(&opt)];
     uint64_t fp = fingerprint(opt);
-    if (amp_) {
+    if (amp_enabled()) {
       // Precision is structural: an AMP program's GEMM/conv thunks carry
       // the quantize policy by value, so toggling AMP (or changing its
       // dtype) must recapture, not replay a stale-precision graph.
@@ -88,7 +88,7 @@ const TrainStep::Losses& TrainStep::run_step(nn::Optimizer& opt,
         // Every tape run's seed shares amp_seed_'s storage; refreshing it
         // in place is how a scale change reaches every cached program
         // without recapture.
-        if (amp_) refresh_amp_seed();
+        if (amp_enabled()) refresh_amp_seed();
         slot.program.replay();
       });
       return slot.program.losses();
@@ -104,7 +104,7 @@ const TrainStep::Losses& TrainStep::run_step(nn::Optimizer& opt,
       // A null program pins recording off; kF32 pins autocast OFF for fp32
       // steps, regardless of ambient guards.
       ag::StepProgram::CaptureGuard capture(program);
-      ag::AutocastGuard amp(amp_ ? amp_dtype_ : DType::kF32);
+      ag::AutocastGuard amp(amp_dtype_);
       losses = loss_fn();
     }
     const Tensor seed = backward_seed();
@@ -152,7 +152,6 @@ void TrainStep::evict_lru() {
 void TrainStep::enable_amp(const AmpOptions& opts) {
   HFTA_CHECK(opts.dtype != DType::kF32,
              "enable_amp: dtype must be f16 or bf16");
-  amp_ = true;
   amp_dtype_ = opts.dtype;
   scaler_ = fused::LossScaler(opts.scaler);
 }
@@ -168,7 +167,7 @@ void TrainStep::refresh_amp_seed() {
 }
 
 Tensor TrainStep::backward_seed() {
-  if (!amp_) return Tensor();
+  if (!amp_enabled()) return Tensor();
   refresh_amp_seed();
   return amp_seed_;
 }
@@ -204,7 +203,7 @@ bool TrainStep::grads_finite(const nn::Optimizer& opt, double inv_scale) {
 }
 
 void TrainStep::amp_step(nn::Optimizer& opt) {
-  if (!amp_) {
+  if (!amp_enabled()) {
     opt.step();
     return;
   }

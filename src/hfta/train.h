@@ -106,8 +106,9 @@ class TrainStep {
   void enable_amp(const AmpOptions& opts);
   void enable_amp() { enable_amp(AmpOptions()); }
   /// Turns AMP off (cached fp32 programs, fingerprinted separately, stay).
-  void disable_amp() { amp_ = false; }
-  bool amp_enabled() const { return amp_; }
+  void disable_amp() { amp_dtype_ = DType::kF32; }
+  bool amp_enabled() const { return amp_dtype_ != DType::kF32; }
+  /// kF16 or kBF16 with AMP on; kF32 with it off.
   DType amp_dtype() const { return amp_dtype_; }
   /// The dynamic scale controller. Persists for the TrainStep's lifetime —
   /// in the HFHT executor that means across Hyperband rungs and repacks.
@@ -203,8 +204,7 @@ class TrainStep {
   Losses multi_losses_;
   bool capture_ = false;
   int64_t use_clock_ = 0;
-  bool amp_ = false;
-  DType amp_dtype_ = DType::kBF16;
+  DType amp_dtype_ = DType::kF32;  // kF32: AMP off
   fused::LossScaler scaler_;
   Tensor amp_seed_;  // persistent scalar; every captured tape shares it
   float amp_seed_value_ = 0.f;  // last value written; skips redundant fills

@@ -178,8 +178,8 @@ MobileNetV3::MobileNetV3(const MobileNetV3Config& cfg, Rng& rng) : cfg(cfg) {
   int64_t in = stem_c;
   for (size_t i = 0; i < table.size(); ++i) {
     const BneckSpec& spec = table[i];
-    bnecks.push_back(std::make_shared<Bneck>(in, spec, cfg, rng));
-    net->push_back("bneck" + std::to_string(i), bnecks.back());
+    net->push_back("bneck" + std::to_string(i),
+                   std::make_shared<Bneck>(in, spec, cfg, rng));
     in = cfg.scaled(spec.out);
   }
   const int64_t last_c = cfg.scaled(table.back().expand);

@@ -110,7 +110,6 @@ class MobileNetV3 : public nn::Module {
   std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
 
   std::shared_ptr<nn::Sequential> net;  // the planner-walkable graph
-  std::vector<std::shared_ptr<Bneck>> bnecks;
   MobileNetV3Config cfg;
 };
 

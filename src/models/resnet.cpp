@@ -59,9 +59,8 @@ ResNet18::ResNet18(const ResNetConfig& cfg, Rng& rng) : cfg(cfg) {
     const int64_t out = cfg.stage_width(s);
     for (int64_t i = 0; i < 2; ++i) {
       const int64_t stride = (i == 0 && s > 0) ? 2 : 1;
-      blocks.push_back(std::make_shared<BasicBlock>(in, out, stride, rng));
       net->push_back("layer" + std::to_string(s) + "_" + std::to_string(i),
-                     blocks.back());
+                     std::make_shared<BasicBlock>(in, out, stride, rng));
       in = out;
     }
   }

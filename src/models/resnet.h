@@ -63,7 +63,6 @@ class ResNet18 : public nn::Module {
   std::shared_ptr<nn::Module> make_array(int64_t B, Rng& rng) const override;
 
   std::shared_ptr<nn::Sequential> net;  // the planner-walkable graph
-  std::vector<std::shared_ptr<BasicBlock>> blocks;  // 8
   ResNetConfig cfg;
 };
 

@@ -24,7 +24,7 @@ class Linear : public Module {
   Linear(int64_t in, int64_t out, bool bias, Rng& rng, int64_t B = 1);
   /// x: [.., in] -> [.., out]; with B > 1, [B, .., in] -> [B, .., out].
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kLinear; }
+  std::string kind_name() const override { return "Linear"; }
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   ArrayLayout array_layout() const override {
     return ArrayLayout::kModelMajor;
@@ -51,8 +51,8 @@ class Conv : public Module {
   Conv(int64_t in, int64_t out, int64_t kernel, int64_t stride, int64_t pad,
        int64_t groups, bool bias, Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override {
-    return R == 1 ? LayerKind::kConv1d : LayerKind::kConv2d;
+  std::string kind_name() const override {
+    return R == 1 ? "Conv1d" : "Conv2d";
   }
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   ArrayLayout array_layout() const override {
@@ -74,8 +74,8 @@ class ConvTranspose : public Module {
                 int64_t pad, int64_t out_pad, int64_t groups, bool bias,
                 Rng& rng);
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override {
-    return R == 1 ? LayerKind::kConvTranspose1d : LayerKind::kConvTranspose2d;
+  std::string kind_name() const override {
+    return R == 1 ? "ConvTranspose1d" : "ConvTranspose2d";
   }
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   ArrayLayout array_layout() const override {
@@ -99,7 +99,7 @@ class Embedding : public Module {
   /// Model b's ids read block b of the table; the offset is applied inside
   /// the recorded op, so a replayed step reads the ids staged for it.
   ag::Variable lookup(const Tensor& indices);
-  LayerKind kind() const override { return LayerKind::kEmbedding; }
+  std::string kind_name() const override { return "Embedding"; }
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   ArrayLayout array_layout() const override {
     return ArrayLayout::kModelMajor;
@@ -114,7 +114,7 @@ class MaxPool2d : public Module {
  public:
   MaxPool2d(int64_t kernel, int64_t stride, int64_t pad = 0);
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kMaxPool2d; }
+  std::string kind_name() const override { return "MaxPool2d"; }
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   ArrayLayout array_layout() const override {
     return ArrayLayout::kChannelFused;
@@ -127,7 +127,7 @@ class AdaptiveAvgPool2d : public Module {
  public:
   AdaptiveAvgPool2d(int64_t out_h, int64_t out_w);
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kAdaptiveAvgPool2d; }
+  std::string kind_name() const override { return "AdaptiveAvgPool2d"; }
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   ArrayLayout array_layout() const override {
     return ArrayLayout::kChannelFused;
@@ -141,7 +141,7 @@ class Dropout : public Module {
  public:
   Dropout(float p, uint64_t seed = 0x5eed);
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kDropout; }
+  std::string kind_name() const override { return "Dropout"; }
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   ModuleConfig config() const override;
   float p;
@@ -155,7 +155,7 @@ class Dropout2d : public Module {
  public:
   Dropout2d(float p, uint64_t seed = 0x5eed2d);
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kDropout2d; }
+  std::string kind_name() const override { return "Dropout2d"; }
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   ArrayLayout array_layout() const override {
     return ArrayLayout::kChannelFused;
@@ -172,7 +172,7 @@ class Dropout2d : public Module {
 class Flatten : public Module {
  public:
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kFlatten; }
+  std::string kind_name() const override { return "Flatten"; }
   std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
     return std::make_shared<Flatten>();
   }
@@ -186,7 +186,7 @@ class Flatten : public Module {
 class GlobalMaxPool1d : public Module {
  public:
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kGlobalMaxPool1d; }
+  std::string kind_name() const override { return "GlobalMaxPool1d"; }
   std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
     return std::make_shared<GlobalMaxPool1d>();
   }
@@ -197,7 +197,7 @@ class GlobalMaxPool1d : public Module {
 class ReLU : public Module {
  public:
   ag::Variable forward(const ag::Variable& x) override { return ag::relu(x); }
-  LayerKind kind() const override { return LayerKind::kReLU; }
+  std::string kind_name() const override { return "ReLU"; }
   std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
     return std::make_shared<ReLU>();
   }
@@ -205,7 +205,7 @@ class ReLU : public Module {
 class ReLU6 : public Module {
  public:
   ag::Variable forward(const ag::Variable& x) override { return ag::relu6(x); }
-  LayerKind kind() const override { return LayerKind::kReLU6; }
+  std::string kind_name() const override { return "ReLU6"; }
   std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
     return std::make_shared<ReLU6>();
   }
@@ -216,7 +216,7 @@ class LeakyReLU : public Module {
   ag::Variable forward(const ag::Variable& x) override {
     return ag::leaky_relu(x, slope);
   }
-  LayerKind kind() const override { return LayerKind::kLeakyReLU; }
+  std::string kind_name() const override { return "LeakyReLU"; }
   std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
     return std::make_shared<LeakyReLU>(slope);
   }
@@ -230,7 +230,7 @@ class LeakyReLU : public Module {
 class Tanh : public Module {
  public:
   ag::Variable forward(const ag::Variable& x) override { return ag::tanh(x); }
-  LayerKind kind() const override { return LayerKind::kTanh; }
+  std::string kind_name() const override { return "Tanh"; }
   std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
     return std::make_shared<Tanh>();
   }
@@ -240,7 +240,7 @@ class Sigmoid : public Module {
   ag::Variable forward(const ag::Variable& x) override {
     return ag::sigmoid(x);
   }
-  LayerKind kind() const override { return LayerKind::kSigmoid; }
+  std::string kind_name() const override { return "Sigmoid"; }
   std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
     return std::make_shared<Sigmoid>();
   }
@@ -250,7 +250,7 @@ class Hardswish : public Module {
   ag::Variable forward(const ag::Variable& x) override {
     return ag::hardswish(x);
   }
-  LayerKind kind() const override { return LayerKind::kHardswish; }
+  std::string kind_name() const override { return "Hardswish"; }
   std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
     return std::make_shared<Hardswish>();
   }
@@ -258,7 +258,7 @@ class Hardswish : public Module {
 class GELU : public Module {
  public:
   ag::Variable forward(const ag::Variable& x) override { return ag::gelu(x); }
-  LayerKind kind() const override { return LayerKind::kGELU; }
+  std::string kind_name() const override { return "GELU"; }
   std::shared_ptr<Module> make_array(int64_t, Rng&) const override {
     return std::make_shared<GELU>();
   }

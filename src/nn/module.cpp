@@ -7,36 +7,6 @@
 
 namespace hfta::nn {
 
-const char* layer_kind_name(LayerKind kind) {
-  switch (kind) {
-    case LayerKind::kCustom: return "Custom";
-    case LayerKind::kSequential: return "Sequential";
-    case LayerKind::kLinear: return "Linear";
-    case LayerKind::kConv1d: return "Conv1d";
-    case LayerKind::kConv2d: return "Conv2d";
-    case LayerKind::kConvTranspose1d: return "ConvTranspose1d";
-    case LayerKind::kConvTranspose2d: return "ConvTranspose2d";
-    case LayerKind::kEmbedding: return "Embedding";
-    case LayerKind::kBatchNorm1d: return "BatchNorm1d";
-    case LayerKind::kBatchNorm2d: return "BatchNorm2d";
-    case LayerKind::kLayerNorm: return "LayerNorm";
-    case LayerKind::kMaxPool2d: return "MaxPool2d";
-    case LayerKind::kAdaptiveAvgPool2d: return "AdaptiveAvgPool2d";
-    case LayerKind::kDropout: return "Dropout";
-    case LayerKind::kDropout2d: return "Dropout2d";
-    case LayerKind::kFlatten: return "Flatten";
-    case LayerKind::kGlobalMaxPool1d: return "GlobalMaxPool1d";
-    case LayerKind::kReLU: return "ReLU";
-    case LayerKind::kReLU6: return "ReLU6";
-    case LayerKind::kLeakyReLU: return "LeakyReLU";
-    case LayerKind::kTanh: return "Tanh";
-    case LayerKind::kSigmoid: return "Sigmoid";
-    case LayerKind::kHardswish: return "Hardswish";
-    case LayerKind::kGELU: return "GELU";
-  }
-  return "Unknown";
-}
-
 std::vector<std::pair<std::string, Tensor>> named_buffers_recursive(
     const Module& m) {
   std::vector<std::pair<std::string, Tensor>> out;

@@ -20,39 +20,6 @@
 
 namespace hfta::nn {
 
-/// Layer-kind tag exposed by Module::kind(): the reflection surface the
-/// fusion planner walks. Leaf layers report their concrete kind; composite
-/// user modules stay kCustom and either build their own array form
-/// (Module::make_array) or are run unfused behind an adapter.
-enum class LayerKind {
-  kCustom,
-  kSequential,
-  kLinear,
-  kConv1d,
-  kConv2d,
-  kConvTranspose1d,
-  kConvTranspose2d,
-  kEmbedding,
-  kBatchNorm1d,
-  kBatchNorm2d,
-  kLayerNorm,
-  kMaxPool2d,
-  kAdaptiveAvgPool2d,
-  kDropout,
-  kDropout2d,
-  kFlatten,
-  kGlobalMaxPool1d,
-  kReLU,
-  kReLU6,
-  kLeakyReLU,
-  kTanh,
-  kSigmoid,
-  kHardswish,
-  kGELU,
-};
-
-const char* layer_kind_name(LayerKind kind);
-
 /// The two fused data layouts of DESIGN.md §2, the family an array form
 /// (Module::make_array) runs in: channel-fused [N, B*C, ...] for the
 /// conv/BatchNorm/pool family, model-major [B, N, ...] for Linear,
@@ -116,12 +83,11 @@ class Module {
 
   // -- reflection (walked by the fusion planner) -----------------------------
 
-  /// This layer's kind tag; kCustom for composite user modules.
-  virtual LayerKind kind() const { return LayerKind::kCustom; }
-  /// The kind's name in plans and diagnostics. Leaf layers use the
-  /// layer-kind name; composite modules override it (e.g.
-  /// "models::BasicBlock").
-  virtual std::string kind_name() const { return layer_kind_name(kind()); }
+  /// The layer's operator type, in plans and diagnostics: together with
+  /// config() it is all the planner compares across an array. Leaf layers
+  /// return their torch name ("Conv2d"), composite modules a qualified one
+  /// ("models::BasicBlock"); a module that names no kind is "Custom".
+  virtual std::string kind_name() const { return "Custom"; }
   /// Structural/numeric hyper-parameters (must match across a fused array).
   virtual ModuleConfig config() const { return {}; }
   /// Direct children, in registration order.
@@ -179,7 +145,9 @@ class Module {
                std::vector<std::pair<std::string, ag::Variable>>* out) const;
 };
 
-/// Runs modules in order.
+/// Runs modules in order. The fusion planner walks into a Sequential (it
+/// tests the type) and lowers each child on its own; a root Sequential's
+/// children are the fusion units.
 class Sequential : public Module {
  public:
   Sequential() = default;
@@ -190,7 +158,7 @@ class Sequential : public Module {
   /// diagnostics and load paths read "stem.conv" rather than "0.0".
   void push_back(std::string name, std::shared_ptr<Module> m);
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kSequential; }
+  std::string kind_name() const override { return "Sequential"; }
   /// Deep clone: every child cloned in registration order (nullptr if any
   /// child has no clone support).
   std::shared_ptr<Module> clone() const override;

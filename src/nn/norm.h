@@ -18,8 +18,8 @@ class BatchNorm : public Module {
  public:
   BatchNorm(int64_t channels, float eps = 1e-5f, float momentum = 0.1f);
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override {
-    return R == 1 ? LayerKind::kBatchNorm1d : LayerKind::kBatchNorm2d;
+  std::string kind_name() const override {
+    return R == 1 ? "BatchNorm1d" : "BatchNorm2d";
   }
   ModuleConfig config() const override;
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
@@ -46,7 +46,7 @@ class LayerNorm : public Module {
   /// normalized_shape: trailing dims E1..En to normalize over.
   LayerNorm(Shape normalized_shape, float eps, Rng& rng, int64_t B = 1);
   ag::Variable forward(const ag::Variable& x) override;
-  LayerKind kind() const override { return LayerKind::kLayerNorm; }
+  std::string kind_name() const override { return "LayerNorm"; }
   ModuleConfig config() const override;
   std::shared_ptr<Module> make_array(int64_t B, Rng& rng) const override;
   ArrayLayout array_layout() const override {

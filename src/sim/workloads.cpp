@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/check.h"
+#include "models/mobilenetv3.h"
 
 namespace hfta::sim {
 
@@ -260,26 +261,14 @@ IterationTrace resnet18(int64_t B) {
 
 IterationTrace mobilenetv3(int64_t B) {
   const int64_t N = 1024, S = 32, stem = 16, last = 960, head = 1280;
-  struct Row {
-    int64_t kernel, expand, out, stride;
-    bool se;
-  };
-  // The published V3-Large bneck table at width 1.0.
-  const Row rows[] = {{3, 16, 16, 1, false},  {3, 64, 24, 2, false},
-                      {3, 72, 24, 1, false},  {5, 72, 40, 2, true},
-                      {5, 120, 40, 1, true},  {5, 120, 40, 1, true},
-                      {3, 240, 80, 2, false}, {3, 200, 80, 1, false},
-                      {3, 184, 80, 1, false}, {3, 184, 80, 1, false},
-                      {3, 480, 112, 1, true}, {3, 672, 112, 1, true},
-                      {5, 672, 160, 2, true}, {5, 960, 160, 1, true},
-                      {5, 960, 160, 1, true}};
   Builder b(B, N, /*host_us=*/35000, /*stash=*/4.5, /*gap_scale=*/0.3);
   int64_t sz = S / 2;  // stride-2 stem
   b.conv2d(N, 3, S, S, stem, 3, 2);
   b.batchnorm(static_cast<double>(N) * stem * sz * sz);
   b.activation(static_cast<double>(N) * stem * sz * sz);
   int64_t in = stem;
-  for (const Row& r : rows) {
+  // The published V3-Large bneck table, at width 1.0.
+  for (const models::BneckSpec& r : models::mobilenetv3_large_table()) {
     const int64_t so = sz / r.stride;
     if (r.expand != in) {
       b.conv2d(N, in, sz, sz, r.expand, 1, 1);

@@ -170,15 +170,14 @@ TEST(Autocast, GemmClassQuantizesInputsButNotBias) {
   Tensor bt = Tensor::randn({6}, rng);
   ag::Variable x(xt), w(wt, true), b(bt, true);
 
-  EXPECT_FALSE(ag::autocast_enabled());
+  EXPECT_EQ(ag::autocast_dtype(), DType::kF32);
   ag::Variable y;
   {
     ag::AutocastGuard guard(DType::kF16);
-    EXPECT_TRUE(ag::autocast_enabled());
     EXPECT_EQ(ag::autocast_dtype(), DType::kF16);
     y = ag::linear(x, w, b);
   }
-  EXPECT_FALSE(ag::autocast_enabled());
+  EXPECT_EQ(ag::autocast_dtype(), DType::kF32);
 
   // Equal to the hand-built policy: round x and w to f16, run the f32
   // kernel, add the UN-quantized bias.
@@ -203,10 +202,10 @@ TEST(Autocast, NestedF32GuardDisables) {
     amp_y = ag::linear(x, w, ag::Variable());
     {
       ag::AutocastGuard inner(DType::kF32);  // pins autocast OFF
-      EXPECT_FALSE(ag::autocast_enabled());
+      EXPECT_EQ(ag::autocast_dtype(), DType::kF32);
       pinned_y = ag::linear(x, w, ag::Variable());
     }
-    EXPECT_TRUE(ag::autocast_enabled());
+    EXPECT_EQ(ag::autocast_dtype(), DType::kBF16);
   }
   Tensor plain = ops::linear_forward(xt, wt, Tensor());
   expect_bits_equal(pinned_y.value().to_vector(), plain.to_vector(),

@@ -67,7 +67,7 @@ TEST(ModuleClone, LinearCongruentEqualAndIndependent) {
   Linear src(6, 4, true, rng);
   std::shared_ptr<Module> c = src.clone();
   ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->kind(), LayerKind::kLinear);
+  EXPECT_EQ(c->kind_name(), "Linear");
   expect_congruent(src, *c);
   expect_equal_state(src, *c);
   expect_independent(*c, src);

@@ -155,7 +155,7 @@ TEST(FusionPlan, RejectsStructuralHyperParameterMismatch) {
   }
 }
 
-TEST(FusionPlan, RejectsLayerKindMismatch) {
+TEST(FusionPlan, RejectsKindNameMismatch) {
   Rng rng(6);
   std::vector<std::shared_ptr<nn::Module>> nets;
   for (int64_t b = 0; b < kB; ++b) {
@@ -777,48 +777,6 @@ void expect_step_matches_donors(
   }
 }
 
-// One module of every leaf nn::LayerKind; nullptr for the two non-leaf
-// tags. The switch has no default, so -Wswitch flags a new LayerKind until
-// it is listed here.
-std::shared_ptr<nn::Module> leaf_of_kind(nn::LayerKind k, Rng& r) {
-  using nn::LayerKind;
-  using std::make_shared;
-  switch (k) {
-    case LayerKind::kCustom:
-    case LayerKind::kSequential: return nullptr;
-    case LayerKind::kLinear: return make_shared<nn::Linear>(4, 3, true, r);
-    case LayerKind::kConv1d:
-      return make_shared<nn::Conv1d>(3, 4, 1, 1, 0, 1, true, r);
-    case LayerKind::kConv2d:
-      return make_shared<nn::Conv2d>(3, 4, 3, 1, 1, 1, true, r);
-    case LayerKind::kConvTranspose1d:
-      return make_shared<nn::ConvTranspose1d>(4, 3, 4, 2, 1, 0, 1, true, r);
-    case LayerKind::kConvTranspose2d:
-      return make_shared<nn::ConvTranspose2d>(4, 3, 4, 2, 1, 0, 1, true, r);
-    case LayerKind::kEmbedding: return make_shared<nn::Embedding>(7, 4, r);
-    case LayerKind::kBatchNorm1d: return make_shared<nn::BatchNorm1d>(4);
-    case LayerKind::kBatchNorm2d: return make_shared<nn::BatchNorm2d>(4);
-    case LayerKind::kLayerNorm:
-      return make_shared<nn::LayerNorm>(Shape{5}, 1e-5f, r);
-    case LayerKind::kMaxPool2d: return make_shared<nn::MaxPool2d>(2, 2);
-    case LayerKind::kAdaptiveAvgPool2d:
-      return make_shared<nn::AdaptiveAvgPool2d>(1, 1);
-    case LayerKind::kDropout: return make_shared<nn::Dropout>(0.5f);
-    case LayerKind::kDropout2d: return make_shared<nn::Dropout2d>(0.5f);
-    case LayerKind::kFlatten: return make_shared<nn::Flatten>();
-    case LayerKind::kGlobalMaxPool1d:
-      return make_shared<nn::GlobalMaxPool1d>();
-    case LayerKind::kReLU: return make_shared<nn::ReLU>();
-    case LayerKind::kReLU6: return make_shared<nn::ReLU6>();
-    case LayerKind::kLeakyReLU: return make_shared<nn::LeakyReLU>(0.2f);
-    case LayerKind::kTanh: return make_shared<nn::Tanh>();
-    case LayerKind::kSigmoid: return make_shared<nn::Sigmoid>();
-    case LayerKind::kHardswish: return make_shared<nn::Hardswish>();
-    case LayerKind::kGELU: return make_shared<nn::GELU>();
-  }
-  return nullptr;
-}
-
 // Adds the kind_name() of every module in `m`'s tree that has an array
 // form at B = 2.
 void collect_array_kinds(const nn::Module& m, Rng& rng,
@@ -838,22 +796,18 @@ TEST(ArrayState, EveryRegisteredKindRoundTripsSaveLoadBitExactly) {
   // buffers. The companion guarantee is at compile time — an array form
   // that misses any per-model tensor throws a structured FusionError
   // (IncompleteArrayStateFailsTheCompile). The coverage guard
-  // below makes a kind that gains an array form fail THIS test until a
-  // factory is added: it collects every leaf LayerKind and every module of
-  // the library's models whose make_array(2) is non-null. The token kinds
-  // take ids, not features; models_test and attention_training_test cover
-  // their fused == serial steps.
+  // below checks that every factory builds the kind it is keyed by, and
+  // makes a kind that gains an array form fail THIS test until a factory
+  // is added: it collects every module of the library's models whose
+  // make_array(2) is non-null. The token kinds take ids, not features;
+  // models_test and attention_training_test cover their fused == serial
+  // steps.
   const std::map<std::string, KindFactory> factories = kind_factories();
   {
     Rng rng(3);
+    for (const auto& [kind, make] : factories)
+      ASSERT_EQ(make(rng)->kind_name(), kind);
     std::set<std::string> kinds;
-    for (int k = 0; k <= static_cast<int>(nn::LayerKind::kGELU); ++k) {
-      const auto kind = static_cast<nn::LayerKind>(k);
-      std::shared_ptr<nn::Module> leaf = leaf_of_kind(kind, rng);
-      if (leaf == nullptr) continue;
-      ASSERT_EQ(leaf->kind(), kind) << nn::layer_kind_name(kind);
-      collect_array_kinds(*leaf, rng, &kinds);
-    }
     const std::vector<std::shared_ptr<nn::Module>> models = {
         std::make_shared<models::ResNet18>(models::ResNetConfig::tiny(), rng),
         std::make_shared<models::MobileNetV3>(

@@ -3,8 +3,9 @@
 // training input. Used by fusion_plan_test (fused == serial steps and state
 // round-trips over every such kind), step_program_test (capture/replay
 // bit-exactness) and thread_invariance_test (1 vs 8 threads).
-// fusion_plan_test fails when a kind of the library's models or layers
-// gains an array form without a factory here.
+// fusion_plan_test fails when a module of the library's models gains an
+// array form without a factory here, or when a factory builds a module
+// whose kind_name() is not its key.
 #pragma once
 
 #include <functional>
