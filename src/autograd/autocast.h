@@ -17,8 +17,8 @@
 // operand of each product; the incoming gradient stays f32.
 //
 // The policy rides in the op closures, so captured step programs replay it
-// with no autocast state involved. TrainStep mixes the autocast state into
-// its structural fingerprint, so toggling precision recaptures instead of
+// with no autocast state involved. A TrainStep draws a new epoch when its
+// autocast dtype changes, so toggling precision recaptures instead of
 // replaying a stale-precision program.
 //
 // The policy is one thread_local dtype, kF32 meaning off. Guards are used

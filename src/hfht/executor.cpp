@@ -139,8 +139,8 @@ FusedTrainingExecutor::FusedTrainingExecutor(Task task, sim::DeviceSpec,
              "FusedTrainingExecutor: dataset/eval sizes must be >= 1");
   // Trial steps are captured into replayable step programs: train() stages
   // each batch in place, so after one eager warmup + one capture step per
-  // optimizer every iteration runs tape-free. Repacks build a new
-  // array/optimizer, which fingerprints differently and recaptures.
+  // optimizer every iteration runs tape-free. A program lives in its
+  // optimizer, so a repack's new optimizer starts cold and captures anew.
   train_step_.enable_capture();
   if (opts_.amp) {
     TrainStep::AmpOptions amp;
@@ -274,14 +274,19 @@ FusedTrainingExecutor::Group* FusedTrainingExecutor::repack_groups(
   merged->ever_merged = gidx.size() > 1;
   for (size_t gi : gidx) merged->ever_merged |= groups_[gi]->ever_merged;
   merged->retired.assign(static_cast<size_t>(newB), false);
+  // A source group keeps a retired slot from now on, so it never again
+  // trains in place, and a moved twin's program reads the source group's
+  // staged buffers, which stop being updated. Free every source program:
+  // the twins recapture under the merged group's staging.
+  for (size_t gi : gidx) {
+    groups_[gi]->opt->release_program();
+    for (const auto& so : groups_[gi]->serial_opts)
+      if (so != nullptr) so->release_program();
+  }
   for (const Pick& p : picks) {
     Group& src = *groups_[p.group];
     src.retired[static_cast<size_t>(p.slot)] = true;
     if (!src.serial.empty()) {
-      // A moved twin's captured program reads the source group's staged
-      // input buffers, which stop being updated — drop it so the twin
-      // recaptures under the merged group's staging.
-      train_step_.drop_program(src.serial_opts[static_cast<size_t>(p.slot)].get());
       merged->serial.push_back(
           std::move(src.serial[static_cast<size_t>(p.slot)]));
       merged->serial_opts.push_back(
@@ -304,10 +309,6 @@ FusedTrainingExecutor::Group* FusedTrainingExecutor::repack_groups(
            std::all_of(g->retired.begin(), g->retired.end(),
                        [](bool r) { return r; });
   };
-  // Drop the dying groups' step programs first: a program's tape keeps the
-  // whole captured graph (the retired array's weights) alive.
-  for (const auto& g : groups_)
-    if (fully_retired(g)) drop_group_programs(*g);
   groups_.erase(std::remove_if(groups_.begin(), groups_.end(), fully_retired),
                 groups_.end());
   if (groups_.size() != before) StoragePool::instance().trim();
@@ -410,7 +411,6 @@ FusedTrainingExecutor::Group* FusedTrainingExecutor::find_or_create(
   // cap comfortably exceeds the chunks of any single proposal round.
   constexpr size_t kMaxLiveGroups = 64;
   if (groups_.size() > kMaxLiveGroups) {
-    drop_group_programs(*groups_.front());  // programs pin the captured graph
     groups_.erase(groups_.begin());
     StoragePool::instance().trim();  // the evicted array's storage with it
   }
@@ -499,12 +499,6 @@ void FusedTrainingExecutor::train(Group& g, int64_t delta_epochs,
     ++cost.jobs_launched;
   }
   g.epochs_trained += delta_epochs;
-}
-
-void FusedTrainingExecutor::drop_group_programs(const Group& g) {
-  train_step_.drop_program(g.opt.get());
-  for (const auto& so : g.serial_opts)
-    if (so != nullptr) train_step_.drop_program(so.get());
 }
 
 std::vector<double> FusedTrainingExecutor::score(Group& g) {

@@ -159,9 +159,6 @@ class FusedTrainingExecutor : public TrialExecutor {
   /// Trains `delta_epochs` more epochs and bills their measured fused
   /// step time (x pool lanes) into `cost`.
   void train(Group& g, int64_t delta_epochs, CostReport& cost);
-  /// Drops the step programs keyed by a dying group's optimizers (they
-  /// would otherwise pin the captured graph until LRU eviction).
-  void drop_group_programs(const Group& g);
   std::vector<double> score(Group& g);
 
   Task task_;

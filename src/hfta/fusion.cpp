@@ -8,7 +8,8 @@
 namespace hfta::fused {
 
 UnfusedBlockAdapter::UnfusedBlockAdapter(
-    int64_t B, std::vector<std::shared_ptr<nn::Module>> mods) {
+    int64_t B, std::vector<std::shared_ptr<nn::Module>> mods,
+    const std::string& path) {
   HFTA_CHECK(static_cast<int64_t>(mods.size()) == B,
              "UnfusedBlockAdapter: need exactly B replicas");
   mods_.reserve(mods.size());
@@ -16,10 +17,13 @@ UnfusedBlockAdapter::UnfusedBlockAdapter(
     std::shared_ptr<nn::Module> owned = donor->clone();
     if (owned == nullptr) {
       // Stateless kinds are pure functions of their input: sharing the
-      // donor module cannot write through to anything.
-      HFTA_CHECK(!nn::has_state(*donor),
-                 "UnfusedBlockAdapter: stateful kind '", donor->kind_name(),
-                 "' has no clone support — override Module::make_array");
+      // donor module cannot write through to anything. A stateful one is a
+      // structured planner diagnostic, not a bare Error.
+      if (nn::has_state(*donor))
+        throw FusionError(
+            {path, -1,
+             "unfused unit of stateful kind '" + donor->kind_name() +
+                 "' has no clone support — override Module::make_array"});
       owned = std::move(donor);
     }
     mods_.push_back(std::move(owned));
@@ -280,17 +284,7 @@ FusedArray::Step make_adapter_step(
     std::vector<std::shared_ptr<nn::Module>> reps, int64_t unit) {
   FusedArray::Step s;
   s.kind = reps[0]->kind_name();
-  // A stateful kind without clone support cannot become an owned replica:
-  // report it as a structured planner diagnostic, not a bare Error. Clone
-  // support is per-kind and the replicas are congruent, so probing the
-  // reference replica suffices.
-  if (nn::has_state(*reps[0]) && reps[0]->clone() == nullptr) {
-    throw FusionError(
-        {path, -1,
-         "unfused unit of stateful kind '" + reps[0]->kind_name() +
-             "' has no clone support — override Module::make_array"});
-  }
-  s.module = std::make_shared<UnfusedBlockAdapter>(B, std::move(reps));
+  s.module = std::make_shared<UnfusedBlockAdapter>(B, std::move(reps), path);
   s.in = Layout::kChannelFused;
   s.out = Layout::kChannelFused;
   s.path = path;

@@ -37,10 +37,11 @@ namespace hfta::fused {
 /// training ever writes through to the donor modules. Stateless kinds
 /// without clone support (no parameters, no buffers) are shared as-is —
 /// there is no storage to write through; a stateful kind without clone
-/// support is rejected.
+/// support is rejected with a FusionError naming the unit's `path`.
 class UnfusedBlockAdapter : public nn::Module {
  public:
-  UnfusedBlockAdapter(int64_t B, std::vector<std::shared_ptr<nn::Module>> mods);
+  UnfusedBlockAdapter(int64_t B, std::vector<std::shared_ptr<nn::Module>> mods,
+                      const std::string& path = "");
   ag::Variable forward(const ag::Variable& x) override;
 
   const std::vector<std::shared_ptr<nn::Module>>& replicas() const {

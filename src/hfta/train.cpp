@@ -10,35 +10,16 @@ namespace hfta {
 
 namespace {
 
-// FNV-1a over the optimizer's *structure*: which parameter impls and
-// storages it steps, and their sizes. Learning-rate values are deliberately
-// excluded — schedulers flow through replay (the real optimizer step runs
-// each iteration); structural changes (Hyperband repack builds a new array
-// and optimizer, fuse-mask/B changes re-register params) change the
-// fingerprint and force recapture.
-uint64_t fnv_mix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t fnv_var(uint64_t h, const ag::Variable& v) {
-  h = fnv_mix(h, reinterpret_cast<uint64_t>(v.id()));
-  h = fnv_mix(h, reinterpret_cast<uint64_t>(v.value().data()));
-  h = fnv_mix(h, static_cast<uint64_t>(v.numel()));
-  return h;
-}
-
-uint64_t fingerprint(const nn::Optimizer& opt) {
-  uint64_t h = 1469598103934665603ull;
-  h = fnv_mix(h, opt.params().size());
-  for (const ag::Variable& p : opt.params()) h = fnv_var(h, p);
-  return h;
+// Process-unique, so a program captured under one TrainStep, or under an
+// earlier state of this one, never matches another. 0 is "not captured".
+uint64_t next_epoch() {
+  static std::atomic<uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 }  // namespace
+
+TrainStep::TrainStep() : epoch_(next_epoch()) {}
 
 template <typename Body>
 void TrainStep::step(nn::Optimizer& opt, StepKind kind, const Body& body) {
@@ -65,23 +46,14 @@ const TrainStep::Losses& TrainStep::run_step(nn::Optimizer& opt,
   // The capture run is the eager step with `opt`'s program attached.
   ag::StepProgram* program = nullptr;
   if (capture_) {
-    ProgramSlot& slot = programs_[static_cast<const void*>(&opt)];
-    uint64_t fp = fingerprint(opt);
-    if (amp_enabled()) {
-      // Precision is structural: an AMP program's GEMM/conv thunks carry
-      // the quantize policy by value, so toggling AMP (or changing its
-      // dtype) must recapture, not replay a stale-precision graph.
-      fp = fnv_mix(fp, 0x9e3779b97f4a7c15ull);
-      fp = fnv_mix(fp, static_cast<uint64_t>(amp_dtype_));
-    }
-    if (slot.warm && slot.fingerprint != fp) {
-      // Same optimizer address, different structure (e.g. a repacked group
-      // reusing a slot): the captured graph is stale.
+    nn::Optimizer::CapturedStep& slot = opt.captured_step();
+    if (slot.epoch != epoch_) {
+      // Captured under another TrainStep, or before this one restaged a
+      // buffer or changed precision: the recorded graph is stale.
       slot.program.clear();
       slot.warm = false;
+      slot.epoch = epoch_;
     }
-    slot.fingerprint = fp;
-    slot.last_used = ++use_clock_;
 
     if (slot.program.captured()) {
       step(opt, StepKind::kReplay, [&] {
@@ -114,7 +86,6 @@ const TrainStep::Losses& TrainStep::run_step(nn::Optimizer& opt,
       for (const ag::Variable& loss : losses) engine_.run(loss, seed);
     }
   });
-  if (program) evict_lru();
   return losses;
 }
 
@@ -131,29 +102,22 @@ void TrainStep::stage(Tensor* dst, const Tensor& src) {
   }
   // Shape change: captured graphs read the old buffer — recapture all.
   *dst = src.clone();
-  invalidate_programs();
-}
-
-void TrainStep::invalidate_programs() { programs_.clear(); }
-
-void TrainStep::drop_program(const void* opt_key) { programs_.erase(opt_key); }
-
-void TrainStep::evict_lru() {
-  // Bounds pinned-buffer memory when many optimizers share one TrainStep.
-  constexpr size_t kMaxPrograms = 32;
-  while (programs_.size() > kMaxPrograms) {
-    auto oldest = programs_.begin();
-    for (auto it = programs_.begin(); it != programs_.end(); ++it)
-      if (it->second.last_used < oldest->second.last_used) oldest = it;
-    programs_.erase(oldest);
-  }
+  epoch_ = next_epoch();
 }
 
 void TrainStep::enable_amp(const AmpOptions& opts) {
   HFTA_CHECK(opts.dtype != DType::kF32,
              "enable_amp: dtype must be f16 or bf16");
-  amp_dtype_ = opts.dtype;
+  set_amp_dtype(opts.dtype);
   scaler_ = fused::LossScaler(opts.scaler);
+}
+
+void TrainStep::set_amp_dtype(DType dtype) {
+  // Precision is structural: an AMP program's GEMM/conv thunks carry the
+  // quantize policy by value, so a dtype change must recapture, not replay
+  // a stale-precision graph.
+  if (dtype != amp_dtype_) epoch_ = next_epoch();
+  amp_dtype_ = dtype;
 }
 
 void TrainStep::refresh_amp_seed() {

@@ -13,8 +13,8 @@
 // always ran.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "autograd/autocast.h"
@@ -44,6 +44,8 @@ using MultiLossFn = std::function<std::vector<ag::Variable>()>;
 /// steady-state steps hit the storage pool for every tensor they allocate.
 class TrainStep {
  public:
+  TrainStep();
+
   struct Stats {
     int64_t steps = 0;               // iterations driven by this TrainStep
     uint64_t last_heap_allocs = 0;   // storage heap allocs in the last step
@@ -63,9 +65,9 @@ class TrainStep {
 
   /// Multi-loss iteration (losses run backward in order, one step; leaf
   /// gradients sum every loss's contributions). A replay returns the
-  /// program's pinned losses and an eager or capture step a vector this
-  /// TrainStep owns, so the reference holds until the next run or program
-  /// drop on this TrainStep.
+  /// pinned losses of `opt`'s program and an eager or capture step a
+  /// vector this TrainStep owns, so the reference holds until the next run
+  /// on this TrainStep or until `opt`'s program is released.
   const std::vector<ag::Variable>& run(nn::Optimizer& opt,
                                        const MultiLossFn& loss_fn);
 
@@ -94,8 +96,8 @@ class TrainStep {
   // Capture/replay compatible: the quantize policy rides by value in the
   // recorded GEMM/conv thunks, every captured
   // BackwardTape run's seed SHARES the persistent seed tensor's storage (a
-  // scale change is an in-place refresh, not a recapture), and the AMP
-  // mode + dtype are mixed into each program's fingerprint so toggling
+  // scale change is an in-place refresh, not a recapture), and a dtype
+  // change (AMP on, off, or f16 <-> bf16) draws a new epoch, so toggling
   // precision recaptures.
 
   struct AmpOptions {
@@ -105,8 +107,8 @@ class TrainStep {
 
   void enable_amp(const AmpOptions& opts);
   void enable_amp() { enable_amp(AmpOptions()); }
-  /// Turns AMP off (cached fp32 programs, fingerprinted separately, stay).
-  void disable_amp() { amp_dtype_ = DType::kF32; }
+  /// Turns AMP off (programs captured under AMP recapture in fp32).
+  void disable_amp() { set_amp_dtype(DType::kF32); }
   bool amp_enabled() const { return amp_dtype_ != DType::kF32; }
   /// kF16 or kBF16 with AMP on; kF32 with it off.
   DType amp_dtype() const { return amp_dtype_; }
@@ -119,21 +121,26 @@ class TrainStep {
   //
   // Opt-in (a data-varying loss builder would silently train on stale
   // data): once enabled, both run() overloads drive one eager step per
-  // optimizer, capture the next step into an ag::StepProgram (the eager
-  // step with a recorder attached; one backward run per loss), and replay
-  // it thereafter — no Node construction, no closure allocation, no topo
-  // sort, and (warm) no heap allocation.
+  // optimizer, capture the next step into that optimizer's program (the
+  // eager step with a recorder attached; one backward run per loss), and
+  // replay it thereafter — no Node construction, no closure allocation, no
+  // topo sort, and (warm) no heap allocation.
   //
   // Static-input discipline: during replay the loss builder is NOT
   // called, so per-step data must be staged in place into the tensors the
   // capture run read (see stage()). Per-step scalar hypers (learning
   // rates) stay live — the real optimizer step runs around every replay.
   //
-  // Invalidation: each program is fingerprinted over the optimizer's
-  // structure (param identities, storages, sizes). A repack, fuse-mask
-  // change, or any param re-registration changes the fingerprint and
-  // recaptures automatically; stage() with a new shape invalidates every
-  // program (batch-size change reshapes the graph).
+  // Ownership and invalidation: a program lives in the optimizer it steps
+  // (nn::Optimizer::captured_step), so it dies with that optimizer — a
+  // repack's new optimizer starts cold, and an optimizer rebuilt at a dead
+  // one's address cannot replay the dead one's graph. Each program records
+  // the epoch of the TrainStep state it was captured under. A TrainStep
+  // draws a new epoch when it is built, when stage() reassigns a buffer
+  // (a new shape reshapes the graph) and when its AMP dtype changes; a
+  // program from another epoch is cleared and re-warmed (one eager step,
+  // then a capture). Driving one optimizer from two capture-enabled
+  // TrainSteps therefore recaptures at every switch.
 
   /// Enables capture on this TrainStep. Each optimizer's first step runs
   /// eagerly so the pool is warm before a program pins its buffers.
@@ -141,29 +148,13 @@ class TrainStep {
 
   /// Stages per-step data into `*dst` (a tensor the captured graph
   /// reads): same-shape sources are copied in place so replays observe
-  /// them; a shape change reassigns the tensor and invalidates all
-  /// programs (the graph must be recaptured over the new buffer).
+  /// them; a shape change reassigns the tensor and draws a new epoch (every
+  /// program must be recaptured over the new buffer).
   void stage(Tensor* dst, const Tensor& src);
-
-  /// Drops every cached program (next runs re-warm and recapture).
-  void invalidate_programs();
-  /// Drops the program cached for one optimizer (pass its address) —
-  /// e.g. when a Hyperband group retires and its optimizer is destroyed.
-  void drop_program(const void* opt_key);
-  int64_t program_count() const {
-    return static_cast<int64_t>(programs_.size());
-  }
 
   const Stats& stats() const { return stats_; }
 
  private:
-  struct ProgramSlot {
-    uint64_t fingerprint = 0;
-    bool warm = false;       // the warm-up eager step has run
-    int64_t last_used = 0;   // LRU clock value
-    ag::StepProgram program;
-  };
-
   using Losses = std::vector<ag::Variable>;
   using LossesFn = FunctionRef<Losses()>;
   enum class StepKind { kEager, kCapture, kReplay };
@@ -179,7 +170,8 @@ class TrainStep {
   /// pinned losses (by reference: a replayed step copies no vector).
   const Losses& run_step(nn::Optimizer& opt, LossesFn loss_fn,
                          Losses& losses);
-  void evict_lru();
+  /// Sets the AMP dtype; a change draws a new epoch.
+  void set_amp_dtype(DType dtype);
 
   /// Rewrites the persistent scalar seed tensor with the current scale
   /// (in place — captured tapes share its storage).
@@ -198,12 +190,11 @@ class TrainStep {
 
   ag::Engine engine_;
   Stats stats_;
-  std::unordered_map<const void*, ProgramSlot> programs_;
+  uint64_t epoch_;  // the state programs captured now are valid under
   // The last eager or capture multi-loss step's losses, released when the
   // next step of any kind starts, before it builds its own losses.
   Losses multi_losses_;
   bool capture_ = false;
-  int64_t use_clock_ = 0;
   DType amp_dtype_ = DType::kF32;  // kF32: AMP off
   fused::LossScaler scaler_;
   Tensor amp_seed_;  // persistent scalar; every captured tape shares it

@@ -6,8 +6,10 @@
 // are simply the one-model (B = 1) case with scalar options.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
+#include "autograd/step_program.h"
 #include "autograd/variable.h"
 
 namespace hfta::nn {
@@ -15,6 +17,10 @@ namespace hfta::nn {
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
+  // Parameters are shared handles and a captured step pins this
+  // optimizer's own graph, so a copy would be an alias, not an optimizer.
+  Optimizer(const Optimizer&) = delete;
+  Optimizer& operator=(const Optimizer&) = delete;
 
   /// One update. An AMP step passes grad_scale = 1/S, which every
   /// optimizer folds into its gradient reads instead of unscaling the
@@ -31,10 +37,23 @@ class Optimizer {
     for (ag::Variable& p : params_) p.zero_grad();
   }
 
-  /// Every parameter this optimizer steps, in step order (fingerprinted by
-  /// step programs to detect structural changes such as a Hyperband
-  /// repack).
+  /// Every parameter this optimizer steps, in step order.
   const std::vector<ag::Variable>& params() const { return params_; }
+
+  /// The step a capture-enabled hfta::TrainStep recorded for this
+  /// optimizer (hfta/train.h). It lives and dies with the optimizer, so no
+  /// other optimizer can ever replay it. `epoch` names the TrainStep state
+  /// it was captured under (0: none yet); `warm` says the warm-up eager
+  /// step has run under that epoch.
+  struct CapturedStep {
+    ag::StepProgram program;
+    uint64_t epoch = 0;
+    bool warm = false;
+  };
+  CapturedStep& captured_step() { return captured_; }
+  /// Frees the captured step and the graph it pins; the next capture-
+  /// enabled step warms up and captures again.
+  void release_program() { captured_ = CapturedStep(); }
 
  protected:
   explicit Optimizer(std::vector<ag::Variable> params)
@@ -43,6 +62,9 @@ class Optimizer {
 
   std::vector<ag::Variable> params_;
   int64_t steps_ = 0;
+
+ private:
+  CapturedStep captured_;
 };
 
 }  // namespace hfta::nn

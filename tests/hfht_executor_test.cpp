@@ -109,7 +109,7 @@ TEST(FusedExecutor, HyperbandSurvivorsRepackAndContinueBitExactly) {
 
 TEST(FusedExecutor, ReplayContinuesAcrossHyperbandRepack) {
   // The executor's TrainStep captures each group's step program; a halving
-  // repack builds a new array + optimizer (new fingerprint), so training
+  // repack builds a new array + optimizer, which starts cold, so training
   // must recapture and keep replaying — with the serial audit still at
   // zero drift on the post-repack iterations.
   Hyperband hb(single_partition_space(), /*max_epochs_r=*/4, /*eta=*/2,

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -333,8 +334,8 @@ std::shared_ptr<nn::Sequential> mlp(Rng& rng) {
 }
 
 // One fused config: two same-weight arrays (capture twin, eager twin) and
-// their optimizers. Kept alive across configs so program slots keyed by
-// optimizer address cannot collide through stack reuse.
+// their optimizers. Kept alive across configs, so each capture optimizer's
+// program outlives the configs trained after it.
 struct FusedCfg {
   std::shared_ptr<fused::FusedArray> array_c, array_e;
   std::unique_ptr<fused::FusedOptimizer> opt_c, opt_e;
@@ -392,31 +393,101 @@ void run_fused_pair(TrainStep& cap, TrainStep& eag, FusedCfg& c,
 TEST(StepProgram, ArraySizeAndFuseMaskChangesGetFreshPrograms) {
   // Three configs through ONE capture-enabled TrainStep: B=2 fully fused,
   // B=3 (array-size change), and B=2 with the middle unit masked off
-  // (fuse-mask change). Each new array/optimizer pair fingerprints
-  // differently, so each gets its own program — three captures, three live
-  // programs, no cross-talk, and bit-exactness against eager throughout.
+  // (fuse-mask change). Each new optimizer owns its own program — three
+  // captures, no cross-talk, and bit-exactness against eager throughout.
   TrainStep cap;
   cap.enable_capture();
   TrainStep eag;
   FusedCfg b2 = make_cfg(2, {});
   run_fused_pair(cap, eag, b2, "B=2 fused");
   EXPECT_EQ(cap.stats().captures, 1);
-  EXPECT_EQ(cap.program_count(), 1);
   FusedCfg b3 = make_cfg(3, {});
   run_fused_pair(cap, eag, b3, "B=3 fused");
   EXPECT_EQ(cap.stats().captures, 2);
-  EXPECT_EQ(cap.program_count(), 2);
   fused::FusionOptions masked;
   masked.fuse_mask = {true, false, true};
   FusedCfg b2m = make_cfg(2, masked);
   run_fused_pair(cap, eag, b2m, "B=2 masked");
   EXPECT_EQ(cap.stats().captures, 3);
-  EXPECT_EQ(cap.program_count(), 3);
-  // A retired optimizer's program is dropped individually; the rest stay.
-  cap.drop_program(b3.opt_c.get());
-  EXPECT_EQ(cap.program_count(), 2);
-  cap.invalidate_programs();
-  EXPECT_EQ(cap.program_count(), 0);
+  // B=2's program stayed live in its optimizer: it replays from the first
+  // step back, with no new capture.
+  run_fused_pair(cap, eag, b2, "B=2 fused, resumed");
+  EXPECT_EQ(cap.stats().captures, 3);
+  EXPECT_EQ(cap.stats().replays, 3 * 4 + 6);
+  // A released program re-warms (one eager step) and captures again; the
+  // others stay live.
+  b3.opt_c->release_program();
+  int64_t replays = cap.stats().replays;
+  run_fused_pair(cap, eag, b3, "B=3 fused, released");
+  EXPECT_EQ(cap.stats().captures, 4);
+  EXPECT_EQ(cap.stats().replays, replays + 4);
+  replays = cap.stats().replays;
+  run_fused_pair(cap, eag, b2m, "B=2 masked, resumed");
+  EXPECT_EQ(cap.stats().captures, 4);
+  EXPECT_EQ(cap.stats().replays, replays + 6);
+}
+
+TEST(StepProgram, OptimizerRebuiltAtADeadOnesAddressCapturesAfresh) {
+  // A program lives in the optimizer it steps. An optimizer destroyed and
+  // rebuilt in place — same address, different array size — starts cold:
+  // one eager step, then a capture, and never a replay of the dead graph.
+  // Losses and parameters stay bit-equal to an eager TrainStep throughout.
+  TrainStep cap;
+  cap.enable_capture();
+  TrainStep eag;
+  std::shared_ptr<fused::FusedArray> array_c, array_e;
+  std::optional<fused::FusedAdam> opt_c, opt_e;
+  Tensor x;
+  auto build = [&](int64_t B) {
+    Rng rng(21 + static_cast<uint64_t>(B));
+    std::vector<std::shared_ptr<nn::Module>> donors;
+    for (int64_t b = 0; b < B; ++b) donors.push_back(mlp(rng));
+    Rng crng(1), erng(1);
+    array_c = fused::FusionPlan(B, {}).compile(donors, crng);
+    array_e = fused::FusionPlan(B, {}).compile(donors, erng);
+    const fused::FusedAdam::Options o{
+        .lr = fused::HyperVec(static_cast<size_t>(B), 0.01)};
+    opt_c.emplace(fused::collect_fused_parameters(*array_c, B), B, o);
+    opt_e.emplace(fused::collect_fused_parameters(*array_e, B), B, o);
+    Rng drng(31);
+    x = fused::pack_channel_fused(std::vector<Tensor>(
+        static_cast<size_t>(B), Tensor::randn({kN, 4}, drng)));
+  };
+  auto loss_on = [&x](fused::FusedArray& a) {
+    return [&a, &x] {
+      ag::Variable y = a.forward(ag::Variable(x));
+      return ag::mean_all(ag::mul(y, y));
+    };
+  };
+  auto step_pair = [&](const std::string& tag) {
+    const float lc = cap.run(*opt_c, loss_on(*array_c)).value().item();
+    const float le = eag.run(*opt_e, loss_on(*array_e)).value().item();
+    EXPECT_EQ(lc, le) << tag;
+  };
+
+  build(2);
+  for (int s = 0; s < 4; ++s) step_pair("B=2 step " + std::to_string(s));
+  EXPECT_EQ(cap.stats().captures, 1);
+  EXPECT_TRUE(cap.stats().last_was_replay);
+  expect_state_equal(*array_e, *array_c, "B=2");
+
+  const fused::FusedAdam* dead = &*opt_c;
+  opt_c.reset();
+  opt_e.reset();
+  build(3);
+  ASSERT_EQ(&*opt_c, dead);  // the new optimizer reuses the dead one's slot
+  const int64_t replays = cap.stats().replays;
+  step_pair("B=3 warm-up");
+  EXPECT_FALSE(cap.stats().last_was_replay);
+  EXPECT_EQ(cap.stats().captures, 1);
+  step_pair("B=3 capture");
+  EXPECT_FALSE(cap.stats().last_was_replay);
+  EXPECT_EQ(cap.stats().captures, 2);
+  EXPECT_EQ(cap.stats().replays, replays);  // the dead program never ran
+  for (int s = 0; s < 3; ++s) step_pair("B=3 step " + std::to_string(s));
+  EXPECT_TRUE(cap.stats().last_was_replay);
+  EXPECT_EQ(cap.stats().captures, 2);
+  expect_state_equal(*array_e, *array_c, "B=3");
 }
 
 // ---- fused token models: replays read each step's staged ids ---------------
